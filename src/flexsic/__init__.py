@@ -29,21 +29,17 @@ from .counters import OpCounter
 from .imd import (
     IMDTables,
     NonlinearBasis,
-    PilotReport,
     basis_chain,
     basis_direct,
     default_pilot_omega,
     dump_imd_tables,
-    imd_step,
     impulse_pilot,
     impulse_pilot_basis,
     lambda_dl,
     make_imd_tables,
     mu_tables,
     pilot_peak_sample,
-    pilot_suppression,
     predict_si_power,
-    q3_closed,
     q_size,
 )
 from .impairments import (
@@ -56,12 +52,10 @@ from .impairments import (
     irr_to_b,
 )
 from .ofdm import (
-    DuplexMode,
     FreqSymbol,
     SubcarrierGrid,
     TimeSignal,
     add_cp,
-    classify_duplex,
     dft,
     gen_qam_symbols,
     idft,

@@ -90,7 +90,3 @@ class OpCounter:
             out.append((stage, "multiplies", self._mults.get(stage, 0)))
             out.append((stage, "adds", self._adds.get(stage, 0)))
         return out
-
-    def merge(self, other: "OpCounter", prefix: str = "") -> None:
-        for stage in other.stages:
-            self.charge(prefix + stage, other.mults(stage), other.adds(stage))

@@ -142,30 +142,6 @@ def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     return rows
 
 
-def q3_closed(grid: SubcarrierGrid, p: int) -> float:
-    """Continuous closed-form approximation of |Q^3_p|.
-
-    Evaluates the piecewise-quadratic Q at p - P, p, and p + P and sums the
-    three aliases.  The form treats the pair-count triangle as a continuous
-    density, so it differs from the exact integer q_size(grid, 1)[p] by
-    small offsets (notably at band edges and for narrow allocations); use
-    q_size for exact values and this function to quantify the gap.
-    """
-    s, e = grid.dl_set
-    big_p = grid.num_subcarriers
-
-    def q_piece(t: float) -> float:
-        if 2 * s - e < t <= s:
-            return 0.5 * (t + e - 2 * s) ** 2
-        if s <= t <= e:
-            return float((e - s) ** 2) - 0.5 * (t - s) ** 2 - 0.5 * (e - t) ** 2
-        if e < t <= 2 * e - s:
-            return 0.5 * (2 * e - s - t) ** 2
-        return 0.0
-
-    return q_piece(p - big_p) + q_piece(p) + q_piece(p + big_p)
-
-
 def basis_direct(X: FreqSymbol, imb: IQImbalance, k: int) -> NonlinearBasis:
     """Reference basis computation straight from the definition.
 
@@ -180,31 +156,17 @@ def basis_direct(X: FreqSymbol, imb: IQImbalance, k: int) -> NonlinearBasis:
     return NonlinearBasis(order=2 * k + 1, values=np.fft.fft(phi))
 
 
-def imd_step(X_iq: FreqSymbol, prev: NonlinearBasis) -> NonlinearBasis:
-    """One recursion step: order 2k-1 basis to order 2k+1 basis.
+def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
+    """All bases Phi_1 .. Phi_{2k_max+1} of one symbol, shape (k_max+1, P).
 
-    Implements
+    Implements the recursion
 
         Phi_{2k+1}[p] = (1/P^2) * sum_{q1, q2} X_iq[q1] X_iq[q2]
                                   * conj(Phi_{2k-1}[(q1 + q2 - p) mod P])
 
-    through three FFTs of the subcarrier sequences, i.e. O(P log P) per
-    order instead of the O(P^2) double sum.  X_iq must be the IQ-applied
-    spectrum (the order-1 basis).
-    """
-    p = len(X_iq.values)
-    if len(prev.values) != p:
-        raise ValueError("X_iq and prev live on different grids")
-    fx = np.fft.fft(X_iq.values)
-    fp = np.fft.fft(prev.values)
-    vals = np.fft.ifft(fx * fx * np.conj(fp)) / p**2
-    return NonlinearBasis(order=prev.order + 2, values=vals)
-
-
-def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
-    """All bases Phi_1 .. Phi_{2k_max+1} of one symbol, shape (k_max+1, P).
-
-    Same recursion as imd_step, reusing the squared spectrum across orders.
+    through FFTs of the subcarrier sequences, i.e. O(P log P) per order
+    instead of the O(P^2) double sum, reusing the squared spectrum across
+    orders. X_iq_values must be the IQ-applied spectrum (the order-1 basis).
     """
     p = len(X_iq_values)
     out = np.empty((k_max + 1, p), dtype=np.complex128)
@@ -259,6 +221,8 @@ def mu_tables(
         mu[k] = (2 * k * (2 * k - 1) * f1 / p**4) * conv + (
             (k + 1) ** 2 * f2 / p**4
         ) * grid.dl_size**2 * mu[k - 1]
+    if np.any(mu < 0):
+        raise AssertionError("mu table contains negative entries")
     return mu
 
 
@@ -278,14 +242,11 @@ def make_imd_tables(
             raise AssertionError(
                 f"q_size row {k} sums to {total}, expected |DL|^{2 * k + 1} = {expect}"
             )
-    mu = mu_tables(grid, imb, a_digi, k_max, moment_mode)
-    if np.any(mu < 0):
-        raise AssertionError("mu table contains negative entries")
     return IMDTables(
         grid=grid,
         k_max=k_max,
         q_size=qs,
-        mu=mu,
+        mu=mu_tables(grid, imb, a_digi, k_max, moment_mode),
         lambda_dl=lambda_dl(grid),
         b_iq=imb.b_iq,
         a_digi=float(a_digi),
@@ -344,36 +305,6 @@ def impulse_pilot(
     idx = grid.dl_indices
     values[idx] = a_digi * np.exp(-1j * omega * idx)
     return FreqSymbol(values=values)
-
-
-@dataclass(frozen=True)
-class PilotReport:
-    """Time-domain shape summary of an impulse pilot."""
-
-    peak_index: int
-    peak_mag: float
-    pre_peak_max: float
-    suppression_db: float
-
-
-def pilot_suppression(pilot: FreqSymbol, grid: SubcarrierGrid) -> PilotReport:
-    """Quantify how well the pilot body is suppressed before its peak.
-
-    suppression_db is the peak magnitude over the largest pre-peak sample
-    magnitude, in dB; large values mean delayed copies of the pre-peak
-    samples cannot contaminate the peak.
-    """
-    body = np.fft.ifft(pilot.values)
-    mags = np.abs(body)
-    peak = int(np.argmax(mags))
-    pre = float(mags[:peak].max()) if peak > 0 else 0.0
-    supp = float("inf") if pre == 0 else 20.0 * np.log10(mags[peak] / pre)
-    return PilotReport(
-        peak_index=peak,
-        peak_mag=float(mags[peak]),
-        pre_peak_max=pre,
-        suppression_db=supp,
-    )
 
 
 def impulse_pilot_basis(

@@ -17,7 +17,6 @@ of subcarrier p is (P - p) mod P.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,12 +158,6 @@ class TimeSignal:
         return self.samples.shape[0]
 
 
-class DuplexMode(enum.Enum):
-    IBFD = "ibfd"
-    SBFD = "sbfd"
-    PARTIAL_OVERLAP = "partial_overlap"
-
-
 def mirror_index(p: int, num_subcarriers: int) -> int:
     """Map subcarrier p to its negative-frequency image (P - p) mod P.
 
@@ -282,20 +275,3 @@ def gen_qam_symbols(
         values[grid.dl_indices] = pts[picks[m]]
         out.append(FreqSymbol(values=values, symbol_index=m))
     return out
-
-
-def classify_duplex(grid: SubcarrierGrid) -> tuple[DuplexMode, int]:
-    """Classify the allocation and report the UL/DL overlap size.
-
-    Returns (mode, overlap) where overlap = |ul_set intersect dl_set|.
-    IBFD means ul_set equals dl_set; SBFD means the sets are disjoint;
-    anything else is partial overlap.
-    """
-    lo = max(grid.dl_start, grid.ul_start)
-    hi = min(grid.dl_end, grid.ul_end)
-    overlap = max(0, hi - lo + 1)
-    if grid.dl_set == grid.ul_set:
-        return DuplexMode.IBFD, overlap
-    if overlap == 0:
-        return DuplexMode.SBFD, overlap
-    return DuplexMode.PARTIAL_OVERLAP, overlap

@@ -4,8 +4,10 @@ A ScenarioSpec pins down everything about one experiment: the grid and
 band allocation, the transmitter impairments, the self-interference
 channel, power levels, the estimator knobs, and which cancellers to
 compare. run_scenario simulates the training window, fits each
-canceller, replays a shared batch of data symbols through all of them,
-and returns per-subcarrier residual spectra, residual-power CDF samples,
+canceller, and for a shared batch of data symbols computes each
+canceller's self-interference estimate once per symbol and subtracts it
+from the noisy and the noiseless reception alike. It returns
+per-subcarrier residual spectra, residual-power CDF samples,
 cancellation ratios, and per-stage arithmetic counters.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
@@ -34,7 +36,7 @@ from .channel import (
     synth_channel,
 )
 from .counters import OpCounter
-from .imd import default_pilot_omega, impulse_pilot, make_imd_tables
+from .imd import default_pilot_omega, impulse_pilot, mu_tables
 from .impairments import (
     IQImbalance,
     PAPolynomial,
@@ -359,7 +361,7 @@ def _fit_canceller(
     a_digi: float,
     counter: OpCounter,
 ):
-    """Train one canceller; returns an opaque state consumed by _run_canceller."""
+    """Train one canceller; returns an opaque state consumed by _estimate_si."""
     if name == "none":
         return None
     if name == "linear":
@@ -377,39 +379,40 @@ def _fit_canceller(
         )
         if name == "iq_only":
             a_hat = {1: a_hat[1]}
-        h_hat, unest = estimate_channel(buffer, a_hat, b_hat, cfg, counter=counter)
-        tables = make_imd_tables(grid, IQImbalance(b_hat), a_digi, cfg.k_max)
-        sets = select_basis(a_hat, tables.mu, h_hat, cfg.gamma, cfg.k_max, grid, counter=counter)
+        h_hat, _ = estimate_channel(buffer, a_hat, b_hat, cfg, counter=counter)
+        mu = mu_tables(grid, IQImbalance(b_hat), a_digi, cfg.k_max)
+        retained = select_basis(a_hat, mu, h_hat, cfg.gamma, cfg.k_max, grid, counter=counter)
+        # selection walks cfg.k_max orders even for iq_only, whose a_hat
+        # keeps the linear order alone; the mask keeps the rows a_hat has
         coeffs = SICCoefficients(
             grid=grid,
             h_hat=h_hat,
             a_hat=a_hat,
             b_hat=b_hat,
-            basis_sets=sets,
-            unestimated=unest,
+            retained=retained[: len(a_hat)],
         )
         combined = precombine(coeffs, counter=counter)
         return coeffs, combined
     raise ValueError(f"unknown canceller {name!r}")
 
 
-def _run_canceller(
+def _estimate_si(
     name: str,
     state,
-    y_rx: FreqSymbol,
     x_dl: FreqSymbol,
     grid: SubcarrierGrid,
-    counter: OpCounter | None,
-) -> FreqSymbol:
+    counter: OpCounter,
+) -> np.ndarray:
+    """One canceller's self-interference estimate for one symbol, on the grid."""
     if name == "none":
-        return FreqSymbol(y_rx.values.copy(), y_rx.symbol_index)
+        return np.zeros(grid.num_subcarriers, dtype=np.complex128)
     if name == "linear":
-        return baseline_linear(y_rx, x_dl, state, grid, counter=counter)
+        return baseline_linear(x_dl, state, grid, counter=counter)
     if name == "full_ls":
         coeffs, b_hat = state
-        return run_full_ls(y_rx, x_dl, coeffs, b_hat, grid, counter=counter)
+        return run_full_ls(x_dl, coeffs, b_hat, grid, counter=counter)
     coeffs, combined = state
-    return run_sic(y_rx, x_dl, coeffs, counter=counter, combined=combined)
+    return run_sic(x_dl, coeffs, counter=counter, combined=combined)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
@@ -460,14 +463,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         samples = []
         clean_res = []
         for m, x in enumerate(run_syms):
-            res = _run_canceller(
-                name, state, FreqSymbol(y_noisy[m], m), x, grid, counters[name]
-            )
-            power = np.abs(res.values[ul]) ** 2
+            # the estimate depends on the transmit symbol only, so it is
+            # subtracted from both the noisy and the noiseless reception
+            est = _estimate_si(name, state, x, grid, counters[name])[ul]
+            power = np.abs(y_noisy[m][ul] - est) ** 2
             acc += power
             samples.append(10.0 * np.log10(max(float(power.mean()) * mw_per_unit, _FLOOR)))
-            res_c = _run_canceller(name, state, FreqSymbol(y_clean[m], m), x, grid, None)
-            clean_res.append(res_c.values[ul])
+            clean_res.append(y_clean[m][ul] - est)
         acc /= len(run_syms)
         psd_dbm[name] = 10.0 * np.log10(np.maximum(acc * mw_per_unit, _FLOOR))
         cdf_dbm[name] = residual_cdf(samples)

@@ -6,9 +6,15 @@ odd-order polynomial coefficients a_{2k+1} from an amplitude-swept
 impulse pilot, and the effective channel H[p] from a per-subcarrier
 scalar regression against the composite nonlinear regressor. Stage two
 selects, per uplink subcarrier, which distortion orders are worth
-cancelling (predicted distortion power above a threshold gamma) and then
-runs a per-symbol canceller whose running cost is one multiply per
-retained basis per subcarrier.
+cancelling (predicted distortion power above a threshold gamma) and
+records the choice as one boolean retained-order mask. The per-symbol
+canceller is then a masked product-sum whose running cost is one
+multiply per retained basis per subcarrier.
+
+The running cancellers (run_sic, run_full_ls, baseline_linear) return
+the self-interference estimate on the grid; the caller subtracts it from
+the received spectrum. Each still charges that subtraction's adds to its
+own stage, so the counts match a canceller that subtracts in place.
 
 All estimator and canceller arithmetic is charged to an OpCounter so
 complexity claims can be checked against actual counts. Receiver-side
@@ -18,12 +24,12 @@ regardless of which canceller is in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import OpCounter
-from .imd import basis_chain, pilot_peak_sample
+from .imd import basis_chain, pilot_peak_sample, predict_si_power
 from .ofdm import FreqSymbol, SubcarrierGrid, TimeSignal, mirror_values
 
 _RANK_TOL = 1e-12
@@ -147,19 +153,19 @@ class SICCoefficients:
 
     h_hat holds the effective channel estimate over the full grid
     (zeros outside the uplink band and at unestimated subcarriers).
-    a_hat maps odd order 2k+1 to its polynomial coefficient. basis_sets
-    maps each uplink subcarrier to the set of distortion indices k >= 1
-    retained for cancellation; subsets of {1..k_max}, not necessarily
-    downward closed. unestimated lists uplink subcarriers where the
-    channel could not be identified; the canceller leaves them alone.
+    a_hat maps odd order 2k+1 to its polynomial coefficient. retained is
+    a boolean mask of shape (k_max + 1, P): row 0 marks the uplink
+    subcarriers the canceller acts on (those with a channel estimate),
+    and row k >= 1 marks where order 2k+1 is cancelled, so column p
+    holds {0} u K_p. The rows k >= 1 need not be nested in each other,
+    but they lie within row 0, and nothing is marked off the uplink.
     """
 
     grid: SubcarrierGrid
     h_hat: np.ndarray
     a_hat: dict[int, complex]
     b_hat: complex
-    basis_sets: dict[int, frozenset[int]]
-    unestimated: frozenset[int] = field(default_factory=frozenset)
+    retained: np.ndarray
 
     def __post_init__(self):
         h = np.asarray(self.h_hat, dtype=np.complex128)
@@ -169,12 +175,20 @@ class SICCoefficients:
         for order in self.a_hat:
             if order % 2 == 0 or order < 1:
                 raise ValueError(f"a_hat keys must be odd orders, got {order}")
-        k_max = self.k_max
-        for p, kset in self.basis_sets.items():
-            if not self.grid.in_ul(p):
-                raise ValueError(f"basis set given for non-uplink subcarrier {p}")
-            if any(k < 1 or k > k_max for k in kset):
-                raise ValueError(f"basis set at p={p} is outside 1..{k_max}")
+        mask = np.asarray(self.retained, dtype=bool)
+        shape = (self.k_max + 1, self.grid.num_subcarriers)
+        if mask.shape != shape:
+            raise ValueError(f"retained has shape {mask.shape}, expected {shape}")
+        outside = mask.any(axis=0)
+        outside[self.grid.ul_indices] = False
+        if outside.any():
+            p = int(np.flatnonzero(outside)[0])
+            raise ValueError(f"retained marks non-uplink subcarrier {p}")
+        orphan = (mask[1:] & ~mask[0]).any(axis=0)
+        if orphan.any():
+            p = int(np.flatnonzero(orphan)[0])
+            raise ValueError(f"retained keeps distortion orders at unestimated subcarrier {p}")
+        object.__setattr__(self, "retained", mask)
 
     @property
     def k_max(self) -> int:
@@ -459,15 +473,16 @@ def estimate_channel(
     b_hat: complex,
     config: EstimatorConfig,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray, frozenset[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-subcarrier scalar LS for the effective channel on the uplink band.
 
     The regressor at subcarrier p is sum_k a_hat_{2k+1} Phi_{2k+1}[p]
     built from the composed transmit spectrum, so the channel stays
     identifiable even where only out-of-band distortion lands. Returns
-    (h_hat over the full grid, frozenset of uplink subcarriers whose
-    regressor power was too small to trust); those stay zero and the
-    canceller leaves them untouched.
+    (h_hat over the full grid, boolean mask over the grid of the uplink
+    subcarriers that were estimated). Uplink subcarriers whose regressor
+    power was too small to trust stay zero in h_hat, and the canceller
+    leaves them untouched.
     """
     entries = buffer.data_entries
     if not entries:
@@ -500,12 +515,12 @@ def estimate_channel(
         counter.charge("estimate_channel", mults=len(ul), adds=0)
 
     h_hat = np.zeros(p_total, dtype=np.complex128)
+    estimated = np.zeros(p_total, dtype=bool)
     top = den.max() if den.size else 0.0
-    bad = den <= _REGRESSOR_POWER_TOL * top if top > 0 else np.ones_like(den, dtype=bool)
-    good = ~bad
-    h_hat[np.asarray(ul)[good]] = num[good] / den[good]
-    unestimated = frozenset(int(p) for p in np.asarray(ul)[bad])
-    return h_hat, unestimated
+    estimated[ul] = den > _REGRESSOR_POWER_TOL * top if top > 0 else False
+    good = estimated[ul]
+    h_hat[ul[good]] = num[good] / den[good]
+    return h_hat, estimated
 
 
 def select_basis(
@@ -516,35 +531,35 @@ def select_basis(
     k_max: int,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
-) -> dict[int, frozenset[int]]:
+) -> np.ndarray:
     """Pick, per uplink subcarrier, the distortion orders worth cancelling.
 
     Walks k = 1..k_max and keeps k while the predicted distortion power
     |a_{2k+1}|^2 mu_{2k+1}[p] |h[p]|^2 exceeds gamma, stopping at the
     first order that falls below. The walk stops early because predicted
     power decays with k at sane drive levels; anything below gamma costs
-    more to cancel than it removes.
+    more to cancel than it removes. Each order the walk looks at costs
+    three multiplies.
+
+    Returns the retained-order mask of shape (k_max + 1, P) that
+    SICCoefficients takes: row 0 marks the uplink subcarriers with a
+    nonzero channel estimate (estimate_channel leaves the unestimated
+    ones at zero), row k marks where order 2k+1 is kept.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if mu.shape[0] < k_max + 1:
         raise ValueError("mu table does not cover k_max")
-    sets: dict[int, frozenset[int]] = {}
-    evals = 0
-    for p in grid.ul_indices:
-        kept = []
-        h2 = abs(h_hat[p]) ** 2
-        for k in range(1, k_max + 1):
-            a = a_hat.get(2 * k + 1, 0.0)
-            evals += 1
-            if abs(a) ** 2 * mu[k, p] * h2 > gamma:
-                kept.append(k)
-            else:
-                break
-        sets[int(p)] = frozenset(kept)
+    ul = grid.ul_indices
+    a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(1, k_max + 1)], dtype=np.complex128)
+    power = predict_si_power(a_vec, mu[1 : k_max + 1, ul], h_hat[ul])
+    retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
+    retained[0, ul] = h_hat[ul] != 0
+    retained[1:, ul] = np.logical_and.accumulate(power > gamma, axis=0)
     if counter is not None:
-        counter.charge("select_basis", mults=3 * evals, adds=0)
-    return sets
+        walked = np.minimum(k_max, retained[1:, ul].sum(axis=0) + 1)
+        counter.charge("select_basis", mults=3 * int(walked.sum()), adds=0)
+    return retained
 
 
 def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.ndarray:
@@ -561,24 +576,24 @@ def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.
 
 
 def run_sic(
-    y_rx: FreqSymbol,
     x_dl: FreqSymbol,
     coeffs: SICCoefficients,
     counter: OpCounter | None = None,
     combined: np.ndarray | None = None,
-) -> FreqSymbol:
-    """Cancel self-interference on the uplink band of one symbol.
+) -> np.ndarray:
+    """Self-interference estimate on the uplink band of one symbol.
 
     Builds the composed transmit spectrum and the distortion bases up to
-    the largest retained order, then subtracts
-    sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] from the
-    received spectrum at each uplink subcarrier. Subcarriers outside the
-    uplink band, and unestimated ones, pass through untouched. Running
-    stage cost is sum_p (1 + |K_p|) multiplies.
+    the largest retained order, then returns, over the full grid,
+    sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each uplink
+    subcarrier that coeffs.retained marks, and zero elsewhere. The caller
+    subtracts it from the received spectrum. Running stage cost is
+    sum_p (1 + |K_p|) multiplies, plus one add per retained order and
+    per uplink subcarrier for the subtraction.
     """
     grid = coeffs.grid
     p_total = grid.num_subcarriers
-    if len(y_rx) != p_total or len(x_dl) != p_total:
+    if len(x_dl) != p_total:
         raise ValueError("symbol length does not match the coefficient grid")
     outside = np.abs(x_dl.values) > 0
     outside[grid.dl_indices] = False
@@ -587,10 +602,9 @@ def run_sic(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
 
-    k_used = 0
-    for kset in coeffs.basis_sets.values():
-        if kset:
-            k_used = max(k_used, max(kset))
+    mask = coeffs.retained
+    kept_rows = np.flatnonzero(mask.any(axis=1))
+    k_used = int(kept_rows[-1]) if kept_rows.size else 0
 
     xiq = _compose_xiq(x_dl.values, coeffs.b_hat)
     _charge_xiq(counter, "run_basis", grid)
@@ -601,26 +615,12 @@ def run_sic(
         combined = precombine(coeffs, counter)
 
     ul = grid.ul_indices
+    terms = combined[: k_used + 1, ul] * chain[:, ul]
     est = np.zeros(p_total, dtype=np.complex128)
-    mults = 0
-    adds = 0
-    skip = coeffs.unestimated
-    for p in ul:
-        if p in skip:
-            continue
-        acc = combined[0, p] * xiq[p]
-        mults += 1
-        for k in sorted(coeffs.basis_sets.get(int(p), ())):
-            acc += combined[k, p] * chain[k, p]
-            mults += 1
-            adds += 1
-        est[p] = acc
-    out = y_rx.values.copy()
-    out[ul] = out[ul] - est[ul]
-    adds += len(ul)
+    est[ul] = np.where(mask[: k_used + 1, ul], terms, 0.0).sum(axis=0)
     if counter is not None:
-        counter.charge("run", mults=mults, adds=adds)
-    return FreqSymbol(out, y_rx.symbol_index)
+        counter.charge("run", mults=int(mask.sum()), adds=int(mask[1:].sum()) + len(ul))
+    return est
 
 
 def perfect_coefficients(
@@ -630,15 +630,15 @@ def perfect_coefficients(
     b_iq: complex,
 ) -> SICCoefficients:
     """Oracle coefficients with every basis retained; for invariant checks."""
-    orders = sorted(pa_coeffs)
-    k_max = (orders[-1] - 1) // 2
-    full = frozenset(range(1, k_max + 1))
+    k_max = (max(pa_coeffs) - 1) // 2
+    retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
+    retained[:, grid.ul_indices] = True
     return SICCoefficients(
         grid=grid,
         h_hat=np.asarray(freq_response, dtype=np.complex128).copy(),
         a_hat={int(o): complex(v) for o, v in pa_coeffs.items()},
         b_hat=complex(b_iq),
-        basis_sets={int(p): full for p in grid.ul_indices},
+        retained=retained,
     )
 
 
@@ -675,21 +675,23 @@ def estimate_linear_channel(
 
 
 def baseline_linear(
-    y_rx: FreqSymbol,
     x_dl: FreqSymbol,
     h_hat_lin: np.ndarray,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
-) -> FreqSymbol:
-    """Linear-only cancellation: subtract h_lin[p] X[p] on the uplink band."""
-    if len(y_rx) != grid.num_subcarriers or len(x_dl) != grid.num_subcarriers:
+) -> np.ndarray:
+    """Linear-only SI estimate h_lin[p] X[p] on the uplink band, zero elsewhere.
+
+    linear_run is charged for the products and for the caller's subtraction.
+    """
+    if len(x_dl) != grid.num_subcarriers:
         raise ValueError("symbol length does not match the grid")
     ul = grid.ul_indices
-    out = y_rx.values.copy()
-    out[ul] = out[ul] - h_hat_lin[ul] * x_dl.values[ul]
+    est = np.zeros(grid.num_subcarriers, dtype=np.complex128)
+    est[ul] = h_hat_lin[ul] * x_dl.values[ul]
     if counter is not None:
         counter.charge("linear_run", mults=len(ul), adds=len(ul))
-    return FreqSymbol(out, y_rx.symbol_index)
+    return est
 
 
 def baseline_full_ls(
@@ -744,16 +746,19 @@ def baseline_full_ls(
 
 
 def run_full_ls(
-    y_rx: FreqSymbol,
     x_dl: FreqSymbol,
     coeffs: np.ndarray,
     b_hat: complex,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
-) -> FreqSymbol:
-    """Run the conventional canceller: every basis at every uplink subcarrier."""
+) -> np.ndarray:
+    """SI estimate of the conventional canceller: every basis at every uplink subcarrier.
+
+    Zero off the uplink band. full_ls_run is charged for the estimate and
+    for the caller's subtraction.
+    """
     p_total = grid.num_subcarriers
-    if len(y_rx) != p_total or len(x_dl) != p_total:
+    if len(x_dl) != p_total:
         raise ValueError("symbol length does not match the grid")
     k_max = coeffs.shape[0] - 1
     xiq = _compose_xiq(x_dl.values, b_hat)
@@ -761,24 +766,24 @@ def run_full_ls(
     chain = basis_chain(xiq, k_max)
     _charge_chain(counter, "full_ls_run_basis", p_total, k_max)
     ul = grid.ul_indices
-    est = (coeffs[:, ul] * chain[:, ul]).sum(axis=0)
-    out = y_rx.values.copy()
-    out[ul] = out[ul] - est
+    est = np.zeros(p_total, dtype=np.complex128)
+    est[ul] = (coeffs[:, ul] * chain[:, ul]).sum(axis=0)
     if counter is not None:
         counter.charge(
             "full_ls_run",
             mults=(k_max + 1) * len(ul),
             adds=k_max * len(ul) + len(ul),
         )
-    return FreqSymbol(out, y_rx.symbol_index)
+    return est
 
 
 def save_coefficients(coeffs: SICCoefficients, path) -> None:
     """Dump canceller coefficients to CSV with model headers.
 
     Header comment lines carry the polynomial coefficients, the image
-    weight and the retained basis sets; the table body is one
-    p,h_re,h_im row per subcarrier.
+    weight, the retained basis set K_p of every uplink subcarrier and the
+    unestimated subcarriers; the table body is one p,h_re,h_im row per
+    subcarrier.
     """
     lines = []
     for order in sorted(coeffs.a_hat):
@@ -786,13 +791,15 @@ def save_coefficients(coeffs: SICCoefficients, path) -> None:
         lines.append(f"# a_{order}={a.real!r},{a.imag!r}")
     b = complex(coeffs.b_hat)
     lines.append(f"# b_iq={b.real!r},{b.imag!r}")
+    ul = coeffs.grid.ul_indices
+    mask = coeffs.retained
     kp = ";".join(
-        f"{p}:" + " ".join(str(k) for k in sorted(coeffs.basis_sets[p]))
-        for p in sorted(coeffs.basis_sets)
+        f"{p}:" + " ".join(str(k + 1) for k in np.flatnonzero(mask[1:, p])) for p in ul
     )
     lines.append(f"# K_p={kp}")
-    if coeffs.unestimated:
-        lines.append("# unestimated=" + " ".join(str(p) for p in sorted(coeffs.unestimated)))
+    unestimated = ul[~mask[0, ul]]
+    if unestimated.size:
+        lines.append("# unestimated=" + " ".join(str(p) for p in unestimated))
     lines.append("p,h_re,h_im")
     for p in range(coeffs.grid.num_subcarriers):
         h = complex(coeffs.h_hat[p])
@@ -802,13 +809,27 @@ def save_coefficients(coeffs: SICCoefficients, path) -> None:
 
 
 def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
-    """Inverse of save_coefficients; round-trips exactly."""
+    """Inverse of save_coefficients; round-trips exactly.
+
+    The K_p and unestimated headers become the retained-order mask.
+    Orders listed at an unestimated subcarrier are dropped, since the
+    canceller never acts there. Subcarrier indices off the grid (or, in
+    the headers, off the uplink) are rejected with their line number.
+    """
+    p_total = grid.num_subcarriers
     a_hat: dict[int, complex] = {}
     b_hat = 0.0 + 0.0j
-    basis_sets: dict[int, frozenset[int]] = {}
-    unestimated: frozenset[int] = frozenset()
-    h_hat = np.zeros(grid.num_subcarriers, dtype=np.complex128)
+    kept: list[tuple[int, int, int]] = []
+    unestimated: list[int] = []
+    h_hat = np.zeros(p_total, dtype=np.complex128)
     saw_header = False
+
+    def subcarrier(text: str, lineno: int, lo: int, hi: int, where: str) -> int:
+        p = int(text)
+        if not lo <= p <= hi:
+            raise ValueError(f"line {lineno}: subcarrier {p} is outside the {where} {lo}..{hi}")
+        return p
+
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -828,11 +849,12 @@ def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
                         if not item:
                             continue
                         p_s, _, ks = item.partition(":")
-                        basis_sets[int(p_s)] = frozenset(
-                            int(k) for k in ks.split() if k
-                        )
+                        p = subcarrier(p_s, lineno, *grid.ul_set, "uplink")
+                        kept.extend((lineno, p, int(k)) for k in ks.split())
                 elif key == "unestimated":
-                    unestimated = frozenset(int(p) for p in value.split() if p)
+                    unestimated.extend(
+                        subcarrier(p_s, lineno, *grid.ul_set, "uplink") for p_s in value.split()
+                    )
                 else:
                     raise ValueError(f"line {lineno}: unknown header key {key!r}")
                 continue
@@ -842,14 +864,18 @@ def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
             if not saw_header:
                 raise ValueError(f"line {lineno}: data before the p,h_re,h_im header")
             p_s, re_s, im_s = line.split(",")
-            h_hat[int(p_s)] = complex(float(re_s), float(im_s))
+            h_hat[subcarrier(p_s, lineno, 0, p_total - 1, "grid")] = complex(
+                float(re_s), float(im_s)
+            )
     if not a_hat:
         raise ValueError("coefficient file carries no polynomial headers")
-    return SICCoefficients(
-        grid=grid,
-        h_hat=h_hat,
-        a_hat=a_hat,
-        b_hat=b_hat,
-        basis_sets=basis_sets,
-        unestimated=unestimated,
-    )
+    k_max = (max(a_hat) - 1) // 2
+    retained = np.zeros((k_max + 1, p_total), dtype=bool)
+    retained[0, grid.ul_indices] = True
+    retained[0, unestimated] = False
+    for lineno, p, k in kept:
+        if not 1 <= k <= k_max:
+            raise ValueError(f"line {lineno}: basis set at p={p} is outside 1..{k_max}")
+        retained[k, p] = True
+    retained[1:] &= retained[0]
+    return SICCoefficients(grid=grid, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)

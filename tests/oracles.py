@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from flexsic.counters import OpCounter
 from flexsic.ofdm import SubcarrierGrid
 
 
@@ -241,3 +242,72 @@ def exact_mu_tiny(grid: SubcarrierGrid, k: int) -> np.ndarray:
                 total += _permanent01(mat)
         out[p] = total / p_total ** (4 * k)
     return out
+
+
+def select_basis_loop(
+    a_hat: dict[int, complex],
+    mu: np.ndarray,
+    h_hat: np.ndarray,
+    gamma: float,
+    k_max: int,
+    grid: SubcarrierGrid,
+    counter: OpCounter | None = None,
+) -> dict[int, frozenset[int]]:
+    """Basis selection one uplink subcarrier and one order at a time.
+
+    Keeps k = 1, 2, ... while |a_{2k+1}|^2 mu[k, p] |h[p]|^2 > gamma and
+    stops at the first order below; charges three multiplies per order
+    looked at. Returns K_p for every uplink subcarrier.
+    """
+    sets: dict[int, frozenset[int]] = {}
+    evals = 0
+    for p in grid.ul_indices:
+        kept = []
+        h2 = abs(h_hat[p]) ** 2
+        for k in range(1, k_max + 1):
+            a = a_hat.get(2 * k + 1, 0.0)
+            evals += 1
+            if abs(a) ** 2 * mu[k, p] * h2 > gamma:
+                kept.append(k)
+            else:
+                break
+        sets[int(p)] = frozenset(kept)
+    if counter is not None:
+        counter.charge("select_basis", mults=3 * evals, adds=0)
+    return sets
+
+
+def run_sic_loop(
+    xiq: np.ndarray,
+    chain: np.ndarray,
+    combined: np.ndarray,
+    grid: SubcarrierGrid,
+    basis_sets: dict[int, frozenset[int]],
+    unestimated: frozenset[int],
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """Running canceller's SI estimate one uplink subcarrier at a time.
+
+    At each estimated uplink subcarrier p, accumulates
+    combined[0, p] xiq[p] + sum_{k in K_p} combined[k, p] chain[k, p];
+    elsewhere the estimate is zero. Charges one multiply per term, one
+    add per kept order and one add per uplink subcarrier for the
+    subtraction from the received spectrum.
+    """
+    est = np.zeros(grid.num_subcarriers, dtype=np.complex128)
+    mults = 0
+    adds = 0
+    for p in grid.ul_indices:
+        if p in unestimated:
+            continue
+        acc = combined[0, p] * xiq[p]
+        mults += 1
+        for k in sorted(basis_sets.get(int(p), ())):
+            acc += combined[k, p] * chain[k, p]
+            mults += 1
+            adds += 1
+        est[p] = acc
+    adds += grid.ul_size
+    if counter is not None:
+        counter.charge("run", mults=mults, adds=adds)
+    return est

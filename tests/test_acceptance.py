@@ -45,7 +45,6 @@ from flexsic.impairments import (
     irr_to_b,
 )
 from flexsic.ofdm import (
-    FreqSymbol,
     SubcarrierGrid,
     TimeSignal,
     add_cp,
@@ -405,14 +404,14 @@ def test_arithmetic_cost_scaling_and_baseline_comparison():
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
     mu = mu_tables(grid_hot, IQImbalance(0.0), a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
-    sets = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
+    retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
     coeffs = SICCoefficients(
-        grid=grid_hot, h_hat=h_flat, a_hat=dict(PA_TRUTH), b_hat=0.0, basis_sets=sets
+        grid=grid_hot, h_hat=h_flat, a_hat=dict(PA_TRUTH), b_hat=0.0, retained=retained
     )
     counter = OpCounter()
     x = gen_qam_symbols(grid_hot, 16, a_digi, 1, 11)[0]
-    run_sic(FreqSymbol(np.zeros(256, dtype=np.complex128)), x, coeffs, counter=counter)
-    expected = sum(1 + len(sets[int(p)]) for p in grid_hot.ul_indices)
+    run_sic(x, coeffs, counter=counter)
+    expected = sum(1 + int(retained[1:, p].sum()) for p in grid_hot.ul_indices)
     got = counter.mults("run")
     hot_bound = grid_hot.ul_size * 3
     assert got == expected, (
@@ -448,8 +447,8 @@ def test_basis_selection_thins_away_from_downlink():
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
     mu = mu_tables(grid_hot, IQImbalance(0.0), a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
-    sets = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
-    sizes = np.array([len(sets[int(p)]) for p in grid_hot.ul_indices])
+    retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
+    sizes = retained[1:, grid_hot.ul_indices].sum(axis=0)
     assert np.all(np.diff(sizes) <= 0), (
         "kept-order count increases away from the downlink edge: "
         f"{sizes.tolist()}"
@@ -475,7 +474,7 @@ def test_basis_selection_thins_away_from_downlink():
         sel = select_basis(
             dict(PA_TRUTH), mu_g, h_flat, gamma_shared, 2, g
         )
-        sums[duplex] = sum(len(s) for s in sel.values())
+        sums[duplex] = int(sel[1:].sum())
     assert sums["sbfd"] < sums["ibfd"], (
         f"total kept orders at one shared threshold: split {sums['sbfd']} "
         f"should be below full overlap {sums['ibfd']}"

@@ -46,17 +46,16 @@ def test_counter_fft_and_ls_helpers():
     assert c.mults("t") == 3 * fft_mults(64) + mults
 
 
-def test_counter_rows_and_merge():
-    a = OpCounter()
-    a.charge("x", mults=1, adds=2)
-    b = OpCounter()
-    b.charge("x", mults=10)
-    b.charge("y", adds=4)
-    a.merge(b)
-    assert a.mults("x") == 11 and a.adds("y") == 4
-    a.merge(b, prefix="sub.")
-    assert a.mults("sub.x") == 10
-    rows = a.rows()
-    assert ("x", "multiplies", 11) in rows
-    assert ("y", "adds", 4) in rows
-    assert [r[0] for r in rows] == sorted([r[0] for r in rows])
+def test_counter_rows_are_sorted():
+    c = OpCounter()
+    c.charge("y", adds=4)
+    c.charge("x", mults=11, adds=2)
+    c.charge("sub.x", mults=10)
+    assert c.rows() == [
+        ("sub.x", "multiplies", 10),
+        ("sub.x", "adds", 0),
+        ("x", "multiplies", 11),
+        ("x", "adds", 2),
+        ("y", "multiplies", 0),
+        ("y", "adds", 4),
+    ]

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flexsic.ofdm import (
-    DuplexMode,
     FreqSymbol,
     SubcarrierGrid,
     TimeSignal,
     add_cp,
-    classify_duplex,
     dft,
     gen_qam_symbols,
     idft,
@@ -58,14 +56,6 @@ def test_grid_rejects_bad_parameters(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SubcarrierGrid(**base)
-
-
-def test_classify_duplex_modes():
-    assert classify_duplex(small_grid(dl=(2, 6), ul=(2, 6)))[0] is DuplexMode.IBFD
-    mode, overlap = classify_duplex(small_grid(dl=(2, 6), ul=(10, 14)))
-    assert mode is DuplexMode.SBFD and overlap == 0
-    mode, overlap = classify_duplex(small_grid(dl=(2, 6), ul=(5, 9)))
-    assert mode is DuplexMode.PARTIAL_OVERLAP and overlap == 2
 
 
 # ---------------------------------------------------------------- mirror

@@ -1,10 +1,10 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from flexsic.channel import ChannelProfile
-from flexsic.ofdm import DuplexMode, classify_duplex
 from flexsic.scenario import (
     CANCELLERS,
     DUPLEX_PRESETS,
@@ -45,14 +45,19 @@ def test_duplex_allocation_desk_scale():
 
 
 def test_preset_grids_classify_as_expected():
-    modes = {
-        "ibfd": DuplexMode.IBFD,
-        "sbfd": DuplexMode.SBFD,
-        "overlap": DuplexMode.PARTIAL_OVERLAP,
-    }
-    for preset in DUPLEX_PRESETS:
-        grid = ScenarioSpec(duplex=preset).build_grid()
-        assert classify_duplex(grid)[0] is modes[preset]
+    # ibfd shares one band, sbfd splits the bands apart, overlap shares part of them
+    for p in (64, 256, 1024):
+        grids = {
+            preset: ScenarioSpec(num_subcarriers=p, duplex=preset).build_grid()
+            for preset in DUPLEX_PRESETS
+        }
+        shared = {
+            preset: np.intersect1d(g.dl_indices, g.ul_indices).size for preset, g in grids.items()
+        }
+        assert grids["ibfd"].dl_set == grids["ibfd"].ul_set
+        assert shared["sbfd"] == 0
+        partial = grids["overlap"]
+        assert 0 < shared["overlap"] < min(partial.dl_size, partial.ul_size)
     # the shared band is mirror symmetric, as the IQ estimator needs
     g = ScenarioSpec(duplex="ibfd").build_grid()
     assert g.dl_start + g.dl_end == g.num_subcarriers
@@ -234,3 +239,13 @@ def test_all_cancellers_run_together():
     assert set(report.sicr_db) == set(CANCELLERS)
     assert report.sicr_db["full_ls"] > report.sicr_db["linear"]
     assert report.sicr_db["pa_only"] > 0.0
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_complexity_csv_matches_golden_counts(tmp_path, preset):
+    # counts recorded from the per-subcarrier canceller loop that subtracted
+    # in place; the accounting conventions must keep them byte for byte
+    spec = small_spec(duplex=preset, n_run_symbols=3, cancellers=CANCELLERS)
+    emit_report(run_scenario(spec), tmp_path)
+    golden = pathlib.Path(__file__).parent / "golden" / f"complexity_{preset}.csv"
+    assert (tmp_path / "complexity.csv").read_bytes() == golden.read_bytes()

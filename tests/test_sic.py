@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from flexsic.counters import OpCounter
-from flexsic.imd import default_pilot_omega, impulse_pilot, make_imd_tables, mu_tables
+from flexsic.imd import (
+    basis_chain,
+    default_pilot_omega,
+    impulse_pilot,
+    mu_tables,
+    predict_si_power,
+)
 from flexsic.impairments import IQImbalance, PAPolynomial, default_measured_pa, irr_to_b
 from flexsic.ofdm import FreqSymbol, SubcarrierGrid, TimeSignal, gen_qam_symbols, mirror_values
 from flexsic.sic import (
@@ -26,6 +32,7 @@ from flexsic.sic import (
     save_coefficients,
     select_basis,
 )
+from oracles import run_sic_loop, select_basis_loop
 
 
 def ibfd_grid():
@@ -83,6 +90,17 @@ def make_buffer(grid, pa, b_iq, chan_freq, cfg, seed=0, a_digi=1.0, sigma=0.0):
             )
         )
     return TrainingBuffer(grid=grid, entries=tuple(entries), omega=omega)
+
+
+def retained_mask(grid, k_max, basis_sets, unestimated=()):
+    """Retained-order mask from per-subcarrier kept-order sets K_p."""
+    mask = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
+    mask[0, grid.ul_indices] = True
+    for p, kset in basis_sets.items():
+        for k in kset:
+            mask[k, p] = True
+    mask[:, list(unestimated)] = False
+    return mask
 
 
 def default_cfg(**overrides):
@@ -201,15 +219,22 @@ def test_training_buffer_ordering_and_shapes():
 def test_sic_coefficients_validation():
     g = ibfd_grid()
     h = np.zeros(64, dtype=complex)
+    linear = retained_mask(g, 0, {})
     with pytest.raises(ValueError, match="one entry per subcarrier"):
-        SICCoefficients(g, np.zeros(32, dtype=complex), {1: 1.0}, 0.0, {})
+        SICCoefficients(g, np.zeros(32, dtype=complex), {1: 1.0}, 0.0, linear)
     with pytest.raises(ValueError, match="odd"):
-        SICCoefficients(g, h, {2: 1.0}, 0.0, {})
-    with pytest.raises(ValueError, match="non-uplink"):
-        SICCoefficients(g, h, {1: 1.0}, 0.0, {2: frozenset()})
-    with pytest.raises(ValueError, match="outside"):
-        SICCoefficients(g, h, {1: 1.0, 3: 1.0}, 0.0, {10: frozenset({2})})
-    coeffs = SICCoefficients(g, h, {1: 2.0, 5: 0.5}, 0.0, {})
+        SICCoefficients(g, h, {2: 1.0}, 0.0, linear)
+    off_band = linear.copy()
+    off_band[0, 2] = True
+    with pytest.raises(ValueError, match="non-uplink subcarrier 2"):
+        SICCoefficients(g, h, {1: 1.0}, 0.0, off_band)
+    with pytest.raises(ValueError, match="shape"):
+        SICCoefficients(g, h, {1: 1.0, 3: 1.0}, 0.0, retained_mask(g, 2, {10: {2}}))
+    orphan = retained_mask(g, 1, {10: {1}}, unestimated={10})
+    orphan[1, 10] = True
+    with pytest.raises(ValueError, match="unestimated subcarrier 10"):
+        SICCoefficients(g, h, {1: 1.0, 3: 1.0}, 0.0, orphan)
+    coeffs = SICCoefficients(g, h, {1: 2.0, 5: 0.5}, 0.0, retained_mask(g, 2, {10: {2}}))
     assert coeffs.k_max == 2
     assert np.array_equal(coeffs.a_vector(), np.array([2.0, 0.0, 0.5]))
 
@@ -317,8 +342,8 @@ def test_estimate_pa_coefficients_transfer_across_channels():
 
     chan_b, _ = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, cfg, seed=9)
-    h_hat, unest = estimate_channel(buf_b, a_hat, b, cfg)
-    assert unest == frozenset()
+    h_hat, estimated = estimate_channel(buf_b, a_hat, b, cfg)
+    assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
     assert rel.max() < 1e-8
@@ -334,8 +359,8 @@ def test_estimate_channel_noiseless_recovery():
     chan, _ = tapped_channel(g, seed=10)
     cfg = default_cfg()
     buf = make_buffer(g, pa, b, chan, cfg, seed=10)
-    h_hat, unest = estimate_channel(buf, dict(pa.coeffs), b, cfg)
-    assert unest == frozenset()
+    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), b, cfg)
+    assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
     assert rel.max() < 1e-8
@@ -351,7 +376,9 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     cfg = default_cfg()
     chan, _ = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, cfg, seed=11)
-    h_hat, unest = estimate_channel(buf, dict(pa.coeffs), 0.0, cfg)
+    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), 0.0, cfg)
+    assert not estimated[: g.ul_start].any() and not estimated[g.ul_end + 1 :].any()
+    unest = frozenset(int(p) for p in g.ul_indices[~estimated[g.ul_indices]])
     # everything past the support edge must be flagged; the last few inside
     # the support may fall below the relative power cut as well
     assert frozenset(range(23, 31)) <= unest <= frozenset(range(17, 31))
@@ -382,16 +409,17 @@ def test_select_basis_threshold_walk():
     a_hat = dict(pa.coeffs)
     mu = mu_tables(g, IQImbalance(), 0.6, 2)
     h = flat_channel(g, 0.05)
+    ul = g.ul_indices
     full = select_basis(a_hat, mu, h, 1e-30, 2, g)
-    assert all(full[int(p)] == frozenset({1, 2}) for p in g.ul_indices)
+    assert full.shape == (3, 64)
+    assert full[:, ul].all() and full.sum() == 3 * g.ul_size
     empty = select_basis(a_hat, mu, h, 1e30, 2, g)
-    assert all(empty[int(p)] == frozenset() for p in g.ul_indices)
+    assert empty[0, ul].all() and not empty[1:].any()
 
     gammas = np.logspace(-30, 10, 9)
     prev = None
     for gamma in gammas:
-        sets = select_basis(a_hat, mu, h, float(gamma), 2, g)
-        total = sum(len(s) for s in sets.values())
+        total = int(select_basis(a_hat, mu, h, float(gamma), 2, g)[1:].sum())
         if prev is not None:
             assert total <= prev
         prev = total
@@ -406,6 +434,59 @@ def test_select_basis_validation():
         select_basis({1: 1.0}, mu[:1], flat_channel(g), 1.0, 2, g)
 
 
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_select_basis_matches_loop_reference(k_max):
+    g = sbfd_grid()
+    ul = g.ul_indices
+    rng = np.random.default_rng(30 + k_max)
+    a_hat = {2 * k + 1: complex(*rng.standard_normal(2)) for k in range(k_max + 1)}
+    mu = mu_tables(g, irr_to_b(25.0, 0.3), 1.0, k_max) * rng.uniform(0.1, 10.0, (k_max + 1, 64))
+    h = 0.01 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    unestimated = rng.choice(ul, 4, replace=False)
+    h[unestimated] = 0.0
+    power = predict_si_power(np.array(list(a_hat.values())), mu, h)[1:, ul]
+    for gamma in [0.0, *np.quantile(power[power > 0], [0.15, 0.5, 0.85])]:
+        counter = OpCounter()
+        ref_counter = OpCounter()
+        retained = select_basis(a_hat, mu, h, float(gamma), k_max, g, counter=counter)
+        sets = select_basis_loop(a_hat, mu, h, float(gamma), k_max, g, counter=ref_counter)
+        assert retained.shape == (k_max + 1, 64)
+        assert np.array_equal(np.flatnonzero(retained[0]), np.setdiff1d(ul, unestimated))
+        assert retained.sum() == retained[:, ul].sum()
+        for p in ul:
+            assert frozenset(int(k) + 1 for k in np.flatnonzero(retained[1:, p])) == sets[int(p)]
+        assert counter.mults("select_basis") == ref_counter.mults("select_basis")
+
+
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_run_sic_matches_loop_reference(k_max):
+    # random K_p, not downward closed, with unestimated subcarriers
+    g = ibfd_grid()
+    ul = g.ul_indices
+    rng = np.random.default_rng(40 + k_max)
+    a_hat = {2 * k + 1: complex(*rng.standard_normal(2)) / 10**k for k in range(k_max + 1)}
+    b = 0.05 * np.exp(0.4j)
+    h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for trial in range(6):
+        sets = {
+            int(p): frozenset(int(k) + 1 for k in np.flatnonzero(rng.random(k_max) < 0.5))
+            for p in ul
+        } if trial else {}
+        unestimated = frozenset(int(p) for p in rng.choice(ul, 5, replace=False))
+        coeffs = SICCoefficients(g, h, a_hat, b, retained_mask(g, k_max, sets, unestimated))
+        x = gen_qam_symbols(g, 16, 1.0, 1, seed=trial)[0]
+        counter = OpCounter()
+        ref_counter = OpCounter()
+        est = run_sic(x, coeffs, counter=counter)
+        xiq = x.values + b * np.conj(mirror_values(x.values))
+        ref = run_sic_loop(
+            xiq, basis_chain(xiq, k_max), precombine(coeffs), g, sets, unestimated, ref_counter
+        )
+        assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert counter.mults("run") == ref_counter.mults("run")
+        assert counter.adds("run") == ref_counter.adds("run")
+
+
 # ---------------------------------------------------------------- running canceller
 
 
@@ -417,11 +498,11 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     coeffs = perfect_coefficients(g, chan, dict(pa.coeffs), b)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, b, chan).samples))
+    y = np.fft.fft(forward_body(x.values, pa, b, chan).samples)
     counter = OpCounter()
-    out = run_sic(y, x, coeffs, counter=counter)
-    si_scale = np.abs(y.values[g.ul_indices]).max()
-    assert np.abs(out.values[g.ul_indices]).max() < 1e-9 * si_scale
+    out = y - run_sic(x, coeffs, counter=counter)
+    si_scale = np.abs(y[g.ul_indices]).max()
+    assert np.abs(out[g.ul_indices]).max() < 1e-9 * si_scale
     # running cost: one multiply for the linear term plus one per retained order
     assert counter.mults("run") == g.ul_size * 3
 
@@ -432,16 +513,17 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     chan, _ = tapped_channel(g, seed=14)
     skip = int(g.ul_indices[2])
     base = perfect_coefficients(g, chan, dict(pa.coeffs), 0.0)
+    retained = base.retained.copy()
+    retained[:, skip] = False
     coeffs = SICCoefficients(
-        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat,
-        basis_sets=base.basis_sets, unestimated=frozenset({skip}),
+        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat, retained=retained
     )
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples))
-    out = run_sic(y, x, coeffs)
-    assert out.values[skip] == y.values[skip]
+    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    out = y - run_sic(x, coeffs)
+    assert out[skip] == y[skip]
     outside = [p for p in range(64) if not g.in_ul(p)]
-    assert np.array_equal(out.values[outside], y.values[outside])
+    assert np.array_equal(out[outside], y[outside])
 
 
 def test_run_sic_rejects_energy_outside_downlink():
@@ -450,9 +532,9 @@ def test_run_sic_rejects_energy_outside_downlink():
     bad = np.zeros(64, dtype=complex)
     bad[g.ul_start] = 1.0  # uplink subcarrier carries transmit energy
     with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(FreqSymbol(np.zeros(64, dtype=complex)), FreqSymbol(bad), coeffs)
+        run_sic(FreqSymbol(bad), coeffs)
     with pytest.raises(ValueError, match="length"):
-        run_sic(FreqSymbol(np.zeros(32, dtype=complex)), FreqSymbol(bad), coeffs)
+        run_sic(FreqSymbol(np.zeros(32, dtype=complex)), coeffs)
 
 
 def test_precombine_matches_manual_product():
@@ -482,20 +564,18 @@ def test_estimated_canceller_reaches_noise_floor():
 
     b_hat = estimate_iq(buf)
     a_hat = estimate_pa(buf, los, b_hat, cfg)
-    h_hat, unest = estimate_channel(buf, a_hat, b_hat, cfg)
-    tables = make_imd_tables(g, IQImbalance(b_hat), a_digi, cfg.k_max)
-    sets = select_basis(a_hat, tables.mu, h_hat, cfg.gamma, cfg.k_max, g)
-    coeffs = SICCoefficients(
-        grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, basis_sets=sets, unestimated=unest
-    )
+    h_hat, _ = estimate_channel(buf, a_hat, b_hat, cfg)
+    mu = mu_tables(g, IQImbalance(b_hat), a_digi, cfg.k_max)
+    retained = select_basis(a_hat, mu, h_hat, cfg.gamma, cfg.k_max, g)
+    coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, b, chan, rng, sigma).samples))
-    out = run_sic(y, x, coeffs)
+    y = np.fft.fft(forward_body(x.values, pa, b, chan, rng, sigma).samples)
+    out = y - run_sic(x, coeffs)
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
-    resid = np.abs(out.values[g.ul_indices]) ** 2
-    raw = np.abs(y.values[g.ul_indices]) ** 2
+    resid = np.abs(out[g.ul_indices]) ** 2
+    raw = np.abs(y[g.ul_indices]) ** 2
     assert np.mean(resid) < 10 * noise_power
     assert np.mean(resid) < 1e-3 * np.mean(raw)
 
@@ -512,11 +592,11 @@ def test_linear_baseline_cancels_only_the_linear_part():
     buf = make_buffer(g, pa, 0.0, chan, cfg, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=19)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples))
-    out = baseline_linear(y, x, h_lin, g)
+    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    out = y - baseline_linear(x, h_lin, g)
     ul = g.ul_indices
-    raw = np.mean(np.abs(y.values[ul]) ** 2)
-    resid = np.mean(np.abs(out.values[ul]) ** 2)
+    raw = np.mean(np.abs(y[ul]) ** 2)
+    resid = np.mean(np.abs(out[ul]) ** 2)
     assert resid < raw  # removes the dominant linear term
     assert resid > 1e-8 * raw  # but the distortion floor remains
 
@@ -529,9 +609,9 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     h_lin = estimate_linear_channel(buf)
     assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
     x = gen_qam_symbols(g, 16, 1.0, 1, seed=21)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples))
-    out = baseline_linear(y, x, h_lin, g)
-    assert np.array_equal(out.values, y.values)
+    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    out = y - baseline_linear(x, h_lin, g)
+    assert np.array_equal(out, y)
 
 
 def test_full_ls_baseline_handles_split_allocation():
@@ -548,11 +628,11 @@ def test_full_ls_baseline_handles_split_allocation():
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
-    y = FreqSymbol(np.fft.fft(forward_body(x.values, pa, b, chan).samples))
-    out = run_full_ls(y, x, coeffs, b, g)
+    y = np.fft.fft(forward_body(x.values, pa, b, chan).samples)
+    out = y - run_full_ls(x, coeffs, b, g)
     ul = g.ul_indices
-    raw = np.mean(np.abs(y.values[ul]) ** 2)
-    resid = np.mean(np.abs(out.values[ul]) ** 2)
+    raw = np.mean(np.abs(y[ul]) ** 2)
+    resid = np.mean(np.abs(out[ul]) ** 2)
     assert resid < 1e-6 * raw
 
 
@@ -572,18 +652,21 @@ def test_coefficients_roundtrip(tmp_path):
     g = sbfd_grid()
     chan, _ = tapped_channel(g, seed=24)
     base = perfect_coefficients(g, chan, {1: 35.89, 3: -2.24 + 0.1j, 5: 0.0015}, 0.05j)
+    retained = base.retained.copy()
+    retained[1, g.ul_indices[0]] = False  # K_p = {2}: not downward closed
+    retained[:, g.ul_indices[1]] = False  # unestimated
     coeffs = SICCoefficients(
-        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat,
-        basis_sets={**base.basis_sets, int(g.ul_indices[0]): frozenset({2})},
-        unestimated=frozenset({int(g.ul_indices[1])}),
+        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat, retained=retained
     )
     path = tmp_path / "coeffs.csv"
     save_coefficients(coeffs, path)
+    text = path.read_text()
+    assert f"# K_p={g.ul_indices[0]}:2;{g.ul_indices[1]}:;{g.ul_indices[2]}:1 2;" in text
+    assert f"# unestimated={g.ul_indices[1]}\n" in text
     back = load_coefficients(path, g)
     assert back.a_hat == coeffs.a_hat
     assert back.b_hat == coeffs.b_hat
-    assert back.basis_sets == coeffs.basis_sets
-    assert back.unestimated == coeffs.unestimated
+    assert np.array_equal(back.retained, coeffs.retained)
     assert np.array_equal(back.h_hat, coeffs.h_hat)
 
 
@@ -598,4 +681,24 @@ def test_load_coefficients_error_lines(tmp_path):
         load_coefficients(path, g)
     path.write_text("p,h_re,h_im\n0,1.0,0.0\n")
     with pytest.raises(ValueError, match="no polynomial headers"):
+        load_coefficients(path, g)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("p,h_re,h_im\n-1,1.0,0.0\n", "line 3: subcarrier -1 is outside the grid 0..63"),
+        ("p,h_re,h_im\n64,1.0,0.0\n", "line 3: subcarrier 64 is outside the grid 0..63"),
+        ("# K_p=45:1\np,h_re,h_im\n", "line 2: subcarrier 45 is outside the uplink 46..62"),
+        ("# unestimated=-1\np,h_re,h_im\n", "line 2: subcarrier -1 is outside the uplink"),
+        ("# K_p=46:1\np,h_re,h_im\n", "line 2: basis set at p=46 is outside 1..0"),
+    ],
+    ids=["negative-row", "row-past-grid", "kp-off-uplink", "unestimated-off-uplink", "order-past-kmax"],
+)
+def test_load_coefficients_rejects_out_of_range_indices(tmp_path, body, message):
+    # a negative row index would otherwise wrap onto h_hat[P-1]
+    g = sbfd_grid()
+    path = tmp_path / "bad.csv"
+    path.write_text("# a_1=1.0,0.0\n" + body)
+    with pytest.raises(ValueError, match=message):
         load_coefficients(path, g)
