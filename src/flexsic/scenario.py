@@ -75,6 +75,8 @@ CANCELLERS = ("none", "linear", "proposed", "full_ls", "iq_only", "pa_only")
 DUPLEX_PRESETS = ("ibfd", "sbfd", "overlap")
 
 _FLOOR = 1e-300
+# cancellers built on the estimated IQ image weight b_hat
+_USES_B_HAT = ("proposed", "full_ls", "iq_only")
 
 
 def duplex_allocation(preset: str, num_subcarriers: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -293,22 +295,23 @@ def _rx_body(
     pa: PAPolynomial,
     chan: EffectiveChannel,
     grid: SubcarrierGrid,
-    sigma_t: float,
-    rng: np.random.Generator | None,
-) -> TimeSignal:
-    """One symbol through the transmit chain and the SI channel."""
+) -> np.ndarray:
+    """Noiseless body samples of one symbol through the transmit chain and the SI channel."""
     t = idft(x)
     t = apply_iq_time(t, imb)
     t = apply_pa(t, pa)
     t = add_cp(t, grid)
     t = apply_channel(t, chan)
-    body = remove_cp(t, grid)
-    samples = body.samples
-    if rng is not None and sigma_t > 0:
-        p = len(samples)
-        noise = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        samples = samples + (sigma_t / np.sqrt(2.0)) * noise
-    return TimeSignal(samples)
+    return remove_cp(t, grid).samples
+
+
+def _add_noise(samples: np.ndarray, sigma_t: float, rng: np.random.Generator) -> np.ndarray:
+    """A noisy copy of body samples: complex Gaussian noise of variance sigma_t^2."""
+    if sigma_t <= 0:
+        return samples
+    p = len(samples)
+    noise = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    return samples + (sigma_t / np.sqrt(2.0)) * noise
 
 
 def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int) -> EffectiveChannel:
@@ -343,11 +346,11 @@ def _build_training(
     scale = grid.num_subcarriers / grid.dl_size
     for peak in peaks:
         x = impulse_pilot(grid, float(peak) * scale, omega)
-        rx = _rx_body(x, imb, pa, chan, grid, sigma_t, noise_rng)
+        rx = TimeSignal(_add_noise(_rx_body(x, imb, pa, chan, grid), sigma_t, noise_rng))
         entries.append(TrainingEntry(tx=x, rx_time=rx, kind="impulse"))
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     for x in gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data):
-        rx = _rx_body(x, imb, pa, chan, grid, sigma_t, noise_rng)
+        rx = TimeSignal(_add_noise(_rx_body(x, imb, pa, chan, grid), sigma_t, noise_rng))
         entries.append(TrainingEntry(tx=x, rx_time=rx, kind="data"))
     return TrainingBuffer(grid=grid, entries=tuple(entries), omega=omega)
 
@@ -359,21 +362,27 @@ def _fit_canceller(
     chan: EffectiveChannel,
     cfg: EstimatorConfig,
     a_digi: float,
+    b_hat: complex | None,
     counter: OpCounter,
 ):
-    """Train one canceller; returns an opaque state consumed by _estimate_si."""
+    """Train one canceller; returns an opaque state consumed by _estimate_si.
+
+    b_hat is the IQ image weight estimate shared by the cancellers in
+    _USES_B_HAT (None when the spec runs none of them); run_scenario fits
+    it once and charges its cost to each of their counters.
+    """
     if name == "none":
         return None
     if name == "linear":
         return estimate_linear_channel(buffer, counter=counter)
     if name == "full_ls":
-        b_hat = estimate_iq(buffer, counter=counter)
         coeffs = baseline_full_ls(
             buffer, grid, cfg.k_max, b_hat, cfg.regularization, counter=counter
         )
         return coeffs, b_hat
     if name in ("proposed", "iq_only", "pa_only"):
-        b_hat = 0.0 + 0.0j if name == "pa_only" else estimate_iq(buffer, counter=counter)
+        if name == "pa_only":
+            b_hat = 0.0 + 0.0j
         a_hat = estimate_pa(
             buffer, chan.los_scalar, b_hat, cfg, chan.los_tap_index, counter=counter
         )
@@ -440,8 +449,20 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     cfg = spec.estimator_config(gamma)
 
     counters = {name: OpCounter() for name in spec.cancellers}
+    # b_hat is fitted once and its cost charged to every canceller that uses it
+    b_hat = None
+    users = [name for name in spec.cancellers if name in _USES_B_HAT]
+    if users:
+        iq_counter = OpCounter()
+        b_hat = estimate_iq(buffer, counter=iq_counter)
+        for name in users:
+            counters[name].charge(
+                "estimate_iq",
+                mults=iq_counter.mults("estimate_iq"),
+                adds=iq_counter.adds("estimate_iq"),
+            )
     states = {
-        name: _fit_canceller(name, buffer, grid, chan, cfg, a_digi, counters[name])
+        name: _fit_canceller(name, buffer, grid, chan, cfg, a_digi, b_hat, counters[name])
         for name in spec.cancellers
     }
 
@@ -450,8 +471,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     y_noisy = []
     y_clean = []
     for x in run_syms:
-        y_noisy.append(np.fft.fft(_rx_body(x, imb, pa, chan, grid, sigma_t, noise_rng).samples))
-        y_clean.append(np.fft.fft(_rx_body(x, imb, pa, chan, grid, 0.0, None).samples))
+        body = _rx_body(x, imb, pa, chan, grid)
+        y_noisy.append(np.fft.fft(_add_noise(body, sigma_t, noise_rng)))
+        y_clean.append(np.fft.fft(body))
 
     ul = grid.ul_indices
     psd_dbm: dict[str, np.ndarray] = {}

@@ -28,13 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import OpCounter
+from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_peak_sample, predict_si_power
 from .ofdm import FreqSymbol, SubcarrierGrid, TimeSignal, mirror_values
 
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
 _REGRESSOR_POWER_TOL = 1e-12
+# Systems per block in _ls_solve_stack. Solving a whole band at once holds
+# several band-sized temporaries (QR workspace, Gram matrices, right-hand
+# sides) and raised peak memory by a tenth at P = 4096; blocks of this size
+# keep the temporaries small while the per-call overhead stays amortised.
+_LS_BLOCK = 256
 # Echo taps resolved jointly by the polynomial estimator's multipath guard.
 # Indoor self-interference channels are sparse, so a handful of taps carries
 # the leakage that matters; the cap keeps the joint solve at a fixed size.
@@ -227,25 +232,73 @@ def ls_solve(
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
-    reg = float(regularization)
-    if reg == 0.0:
-        diag = np.abs(np.diag(np.linalg.qr(a, mode="r")))
-        top = diag.max() if diag.size else 0.0
-        if top == 0.0:
+    coeffs, solved = _ls_solve_stack(a[None], y[None], regularization, counter, stage)
+    if not solved[0]:
+        diag = _r_diagonal(a[None])[0]
+        if diag.max() == 0.0:
             raise SingularSystemError(0, "least-squares system is all zero")
-        worst = int(np.argmin(diag))
-        if diag[worst] <= _RANK_TOL * top:
-            raise SingularSystemError(worst)
-        if top / diag[worst] > _AUTO_RIDGE_COND:
-            reg = (top / _AUTO_RIDGE_COND) ** 2
+        raise SingularSystemError(int(np.argmin(diag)))
+    return coeffs[0]
 
-    gram = a.conj().T @ a
-    rhs = a.conj().T @ y
-    if reg > 0.0:
-        gram = gram + reg * np.eye(k)
-    if counter is not None:
-        counter.charge_ls(stage, m, k)
-    return np.linalg.solve(gram, rhs)
+
+def _r_diagonal(a: np.ndarray) -> np.ndarray:
+    """|R_kk| of the QR factor of each stacked (M, K) system: shape (n, K)."""
+    return np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
+
+
+def _ls_solve_stack(
+    a: np.ndarray,
+    y: np.ndarray,
+    regularization,
+    counter: OpCounter | None,
+    stage: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """ls_solve over n independent systems stacked on axis 0.
+
+    a has shape (n, M, K) and y shape (n, M); regularization is one ridge
+    for all systems or one per system. Each system gets ls_solve's guard
+    rails: with a zero ridge, a system whose smallest |R_kk| is at most
+    1e-12 of its largest is rank deficient, and one whose condition
+    estimate exceeds 1e8 is solved with the ridge (top / 1e8)^2. Returns
+    (coefficients of shape (n, K), boolean solved mask of shape (n,)). A
+    rank-deficient system stays unsolved, with zero coefficients, and is
+    not charged; every solved one is charged one M-row, K-column solve.
+
+    The stack is worked through in blocks of _LS_BLOCK systems read as
+    slices, so the temporaries stay a fixed size however wide the band.
+    """
+    n, m, k = a.shape
+    ridge_all = np.broadcast_to(np.asarray(regularization, dtype=np.float64), (n,))
+    if np.any(ridge_all < 0):
+        raise ValueError("regularization must be nonnegative")
+    coeffs = np.zeros((n, k), dtype=np.complex128)
+    solved = np.zeros(n, dtype=bool)
+    eye = np.eye(k)
+    for start in range(0, n, _LS_BLOCK):
+        block = a[start : start + _LS_BLOCK]
+        ridge = ridge_all[start : start + _LS_BLOCK].copy()
+        ok = np.ones(len(block), dtype=bool)
+        checked = ridge == 0.0
+        if checked.any():
+            diag = _r_diagonal(block)
+            top = diag.max(axis=1)
+            low = diag.min(axis=1)
+            ok = ~checked | (low > _RANK_TOL * top)
+            cond = top / np.where(checked & ok, low, 1.0)
+            auto = checked & ok & (cond > _AUTO_RIDGE_COND)
+            ridge[auto] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+        if not ok.any():
+            continue
+        ah = block.conj().transpose(0, 2, 1)
+        gram = ah @ block + ridge[:, None, None] * eye
+        rhs = ah @ y[start : start + _LS_BLOCK, :, None]
+        coeffs[start : start + _LS_BLOCK][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+        solved[start : start + _LS_BLOCK] = ok
+    count = int(solved.sum())
+    if counter is not None and count:
+        mults, adds = ls_costs(m, k)
+        counter.charge(stage, mults=count * mults, adds=count * adds)
+    return coeffs, solved
 
 
 def estimate_iq(
@@ -269,39 +322,36 @@ def estimate_iq(
     if len(entries) < 2:
         raise ValueError("estimate_iq needs at least 2 data training symbols")
 
-    pairs = [
-        p
-        for p in grid.dl_indices
-        if grid.in_dl((p_total - p) % p_total) and (p_total - p) % p_total != p
-    ]
-    if not pairs:
+    dl = grid.dl_indices
+    mirrored = (p_total - dl) % p_total
+    keep = grid.dl_mask[mirrored] & (mirrored != dl)
+    pairs, mirrors = dl[keep], mirrored[keep]
+    if not pairs.size:
         raise ValueError(
             "IQ image weight is unidentifiable: no downlink subcarrier has its mirror in the band"
         )
 
-    tx = np.stack([e.tx.values for e in entries])
-    rx = np.stack([buffer.rx_spectrum(e) for e in entries])
+    # one (m, 2) system per pair, filled symbol by symbol so no full-grid
+    # copy of the training window is held next to the stack
     m = len(entries)
-
-    num = 0.0 + 0.0j
-    den = 0.0
-    for p in pairs:
-        mp = (p_total - p) % p_total
-        a = np.stack([tx[:, p], np.conj(tx[:, mp])], axis=1)
-        try:
-            c = ls_solve(a, rx[:, p], counter=counter, stage="estimate_iq")
-        except SingularSystemError:
-            continue
-        if abs(c[0]) == 0.0:
-            continue
-        weight = abs(c[0]) ** 2 * float(np.sum(np.abs(tx[:, mp]) ** 2))
-        num += weight * (c[1] / c[0])
-        den += weight
-        if counter is not None:
-            counter.charge("estimate_iq", mults=m + 3, adds=m)
+    a = np.empty((len(pairs), m, 2), dtype=np.complex128)
+    y = np.empty((len(pairs), m), dtype=np.complex128)
+    for i, entry in enumerate(entries):
+        a[:, i, 0] = entry.tx.values[pairs]
+        a[:, i, 1] = np.conj(entry.tx.values[mirrors])
+        y[:, i] = buffer.rx_spectrum(entry)[pairs]
+    mirror_power = np.sum(np.abs(a[:, :, 1]) ** 2, axis=1)
+    c, solved = _ls_solve_stack(a, y, 0.0, counter, "estimate_iq")
+    used = solved & (c[:, 0] != 0.0)
+    c = c[used]
+    weight = np.abs(c[:, 0]) ** 2 * mirror_power[used]
+    den = float(weight.sum())
     if den == 0.0:
         raise ValueError("IQ image weight is unidentifiable: mirror content is all zero")
-    return complex(num / den)
+    if counter is not None:
+        n_used = int(used.sum())
+        counter.charge("estimate_iq", mults=n_used * (m + 3), adds=n_used * m)
+    return complex(np.sum(weight * (c[:, 1] / c[:, 0])) / den)
 
 
 def _pilot_kernel(grid: SubcarrierGrid, omega: float, samples: np.ndarray) -> np.ndarray:
@@ -718,7 +768,6 @@ def baseline_full_ls(
             f"{len(entries)} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
         )
     p_total = grid.num_subcarriers
-    ul = grid.ul_indices
     m = len(entries)
 
     chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
@@ -730,18 +779,20 @@ def baseline_full_ls(
         _charge_chain(counter, "full_ls_basis", p_total, k_max)
         rx[i] = buffer.rx_spectrum(entry)
 
+    # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
+    band = slice(grid.ul_set[0], grid.ul_set[1] + 1)
+    a = chains[:, :, band].transpose(2, 0, 1)
+    y = rx[:, band].T
+    c, solved = _ls_solve_stack(a, y, regularization, counter, "full_ls_est")
+    # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
+    # all-zero ones stay zero
+    retry = np.flatnonzero(~solved)
+    scale = np.max(np.abs(a[retry]) ** 2, axis=(1, 2))
+    retry, scale = retry[scale > 0.0], scale[scale > 0.0]
+    if retry.size:
+        c[retry], _ = _ls_solve_stack(a[retry], y[retry], 1e-8 * scale, counter, "full_ls_est")
     coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
-    for p in ul:
-        a = chains[:, :, p]
-        y = rx[:, p]
-        try:
-            c = ls_solve(a, y, regularization, counter=counter, stage="full_ls_est")
-        except SingularSystemError:
-            scale = float(np.max(np.abs(a) ** 2))
-            if scale == 0.0:
-                continue
-            c = ls_solve(a, y, 1e-8 * scale, counter=counter, stage="full_ls_est")
-        coeffs[:, p] = c
+    coeffs[:, band] = c.T
     return coeffs
 
 
@@ -824,8 +875,14 @@ def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
     h_hat = np.zeros(p_total, dtype=np.complex128)
     saw_header = False
 
+    def number(parse, text: str, lineno: int):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {text.strip()!r} is not a number") from None
+
     def subcarrier(text: str, lineno: int, lo: int, hi: int, where: str) -> int:
-        p = int(text)
+        p = number(int, text, lineno)
         if not lo <= p <= hi:
             raise ValueError(f"line {lineno}: subcarrier {p} is outside the {where} {lo}..{hi}")
         return p
@@ -863,9 +920,12 @@ def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
                 continue
             if not saw_header:
                 raise ValueError(f"line {lineno}: data before the p,h_re,h_im header")
-            p_s, re_s, im_s = line.split(",")
+            row = line.split(",")
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: expected p,h_re,h_im, got {len(row)} fields")
+            p_s, re_s, im_s = row
             h_hat[subcarrier(p_s, lineno, 0, p_total - 1, "grid")] = complex(
-                float(re_s), float(im_s)
+                number(float, re_s, lineno), number(float, im_s, lineno)
             )
     if not a_hat:
         raise ValueError("coefficient file carries no polynomial headers")

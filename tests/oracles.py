@@ -14,7 +14,15 @@ import itertools
 import numpy as np
 
 from flexsic.counters import OpCounter
+from flexsic.imd import basis_chain
 from flexsic.ofdm import SubcarrierGrid
+from flexsic.sic import (
+    SingularSystemError,
+    TrainingBuffer,
+    _charge_chain,
+    _charge_xiq,
+    _compose_xiq,
+)
 
 
 def dft_ref(samples: np.ndarray) -> np.ndarray:
@@ -311,3 +319,142 @@ def run_sic_loop(
     if counter is not None:
         counter.charge("run", mults=mults, adds=adds)
     return est
+
+
+def ls_solve_ref(
+    regressors: np.ndarray,
+    observations: np.ndarray,
+    regularization: float = 0.0,
+    counter: OpCounter | None = None,
+    stage: str = "ls",
+) -> np.ndarray:
+    """One least-squares system through the normal equations, with guard rails.
+
+    With regularization == 0: SingularSystemError when the smallest |R_kk|
+    of the QR factor is at most 1e-12 of the largest (or all are zero),
+    and the ridge (top / 1e8)^2 when their ratio exceeds 1e8. With
+    regularization > 0 the ridge is applied as given. Charges one solve.
+    """
+    a = np.asarray(regressors, dtype=np.complex128)
+    y = np.asarray(observations, dtype=np.complex128)
+    m, k = a.shape
+    reg = float(regularization)
+    if reg == 0.0:
+        diag = np.abs(np.diag(np.linalg.qr(a, mode="r")))
+        top = diag.max() if diag.size else 0.0
+        if top == 0.0:
+            raise SingularSystemError(0, "least-squares system is all zero")
+        worst = int(np.argmin(diag))
+        if diag[worst] <= 1e-12 * top:
+            raise SingularSystemError(worst)
+        if top / diag[worst] > 1e8:
+            reg = (top / 1e8) ** 2
+
+    gram = a.conj().T @ a
+    rhs = a.conj().T @ y
+    if reg > 0.0:
+        gram = gram + reg * np.eye(k)
+    if counter is not None:
+        counter.charge_ls(stage, m, k)
+    return np.linalg.solve(gram, rhs)
+
+
+def estimate_iq_loop(
+    buffer: TrainingBuffer,
+    grid: SubcarrierGrid | None = None,
+    counter: OpCounter | None = None,
+) -> complex:
+    """IQ image weight estimate with one ls_solve per mirror pair.
+
+    Regresses the received value at each downlink subcarrier p whose
+    mirror is also in the band on (X[p], conj(X[-p])), skips singular
+    pairs and pairs with a zero first coefficient, and combines the
+    ratios c[1] / c[0] with weights |c[0]|^2 sum |X[-p]|^2. Charges each
+    solve, plus m + 3 multiplies and m adds per pair used.
+    """
+    if grid is None:
+        grid = buffer.grid
+    p_total = grid.num_subcarriers
+    entries = buffer.data_entries
+    if len(entries) < 2:
+        raise ValueError("estimate_iq needs at least 2 data training symbols")
+
+    pairs = [
+        p
+        for p in grid.dl_indices
+        if grid.in_dl((p_total - p) % p_total) and (p_total - p) % p_total != p
+    ]
+    if not pairs:
+        raise ValueError(
+            "IQ image weight is unidentifiable: no downlink subcarrier has its mirror in the band"
+        )
+
+    tx = np.stack([e.tx.values for e in entries])
+    rx = np.stack([buffer.rx_spectrum(e) for e in entries])
+    m = len(entries)
+
+    num = 0.0 + 0.0j
+    den = 0.0
+    for p in pairs:
+        mp = (p_total - p) % p_total
+        a = np.stack([tx[:, p], np.conj(tx[:, mp])], axis=1)
+        try:
+            c = ls_solve_ref(a, rx[:, p], counter=counter, stage="estimate_iq")
+        except SingularSystemError:
+            continue
+        if abs(c[0]) == 0.0:
+            continue
+        weight = abs(c[0]) ** 2 * float(np.sum(np.abs(tx[:, mp]) ** 2))
+        num += weight * (c[1] / c[0])
+        den += weight
+        if counter is not None:
+            counter.charge("estimate_iq", mults=m + 3, adds=m)
+    if den == 0.0:
+        raise ValueError("IQ image weight is unidentifiable: mirror content is all zero")
+    return complex(num / den)
+
+
+def baseline_full_ls_loop(
+    buffer: TrainingBuffer,
+    grid: SubcarrierGrid,
+    k_max: int,
+    b_hat: complex = 0.0,
+    regularization: float = 0.0,
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """Joint full-LS coefficients with one ls_solve per uplink subcarrier.
+
+    A subcarrier whose unregularized system is singular is refit with
+    the ridge 1e-8 max|a|^2; an all-zero one keeps zero coefficients.
+    """
+    entries = buffer.entries
+    if len(entries) < k_max + 1:
+        raise ValueError(
+            f"{len(entries)} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
+        )
+    p_total = grid.num_subcarriers
+    ul = grid.ul_indices
+    m = len(entries)
+
+    chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
+    rx = np.empty((m, p_total), dtype=np.complex128)
+    for i, entry in enumerate(entries):
+        xiq = _compose_xiq(entry.tx.values, b_hat)
+        _charge_xiq(counter, "full_ls_basis", grid)
+        chains[i] = basis_chain(xiq, k_max)
+        _charge_chain(counter, "full_ls_basis", p_total, k_max)
+        rx[i] = buffer.rx_spectrum(entry)
+
+    coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
+    for p in ul:
+        a = chains[:, :, p]
+        y = rx[:, p]
+        try:
+            c = ls_solve_ref(a, y, regularization, counter=counter, stage="full_ls_est")
+        except SingularSystemError:
+            scale = float(np.max(np.abs(a) ** 2))
+            if scale == 0.0:
+                continue
+            c = ls_solve_ref(a, y, 1e-8 * scale, counter=counter, stage="full_ls_est")
+        coeffs[:, p] = c
+    return coeffs

@@ -17,6 +17,7 @@ from flexsic.sic import (
     SingularSystemError,
     TrainingBuffer,
     TrainingEntry,
+    _ls_solve_stack,
     baseline_full_ls,
     baseline_linear,
     estimate_channel,
@@ -32,7 +33,13 @@ from flexsic.sic import (
     save_coefficients,
     select_basis,
 )
-from oracles import run_sic_loop, select_basis_loop
+from oracles import (
+    baseline_full_ls_loop,
+    estimate_iq_loop,
+    ls_solve_ref,
+    run_sic_loop,
+    select_basis_loop,
+)
 
 
 def ibfd_grid():
@@ -173,6 +180,116 @@ def test_ls_solve_charges_counter():
     a = np.eye(4, 2, dtype=complex)
     ls_solve(a, np.ones(4, dtype=complex), counter=counter, stage="here")
     assert counter.mults("here") == 4 * 4 + 2 * 4 + 8
+
+
+def test_ls_solve_stack_matches_per_system_reference():
+    # 600 systems span three blocks; the degenerate ones sit in the later two
+    rng = np.random.default_rng(5)
+    n, m, k = 600, 6, 3
+    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    a[300] = 0.0  # all zero
+    a[400, :, 2] = 2j * a[400, :, 0]  # rank deficient
+    a[500, :, 1] = a[500, :, 0] * (1.0 + 1e-10 * rng.standard_normal(m))  # auto ridge
+    ridge = np.where(np.arange(n) % 2 == 0, 0.0, 0.5)  # explicit ridge on odd systems
+    for regularization in (0.0, 0.5, ridge):
+        counter, ref_counter = OpCounter(), OpCounter()
+        coeffs, solved = _ls_solve_stack(a, y, regularization, counter, "s")
+        per_system = np.broadcast_to(regularization, (n,))
+        for i in range(n):
+            try:
+                ref = ls_solve_ref(a[i], y[i], per_system[i], ref_counter, "s")
+            except SingularSystemError:
+                assert not solved[i] and np.all(coeffs[i] == 0)
+                continue
+            assert solved[i]
+            np.testing.assert_allclose(coeffs[i], ref, rtol=1e-10)
+        assert counter.rows() == ref_counter.rows()
+    assert not solved[[300, 400]].any()
+    counter = OpCounter()
+    _ls_solve_stack(a[[300, 400]], y[[300, 400]], 0.0, counter, "s")
+    assert counter.rows() == []  # nothing solved, nothing charged
+
+
+def test_ls_solve_rejects_negative_ridge():
+    # a negative ridge would make the Gram matrix indefinite
+    a = np.eye(4, 2, dtype=complex)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ls_solve(a, np.ones(4, dtype=complex), regularization=-1.0)
+
+
+# ---------------------------------------------------------------- stacked estimators
+
+
+def mirrored_grid(p_total):
+    # the ibfd preset's band: dl_start + dl_end == P, uplink on the same span
+    start = round(0.109 * p_total)
+    return SubcarrierGrid(p_total, 120e3, 8, (start, p_total - start), (start, p_total - start))
+
+
+@pytest.mark.parametrize("p_total", [64, 1024])
+def test_estimate_iq_matches_loop_reference(p_total):
+    g = mirrored_grid(p_total)
+    pa = default_measured_pa()
+    b = 0.05 * np.exp(0.4j)
+    chan, _ = tapped_channel(g, seed=31)
+    a_digi = 0.5 * p_total / np.sqrt(g.dl_size)
+    buf = make_buffer(g, pa, b, chan, default_cfg(), seed=31, a_digi=a_digi)
+    pairs = [p for p in g.dl_indices if p_total - p != p]
+    late, ridged = pairs[3 * len(pairs) // 4], pairs[len(pairs) // 8]
+    rng = np.random.default_rng(32)
+    entries = list(buf.entries)
+    for i, e in enumerate(entries):
+        if e.kind != "data":
+            continue
+        values = e.tx.values.copy()
+        values[p_total - late] = 0.0  # zero mirror: both pairs of late are singular
+        wobble = 1.0 + 1e-10 * rng.standard_normal()
+        values[p_total - ridged] = np.conj(0.5 * values[ridged] * wobble)  # near collinear
+        body = forward_body(values, pa, b, chan)
+        entries[i] = TrainingEntry(tx=FreqSymbol(values), rx_time=body, kind="data")
+    buf = TrainingBuffer(grid=g, entries=tuple(entries), omega=buf.omega)
+    tx = np.stack([e.tx.values for e in buf.data_entries])
+    pair_cond = np.linalg.cond(np.stack([tx[:, ridged], np.conj(tx[:, p_total - ridged])], axis=1))
+    assert 1e8 < pair_cond < 1e12  # auto ridge, not rank deficient
+
+    counter, ref_counter = OpCounter(), OpCounter()
+    b_hat = estimate_iq(buf, counter=counter)
+    b_ref = estimate_iq_loop(buf, counter=ref_counter)
+    assert abs(b_hat - b_ref) <= 1e-12 * abs(b_ref)
+    assert counter.rows() == ref_counter.rows()
+
+
+@pytest.mark.parametrize(
+    "grid, b, regularization",
+    [
+        (mirrored_grid(64), irr_to_b(25.0, 0.3).b_iq, 0.0),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3).b_iq, 0.0),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3).b_iq, 1e-3),
+        (sbfd_grid(), irr_to_b(25.0, 0.3).b_iq, 0.0),
+        # without an image the linear column is zero on uplink 777..904,
+        # so the ridge refit covers both blocks of the 305-subcarrier stack
+        (SubcarrierGrid(1024, 120e3, 8, (112, 776), (600, 904)), 0.0, 0.0),
+    ],
+    ids=["ibfd-64", "ibfd-1024", "ibfd-1024-ridge", "sbfd-fallback", "overlap-1024-fallback"],
+)
+def test_full_ls_matches_loop_reference(grid, b, regularization):
+    pa = default_measured_pa()
+    chan, _ = tapped_channel(grid, seed=33)
+    cfg = default_cfg()
+    buf = make_buffer(grid, pa, b, chan, cfg, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
+    counter, ref_counter = OpCounter(), OpCounter()
+    coeffs = baseline_full_ls(buf, grid, cfg.k_max, b, regularization, counter=counter)
+    ref = baseline_full_ls_loop(buf, grid, cfg.k_max, b, regularization, counter=ref_counter)
+    ul = grid.ul_indices
+    size = np.linalg.norm(ref[:, ul], axis=0)
+    assert np.all(size > 0)
+    # relative to each subcarrier's coefficient vector: the stacked A^H y
+    # rounds differently from a matrix-vector product, and a high-order
+    # coefficient can sit orders of magnitude below the linear one
+    assert np.all(np.linalg.norm(coeffs[:, ul] - ref[:, ul], axis=0) <= 1e-10 * size)
+    assert np.array_equal(coeffs != 0, ref != 0)
+    assert counter.rows() == ref_counter.rows()
 
 
 # ---------------------------------------------------------------- config, buffers
@@ -692,8 +809,20 @@ def test_load_coefficients_error_lines(tmp_path):
         ("# K_p=45:1\np,h_re,h_im\n", "line 2: subcarrier 45 is outside the uplink 46..62"),
         ("# unestimated=-1\np,h_re,h_im\n", "line 2: subcarrier -1 is outside the uplink"),
         ("# K_p=46:1\np,h_re,h_im\n", "line 2: basis set at p=46 is outside 1..0"),
+        ("p,h_re,h_im\n3,1.0\n", "line 3: expected p,h_re,h_im, got 2 fields"),
+        ("p,h_re,h_im\n3,1.0,0.0,9\n", "line 3: expected p,h_re,h_im, got 4 fields"),
+        ("p,h_re,h_im\n3,x,0.0\n", "line 3: 'x' is not a number"),
     ],
-    ids=["negative-row", "row-past-grid", "kp-off-uplink", "unestimated-off-uplink", "order-past-kmax"],
+    ids=[
+        "negative-row",
+        "row-past-grid",
+        "kp-off-uplink",
+        "unestimated-off-uplink",
+        "order-past-kmax",
+        "row-too-short",
+        "row-too-long",
+        "row-not-a-number",
+    ],
 )
 def test_load_coefficients_rejects_out_of_range_indices(tmp_path, body, message):
     # a negative row index would otherwise wrap onto h_hat[P-1]
