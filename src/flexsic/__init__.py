@@ -1,11 +1,12 @@
 """Flexible-duplex OFDM baseband with low-complexity nonlinear SI cancellation.
 
-The package splits into small layers: ofdm (grids, symbols, transforms),
-impairments (IQ imbalance and the odd-order amplifier polynomial),
-channel (rays, arrays, beamformed effective channel), imd (distortion
-bases, tuple-count and power-prediction tables, the impulse pilot),
-sic (estimators, basis selection, the running canceller and baselines),
-counters (arithmetic accounting), and scenario/cli (end-to-end runs).
+The package splits into small layers: ofdm (grids, transforms, cyclic
+prefix, QAM), impairments (IQ imbalance and the odd-order amplifier
+polynomial), channel (rays, arrays, beamformed effective channel), imd
+(distortion bases, tuple-count and power-prediction tables, the impulse
+pilot), sic (estimators, basis selection, the running canceller and
+baselines), counters (arithmetic accounting), and scenario/cli (end-to-end
+runs). Signals are plain complex arrays, one symbol per row.
 """
 
 from .channel import (
@@ -28,7 +29,6 @@ from .channel import (
 from .counters import OpCounter
 from .imd import (
     IMDTables,
-    NonlinearBasis,
     basis_chain,
     basis_direct,
     default_pilot_omega,
@@ -52,9 +52,7 @@ from .impairments import (
     irr_to_b,
 )
 from .ofdm import (
-    FreqSymbol,
     SubcarrierGrid,
-    TimeSignal,
     add_cp,
     dft,
     gen_qam_symbols,
@@ -84,7 +82,6 @@ from .sic import (
     SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
-    TrainingEntry,
     baseline_full_ls,
     baseline_linear,
     estimate_channel,

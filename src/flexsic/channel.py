@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import SubcarrierGrid, TimeSignal
+from .ofdm import SubcarrierGrid
 
 RAY_CSV_HEADER = ["ray", "delay_s", "gain_re", "gain_im", "aoa_rad", "aod_rad", "is_los"]
 
@@ -212,17 +212,21 @@ def apply_beams(mimo: MimoTaps, f_tx: BeamVector, w_rx: BeamVector) -> Effective
     )
 
 
-def apply_channel(x: TimeSignal, chan: EffectiveChannel) -> TimeSignal:
-    """Causal FIR filtering of a CP-bearing symbol by the channel taps.
+def apply_channel(x: np.ndarray, chan: EffectiveChannel) -> np.ndarray:
+    """Causal FIR filtering of CP-bearing symbols by the channel taps.
 
-    The cyclic prefix absorbs the channel memory, so after CP removal the
-    body equals the circular convolution of the transmitted body with the
-    taps (equivalently, a per-subcarrier product in frequency).
+    Filters along the last axis and keeps its length: out[n] = sum_t
+    h[t] x[n - t] over the taps with t <= n. The cyclic prefix absorbs the
+    channel memory, so after CP removal the body equals the circular
+    convolution of the transmitted body with the taps (equivalently, a
+    per-subcarrier product in frequency). Rays land on a few of the taps
+    only, so the zero taps are skipped.
     """
-    if not x.has_cp:
-        raise ValueError("apply_channel expects a CP-bearing symbol")
-    full = np.convolve(x.samples, chan.time_taps)
-    return TimeSignal(samples=full[: len(x)], has_cp=True)
+    taps = chan.time_taps
+    out = taps[0] * x
+    for t in np.flatnonzero(taps[1:]) + 1:
+        out[..., t:] += taps[t] * x[..., :-t]
+    return out
 
 
 @dataclass(frozen=True)

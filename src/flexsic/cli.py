@@ -26,8 +26,8 @@ from .imd import (
     make_imd_tables,
     q_size,
 )
-from .impairments import apply_iq_freq
-from .ofdm import FreqSymbol, dft, gen_qam_symbols, idft, mirror_values
+from .impairments import apply_iq_freq, apply_pa
+from .ofdm import dft, gen_qam_symbols, idft, mirror_values
 from .scenario import emit_report, load_spec, run_scenario
 from .sic import perfect_coefficients, run_sic
 
@@ -77,12 +77,9 @@ def _cmd_validate(args) -> int:
     x = gen_qam_symbols(grid, spec.qam_order, a_digi, 1, spec.seed)[0]
     t = idft(x)
     back = dft(t)
-    check(
-        "transform-roundtrip",
-        bool(np.allclose(back.values, x.values, atol=1e-9 * a_digi)),
-    )
-    par_t = float(np.sum(np.abs(t.samples) ** 2))
-    par_f = float(np.sum(np.abs(x.values) ** 2)) / p
+    check("transform-roundtrip", bool(np.allclose(back, x, atol=1e-9 * a_digi)))
+    par_t = float(np.sum(np.abs(t) ** 2))
+    par_f = float(np.sum(np.abs(x) ** 2)) / p
     check("parseval", abs(par_t - par_f) <= 1e-9 * max(par_f, 1.0))
 
     qs = q_size(grid, spec.k_max)
@@ -93,11 +90,11 @@ def _cmd_validate(args) -> int:
     check("tuple-count-identity", ok)
 
     xiq = apply_iq_freq(x, imb)
-    chain = basis_chain(xiq.values, min(spec.k_max, 2))
+    chain = basis_chain(xiq, min(spec.k_max, 2))
     ok = True
     worst = 0.0
     for k in range(1, min(spec.k_max, 2) + 1):
-        direct = basis_direct(x, imb, k).values
+        direct = basis_direct(x, imb, k)
         scale = float(np.max(np.abs(direct))) or 1.0
         err = float(np.max(np.abs(chain[k] - direct))) / scale
         worst = max(worst, err)
@@ -107,27 +104,24 @@ def _cmd_validate(args) -> int:
     pilot = impulse_pilot(grid, a_digi)
     try:
         closed = impulse_pilot_basis(grid, imb, a_digi, k=1, q_tables=qs)
-        direct = basis_direct(pilot, imb, 1).values
+        direct = basis_direct(pilot, imb, 1)
         scale = float(np.max(np.abs(direct))) or 1.0
-        err = float(np.max(np.abs(closed.values - direct))) / scale
+        err = float(np.max(np.abs(closed - direct))) / scale
         check("pilot-closed-form", err <= 1e-9, f"max rel err {err:.2e}")
     except ValueError as reason:
         print(f"SKIP pilot-closed-form ({reason})")
 
-    xiq_t = idft(xiq)
-    pa_out = dft(type(xiq_t)(pa.evaluate(xiq_t.samples)))
+    pa_out = dft(apply_pa(idft(xiq), pa))
     flat = np.ones(p, dtype=np.complex128)
     coeffs = perfect_coefficients(grid, flat, pa.coeffs, imb.b_iq)
-    res = pa_out.values - run_sic(x, coeffs)
+    res = pa_out - run_sic(x, coeffs)
     ul = grid.ul_indices
-    scale = float(np.max(np.abs(pa_out.values[ul]))) or 1.0
+    scale = float(np.max(np.abs(pa_out[ul]))) or 1.0
     err = float(np.max(np.abs(res[ul]))) / scale
     check("perfect-coefficients-cancel", err <= 1e-9, f"max residual {err:.2e}")
 
-    mirrored = mirror_values(x.values)
-    ok = all(
-        mirrored[pp] == x.values[(p - pp) % p] for pp in range(0, p, max(1, p // 16))
-    )
+    mirrored = mirror_values(x)
+    ok = all(mirrored[pp] == x[(p - pp) % p] for pp in range(0, p, max(1, p // 16)))
     check("mirror-convention", ok)
 
     print(f"{failures} failure(s)" if failures else "all checks passed")

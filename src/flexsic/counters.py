@@ -61,10 +61,6 @@ class OpCounter:
     def charge_fft(self, stage: str, n: int, count: int = 1) -> None:
         self.charge(stage, mults=count * fft_mults(n), adds=count * fft_adds(n))
 
-    def charge_ls(self, stage: str, m: int, k: int) -> None:
-        mults, adds = ls_costs(m, k)
-        self.charge(stage, mults=mults, adds=adds)
-
     def mults(self, stage: str) -> int:
         return self._mults.get(stage, 0)
 

@@ -21,7 +21,8 @@ obeys an exact integer recursion through the pair-count function Lambda
 (the self-convolution of the downlink indicator), and the basis itself obeys
 a recursion that needs only one squared spectrum and one FFT per order.
 Everything in this module is per-allocation and symbol-independent except
-the basis operators themselves.
+the basis operators themselves, which act on the last axis of plain complex
+arrays: one (P,) spectrum or an (M, P) stack of them.
 """
 
 from __future__ import annotations
@@ -32,29 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .impairments import IQImbalance, apply_iq_freq
-from .ofdm import FreqSymbol, SubcarrierGrid, mirror_index
+from .ofdm import SubcarrierGrid, mirror_index
 
 _INT64_SAFE = 2**62
-
-
-@dataclass(frozen=True)
-class NonlinearBasis:
-    """Order-(2k+1) frequency-domain nonlinear basis of one symbol."""
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 1 or self.order % 2 == 0:
-            raise ValueError(f"basis order must be odd and >= 1, got {self.order}")
-        v = np.array(self.values, dtype=np.complex128)
-        if v.ndim != 1:
-            raise ValueError(f"values must be one-dimensional, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def k(self) -> int:
-        return (self.order - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -75,12 +56,6 @@ class IMDTables:
     b_iq: complex
     a_digi: float
     moment_mode: str
-
-    def q(self, k: int, p: int) -> int:
-        return int(self.q_size[k, p])
-
-    def mu_at(self, k: int, p: int) -> float:
-        return float(self.mu[k, p])
 
 
 def lambda_dl(grid: SubcarrierGrid) -> np.ndarray:
@@ -142,22 +117,22 @@ def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     return rows
 
 
-def basis_direct(X: FreqSymbol, imb: IQImbalance, k: int) -> NonlinearBasis:
-    """Reference basis computation straight from the definition.
+def basis_direct(X: np.ndarray, imb: IQImbalance, k: int) -> np.ndarray:
+    """Reference order-(2k+1) basis straight from the definition, shape of X.
 
     Applies the IQ image in frequency, transforms to time, raises to the
-    odd power per sample, and transforms back.  Every other basis routine
-    in the package is validated against this one.
+    odd power per sample, and transforms back, along the last axis.  Every
+    other basis routine in the package is validated against this one.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    x_iq = np.fft.ifft(apply_iq_freq(X, imb).values)
+    x_iq = np.fft.ifft(apply_iq_freq(X, imb), axis=-1)
     phi = np.abs(x_iq) ** (2 * k) * x_iq
-    return NonlinearBasis(order=2 * k + 1, values=np.fft.fft(phi))
+    return np.fft.fft(phi, axis=-1)
 
 
 def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
-    """All bases Phi_1 .. Phi_{2k_max+1} of one symbol, shape (k_max+1, P).
+    """All bases Phi_1 .. Phi_{2k_max+1}: shape (..., P) in, (..., k_max+1, P) out.
 
     Implements the recursion
 
@@ -166,17 +141,25 @@ def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
 
     through FFTs of the subcarrier sequences, i.e. O(P log P) per order
     instead of the O(P^2) double sum, reusing the squared spectrum across
-    orders. X_iq_values must be the IQ-applied spectrum (the order-1 basis).
+    orders. X_iq_values must be the IQ-applied spectrum (the order-1 basis);
+    leading axes index symbols.
     """
-    p = len(X_iq_values)
-    out = np.empty((k_max + 1, p), dtype=np.complex128)
-    out[0] = X_iq_values
+    x = np.asarray(X_iq_values)
+    p = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (k_max + 1, p), dtype=np.complex128)
+    out[..., 0, :] = x
     if k_max == 0:
         return out
-    fx = np.fft.fft(X_iq_values)
-    fx2 = fx * fx
+    fx2 = np.fft.fft(x, axis=-1)
+    fx2 *= fx2
+    # in place, so a stack of symbols holds few temporaries of its size
     for k in range(1, k_max + 1):
-        out[k] = np.fft.ifft(fx2 * np.conj(np.fft.fft(out[k - 1]))) / p**2
+        term = np.fft.fft(out[..., k - 1, :], axis=-1)
+        np.conjugate(term, out=term)
+        np.multiply(fx2, term, out=term)
+        term = np.fft.ifft(term, axis=-1)
+        term /= p**2
+        out[..., k, :] = term
     return out
 
 
@@ -280,16 +263,20 @@ def pilot_peak_sample(grid: SubcarrierGrid, omega: float) -> float:
 
 
 def impulse_pilot(
-    grid: SubcarrierGrid, a_digi: float, omega: float | None = None
-) -> FreqSymbol:
+    grid: SubcarrierGrid, a_digi, omega: float | None = None
+) -> np.ndarray:
     """Impulse-like pilot: X[p] = a_digi * exp(-j omega p) on the downlink set.
+
+    A scalar a_digi gives one (P,) pilot; an array of amplitudes gives one
+    pilot per amplitude, shape a_digi.shape + (P,).
 
     The linear phase ramp concentrates the time-domain energy at body
     sample n0 = omega P / (2 pi); the default omega puts n0 at cp_length so
     the peak clears the longest channel tap.  A non-integer n0 leaves the
     peak straddling two samples and triggers a warning.
     """
-    if a_digi <= 0:
+    a_digi = np.asarray(a_digi, dtype=np.float64)
+    if np.any(a_digi <= 0):
         raise ValueError(f"a_digi must be positive, got {a_digi}")
     if omega is None:
         omega = default_pilot_omega(grid)
@@ -300,11 +287,10 @@ def impulse_pilot(
             "the time-domain peak straddles two samples",
             stacklevel=2,
         )
-    p = grid.num_subcarriers
-    values = np.zeros(p, dtype=np.complex128)
+    values = np.zeros(a_digi.shape + (grid.num_subcarriers,), dtype=np.complex128)
     idx = grid.dl_indices
-    values[idx] = a_digi * np.exp(-1j * omega * idx)
-    return FreqSymbol(values=values)
+    values[..., idx] = a_digi[..., None] * np.exp(-1j * omega * idx)
+    return values
 
 
 def impulse_pilot_basis(
@@ -314,7 +300,7 @@ def impulse_pilot_basis(
     omega: float | None = None,
     k: int = 0,
     q_tables: np.ndarray | None = None,
-) -> NonlinearBasis:
+) -> np.ndarray:
     """Closed-form nonlinear basis of the impulse pilot, O(1) per subcarrier.
 
         Phi_{2k+1}[p] = (|Q^{2k+1}_p| / P^{2k}) * a^{2k+1}
@@ -346,8 +332,7 @@ def impulse_pilot_basis(
         a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
     )
     ramp = np.exp(-1j * omega * np.arange(p))
-    values = q_tables[k].astype(np.float64) * scale * ramp
-    return NonlinearBasis(order=2 * k + 1, values=values)
+    return q_tables[k].astype(np.float64) * scale * ramp
 
 
 def predict_si_power(

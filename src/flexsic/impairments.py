@@ -10,6 +10,9 @@ The image rejection ratio is IRR = 1/|b|^2.
 The PA is an odd-order memoryless polynomial applied per sample:
 
     f(x) = sum_k a_{2k+1} * |x|^{2k} * x
+
+Every model acts on the last axis of a plain complex array, so one symbol
+and a stack of symbols go through the same code.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ofdm import FreqSymbol, TimeSignal, mirror_values
+from .ofdm import mirror_values
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,6 @@ class PAPolynomial:
         """Coefficient a_order, zero if the order is absent."""
         return self.coeffs.get(order, 0.0 + 0.0j)
 
-    def coeff_array(self, k_max: int | None = None) -> np.ndarray:
-        """Coefficients [a_1, a_3, ..., a_{2k_max+1}] as a complex vector."""
-        if k_max is None:
-            k_max = self.k_max
-        return np.array([self.coeff(2 * k + 1) for k in range(k_max + 1)])
-
     def evaluate(self, x):
         """Apply f(x) = sum_k a_{2k+1} |x|^{2k} x elementwise."""
         x = np.asarray(x, dtype=np.complex128)
@@ -86,28 +83,26 @@ class PAPolynomial:
         mag2 = np.abs(x) ** 2
         for order, a in self.coeffs.items():
             k = (order - 1) // 2
-            out = out + a * mag2**k * x
+            # in place, so a stack of symbols holds few temporaries of its size
+            term = a * mag2**k
+            term *= x
+            out += term
         return out
 
 
-def apply_iq_time(x: TimeSignal, imb: IQImbalance) -> TimeSignal:
+def apply_iq_time(x: np.ndarray, imb: IQImbalance) -> np.ndarray:
     """Per-sample image: out[n] = x[n] + b * conj(x[n])."""
-    return TimeSignal(
-        samples=x.samples + imb.b_iq * np.conj(x.samples), has_cp=x.has_cp
-    )
+    return x + imb.b_iq * np.conj(x)
 
 
-def apply_iq_freq(X: FreqSymbol, imb: IQImbalance) -> FreqSymbol:
-    """Per-subcarrier image: out[p] = X[p] + b * conj(X[(P - p) mod P])."""
-    return FreqSymbol(
-        values=X.values + imb.b_iq * np.conj(mirror_values(X.values)),
-        symbol_index=X.symbol_index,
-    )
+def apply_iq_freq(X: np.ndarray, imb: IQImbalance) -> np.ndarray:
+    """Per-subcarrier image along the last axis: out[p] = X[p] + b * conj(X[(P - p) mod P])."""
+    return X + imb.b_iq * np.conj(mirror_values(X))
 
 
-def apply_pa(x: TimeSignal, pa: PAPolynomial) -> TimeSignal:
+def apply_pa(x: np.ndarray, pa: PAPolynomial) -> np.ndarray:
     """Memoryless polynomial PA applied sample by sample."""
-    return TimeSignal(samples=pa.evaluate(x.samples), has_cp=x.has_cp)
+    return pa.evaluate(x)
 
 
 def default_measured_pa() -> PAPolynomial:

@@ -1,5 +1,12 @@
 """OFDM numerology, flexible-duplex allocation, and transform primitives.
 
+A symbol is a plain complex array whose last axis is the subcarrier grid
+(length P) in the frequency domain, or the time-domain body (length P) or
+prefixed symbol (length P + cp_length). A leading axis, when present,
+indexes symbols, so one (P,) symbol and an (M, P) stack go through the same
+functions. Whether a time-domain signal carries its cyclic prefix is told by
+its length: add_cp accepts only bodies and remove_cp only prefixed symbols.
+
 Transform convention used throughout the package:
 
     idft:  x[n] = (1/P) * sum_p X[p] * exp(+j 2 pi p n / P)
@@ -112,50 +119,10 @@ class SubcarrierGrid:
         mask[self.dl_indices] = True
         return mask
 
-    def in_dl(self, p: int) -> bool:
-        return self.dl_set[0] <= p <= self.dl_set[1]
-
-    def in_ul(self, p: int) -> bool:
-        return self.ul_set[0] <= p <= self.ul_set[1]
-
     @property
     def sampling_interval(self) -> float:
         """Baseband sampling interval 1 / (P * subcarrier_spacing), seconds."""
         return 1.0 / (self.num_subcarriers * self.subcarrier_spacing)
-
-
-@dataclass(frozen=True)
-class FreqSymbol:
-    """One OFDM symbol in the frequency domain: P complex amplitudes."""
-
-    values: np.ndarray
-    symbol_index: int = 0
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128)
-        if v.ndim != 1:
-            raise ValueError(f"values must be one-dimensional, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class TimeSignal:
-    """A block of complex baseband samples, with or without cyclic prefix."""
-
-    samples: np.ndarray
-    has_cp: bool = False
-
-    def __post_init__(self):
-        s = np.array(self.samples, dtype=np.complex128)
-        if s.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {s.shape}")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
 
 
 def mirror_index(p: int, num_subcarriers: int) -> int:
@@ -169,56 +136,46 @@ def mirror_index(p: int, num_subcarriers: int) -> int:
 
 
 def mirror_values(values: np.ndarray) -> np.ndarray:
-    """Return the array reindexed by the mirror map: out[p] = values[(P - p) mod P]."""
-    return np.roll(values[::-1], 1)
+    """Reindex the last axis by the mirror map: out[..., p] = values[..., (P - p) mod P]."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
 
 
-def idft(spectrum: FreqSymbol) -> TimeSignal:
-    """Inverse transform with the 1/P factor.
+def idft(spectrum: np.ndarray) -> np.ndarray:
+    """Inverse transform along the last axis, with the 1/P factor.
 
-    samples[n] = (1/P) * sum_p values[p] * exp(+j 2 pi p n / P)
+    samples[n] = (1/P) * sum_p spectrum[p] * exp(+j 2 pi p n / P)
     """
-    return TimeSignal(samples=np.fft.ifft(spectrum.values), has_cp=False)
+    return np.fft.ifft(spectrum, axis=-1)
 
 
-def dft(signal: TimeSignal) -> FreqSymbol:
-    """Forward transform without a scale factor.
+def dft(samples: np.ndarray) -> np.ndarray:
+    """Forward transform along the last axis, without a scale factor.
 
-    values[p] = sum_n samples[n] * exp(-j 2 pi p n / P)
+    spectrum[p] = sum_n samples[n] * exp(-j 2 pi p n / P)
 
     The input must be a CP-free body of P samples; strip the prefix first.
     """
-    if signal.has_cp:
-        raise ValueError("dft expects a CP-free signal; call remove_cp first")
-    return FreqSymbol(values=np.fft.fft(signal.samples))
+    return np.fft.fft(samples, axis=-1)
 
 
-def add_cp(signal: TimeSignal, grid: SubcarrierGrid) -> TimeSignal:
-    """Prepend the last cp_length samples of the body."""
-    if signal.has_cp:
-        raise ValueError("signal already has a cyclic prefix")
-    n = len(signal)
+def add_cp(body: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
+    """Prepend the last cp_length samples of each body (last axis of length P)."""
+    n = body.shape[-1]
     if n != grid.num_subcarriers:
         raise ValueError(
             f"body length {n} does not match num_subcarriers {grid.num_subcarriers}"
         )
-    ncp = grid.cp_length
-    return TimeSignal(
-        samples=np.concatenate([signal.samples[n - ncp:], signal.samples]),
-        has_cp=True,
-    )
+    return np.concatenate([body[..., n - grid.cp_length:], body], axis=-1)
 
 
-def remove_cp(signal: TimeSignal, grid: SubcarrierGrid) -> TimeSignal:
-    """Drop the first cp_length samples; exact inverse of add_cp."""
-    if not signal.has_cp:
-        raise ValueError("signal has no cyclic prefix to remove")
+def remove_cp(signal: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
+    """Drop the first cp_length samples of each prefixed symbol; inverse of add_cp."""
     expected = grid.num_subcarriers + grid.cp_length
-    if len(signal) != expected:
+    if signal.shape[-1] != expected:
         raise ValueError(
-            f"prefixed length {len(signal)} does not match P + cp_length = {expected}"
+            f"prefixed length {signal.shape[-1]} does not match P + cp_length = {expected}"
         )
-    return TimeSignal(samples=signal.samples[grid.cp_length:], has_cp=False)
+    return signal[..., grid.cp_length:]
 
 
 def qam_constellation(order: int) -> np.ndarray:
@@ -242,7 +199,7 @@ def gen_qam_symbols(
     amplitude: float,
     count: int,
     seed: int,
-) -> list[FreqSymbol]:
+) -> np.ndarray:
     """Draw independent uniform QAM symbols on the downlink allocation.
 
     Parameters
@@ -259,8 +216,8 @@ def gen_qam_symbols(
 
     Returns
     -------
-    list of FreqSymbol
-        count symbols, zero outside dl_set, symbol_index running 0..count-1.
+    ndarray of shape (count, P)
+        One symbol per row, zero outside dl_set.
     """
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
@@ -269,9 +226,6 @@ def gen_qam_symbols(
     pts = qam_constellation(order) * amplitude
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(pts), size=(count, grid.dl_size))
-    out = []
-    for m in range(count):
-        values = np.zeros(grid.num_subcarriers, dtype=np.complex128)
-        values[grid.dl_indices] = pts[picks[m]]
-        out.append(FreqSymbol(values=values, symbol_index=m))
+    out = np.zeros((count, grid.num_subcarriers), dtype=np.complex128)
+    out[:, grid.dl_indices] = pts[picks]
     return out

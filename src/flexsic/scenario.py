@@ -10,6 +10,13 @@ from the noisy and the noiseless reception alike. It returns
 per-subcarrier residual spectra, residual-power CDF samples,
 cancellation ratios, and per-stage arithmetic counters.
 
+Symbols are plain complex arrays, one per row. The whole training window
+goes through the transmit chain as one (M, P) stack; the run symbols go
+through it one (P,) row at a time, which keeps the memory of a long run
+flat. Estimates shared by several cancellers (the IQ image weight, and the
+amplifier polynomial with its basis-power table) are fitted once, and
+their cost is charged to each canceller that uses them.
+
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
 tx_power_dbm. Every reported dBm figure uses that anchor, and the noise
@@ -45,20 +52,11 @@ from .impairments import (
     default_measured_pa,
     irr_to_b,
 )
-from .ofdm import (
-    FreqSymbol,
-    SubcarrierGrid,
-    TimeSignal,
-    add_cp,
-    gen_qam_symbols,
-    idft,
-    remove_cp,
-)
+from .ofdm import SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
 from .sic import (
     EstimatorConfig,
     SICCoefficients,
     TrainingBuffer,
-    TrainingEntry,
     baseline_full_ls,
     baseline_linear,
     estimate_channel,
@@ -77,6 +75,8 @@ DUPLEX_PRESETS = ("ibfd", "sbfd", "overlap")
 _FLOOR = 1e-300
 # cancellers built on the estimated IQ image weight b_hat
 _USES_B_HAT = ("proposed", "full_ls", "iq_only")
+# cancellers built on the amplifier polynomial fitted with that b_hat
+_USES_PA_FIT = ("proposed", "iq_only")
 
 
 def duplex_allocation(preset: str, num_subcarriers: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -290,27 +290,31 @@ def _seed_ints(seed: int, count: int) -> list[int]:
 
 
 def _rx_body(
-    x: FreqSymbol,
+    x: np.ndarray,
     imb: IQImbalance,
     pa: PAPolynomial,
     chan: EffectiveChannel,
     grid: SubcarrierGrid,
 ) -> np.ndarray:
-    """Noiseless body samples of one symbol through the transmit chain and the SI channel."""
+    """Noiseless body samples of symbols (..., P) through the transmit chain and the SI channel."""
     t = idft(x)
     t = apply_iq_time(t, imb)
     t = apply_pa(t, pa)
     t = add_cp(t, grid)
     t = apply_channel(t, chan)
-    return remove_cp(t, grid).samples
+    return remove_cp(t, grid)
 
 
 def _add_noise(samples: np.ndarray, sigma_t: float, rng: np.random.Generator) -> np.ndarray:
-    """A noisy copy of body samples: complex Gaussian noise of variance sigma_t^2."""
+    """A noisy copy of body samples: complex Gaussian noise of variance sigma_t^2.
+
+    Each symbol draws its P real parts and then its P imaginary parts, so
+    a stack draws the same numbers as its rows drawn one after another.
+    """
     if sigma_t <= 0:
         return samples
-    p = len(samples)
-    noise = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    draws = rng.standard_normal(samples.shape[:-1] + (2, samples.shape[-1]))
+    noise = draws[..., 0, :] + 1j * draws[..., 1, :]
     return samples + (sigma_t / np.sqrt(2.0)) * noise
 
 
@@ -339,20 +343,36 @@ def _build_training(
     seed_noise: int,
 ) -> TrainingBuffer:
     omega = default_pilot_omega(grid)
-    noise_rng = np.random.default_rng(seed_noise)
-    entries = []
     lo, hi = spec.impulse_amp_range
     peaks = np.linspace(lo, hi, spec.n_impulse_symbols)
-    scale = grid.num_subcarriers / grid.dl_size
-    for peak in peaks:
-        x = impulse_pilot(grid, float(peak) * scale, omega)
-        rx = TimeSignal(_add_noise(_rx_body(x, imb, pa, chan, grid), sigma_t, noise_rng))
-        entries.append(TrainingEntry(tx=x, rx_time=rx, kind="impulse"))
+    pilots = impulse_pilot(grid, peaks * (grid.num_subcarriers / grid.dl_size), omega)
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
-    for x in gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data):
-        rx = TimeSignal(_add_noise(_rx_body(x, imb, pa, chan, grid), sigma_t, noise_rng))
-        entries.append(TrainingEntry(tx=x, rx_time=rx, kind="data"))
-    return TrainingBuffer(grid=grid, entries=tuple(entries), omega=omega)
+    data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
+    tx = np.concatenate([pilots, data])
+    rx = _add_noise(_rx_body(tx, imb, pa, chan, grid), sigma_t, np.random.default_rng(seed_noise))
+    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
+
+
+def _fit_pa(
+    buffer: TrainingBuffer,
+    grid: SubcarrierGrid,
+    chan: EffectiveChannel,
+    cfg: EstimatorConfig,
+    a_digi: float,
+    b_hat: complex,
+    counter: OpCounter,
+) -> tuple[dict[int, complex], np.ndarray]:
+    """Amplifier polynomial and predicted basis powers for one image weight."""
+    a_hat = estimate_pa(buffer, chan.los_scalar, b_hat, cfg, chan.los_tap_index, counter=counter)
+    return a_hat, mu_tables(grid, IQImbalance(b_hat), a_digi, cfg.k_max)
+
+
+def _share(
+    scratch: OpCounter, stage: str, counters: dict[str, OpCounter], names: list[str]
+) -> None:
+    """Charge the cost of a fit made once to each canceller that uses it."""
+    for name in names:
+        counters[name].charge(stage, mults=scratch.mults(stage), adds=scratch.adds(stage))
 
 
 def _fit_canceller(
@@ -363,13 +383,16 @@ def _fit_canceller(
     cfg: EstimatorConfig,
     a_digi: float,
     b_hat: complex | None,
+    pa_fit: tuple[dict[int, complex], np.ndarray] | None,
     counter: OpCounter,
 ):
     """Train one canceller; returns an opaque state consumed by _estimate_si.
 
     b_hat is the IQ image weight estimate shared by the cancellers in
-    _USES_B_HAT (None when the spec runs none of them); run_scenario fits
-    it once and charges its cost to each of their counters.
+    _USES_B_HAT, and pa_fit the (a_hat, mu) pair fitted with it that the
+    cancellers in _USES_PA_FIT share (each None when the spec runs none of
+    its users); run_scenario fits them once and charges their cost to each
+    user's counter. pa_only fits its own polynomial with b = 0.
     """
     if name == "none":
         return None
@@ -383,13 +406,12 @@ def _fit_canceller(
     if name in ("proposed", "iq_only", "pa_only"):
         if name == "pa_only":
             b_hat = 0.0 + 0.0j
-        a_hat = estimate_pa(
-            buffer, chan.los_scalar, b_hat, cfg, chan.los_tap_index, counter=counter
-        )
+            a_hat, mu = _fit_pa(buffer, grid, chan, cfg, a_digi, b_hat, counter)
+        else:
+            a_hat, mu = pa_fit
         if name == "iq_only":
             a_hat = {1: a_hat[1]}
         h_hat, _ = estimate_channel(buffer, a_hat, b_hat, cfg, counter=counter)
-        mu = mu_tables(grid, IQImbalance(b_hat), a_digi, cfg.k_max)
         retained = select_basis(a_hat, mu, h_hat, cfg.gamma, cfg.k_max, grid, counter=counter)
         # selection walks cfg.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
@@ -408,7 +430,7 @@ def _fit_canceller(
 def _estimate_si(
     name: str,
     state,
-    x_dl: FreqSymbol,
+    x_dl: np.ndarray,
     grid: SubcarrierGrid,
     counter: OpCounter,
 ) -> np.ndarray:
@@ -449,20 +471,23 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     cfg = spec.estimator_config(gamma)
 
     counters = {name: OpCounter() for name in spec.cancellers}
-    # b_hat is fitted once and its cost charged to every canceller that uses it
+    # shared fits are made once and their cost charged to every canceller that uses them
     b_hat = None
+    pa_fit = None
     users = [name for name in spec.cancellers if name in _USES_B_HAT]
     if users:
-        iq_counter = OpCounter()
-        b_hat = estimate_iq(buffer, counter=iq_counter)
-        for name in users:
-            counters[name].charge(
-                "estimate_iq",
-                mults=iq_counter.mults("estimate_iq"),
-                adds=iq_counter.adds("estimate_iq"),
-            )
+        scratch = OpCounter()
+        b_hat = estimate_iq(buffer, counter=scratch)
+        _share(scratch, "estimate_iq", counters, users)
+    users = [name for name in spec.cancellers if name in _USES_PA_FIT]
+    if users:
+        scratch = OpCounter()
+        pa_fit = _fit_pa(buffer, grid, chan, cfg, a_digi, b_hat, scratch)
+        _share(scratch, "estimate_pa", counters, users)
     states = {
-        name: _fit_canceller(name, buffer, grid, chan, cfg, a_digi, b_hat, counters[name])
+        name: _fit_canceller(
+            name, buffer, grid, chan, cfg, a_digi, b_hat, pa_fit, counters[name]
+        )
         for name in spec.cancellers
     }
 

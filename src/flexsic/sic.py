@@ -16,10 +16,15 @@ the self-interference estimate on the grid; the caller subtracts it from
 the received spectrum. Each still charges that subtraction's adds to its
 own stage, so the counts match a canceller that subtracts in place.
 
+The training window is held as arrays, one symbol per row, and every
+estimator works on the whole window at once; the running cancellers take
+one (P,) transmit spectrum per call.
+
 All estimator and canceller arithmetic is charged to an OpCounter so
-complexity claims can be checked against actual counts. Receiver-side
-FFTs of the received waveform are not charged: demodulation happens
-regardless of which canceller is in use.
+complexity claims can be checked against actual counts; a stacked step
+charges its per-symbol cost once per symbol. Receiver-side FFTs of the
+received waveform are not charged: demodulation happens regardless of
+which canceller is in use.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_peak_sample, predict_si_power
-from .ofdm import FreqSymbol, SubcarrierGrid, TimeSignal, mirror_values
+from .ofdm import SubcarrierGrid, mirror_values
 
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
@@ -44,6 +49,10 @@ _LS_BLOCK = 256
 # Indoor self-interference channels are sparse, so a handful of taps carries
 # the leakage that matters; the cap keeps the joint solve at a fixed size.
 _PA_MAX_ECHOES = 8
+# Refinement passes of that guard: each estimates the echo tap gains from
+# post-peak pilot samples and strips their pre-peak leakage out of the peak
+# equations before refitting the polynomial.
+_PA_REFINE_PASSES = 2
 
 
 class SingularSystemError(ValueError):
@@ -65,10 +74,7 @@ class EstimatorConfig:
     impulse pilots included, so it must exceed n_impulse_symbols.
     impulse_amp_range gives the endpoints of the pilot peak-amplitude
     sweep at the amplifier input; the sweep is what makes the different
-    polynomial orders separable. pa_refine_passes controls the multipath
-    guard in the polynomial estimator: each pass estimates the echo tap
-    gains from post-peak pilot samples and strips their pre-peak leakage
-    out of the peak equations before refitting. Zero disables the guard.
+    polynomial orders separable.
     """
 
     gamma: float
@@ -77,7 +83,6 @@ class EstimatorConfig:
     n_train_symbols: int = 14
     regularization: float = 0.0
     impulse_amp_range: tuple[float, float] = (0.6, 2.0)
-    pa_refine_passes: int = 2
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -96,60 +101,41 @@ class EstimatorConfig:
         lo, hi = self.impulse_amp_range
         if not (0 < lo < hi):
             raise ValueError("impulse_amp_range must be increasing and positive")
-        if self.pa_refine_passes < 0:
-            raise ValueError("pa_refine_passes must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrainingEntry:
-    """One training symbol: transmitted spectrum and received body samples."""
-
-    tx: FreqSymbol
-    rx_time: TimeSignal
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("impulse", "data"):
-            raise ValueError(f"unknown training entry kind {self.kind!r}")
-        if self.rx_time.has_cp:
-            raise ValueError("training rx_time must be a CP-stripped symbol body")
 
 
 @dataclass(frozen=True)
 class TrainingBuffer:
-    """Training window: impulse pilot symbols first, then data symbols.
+    """Training window, one symbol per row: impulse pilots first, then data.
 
-    Received symbols are stored as time-domain bodies. Estimators that
-    work in the frequency domain demodulate on access; that FFT is
-    receiver work and is never charged to a canceller stage.
+    tx holds the transmitted spectra and rx the received CP-free bodies,
+    both of shape (M, P); the first n_impulse rows are the impulse pilots
+    and the rest are data symbols. Estimators that work in the frequency
+    domain demodulate on access; that FFT is receiver work and is never
+    charged to a canceller stage.
     """
 
     grid: SubcarrierGrid
-    entries: tuple[TrainingEntry, ...]
+    tx: np.ndarray
+    rx: np.ndarray
+    n_impulse: int
     omega: float
 
     def __post_init__(self):
         p = self.grid.num_subcarriers
-        seen_data = False
-        for i, entry in enumerate(self.entries):
-            if len(entry.tx) != p or len(entry.rx_time) != p:
-                raise ValueError(f"training entry {i} does not match the grid size {p}")
-            if entry.kind == "data":
-                seen_data = True
-            elif seen_data:
-                raise ValueError("impulse entries must precede all data entries")
+        tx = np.asarray(self.tx, dtype=np.complex128)
+        rx = np.asarray(self.rx, dtype=np.complex128)
+        if tx.ndim != 2 or tx.shape[1] != p:
+            raise ValueError(f"tx has shape {tx.shape}, expected (M, {p})")
+        if rx.shape != tx.shape:
+            raise ValueError(f"rx has shape {rx.shape}, expected the tx shape {tx.shape}")
+        if not 0 <= self.n_impulse <= len(tx):
+            raise ValueError(f"n_impulse={self.n_impulse} is outside 0..{len(tx)}")
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "rx", rx)
 
-    @property
-    def impulse_entries(self) -> tuple[TrainingEntry, ...]:
-        return tuple(e for e in self.entries if e.kind == "impulse")
-
-    @property
-    def data_entries(self) -> tuple[TrainingEntry, ...]:
-        return tuple(e for e in self.entries if e.kind == "data")
-
-    def rx_spectrum(self, entry: TrainingEntry) -> np.ndarray:
-        """Receiver-side demodulation of one stored body (uncharged)."""
-        return np.fft.fft(entry.rx_time.samples)
+    def rx_spectra(self, start: int = 0) -> np.ndarray:
+        """Receiver-side demodulation of the bodies from row start on (uncharged)."""
+        return np.fft.fft(self.rx[start:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -318,8 +304,9 @@ def estimate_iq(
     if grid is None:
         grid = buffer.grid
     p_total = grid.num_subcarriers
-    entries = buffer.data_entries
-    if len(entries) < 2:
+    tx = buffer.tx[buffer.n_impulse:]
+    m = len(tx)
+    if m < 2:
         raise ValueError("estimate_iq needs at least 2 data training symbols")
 
     dl = grid.dl_indices
@@ -331,15 +318,11 @@ def estimate_iq(
             "IQ image weight is unidentifiable: no downlink subcarrier has its mirror in the band"
         )
 
-    # one (m, 2) system per pair, filled symbol by symbol so no full-grid
-    # copy of the training window is held next to the stack
-    m = len(entries)
+    # one (m, 2) system per pair
     a = np.empty((len(pairs), m, 2), dtype=np.complex128)
-    y = np.empty((len(pairs), m), dtype=np.complex128)
-    for i, entry in enumerate(entries):
-        a[:, i, 0] = entry.tx.values[pairs]
-        a[:, i, 1] = np.conj(entry.tx.values[mirrors])
-        y[:, i] = buffer.rx_spectrum(entry)[pairs]
+    a[:, :, 0] = tx[:, pairs].T
+    a[:, :, 1] = np.conj(tx[:, mirrors]).T
+    y = buffer.rx_spectra(buffer.n_impulse)[:, pairs].T
     mirror_power = np.sum(np.abs(a[:, :, 1]) ** 2, axis=1)
     c, solved = _ls_solve_stack(a, y, 0.0, counter, "estimate_iq")
     used = solved & (c[:, 0] != 0.0)
@@ -399,20 +382,20 @@ def estimate_pa(
     into the peak sample. That leakage is linear in the pilot amplitude,
     so it aliases straight into the first-order coefficient and skews
     the coefficient ratios, which the downstream channel fit cannot
-    absorb. When config.pa_refine_passes > 0 the estimator therefore
-    refines: post-peak samples n0 + tau see each echo tap against the
-    full pilot peak, a matched filter over the guard window locates the
-    strongest echoes, a small joint solve over just those taps removes
-    their mutual kernel leakage, their pre-peak contribution is
-    subtracted from the peak equations, and the polynomial is refit.
+    absorb. The estimator therefore refines, in _PA_REFINE_PASSES passes:
+    post-peak samples n0 + tau see each echo tap against the full pilot
+    peak, a matched filter over the guard window locates the strongest
+    echoes, a small joint solve over just those taps removes their mutual
+    kernel leakage, their pre-peak contribution is subtracted from the
+    peak equations, and the polynomial is refit.
     The extra work is bounded by the cyclic prefix length and the echo
     cap, still independent of both band sizes.
     """
-    entries = buffer.impulse_entries
+    m = buffer.n_impulse
     k_max = config.k_max
-    if len(entries) < k_max + 1:
+    if m < k_max + 1:
         raise ValueError(
-            f"{len(entries)} impulse symbols cannot identify {k_max + 1} coefficients"
+            f"{m} impulse symbols cannot identify {k_max + 1} coefficients"
         )
     if los_gain == 0:
         raise ValueError("line-of-sight gain must be nonzero")
@@ -424,23 +407,19 @@ def estimate_pa(
     if abs(n0 - n0_int) > 1e-9:
         raise ValueError("pilot peak does not land on an integer sample")
 
-    m = len(entries)
+    rx = buffer.rx[:m]
+    amp = np.abs(buffer.tx[:m, grid.dl_start])
+    if not amp.all():
+        raise ValueError(f"impulse symbol {int(np.argmin(amp))} has no pilot energy")
+    peaks = amp * grid.dl_size / p_total
+    alpha = peaks + b_hat * np.conj(peaks)
+    mag2 = np.abs(alpha) ** 2
     rows = np.empty((m, k_max + 1), dtype=np.complex128)
-    y = np.empty(m, dtype=np.complex128)
-    peaks = np.empty(m)
-    anchor = grid.dl_start
-    for i, entry in enumerate(entries):
-        amp = abs(entry.tx.values[anchor])
-        if amp == 0.0:
-            raise ValueError(f"impulse entry {i} has no pilot energy")
-        peaks[i] = amp * grid.dl_size / p_total
-        alpha = peaks[i] + b_hat * np.conj(peaks[i])
-        mag2 = abs(alpha) ** 2
-        term = alpha
-        for k in range(k_max + 1):
-            rows[i, k] = los_gain * term
-            term = term * mag2
-        y[i] = entry.rx_time.samples[(n0_int + los_tap_index) % p_total]
+    term = alpha
+    for k in range(k_max + 1):
+        rows[:, k] = los_gain * term
+        term = term * mag2
+    y = rx[:, (n0_int + los_tap_index) % p_total]
     if counter is not None:
         counter.charge("estimate_pa", mults=m * (2 * k_max + 3), adds=m)
     coeffs = ls_solve(
@@ -448,16 +427,14 @@ def estimate_pa(
     )
 
     guard = min(grid.cp_length, n0_int)
-    if guard > 0 and config.pa_refine_passes > 0:
+    if guard > 0:
         offsets = np.arange(-guard, guard + 1)
         kappa = _pilot_kernel(grid, buffer.omega, n0_int + offsets)
         x_all = peaks[:, None] * kappa[None, :]
         a_all = x_all + b_hat * np.conj(x_all)
         mag2_all = np.abs(a_all) ** 2
         post_idx = (n0_int + los_tap_index + np.arange(1, guard + 1)) % p_total
-        rx_post = np.array(
-            [entry.rx_time.samples[post_idx] for entry in entries]
-        )
+        rx_post = rx[:, post_idx]
         n_echo = min(_PA_MAX_ECHOES, guard)
         # column s of the joint design holds the echo at delay taus[s];
         # row (i, tau) needs the amplifier output at offset tau - taus[s]
@@ -466,15 +443,15 @@ def estimate_pa(
             counter.charge(
                 "estimate_pa",
                 mults=8 * (2 * guard + 1)
-                + config.pa_refine_passes
+                + _PA_REFINE_PASSES
                 * (
                     m * (2 * guard + 1) * (k_max + 3)
                     + guard * (2 * m + 1)
                     + 2 * m * n_echo
                 ),
-                adds=config.pa_refine_passes * m * guard * 2,
+                adds=_PA_REFINE_PASSES * m * guard * 2,
             )
-        for _ in range(config.pa_refine_passes):
+        for _ in range(_PA_REFINE_PASSES):
             a_vec = np.array([coeffs[k] for k in range(k_max + 1)])
             u = np.zeros_like(a_all)
             for k in range(k_max, -1, -1):
@@ -500,17 +477,23 @@ def estimate_pa(
     return {2 * k + 1: complex(coeffs[k]) for k in range(k_max + 1)}
 
 
-def _charge_xiq(counter: OpCounter | None, stage: str, grid: SubcarrierGrid) -> None:
+def _charge_xiq(
+    counter: OpCounter | None, stage: str, grid: SubcarrierGrid, count: int = 1
+) -> None:
+    """Cost of composing the IQ image of count symbols."""
     if counter is not None:
-        counter.charge(stage, mults=grid.dl_size, adds=grid.dl_size)
+        counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
 
 
-def _charge_chain(counter: OpCounter | None, stage: str, p: int, k_max: int) -> None:
-    """Cost of basis_chain: one spectrum FFT plus squaring, then one
-    FFT, one IFFT, one elementwise product and one rescale per order."""
+def _charge_chain(
+    counter: OpCounter | None, stage: str, p: int, k_max: int, count: int = 1
+) -> None:
+    """Cost of basis_chain over count symbols: per symbol one spectrum FFT
+    plus squaring, then one FFT, one IFFT, one elementwise product and one
+    rescale per order."""
     if counter is not None:
-        counter.charge_fft(stage, p, count=1 + 2 * k_max)
-        counter.charge(stage, mults=p * (1 + 2 * k_max))
+        counter.charge_fft(stage, p, count=count * (1 + 2 * k_max))
+        counter.charge(stage, mults=count * p * (1 + 2 * k_max))
 
 
 def _compose_xiq(values: np.ndarray, b_hat: complex) -> np.ndarray:
@@ -534,8 +517,9 @@ def estimate_channel(
     power was too small to trust stay zero in h_hat, and the canceller
     leaves them untouched.
     """
-    entries = buffer.data_entries
-    if not entries:
+    tx = buffer.tx[buffer.n_impulse:]
+    m = len(tx)
+    if not m:
         raise ValueError("estimate_channel needs at least one data training symbol")
     grid = buffer.grid
     p_total = grid.num_subcarriers
@@ -543,26 +527,20 @@ def estimate_channel(
     ul = grid.ul_indices
     a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
 
-    num = np.zeros(len(ul), dtype=np.complex128)
-    den = np.zeros(len(ul), dtype=np.float64)
-    m = len(entries)
-    for entry in entries:
-        xiq = _compose_xiq(entry.tx.values, b_hat)
-        _charge_xiq(counter, "train_basis", grid)
-        chain = basis_chain(xiq, k_max)
-        _charge_chain(counter, "train_basis", p_total, k_max)
-        regressor = (a_vec[:, None] * chain[:, ul]).sum(axis=0)
-        rx = buffer.rx_spectrum(entry)
-        num += np.conj(regressor) * rx[ul]
-        den += np.abs(regressor) ** 2
-        if counter is not None:
-            counter.charge(
-                "estimate_channel",
-                mults=len(ul) * (k_max + 1) + 2 * len(ul),
-                adds=len(ul) * k_max + 2 * len(ul),
-            )
+    xiq = _compose_xiq(tx, b_hat)
+    _charge_xiq(counter, "train_basis", grid, count=m)
+    chain = basis_chain(xiq, k_max)
+    _charge_chain(counter, "train_basis", p_total, k_max, count=m)
+    regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
+    rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
+    num = (np.conj(regressor) * rx).sum(axis=0)
+    den = (np.abs(regressor) ** 2).sum(axis=0)
     if counter is not None:
-        counter.charge("estimate_channel", mults=len(ul), adds=0)
+        counter.charge(
+            "estimate_channel",
+            mults=m * (len(ul) * (k_max + 1) + 2 * len(ul)) + len(ul),
+            adds=m * (len(ul) * k_max + 2 * len(ul)),
+        )
 
     h_hat = np.zeros(p_total, dtype=np.complex128)
     estimated = np.zeros(p_total, dtype=bool)
@@ -626,12 +604,12 @@ def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.
 
 
 def run_sic(
-    x_dl: FreqSymbol,
+    x_dl: np.ndarray,
     coeffs: SICCoefficients,
     counter: OpCounter | None = None,
     combined: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Self-interference estimate on the uplink band of one symbol.
+    """Self-interference estimate on the uplink band of one (P,) symbol.
 
     Builds the composed transmit spectrum and the distortion bases up to
     the largest retained order, then returns, over the full grid,
@@ -643,9 +621,9 @@ def run_sic(
     """
     grid = coeffs.grid
     p_total = grid.num_subcarriers
-    if len(x_dl) != p_total:
+    if np.shape(x_dl) != (p_total,):
         raise ValueError("symbol length does not match the coefficient grid")
-    outside = np.abs(x_dl.values) > 0
+    outside = np.abs(x_dl) > 0
     outside[grid.dl_indices] = False
     if np.any(outside):
         raise ValueError(
@@ -656,7 +634,7 @@ def run_sic(
     kept_rows = np.flatnonzero(mask.any(axis=1))
     k_used = int(kept_rows[-1]) if kept_rows.size else 0
 
-    xiq = _compose_xiq(x_dl.values, coeffs.b_hat)
+    xiq = _compose_xiq(x_dl, coeffs.b_hat)
     _charge_xiq(counter, "run_basis", grid)
     chain = basis_chain(xiq, k_used)
     _charge_chain(counter, "run_basis", p_total, k_used)
@@ -701,20 +679,17 @@ def estimate_linear_channel(
     no energy (the uplink band in a split allocation) the estimate stays
     zero and the linear canceller does nothing.
     """
-    entries = buffer.data_entries
-    if not entries:
+    m = len(buffer.tx) - buffer.n_impulse
+    if not m:
         raise ValueError("linear channel estimation needs at least one data symbol")
     grid = buffer.grid
     ul = grid.ul_indices
-    num = np.zeros(len(ul), dtype=np.complex128)
-    den = np.zeros(len(ul), dtype=np.float64)
-    for entry in entries:
-        tx = entry.tx.values[ul]
-        rx = buffer.rx_spectrum(entry)[ul]
-        num += np.conj(tx) * rx
-        den += np.abs(tx) ** 2
-        if counter is not None:
-            counter.charge("linear_est", mults=2 * len(ul), adds=2 * len(ul))
+    tx = buffer.tx[buffer.n_impulse:, ul]
+    rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
+    num = (np.conj(tx) * rx).sum(axis=0)
+    den = (np.abs(tx) ** 2).sum(axis=0)
+    if counter is not None:
+        counter.charge("linear_est", mults=m * 2 * len(ul), adds=m * 2 * len(ul))
     h = np.zeros(grid.num_subcarriers, dtype=np.complex128)
     top = den.max() if den.size else 0.0
     good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
@@ -725,7 +700,7 @@ def estimate_linear_channel(
 
 
 def baseline_linear(
-    x_dl: FreqSymbol,
+    x_dl: np.ndarray,
     h_hat_lin: np.ndarray,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
@@ -734,11 +709,11 @@ def baseline_linear(
 
     linear_run is charged for the products and for the caller's subtraction.
     """
-    if len(x_dl) != grid.num_subcarriers:
+    if np.shape(x_dl) != (grid.num_subcarriers,):
         raise ValueError("symbol length does not match the grid")
     ul = grid.ul_indices
     est = np.zeros(grid.num_subcarriers, dtype=np.complex128)
-    est[ul] = h_hat_lin[ul] * x_dl.values[ul]
+    est[ul] = h_hat_lin[ul] * x_dl[ul]
     if counter is not None:
         counter.charge("linear_run", mults=len(ul), adds=len(ul))
     return est
@@ -762,22 +737,18 @@ def baseline_full_ls(
     (the linear column is identically zero off the downlink band, for
     instance) falls back to a tiny documented ridge.
     """
-    entries = buffer.entries
-    if len(entries) < k_max + 1:
+    m = len(buffer.tx)
+    if m < k_max + 1:
         raise ValueError(
-            f"{len(entries)} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
+            f"{m} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
         )
     p_total = grid.num_subcarriers
-    m = len(entries)
 
-    chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
-    rx = np.empty((m, p_total), dtype=np.complex128)
-    for i, entry in enumerate(entries):
-        xiq = _compose_xiq(entry.tx.values, b_hat)
-        _charge_xiq(counter, "full_ls_basis", grid)
-        chains[i] = basis_chain(xiq, k_max)
-        _charge_chain(counter, "full_ls_basis", p_total, k_max)
-        rx[i] = buffer.rx_spectrum(entry)
+    xiq = _compose_xiq(buffer.tx, b_hat)
+    _charge_xiq(counter, "full_ls_basis", grid, count=m)
+    chains = basis_chain(xiq, k_max)
+    _charge_chain(counter, "full_ls_basis", p_total, k_max, count=m)
+    rx = buffer.rx_spectra()
 
     # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
     band = slice(grid.ul_set[0], grid.ul_set[1] + 1)
@@ -797,7 +768,7 @@ def baseline_full_ls(
 
 
 def run_full_ls(
-    x_dl: FreqSymbol,
+    x_dl: np.ndarray,
     coeffs: np.ndarray,
     b_hat: complex,
     grid: SubcarrierGrid,
@@ -809,10 +780,10 @@ def run_full_ls(
     for the caller's subtraction.
     """
     p_total = grid.num_subcarriers
-    if len(x_dl) != p_total:
+    if np.shape(x_dl) != (p_total,):
         raise ValueError("symbol length does not match the grid")
     k_max = coeffs.shape[0] - 1
-    xiq = _compose_xiq(x_dl.values, b_hat)
+    xiq = _compose_xiq(x_dl, b_hat)
     _charge_xiq(counter, "full_ls_run_basis", grid)
     chain = basis_chain(xiq, k_max)
     _charge_chain(counter, "full_ls_run_basis", p_total, k_max)

@@ -13,10 +13,11 @@ import itertools
 
 import numpy as np
 
-from flexsic.counters import OpCounter
+from flexsic.counters import OpCounter, ls_costs
 from flexsic.imd import basis_chain
 from flexsic.ofdm import SubcarrierGrid
 from flexsic.sic import (
+    EstimatorConfig,
     SingularSystemError,
     TrainingBuffer,
     _charge_chain,
@@ -355,7 +356,7 @@ def ls_solve_ref(
     if reg > 0.0:
         gram = gram + reg * np.eye(k)
     if counter is not None:
-        counter.charge_ls(stage, m, k)
+        counter.charge(stage, *ls_costs(m, k))
     return np.linalg.solve(gram, rhs)
 
 
@@ -375,23 +376,25 @@ def estimate_iq_loop(
     if grid is None:
         grid = buffer.grid
     p_total = grid.num_subcarriers
-    entries = buffer.data_entries
-    if len(entries) < 2:
+    tx_rows = buffer.tx[buffer.n_impulse:]
+    rx_rows = buffer.rx[buffer.n_impulse:]
+    if len(tx_rows) < 2:
         raise ValueError("estimate_iq needs at least 2 data training symbols")
 
+    dl_start, dl_end = grid.dl_set
     pairs = [
         p
         for p in grid.dl_indices
-        if grid.in_dl((p_total - p) % p_total) and (p_total - p) % p_total != p
+        if dl_start <= (p_total - p) % p_total <= dl_end and (p_total - p) % p_total != p
     ]
     if not pairs:
         raise ValueError(
             "IQ image weight is unidentifiable: no downlink subcarrier has its mirror in the band"
         )
 
-    tx = np.stack([e.tx.values for e in entries])
-    rx = np.stack([buffer.rx_spectrum(e) for e in entries])
-    m = len(entries)
+    tx = np.stack(list(tx_rows))
+    rx = np.stack([np.fft.fft(body) for body in rx_rows])
+    m = len(tx_rows)
 
     num = 0.0 + 0.0j
     den = 0.0
@@ -427,23 +430,22 @@ def baseline_full_ls_loop(
     A subcarrier whose unregularized system is singular is refit with
     the ridge 1e-8 max|a|^2; an all-zero one keeps zero coefficients.
     """
-    entries = buffer.entries
-    if len(entries) < k_max + 1:
+    m = len(buffer.tx)
+    if m < k_max + 1:
         raise ValueError(
-            f"{len(entries)} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
+            f"{m} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
         )
     p_total = grid.num_subcarriers
     ul = grid.ul_indices
-    m = len(entries)
 
     chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
     rx = np.empty((m, p_total), dtype=np.complex128)
-    for i, entry in enumerate(entries):
-        xiq = _compose_xiq(entry.tx.values, b_hat)
+    for i, (tx, body) in enumerate(zip(buffer.tx, buffer.rx)):
+        xiq = _compose_xiq(tx, b_hat)
         _charge_xiq(counter, "full_ls_basis", grid)
         chains[i] = basis_chain(xiq, k_max)
         _charge_chain(counter, "full_ls_basis", p_total, k_max)
-        rx[i] = buffer.rx_spectrum(entry)
+        rx[i] = np.fft.fft(body)
 
     coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
     for p in ul:
@@ -458,3 +460,85 @@ def baseline_full_ls_loop(
             c = ls_solve_ref(a, y, 1e-8 * scale, counter=counter, stage="full_ls_est")
         coeffs[:, p] = c
     return coeffs
+
+
+def estimate_channel_loop(
+    buffer: TrainingBuffer,
+    a_hat: dict[int, complex],
+    b_hat: complex,
+    config: EstimatorConfig,
+    counter: OpCounter | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel estimate accumulated one data training symbol at a time.
+
+    At each uplink subcarrier, sums conj(r) y and |r|^2 over the data
+    symbols, with r = sum_k a_{2k+1} Phi_{2k+1} the composite regressor of
+    the symbol, and divides where the regressor power exceeds 1e-12 of the
+    largest. Charges the basis build, (k_max + 3) multiplies per uplink
+    subcarrier and symbol, and one division per uplink subcarrier.
+    """
+    tx_rows = buffer.tx[buffer.n_impulse:]
+    rx_rows = buffer.rx[buffer.n_impulse:]
+    if not len(tx_rows):
+        raise ValueError("estimate_channel needs at least one data training symbol")
+    grid = buffer.grid
+    p_total = grid.num_subcarriers
+    k_max = config.k_max
+    ul = grid.ul_indices
+    a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
+
+    num = np.zeros(len(ul), dtype=np.complex128)
+    den = np.zeros(len(ul), dtype=np.float64)
+    for tx, body in zip(tx_rows, rx_rows):
+        xiq = _compose_xiq(tx, b_hat)
+        _charge_xiq(counter, "train_basis", grid)
+        chain = basis_chain(xiq, k_max)
+        _charge_chain(counter, "train_basis", p_total, k_max)
+        regressor = (a_vec[:, None] * chain[:, ul]).sum(axis=0)
+        rx = np.fft.fft(body)
+        num += np.conj(regressor) * rx[ul]
+        den += np.abs(regressor) ** 2
+        if counter is not None:
+            counter.charge(
+                "estimate_channel",
+                mults=len(ul) * (k_max + 1) + 2 * len(ul),
+                adds=len(ul) * k_max + 2 * len(ul),
+            )
+    if counter is not None:
+        counter.charge("estimate_channel", mults=len(ul), adds=0)
+
+    h_hat = np.zeros(p_total, dtype=np.complex128)
+    estimated = np.zeros(p_total, dtype=bool)
+    top = den.max() if den.size else 0.0
+    estimated[ul] = den > 1e-12 * top if top > 0 else False
+    good = estimated[ul]
+    h_hat[ul[good]] = num[good] / den[good]
+    return h_hat, estimated
+
+
+def rx_body_loop(
+    tx: np.ndarray,
+    b_iq: complex,
+    pa_eval,
+    taps: np.ndarray,
+    cp_length: int,
+    sigma: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Noisy received bodies of a training window, one symbol at a time.
+
+    For each row: inverse FFT, time-domain IQ image, the amplifier
+    polynomial pa_eval, cyclic prefix, truncated causal convolution with
+    the channel taps, prefix removal, then P real and P imaginary standard
+    normal draws scaled to variance sigma^2.
+    """
+    out = []
+    for spectrum in tx:
+        t = np.fft.ifft(spectrum)
+        t = pa_eval(t + b_iq * np.conj(t))
+        prefixed = np.concatenate([t[len(t) - cp_length:], t])
+        body = np.convolve(prefixed, taps)[: len(prefixed)][cp_length:]
+        p = len(body)
+        noise = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        out.append(body + (sigma / np.sqrt(2.0)) * noise)
+    return np.array(out)

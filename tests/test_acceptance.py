@@ -46,7 +46,6 @@ from flexsic.impairments import (
 )
 from flexsic.ofdm import (
     SubcarrierGrid,
-    TimeSignal,
     add_cp,
     gen_qam_symbols,
     idft,
@@ -58,7 +57,6 @@ from flexsic.sic import (
     EstimatorConfig,
     SICCoefficients,
     TrainingBuffer,
-    TrainingEntry,
     estimate_iq,
     estimate_pa,
     run_sic,
@@ -125,10 +123,10 @@ def test_recursive_basis_matches_direct_computation():
     worst_elem = 0.0
     for seed in range(50):
         sym = gen_qam_symbols(grid, 16, 1.0, 1, 4000 + seed)[0]
-        xiq = sym.values + imb.b_iq * np.conj(mirror_values(sym.values))
+        xiq = sym + imb.b_iq * np.conj(mirror_values(sym))
         chain = basis_chain(xiq, 3)
         for k in range(4):
-            direct = basis_direct(sym, imb, k).values
+            direct = basis_direct(sym, imb, k)
             diff = np.abs(chain[k] - direct)
             peak = float(np.max(np.abs(direct)))
             worst_norm = max(worst_norm, float(np.max(diff)) / peak)
@@ -252,8 +250,8 @@ def test_impulse_pilot_closed_form_basis_is_exact():
     qs = q_size(grid, 2)
     worst = 0.0
     for k in (0, 1, 2):
-        closed = impulse_pilot_basis(grid, imb, a_digi, omega, k, qs).values
-        direct = basis_direct(pilot, imb, k).values
+        closed = impulse_pilot_basis(grid, imb, a_digi, omega, k, qs)
+        direct = basis_direct(pilot, imb, k)
         peak = float(np.max(np.abs(direct)))
         support = np.abs(direct) > 1e-6 * peak
         rel = float(np.max(np.abs(closed - direct)[support] / np.abs(direct[support])))
@@ -520,28 +518,20 @@ def test_amplifier_coefficients_recovered_from_pilots():
 
     def rx_body(x, chan, sigma, rng):
         t = apply_pa(apply_iq_time(idft(x), imb), pa)
-        body = remove_cp(apply_channel(add_cp(t, grid), chan), grid)
-        samples = body.samples
+        samples = remove_cp(apply_channel(add_cp(t, grid), chan), grid)
         if rng is not None and sigma > 0:
             noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
             samples = samples + (sigma / np.sqrt(2.0)) * noise
-        return TimeSignal(samples)
+        return samples
 
     def training(chan, seed, sigma):
         omega = default_pilot_omega(grid)
         rng = np.random.default_rng(seed) if sigma > 0 else None
-        entries = []
         scale = 256 / grid.dl_size
-        for peak in np.linspace(0.6, 2.0, 8):
-            x = impulse_pilot(grid, float(peak) * scale, omega)
-            entries.append(
-                TrainingEntry(tx=x, rx_time=rx_body(x, chan, sigma, rng), kind="impulse")
-            )
-        for x in gen_qam_symbols(grid, 16, a_digi, 6, seed + 7000):
-            entries.append(
-                TrainingEntry(tx=x, rx_time=rx_body(x, chan, sigma, rng), kind="data")
-            )
-        return TrainingBuffer(grid=grid, entries=tuple(entries), omega=omega)
+        pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 8) * scale, omega)
+        tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, 6, seed + 7000)])
+        rx = np.array([rx_body(x, chan, sigma, rng) for x in tx])
+        return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=8, omega=omega)
 
     chan_los = build_chan(ChannelProfile(n_rays=1), seed=10)
     buf = training(chan_los, 0, 0.0)

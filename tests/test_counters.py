@@ -41,9 +41,10 @@ def test_counter_fft_and_ls_helpers():
     c.charge_fft("t", 64, count=3)
     assert c.mults("t") == 3 * fft_mults(64)
     assert c.adds("t") == 3 * fft_adds(64)
-    c.charge_ls("t", m=8, k=2)
     mults, adds = ls_costs(8, 2)
+    c.charge("t", mults, adds)
     assert c.mults("t") == 3 * fft_mults(64) + mults
+    assert c.adds("t") == 3 * fft_adds(64) + adds
 
 
 def test_counter_rows_are_sorted():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from flexsic.imd import (
     IMDTables,
-    NonlinearBasis,
     basis_chain,
     basis_direct,
     default_pilot_omega,
@@ -19,7 +18,7 @@ from flexsic.imd import (
     q_size,
 )
 from flexsic.impairments import IQImbalance, apply_iq_freq, irr_to_b
-from flexsic.ofdm import FreqSymbol, SubcarrierGrid, gen_qam_symbols
+from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
 from oracles import brute_lambda, brute_q_size, exact_mu_gauss, exact_mu_tiny, mc_mu, tuple_basis
 
 
@@ -81,14 +80,6 @@ def test_q_size_switches_to_exact_big_integers():
 # ---------------------------------------------------------------- basis recursion
 
 
-def test_nonlinear_basis_validation():
-    with pytest.raises(ValueError, match="odd"):
-        NonlinearBasis(order=2, values=np.zeros(4, dtype=complex))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        NonlinearBasis(order=3, values=np.zeros((2, 2), dtype=complex))
-    assert NonlinearBasis(order=5, values=np.zeros(4, dtype=complex)).k == 2
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_basis_direct_matches_tuple_sum(k):
     g = tiny_grid()
@@ -96,25 +87,31 @@ def test_basis_direct_matches_tuple_sum(k):
     rng = np.random.default_rng(3)
     values = np.zeros(8, dtype=complex)
     values[g.dl_indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    X = FreqSymbol(values)
-    direct = basis_direct(X, imb, k).values
-    literal = tuple_basis(apply_iq_freq(X, imb).values, k)
+    direct = basis_direct(values, imb, k)
+    literal = tuple_basis(apply_iq_freq(values, imb), k)
     assert np.allclose(direct, literal, atol=1e-12)
 
 
 def test_basis_chain_matches_direct():
     g = mid_grid()
     imb = irr_to_b(25.0, 0.3)
-    sym = gen_qam_symbols(g, 16, amplitude=1.0, count=1, seed=7)[0]
+    syms = gen_qam_symbols(g, 16, amplitude=1.0, count=3, seed=7)
+    sym = syms[0]
     x_iq = apply_iq_freq(sym, imb)
 
-    chain = basis_chain(x_iq.values, k_max=3)
+    chain = basis_chain(x_iq, k_max=3)
     assert chain.shape == (4, 32)
-    assert np.array_equal(chain[0], x_iq.values)
+    assert np.array_equal(chain[0], x_iq)
     for k in range(1, 4):
-        direct = basis_direct(sym, imb, k).values
+        direct = basis_direct(sym, imb, k)
         scale = np.abs(direct).max()
         assert np.abs(chain[k] - direct).max() / scale < 1e-10
+    # a stack of symbols gives one chain per row, bit for bit
+    stacked = basis_chain(apply_iq_freq(syms, imb), k_max=3)
+    assert stacked.shape == (3, 4, 32)
+    for row, x in zip(stacked, syms):
+        assert np.array_equal(row, basis_chain(apply_iq_freq(x, imb), k_max=3))
+    assert np.array_equal(basis_direct(syms, imb, 2)[2], basis_direct(syms[2], imb, 2))
 
 
 # ---------------------------------------------------------------- power prediction
@@ -199,8 +196,8 @@ def test_make_imd_tables_and_dump(tmp_path):
     imb = irr_to_b(25.0, 0.3)
     tables = make_imd_tables(g, imb, a_digi=0.7, k_max=2)
     assert isinstance(tables, IMDTables)
-    assert tables.q(0, g.dl_start) == 1
-    assert tables.mu_at(0, g.dl_start) == pytest.approx(
+    assert tables.q_size[0, g.dl_start] == 1
+    assert tables.mu[0, g.dl_start] == pytest.approx(
         (1 + abs(imb.b_iq) ** 2) * 0.49
     )
     assert np.array_equal(tables.lambda_dl, lambda_dl(g))
@@ -212,7 +209,7 @@ def test_make_imd_tables_and_dump(tmp_path):
     assert len(lines) == 1 + 3 * 32
     k, p, q, mu = lines[1 + 32].split(",")
     assert (int(k), int(p)) == (1, 0)
-    assert int(q) == tables.q(1, 0)
+    assert int(q) == tables.q_size[1, 0]
     assert float(mu) == tables.mu[1, 0]
 
 
@@ -222,7 +219,7 @@ def test_make_imd_tables_and_dump(tmp_path):
 def test_impulse_pilot_peak_position_and_height():
     g = desk_grid()
     pilot = impulse_pilot(g, a_digi=1.0)
-    mags = np.abs(np.fft.ifft(pilot.values))
+    mags = np.abs(np.fft.ifft(pilot))
     peak = int(np.argmax(mags))
     assert peak == g.cp_length
     assert mags[peak] == pytest.approx(g.dl_size / g.num_subcarriers)
@@ -237,6 +234,8 @@ def test_impulse_pilot_warns_on_fractional_peak():
         impulse_pilot(g, 1.0, omega=2.0 * np.pi * 10.5 / 256)
     with pytest.raises(ValueError, match="positive"):
         impulse_pilot(g, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        impulse_pilot(g, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -248,16 +247,22 @@ def test_pilot_basis_closed_form_matches_direct(k):
     a = 0.8
     pilot = impulse_pilot(g, a)
     closed = impulse_pilot_basis(g, imb, a, k=k)
-    direct = basis_direct(pilot, imb, k).values
+    direct = basis_direct(pilot, imb, k)
     scale = np.abs(direct).max()
-    assert np.abs(closed.values - direct).max() / scale < 1e-12
+    assert np.abs(closed - direct).max() / scale < 1e-12
+    # an amplitude sweep gives one pilot per row, and each row keeps the closed form
+    pilots = impulse_pilot(g, np.array([0.6, a, 1.3]))
+    assert pilots.shape == (3, 256) and np.array_equal(pilots[1], pilot)
+    direct = basis_direct(pilots, imb, k)[2]
+    closed = impulse_pilot_basis(g, imb, 1.3, k=k)
+    assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 
 def test_pilot_basis_closed_form_without_imbalance_any_set():
     g = mid_grid()  # not mirror-closed
     closed = impulse_pilot_basis(g, IQImbalance(), 1.1, k=2)
-    direct = basis_direct(impulse_pilot(g, 1.1), IQImbalance(), 2).values
-    assert np.abs(closed.values - direct).max() / np.abs(direct).max() < 1e-12
+    direct = basis_direct(impulse_pilot(g, 1.1), IQImbalance(), 2)
+    assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 
 def test_pilot_basis_validation():

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from flexsic.channel import ChannelProfile
+from flexsic.imd import default_pilot_omega, impulse_pilot
+from flexsic.ofdm import gen_qam_symbols
 from flexsic.scenario import (
+    _build_effective_channel,
+    _build_training,
     CANCELLERS,
     DUPLEX_PRESETS,
     MetricsReport,
@@ -20,6 +24,7 @@ from flexsic.scenario import (
     spec_from_dict,
     spec_to_dict,
 )
+from oracles import rx_body_loop
 
 
 def small_spec(**overrides):
@@ -154,6 +159,37 @@ def test_residual_cdf_sorts():
 
 
 # ---------------------------------------------------------------- runs
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
+    # the window goes through the transmit chain as one stack; each row must
+    # equal the chain run on that symbol alone, with the noise drawn per symbol
+    spec = ScenarioSpec(duplex=preset, num_subcarriers=256, seed=3)
+    grid = spec.build_grid()
+    imb, pa = spec.build_imbalance(), spec.build_pa()
+    chan = _build_effective_channel(spec, grid, seed=11)
+    a_digi = spec.pa_drive_rms * 256 / np.sqrt(grid.dl_size)
+    sigma = 1e-3 * a_digi / 256
+    buf = _build_training(spec, grid, imb, pa, chan, a_digi, sigma, seed_data=12, seed_noise=13)
+
+    omega = default_pilot_omega(grid)
+    lo, hi = spec.impulse_amp_range
+    scale = 256 / grid.dl_size
+    pilots = [
+        impulse_pilot(grid, float(peak) * scale, omega)
+        for peak in np.linspace(lo, hi, spec.n_impulse_symbols)
+    ]
+    n_data = spec.n_train_symbols - spec.n_impulse_symbols
+    tx = np.array(pilots + list(gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, 12)))
+    assert buf.n_impulse == spec.n_impulse_symbols
+    assert np.array_equal(buf.tx, tx)
+    ref = rx_body_loop(
+        tx, imb.b_iq, pa.evaluate, chan.time_taps, grid.cp_length, sigma,
+        np.random.default_rng(13),
+    )
+    assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)
+    assert np.max(np.abs(buf.rx - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_run_scenario_smoke_and_shapes():

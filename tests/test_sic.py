@@ -10,13 +10,12 @@ from flexsic.imd import (
     predict_si_power,
 )
 from flexsic.impairments import IQImbalance, PAPolynomial, default_measured_pa, irr_to_b
-from flexsic.ofdm import FreqSymbol, SubcarrierGrid, TimeSignal, gen_qam_symbols, mirror_values
+from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
 from flexsic.sic import (
     EstimatorConfig,
     SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
-    TrainingEntry,
     _ls_solve_stack,
     baseline_full_ls,
     baseline_linear,
@@ -35,6 +34,7 @@ from flexsic.sic import (
 )
 from oracles import (
     baseline_full_ls_loop,
+    estimate_channel_loop,
     estimate_iq_loop,
     ls_solve_ref,
     run_sic_loop,
@@ -71,32 +71,19 @@ def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
     if rng is not None and sigma > 0:
         noise = rng.standard_normal(len(body)) + 1j * rng.standard_normal(len(body))
         body = body + (sigma / np.sqrt(2.0)) * noise
-    return TimeSignal(body)
+    return body
 
 
 def make_buffer(grid, pa, b_iq, chan_freq, cfg, seed=0, a_digi=1.0, sigma=0.0):
     omega = default_pilot_omega(grid)
     rng = np.random.default_rng(seed + 1000) if sigma > 0 else None
-    entries = []
     lo, hi = cfg.impulse_amp_range
     scale = grid.num_subcarriers / grid.dl_size
-    for peak in np.linspace(lo, hi, cfg.n_impulse_symbols):
-        x = impulse_pilot(grid, float(peak) * scale, omega)
-        entries.append(
-            TrainingEntry(
-                tx=x, rx_time=forward_body(x.values, pa, b_iq, chan_freq, rng, sigma),
-                kind="impulse",
-            )
-        )
+    pilots = impulse_pilot(grid, np.linspace(lo, hi, cfg.n_impulse_symbols) * scale, omega)
     n_data = cfg.n_train_symbols - cfg.n_impulse_symbols
-    for x in gen_qam_symbols(grid, 16, a_digi, n_data, seed):
-        entries.append(
-            TrainingEntry(
-                tx=x, rx_time=forward_body(x.values, pa, b_iq, chan_freq, rng, sigma),
-                kind="data",
-            )
-        )
-    return TrainingBuffer(grid=grid, entries=tuple(entries), omega=omega)
+    tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, n_data, seed)])
+    rx = np.array([forward_body(x, pa, b_iq, chan_freq, rng, sigma) for x in tx])
+    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
 
 
 def retained_mask(grid, k_max, basis_sets, unestimated=()):
@@ -238,18 +225,14 @@ def test_estimate_iq_matches_loop_reference(p_total):
     pairs = [p for p in g.dl_indices if p_total - p != p]
     late, ridged = pairs[3 * len(pairs) // 4], pairs[len(pairs) // 8]
     rng = np.random.default_rng(32)
-    entries = list(buf.entries)
-    for i, e in enumerate(entries):
-        if e.kind != "data":
-            continue
-        values = e.tx.values.copy()
-        values[p_total - late] = 0.0  # zero mirror: both pairs of late are singular
+    tx, rx = buf.tx.copy(), buf.rx.copy()
+    for i in range(buf.n_impulse, len(tx)):
+        tx[i, p_total - late] = 0.0  # zero mirror: both pairs of late are singular
         wobble = 1.0 + 1e-10 * rng.standard_normal()
-        values[p_total - ridged] = np.conj(0.5 * values[ridged] * wobble)  # near collinear
-        body = forward_body(values, pa, b, chan)
-        entries[i] = TrainingEntry(tx=FreqSymbol(values), rx_time=body, kind="data")
-    buf = TrainingBuffer(grid=g, entries=tuple(entries), omega=buf.omega)
-    tx = np.stack([e.tx.values for e in buf.data_entries])
+        tx[i, p_total - ridged] = np.conj(0.5 * tx[i, ridged] * wobble)  # near collinear
+        rx[i] = forward_body(tx[i], pa, b, chan)
+    buf = TrainingBuffer(grid=g, tx=tx, rx=rx, n_impulse=buf.n_impulse, omega=buf.omega)
+    tx = tx[buf.n_impulse:]
     pair_cond = np.linalg.cond(np.stack([tx[:, ridged], np.conj(tx[:, p_total - ridged])], axis=1))
     assert 1e8 < pair_cond < 1e12  # auto ridge, not rank deficient
 
@@ -292,6 +275,32 @@ def test_full_ls_matches_loop_reference(grid, b, regularization):
     assert counter.rows() == ref_counter.rows()
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        mirrored_grid(64),
+        mirrored_grid(1024),
+        # narrow downlink: the upper uplink subcarriers see no regressor at all
+        SubcarrierGrid(64, 120e3, 8, (4, 10), (12, 30)),
+    ],
+    ids=["ibfd-64", "ibfd-1024", "unreachable-64"],
+)
+def test_estimate_channel_matches_loop_reference(grid):
+    pa = default_measured_pa()
+    b = irr_to_b(25.0, 0.3).b_iq if grid.dl_start + grid.dl_end == grid.num_subcarriers else 0.0
+    chan, _ = tapped_channel(grid, seed=34)
+    cfg = default_cfg()
+    a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
+    buf = make_buffer(grid, pa, b, chan, cfg, seed=34, a_digi=a_digi, sigma=1e-6)
+    a_hat = {1: 35.0 + 0.2j, 3: -2.3 + 0.01j, 5: 0.002}
+    counter, ref_counter = OpCounter(), OpCounter()
+    h_hat, estimated = estimate_channel(buf, a_hat, b, cfg, counter=counter)
+    h_ref, estimated_ref = estimate_channel_loop(buf, a_hat, b, cfg, counter=ref_counter)
+    assert np.array_equal(estimated, estimated_ref)
+    assert np.all(np.abs(h_hat - h_ref) <= 1e-12 * np.abs(h_ref))
+    assert counter.rows() == ref_counter.rows()
+
+
 # ---------------------------------------------------------------- config, buffers
 
 
@@ -312,25 +321,24 @@ def test_estimator_config_validation():
 
 def test_training_buffer_ordering_and_shapes():
     g = ibfd_grid()
-    x = FreqSymbol(np.zeros(64, dtype=complex))
-    body = TimeSignal(np.zeros(64, dtype=complex))
-    data = TrainingEntry(tx=x, rx_time=body, kind="data")
-    imp = TrainingEntry(tx=x, rx_time=body, kind="impulse")
-    buf = TrainingBuffer(grid=g, entries=(imp, data), omega=0.0)
-    assert buf.impulse_entries == (imp,)
-    assert buf.data_entries == (data,)
-    with pytest.raises(ValueError, match="must precede"):
-        TrainingBuffer(grid=g, entries=(data, imp), omega=0.0)
-    with pytest.raises(ValueError, match="entry 0"):
+    zeros = np.zeros((3, 64), dtype=complex)
+    rx = np.arange(3 * 64).reshape(3, 64).astype(complex)
+    buf = TrainingBuffer(grid=g, tx=zeros, rx=rx, n_impulse=1, omega=0.0)
+    # the impulse rows come first; demodulation starts at the requested row
+    assert np.array_equal(buf.rx_spectra(buf.n_impulse), np.fft.fft(rx[1:], axis=-1))
+    assert buf.rx_spectra().shape == (3, 64)
+    for n_impulse in (-1, 4):
+        with pytest.raises(ValueError, match="n_impulse"):
+            TrainingBuffer(grid=g, tx=zeros, rx=zeros, n_impulse=n_impulse, omega=0.0)
+    with pytest.raises(ValueError, match=r"tx has shape \(3, 32\), expected \(M, 64\)"):
+        TrainingBuffer(grid=g, tx=zeros[:, :32], rx=zeros[:, :32], n_impulse=1, omega=0.0)
+    with pytest.raises(ValueError, match="expected"):
+        TrainingBuffer(grid=g, tx=zeros[0], rx=zeros[0], n_impulse=0, omega=0.0)
+    # a received symbol that still carries its prefix is refused
+    with pytest.raises(ValueError, match="rx has shape"):
         TrainingBuffer(
-            grid=g,
-            entries=(TrainingEntry(tx=FreqSymbol(np.zeros(32, dtype=complex)), rx_time=body, kind="data"),),
-            omega=0.0,
+            grid=g, tx=zeros, rx=np.zeros((3, 72), dtype=complex), n_impulse=1, omega=0.0
         )
-    with pytest.raises(ValueError, match="kind"):
-        TrainingEntry(tx=x, rx_time=body, kind="pilot")
-    with pytest.raises(ValueError, match="CP-stripped"):
-        TrainingEntry(tx=x, rx_time=TimeSignal(np.zeros(72, dtype=complex), has_cp=True), kind="data")
 
 
 def test_sic_coefficients_validation():
@@ -400,10 +408,11 @@ def test_estimate_iq_reports_zero_mirror_content():
     g = ibfd_grid()
     values = np.zeros(64, dtype=complex)
     values[10] = 1.0  # mirror subcarrier 54 stays empty in every symbol
-    x = FreqSymbol(values)
     body = forward_body(values, PAPolynomial({1: 1.0}), 0.0, flat_channel(g))
-    entries = tuple(TrainingEntry(tx=x, rx_time=body, kind="data") for _ in range(3))
-    buf = TrainingBuffer(grid=g, entries=entries, omega=default_pilot_omega(g))
+    buf = TrainingBuffer(
+        grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(body, (3, 1)), n_impulse=0,
+        omega=default_pilot_omega(g),
+    )
     with pytest.raises(ValueError, match="mirror content"):
         estimate_iq(buf)
 
@@ -439,10 +448,13 @@ def test_estimate_pa_validation():
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g), cfg)
     with pytest.raises(ValueError, match="nonzero"):
         estimate_pa(buf, 0.0, 0.0, cfg)
-    short = TrainingBuffer(grid=g, entries=buf.entries[:2] + buf.data_entries, omega=buf.omega)
+    keep = np.r_[0:2, buf.n_impulse:len(buf.tx)]  # two impulse rows, every data row
+    short = TrainingBuffer(grid=g, tx=buf.tx[keep], rx=buf.rx[keep], n_impulse=2, omega=buf.omega)
     with pytest.raises(ValueError, match="cannot identify"):
         estimate_pa(short, 1.0, 0.0, cfg)
-    crooked = TrainingBuffer(grid=g, entries=buf.entries, omega=buf.omega + 0.01)
+    crooked = TrainingBuffer(
+        grid=g, tx=buf.tx, rx=buf.rx, n_impulse=buf.n_impulse, omega=buf.omega + 0.01
+    )
     with pytest.raises(ValueError, match="integer sample"):
         estimate_pa(crooked, 1.0, 0.0, cfg)
 
@@ -513,7 +525,7 @@ def test_estimate_channel_counter_charge_is_linear_in_band():
     counter = OpCounter()
     estimate_channel(buf, dict(pa.coeffs), 0.0, cfg, counter=counter)
     n_ul = g.ul_size
-    m = len(buf.data_entries)
+    m = len(buf.tx) - buf.n_impulse
     assert counter.mults("estimate_channel") == m * n_ul * (cfg.k_max + 3) + n_ul
 
 
@@ -595,7 +607,7 @@ def test_run_sic_matches_loop_reference(k_max):
         counter = OpCounter()
         ref_counter = OpCounter()
         est = run_sic(x, coeffs, counter=counter)
-        xiq = x.values + b * np.conj(mirror_values(x.values))
+        xiq = x + b * np.conj(mirror_values(x))
         ref = run_sic_loop(
             xiq, basis_chain(xiq, k_max), precombine(coeffs), g, sets, unestimated, ref_counter
         )
@@ -615,7 +627,7 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     coeffs = perfect_coefficients(g, chan, dict(pa.coeffs), b)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
-    y = np.fft.fft(forward_body(x.values, pa, b, chan).samples)
+    y = np.fft.fft(forward_body(x, pa, b, chan))
     counter = OpCounter()
     out = y - run_sic(x, coeffs, counter=counter)
     si_scale = np.abs(y[g.ul_indices]).max()
@@ -636,10 +648,10 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
         grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat, retained=retained
     )
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
-    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
     out = y - run_sic(x, coeffs)
     assert out[skip] == y[skip]
-    outside = [p for p in range(64) if not g.in_ul(p)]
+    outside = np.setdiff1d(np.arange(64), g.ul_indices)
     assert np.array_equal(out[outside], y[outside])
 
 
@@ -649,9 +661,9 @@ def test_run_sic_rejects_energy_outside_downlink():
     bad = np.zeros(64, dtype=complex)
     bad[g.ul_start] = 1.0  # uplink subcarrier carries transmit energy
     with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(FreqSymbol(bad), coeffs)
+        run_sic(bad, coeffs)
     with pytest.raises(ValueError, match="length"):
-        run_sic(FreqSymbol(np.zeros(32, dtype=complex)), coeffs)
+        run_sic(np.zeros(32, dtype=complex), coeffs)
 
 
 def test_precombine_matches_manual_product():
@@ -688,7 +700,7 @@ def test_estimated_canceller_reaches_noise_floor():
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
-    y = np.fft.fft(forward_body(x.values, pa, b, chan, rng, sigma).samples)
+    y = np.fft.fft(forward_body(x, pa, b, chan, rng, sigma))
     out = y - run_sic(x, coeffs)
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
     resid = np.abs(out[g.ul_indices]) ** 2
@@ -709,7 +721,7 @@ def test_linear_baseline_cancels_only_the_linear_part():
     buf = make_buffer(g, pa, 0.0, chan, cfg, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=19)[0]
-    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
     out = y - baseline_linear(x, h_lin, g)
     ul = g.ul_indices
     raw = np.mean(np.abs(y[ul]) ** 2)
@@ -726,7 +738,7 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     h_lin = estimate_linear_channel(buf)
     assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
     x = gen_qam_symbols(g, 16, 1.0, 1, seed=21)[0]
-    y = np.fft.fft(forward_body(x.values, pa, 0.0, chan).samples)
+    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
     out = y - baseline_linear(x, h_lin, g)
     assert np.array_equal(out, y)
 
@@ -745,7 +757,7 @@ def test_full_ls_baseline_handles_split_allocation():
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
-    y = np.fft.fft(forward_body(x.values, pa, b, chan).samples)
+    y = np.fft.fft(forward_body(x, pa, b, chan))
     out = y - run_full_ls(x, coeffs, b, g)
     ul = g.ul_indices
     raw = np.mean(np.abs(y[ul]) ** 2)
@@ -757,7 +769,7 @@ def test_full_ls_needs_enough_symbols():
     g = ibfd_grid()
     cfg = default_cfg()
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g), cfg)
-    short = TrainingBuffer(grid=g, entries=buf.entries[:2], omega=buf.omega)
+    short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2, omega=buf.omega)
     with pytest.raises(ValueError, match="cannot fit"):
         baseline_full_ls(short, g, cfg.k_max)
 
