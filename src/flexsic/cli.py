@@ -89,7 +89,7 @@ def _cmd_validate(args) -> int:
     )
     check("tuple-count-identity", ok)
 
-    xiq = apply_iq_freq(x, imb)
+    xiq = apply_iq_freq(x, imb.b_iq)
     chain = basis_chain(xiq, min(spec.k_max, 2))
     ok = True
     worst = 0.0

@@ -126,7 +126,7 @@ def basis_direct(X: np.ndarray, imb: IQImbalance, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    x_iq = np.fft.ifft(apply_iq_freq(X, imb), axis=-1)
+    x_iq = np.fft.ifft(apply_iq_freq(X, imb.b_iq), axis=-1)
     phi = np.abs(x_iq) ** (2 * k) * x_iq
     return np.fft.fft(phi, axis=-1)
 

@@ -95,9 +95,9 @@ def apply_iq_time(x: np.ndarray, imb: IQImbalance) -> np.ndarray:
     return x + imb.b_iq * np.conj(x)
 
 
-def apply_iq_freq(X: np.ndarray, imb: IQImbalance) -> np.ndarray:
+def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
     """Per-subcarrier image along the last axis: out[p] = X[p] + b * conj(X[(P - p) mod P])."""
-    return X + imb.b_iq * np.conj(mirror_values(X))
+    return X + b_iq * np.conj(mirror_values(X))
 
 
 def apply_pa(x: np.ndarray, pa: PAPolynomial) -> np.ndarray:

@@ -5,17 +5,19 @@ band allocation, the transmitter impairments, the self-interference
 channel, power levels, the estimator knobs, and which cancellers to
 compare. run_scenario simulates the training window, fits each
 canceller, and for a shared batch of data symbols computes each
-canceller's self-interference estimate once per symbol and subtracts it
-from the noisy and the noiseless reception alike. It returns
+canceller's self-interference estimate and subtracts it from the noisy
+and the noiseless reception alike. It returns
 per-subcarrier residual spectra, residual-power CDF samples,
 cancellation ratios, and per-stage arithmetic counters.
 
 Symbols are plain complex arrays, one per row. The whole training window
 goes through the transmit chain as one (M, P) stack; the run symbols go
-through it one (P,) row at a time, which keeps the memory of a long run
-flat. Estimates shared by several cancellers (the IQ image weight, and the
-amplifier polynomial with its basis-power table) are fitted once, and
-their cost is charged to each canceller that uses them.
+through it and every running canceller in blocks of _RUN_BLOCK_SAMPLES
+samples, which keeps the memory of a long run flat, and each canceller is
+still charged its running cost per symbol. Estimates shared by several
+cancellers (the IQ image weight, and the amplifier polynomial with its
+basis-power table) are fitted once, and their cost is charged to each
+canceller that uses them.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
@@ -26,8 +28,10 @@ floor is placed noise_dbm below it.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +77,10 @@ CANCELLERS = ("none", "linear", "proposed", "full_ls", "iq_only", "pa_only")
 DUPLEX_PRESETS = ("ibfd", "sbfd", "overlap")
 
 _FLOOR = 1e-300
+# Run symbols go through the chain max(1, _RUN_BLOCK_SAMPLES // P) at a time:
+# one stack for 200 symbols at P = 1024 took peak memory from 51 to 75 MB, and
+# 8 rows at P = 4096 from 59 to 62 MB, where 4 rows cost no more than 1 row.
+_RUN_BLOCK_SAMPLES = 16384
 # cancellers built on the estimated IQ image weight b_hat
 _USES_B_HAT = ("proposed", "full_ls", "iq_only")
 # cancellers built on the amplifier polynomial fitted with that b_hat
@@ -193,33 +201,40 @@ class ScenarioSpec:
         )
 
 
-_SPEC_FIELDS = {f.name for f in fields(ScenarioSpec)}
-_PROFILE_FIELDS = {f.name for f in fields(ChannelProfile)}
+def _conform(key: str, value, hint):
+    """value in the form of its field's type hint; a ValueError names key if it does not fit."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(None) in args:  # an optional field, X | None
+        return None if value is None else _conform(key, value, args[0])
+    if hint is ChannelProfile and isinstance(value, dict):
+        return _from_fields(ChannelProfile, value, "channel", prefix=f"{key}.")
+    if origin is dict and isinstance(value, dict) and all(str(k).isdigit() for k in value):
+        return {int(k): _conform(key, v, args[1]) for k, v in value.items()}
+    if hint is complex and isinstance(value, (list, tuple)):  # a [re, im] pair
+        return complex(*_conform(key, value, tuple[float, float]))
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+        if len(value) != len(items):
+            raise ValueError(f"{key} must hold {len(items)} values, got {len(value)}")
+        return tuple(_conform(key, v, h) for v, h in zip(value, items))
+    kind = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}.get(hint, hint)
+    if origin is None and isinstance(value, kind) and not isinstance(value, bool):
+        return complex(value) if hint is complex else value
+    raise ValueError(f"{key} must be {hint.__name__ if origin is None else hint}, got {value!r}")
+
+
+def _from_fields(cls, data: dict, what: str, prefix: str = ""):
+    """A dataclass built from a dict of its fields, each checked against its type hint."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    return cls(**{k: _conform(prefix + k, v, hints[k]) for k, v in data.items()})
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from parsed config data; unknown keys error out."""
-    unknown = sorted(set(data) - _SPEC_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = dict(data)
-    if "channel" in kwargs and not isinstance(kwargs["channel"], ChannelProfile):
-        chan = kwargs["channel"]
-        bad = sorted(set(chan) - _PROFILE_FIELDS)
-        if bad:
-            raise ValueError(f"unknown channel keys: {', '.join(bad)}")
-        kwargs["channel"] = ChannelProfile(**chan)
-    if kwargs.get("pa_coeffs") is not None:
-        pa = {}
-        for key, val in kwargs["pa_coeffs"].items():
-            if isinstance(val, (list, tuple)):
-                val = complex(val[0], val[1])
-            pa[int(key)] = complex(val)
-        kwargs["pa_coeffs"] = pa
-    for name in ("dl_span", "ul_span", "tx_array", "rx_array", "impulse_amp_range", "cancellers"):
-        if kwargs.get(name) is not None:
-            kwargs[name] = tuple(kwargs[name])
-    return ScenarioSpec(**kwargs)
+    """Build a ScenarioSpec from parsed config data; unknown keys and ill-typed values error out."""
+    return _from_fields(ScenarioSpec, data, "config")
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
@@ -355,7 +370,6 @@ def _build_training(
 
 def _fit_pa(
     buffer: TrainingBuffer,
-    grid: SubcarrierGrid,
     chan: EffectiveChannel,
     cfg: EstimatorConfig,
     a_digi: float,
@@ -364,7 +378,7 @@ def _fit_pa(
 ) -> tuple[dict[int, complex], np.ndarray]:
     """Amplifier polynomial and predicted basis powers for one image weight."""
     a_hat = estimate_pa(buffer, chan.los_scalar, b_hat, cfg, chan.los_tap_index, counter=counter)
-    return a_hat, mu_tables(grid, IQImbalance(b_hat), a_digi, cfg.k_max)
+    return a_hat, mu_tables(buffer.grid, IQImbalance(b_hat), a_digi, cfg.k_max)
 
 
 def _share(
@@ -399,14 +413,12 @@ def _fit_canceller(
     if name == "linear":
         return estimate_linear_channel(buffer, counter=counter)
     if name == "full_ls":
-        coeffs = baseline_full_ls(
-            buffer, grid, cfg.k_max, b_hat, cfg.regularization, counter=counter
-        )
+        coeffs = baseline_full_ls(buffer, cfg.k_max, b_hat, cfg.regularization, counter=counter)
         return coeffs, b_hat
     if name in ("proposed", "iq_only", "pa_only"):
         if name == "pa_only":
             b_hat = 0.0 + 0.0j
-            a_hat, mu = _fit_pa(buffer, grid, chan, cfg, a_digi, b_hat, counter)
+            a_hat, mu = _fit_pa(buffer, chan, cfg, a_digi, b_hat, counter)
         else:
             a_hat, mu = pa_fit
         if name == "iq_only":
@@ -434,9 +446,9 @@ def _estimate_si(
     grid: SubcarrierGrid,
     counter: OpCounter,
 ) -> np.ndarray:
-    """One canceller's self-interference estimate for one symbol, on the grid."""
+    """One canceller's self-interference estimate for (..., P) symbols, on the grid."""
     if name == "none":
-        return np.zeros(grid.num_subcarriers, dtype=np.complex128)
+        return np.zeros(x_dl.shape, dtype=np.complex128)
     if name == "linear":
         return baseline_linear(x_dl, state, grid, counter=counter)
     if name == "full_ls":
@@ -463,12 +475,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     gamma_dbm = spec.noise_dbm if spec.gamma_dbm is None else spec.gamma_dbm
     gamma = unit_power * 10.0 ** ((gamma_dbm - spec.tx_power_dbm) / 10.0)
 
+    cfg = spec.estimator_config(gamma)
     seeds = _seed_ints(seed, 5)
     chan = _build_effective_channel(spec, grid, seeds[0])
     buffer = _build_training(
         spec, grid, imb, pa, chan, a_digi, sigma_t, seeds[1], seeds[2]
     )
-    cfg = spec.estimator_config(gamma)
 
     counters = {name: OpCounter() for name in spec.cancellers}
     # shared fits are made once and their cost charged to every canceller that uses them
@@ -482,7 +494,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     users = [name for name in spec.cancellers if name in _USES_PA_FIT]
     if users:
         scratch = OpCounter()
-        pa_fit = _fit_pa(buffer, grid, chan, cfg, a_digi, b_hat, scratch)
+        pa_fit = _fit_pa(buffer, chan, cfg, a_digi, b_hat, scratch)
         _share(scratch, "estimate_pa", counters, users)
     states = {
         name: _fit_canceller(
@@ -493,35 +505,32 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
 
     run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
     noise_rng = np.random.default_rng(seeds[4])
-    y_noisy = []
-    y_clean = []
-    for x in run_syms:
-        body = _rx_body(x, imb, pa, chan, grid)
-        y_noisy.append(np.fft.fft(_add_noise(body, sigma_t, noise_rng)))
-        y_clean.append(np.fft.fft(body))
-
     ul = grid.ul_indices
+    shape = (len(run_syms), len(ul))
+    y_noisy = np.empty(shape, dtype=np.complex128)
+    y_clean = np.empty(shape, dtype=np.complex128)
+    est = {name: np.empty(shape, dtype=np.complex128) for name in spec.cancellers}
+    block = max(1, _RUN_BLOCK_SAMPLES // grid.num_subcarriers)
+    for start in range(0, len(run_syms), block):
+        rows = slice(start, start + block)
+        x = run_syms[rows]
+        body = _rx_body(x, imb, pa, chan, grid)
+        y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
+        y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
+        for name in spec.cancellers:
+            est[name][rows] = _estimate_si(name, states[name], x, grid, counters[name])[:, ul]
+
     psd_dbm: dict[str, np.ndarray] = {}
     cdf_dbm: dict[str, np.ndarray] = {}
     sicr_db: dict[str, float] = {}
     for name in spec.cancellers:
-        state = states[name]
-        acc = np.zeros(len(ul), dtype=np.float64)
-        samples = []
-        clean_res = []
-        for m, x in enumerate(run_syms):
-            # the estimate depends on the transmit symbol only, so it is
-            # subtracted from both the noisy and the noiseless reception
-            est = _estimate_si(name, state, x, grid, counters[name])[ul]
-            power = np.abs(y_noisy[m][ul] - est) ** 2
-            acc += power
-            samples.append(10.0 * np.log10(max(float(power.mean()) * mw_per_unit, _FLOOR)))
-            clean_res.append(y_clean[m][ul] - est)
-        acc /= len(run_syms)
-        psd_dbm[name] = 10.0 * np.log10(np.maximum(acc * mw_per_unit, _FLOOR))
+        # the estimate depends on the transmit symbols only, so it is
+        # subtracted from both the noisy and the noiseless reception
+        power = np.abs(y_noisy - est[name]) ** 2
+        psd_dbm[name] = 10.0 * np.log10(np.maximum(power.mean(axis=0) * mw_per_unit, _FLOOR))
+        samples = 10.0 * np.log10(np.maximum(power.mean(axis=1) * mw_per_unit, _FLOOR))
         cdf_dbm[name] = residual_cdf(samples)
-        raw = np.stack([y[ul] for y in y_clean])
-        sicr_db[name] = sicr(raw, np.stack(clean_res))
+        sicr_db[name] = sicr(y_clean, y_clean - est[name])
 
     return MetricsReport(
         spec=spec,

@@ -16,9 +16,9 @@ the self-interference estimate on the grid; the caller subtracts it from
 the received spectrum. Each still charges that subtraction's adds to its
 own stage, so the counts match a canceller that subtracts in place.
 
-The training window is held as arrays, one symbol per row, and every
-estimator works on the whole window at once; the running cancellers take
-one (P,) transmit spectrum per call.
+Symbols are held as arrays, one per row. Every estimator works on the
+whole training window at once, and the running cancellers take a (..., P)
+stack of transmit spectra and act on its last axis.
 
 All estimator and canceller arithmetic is charged to an OpCounter so
 complexity claims can be checked against actual counts; a stacked step
@@ -35,7 +35,8 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_peak_sample, predict_si_power
-from .ofdm import SubcarrierGrid, mirror_values
+from .impairments import apply_iq_freq
+from .ofdm import SubcarrierGrid
 
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
@@ -287,11 +288,7 @@ def _ls_solve_stack(
     return coeffs, solved
 
 
-def estimate_iq(
-    buffer: TrainingBuffer,
-    grid: SubcarrierGrid | None = None,
-    counter: OpCounter | None = None,
-) -> complex:
+def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> complex:
     """Estimate the IQ image weight b from mirror-subcarrier regressions.
 
     For every downlink subcarrier p whose mirror -p is also in the
@@ -301,8 +298,7 @@ def estimate_iq(
     Data training symbols only; impulse pilots are rank one in this
     regression and are skipped.
     """
-    if grid is None:
-        grid = buffer.grid
+    grid = buffer.grid
     p_total = grid.num_subcarriers
     tx = buffer.tx[buffer.n_impulse:]
     m = len(tx)
@@ -477,27 +473,35 @@ def estimate_pa(
     return {2 * k + 1: complex(coeffs[k]) for k in range(k_max + 1)}
 
 
-def _charge_xiq(
-    counter: OpCounter | None, stage: str, grid: SubcarrierGrid, count: int = 1
-) -> None:
-    """Cost of composing the IQ image of count symbols."""
+def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
+    """Number of symbols in a (..., P) stack of transmit spectra."""
+    if np.shape(x_dl)[-1:] != (p_total,):
+        raise ValueError("symbol length does not match the grid")
+    return int(np.prod(np.shape(x_dl)[:-1]))
+
+
+def _charged_bases(
+    x: np.ndarray,
+    b_hat: complex,
+    k_max: int,
+    grid: SubcarrierGrid,
+    counter: OpCounter | None,
+    stage: str,
+) -> np.ndarray:
+    """Bases Phi_1 .. Phi_{2k_max+1} of (..., P) transmit spectra with the IQ image b_hat.
+
+    Charged to stage per symbol: the image costs one multiply and one add
+    per downlink subcarrier, and basis_chain one spectrum FFT plus
+    squaring, then one FFT, one IFFT, one elementwise product and one
+    rescale per order.
+    """
     if counter is not None:
+        p_total = grid.num_subcarriers
+        count = _symbol_count(x, p_total)
         counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
-
-
-def _charge_chain(
-    counter: OpCounter | None, stage: str, p: int, k_max: int, count: int = 1
-) -> None:
-    """Cost of basis_chain over count symbols: per symbol one spectrum FFT
-    plus squaring, then one FFT, one IFFT, one elementwise product and one
-    rescale per order."""
-    if counter is not None:
-        counter.charge_fft(stage, p, count=count * (1 + 2 * k_max))
-        counter.charge(stage, mults=count * p * (1 + 2 * k_max))
-
-
-def _compose_xiq(values: np.ndarray, b_hat: complex) -> np.ndarray:
-    return values + b_hat * np.conj(mirror_values(values))
+        counter.charge_fft(stage, p_total, count=count * (1 + 2 * k_max))
+        counter.charge(stage, mults=count * p_total * (1 + 2 * k_max))
+    return basis_chain(apply_iq_freq(x, b_hat), k_max)
 
 
 def estimate_channel(
@@ -527,10 +531,7 @@ def estimate_channel(
     ul = grid.ul_indices
     a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
 
-    xiq = _compose_xiq(tx, b_hat)
-    _charge_xiq(counter, "train_basis", grid, count=m)
-    chain = basis_chain(xiq, k_max)
-    _charge_chain(counter, "train_basis", p_total, k_max, count=m)
+    chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
     regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
     num = (np.conj(regressor) * rx).sum(axis=0)
@@ -609,23 +610,19 @@ def run_sic(
     counter: OpCounter | None = None,
     combined: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Self-interference estimate on the uplink band of one (P,) symbol.
+    """Self-interference estimate of a (..., P) stack of symbols, on the grid.
 
-    Builds the composed transmit spectrum and the distortion bases up to
-    the largest retained order, then returns, over the full grid,
+    Builds the composed transmit spectra and the distortion bases up to
+    the largest retained order, then returns, along the last axis,
     sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each uplink
     subcarrier that coeffs.retained marks, and zero elsewhere. The caller
-    subtracts it from the received spectrum. Running stage cost is
-    sum_p (1 + |K_p|) multiplies, plus one add per retained order and
+    subtracts it from the received spectra. Running stage cost per symbol
+    is sum_p (1 + |K_p|) multiplies, plus one add per retained order and
     per uplink subcarrier for the subtraction.
     """
     grid = coeffs.grid
-    p_total = grid.num_subcarriers
-    if np.shape(x_dl) != (p_total,):
-        raise ValueError("symbol length does not match the coefficient grid")
-    outside = np.abs(x_dl) > 0
-    outside[grid.dl_indices] = False
-    if np.any(outside):
+    count = _symbol_count(x_dl, grid.num_subcarriers)
+    if np.any(x_dl[..., ~grid.dl_mask]):
         raise ValueError(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
@@ -634,20 +631,18 @@ def run_sic(
     kept_rows = np.flatnonzero(mask.any(axis=1))
     k_used = int(kept_rows[-1]) if kept_rows.size else 0
 
-    xiq = _compose_xiq(x_dl, coeffs.b_hat)
-    _charge_xiq(counter, "run_basis", grid)
-    chain = basis_chain(xiq, k_used)
-    _charge_chain(counter, "run_basis", p_total, k_used)
+    chain = _charged_bases(x_dl, coeffs.b_hat, k_used, grid, counter, "run_basis")
 
     if combined is None:
         combined = precombine(coeffs, counter)
 
     ul = grid.ul_indices
-    terms = combined[: k_used + 1, ul] * chain[:, ul]
-    est = np.zeros(p_total, dtype=np.complex128)
-    est[ul] = np.where(mask[: k_used + 1, ul], terms, 0.0).sum(axis=0)
+    terms = combined[: k_used + 1, ul] * chain[..., ul]
+    est = np.zeros(np.shape(x_dl), dtype=np.complex128)
+    est[..., ul] = np.where(mask[: k_used + 1, ul], terms, 0.0).sum(axis=-2)
     if counter is not None:
-        counter.charge("run", mults=int(mask.sum()), adds=int(mask[1:].sum()) + len(ul))
+        n_terms, n_orders = int(mask.sum()), int(mask[1:].sum())
+        counter.charge("run", mults=count * n_terms, adds=count * (n_orders + len(ul)))
     return est
 
 
@@ -705,23 +700,22 @@ def baseline_linear(
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Linear-only SI estimate h_lin[p] X[p] on the uplink band, zero elsewhere.
+    """Linear-only SI estimate h_lin[p] X[p] of (..., P) symbols.
 
-    linear_run is charged for the products and for the caller's subtraction.
+    Zero off the uplink band. linear_run is charged per symbol for the
+    products and for the caller's subtraction.
     """
-    if np.shape(x_dl) != (grid.num_subcarriers,):
-        raise ValueError("symbol length does not match the grid")
+    count = _symbol_count(x_dl, grid.num_subcarriers)
     ul = grid.ul_indices
-    est = np.zeros(grid.num_subcarriers, dtype=np.complex128)
-    est[ul] = h_hat_lin[ul] * x_dl[ul]
+    est = np.zeros(x_dl.shape, dtype=np.complex128)
+    est[..., ul] = h_hat_lin[ul] * x_dl[..., ul]
     if counter is not None:
-        counter.charge("linear_run", mults=len(ul), adds=len(ul))
+        counter.charge("linear_run", mults=count * len(ul), adds=count * len(ul))
     return est
 
 
 def baseline_full_ls(
     buffer: TrainingBuffer,
-    grid: SubcarrierGrid,
     k_max: int,
     b_hat: complex = 0.0,
     regularization: float = 0.0,
@@ -742,12 +736,8 @@ def baseline_full_ls(
         raise ValueError(
             f"{m} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
         )
-    p_total = grid.num_subcarriers
-
-    xiq = _compose_xiq(buffer.tx, b_hat)
-    _charge_xiq(counter, "full_ls_basis", grid, count=m)
-    chains = basis_chain(xiq, k_max)
-    _charge_chain(counter, "full_ls_basis", p_total, k_max, count=m)
+    grid = buffer.grid
+    chains = _charged_bases(buffer.tx, b_hat, k_max, grid, counter, "full_ls_basis")
     rx = buffer.rx_spectra()
 
     # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
@@ -762,7 +752,7 @@ def baseline_full_ls(
     retry, scale = retry[scale > 0.0], scale[scale > 0.0]
     if retry.size:
         c[retry], _ = _ls_solve_stack(a[retry], y[retry], 1e-8 * scale, counter, "full_ls_est")
-    coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
+    coeffs = np.zeros((k_max + 1, grid.num_subcarriers), dtype=np.complex128)
     coeffs[:, band] = c.T
     return coeffs
 
@@ -774,27 +764,23 @@ def run_full_ls(
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """SI estimate of the conventional canceller: every basis at every uplink subcarrier.
+    """SI estimate of the conventional canceller for (..., P) symbols.
 
-    Zero off the uplink band. full_ls_run is charged for the estimate and
-    for the caller's subtraction.
+    Every basis at every uplink subcarrier, zero off the uplink band.
+    full_ls_run is charged per symbol for the estimate and for the caller's
+    subtraction.
     """
-    p_total = grid.num_subcarriers
-    if np.shape(x_dl) != (p_total,):
-        raise ValueError("symbol length does not match the grid")
+    count = _symbol_count(x_dl, grid.num_subcarriers)
     k_max = coeffs.shape[0] - 1
-    xiq = _compose_xiq(x_dl, b_hat)
-    _charge_xiq(counter, "full_ls_run_basis", grid)
-    chain = basis_chain(xiq, k_max)
-    _charge_chain(counter, "full_ls_run_basis", p_total, k_max)
+    chain = _charged_bases(x_dl, b_hat, k_max, grid, counter, "full_ls_run_basis")
     ul = grid.ul_indices
-    est = np.zeros(p_total, dtype=np.complex128)
-    est[ul] = (coeffs[:, ul] * chain[:, ul]).sum(axis=0)
+    est = np.zeros(np.shape(x_dl), dtype=np.complex128)
+    est[..., ul] = (coeffs[:, ul] * chain[..., ul]).sum(axis=-2)
     if counter is not None:
         counter.charge(
             "full_ls_run",
-            mults=(k_max + 1) * len(ul),
-            adds=k_max * len(ul) + len(ul),
+            mults=count * (k_max + 1) * len(ul),
+            adds=count * (k_max * len(ul) + len(ul)),
         )
     return est
 

@@ -14,15 +14,12 @@ import itertools
 import numpy as np
 
 from flexsic.counters import OpCounter, ls_costs
-from flexsic.imd import basis_chain
 from flexsic.ofdm import SubcarrierGrid
 from flexsic.sic import (
     EstimatorConfig,
     SingularSystemError,
     TrainingBuffer,
-    _charge_chain,
-    _charge_xiq,
-    _compose_xiq,
+    _charged_bases,
 )
 
 
@@ -441,10 +438,7 @@ def baseline_full_ls_loop(
     chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
     rx = np.empty((m, p_total), dtype=np.complex128)
     for i, (tx, body) in enumerate(zip(buffer.tx, buffer.rx)):
-        xiq = _compose_xiq(tx, b_hat)
-        _charge_xiq(counter, "full_ls_basis", grid)
-        chains[i] = basis_chain(xiq, k_max)
-        _charge_chain(counter, "full_ls_basis", p_total, k_max)
+        chains[i] = _charged_bases(tx, b_hat, k_max, grid, counter, "full_ls_basis")
         rx[i] = np.fft.fft(body)
 
     coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
@@ -490,10 +484,7 @@ def estimate_channel_loop(
     num = np.zeros(len(ul), dtype=np.complex128)
     den = np.zeros(len(ul), dtype=np.float64)
     for tx, body in zip(tx_rows, rx_rows):
-        xiq = _compose_xiq(tx, b_hat)
-        _charge_xiq(counter, "train_basis", grid)
-        chain = basis_chain(xiq, k_max)
-        _charge_chain(counter, "train_basis", p_total, k_max)
+        chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
         regressor = (a_vec[:, None] * chain[:, ul]).sum(axis=0)
         rx = np.fft.fft(body)
         num += np.conj(regressor) * rx[ul]

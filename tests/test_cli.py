@@ -111,3 +111,26 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("channel", [1, 2]),
+        ("pa_coeffs", [1, 2]),
+        ("tx_array", [4, 4]),
+        ("num_subcarriers", "256"),
+        ("noise_dbm", "x"),
+        ("n_run_symbols", 2.5),
+        ("cancellers", "proposed"),
+        ("impulse_amp_range", [0.6]),
+        ("n_train_symbols", 2),
+    ],
+)
+def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, key: value}))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {key} must")

@@ -88,7 +88,7 @@ def test_basis_direct_matches_tuple_sum(k):
     values = np.zeros(8, dtype=complex)
     values[g.dl_indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     direct = basis_direct(values, imb, k)
-    literal = tuple_basis(apply_iq_freq(values, imb), k)
+    literal = tuple_basis(apply_iq_freq(values, imb.b_iq), k)
     assert np.allclose(direct, literal, atol=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_basis_chain_matches_direct():
     imb = irr_to_b(25.0, 0.3)
     syms = gen_qam_symbols(g, 16, amplitude=1.0, count=3, seed=7)
     sym = syms[0]
-    x_iq = apply_iq_freq(sym, imb)
+    x_iq = apply_iq_freq(sym, imb.b_iq)
 
     chain = basis_chain(x_iq, k_max=3)
     assert chain.shape == (4, 32)
@@ -107,10 +107,10 @@ def test_basis_chain_matches_direct():
         scale = np.abs(direct).max()
         assert np.abs(chain[k] - direct).max() / scale < 1e-10
     # a stack of symbols gives one chain per row, bit for bit
-    stacked = basis_chain(apply_iq_freq(syms, imb), k_max=3)
+    stacked = basis_chain(apply_iq_freq(syms, imb.b_iq), k_max=3)
     assert stacked.shape == (3, 4, 32)
     for row, x in zip(stacked, syms):
-        assert np.array_equal(row, basis_chain(apply_iq_freq(x, imb), k_max=3))
+        assert np.array_equal(row, basis_chain(apply_iq_freq(x, imb.b_iq), k_max=3))
     assert np.array_equal(basis_direct(syms, imb, 2)[2], basis_direct(syms[2], imb, 2))
 
 

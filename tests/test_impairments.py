@@ -40,7 +40,7 @@ def test_iq_time_and_freq_pictures_agree(p, seed):
     values = rng.standard_normal(p) + 1j * rng.standard_normal(p)
     imb = IQImbalance(b_iq=0.05 * np.exp(0.7j))
     via_time = dft(apply_iq_time(idft(values), imb))
-    via_freq = apply_iq_freq(values, imb)
+    via_freq = apply_iq_freq(values, imb.b_iq)
     assert np.allclose(via_time, via_freq, atol=1e-9)
     # spot-check the mirror formula on one subcarrier
     q = p // 3
@@ -90,7 +90,7 @@ def test_impairments_act_row_by_row_on_stacks():
     stack = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
     imb = IQImbalance(b_iq=0.05 * np.exp(0.7j))
     pa = default_measured_pa()
-    for apply, model in ((apply_iq_time, imb), (apply_iq_freq, imb), (apply_pa, pa)):
+    for apply, model in ((apply_iq_time, imb), (apply_iq_freq, imb.b_iq), (apply_pa, pa)):
         out = apply(stack, model)
         assert out.shape == stack.shape
         for row, x in zip(out, stack):

@@ -7,6 +7,7 @@ import pytest
 from flexsic.channel import ChannelProfile
 from flexsic.imd import default_pilot_omega, impulse_pilot
 from flexsic.ofdm import gen_qam_symbols
+import flexsic.scenario as scenario
 from flexsic.scenario import (
     _build_effective_channel,
     _build_training,
@@ -190,6 +191,24 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     )
     assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)
     assert np.max(np.abs(buf.rx - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_run", [7, 1])
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_blocked_run_window_matches_one_symbol_blocks(monkeypatch, preset, n_run):
+    # at P = 4096 the default block holds 4 symbols, so 7 leaves a short last block
+    spec = ScenarioSpec(
+        num_subcarriers=4096, duplex=preset, n_run_symbols=n_run, cancellers=CANCELLERS
+    )
+    assert scenario._RUN_BLOCK_SAMPLES // 4096 == 4
+    blocked = run_scenario(spec)
+    monkeypatch.setattr(scenario, "_RUN_BLOCK_SAMPLES", 4096)
+    single = run_scenario(spec)
+    for name in CANCELLERS:
+        assert np.max(np.abs(blocked.psd_dbm[name] - single.psd_dbm[name])) <= 1e-10
+        assert np.max(np.abs(blocked.cdf_dbm[name] - single.cdf_dbm[name])) <= 1e-10
+        assert blocked.sicr_db[name] == pytest.approx(single.sicr_db[name], rel=0, abs=1e-10)
+        assert blocked.counters[name].rows() == single.counters[name].rows()
 
 
 def test_run_scenario_smoke_and_shapes():

@@ -97,6 +97,18 @@ def retained_mask(grid, k_max, basis_sets, unestimated=()):
     return mask
 
 
+def assert_stack_matches_rows(run, xs):
+    """run(x, counter) on a (B, P) stack equals run on each row alone and charges B rows."""
+    counter = OpCounter()
+    est = run(xs, counter)
+    assert est.shape == xs.shape
+    for row, x in zip(est, xs):
+        one = OpCounter()
+        ref = run(x, one)
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert counter.rows() == [(stage, kind, len(xs) * value) for stage, kind, value in one.rows()]
+
+
 def default_cfg(**overrides):
     kwargs = dict(gamma=1e-12, k_max=2, n_impulse_symbols=4, n_train_symbols=14)
     kwargs.update(overrides)
@@ -262,7 +274,7 @@ def test_full_ls_matches_loop_reference(grid, b, regularization):
     cfg = default_cfg()
     buf = make_buffer(grid, pa, b, chan, cfg, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
     counter, ref_counter = OpCounter(), OpCounter()
-    coeffs = baseline_full_ls(buf, grid, cfg.k_max, b, regularization, counter=counter)
+    coeffs = baseline_full_ls(buf, cfg.k_max, b, regularization, counter=counter)
     ref = baseline_full_ls_loop(buf, grid, cfg.k_max, b, regularization, counter=ref_counter)
     ul = grid.ul_indices
     size = np.linalg.norm(ref[:, ul], axis=0)
@@ -614,6 +626,11 @@ def test_run_sic_matches_loop_reference(k_max):
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert counter.mults("run") == ref_counter.mults("run")
         assert counter.adds("run") == ref_counter.adds("run")
+        stack = np.concatenate([x[None], gen_qam_symbols(g, 16, 1.0, 3, seed=10 + trial)])
+        combined = precombine(coeffs)
+        assert_stack_matches_rows(
+            lambda xs, c: run_sic(xs, coeffs, counter=c, combined=combined), stack
+        )
 
 
 # ---------------------------------------------------------------- running canceller
@@ -664,6 +681,11 @@ def test_run_sic_rejects_energy_outside_downlink():
         run_sic(bad, coeffs)
     with pytest.raises(ValueError, match="length"):
         run_sic(np.zeros(32, dtype=complex), coeffs)
+    # the checks hold for every row of a stack
+    with pytest.raises(ValueError, match="allocation mismatch"):
+        run_sic(np.stack([np.zeros(64, dtype=complex), bad]), coeffs)
+    with pytest.raises(ValueError, match="length"):
+        run_sic(np.zeros((2, 32), dtype=complex), coeffs)
 
 
 def test_precombine_matches_manual_product():
@@ -728,6 +750,8 @@ def test_linear_baseline_cancels_only_the_linear_part():
     resid = np.mean(np.abs(out[ul]) ** 2)
     assert resid < raw  # removes the dominant linear term
     assert resid > 1e-8 * raw  # but the distortion floor remains
+    stack = gen_qam_symbols(g, 16, a_digi, 3, seed=119)
+    assert_stack_matches_rows(lambda xs, c: baseline_linear(xs, h_lin, g, counter=c), stack)
 
 
 def test_linear_baseline_is_inert_off_the_downlink_band():
@@ -741,6 +765,8 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
     out = y - baseline_linear(x, h_lin, g)
     assert np.array_equal(out, y)
+    stack = gen_qam_symbols(g, 16, 1.0, 3, seed=121)
+    assert not baseline_linear(stack, h_lin, g).any()
 
 
 def test_full_ls_baseline_handles_split_allocation():
@@ -753,7 +779,7 @@ def test_full_ls_baseline_handles_split_allocation():
     cfg = default_cfg()
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, b, chan, cfg, seed=22, a_digi=a_digi)
-    coeffs = baseline_full_ls(buf, g, cfg.k_max, b)
+    coeffs = baseline_full_ls(buf, cfg.k_max, b)
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
@@ -763,6 +789,8 @@ def test_full_ls_baseline_handles_split_allocation():
     raw = np.mean(np.abs(y[ul]) ** 2)
     resid = np.mean(np.abs(out[ul]) ** 2)
     assert resid < 1e-6 * raw
+    stack = gen_qam_symbols(g, 16, a_digi, 3, seed=123)
+    assert_stack_matches_rows(lambda xs, c: run_full_ls(xs, coeffs, b, g, counter=c), stack)
 
 
 def test_full_ls_needs_enough_symbols():
@@ -771,7 +799,7 @@ def test_full_ls_needs_enough_symbols():
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g), cfg)
     short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2, omega=buf.omega)
     with pytest.raises(ValueError, match="cannot fit"):
-        baseline_full_ls(short, g, cfg.k_max)
+        baseline_full_ls(short, cfg.k_max)
 
 
 # ---------------------------------------------------------------- persistence
