@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import os
+from dataclasses import replace
 
 import numpy as np
 
-from flexsic.scenario import ScenarioSpec, run_scenario, scenario_with
+from flexsic.scenario import ScenarioSpec, run_scenario
 
 
 def average_mode(
@@ -30,7 +31,7 @@ def average_mode(
     ul = None
     noise = 0.0
     for seed in seeds:
-        rep = run_scenario(scenario_with(base, seed=seed))
+        rep = run_scenario(replace(base, seed=seed))
         ul = np.asarray(rep.ul_indices)
         noise = rep.noise_floor_dbm
         for c in cancellers:

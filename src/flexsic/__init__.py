@@ -43,7 +43,6 @@ from .imd import (
     q_size,
 )
 from .impairments import (
-    IQImbalance,
     PAPolynomial,
     apply_iq_freq,
     apply_iq_time,
@@ -72,13 +71,11 @@ from .scenario import (
     load_spec,
     residual_cdf,
     run_scenario,
-    scenario_with,
     sicr,
     spec_from_dict,
     spec_to_dict,
 )
 from .sic import (
-    EstimatorConfig,
     SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
@@ -88,13 +85,11 @@ from .sic import (
     estimate_iq,
     estimate_linear_channel,
     estimate_pa,
-    load_coefficients,
     ls_solve,
     perfect_coefficients,
     precombine,
     run_full_ls,
     run_sic,
-    save_coefficients,
     select_basis,
 )
 

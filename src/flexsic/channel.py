@@ -98,14 +98,13 @@ class EffectiveChannel:
     """Beamformed scalar channel: time taps, frequency response, LoS part.
 
     freq_response[p] is the length-P DFT of the zero-padded taps;
-    los_gain[p] is the LoS-only response (flat magnitude, linear phase).
+    los_scalar is the LoS ray's gain, which sits on tap los_tap_index.
     """
 
     time_taps: np.ndarray
     freq_response: np.ndarray
     los_tap_index: int
     los_scalar: complex
-    los_gain: np.ndarray
 
     @property
     def n_taps(self) -> int:
@@ -199,16 +198,11 @@ def apply_beams(mimo: MimoTaps, f_tx: BeamVector, w_rx: BeamVector) -> Effective
         )
     w = np.conj(w_rx.weights)
     h = np.array([w @ mimo.taps[n] @ f_tx.weights for n in range(n_taps)])
-    p = mimo.grid.num_subcarriers
-    freq = np.fft.fft(h, n=p)
-    los_scalar = complex(w @ mimo.los_matrix @ f_tx.weights)
-    ramp = np.exp(-2j * np.pi * np.arange(p) * mimo.los_tap_index / p)
     return EffectiveChannel(
         time_taps=h,
-        freq_response=freq,
+        freq_response=np.fft.fft(h, n=mimo.grid.num_subcarriers),
         los_tap_index=mimo.los_tap_index,
-        los_scalar=los_scalar,
-        los_gain=los_scalar * ramp,
+        los_scalar=complex(w @ mimo.los_matrix @ f_tx.weights),
     )
 
 

@@ -34,8 +34,9 @@ from .sic import perfect_coefficients, run_sic
 
 def _cmd_run(args) -> int:
     spec = load_spec(args.config)
-    seed = args.seed if args.seed is not None else None
-    report = run_scenario(spec, seed=seed)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    report = run_scenario(spec, seed=args.seed)
     paths = emit_report(report, args.out, fmt=args.format)
     for name in spec.cancellers:
         print(f"{name}: SICR {report.sicr_db[name]:.2f} dB")
@@ -47,8 +48,7 @@ def _cmd_run(args) -> int:
 def _cmd_tables(args) -> int:
     spec = load_spec(args.config)
     grid = spec.build_grid()
-    a_digi = spec.pa_drive_rms * grid.num_subcarriers / np.sqrt(grid.dl_size)
-    tables = make_imd_tables(grid, spec.build_imbalance(), a_digi, spec.k_max)
+    tables = make_imd_tables(grid, spec.build_imbalance(), spec.drive_amplitude(grid), spec.k_max)
     dump_imd_tables(tables, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -58,9 +58,9 @@ def _cmd_validate(args) -> int:
     """Cheap self-consistency oracle suite for one config."""
     spec = load_spec(args.config)
     grid = spec.build_grid()
-    imb = spec.build_imbalance()
+    b_iq = spec.build_imbalance()
     pa = spec.build_pa()
-    a_digi = spec.pa_drive_rms * grid.num_subcarriers / np.sqrt(grid.dl_size)
+    a_digi = spec.drive_amplitude(grid)
     failures = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -89,12 +89,12 @@ def _cmd_validate(args) -> int:
     )
     check("tuple-count-identity", ok)
 
-    xiq = apply_iq_freq(x, imb.b_iq)
+    xiq = apply_iq_freq(x, b_iq)
     chain = basis_chain(xiq, min(spec.k_max, 2))
     ok = True
     worst = 0.0
     for k in range(1, min(spec.k_max, 2) + 1):
-        direct = basis_direct(x, imb, k)
+        direct = basis_direct(x, b_iq, k)
         scale = float(np.max(np.abs(direct))) or 1.0
         err = float(np.max(np.abs(chain[k] - direct))) / scale
         worst = max(worst, err)
@@ -103,8 +103,8 @@ def _cmd_validate(args) -> int:
 
     pilot = impulse_pilot(grid, a_digi)
     try:
-        closed = impulse_pilot_basis(grid, imb, a_digi, k=1, q_tables=qs)
-        direct = basis_direct(pilot, imb, 1)
+        closed = impulse_pilot_basis(grid, b_iq, a_digi, k=1, q_tables=qs)
+        direct = basis_direct(pilot, b_iq, 1)
         scale = float(np.max(np.abs(direct))) or 1.0
         err = float(np.max(np.abs(closed - direct))) / scale
         check("pilot-closed-form", err <= 1e-9, f"max rel err {err:.2e}")
@@ -113,7 +113,7 @@ def _cmd_validate(args) -> int:
 
     pa_out = dft(apply_pa(idft(xiq), pa))
     flat = np.ones(p, dtype=np.complex128)
-    coeffs = perfect_coefficients(grid, flat, pa.coeffs, imb.b_iq)
+    coeffs = perfect_coefficients(grid, flat, pa.coeffs, b_iq)
     res = pa_out - run_sic(x, coeffs)
     ul = grid.ul_indices
     scale = float(np.max(np.abs(pa_out[ul]))) or 1.0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import IQImbalance, apply_iq_freq
+from .impairments import apply_iq_freq
 from .ofdm import SubcarrierGrid, mirror_index
 
 _INT64_SAFE = 2**62
@@ -117,7 +117,7 @@ def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     return rows
 
 
-def basis_direct(X: np.ndarray, imb: IQImbalance, k: int) -> np.ndarray:
+def basis_direct(X: np.ndarray, b_iq: complex, k: int) -> np.ndarray:
     """Reference order-(2k+1) basis straight from the definition, shape of X.
 
     Applies the IQ image in frequency, transforms to time, raises to the
@@ -126,7 +126,7 @@ def basis_direct(X: np.ndarray, imb: IQImbalance, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    x_iq = np.fft.ifft(apply_iq_freq(X, imb.b_iq), axis=-1)
+    x_iq = np.fft.ifft(apply_iq_freq(X, b_iq), axis=-1)
     phi = np.abs(x_iq) ** (2 * k) * x_iq
     return np.fft.fft(phi, axis=-1)
 
@@ -165,7 +165,7 @@ def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
 
 def mu_tables(
     grid: SubcarrierGrid,
-    imb: IQImbalance,
+    b_iq: complex,
     a_digi: float,
     k_max: int,
     moment_mode: str = "biq",
@@ -192,7 +192,7 @@ def mu_tables(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = grid.num_subcarriers
-    b_mag2 = abs(imb.b_iq) ** 2
+    b_mag2 = abs(b_iq) ** 2
     big_b = (1.0 + b_mag2) * a_digi**2
     f1 = big_b**2
     f2 = big_b**2 if moment_mode == "biq" else a_digi**4
@@ -211,7 +211,7 @@ def mu_tables(
 
 def make_imd_tables(
     grid: SubcarrierGrid,
-    imb: IQImbalance,
+    b_iq: complex,
     a_digi: float,
     k_max: int,
     moment_mode: str = "biq",
@@ -229,9 +229,9 @@ def make_imd_tables(
         grid=grid,
         k_max=k_max,
         q_size=qs,
-        mu=mu_tables(grid, imb, a_digi, k_max, moment_mode),
+        mu=mu_tables(grid, b_iq, a_digi, k_max, moment_mode),
         lambda_dl=lambda_dl(grid),
-        b_iq=imb.b_iq,
+        b_iq=complex(b_iq),
         a_digi=float(a_digi),
         moment_mode=moment_mode,
     )
@@ -295,7 +295,7 @@ def impulse_pilot(
 
 def impulse_pilot_basis(
     grid: SubcarrierGrid,
-    imb: IQImbalance,
+    b_iq: complex,
     a_digi: float,
     omega: float | None = None,
     k: int = 0,
@@ -319,7 +319,7 @@ def impulse_pilot_basis(
         raise ValueError(
             f"closed-form pilot basis needs an integer peak sample, got n0 = {n0:.6f}"
         )
-    if imb.b_iq != 0 and not _dl_mirror_closed(grid):
+    if b_iq != 0 and not _dl_mirror_closed(grid):
         raise ValueError(
             "closed-form pilot basis with b != 0 requires a mirror-closed "
             "downlink set (dl_start + dl_end = P)"
@@ -327,7 +327,7 @@ def impulse_pilot_basis(
     if q_tables is None:
         q_tables = q_size(grid, k)
     p = grid.num_subcarriers
-    one_b = 1.0 + imb.b_iq
+    one_b = 1.0 + b_iq
     scale = (
         a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
     )

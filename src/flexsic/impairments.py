@@ -25,26 +25,6 @@ from .ofdm import mirror_values
 
 
 @dataclass(frozen=True)
-class IQImbalance:
-    """Complex mirror coefficient b of the IQ imbalance, |b| < 1."""
-
-    b_iq: complex = 0.0
-
-    def __post_init__(self):
-        b = complex(self.b_iq)
-        if abs(b) >= 1:
-            raise ValueError(f"|b_iq| must be < 1, got |{b}| = {abs(b)}")
-        object.__setattr__(self, "b_iq", b)
-
-    @property
-    def irr_db(self) -> float:
-        """Image rejection ratio 1/|b|^2 in dB (inf for b = 0)."""
-        if self.b_iq == 0:
-            return float("inf")
-        return -20.0 * np.log10(abs(self.b_iq))
-
-
-@dataclass(frozen=True)
 class PAPolynomial:
     """Odd-order memoryless PA polynomial.
 
@@ -90,9 +70,9 @@ class PAPolynomial:
         return out
 
 
-def apply_iq_time(x: np.ndarray, imb: IQImbalance) -> np.ndarray:
+def apply_iq_time(x: np.ndarray, b_iq: complex) -> np.ndarray:
     """Per-sample image: out[n] = x[n] + b * conj(x[n])."""
-    return x + imb.b_iq * np.conj(x)
+    return x + b_iq * np.conj(x)
 
 
 def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
@@ -110,9 +90,9 @@ def default_measured_pa() -> PAPolynomial:
     return PAPolynomial(coeffs={1: 35.89, 3: -2.24, 5: 0.0015})
 
 
-def irr_to_b(irr_db: float, phase: float = 0.0) -> IQImbalance:
-    """Build an IQImbalance with |b| = 10^(-irr_db/20) and the given phase."""
+def irr_to_b(irr_db: float, phase: float = 0.0) -> complex:
+    """Image weight b with |b| = 10^(-irr_db/20) < 1 and the given phase."""
     if not irr_db > 0:
         raise ValueError(f"irr_db must be positive, got {irr_db}")
     mag = 10.0 ** (-irr_db / 20.0)
-    return IQImbalance(b_iq=mag * np.exp(1j * phase))
+    return complex(mag * np.exp(1j * phase))

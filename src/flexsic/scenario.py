@@ -31,7 +31,7 @@ import json
 import numbers
 import os
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,17 +48,9 @@ from .channel import (
 )
 from .counters import OpCounter
 from .imd import default_pilot_omega, impulse_pilot, mu_tables
-from .impairments import (
-    IQImbalance,
-    PAPolynomial,
-    apply_iq_time,
-    apply_pa,
-    default_measured_pa,
-    irr_to_b,
-)
+from .impairments import PAPolynomial, apply_iq_time, apply_pa, default_measured_pa, irr_to_b
 from .ofdm import SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
 from .sic import (
-    EstimatorConfig,
     SICCoefficients,
     TrainingBuffer,
     baseline_full_ls,
@@ -168,6 +160,27 @@ class ScenarioSpec:
             raise ValueError("pa_drive_rms must be positive")
         if self.n_run_symbols < 1:
             raise ValueError("n_run_symbols must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.n_impulse_symbols < self.k_max + 1:
+            raise ValueError(
+                f"n_impulse_symbols must be at least k_max + 1 = {self.k_max + 1} to identify "
+                f"the polynomial coefficients, got {self.n_impulse_symbols}"
+            )
+        if self.n_train_symbols < self.n_impulse_symbols + 1:
+            raise ValueError(
+                "n_train_symbols must leave at least one data training symbol after "
+                f"the {self.n_impulse_symbols} impulse symbols, got {self.n_train_symbols}"
+            )
+        if self.regularization < 0:
+            raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
+        lo, hi = self.impulse_amp_range
+        if not 0 < lo < hi:
+            raise ValueError(
+                f"impulse_amp_range must be increasing and positive, got {self.impulse_amp_range}"
+            )
 
     def build_grid(self) -> SubcarrierGrid:
         if self.duplex == "custom":
@@ -182,23 +195,18 @@ class ScenarioSpec:
             ul_set=tuple(ul_span),
         )
 
+    def drive_amplitude(self, grid: SubcarrierGrid) -> float:
+        """Per-subcarrier downlink amplitude a_digi that drives the amplifier at pa_drive_rms."""
+        return self.pa_drive_rms * grid.num_subcarriers / np.sqrt(grid.dl_size)
+
     def build_pa(self) -> PAPolynomial:
         if self.pa_coeffs is None:
             return default_measured_pa()
         return PAPolynomial({int(k): complex(v) for k, v in self.pa_coeffs.items()})
 
-    def build_imbalance(self) -> IQImbalance:
+    def build_imbalance(self) -> complex:
+        """The IQ image weight b of irr_db and iq_phase."""
         return irr_to_b(self.irr_db, self.iq_phase)
-
-    def estimator_config(self, gamma: float) -> EstimatorConfig:
-        return EstimatorConfig(
-            gamma=gamma,
-            k_max=self.k_max,
-            n_impulse_symbols=self.n_impulse_symbols,
-            n_train_symbols=self.n_train_symbols,
-            regularization=self.regularization,
-            impulse_amp_range=self.impulse_amp_range,
-        )
 
 
 def _conform(key: str, value, hint):
@@ -306,14 +314,14 @@ def _seed_ints(seed: int, count: int) -> list[int]:
 
 def _rx_body(
     x: np.ndarray,
-    imb: IQImbalance,
+    b_iq: complex,
     pa: PAPolynomial,
     chan: EffectiveChannel,
     grid: SubcarrierGrid,
 ) -> np.ndarray:
     """Noiseless body samples of symbols (..., P) through the transmit chain and the SI channel."""
     t = idft(x)
-    t = apply_iq_time(t, imb)
+    t = apply_iq_time(t, b_iq)
     t = apply_pa(t, pa)
     t = add_cp(t, grid)
     t = apply_channel(t, chan)
@@ -349,7 +357,7 @@ def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int
 def _build_training(
     spec: ScenarioSpec,
     grid: SubcarrierGrid,
-    imb: IQImbalance,
+    b_iq: complex,
     pa: PAPolynomial,
     chan: EffectiveChannel,
     a_digi: float,
@@ -364,21 +372,24 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
-    rx = _add_noise(_rx_body(tx, imb, pa, chan, grid), sigma_t, np.random.default_rng(seed_noise))
+    rx = _add_noise(_rx_body(tx, b_iq, pa, chan, grid), sigma_t, np.random.default_rng(seed_noise))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
 
 
 def _fit_pa(
     buffer: TrainingBuffer,
     chan: EffectiveChannel,
-    cfg: EstimatorConfig,
+    spec: ScenarioSpec,
     a_digi: float,
     b_hat: complex,
     counter: OpCounter,
 ) -> tuple[dict[int, complex], np.ndarray]:
     """Amplifier polynomial and predicted basis powers for one image weight."""
-    a_hat = estimate_pa(buffer, chan.los_scalar, b_hat, cfg, chan.los_tap_index, counter=counter)
-    return a_hat, mu_tables(buffer.grid, IQImbalance(b_hat), a_digi, cfg.k_max)
+    a_hat = estimate_pa(
+        buffer, chan.los_scalar, b_hat, spec.k_max, spec.regularization, chan.los_tap_index,
+        counter=counter,
+    )
+    return a_hat, mu_tables(buffer.grid, b_hat, a_digi, spec.k_max)
 
 
 def _share(
@@ -394,7 +405,8 @@ def _fit_canceller(
     buffer: TrainingBuffer,
     grid: SubcarrierGrid,
     chan: EffectiveChannel,
-    cfg: EstimatorConfig,
+    spec: ScenarioSpec,
+    gamma: float,
     a_digi: float,
     b_hat: complex | None,
     pa_fit: tuple[dict[int, complex], np.ndarray] | None,
@@ -406,26 +418,27 @@ def _fit_canceller(
     _USES_B_HAT, and pa_fit the (a_hat, mu) pair fitted with it that the
     cancellers in _USES_PA_FIT share (each None when the spec runs none of
     its users); run_scenario fits them once and charges their cost to each
-    user's counter. pa_only fits its own polynomial with b = 0.
+    user's counter. pa_only fits its own polynomial with b = 0. gamma is the
+    basis-selection threshold in internal power units.
     """
     if name == "none":
         return None
     if name == "linear":
         return estimate_linear_channel(buffer, counter=counter)
     if name == "full_ls":
-        coeffs = baseline_full_ls(buffer, cfg.k_max, b_hat, cfg.regularization, counter=counter)
+        coeffs = baseline_full_ls(buffer, spec.k_max, b_hat, spec.regularization, counter=counter)
         return coeffs, b_hat
     if name in ("proposed", "iq_only", "pa_only"):
         if name == "pa_only":
             b_hat = 0.0 + 0.0j
-            a_hat, mu = _fit_pa(buffer, chan, cfg, a_digi, b_hat, counter)
+            a_hat, mu = _fit_pa(buffer, chan, spec, a_digi, b_hat, counter)
         else:
             a_hat, mu = pa_fit
         if name == "iq_only":
             a_hat = {1: a_hat[1]}
-        h_hat, _ = estimate_channel(buffer, a_hat, b_hat, cfg, counter=counter)
-        retained = select_basis(a_hat, mu, h_hat, cfg.gamma, cfg.k_max, grid, counter=counter)
-        # selection walks cfg.k_max orders even for iq_only, whose a_hat
+        h_hat, _ = estimate_channel(buffer, a_hat, b_hat, spec.k_max, counter=counter)
+        retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counter)
+        # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
         coeffs = SICCoefficients(
             grid=grid,
@@ -463,10 +476,10 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     if seed is None:
         seed = spec.seed
     grid = spec.build_grid()
-    imb = spec.build_imbalance()
+    b_iq = spec.build_imbalance()
     pa = spec.build_pa()
 
-    a_digi = spec.pa_drive_rms * grid.num_subcarriers / np.sqrt(grid.dl_size)
+    a_digi = spec.drive_amplitude(grid)
     a1 = pa.coeff(1)
     unit_power = abs(a1 * a_digi) ** 2
     mw_per_unit = 10.0 ** (spec.tx_power_dbm / 10.0) / unit_power
@@ -474,12 +487,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     sigma_t = float(np.sqrt(noise_f / grid.num_subcarriers))
     gamma_dbm = spec.noise_dbm if spec.gamma_dbm is None else spec.gamma_dbm
     gamma = unit_power * 10.0 ** ((gamma_dbm - spec.tx_power_dbm) / 10.0)
+    if not gamma > 0:
+        raise ValueError(f"gamma_dbm={gamma_dbm} gives a selection threshold that is not positive")
 
-    cfg = spec.estimator_config(gamma)
     seeds = _seed_ints(seed, 5)
     chan = _build_effective_channel(spec, grid, seeds[0])
     buffer = _build_training(
-        spec, grid, imb, pa, chan, a_digi, sigma_t, seeds[1], seeds[2]
+        spec, grid, b_iq, pa, chan, a_digi, sigma_t, seeds[1], seeds[2]
     )
 
     counters = {name: OpCounter() for name in spec.cancellers}
@@ -494,11 +508,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     users = [name for name in spec.cancellers if name in _USES_PA_FIT]
     if users:
         scratch = OpCounter()
-        pa_fit = _fit_pa(buffer, chan, cfg, a_digi, b_hat, scratch)
+        pa_fit = _fit_pa(buffer, chan, spec, a_digi, b_hat, scratch)
         _share(scratch, "estimate_pa", counters, users)
     states = {
         name: _fit_canceller(
-            name, buffer, grid, chan, cfg, a_digi, b_hat, pa_fit, counters[name]
+            name, buffer, grid, chan, spec, gamma, a_digi, b_hat, pa_fit, counters[name]
         )
         for name in spec.cancellers
     }
@@ -514,7 +528,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        body = _rx_body(x, imb, pa, chan, grid)
+        body = _rx_body(x, b_iq, pa, chan, grid)
         y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
         y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
         for name in spec.cancellers:
@@ -631,8 +645,3 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
     return written
-
-
-def scenario_with(spec: ScenarioSpec, **overrides) -> ScenarioSpec:
-    """Convenience wrapper around dataclasses.replace for experiment sweeps."""
-    return replace(spec, **overrides)

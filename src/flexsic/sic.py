@@ -35,7 +35,7 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_peak_sample, predict_si_power
-from .impairments import apply_iq_freq
+from .impairments import apply_iq_freq, apply_iq_time
 from .ofdm import SubcarrierGrid
 
 _RANK_TOL = 1e-12
@@ -64,44 +64,6 @@ class SingularSystemError(ValueError):
         if message is None:
             message = f"least-squares system is singular (column {column} is dependent or zero)"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs for the training-based estimators.
-
-    gamma is the per-subcarrier distortion-power threshold used by basis
-    selection. n_train_symbols counts the whole training window,
-    impulse pilots included, so it must exceed n_impulse_symbols.
-    impulse_amp_range gives the endpoints of the pilot peak-amplitude
-    sweep at the amplifier input; the sweep is what makes the different
-    polynomial orders separable.
-    """
-
-    gamma: float
-    k_max: int = 2
-    n_impulse_symbols: int = 4
-    n_train_symbols: int = 14
-    regularization: float = 0.0
-    impulse_amp_range: tuple[float, float] = (0.6, 2.0)
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.n_impulse_symbols < self.k_max + 1:
-            raise ValueError(
-                f"n_impulse_symbols={self.n_impulse_symbols} cannot identify "
-                f"{self.k_max + 1} polynomial coefficients"
-            )
-        if self.n_train_symbols < self.n_impulse_symbols + 1:
-            raise ValueError("n_train_symbols must leave at least one data training symbol")
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
-        lo, hi = self.impulse_amp_range
-        if not (0 < lo < hi):
-            raise ValueError("impulse_amp_range must be increasing and positive")
 
 
 @dataclass(frozen=True)
@@ -359,7 +321,8 @@ def estimate_pa(
     buffer: TrainingBuffer,
     los_gain: complex,
     b_hat: complex,
-    config: EstimatorConfig,
+    k_max: int,
+    regularization: float = 0.0,
     los_tap_index: int = 0,
     counter: OpCounter | None = None,
 ) -> dict[int, complex]:
@@ -388,7 +351,6 @@ def estimate_pa(
     cap, still independent of both band sizes.
     """
     m = buffer.n_impulse
-    k_max = config.k_max
     if m < k_max + 1:
         raise ValueError(
             f"{m} impulse symbols cannot identify {k_max + 1} coefficients"
@@ -408,7 +370,7 @@ def estimate_pa(
     if not amp.all():
         raise ValueError(f"impulse symbol {int(np.argmin(amp))} has no pilot energy")
     peaks = amp * grid.dl_size / p_total
-    alpha = peaks + b_hat * np.conj(peaks)
+    alpha = apply_iq_time(peaks, b_hat)
     mag2 = np.abs(alpha) ** 2
     rows = np.empty((m, k_max + 1), dtype=np.complex128)
     term = alpha
@@ -418,16 +380,14 @@ def estimate_pa(
     y = rx[:, (n0_int + los_tap_index) % p_total]
     if counter is not None:
         counter.charge("estimate_pa", mults=m * (2 * k_max + 3), adds=m)
-    coeffs = ls_solve(
-        rows, y, config.regularization, counter=counter, stage="estimate_pa"
-    )
+    coeffs = ls_solve(rows, y, regularization, counter=counter, stage="estimate_pa")
 
     guard = min(grid.cp_length, n0_int)
     if guard > 0:
         offsets = np.arange(-guard, guard + 1)
         kappa = _pilot_kernel(grid, buffer.omega, n0_int + offsets)
         x_all = peaks[:, None] * kappa[None, :]
-        a_all = x_all + b_hat * np.conj(x_all)
+        a_all = apply_iq_time(x_all, b_hat)
         mag2_all = np.abs(a_all) ** 2
         post_idx = (n0_int + los_tap_index + np.arange(1, guard + 1)) % p_total
         rx_post = rx[:, post_idx]
@@ -462,14 +422,12 @@ def estimate_pa(
             gains = ls_solve(
                 design.reshape(m * guard, len(taus)),
                 resid.reshape(m * guard),
-                config.regularization,
+                regularization,
                 counter=counter,
                 stage="estimate_pa",
             )
             y_corr = y - u[:, guard - taus] @ gains
-            coeffs = ls_solve(
-                rows, y_corr, config.regularization, counter=counter, stage="estimate_pa"
-            )
+            coeffs = ls_solve(rows, y_corr, regularization, counter=counter, stage="estimate_pa")
     return {2 * k + 1: complex(coeffs[k]) for k in range(k_max + 1)}
 
 
@@ -508,7 +466,7 @@ def estimate_channel(
     buffer: TrainingBuffer,
     a_hat: dict[int, complex],
     b_hat: complex,
-    config: EstimatorConfig,
+    k_max: int,
     counter: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-subcarrier scalar LS for the effective channel on the uplink band.
@@ -527,7 +485,6 @@ def estimate_channel(
         raise ValueError("estimate_channel needs at least one data training symbol")
     grid = buffer.grid
     p_total = grid.num_subcarriers
-    k_max = config.k_max
     ul = grid.ul_indices
     a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
 
@@ -783,116 +740,3 @@ def run_full_ls(
             adds=count * (k_max * len(ul) + len(ul)),
         )
     return est
-
-
-def save_coefficients(coeffs: SICCoefficients, path) -> None:
-    """Dump canceller coefficients to CSV with model headers.
-
-    Header comment lines carry the polynomial coefficients, the image
-    weight, the retained basis set K_p of every uplink subcarrier and the
-    unestimated subcarriers; the table body is one p,h_re,h_im row per
-    subcarrier.
-    """
-    lines = []
-    for order in sorted(coeffs.a_hat):
-        a = complex(coeffs.a_hat[order])
-        lines.append(f"# a_{order}={a.real!r},{a.imag!r}")
-    b = complex(coeffs.b_hat)
-    lines.append(f"# b_iq={b.real!r},{b.imag!r}")
-    ul = coeffs.grid.ul_indices
-    mask = coeffs.retained
-    kp = ";".join(
-        f"{p}:" + " ".join(str(k + 1) for k in np.flatnonzero(mask[1:, p])) for p in ul
-    )
-    lines.append(f"# K_p={kp}")
-    unestimated = ul[~mask[0, ul]]
-    if unestimated.size:
-        lines.append("# unestimated=" + " ".join(str(p) for p in unestimated))
-    lines.append("p,h_re,h_im")
-    for p in range(coeffs.grid.num_subcarriers):
-        h = complex(coeffs.h_hat[p])
-        lines.append(f"{p},{h.real!r},{h.imag!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_coefficients(path, grid: SubcarrierGrid) -> SICCoefficients:
-    """Inverse of save_coefficients; round-trips exactly.
-
-    The K_p and unestimated headers become the retained-order mask.
-    Orders listed at an unestimated subcarrier are dropped, since the
-    canceller never acts there. Subcarrier indices off the grid (or, in
-    the headers, off the uplink) are rejected with their line number.
-    """
-    p_total = grid.num_subcarriers
-    a_hat: dict[int, complex] = {}
-    b_hat = 0.0 + 0.0j
-    kept: list[tuple[int, int, int]] = []
-    unestimated: list[int] = []
-    h_hat = np.zeros(p_total, dtype=np.complex128)
-    saw_header = False
-
-    def number(parse, text: str, lineno: int):
-        try:
-            return parse(text)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {text.strip()!r} is not a number") from None
-
-    def subcarrier(text: str, lineno: int, lo: int, hi: int, where: str) -> int:
-        p = number(int, text, lineno)
-        if not lo <= p <= hi:
-            raise ValueError(f"line {lineno}: subcarrier {p} is outside the {where} {lo}..{hi}")
-        return p
-
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                key = key.strip()
-                if key.startswith("a_"):
-                    re_s, _, im_s = value.partition(",")
-                    a_hat[int(key[2:])] = complex(float(re_s), float(im_s))
-                elif key == "b_iq":
-                    re_s, _, im_s = value.partition(",")
-                    b_hat = complex(float(re_s), float(im_s))
-                elif key == "K_p":
-                    for item in value.split(";"):
-                        if not item:
-                            continue
-                        p_s, _, ks = item.partition(":")
-                        p = subcarrier(p_s, lineno, *grid.ul_set, "uplink")
-                        kept.extend((lineno, p, int(k)) for k in ks.split())
-                elif key == "unestimated":
-                    unestimated.extend(
-                        subcarrier(p_s, lineno, *grid.ul_set, "uplink") for p_s in value.split()
-                    )
-                else:
-                    raise ValueError(f"line {lineno}: unknown header key {key!r}")
-                continue
-            if line == "p,h_re,h_im":
-                saw_header = True
-                continue
-            if not saw_header:
-                raise ValueError(f"line {lineno}: data before the p,h_re,h_im header")
-            row = line.split(",")
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected p,h_re,h_im, got {len(row)} fields")
-            p_s, re_s, im_s = row
-            h_hat[subcarrier(p_s, lineno, 0, p_total - 1, "grid")] = complex(
-                number(float, re_s, lineno), number(float, im_s, lineno)
-            )
-    if not a_hat:
-        raise ValueError("coefficient file carries no polynomial headers")
-    k_max = (max(a_hat) - 1) // 2
-    retained = np.zeros((k_max + 1, p_total), dtype=bool)
-    retained[0, grid.ul_indices] = True
-    retained[0, unestimated] = False
-    for lineno, p, k in kept:
-        if not 1 <= k <= k_max:
-            raise ValueError(f"line {lineno}: basis set at p={p} is outside 1..{k_max}")
-        retained[k, p] = True
-    retained[1:] &= retained[0]
-    return SICCoefficients(grid=grid, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)

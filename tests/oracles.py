@@ -15,12 +15,7 @@ import numpy as np
 
 from flexsic.counters import OpCounter, ls_costs
 from flexsic.ofdm import SubcarrierGrid
-from flexsic.sic import (
-    EstimatorConfig,
-    SingularSystemError,
-    TrainingBuffer,
-    _charged_bases,
-)
+from flexsic.sic import SingularSystemError, TrainingBuffer, _charged_bases
 
 
 def dft_ref(samples: np.ndarray) -> np.ndarray:
@@ -460,7 +455,7 @@ def estimate_channel_loop(
     buffer: TrainingBuffer,
     a_hat: dict[int, complex],
     b_hat: complex,
-    config: EstimatorConfig,
+    k_max: int,
     counter: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Channel estimate accumulated one data training symbol at a time.
@@ -477,7 +472,6 @@ def estimate_channel_loop(
         raise ValueError("estimate_channel needs at least one data training symbol")
     grid = buffer.grid
     p_total = grid.num_subcarriers
-    k_max = config.k_max
     ul = grid.ul_indices
     a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
 

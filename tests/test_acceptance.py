@@ -15,6 +15,7 @@ its assertion message and fails honestly.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from flexsic.imd import (
     q_size,
 )
 from flexsic.impairments import (
-    IQImbalance,
     apply_iq_time,
     apply_pa,
     default_measured_pa,
@@ -52,9 +52,8 @@ from flexsic.ofdm import (
     mirror_values,
     remove_cp,
 )
-from flexsic.scenario import ScenarioSpec, run_scenario, scenario_with
+from flexsic.scenario import ScenarioSpec, run_scenario
 from flexsic.sic import (
-    EstimatorConfig,
     SICCoefficients,
     TrainingBuffer,
     estimate_iq,
@@ -118,15 +117,15 @@ def test_recursive_basis_matches_direct_computation():
     """
     t0 = time.perf_counter()
     grid = ScenarioSpec(duplex="ibfd").build_grid()
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     worst_norm = 0.0
     worst_elem = 0.0
     for seed in range(50):
         sym = gen_qam_symbols(grid, 16, 1.0, 1, 4000 + seed)[0]
-        xiq = sym + imb.b_iq * np.conj(mirror_values(sym))
+        xiq = sym + b_iq * np.conj(mirror_values(sym))
         chain = basis_chain(xiq, 3)
         for k in range(4):
-            direct = basis_direct(sym, imb, k)
+            direct = basis_direct(sym, b_iq, k)
             diff = np.abs(chain[k] - direct)
             peak = float(np.max(np.abs(direct)))
             worst_norm = max(worst_norm, float(np.max(diff)) / peak)
@@ -176,11 +175,11 @@ def test_predicted_basis_powers_match_monte_carlo():
     for duplex in ("ibfd", "sbfd"):
         grid = ScenarioSpec(duplex=duplex).build_grid()
         ul = grid.ul_indices
-        for b_label, imb in (("b=0", IQImbalance(0.0)), ("irr25", irr_to_b(25.0, 0.3))):
-            mc, se = mc_mu(grid, imb.b_iq, n_sym, seed=77, k_max=2)
-            pred = mu_tables(grid, imb, 1.0, 2, "biq")
+        for b_label, b_iq in (("b=0", 0.0), ("irr25", irr_to_b(25.0, 0.3))):
+            mc, se = mc_mu(grid, b_iq, n_sym, seed=77, k_max=2)
+            pred = mu_tables(grid, b_iq, 1.0, 2, "biq")
             if b_label == "irr25":
-                pred_a4 = mu_tables(grid, imb, 1.0, 2, "a4")
+                pred_a4 = mu_tables(grid, b_iq, 1.0, 2, "a4")
                 for k in (1, 2):
                     mode_devs[(duplex, k)] = (
                         float(np.max(np.abs(mc[k, ul] - pred[k, ul]) / pred[k, ul])),
@@ -243,15 +242,15 @@ def test_impulse_pilot_closed_form_basis_is_exact():
     """
     t0 = time.perf_counter()
     grid = ScenarioSpec(duplex="ibfd").build_grid()
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     a_digi = 1.1
     omega = default_pilot_omega(grid)
     pilot = impulse_pilot(grid, a_digi, omega)
     qs = q_size(grid, 2)
     worst = 0.0
     for k in (0, 1, 2):
-        closed = impulse_pilot_basis(grid, imb, a_digi, omega, k, qs)
-        direct = basis_direct(pilot, imb, k)
+        closed = impulse_pilot_basis(grid, b_iq, a_digi, omega, k, qs)
+        direct = basis_direct(pilot, b_iq, k)
         peak = float(np.max(np.abs(direct)))
         support = np.abs(direct) > 1e-6 * peak
         rel = float(np.max(np.abs(closed - direct)[support] / np.abs(direct[support])))
@@ -287,7 +286,7 @@ def test_cancellers_reach_noise_floor_across_duplex_modes():
         base = ScenarioSpec(duplex=mode, cancellers=cancellers)
         acc = {c: None for c in cancellers}
         for seed in range(1, 21):
-            rep = run_scenario(scenario_with(base, seed=seed))
+            rep = run_scenario(replace(base, seed=seed))
             for c in cancellers:
                 mw = 10.0 ** (np.asarray(rep.psd_dbm[c]) / 10.0)
                 acc[c] = mw if acc[c] is None else acc[c] + mw
@@ -400,7 +399,7 @@ def test_arithmetic_cost_scaling_and_baseline_comparison():
 
     grid_hot = SubcarrierGrid(256, 120e3, 32, (20, 80), (90, 200))
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
-    mu = mu_tables(grid_hot, IQImbalance(0.0), a_digi, 2)
+    mu = mu_tables(grid_hot, 0.0, a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
     retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
     coeffs = SICCoefficients(
@@ -443,7 +442,7 @@ def test_basis_selection_thins_away_from_downlink():
     t0 = time.perf_counter()
     grid_hot = SubcarrierGrid(256, 120e3, 32, (20, 80), (90, 200))
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
-    mu = mu_tables(grid_hot, IQImbalance(0.0), a_digi, 2)
+    mu = mu_tables(grid_hot, 0.0, a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
     retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
     sizes = retained[1:, grid_hot.ul_indices].sum(axis=0)
@@ -458,7 +457,7 @@ def test_basis_selection_thins_away_from_downlink():
     )
 
     pa = default_measured_pa()
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     sums = {}
     gamma_shared = None
     for duplex in ("ibfd", "sbfd"):
@@ -468,7 +467,7 @@ def test_basis_selection_thins_away_from_downlink():
             gamma_shared = abs(pa.coeff(1) * drive) ** 2 * 10.0 ** (
                 (NOISE_DBM - 23.0) / 10.0
             )
-        mu_g = mu_tables(g, imb, drive, 2)
+        mu_g = mu_tables(g, b_iq, drive, 2)
         sel = select_basis(
             dict(PA_TRUTH), mu_g, h_flat, gamma_shared, 2, g
         )
@@ -503,12 +502,11 @@ def test_amplifier_coefficients_recovered_from_pilots():
     spec = ScenarioSpec(duplex="ibfd", n_impulse_symbols=8, n_train_symbols=14)
     grid = spec.build_grid()
     pa = default_measured_pa()
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     a_digi = 0.5 * 256 / np.sqrt(grid.dl_size)
     unit = abs(pa.coeff(1) * a_digi) ** 2
     sigma_t = float(np.sqrt(unit * 10.0 ** ((NOISE_DBM - 23.0) / 10.0) / 256))
     truth = np.array([PA_TRUTH[1], PA_TRUTH[3], PA_TRUTH[5]])
-    cfg = EstimatorConfig(gamma=1e-9, k_max=2, n_impulse_symbols=8, n_train_symbols=14)
 
     def build_chan(profile: ChannelProfile, seed: int):
         rays = synth_channel(profile, grid, seed)
@@ -517,7 +515,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
         return apply_beams(mimo, conjugate_beam(geom, 0.4), conjugate_beam(geom, -0.4))
 
     def rx_body(x, chan, sigma, rng):
-        t = apply_pa(apply_iq_time(idft(x), imb), pa)
+        t = apply_pa(apply_iq_time(idft(x), b_iq), pa)
         samples = remove_cp(apply_channel(add_cp(t, grid), chan), grid)
         if rng is not None and sigma > 0:
             noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -535,7 +533,9 @@ def test_amplifier_coefficients_recovered_from_pilots():
 
     chan_los = build_chan(ChannelProfile(n_rays=1), seed=10)
     buf = training(chan_los, 0, 0.0)
-    a_hat = estimate_pa(buf, chan_los.los_scalar, imb.b_iq, cfg, chan_los.los_tap_index)
+    a_hat = estimate_pa(
+        buf, chan_los.los_scalar, b_iq, 2, los_tap_index=chan_los.los_tap_index
+    )
     noiseless = np.array([a_hat[1], a_hat[3], a_hat[5]])
     rel_noiseless = np.abs(noiseless - truth) / np.abs(truth)
     assert np.all(rel_noiseless <= 1e-6), (
@@ -543,7 +543,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
         f"{rel_noiseless.tolist()} (tolerance 1e-6)"
     )
 
-    alphas = np.abs(np.linspace(0.6, 2.0, 8) * (1 + imb.b_iq))
+    alphas = np.abs(np.linspace(0.6, 2.0, 8) * (1 + b_iq))
     weights = np.array(
         [np.sqrt(np.mean(alphas ** (2 * (2 * k + 1)))) for k in range(3)]
     )
@@ -553,7 +553,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
         chan = build_chan(ChannelProfile(), seed=100 + seed)
         buf = training(chan, seed, sigma_t)
         b_hat = estimate_iq(buf)
-        a_noisy = estimate_pa(buf, chan.los_scalar, b_hat, cfg, chan.los_tap_index)
+        a_noisy = estimate_pa(buf, chan.los_scalar, b_hat, 2, los_tap_index=chan.los_tap_index)
         est = np.array([a_noisy[1], a_noisy[3], a_noisy[5]])
         vec_errs.append(
             float(np.linalg.norm(weights * (est - truth)) / np.linalg.norm(weights * truth))
@@ -580,7 +580,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
     for n_train in lengths:
         vals = []
         for seed in range(8):
-            s = scenario_with(base, n_train_symbols=n_train, seed=500 + seed)
+            s = replace(base, n_train_symbols=n_train, seed=500 + seed)
             rep = run_scenario(s)
             vals.append(float(np.mean(10.0 ** (np.asarray(rep.psd_dbm["proposed"]) / 10.0))))
         residuals.append(float(np.mean(vals)))

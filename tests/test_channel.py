@@ -112,7 +112,6 @@ def test_siso_los_channel_is_flat():
     assert chan.los_tap_index == 0
     assert chan.los_scalar == pytest.approx(0.5 + 0.1j)
     assert np.allclose(chan.freq_response, 0.5 + 0.1j)
-    assert np.allclose(chan.los_gain, chan.freq_response)
 
 
 def test_apply_channel_equals_frequency_product():

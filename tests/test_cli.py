@@ -125,6 +125,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("cancellers", "proposed"),
         ("impulse_amp_range", [0.6]),
         ("n_train_symbols", 2),
+        ("seed", -1),
+        ("k_max", 0),
+        ("n_impulse_symbols", 2),
+        ("regularization", -1.0),
+        ("impulse_amp_range", [2.0, 0.6]),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
@@ -134,3 +139,21 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {key} must")
+
+
+def test_negative_seed_override_exits_2_naming_the_option(tmp_path, config_path, capsys):
+    rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --seed must be nonnegative")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["tables", "validate"])
+def test_tables_and_validate_reject_a_config_that_run_rejects(tmp_path, capsys, command):
+    # the three subcommands share one validity rule; run's k_max case is in the malformed-value test
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, "k_max": 0}))
+    out = ["--out", str(tmp_path / "t.csv")] if command == "tables" else []
+    rc = main([command, "--config", str(path)] + out)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: k_max must")

@@ -17,7 +17,7 @@ from flexsic.imd import (
     predict_si_power,
     q_size,
 )
-from flexsic.impairments import IQImbalance, apply_iq_freq, irr_to_b
+from flexsic.impairments import apply_iq_freq, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
 from oracles import brute_lambda, brute_q_size, exact_mu_gauss, exact_mu_tiny, mc_mu, tuple_basis
 
@@ -83,35 +83,35 @@ def test_q_size_switches_to_exact_big_integers():
 @pytest.mark.parametrize("k", [1, 2])
 def test_basis_direct_matches_tuple_sum(k):
     g = tiny_grid()
-    imb = IQImbalance(b_iq=0.06 * np.exp(0.4j))
+    b_iq = 0.06 * np.exp(0.4j)
     rng = np.random.default_rng(3)
     values = np.zeros(8, dtype=complex)
     values[g.dl_indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    direct = basis_direct(values, imb, k)
-    literal = tuple_basis(apply_iq_freq(values, imb.b_iq), k)
+    direct = basis_direct(values, b_iq, k)
+    literal = tuple_basis(apply_iq_freq(values, b_iq), k)
     assert np.allclose(direct, literal, atol=1e-12)
 
 
 def test_basis_chain_matches_direct():
     g = mid_grid()
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     syms = gen_qam_symbols(g, 16, amplitude=1.0, count=3, seed=7)
     sym = syms[0]
-    x_iq = apply_iq_freq(sym, imb.b_iq)
+    x_iq = apply_iq_freq(sym, b_iq)
 
     chain = basis_chain(x_iq, k_max=3)
     assert chain.shape == (4, 32)
     assert np.array_equal(chain[0], x_iq)
     for k in range(1, 4):
-        direct = basis_direct(sym, imb, k)
+        direct = basis_direct(sym, b_iq, k)
         scale = np.abs(direct).max()
         assert np.abs(chain[k] - direct).max() / scale < 1e-10
     # a stack of symbols gives one chain per row, bit for bit
-    stacked = basis_chain(apply_iq_freq(syms, imb.b_iq), k_max=3)
+    stacked = basis_chain(apply_iq_freq(syms, b_iq), k_max=3)
     assert stacked.shape == (3, 4, 32)
     for row, x in zip(stacked, syms):
-        assert np.array_equal(row, basis_chain(apply_iq_freq(x, imb.b_iq), k_max=3))
-    assert np.array_equal(basis_direct(syms, imb, 2)[2], basis_direct(syms[2], imb, 2))
+        assert np.array_equal(row, basis_chain(apply_iq_freq(x, b_iq), k_max=3))
+    assert np.array_equal(basis_direct(syms, b_iq, 2)[2], basis_direct(syms[2], b_iq, 2))
 
 
 # ---------------------------------------------------------------- power prediction
@@ -120,7 +120,7 @@ def test_basis_chain_matches_direct():
 def test_mu_first_order_row_is_exact():
     # with b = 0 the order-1 row and the exact second moment agree to rounding
     g = mid_grid()
-    mu = mu_tables(g, IQImbalance(), a_digi=1.3, k_max=2)
+    mu = mu_tables(g, 0.0, a_digi=1.3, k_max=2)
     exact = exact_mu_gauss(g, 0.0, 0, a_digi=1.3)
     assert np.allclose(mu[0], exact, rtol=1e-12, atol=1e-12)
     assert np.allclose(mu[0, g.dl_indices], 1.3**2)
@@ -128,7 +128,7 @@ def test_mu_first_order_row_is_exact():
 
 def test_mu_third_order_matches_exact_moments_without_imbalance():
     g = mid_grid()
-    mu = mu_tables(g, IQImbalance(), a_digi=1.0, k_max=1)
+    mu = mu_tables(g, 0.0, a_digi=1.0, k_max=1)
     exact = exact_mu_gauss(g, 0.0, 1)
     support = exact > 1e-300
     assert np.allclose(mu[1, support], exact[support], rtol=1e-9)
@@ -137,7 +137,7 @@ def test_mu_third_order_matches_exact_moments_without_imbalance():
 def test_mu_fifth_order_is_a_close_but_inexact_prediction():
     # the k = 2 recursion overcounts some index tuples; the gap stays small
     g = mid_grid()
-    mu = mu_tables(g, IQImbalance(), a_digi=1.0, k_max=2)
+    mu = mu_tables(g, 0.0, a_digi=1.0, k_max=2)
     exact = exact_mu_gauss(g, 0.0, 2)
     support = exact > 1e-12 * exact.max()
     rel = np.abs(mu[2, support] - exact[support]) / exact[support]
@@ -155,8 +155,7 @@ def test_exact_oracles_agree_with_each_other():
 
 def test_mu_against_short_monte_carlo():
     g = mid_grid()
-    imb = IQImbalance()
-    mu = mu_tables(g, imb, a_digi=1.0, k_max=1)
+    mu = mu_tables(g, 0.0, a_digi=1.0, k_max=1)
     mean, se = mc_mu(g, 0.0, n_sym=20000, seed=5, k_max=1)
     support = mu[1] > 0
     dev = np.abs(mean[1, support] - mu[1, support])
@@ -165,14 +164,14 @@ def test_mu_against_short_monte_carlo():
 
 def test_mu_scales_with_drive_and_imbalance():
     g = mid_grid()
-    base = mu_tables(g, IQImbalance(), a_digi=1.0, k_max=2)
-    louder = mu_tables(g, IQImbalance(), a_digi=2.0, k_max=2)
+    base = mu_tables(g, 0.0, a_digi=1.0, k_max=2)
+    louder = mu_tables(g, 0.0, a_digi=2.0, k_max=2)
     # mu_k scales as a^(2(2k+1))
     for k in range(3):
         assert np.allclose(louder[k], base[k] * 4.0 ** (2 * k + 1), rtol=1e-12)
-    imb = irr_to_b(25.0, 0.0)
-    tilted = mu_tables(g, imb, a_digi=1.0, k_max=2)
-    factor = (1 + abs(imb.b_iq) ** 2) ** 2
+    b_iq = irr_to_b(25.0, 0.0)
+    tilted = mu_tables(g, b_iq, a_digi=1.0, k_max=2)
+    factor = (1 + abs(b_iq) ** 2) ** 2
     assert np.allclose(tilted[0], base[0] * np.sqrt(factor), rtol=1e-12)
     assert np.allclose(tilted[1], base[1] * factor**1.5, rtol=1e-12)
 
@@ -180,25 +179,25 @@ def test_mu_scales_with_drive_and_imbalance():
 def test_mu_moment_mode_validation_and_gap():
     g = mid_grid()
     with pytest.raises(ValueError, match="moment_mode"):
-        mu_tables(g, IQImbalance(), 1.0, 1, moment_mode="exact")
-    imb = irr_to_b(25.0, 0.0)
-    biq = mu_tables(g, imb, 1.0, 1, moment_mode="biq")
-    a4 = mu_tables(g, imb, 1.0, 1, moment_mode="a4")
+        mu_tables(g, 0.0, 1.0, 1, moment_mode="exact")
+    b_iq = irr_to_b(25.0, 0.0)
+    biq = mu_tables(g, b_iq, 1.0, 1, moment_mode="biq")
+    a4 = mu_tables(g, b_iq, 1.0, 1, moment_mode="a4")
     # the modes differ only in the self-term, which lives on the downlink set
     assert np.all(biq[1] >= a4[1])
     assert np.all(biq[1, g.dl_indices] > a4[1, g.dl_indices])
-    plain = mu_tables(g, IQImbalance(), 1.0, 1, moment_mode="a4")
-    assert np.allclose(plain, mu_tables(g, IQImbalance(), 1.0, 1), rtol=1e-15)
+    plain = mu_tables(g, 0.0, 1.0, 1, moment_mode="a4")
+    assert np.allclose(plain, mu_tables(g, 0.0, 1.0, 1), rtol=1e-15)
 
 
 def test_make_imd_tables_and_dump(tmp_path):
     g = mid_grid()
-    imb = irr_to_b(25.0, 0.3)
-    tables = make_imd_tables(g, imb, a_digi=0.7, k_max=2)
+    b_iq = irr_to_b(25.0, 0.3)
+    tables = make_imd_tables(g, b_iq, a_digi=0.7, k_max=2)
     assert isinstance(tables, IMDTables)
     assert tables.q_size[0, g.dl_start] == 1
     assert tables.mu[0, g.dl_start] == pytest.approx(
-        (1 + abs(imb.b_iq) ** 2) * 0.49
+        (1 + abs(b_iq) ** 2) * 0.49
     )
     assert np.array_equal(tables.lambda_dl, lambda_dl(g))
 
@@ -243,32 +242,32 @@ def test_pilot_basis_closed_form_matches_direct(k):
     # mirror-closed downlink set, so the closed form holds with b != 0
     g = desk_grid()
     assert g.dl_start + g.dl_end == g.num_subcarriers
-    imb = irr_to_b(25.0, 0.3)
+    b_iq = irr_to_b(25.0, 0.3)
     a = 0.8
     pilot = impulse_pilot(g, a)
-    closed = impulse_pilot_basis(g, imb, a, k=k)
-    direct = basis_direct(pilot, imb, k)
+    closed = impulse_pilot_basis(g, b_iq, a, k=k)
+    direct = basis_direct(pilot, b_iq, k)
     scale = np.abs(direct).max()
     assert np.abs(closed - direct).max() / scale < 1e-12
     # an amplitude sweep gives one pilot per row, and each row keeps the closed form
     pilots = impulse_pilot(g, np.array([0.6, a, 1.3]))
     assert pilots.shape == (3, 256) and np.array_equal(pilots[1], pilot)
-    direct = basis_direct(pilots, imb, k)[2]
-    closed = impulse_pilot_basis(g, imb, 1.3, k=k)
+    direct = basis_direct(pilots, b_iq, k)[2]
+    closed = impulse_pilot_basis(g, b_iq, 1.3, k=k)
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 
 def test_pilot_basis_closed_form_without_imbalance_any_set():
     g = mid_grid()  # not mirror-closed
-    closed = impulse_pilot_basis(g, IQImbalance(), 1.1, k=2)
-    direct = basis_direct(impulse_pilot(g, 1.1), IQImbalance(), 2)
+    closed = impulse_pilot_basis(g, 0.0, 1.1, k=2)
+    direct = basis_direct(impulse_pilot(g, 1.1), 0.0, 2)
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 
 def test_pilot_basis_validation():
     g = mid_grid()
     with pytest.raises(ValueError, match="integer peak"):
-        impulse_pilot_basis(g, IQImbalance(), 1.0, omega=2 * np.pi * 4.5 / 32, k=1)
+        impulse_pilot_basis(g, 0.0, 1.0, omega=2 * np.pi * 4.5 / 32, k=1)
     with pytest.raises(ValueError, match="mirror-closed"):
         impulse_pilot_basis(g, irr_to_b(25.0), 1.0, k=1)
 
@@ -278,7 +277,7 @@ def test_pilot_basis_validation():
 
 def test_predict_si_power_shapes_and_values():
     g = mid_grid()
-    mu = mu_tables(g, IQImbalance(), 1.0, 1)
+    mu = mu_tables(g, 0.0, 1.0, 1)
     a_hat = np.array([2.0, 0.5j])
     h = np.full(32, 3.0 + 0j)
     out = predict_si_power(a_hat, mu, h)

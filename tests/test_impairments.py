@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flexsic.impairments import (
-    IQImbalance,
     PAPolynomial,
     apply_iq_freq,
     apply_iq_time,
@@ -17,19 +16,13 @@ from flexsic.ofdm import dft, idft, mirror_index
 # ---------------------------------------------------------------- IQ imbalance
 
 
-def test_iq_imbalance_validation_and_irr():
-    imb = IQImbalance(b_iq=0.1j)
-    assert imb.irr_db == pytest.approx(20.0)
-    assert IQImbalance().irr_db == float("inf")
-    with pytest.raises(ValueError, match="< 1"):
-        IQImbalance(b_iq=1.0)
-
-
 def test_irr_to_b_magnitude_and_phase():
-    imb = irr_to_b(25.0, phase=0.3)
-    assert abs(imb.b_iq) == pytest.approx(10 ** (-25 / 20))
-    assert np.angle(imb.b_iq) == pytest.approx(0.3)
-    assert imb.irr_db == pytest.approx(25.0)
+    b = irr_to_b(25.0, phase=0.3)
+    assert isinstance(b, complex)
+    assert abs(b) == pytest.approx(10 ** (-25 / 20))
+    assert np.angle(b) == pytest.approx(0.3)
+    # the image rejection ratio 1/|b|^2 comes back as 25 dB
+    assert -20.0 * np.log10(abs(b)) == pytest.approx(25.0)
     with pytest.raises(ValueError, match="positive"):
         irr_to_b(0.0)
 
@@ -38,19 +31,19 @@ def test_irr_to_b_magnitude_and_phase():
 def test_iq_time_and_freq_pictures_agree(p, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-    imb = IQImbalance(b_iq=0.05 * np.exp(0.7j))
-    via_time = dft(apply_iq_time(idft(values), imb))
-    via_freq = apply_iq_freq(values, imb.b_iq)
+    b = 0.05 * np.exp(0.7j)
+    via_time = dft(apply_iq_time(idft(values), b))
+    via_freq = apply_iq_freq(values, b)
     assert np.allclose(via_time, via_freq, atol=1e-9)
     # spot-check the mirror formula on one subcarrier
     q = p // 3
-    expected = values[q] + imb.b_iq * np.conj(values[mirror_index(q, p)])
+    expected = values[q] + b * np.conj(values[mirror_index(q, p)])
     assert via_freq[q] == pytest.approx(expected)
 
 
 def test_iq_zero_coefficient_is_identity():
     x = np.array([1 + 2j, -3j, 0.5])
-    out = apply_iq_time(x, IQImbalance())
+    out = apply_iq_time(x, 0.0)
     assert np.array_equal(out, x)
 
 
@@ -88,9 +81,9 @@ def test_default_measured_pa_values():
 def test_impairments_act_row_by_row_on_stacks():
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
-    imb = IQImbalance(b_iq=0.05 * np.exp(0.7j))
+    b = 0.05 * np.exp(0.7j)
     pa = default_measured_pa()
-    for apply, model in ((apply_iq_time, imb), (apply_iq_freq, imb.b_iq), (apply_pa, pa)):
+    for apply, model in ((apply_iq_time, b), (apply_iq_freq, b), (apply_pa, pa)):
         out = apply(stack, model)
         assert out.shape == stack.shape
         for row, x in zip(out, stack):

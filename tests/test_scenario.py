@@ -20,7 +20,6 @@ from flexsic.scenario import (
     load_spec,
     residual_cdf,
     run_scenario,
-    scenario_with,
     sicr,
     spec_from_dict,
     spec_to_dict,
@@ -100,6 +99,32 @@ def test_scenario_spec_validation():
         ScenarioSpec(n_run_symbols=0)
 
 
+def test_spec_rejects_bad_estimator_values():
+    # every message starts with the config key it is about
+    cases = [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"k_max": 0}, "k_max must be at least 1, got 0"),
+        ({"n_impulse_symbols": 2}, r"n_impulse_symbols must be at least k_max \+ 1 = 3"),
+        (
+            {"k_max": 3, "n_impulse_symbols": 3},
+            r"n_impulse_symbols must be at least k_max \+ 1 = 4",
+        ),
+        ({"n_train_symbols": 4}, "n_train_symbols must leave at least one data training symbol"),
+        ({"regularization": -1.0}, "regularization must be nonnegative, got -1.0"),
+        ({"impulse_amp_range": (2.0, 0.6)}, "impulse_amp_range must be increasing and positive"),
+        ({"impulse_amp_range": (0.0, 2.0)}, "impulse_amp_range must be increasing and positive"),
+    ]
+    for overrides, message in cases:
+        with pytest.raises(ValueError, match="^" + message):
+            ScenarioSpec(**overrides)
+
+
+def test_run_scenario_rejects_a_threshold_that_underflows():
+    # gamma is derived from gamma_dbm in run_scenario, so the check lives there
+    with pytest.raises(ValueError, match="^gamma_dbm=-5000.0 gives a selection threshold"):
+        run_scenario(small_spec(gamma_dbm=-5000.0))
+
+
 def test_spec_dict_roundtrip():
     spec = small_spec(
         duplex="custom",
@@ -133,14 +158,6 @@ def test_load_spec_errors(tmp_path):
     assert load_spec(path).num_subcarriers == 64
 
 
-def test_scenario_with_override():
-    spec = small_spec()
-    other = scenario_with(spec, irr_db=30.0)
-    assert other.irr_db == 30.0
-    assert spec.irr_db == 25.0
-    assert other.num_subcarriers == spec.num_subcarriers
-
-
 # ---------------------------------------------------------------- metrics
 
 
@@ -168,11 +185,12 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     # equal the chain run on that symbol alone, with the noise drawn per symbol
     spec = ScenarioSpec(duplex=preset, num_subcarriers=256, seed=3)
     grid = spec.build_grid()
-    imb, pa = spec.build_imbalance(), spec.build_pa()
+    b_iq, pa = spec.build_imbalance(), spec.build_pa()
     chan = _build_effective_channel(spec, grid, seed=11)
-    a_digi = spec.pa_drive_rms * 256 / np.sqrt(grid.dl_size)
+    a_digi = spec.drive_amplitude(grid)
+    assert a_digi == spec.pa_drive_rms * 256 / np.sqrt(grid.dl_size)
     sigma = 1e-3 * a_digi / 256
-    buf = _build_training(spec, grid, imb, pa, chan, a_digi, sigma, seed_data=12, seed_noise=13)
+    buf = _build_training(spec, grid, b_iq, pa, chan, a_digi, sigma, seed_data=12, seed_noise=13)
 
     omega = default_pilot_omega(grid)
     lo, hi = spec.impulse_amp_range
@@ -186,7 +204,7 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     assert buf.n_impulse == spec.n_impulse_symbols
     assert np.array_equal(buf.tx, tx)
     ref = rx_body_loop(
-        tx, imb.b_iq, pa.evaluate, chan.time_taps, grid.cp_length, sigma,
+        tx, b_iq, pa.evaluate, chan.time_taps, grid.cp_length, sigma,
         np.random.default_rng(13),
     )
     assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)

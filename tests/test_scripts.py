@@ -1,9 +1,11 @@
-"""Smoke runs of the command-line scripts under scripts/, with tiny arguments."""
+"""Smoke runs of the command-line scripts under scripts/ and of the README examples."""
 
 import importlib.util
 import pathlib
+import re
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -36,3 +38,13 @@ def test_run_duplex_suite_writes_one_csv_per_mode(tmp_path, capsys):
         assert lines[0] == "p,none,linear,proposed,pa_only,iq_only"
         assert len(lines) > 1
         assert all(len(line.split(",")) == 6 for line in lines)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart: library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    # SICR and noise floor, total multiplies, then the |K_p| row
+    assert len(out) >= 3

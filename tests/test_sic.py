@@ -9,10 +9,9 @@ from flexsic.imd import (
     mu_tables,
     predict_si_power,
 )
-from flexsic.impairments import IQImbalance, PAPolynomial, default_measured_pa, irr_to_b
+from flexsic.impairments import PAPolynomial, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
 from flexsic.sic import (
-    EstimatorConfig,
     SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
@@ -23,13 +22,11 @@ from flexsic.sic import (
     estimate_iq,
     estimate_linear_channel,
     estimate_pa,
-    load_coefficients,
     ls_solve,
     perfect_coefficients,
     precombine,
     run_full_ls,
     run_sic,
-    save_coefficients,
     select_basis,
 )
 from oracles import (
@@ -74,13 +71,13 @@ def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
     return body
 
 
-def make_buffer(grid, pa, b_iq, chan_freq, cfg, seed=0, a_digi=1.0, sigma=0.0):
+def make_buffer(grid, pa, b_iq, chan_freq, seed=0, a_digi=1.0, sigma=0.0, n_train=14):
+    # four impulse pilots swept over peak amplitudes 0.6..2.0, then data symbols
     omega = default_pilot_omega(grid)
     rng = np.random.default_rng(seed + 1000) if sigma > 0 else None
-    lo, hi = cfg.impulse_amp_range
     scale = grid.num_subcarriers / grid.dl_size
-    pilots = impulse_pilot(grid, np.linspace(lo, hi, cfg.n_impulse_symbols) * scale, omega)
-    n_data = cfg.n_train_symbols - cfg.n_impulse_symbols
+    pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 4) * scale, omega)
+    n_data = n_train - len(pilots)
     tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, n_data, seed)])
     rx = np.array([forward_body(x, pa, b_iq, chan_freq, rng, sigma) for x in tx])
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
@@ -109,10 +106,7 @@ def assert_stack_matches_rows(run, xs):
     assert counter.rows() == [(stage, kind, len(xs) * value) for stage, kind, value in one.rows()]
 
 
-def default_cfg(**overrides):
-    kwargs = dict(gamma=1e-12, k_max=2, n_impulse_symbols=4, n_train_symbols=14)
-    kwargs.update(overrides)
-    return EstimatorConfig(**kwargs)
+K_MAX = 2
 
 
 # ---------------------------------------------------------------- ls_solve
@@ -233,7 +227,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
     b = 0.05 * np.exp(0.4j)
     chan, _ = tapped_channel(g, seed=31)
     a_digi = 0.5 * p_total / np.sqrt(g.dl_size)
-    buf = make_buffer(g, pa, b, chan, default_cfg(), seed=31, a_digi=a_digi)
+    buf = make_buffer(g, pa, b, chan, seed=31, a_digi=a_digi)
     pairs = [p for p in g.dl_indices if p_total - p != p]
     late, ridged = pairs[3 * len(pairs) // 4], pairs[len(pairs) // 8]
     rng = np.random.default_rng(32)
@@ -258,10 +252,10 @@ def test_estimate_iq_matches_loop_reference(p_total):
 @pytest.mark.parametrize(
     "grid, b, regularization",
     [
-        (mirrored_grid(64), irr_to_b(25.0, 0.3).b_iq, 0.0),
-        (mirrored_grid(1024), irr_to_b(25.0, 0.3).b_iq, 0.0),
-        (mirrored_grid(1024), irr_to_b(25.0, 0.3).b_iq, 1e-3),
-        (sbfd_grid(), irr_to_b(25.0, 0.3).b_iq, 0.0),
+        (mirrored_grid(64), irr_to_b(25.0, 0.3), 0.0),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3), 0.0),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3), 1e-3),
+        (sbfd_grid(), irr_to_b(25.0, 0.3), 0.0),
         # without an image the linear column is zero on uplink 777..904,
         # so the ridge refit covers both blocks of the 305-subcarrier stack
         (SubcarrierGrid(1024, 120e3, 8, (112, 776), (600, 904)), 0.0, 0.0),
@@ -271,11 +265,10 @@ def test_estimate_iq_matches_loop_reference(p_total):
 def test_full_ls_matches_loop_reference(grid, b, regularization):
     pa = default_measured_pa()
     chan, _ = tapped_channel(grid, seed=33)
-    cfg = default_cfg()
-    buf = make_buffer(grid, pa, b, chan, cfg, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
+    buf = make_buffer(grid, pa, b, chan, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
     counter, ref_counter = OpCounter(), OpCounter()
-    coeffs = baseline_full_ls(buf, cfg.k_max, b, regularization, counter=counter)
-    ref = baseline_full_ls_loop(buf, grid, cfg.k_max, b, regularization, counter=ref_counter)
+    coeffs = baseline_full_ls(buf, K_MAX, b, regularization, counter=counter)
+    ref = baseline_full_ls_loop(buf, grid, K_MAX, b, regularization, counter=ref_counter)
     ul = grid.ul_indices
     size = np.linalg.norm(ref[:, ul], axis=0)
     assert np.all(size > 0)
@@ -299,36 +292,20 @@ def test_full_ls_matches_loop_reference(grid, b, regularization):
 )
 def test_estimate_channel_matches_loop_reference(grid):
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq if grid.dl_start + grid.dl_end == grid.num_subcarriers else 0.0
+    b = irr_to_b(25.0, 0.3) if grid.dl_start + grid.dl_end == grid.num_subcarriers else 0.0
     chan, _ = tapped_channel(grid, seed=34)
-    cfg = default_cfg()
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
-    buf = make_buffer(grid, pa, b, chan, cfg, seed=34, a_digi=a_digi, sigma=1e-6)
+    buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
     a_hat = {1: 35.0 + 0.2j, 3: -2.3 + 0.01j, 5: 0.002}
     counter, ref_counter = OpCounter(), OpCounter()
-    h_hat, estimated = estimate_channel(buf, a_hat, b, cfg, counter=counter)
-    h_ref, estimated_ref = estimate_channel_loop(buf, a_hat, b, cfg, counter=ref_counter)
+    h_hat, estimated = estimate_channel(buf, a_hat, b, K_MAX, counter=counter)
+    h_ref, estimated_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
     assert np.array_equal(estimated, estimated_ref)
     assert np.all(np.abs(h_hat - h_ref) <= 1e-12 * np.abs(h_ref))
     assert counter.rows() == ref_counter.rows()
 
 
-# ---------------------------------------------------------------- config, buffers
-
-
-def test_estimator_config_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        default_cfg(gamma=0.0)
-    with pytest.raises(ValueError, match="k_max"):
-        default_cfg(k_max=0)
-    with pytest.raises(ValueError, match="cannot identify"):
-        default_cfg(k_max=2, n_impulse_symbols=2)
-    with pytest.raises(ValueError, match="data training symbol"):
-        default_cfg(n_impulse_symbols=4, n_train_symbols=4)
-    with pytest.raises(ValueError, match="nonnegative"):
-        default_cfg(regularization=-1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        default_cfg(impulse_amp_range=(2.0, 0.6))
+# ---------------------------------------------------------------- buffers
 
 
 def test_training_buffer_ordering_and_shapes():
@@ -383,21 +360,21 @@ def test_estimate_iq_exact_with_linear_pa():
     g = ibfd_grid()
     pa = PAPolynomial({1: 2.0})
     b = 0.05 * np.exp(0.4j)
-    buf = make_buffer(g, pa, b, flat_channel(g), default_cfg(), seed=3)
+    buf = make_buffer(g, pa, b, flat_channel(g), seed=3)
     b_hat = estimate_iq(buf)
     assert abs(b_hat - b) < 1e-12
 
 
 def test_estimate_iq_zero_imbalance_estimates_zero():
     g = ibfd_grid()
-    buf = make_buffer(g, PAPolynomial({1: 2.0}), 0.0, flat_channel(g), default_cfg(), seed=4)
+    buf = make_buffer(g, PAPolynomial({1: 2.0}), 0.0, flat_channel(g), seed=4)
     assert abs(estimate_iq(buf)) < 1e-12
 
 
 def test_estimate_iq_tolerates_nonlinear_pa():
     g = ibfd_grid()
     b = 0.05 * np.exp(0.4j)
-    buf = make_buffer(g, default_measured_pa(), b, flat_channel(g), default_cfg(), seed=5,
+    buf = make_buffer(g, default_measured_pa(), b, flat_channel(g), seed=5,
                       a_digi=0.5 * 8 / np.sqrt(49))
     b_hat = estimate_iq(buf)
     assert abs(b_hat - b) / abs(b) < 0.05
@@ -405,13 +382,12 @@ def test_estimate_iq_tolerates_nonlinear_pa():
 
 def test_estimate_iq_needs_data_and_mirror_pairs():
     g = ibfd_grid()
-    cfg = default_cfg(n_train_symbols=5)  # one data symbol only
-    buf = make_buffer(g, PAPolynomial({1: 1.0}), 0.0, flat_channel(g), cfg)
+    buf = make_buffer(g, PAPolynomial({1: 1.0}), 0.0, flat_channel(g), n_train=5)  # one data row
     with pytest.raises(ValueError, match="at least 2 data"):
         estimate_iq(buf)
 
     g2 = SubcarrierGrid(16, 120e3, 4, (2, 6), (10, 14))  # mirrors fall outside the band
-    buf2 = make_buffer(g2, PAPolynomial({1: 1.0}), 0.0, flat_channel(g2), default_cfg())
+    buf2 = make_buffer(g2, PAPolynomial({1: 1.0}), 0.0, flat_channel(g2))
     with pytest.raises(ValueError, match="unidentifiable"):
         estimate_iq(buf2)
 
@@ -435,10 +411,10 @@ def test_estimate_iq_reports_zero_mirror_content():
 def test_estimate_pa_recovers_polynomial_exactly():
     g = ibfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
+    b = irr_to_b(25.0, 0.3)
     gain = 0.02 + 0.005j
-    buf = make_buffer(g, pa, b, flat_channel(g, gain), default_cfg(), seed=6)
-    a_hat = estimate_pa(buf, gain, b, default_cfg())
+    buf = make_buffer(g, pa, b, flat_channel(g, gain), seed=6)
+    a_hat = estimate_pa(buf, gain, b, K_MAX)
     for order, truth in pa.coeffs.items():
         assert abs(a_hat[order] - truth) / abs(truth) < 1e-9
 
@@ -447,8 +423,8 @@ def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
     g = ibfd_grid()
     pa = PAPolynomial({1: 10.0})
     gain = 0.02 + 0.005j
-    buf = make_buffer(g, pa, 0.0, flat_channel(g, gain), default_cfg(), seed=7)
-    a_hat = estimate_pa(buf, gain, 0.0, default_cfg())
+    buf = make_buffer(g, pa, 0.0, flat_channel(g, gain), seed=7)
+    a_hat = estimate_pa(buf, gain, 0.0, K_MAX)
     assert abs(a_hat[1] - 10.0) < 1e-9
     assert abs(a_hat[3]) < 1e-8
     assert abs(a_hat[5]) < 1e-8
@@ -456,34 +432,32 @@ def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
 
 def test_estimate_pa_validation():
     g = ibfd_grid()
-    cfg = default_cfg()
-    buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g), cfg)
+    buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     with pytest.raises(ValueError, match="nonzero"):
-        estimate_pa(buf, 0.0, 0.0, cfg)
+        estimate_pa(buf, 0.0, 0.0, K_MAX)
     keep = np.r_[0:2, buf.n_impulse:len(buf.tx)]  # two impulse rows, every data row
     short = TrainingBuffer(grid=g, tx=buf.tx[keep], rx=buf.rx[keep], n_impulse=2, omega=buf.omega)
     with pytest.raises(ValueError, match="cannot identify"):
-        estimate_pa(short, 1.0, 0.0, cfg)
+        estimate_pa(short, 1.0, 0.0, K_MAX)
     crooked = TrainingBuffer(
         grid=g, tx=buf.tx, rx=buf.rx, n_impulse=buf.n_impulse, omega=buf.omega + 0.01
     )
     with pytest.raises(ValueError, match="integer sample"):
-        estimate_pa(crooked, 1.0, 0.0, cfg)
+        estimate_pa(crooked, 1.0, 0.0, K_MAX)
 
 
 def test_estimate_pa_coefficients_transfer_across_channels():
     # pilot training against one channel; the polynomial stays valid on another
     g = ibfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
-    cfg = default_cfg()
+    b = irr_to_b(25.0, 0.3)
     los = 0.02 + 0.005j
-    buf_a = make_buffer(g, pa, b, flat_channel(g, los), cfg, seed=8)
-    a_hat = estimate_pa(buf_a, los, b, cfg)
+    buf_a = make_buffer(g, pa, b, flat_channel(g, los), seed=8)
+    a_hat = estimate_pa(buf_a, los, b, K_MAX)
 
     chan_b, _ = tapped_channel(g, seed=9)
-    buf_b = make_buffer(g, pa, b, chan_b, cfg, seed=9)
-    h_hat, estimated = estimate_channel(buf_b, a_hat, b, cfg)
+    buf_b = make_buffer(g, pa, b, chan_b, seed=9)
+    h_hat, estimated = estimate_channel(buf_b, a_hat, b, K_MAX)
     assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
@@ -496,11 +470,10 @@ def test_estimate_pa_coefficients_transfer_across_channels():
 def test_estimate_channel_noiseless_recovery():
     g = ibfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
+    b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=10)
-    cfg = default_cfg()
-    buf = make_buffer(g, pa, b, chan, cfg, seed=10)
-    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), b, cfg)
+    buf = make_buffer(g, pa, b, chan, seed=10)
+    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), b, K_MAX)
     assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
@@ -514,10 +487,9 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     # 3*10 - 2*4 = 22, so the upper uplink subcarriers see no regressor at all
     g = SubcarrierGrid(64, 120e3, 8, (4, 10), (12, 30))
     pa = default_measured_pa()
-    cfg = default_cfg()
     chan, _ = tapped_channel(g, seed=11)
-    buf = make_buffer(g, pa, 0.0, chan, cfg, seed=11)
-    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), 0.0, cfg)
+    buf = make_buffer(g, pa, 0.0, chan, seed=11)
+    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), 0.0, K_MAX)
     assert not estimated[: g.ul_start].any() and not estimated[g.ul_end + 1 :].any()
     unest = frozenset(int(p) for p in g.ul_indices[~estimated[g.ul_indices]])
     # everything past the support edge must be flagged; the last few inside
@@ -532,13 +504,12 @@ def test_estimate_channel_marks_unreachable_subcarriers():
 def test_estimate_channel_counter_charge_is_linear_in_band():
     g = ibfd_grid()
     pa = default_measured_pa()
-    cfg = default_cfg()
-    buf = make_buffer(g, pa, 0.0, flat_channel(g), cfg, seed=12)
+    buf = make_buffer(g, pa, 0.0, flat_channel(g), seed=12)
     counter = OpCounter()
-    estimate_channel(buf, dict(pa.coeffs), 0.0, cfg, counter=counter)
+    estimate_channel(buf, dict(pa.coeffs), 0.0, K_MAX, counter=counter)
     n_ul = g.ul_size
     m = len(buf.tx) - buf.n_impulse
-    assert counter.mults("estimate_channel") == m * n_ul * (cfg.k_max + 3) + n_ul
+    assert counter.mults("estimate_channel") == m * n_ul * (K_MAX + 3) + n_ul
 
 
 # ---------------------------------------------------------------- basis selection
@@ -548,7 +519,7 @@ def test_select_basis_threshold_walk():
     g = ibfd_grid()
     pa = default_measured_pa()
     a_hat = dict(pa.coeffs)
-    mu = mu_tables(g, IQImbalance(), 0.6, 2)
+    mu = mu_tables(g, 0.0, 0.6, 2)
     h = flat_channel(g, 0.05)
     ul = g.ul_indices
     full = select_basis(a_hat, mu, h, 1e-30, 2, g)
@@ -568,7 +539,7 @@ def test_select_basis_threshold_walk():
 
 def test_select_basis_validation():
     g = ibfd_grid()
-    mu = mu_tables(g, IQImbalance(), 1.0, 2)
+    mu = mu_tables(g, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         select_basis({1: 1.0}, mu, flat_channel(g), -1.0, 2, g)
     with pytest.raises(ValueError, match="cover"):
@@ -639,7 +610,7 @@ def test_run_sic_matches_loop_reference(k_max):
 def test_run_sic_with_perfect_coefficients_cancels_everything():
     g = ibfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
+    b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=13)
     coeffs = perfect_coefficients(g, chan, dict(pa.coeffs), b)
 
@@ -706,18 +677,17 @@ def test_precombine_matches_manual_product():
 def test_estimated_canceller_reaches_noise_floor():
     g = ibfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
+    b = irr_to_b(25.0, 0.3)
     chan, los = tapped_channel(g, seed=16)
-    cfg = default_cfg(gamma=1e-14)
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     sigma = 1e-5
-    buf = make_buffer(g, pa, b, chan, cfg, seed=16, a_digi=a_digi, sigma=sigma)
+    buf = make_buffer(g, pa, b, chan, seed=16, a_digi=a_digi, sigma=sigma)
 
     b_hat = estimate_iq(buf)
-    a_hat = estimate_pa(buf, los, b_hat, cfg)
-    h_hat, _ = estimate_channel(buf, a_hat, b_hat, cfg)
-    mu = mu_tables(g, IQImbalance(b_hat), a_digi, cfg.k_max)
-    retained = select_basis(a_hat, mu, h_hat, cfg.gamma, cfg.k_max, g)
+    a_hat = estimate_pa(buf, los, b_hat, K_MAX)
+    h_hat, _ = estimate_channel(buf, a_hat, b_hat, K_MAX)
+    mu = mu_tables(g, b_hat, a_digi, K_MAX)
+    retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
     coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
 
     rng = np.random.default_rng(99)
@@ -738,9 +708,8 @@ def test_linear_baseline_cancels_only_the_linear_part():
     g = ibfd_grid()
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=18)
-    cfg = default_cfg()
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
-    buf = make_buffer(g, pa, 0.0, chan, cfg, seed=18, a_digi=a_digi)
+    buf = make_buffer(g, pa, 0.0, chan, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=19)[0]
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
@@ -758,7 +727,7 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     g = sbfd_grid()
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=20)
-    buf = make_buffer(g, pa, 0.0, chan, default_cfg(), seed=20)
+    buf = make_buffer(g, pa, 0.0, chan, seed=20)
     h_lin = estimate_linear_channel(buf)
     assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
     x = gen_qam_symbols(g, 16, 1.0, 1, seed=21)[0]
@@ -774,12 +743,11 @@ def test_full_ls_baseline_handles_split_allocation():
     # the per-subcarrier solve must fall back to a ridge and still cancel
     g = sbfd_grid()
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3).b_iq
+    b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=22)
-    cfg = default_cfg()
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
-    buf = make_buffer(g, pa, b, chan, cfg, seed=22, a_digi=a_digi)
-    coeffs = baseline_full_ls(buf, cfg.k_max, b)
+    buf = make_buffer(g, pa, b, chan, seed=22, a_digi=a_digi)
+    coeffs = baseline_full_ls(buf, K_MAX, b)
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
@@ -795,79 +763,7 @@ def test_full_ls_baseline_handles_split_allocation():
 
 def test_full_ls_needs_enough_symbols():
     g = ibfd_grid()
-    cfg = default_cfg()
-    buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g), cfg)
+    buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2, omega=buf.omega)
     with pytest.raises(ValueError, match="cannot fit"):
-        baseline_full_ls(short, cfg.k_max)
-
-
-# ---------------------------------------------------------------- persistence
-
-
-def test_coefficients_roundtrip(tmp_path):
-    g = sbfd_grid()
-    chan, _ = tapped_channel(g, seed=24)
-    base = perfect_coefficients(g, chan, {1: 35.89, 3: -2.24 + 0.1j, 5: 0.0015}, 0.05j)
-    retained = base.retained.copy()
-    retained[1, g.ul_indices[0]] = False  # K_p = {2}: not downward closed
-    retained[:, g.ul_indices[1]] = False  # unestimated
-    coeffs = SICCoefficients(
-        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat, retained=retained
-    )
-    path = tmp_path / "coeffs.csv"
-    save_coefficients(coeffs, path)
-    text = path.read_text()
-    assert f"# K_p={g.ul_indices[0]}:2;{g.ul_indices[1]}:;{g.ul_indices[2]}:1 2;" in text
-    assert f"# unestimated={g.ul_indices[1]}\n" in text
-    back = load_coefficients(path, g)
-    assert back.a_hat == coeffs.a_hat
-    assert back.b_hat == coeffs.b_hat
-    assert np.array_equal(back.retained, coeffs.retained)
-    assert np.array_equal(back.h_hat, coeffs.h_hat)
-
-
-def test_load_coefficients_error_lines(tmp_path):
-    g = sbfd_grid()
-    path = tmp_path / "bad.csv"
-    path.write_text("# a_1=1.0,0.0\n# banana=3\np,h_re,h_im\n")
-    with pytest.raises(ValueError, match="line 2: unknown header key"):
-        load_coefficients(path, g)
-    path.write_text("# a_1=1.0,0.0\n0,1.0,0.0\n")
-    with pytest.raises(ValueError, match="line 2: data before"):
-        load_coefficients(path, g)
-    path.write_text("p,h_re,h_im\n0,1.0,0.0\n")
-    with pytest.raises(ValueError, match="no polynomial headers"):
-        load_coefficients(path, g)
-
-
-@pytest.mark.parametrize(
-    "body, message",
-    [
-        ("p,h_re,h_im\n-1,1.0,0.0\n", "line 3: subcarrier -1 is outside the grid 0..63"),
-        ("p,h_re,h_im\n64,1.0,0.0\n", "line 3: subcarrier 64 is outside the grid 0..63"),
-        ("# K_p=45:1\np,h_re,h_im\n", "line 2: subcarrier 45 is outside the uplink 46..62"),
-        ("# unestimated=-1\np,h_re,h_im\n", "line 2: subcarrier -1 is outside the uplink"),
-        ("# K_p=46:1\np,h_re,h_im\n", "line 2: basis set at p=46 is outside 1..0"),
-        ("p,h_re,h_im\n3,1.0\n", "line 3: expected p,h_re,h_im, got 2 fields"),
-        ("p,h_re,h_im\n3,1.0,0.0,9\n", "line 3: expected p,h_re,h_im, got 4 fields"),
-        ("p,h_re,h_im\n3,x,0.0\n", "line 3: 'x' is not a number"),
-    ],
-    ids=[
-        "negative-row",
-        "row-past-grid",
-        "kp-off-uplink",
-        "unestimated-off-uplink",
-        "order-past-kmax",
-        "row-too-short",
-        "row-too-long",
-        "row-not-a-number",
-    ],
-)
-def test_load_coefficients_rejects_out_of_range_indices(tmp_path, body, message):
-    # a negative row index would otherwise wrap onto h_hat[P-1]
-    g = sbfd_grid()
-    path = tmp_path / "bad.csv"
-    path.write_text("# a_1=1.0,0.0\n" + body)
-    with pytest.raises(ValueError, match=message):
-        load_coefficients(path, g)
+        baseline_full_ls(short, K_MAX)
