@@ -18,8 +18,17 @@ Expanding the transforms turns Phi into a sum over index tuples
 
 The IMD set Q^{2k+1}_p collects the downlink tuples landing on p; its size
 obeys an exact integer recursion through the pair-count function Lambda
-(the self-convolution of the downlink indicator), and the basis itself obeys
-a recursion that needs only one squared spectrum and one FFT per order.
+(the self-convolution of the downlink indicator, a triangle in closed
+form), and the basis itself obeys a recursion that needs only one squared
+spectrum and one FFT per order.
+
+Costs: lambda_dl is O(P). mu_tables, the basis-power prediction on the
+run path, is O(P log P) per order: one real-FFT circular correlation, with
+its round-off clipped to >= 0 and exact zeros kept off the subcarriers no
+tuple reaches. q_size stays exact in integers through an O(P^2) linear
+convolution; it serves the table dump, the validation and the pilot
+closed form, never the run path.
+
 Everything in this module is per-allocation and symbol-independent except
 the basis operators themselves, which act on the last axis of plain complex
 arrays: one (P,) spectrum or an (M, P) stack of them.
@@ -63,11 +72,12 @@ def lambda_dl(grid: SubcarrierGrid) -> np.ndarray:
 
     Returned as an integer array indexed by the plain (unwrapped) sum
     s in [0, 2P-2]; the support is [2 dl_start, 2 dl_end] and the values
-    form the triangle min(s - 2 dl_start, 2 dl_end - s) + 1 there.
+    form the triangle min(s - 2 dl_start, 2 dl_end - s) + 1 there, which
+    is evaluated directly in O(P).
     """
-    ind = np.zeros(grid.num_subcarriers, dtype=np.int64)
-    ind[grid.dl_indices] = 1
-    return np.convolve(ind, ind)
+    s = np.arange(2 * grid.num_subcarriers - 1, dtype=np.int64)
+    tri = np.minimum(s - 2 * grid.dl_start, 2 * grid.dl_end - s) + 1
+    return np.maximum(tri, 0)
 
 
 def _fold_mod_p(arr: np.ndarray, p: int) -> np.ndarray:
@@ -82,8 +92,9 @@ def _fold_mod_p(arr: np.ndarray, p: int) -> np.ndarray:
 def _circ_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact circular correlation T[p] = sum_rho a[(p + rho) mod P] b[rho].
 
-    Computed through one linear convolution plus alias folding, which keeps
-    integer inputs exact (no FFT round-off).
+    Computed through one O(P^2) linear convolution plus alias folding,
+    which keeps integer inputs exact (no FFT round-off). Only q_size uses
+    it; mu_tables correlates through the FFT instead.
     """
     p = len(a)
     flipped = np.roll(b[::-1], 1)  # flipped[u] = b[(-u) mod P]
@@ -186,6 +197,15 @@ def mu_tables(
     amplitudes as circular Gaussian, so for QAM inputs it carries an
     O(1/|DL|) relative error from degenerate index tuples, plus an
     O(|b|^2) term from conjugate-pair correlations.
+
+    Each order costs one real-FFT circular correlation, O(P log P), against
+    the spectrum of Lambda_fold computed once per call. A correlation of
+    nonnegative arrays is nonnegative, so its FFT round-off is clipped to
+    >= 0; and the signed sums of order-(2k+1) downlink tuples cover exactly
+    the integers in [dl_start - k w, dl_end + k w], w = dl_end - dl_start,
+    so every subcarrier off that arc (mod P) stays exactly 0, as in the
+    exact sum. Entries match the exact correlation to FFT round-off
+    relative to the row maximum; q_size is the exact integer path.
     """
     if moment_mode not in ("biq", "a4"):
         raise ValueError(f"moment_mode must be 'biq' or 'a4', got {moment_mode!r}")
@@ -196,11 +216,14 @@ def mu_tables(
     big_b = (1.0 + b_mag2) * a_digi**2
     f1 = big_b**2
     f2 = big_b**2 if moment_mode == "biq" else a_digi**4
-    lam_fold = _fold_mod_p(lambda_dl(grid), p).astype(np.float64)
+    lam_hat = np.fft.rfft(_fold_mod_p(lambda_dl(grid), p).astype(np.float64))
+    w = grid.dl_end - grid.dl_start
     mu = np.zeros((k_max + 1, p), dtype=np.float64)
     mu[0, grid.dl_indices] = big_b
     for k in range(1, k_max + 1):
-        conv = _circ_corr(lam_fold, mu[k - 1])
+        conv = np.fft.irfft(lam_hat * np.conj(np.fft.rfft(mu[k - 1])), n=p)
+        reached = (np.arange(p) - (grid.dl_start - k * w)) % p <= (2 * k + 1) * w
+        conv = np.where(reached, np.maximum(conv, 0.0), 0.0)
         mu[k] = (2 * k * (2 * k - 1) * f1 / p**4) * conv + (
             (k + 1) ** 2 * f2 / p**4
         ) * grid.dl_size**2 * mu[k - 1]

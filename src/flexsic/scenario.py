@@ -174,6 +174,13 @@ class ScenarioSpec:
                 "n_train_symbols must leave at least one data training symbol after "
                 f"the {self.n_impulse_symbols} impulse symbols, got {self.n_train_symbols}"
             )
+        iq_users = [c for c in self.cancellers if c in _USES_B_HAT]
+        if iq_users and self.n_train_symbols < self.n_impulse_symbols + 2:
+            raise ValueError(
+                "n_train_symbols must leave at least two data training symbols after the "
+                f"{self.n_impulse_symbols} impulse symbols to estimate the IQ image weight "
+                f"for {', '.join(iq_users)}, got {self.n_train_symbols}"
+            )
         if self.regularization < 0:
             raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
         lo, hi = self.impulse_amp_range
@@ -475,6 +482,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     """Simulate one scenario end to end; deterministic in (spec, seed)."""
     if seed is None:
         seed = spec.seed
+    elif seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     grid = spec.build_grid()
     b_iq = spec.build_imbalance()
     pa = spec.build_pa()

@@ -245,6 +245,65 @@ def exact_mu_tiny(grid: SubcarrierGrid, k: int) -> np.ndarray:
     return out
 
 
+def _lambda_conv(grid: SubcarrierGrid) -> np.ndarray:
+    """Pair count Lambda[s] as the self-convolution of the downlink indicator."""
+    ind = np.zeros(grid.num_subcarriers, dtype=np.int64)
+    ind[grid.dl_indices] = 1
+    return np.convolve(ind, ind)
+
+
+def _fold_mod_p(arr: np.ndarray, p: int) -> np.ndarray:
+    """Fold an extended-index array onto [0, P) by alias summation."""
+    out = np.zeros(p, dtype=arr.dtype)
+    for start in range(0, len(arr), p):
+        chunk = arr[start:start + p]
+        out[: len(chunk)] += chunk
+    return out
+
+
+def _circ_corr_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Circular correlation T[p] = sum_rho a[(p + rho) mod P] b[rho], O(P^2)."""
+    p = len(a)
+    flipped = np.roll(b[::-1], 1)  # flipped[u] = b[(-u) mod P]
+    lin = np.convolve(a, flipped)
+    return _fold_mod_p(lin, p)
+
+
+def mu_tables_conv(
+    grid: SubcarrierGrid,
+    b_iq: complex,
+    a_digi: float,
+    k_max: int,
+    moment_mode: str = "biq",
+) -> np.ndarray:
+    """Predicted basis powers by the mu_tables recursion, through direct convolutions.
+
+    The same recursion as flexsic.imd.mu_tables, with every correlation an
+    O(P^2) np.convolve: a sum of nonnegative terms, so it has no round-off
+    sign error and is exactly 0 wherever no term is nonzero.
+    """
+    if moment_mode not in ("biq", "a4"):
+        raise ValueError(f"moment_mode must be 'biq' or 'a4', got {moment_mode!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    p = grid.num_subcarriers
+    b_mag2 = abs(b_iq) ** 2
+    big_b = (1.0 + b_mag2) * a_digi**2
+    f1 = big_b**2
+    f2 = big_b**2 if moment_mode == "biq" else a_digi**4
+    lam_fold = _fold_mod_p(_lambda_conv(grid), p).astype(np.float64)
+    mu = np.zeros((k_max + 1, p), dtype=np.float64)
+    mu[0, grid.dl_indices] = big_b
+    for k in range(1, k_max + 1):
+        conv = _circ_corr_conv(lam_fold, mu[k - 1])
+        mu[k] = (2 * k * (2 * k - 1) * f1 / p**4) * conv + (
+            (k + 1) ** 2 * f2 / p**4
+        ) * grid.dl_size**2 * mu[k - 1]
+    if np.any(mu < 0):
+        raise AssertionError("mu table contains negative entries")
+    return mu
+
+
 def select_basis_loop(
     a_hat: dict[int, complex],
     mu: np.ndarray,

@@ -130,6 +130,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("n_impulse_symbols", 2),
         ("regularization", -1.0),
         ("impulse_amp_range", [2.0, 0.6]),
+        ("n_train_symbols", 5),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):

@@ -17,9 +17,19 @@ from flexsic.imd import (
     predict_si_power,
     q_size,
 )
-from flexsic.impairments import apply_iq_freq, irr_to_b
+from flexsic.impairments import apply_iq_freq, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
-from oracles import brute_lambda, brute_q_size, exact_mu_gauss, exact_mu_tiny, mc_mu, tuple_basis
+from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
+from flexsic.sic import select_basis
+from oracles import (
+    brute_lambda,
+    brute_q_size,
+    exact_mu_gauss,
+    exact_mu_tiny,
+    mc_mu,
+    mu_tables_conv,
+    tuple_basis,
+)
 
 
 def tiny_grid():
@@ -160,6 +170,43 @@ def test_mu_against_short_monte_carlo():
     support = mu[1] > 0
     dev = np.abs(mean[1, support] - mu[1, support])
     assert np.all(dev <= np.maximum(0.05 * mu[1, support], 4 * se[1, support]))
+
+
+def test_mu_tables_match_convolution_reference():
+    # the FFT correlation against the O(P^2) convolution it replaced: round-off
+    # only, never negative, exact zeros kept, and the same retained orders
+    grids = [
+        ScenarioSpec(num_subcarriers=p, duplex=preset).build_grid()
+        for p in (64, 256, 1024, 4096)
+        for preset in DUPLEX_PRESETS
+    ]
+    grids += [
+        SubcarrierGrid(4096, 60e3, 32, (100, 684), (800, 900)),  # |DL| = 585
+        SubcarrierGrid(1024, 60e3, 32, (100, 400), (500, 600)),
+        SubcarrierGrid(4096, 60e3, 32, (3990, 4095), (10, 200)),
+        SubcarrierGrid(64, 60e3, 16, (10, 10), (5, 30)),
+    ]
+    pa = default_measured_pa()
+    rng = np.random.default_rng(8)
+    for g in grids:
+        a_digi = ScenarioSpec().drive_amplitude(g)
+        re, im = rng.standard_normal((2, g.num_subcarriers))
+        h = 0.05 * (re + 1j * im)
+        for b_iq in (0.0, irr_to_b(25.0, 0.3)):
+            for k_max in (1, 2, 3):
+                ref = mu_tables_conv(g, b_iq, a_digi, k_max)
+                mu = mu_tables(g, b_iq, a_digi, k_max)
+                scale = ref.max(axis=1, keepdims=True)
+                assert np.all(np.abs(mu - ref) <= 1e-12 * scale)
+                assert np.all(mu >= 0)
+                assert np.all(mu[ref == 0] == 0)
+                a_hat = {2 * k + 1: pa.coeff(2 * k + 1) for k in range(k_max + 1)}
+                power = predict_si_power(np.array(list(a_hat.values())), ref, h)[1:, g.ul_indices]
+                for gamma in 1.01 * np.geomspace(power[power > 0].min(), power.max(), 13):
+                    assert np.array_equal(
+                        select_basis(a_hat, mu, h, gamma, k_max, g),
+                        select_basis(a_hat, ref, h, gamma, k_max, g),
+                    )
 
 
 def test_mu_scales_with_drive_and_imbalance():

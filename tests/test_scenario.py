@@ -110,6 +110,11 @@ def test_spec_rejects_bad_estimator_values():
             r"n_impulse_symbols must be at least k_max \+ 1 = 4",
         ),
         ({"n_train_symbols": 4}, "n_train_symbols must leave at least one data training symbol"),
+        (
+            {"n_train_symbols": 5},
+            "n_train_symbols must leave at least two data training symbols after the 4 impulse "
+            "symbols to estimate the IQ image weight for proposed, got 5",
+        ),
         ({"regularization": -1.0}, "regularization must be nonnegative, got -1.0"),
         ({"impulse_amp_range": (2.0, 0.6)}, "impulse_amp_range must be increasing and positive"),
         ({"impulse_amp_range": (0.0, 2.0)}, "impulse_amp_range must be increasing and positive"),
@@ -117,6 +122,20 @@ def test_spec_rejects_bad_estimator_values():
     for overrides, message in cases:
         with pytest.raises(ValueError, match="^" + message):
             ScenarioSpec(**overrides)
+
+
+def test_one_data_training_symbol_serves_the_cancellers_without_b_hat():
+    # estimate_iq needs two data symbols; none, linear and pa_only need one
+    report = run_scenario(small_spec(n_train_symbols=5, cancellers=("none", "linear", "pa_only")))
+    assert report.sicr_db["pa_only"] > report.sicr_db["linear"] > 0.0
+    for name in ("full_ls", "iq_only"):
+        with pytest.raises(ValueError, match=f"^n_train_symbols must .* for {name}, got 5$"):
+            small_spec(n_train_symbols=5, cancellers=("pa_only", name))
+
+
+def test_run_scenario_rejects_a_negative_seed_argument():
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        run_scenario(small_spec(), seed=-1)
 
 
 def test_run_scenario_rejects_a_threshold_that_underflows():
@@ -312,6 +331,18 @@ def test_all_cancellers_run_together():
     assert set(report.sicr_db) == set(CANCELLERS)
     assert report.sicr_db["full_ls"] > report.sicr_db["linear"]
     assert report.sicr_db["pa_only"] > 0.0
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_run_path_has_no_quadratic_kernel(monkeypatch, preset):
+    # every per-allocation table on the run path costs O(P log P) or less
+    def quadratic(*args, **kwargs):
+        raise AssertionError("O(P^2) convolution on the run path")
+
+    monkeypatch.setattr(np, "convolve", quadratic)
+    monkeypatch.setattr(np, "correlate", quadratic)
+    report = run_scenario(ScenarioSpec(num_subcarriers=256, duplex=preset, cancellers=CANCELLERS))
+    assert set(report.sicr_db) == set(CANCELLERS)
 
 
 @pytest.mark.parametrize("preset", DUPLEX_PRESETS)
