@@ -43,7 +43,6 @@ from .imd import (
     q_size,
 )
 from .impairments import (
-    PAPolynomial,
     apply_iq_freq,
     apply_iq_time,
     apply_pa,

@@ -29,7 +29,7 @@ from .imd import (
 from .impairments import apply_iq_freq, apply_pa
 from .ofdm import dft, gen_qam_symbols, idft, mirror_values
 from .scenario import emit_report, load_spec, run_scenario
-from .sic import perfect_coefficients, run_sic
+from .sic import perfect_coefficients, precombine, run_sic
 
 
 def _cmd_run(args) -> int:
@@ -59,7 +59,7 @@ def _cmd_validate(args) -> int:
     spec = load_spec(args.config)
     grid = spec.build_grid()
     b_iq = spec.build_imbalance()
-    pa = spec.build_pa()
+    a = spec.build_pa()
     a_digi = spec.drive_amplitude(grid)
     failures = 0
 
@@ -111,10 +111,10 @@ def _cmd_validate(args) -> int:
     except ValueError as reason:
         print(f"SKIP pilot-closed-form ({reason})")
 
-    pa_out = dft(apply_pa(idft(xiq), pa))
+    pa_out = dft(apply_pa(idft(xiq), a))
     flat = np.ones(p, dtype=np.complex128)
-    coeffs = perfect_coefficients(grid, flat, pa.coeffs, b_iq)
-    res = pa_out - run_sic(x, coeffs)
+    coeffs = perfect_coefficients(grid, flat, a, b_iq)
+    res = pa_out - run_sic(x, coeffs, precombine(coeffs))
     ul = grid.ul_indices
     scale = float(np.max(np.abs(pa_out[ul]))) or 1.0
     err = float(np.max(np.abs(res[ul]))) / scale

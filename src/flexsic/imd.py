@@ -17,17 +17,18 @@ Expanding the transforms turns Phi into a sum over index tuples
                     X_iq[q_1] ... X_iq[q_{k+1}] conj(X_iq[q_{k+2}]) ... conj(X_iq[q_{2k+1}]).
 
 The IMD set Q^{2k+1}_p collects the downlink tuples landing on p; its size
-obeys an exact integer recursion through the pair-count function Lambda
-(the self-convolution of the downlink indicator, a triangle in closed
-form), and the basis itself obeys a recursion that needs only one squared
-spectrum and one FFT per order.
+has an exact closed form, a bounded stars-and-bars count folded onto the
+grid. The basis-power prediction recurses through the pair-count function
+Lambda (the self-convolution of the downlink indicator, a triangle in
+closed form), and the basis itself obeys a recursion that needs only one
+squared spectrum and one FFT per order.
 
 Costs: lambda_dl is O(P). mu_tables, the basis-power prediction on the
 run path, is O(P log P) per order: one real-FFT circular correlation, with
 its round-off clipped to >= 0 and exact zeros kept off the subcarriers no
-tuple reaches. q_size stays exact in integers through an O(P^2) linear
-convolution; it serves the table dump, the validation and the pilot
-closed form, never the run path.
+tuple reaches. q_size is exact in Python integers, O(k^2 P) per order; it
+serves the table dump, the validation and the pilot closed form, never
+the run path.
 
 Everything in this module is per-allocation and symbol-independent except
 the basis operators themselves, which act on the last axis of plain complex
@@ -36,6 +37,7 @@ arrays: one (P,) spectrum or an (M, P) stack of them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,14 +46,13 @@ import numpy as np
 from .impairments import apply_iq_freq
 from .ofdm import SubcarrierGrid, mirror_index
 
-_INT64_SAFE = 2**62
-
 
 @dataclass(frozen=True)
 class IMDTables:
     """Per-allocation IMD combinatorics and basis-power expectations.
 
-    q_size[k, p] is the exact integer |Q^{2k+1}_p|; row 0 is the downlink
+    q_size[k, p] is the exact integer |Q^{2k+1}_p| (a Python int in an
+    object array, since the counts outgrow int64); row 0 is the downlink
     indicator.  mu[k, p] is the predicted E|Phi_{2k+1}[p]|^2 for random
     downlink symbols of per-subcarrier power a_digi^2.  lambda_dl[s] counts
     downlink pairs with q1 + q2 = s (plain integer s, no wrap).
@@ -89,42 +90,37 @@ def _fold_mod_p(arr: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _circ_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact circular correlation T[p] = sum_rho a[(p + rho) mod P] b[rho].
-
-    Computed through one O(P^2) linear convolution plus alias folding,
-    which keeps integer inputs exact (no FFT round-off). Only q_size uses
-    it; mu_tables correlates through the FFT instead.
-    """
-    p = len(a)
-    flipped = np.roll(b[::-1], 1)  # flipped[u] = b[(-u) mod P]
-    lin = np.convolve(a, flipped)
-    return _fold_mod_p(lin, p)
-
-
 def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     """Exact IMD set sizes |Q^{2k+1}_p| for k = 0..k_max, shape (k_max+1, P).
 
-    Row k follows the recursion
+    The signed sum of an order-(2k+1) downlink tuple is
+    (k+1) dl_start - k dl_end plus a sum of n = 2k+1 offsets, each in
+    [0, W) with W = |DL|. By inclusion-exclusion (stars and bars with an
+    upper bound) the number of tuples whose offsets sum to t is
 
-        |Q^{2k+1}_p| = sum_rho Lambda_fold[(p + rho) mod P] * |Q^{2k-1}_rho|,
+        c(t) = sum_j (-1)^j C(n, j) C(t - j W + n - 1, n - 1),
 
-    where Lambda_fold is the pair count folded onto the grid (pair sums
-    beyond P alias back, exactly as the signed tuple sums do).  Row 0 is the
-    downlink indicator.  Each row sums to |DL|^{2k+1}.
+    and row k is c folded onto the grid, sums beyond P aliasing back mod
+    P as the signed tuple sums do. Row 0 is the downlink indicator, and
+    each row sums to W^{2k+1}. Entries are Python ints in an object array,
+    exact at any size.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = grid.num_subcarriers
-    # Switch to Python-int arithmetic when counts could overflow int64.
-    dtype: type | np.dtype = np.int64
-    if grid.dl_size ** (2 * k_max + 1) >= _INT64_SAFE:
-        dtype = object
-    lam_fold = _fold_mod_p(lambda_dl(grid).astype(dtype), p)
-    rows = np.zeros((k_max + 1, p), dtype=dtype)
-    rows[0, grid.dl_indices] = 1
-    for k in range(1, k_max + 1):
-        rows[k] = _circ_corr(lam_fold, rows[k - 1])
+    w = grid.dl_size
+    rows = np.zeros((k_max + 1, p), dtype=object)
+    for k in range(k_max + 1):
+        n = 2 * k + 1
+        span = n * (w - 1) + 1  # offset sums 0 .. n (W - 1)
+        binom = np.array([math.comb(t + n - 1, n - 1) for t in range(span)], dtype=object)
+        count = np.zeros(span, dtype=object)
+        for j in range(n + 1):
+            if j * w >= span:
+                break
+            count[j * w :] += (-1) ** j * math.comb(n, j) * binom[: span - j * w]
+        offset = (k + 1) * grid.dl_start - k * grid.dl_end
+        rows[k] = np.roll(_fold_mod_p(count, p), offset % p)
     return rows
 
 

@@ -11,63 +11,18 @@ The PA is an odd-order memoryless polynomial applied per sample:
 
     f(x) = sum_k a_{2k+1} * |x|^{2k} * x
 
+Its coefficients are one complex vector a of shape (K+1,) indexed by k,
+a[k] = a_{2k+1}; an order the amplifier lacks is a zero entry.
+
 Every model acts on the last axis of a plain complex array, so one symbol
 and a stack of symbols go through the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .ofdm import mirror_values
-
-
-@dataclass(frozen=True)
-class PAPolynomial:
-    """Odd-order memoryless PA polynomial.
-
-    Parameters
-    ----------
-    coeffs : dict
-        Map from odd order 2k+1 to complex coefficient a_{2k+1}.  The
-        linear coefficient a_1 must be present and nonzero.
-    """
-
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for order, a in self.coeffs.items():
-            if order < 1 or order % 2 == 0:
-                raise ValueError(f"PA orders must be odd and >= 1, got {order}")
-            clean[int(order)] = complex(a)
-        if clean.get(1, 0) == 0:
-            raise ValueError("PA linear coefficient a_1 must be nonzero")
-        object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def k_max(self) -> int:
-        """Largest k with a nonzero coefficient a_{2k+1}."""
-        return max((o - 1) // 2 for o, a in self.coeffs.items() if a != 0)
-
-    def coeff(self, order: int) -> complex:
-        """Coefficient a_order, zero if the order is absent."""
-        return self.coeffs.get(order, 0.0 + 0.0j)
-
-    def evaluate(self, x):
-        """Apply f(x) = sum_k a_{2k+1} |x|^{2k} x elementwise."""
-        x = np.asarray(x, dtype=np.complex128)
-        out = np.zeros_like(x)
-        mag2 = np.abs(x) ** 2
-        for order, a in self.coeffs.items():
-            k = (order - 1) // 2
-            # in place, so a stack of symbols holds few temporaries of its size
-            term = a * mag2**k
-            term *= x
-            out += term
-        return out
 
 
 def apply_iq_time(x: np.ndarray, b_iq: complex) -> np.ndarray:
@@ -80,14 +35,22 @@ def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
     return X + b_iq * np.conj(mirror_values(X))
 
 
-def apply_pa(x: np.ndarray, pa: PAPolynomial) -> np.ndarray:
-    """Memoryless polynomial PA applied sample by sample."""
-    return pa.evaluate(x)
+def apply_pa(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Memoryless polynomial PA sample by sample: sum_k a[k] |x|^{2k} x."""
+    x = np.asarray(x, dtype=np.complex128)
+    out = np.zeros_like(x)
+    mag2 = np.abs(x) ** 2
+    for k, a_k in enumerate(np.asarray(a, dtype=np.complex128)):
+        # in place, so a stack of symbols holds few temporaries of its size
+        term = a_k * mag2**k
+        term *= x
+        out += term
+    return out
 
 
-def default_measured_pa() -> PAPolynomial:
+def default_measured_pa() -> np.ndarray:
     """Measured handset PA fit: f(x) = 35.89 x - 2.24 |x|^2 x + 0.0015 |x|^4 x."""
-    return PAPolynomial(coeffs={1: 35.89, 3: -2.24, 5: 0.0015})
+    return np.array([35.89, -2.24, 0.0015], dtype=np.complex128)
 
 
 def irr_to_b(irr_db: float, phase: float = 0.0) -> complex:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_QAM_ORDERS = (4, 16, 64)
+QAM_ORDERS = (4, 16, 64)
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ def qam_constellation(order: int) -> np.ndarray:
     Points are (i + j*q) * sqrt(3 / (2 (m^2 - 1))) for odd i, q in
     [-(m-1), m-1], m = sqrt(order), which normalizes E|X|^2 to one.
     """
-    if order not in _QAM_ORDERS:
-        raise ValueError(f"order must be one of {_QAM_ORDERS}, got {order}")
+    if order not in QAM_ORDERS:
+        raise ValueError(f"order must be one of {QAM_ORDERS}, got {order}")
     m = int(round(np.sqrt(order)))
     levels = np.arange(-(m - 1), m, 2, dtype=float)
     scale = np.sqrt(3.0 / (2.0 * (m * m - 1)))

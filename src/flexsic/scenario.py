@@ -48,8 +48,8 @@ from .channel import (
 )
 from .counters import OpCounter
 from .imd import default_pilot_omega, impulse_pilot, mu_tables
-from .impairments import PAPolynomial, apply_iq_time, apply_pa, default_measured_pa, irr_to_b
-from .ofdm import SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
+from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
+from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
 from .sic import (
     SICCoefficients,
     TrainingBuffer,
@@ -104,9 +104,10 @@ class ScenarioSpec:
     """Complete description of one experiment.
 
     duplex is a preset name or "custom", in which case dl_span/ul_span
-    (inclusive subcarrier ranges) must be given. pa_coeffs of None
-    selects the measured amplifier polynomial. gamma_dbm of None puts
-    the basis-selection threshold at the noise floor.
+    (inclusive subcarrier ranges) must be given. pa_coeffs maps odd order
+    2k+1 to the amplifier coefficient a_{2k+1}; None selects the measured
+    polynomial. gamma_dbm of None puts the basis-selection threshold at
+    the noise floor.
     """
 
     num_subcarriers: int = 256
@@ -156,6 +157,21 @@ class ScenarioSpec:
             raise ValueError("cancellers must not repeat")
         if self.tap_file is not None and not os.path.exists(self.tap_file):
             raise ValueError(f"tap_file does not exist: {self.tap_file}")
+        if self.pa_coeffs is not None and (
+            any(order < 1 or order % 2 == 0 for order in self.pa_coeffs)
+            or self.pa_coeffs.get(1, 0) == 0
+        ):
+            raise ValueError(
+                "pa_coeffs must map odd orders >= 1 to coefficients, with a nonzero order 1, "
+                f"got {self.pa_coeffs}"
+            )
+        if self.qam_order not in QAM_ORDERS:
+            raise ValueError(f"qam_order must be one of {QAM_ORDERS}, got {self.qam_order}")
+        for name in ("tx_array", "rx_array"):
+            try:
+                ArrayGeometry(*getattr(self, name))
+            except ValueError as err:
+                raise ValueError(f"{name} must be a valid (rows, cols, spacing): {err}") from None
         if self.pa_drive_rms <= 0:
             raise ValueError("pa_drive_rms must be positive")
         if self.n_run_symbols < 1:
@@ -206,10 +222,14 @@ class ScenarioSpec:
         """Per-subcarrier downlink amplitude a_digi that drives the amplifier at pa_drive_rms."""
         return self.pa_drive_rms * grid.num_subcarriers / np.sqrt(grid.dl_size)
 
-    def build_pa(self) -> PAPolynomial:
+    def build_pa(self) -> np.ndarray:
+        """Amplifier coefficients a[k] = a_{2k+1}; orders pa_coeffs lacks are zero."""
         if self.pa_coeffs is None:
             return default_measured_pa()
-        return PAPolynomial({int(k): complex(v) for k, v in self.pa_coeffs.items()})
+        a = np.zeros(max(self.pa_coeffs) // 2 + 1, dtype=np.complex128)
+        for order, value in self.pa_coeffs.items():
+            a[order // 2] = value
+        return a
 
     def build_imbalance(self) -> complex:
         """The IQ image weight b of irr_db and iq_phase."""
@@ -322,14 +342,14 @@ def _seed_ints(seed: int, count: int) -> list[int]:
 def _rx_body(
     x: np.ndarray,
     b_iq: complex,
-    pa: PAPolynomial,
+    a: np.ndarray,
     chan: EffectiveChannel,
     grid: SubcarrierGrid,
 ) -> np.ndarray:
     """Noiseless body samples of symbols (..., P) through the transmit chain and the SI channel."""
     t = idft(x)
     t = apply_iq_time(t, b_iq)
-    t = apply_pa(t, pa)
+    t = apply_pa(t, a)
     t = add_cp(t, grid)
     t = apply_channel(t, chan)
     return remove_cp(t, grid)
@@ -365,7 +385,7 @@ def _build_training(
     spec: ScenarioSpec,
     grid: SubcarrierGrid,
     b_iq: complex,
-    pa: PAPolynomial,
+    a: np.ndarray,
     chan: EffectiveChannel,
     a_digi: float,
     sigma_t: float,
@@ -379,7 +399,7 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
-    rx = _add_noise(_rx_body(tx, b_iq, pa, chan, grid), sigma_t, np.random.default_rng(seed_noise))
+    rx = _add_noise(_rx_body(tx, b_iq, a, chan, grid), sigma_t, np.random.default_rng(seed_noise))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
 
 
@@ -390,7 +410,7 @@ def _fit_pa(
     a_digi: float,
     b_hat: complex,
     counter: OpCounter,
-) -> tuple[dict[int, complex], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Amplifier polynomial and predicted basis powers for one image weight."""
     a_hat = estimate_pa(
         buffer, chan.los_scalar, b_hat, spec.k_max, spec.regularization, chan.los_tap_index,
@@ -416,7 +436,7 @@ def _fit_canceller(
     gamma: float,
     a_digi: float,
     b_hat: complex | None,
-    pa_fit: tuple[dict[int, complex], np.ndarray] | None,
+    pa_fit: tuple[np.ndarray, np.ndarray] | None,
     counter: OpCounter,
 ):
     """Train one canceller; returns an opaque state consumed by _estimate_si.
@@ -442,8 +462,8 @@ def _fit_canceller(
         else:
             a_hat, mu = pa_fit
         if name == "iq_only":
-            a_hat = {1: a_hat[1]}
-        h_hat, _ = estimate_channel(buffer, a_hat, b_hat, spec.k_max, counter=counter)
+            a_hat = a_hat[:1]
+        h_hat = estimate_channel(buffer, a_hat, b_hat, spec.k_max, counter=counter)
         retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counter)
         # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
@@ -475,7 +495,7 @@ def _estimate_si(
         coeffs, b_hat = state
         return run_full_ls(x_dl, coeffs, b_hat, grid, counter=counter)
     coeffs, combined = state
-    return run_sic(x_dl, coeffs, counter=counter, combined=combined)
+    return run_sic(x_dl, coeffs, combined, counter=counter)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
@@ -486,11 +506,10 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     grid = spec.build_grid()
     b_iq = spec.build_imbalance()
-    pa = spec.build_pa()
+    a = spec.build_pa()
 
     a_digi = spec.drive_amplitude(grid)
-    a1 = pa.coeff(1)
-    unit_power = abs(a1 * a_digi) ** 2
+    unit_power = abs(a[0] * a_digi) ** 2
     mw_per_unit = 10.0 ** (spec.tx_power_dbm / 10.0) / unit_power
     noise_f = unit_power * 10.0 ** ((spec.noise_dbm - spec.tx_power_dbm) / 10.0)
     sigma_t = float(np.sqrt(noise_f / grid.num_subcarriers))
@@ -502,7 +521,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     seeds = _seed_ints(seed, 5)
     chan = _build_effective_channel(spec, grid, seeds[0])
     buffer = _build_training(
-        spec, grid, b_iq, pa, chan, a_digi, sigma_t, seeds[1], seeds[2]
+        spec, grid, b_iq, a, chan, a_digi, sigma_t, seeds[1], seeds[2]
     )
 
     counters = {name: OpCounter() for name in spec.cancellers}
@@ -537,7 +556,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        body = _rx_body(x, b_iq, pa, chan, grid)
+        body = _rx_body(x, b_iq, a, chan, grid)
         y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
         y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
         for name in spec.cancellers:

@@ -107,7 +107,8 @@ class SICCoefficients:
 
     h_hat holds the effective channel estimate over the full grid
     (zeros outside the uplink band and at unestimated subcarriers).
-    a_hat maps odd order 2k+1 to its polynomial coefficient. retained is
+    a_hat holds the polynomial coefficients, a_hat[k] = a_{2k+1} for
+    k = 0..k_max, so k_max = len(a_hat) - 1. retained is
     a boolean mask of shape (k_max + 1, P): row 0 marks the uplink
     subcarriers the canceller acts on (those with a channel estimate),
     and row k >= 1 marks where order 2k+1 is cancelled, so column p
@@ -117,7 +118,7 @@ class SICCoefficients:
 
     grid: SubcarrierGrid
     h_hat: np.ndarray
-    a_hat: dict[int, complex]
+    a_hat: np.ndarray
     b_hat: complex
     retained: np.ndarray
 
@@ -126,9 +127,10 @@ class SICCoefficients:
         if h.shape != (self.grid.num_subcarriers,):
             raise ValueError("h_hat must have one entry per subcarrier")
         object.__setattr__(self, "h_hat", h)
-        for order in self.a_hat:
-            if order % 2 == 0 or order < 1:
-                raise ValueError(f"a_hat keys must be odd orders, got {order}")
+        a = np.asarray(self.a_hat, dtype=np.complex128)
+        if a.ndim != 1 or not a.size:
+            raise ValueError("a_hat must be a nonempty vector, one coefficient per order")
+        object.__setattr__(self, "a_hat", a)
         mask = np.asarray(self.retained, dtype=bool)
         shape = (self.k_max + 1, self.grid.num_subcarriers)
         if mask.shape != shape:
@@ -146,14 +148,7 @@ class SICCoefficients:
 
     @property
     def k_max(self) -> int:
-        return max((order - 1) // 2 for order in self.a_hat) if self.a_hat else 0
-
-    def a_vector(self) -> np.ndarray:
-        """Coefficients as [a_1, a_3, ..., a_{2k_max+1}] with zeros filled in."""
-        k_max = self.k_max
-        return np.array(
-            [self.a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128
-        )
+        return len(self.a_hat) - 1
 
 
 def ls_solve(
@@ -325,8 +320,8 @@ def estimate_pa(
     regularization: float = 0.0,
     los_tap_index: int = 0,
     counter: OpCounter | None = None,
-) -> dict[int, complex]:
-    """Estimate polynomial coefficients from the impulse pilot peaks.
+) -> np.ndarray:
+    """Estimate the polynomial a[k] = a_{2k+1}, k = 0..k_max, from the impulse pilot peaks.
 
     Each impulse symbol concentrates the downlink band into one body
     sample of known amplitude. Sampling the received body at the pilot
@@ -408,10 +403,9 @@ def estimate_pa(
                 adds=_PA_REFINE_PASSES * m * guard * 2,
             )
         for _ in range(_PA_REFINE_PASSES):
-            a_vec = np.array([coeffs[k] for k in range(k_max + 1)])
             u = np.zeros_like(a_all)
             for k in range(k_max, -1, -1):
-                u = u * mag2_all + a_vec[k]
+                u = u * mag2_all + coeffs[k]
             u = u * a_all
             u_peak = u[:, guard]
             u_post = u[:, guard + 1 :]
@@ -428,7 +422,7 @@ def estimate_pa(
             )
             y_corr = y - u[:, guard - taus] @ gains
             coeffs = ls_solve(rows, y_corr, regularization, counter=counter, stage="estimate_pa")
-    return {2 * k + 1: complex(coeffs[k]) for k in range(k_max + 1)}
+    return coeffs
 
 
 def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
@@ -462,22 +456,28 @@ def _charged_bases(
     return basis_chain(apply_iq_freq(x, b_hat), k_max)
 
 
+def _padded(a_hat: np.ndarray, k_max: int) -> np.ndarray:
+    """a_hat cut or zero-padded to the k_max + 1 orders a fit is charged for."""
+    a_vec = np.zeros(k_max + 1, dtype=np.complex128)
+    a_vec[: len(a_hat)] = a_hat[: k_max + 1]
+    return a_vec
+
+
 def estimate_channel(
     buffer: TrainingBuffer,
-    a_hat: dict[int, complex],
+    a_hat: np.ndarray,
     b_hat: complex,
     k_max: int,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-subcarrier scalar LS for the effective channel on the uplink band.
 
-    The regressor at subcarrier p is sum_k a_hat_{2k+1} Phi_{2k+1}[p]
-    built from the composed transmit spectrum, so the channel stays
-    identifiable even where only out-of-band distortion lands. Returns
-    (h_hat over the full grid, boolean mask over the grid of the uplink
-    subcarriers that were estimated). Uplink subcarriers whose regressor
-    power was too small to trust stay zero in h_hat, and the canceller
-    leaves them untouched.
+    The regressor at subcarrier p is sum_k a_hat[k] Phi_{2k+1}[p], with
+    a_hat zero-padded to k_max + 1 orders, built from the composed
+    transmit spectrum, so the channel stays identifiable even where only
+    out-of-band distortion lands. Returns h_hat over the full grid.
+    Uplink subcarriers whose regressor power was too small to trust stay
+    zero, and the canceller leaves them untouched.
     """
     tx = buffer.tx[buffer.n_impulse:]
     m = len(tx)
@@ -486,7 +486,7 @@ def estimate_channel(
     grid = buffer.grid
     p_total = grid.num_subcarriers
     ul = grid.ul_indices
-    a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
+    a_vec = _padded(a_hat, k_max)
 
     chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
     regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
@@ -501,16 +501,14 @@ def estimate_channel(
         )
 
     h_hat = np.zeros(p_total, dtype=np.complex128)
-    estimated = np.zeros(p_total, dtype=bool)
     top = den.max() if den.size else 0.0
-    estimated[ul] = den > _REGRESSOR_POWER_TOL * top if top > 0 else False
-    good = estimated[ul]
+    good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
     h_hat[ul[good]] = num[good] / den[good]
-    return h_hat, estimated
+    return h_hat
 
 
 def select_basis(
-    a_hat: dict[int, complex],
+    a_hat: np.ndarray,
     mu: np.ndarray,
     h_hat: np.ndarray,
     gamma: float,
@@ -521,11 +519,11 @@ def select_basis(
     """Pick, per uplink subcarrier, the distortion orders worth cancelling.
 
     Walks k = 1..k_max and keeps k while the predicted distortion power
-    |a_{2k+1}|^2 mu_{2k+1}[p] |h[p]|^2 exceeds gamma, stopping at the
-    first order that falls below. The walk stops early because predicted
-    power decays with k at sane drive levels; anything below gamma costs
-    more to cancel than it removes. Each order the walk looks at costs
-    three multiplies.
+    |a_hat[k]|^2 mu[k, p] |h[p]|^2 exceeds gamma (a_hat zero-padded to
+    k_max + 1 orders), stopping at the first order that falls below. The
+    walk stops early because predicted power decays with k at sane drive
+    levels; anything below gamma costs more to cancel than it removes.
+    Each order the walk looks at costs three multiplies.
 
     Returns the retained-order mask of shape (k_max + 1, P) that
     SICCoefficients takes: row 0 marks the uplink subcarriers with a
@@ -537,8 +535,7 @@ def select_basis(
     if mu.shape[0] < k_max + 1:
         raise ValueError("mu table does not cover k_max")
     ul = grid.ul_indices
-    a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(1, k_max + 1)], dtype=np.complex128)
-    power = predict_si_power(a_vec, mu[1 : k_max + 1, ul], h_hat[ul])
+    power = predict_si_power(_padded(a_hat, k_max)[1:], mu[1 : k_max + 1, ul], h_hat[ul])
     retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
     retained[0, ul] = h_hat[ul] != 0
     retained[1:, ul] = np.logical_and.accumulate(power > gamma, axis=0)
@@ -549,13 +546,12 @@ def select_basis(
 
 
 def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.ndarray:
-    """One-off combine c_k[p] = h_hat[p] a_{2k+1} used by the runner."""
+    """One-off combine c_k[p] = h_hat[p] a_hat[k] that run_sic takes."""
     k_max = coeffs.k_max
     grid = coeffs.grid
     combined = np.zeros((k_max + 1, grid.num_subcarriers), dtype=np.complex128)
-    a_vec = coeffs.a_vector()
     ul = grid.ul_indices
-    combined[:, ul] = a_vec[:, None] * coeffs.h_hat[ul][None, :]
+    combined[:, ul] = coeffs.a_hat[:, None] * coeffs.h_hat[ul][None, :]
     if counter is not None:
         counter.charge("coeff_combine", mults=(k_max + 1) * len(ul), adds=0)
     return combined
@@ -564,13 +560,14 @@ def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.
 def run_sic(
     x_dl: np.ndarray,
     coeffs: SICCoefficients,
+    combined: np.ndarray,
     counter: OpCounter | None = None,
-    combined: np.ndarray | None = None,
 ) -> np.ndarray:
     """Self-interference estimate of a (..., P) stack of symbols, on the grid.
 
-    Builds the composed transmit spectra and the distortion bases up to
-    the largest retained order, then returns, along the last axis,
+    combined is precombine(coeffs), made once per canceller. Builds the
+    composed transmit spectra and the distortion bases up to the largest
+    retained order, then returns, along the last axis,
     sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each uplink
     subcarrier that coeffs.retained marks, and zero elsewhere. The caller
     subtracts it from the received spectra. Running stage cost per symbol
@@ -590,9 +587,6 @@ def run_sic(
 
     chain = _charged_bases(x_dl, coeffs.b_hat, k_used, grid, counter, "run_basis")
 
-    if combined is None:
-        combined = precombine(coeffs, counter)
-
     ul = grid.ul_indices
     terms = combined[: k_used + 1, ul] * chain[..., ul]
     est = np.zeros(np.shape(x_dl), dtype=np.complex128)
@@ -606,17 +600,16 @@ def run_sic(
 def perfect_coefficients(
     grid: SubcarrierGrid,
     freq_response: np.ndarray,
-    pa_coeffs: dict[int, complex],
+    a: np.ndarray,
     b_iq: complex,
 ) -> SICCoefficients:
-    """Oracle coefficients with every basis retained; for invariant checks."""
-    k_max = (max(pa_coeffs) - 1) // 2
-    retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
+    """Oracle coefficients of the true polynomial a, every basis retained; for invariant checks."""
+    retained = np.zeros((len(a), grid.num_subcarriers), dtype=bool)
     retained[:, grid.ul_indices] = True
     return SICCoefficients(
         grid=grid,
         h_hat=np.asarray(freq_response, dtype=np.complex128).copy(),
-        a_hat={int(o): complex(v) for o, v in pa_coeffs.items()},
+        a_hat=np.array(a, dtype=np.complex128),
         b_hat=complex(b_iq),
         retained=retained,
     )

@@ -304,8 +304,26 @@ def mu_tables_conv(
     return mu
 
 
+def q_size_recursion(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
+    """IMD set sizes by the exact integer recursion, through direct convolutions.
+
+    Row 0 is the downlink indicator and row k is the circular correlation
+    sum_rho Lambda_fold[(p + rho) mod P] row_{k-1}[rho], each an O(P^2)
+    np.convolve; Python-int object arrays once |DL|^{2k_max+1} could pass
+    int64, so the counts stay exact.
+    """
+    p = grid.num_subcarriers
+    dtype = object if grid.dl_size ** (2 * k_max + 1) >= 2**62 else np.int64
+    lam_fold = _fold_mod_p(_lambda_conv(grid).astype(dtype), p)
+    rows = np.zeros((k_max + 1, p), dtype=dtype)
+    rows[0, grid.dl_indices] = 1
+    for k in range(1, k_max + 1):
+        rows[k] = _circ_corr_conv(lam_fold, rows[k - 1])
+    return rows
+
+
 def select_basis_loop(
-    a_hat: dict[int, complex],
+    a_hat: np.ndarray,
     mu: np.ndarray,
     h_hat: np.ndarray,
     gamma: float,
@@ -315,9 +333,10 @@ def select_basis_loop(
 ) -> dict[int, frozenset[int]]:
     """Basis selection one uplink subcarrier and one order at a time.
 
-    Keeps k = 1, 2, ... while |a_{2k+1}|^2 mu[k, p] |h[p]|^2 > gamma and
-    stops at the first order below; charges three multiplies per order
-    looked at. Returns K_p for every uplink subcarrier.
+    Keeps k = 1, 2, ... while |a_hat[k]|^2 mu[k, p] |h[p]|^2 > gamma (an
+    order past the end of a_hat counts as zero) and stops at the first
+    order below; charges three multiplies per order looked at. Returns K_p
+    for every uplink subcarrier.
     """
     sets: dict[int, frozenset[int]] = {}
     evals = 0
@@ -325,7 +344,7 @@ def select_basis_loop(
         kept = []
         h2 = abs(h_hat[p]) ** 2
         for k in range(1, k_max + 1):
-            a = a_hat.get(2 * k + 1, 0.0)
+            a = a_hat[k] if k < len(a_hat) else 0.0
             evals += 1
             if abs(a) ** 2 * mu[k, p] * h2 > gamma:
                 kept.append(k)
@@ -512,18 +531,20 @@ def baseline_full_ls_loop(
 
 def estimate_channel_loop(
     buffer: TrainingBuffer,
-    a_hat: dict[int, complex],
+    a_hat: np.ndarray,
     b_hat: complex,
     k_max: int,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Channel estimate accumulated one data training symbol at a time.
 
     At each uplink subcarrier, sums conj(r) y and |r|^2 over the data
-    symbols, with r = sum_k a_{2k+1} Phi_{2k+1} the composite regressor of
-    the symbol, and divides where the regressor power exceeds 1e-12 of the
-    largest. Charges the basis build, (k_max + 3) multiplies per uplink
-    subcarrier and symbol, and one division per uplink subcarrier.
+    symbols, with r = sum_k a_hat[k] Phi_{2k+1} the composite regressor of
+    the symbol (orders past the end of a_hat count as zero), and divides
+    where the regressor power exceeds 1e-12 of the largest; every other
+    subcarrier stays zero. Charges the basis build, (k_max + 3) multiplies
+    per uplink subcarrier and symbol, and one division per uplink
+    subcarrier.
     """
     tx_rows = buffer.tx[buffer.n_impulse:]
     rx_rows = buffer.rx[buffer.n_impulse:]
@@ -532,7 +553,9 @@ def estimate_channel_loop(
     grid = buffer.grid
     p_total = grid.num_subcarriers
     ul = grid.ul_indices
-    a_vec = np.array([a_hat.get(2 * k + 1, 0.0) for k in range(k_max + 1)], dtype=np.complex128)
+    a_vec = np.array(
+        [a_hat[k] if k < len(a_hat) else 0.0 for k in range(k_max + 1)], dtype=np.complex128
+    )
 
     num = np.zeros(len(ul), dtype=np.complex128)
     den = np.zeros(len(ul), dtype=np.float64)
@@ -552,12 +575,11 @@ def estimate_channel_loop(
         counter.charge("estimate_channel", mults=len(ul), adds=0)
 
     h_hat = np.zeros(p_total, dtype=np.complex128)
-    estimated = np.zeros(p_total, dtype=bool)
     top = den.max() if den.size else 0.0
-    estimated[ul] = den > 1e-12 * top if top > 0 else False
-    good = estimated[ul]
-    h_hat[ul[good]] = num[good] / den[good]
-    return h_hat, estimated
+    for i, p in enumerate(ul):
+        if top > 0 and den[i] > 1e-12 * top:
+            h_hat[p] = num[i] / den[i]
+    return h_hat
 
 
 def rx_body_loop(

@@ -58,13 +58,14 @@ from flexsic.sic import (
     TrainingBuffer,
     estimate_iq,
     estimate_pa,
+    precombine,
     run_sic,
     select_basis,
 )
 from oracles import brute_q_size, mc_mu
 
 NOISE_DBM = -90.0
-PA_TRUTH = {1: 35.89, 3: -2.24, 5: 0.0015}
+PA_TRUTH = np.array([35.89, -2.24, 0.0015])  # a[k] = a_{2k+1}
 
 
 def _finish(t0: float, budget_s: float, label: str, detail: str) -> None:
@@ -401,13 +402,13 @@ def test_arithmetic_cost_scaling_and_baseline_comparison():
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
     mu = mu_tables(grid_hot, 0.0, a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
-    retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
+    retained = select_basis(PA_TRUTH, mu, h_flat, 5e-6, 2, grid_hot)
     coeffs = SICCoefficients(
-        grid=grid_hot, h_hat=h_flat, a_hat=dict(PA_TRUTH), b_hat=0.0, retained=retained
+        grid=grid_hot, h_hat=h_flat, a_hat=PA_TRUTH, b_hat=0.0, retained=retained
     )
     counter = OpCounter()
     x = gen_qam_symbols(grid_hot, 16, a_digi, 1, 11)[0]
-    run_sic(x, coeffs, counter=counter)
+    run_sic(x, coeffs, precombine(coeffs), counter=counter)
     expected = sum(1 + int(retained[1:, p].sum()) for p in grid_hot.ul_indices)
     got = counter.mults("run")
     hot_bound = grid_hot.ul_size * 3
@@ -444,7 +445,7 @@ def test_basis_selection_thins_away_from_downlink():
     a_digi = 1.2 * 256 / np.sqrt(grid_hot.dl_size)
     mu = mu_tables(grid_hot, 0.0, a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
-    retained = select_basis(dict(PA_TRUTH), mu, h_flat, 5e-6, 2, grid_hot)
+    retained = select_basis(PA_TRUTH, mu, h_flat, 5e-6, 2, grid_hot)
     sizes = retained[1:, grid_hot.ul_indices].sum(axis=0)
     assert np.all(np.diff(sizes) <= 0), (
         "kept-order count increases away from the downlink edge: "
@@ -464,12 +465,12 @@ def test_basis_selection_thins_away_from_downlink():
         g = ScenarioSpec(duplex=duplex).build_grid()
         drive = 0.5 * 256 / np.sqrt(g.dl_size)
         if gamma_shared is None:
-            gamma_shared = abs(pa.coeff(1) * drive) ** 2 * 10.0 ** (
+            gamma_shared = abs(pa[0] * drive) ** 2 * 10.0 ** (
                 (NOISE_DBM - 23.0) / 10.0
             )
         mu_g = mu_tables(g, b_iq, drive, 2)
         sel = select_basis(
-            dict(PA_TRUTH), mu_g, h_flat, gamma_shared, 2, g
+            PA_TRUTH, mu_g, h_flat, gamma_shared, 2, g
         )
         sums[duplex] = int(sel[1:].sum())
     assert sums["sbfd"] < sums["ibfd"], (
@@ -504,9 +505,9 @@ def test_amplifier_coefficients_recovered_from_pilots():
     pa = default_measured_pa()
     b_iq = irr_to_b(25.0, 0.3)
     a_digi = 0.5 * 256 / np.sqrt(grid.dl_size)
-    unit = abs(pa.coeff(1) * a_digi) ** 2
+    unit = abs(pa[0] * a_digi) ** 2
     sigma_t = float(np.sqrt(unit * 10.0 ** ((NOISE_DBM - 23.0) / 10.0) / 256))
-    truth = np.array([PA_TRUTH[1], PA_TRUTH[3], PA_TRUTH[5]])
+    truth = PA_TRUTH
 
     def build_chan(profile: ChannelProfile, seed: int):
         rays = synth_channel(profile, grid, seed)
@@ -536,8 +537,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
     a_hat = estimate_pa(
         buf, chan_los.los_scalar, b_iq, 2, los_tap_index=chan_los.los_tap_index
     )
-    noiseless = np.array([a_hat[1], a_hat[3], a_hat[5]])
-    rel_noiseless = np.abs(noiseless - truth) / np.abs(truth)
+    rel_noiseless = np.abs(a_hat - truth) / np.abs(truth)
     assert np.all(rel_noiseless <= 1e-6), (
         "noiseless pilot estimation misses a coefficient: relative errors "
         f"{rel_noiseless.tolist()} (tolerance 1e-6)"
@@ -553,8 +553,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
         chan = build_chan(ChannelProfile(), seed=100 + seed)
         buf = training(chan, seed, sigma_t)
         b_hat = estimate_iq(buf)
-        a_noisy = estimate_pa(buf, chan.los_scalar, b_hat, 2, los_tap_index=chan.los_tap_index)
-        est = np.array([a_noisy[1], a_noisy[3], a_noisy[5]])
+        est = estimate_pa(buf, chan.los_scalar, b_hat, 2, los_tap_index=chan.los_tap_index)
         vec_errs.append(
             float(np.linalg.norm(weights * (est - truth)) / np.linalg.norm(weights * truth))
         )

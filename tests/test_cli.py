@@ -131,6 +131,12 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("regularization", -1.0),
         ("impulse_amp_range", [2.0, 0.6]),
         ("n_train_symbols", 5),
+        ("pa_coeffs", {"2": [1, 0]}),
+        ("pa_coeffs", {"0": 1.0, "1": 1.0}),
+        ("pa_coeffs", {"3": 1.0}),
+        ("qam_order", 8),
+        ("tx_array", [0, 4, 0.5]),
+        ("rx_array", [4, 4, 0.0]),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):

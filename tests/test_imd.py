@@ -28,6 +28,7 @@ from oracles import (
     exact_mu_tiny,
     mc_mu,
     mu_tables_conv,
+    q_size_recursion,
     tuple_basis,
 )
 
@@ -85,6 +86,29 @@ def test_q_size_switches_to_exact_big_integers():
     rows = q_size(g, 3)
     assert rows.dtype == object  # |DL|^7 overflows int64
     assert int(rows[3].sum()) == g.dl_size**7
+
+
+def test_q_size_closed_form_matches_recursion():
+    # every preset at P <= 1024, and from P = 1024 on |DL|^7 passes int64, so
+    # the reference recursion runs in Python ints; plus a one-subcarrier and a
+    # full downlink, and sums that wrap past P
+    grids = [
+        ScenarioSpec(num_subcarriers=p, duplex=preset).build_grid()
+        for p in (64, 256, 1024)
+        for preset in DUPLEX_PRESETS
+    ]
+    grids += [
+        tiny_grid(),
+        mid_grid(),
+        SubcarrierGrid(16, 15e3, 2, (9, 9), (0, 15)),
+        SubcarrierGrid(16, 15e3, 2, (0, 15), (0, 15)),
+        SubcarrierGrid(24, 15e3, 2, (13, 23), (0, 5)),
+    ]
+    for g in grids:
+        ref = q_size_recursion(g, 3)
+        rows = q_size(g, 3)
+        assert rows.dtype == object
+        assert [[int(v) for v in row] for row in rows] == [[int(v) for v in row] for row in ref]
 
 
 # ---------------------------------------------------------------- basis recursion
@@ -200,8 +224,8 @@ def test_mu_tables_match_convolution_reference():
                 assert np.all(np.abs(mu - ref) <= 1e-12 * scale)
                 assert np.all(mu >= 0)
                 assert np.all(mu[ref == 0] == 0)
-                a_hat = {2 * k + 1: pa.coeff(2 * k + 1) for k in range(k_max + 1)}
-                power = predict_si_power(np.array(list(a_hat.values())), ref, h)[1:, g.ul_indices]
+                a_hat = np.array([pa[k] if k < len(pa) else 0.0 for k in range(k_max + 1)])
+                power = predict_si_power(a_hat, ref, h)[1:, g.ul_indices]
                 for gamma in 1.01 * np.geomspace(power[power > 0].min(), power.max(), 13):
                     assert np.array_equal(
                         select_basis(a_hat, mu, h, gamma, k_max, g),

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flexsic.impairments import (
-    PAPolynomial,
     apply_iq_freq,
     apply_iq_time,
     apply_pa,
@@ -50,40 +49,29 @@ def test_iq_zero_coefficient_is_identity():
 # ---------------------------------------------------------------- PA polynomial
 
 
-def test_pa_validation():
-    with pytest.raises(ValueError, match="odd"):
-        PAPolynomial(coeffs={2: 1.0})
-    with pytest.raises(ValueError, match="a_1"):
-        PAPolynomial(coeffs={3: 1.0})
-    pa = PAPolynomial(coeffs={1: 2.0, 5: 0.1})
-    assert pa.k_max == 2
-    assert pa.coeff(3) == 0
-    assert [pa.coeff(o) for o in (1, 3, 5)] == [2.0, 0.0, 0.1]
-
-
 def test_pa_evaluate_matches_direct_polynomial():
-    pa = PAPolynomial(coeffs={1: 2.0, 3: -0.5j, 5: 0.01})
+    a = np.array([2.0, -0.5j, 0.01])
     x = np.array([0.3 + 0.4j, -1.2, 2j])
-    out = pa.evaluate(x)
+    out = apply_pa(x, a)
     mag2 = np.abs(x) ** 2
     direct = 2.0 * x - 0.5j * mag2 * x + 0.01 * mag2**2 * x
     assert np.allclose(out, direct, rtol=1e-14)
 
 
 def test_default_measured_pa_values():
-    pa = default_measured_pa()
-    assert pa.coeffs == {1: 35.89 + 0j, 3: -2.24 + 0j, 5: 0.0015 + 0j}
-    assert pa.k_max == 2
+    a = default_measured_pa()
+    assert a.dtype == np.complex128
+    assert np.array_equal(a, [35.89, -2.24, 0.0015])
     # unit-magnitude drive: 35.89 - 2.24 + 0.0015
-    assert pa.evaluate(np.array([1.0]))[0] == pytest.approx(33.6515)
+    assert apply_pa(np.array([1.0]), a)[0] == pytest.approx(33.6515)
 
 
 def test_impairments_act_row_by_row_on_stacks():
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
     b = 0.05 * np.exp(0.7j)
-    pa = default_measured_pa()
-    for apply, model in ((apply_iq_time, b), (apply_iq_freq, b), (apply_pa, pa)):
+    a = default_measured_pa()
+    for apply, model in ((apply_iq_time, b), (apply_iq_freq, b), (apply_pa, a)):
         out = apply(stack, model)
         assert out.shape == stack.shape
         for row, x in zip(out, stack):
@@ -93,7 +81,7 @@ def test_impairments_act_row_by_row_on_stacks():
 @given(st.floats(min_value=0.01, max_value=1.5), st.floats(0, 2 * np.pi))
 def test_pa_is_phase_invariant(r, theta):
     # AM/AM and AM/PM of a memoryless polynomial depend only on |x|
-    pa = default_measured_pa()
-    base = pa.evaluate(np.array([r]))[0]
-    rotated = pa.evaluate(np.array([r * np.exp(1j * theta)]))[0]
+    a = default_measured_pa()
+    base = apply_pa(np.array([r]), a)[0]
+    rotated = apply_pa(np.array([r * np.exp(1j * theta)]), a)[0]
     assert rotated == pytest.approx(base * np.exp(1j * theta), rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 from flexsic.channel import ChannelProfile
 from flexsic.imd import default_pilot_omega, impulse_pilot
+from flexsic.impairments import apply_pa, default_measured_pa
 from flexsic.ofdm import gen_qam_symbols
 import flexsic.scenario as scenario
 from flexsic.scenario import (
@@ -158,6 +159,30 @@ def test_spec_dict_roundtrip():
     assert back == spec
 
 
+def test_pa_coeffs_validation_and_build_pa():
+    # the odd-order dict is the config form; build_pa puts a_{2k+1} at index k
+    a = ScenarioSpec(pa_coeffs={5: 0.1j, 1: 2.0, 3: -1.0}).build_pa()
+    assert a.dtype == np.complex128
+    assert np.array_equal(a, [2.0, -1.0, 0.1j])
+    assert np.array_equal(ScenarioSpec(pa_coeffs={1: 2.0, 7: 0.5}).build_pa(), [2.0, 0, 0, 0.5])
+    assert np.array_equal(ScenarioSpec().build_pa(), default_measured_pa())
+    for bad in ({2: 1.0}, {0: 1.0, 1: 1.0}, {-1: 1.0, 1: 1.0}, {3: 1.0}, {1: 0.0, 3: 1.0}, {}):
+        with pytest.raises(ValueError, match="^pa_coeffs must map odd orders"):
+            ScenarioSpec(pa_coeffs=bad)
+
+
+def test_pa_coeffs_gap_reports_match_explicit_zero(tmp_path):
+    # an order left out of pa_coeffs is the same amplifier as that order at zero
+    reports = {}
+    for name, coeffs in (("gap", {1: 30.0, 5: 0.01}), ("zero", {1: 30.0, 3: 0.0, 5: 0.01})):
+        spec = small_spec(pa_coeffs=coeffs, cancellers=CANCELLERS)
+        emit_report(run_scenario(spec), tmp_path / name)
+        reports[name] = {
+            f: (tmp_path / name / f).read_bytes() for f in ("psd.csv", "cdf.csv", "complexity.csv")
+        }
+    assert reports["gap"] == reports["zero"]
+
+
 def test_spec_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: frequency"):
         spec_from_dict({"frequency": 3.5e9})
@@ -223,7 +248,7 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     assert buf.n_impulse == spec.n_impulse_symbols
     assert np.array_equal(buf.tx, tx)
     ref = rx_body_loop(
-        tx, b_iq, pa.evaluate, chan.time_taps, grid.cp_length, sigma,
+        tx, b_iq, lambda t: apply_pa(t, pa), chan.time_taps, grid.cp_length, sigma,
         np.random.default_rng(13),
     )
     assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)

@@ -9,7 +9,7 @@ from flexsic.imd import (
     mu_tables,
     predict_si_power,
 )
-from flexsic.impairments import PAPolynomial, default_measured_pa, irr_to_b
+from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
 from flexsic.sic import (
     SICCoefficients,
@@ -63,7 +63,7 @@ def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
     """Transmit chain in the circular picture: IQ image, PA, channel."""
     xiq = values + b_iq * np.conj(mirror_values(values))
     t = np.fft.ifft(xiq)
-    y = np.fft.fft(pa.evaluate(t)) * chan_freq
+    y = np.fft.fft(apply_pa(t, pa)) * chan_freq
     body = np.fft.ifft(y)
     if rng is not None and sigma > 0:
         noise = rng.standard_normal(len(body)) + 1j * rng.standard_normal(len(body))
@@ -296,11 +296,12 @@ def test_estimate_channel_matches_loop_reference(grid):
     chan, _ = tapped_channel(grid, seed=34)
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
     buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
-    a_hat = {1: 35.0 + 0.2j, 3: -2.3 + 0.01j, 5: 0.002}
+    a_hat = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
     counter, ref_counter = OpCounter(), OpCounter()
-    h_hat, estimated = estimate_channel(buf, a_hat, b, K_MAX, counter=counter)
-    h_ref, estimated_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
-    assert np.array_equal(estimated, estimated_ref)
+    h_hat = estimate_channel(buf, a_hat, b, K_MAX, counter=counter)
+    h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
+    # the estimated subcarriers are those with a nonzero channel estimate
+    assert np.array_equal(h_hat != 0, h_ref != 0)
     assert np.all(np.abs(h_hat - h_ref) <= 1e-12 * np.abs(h_ref))
     assert counter.rows() == ref_counter.rows()
 
@@ -335,22 +336,24 @@ def test_sic_coefficients_validation():
     h = np.zeros(64, dtype=complex)
     linear = retained_mask(g, 0, {})
     with pytest.raises(ValueError, match="one entry per subcarrier"):
-        SICCoefficients(g, np.zeros(32, dtype=complex), {1: 1.0}, 0.0, linear)
-    with pytest.raises(ValueError, match="odd"):
-        SICCoefficients(g, h, {2: 1.0}, 0.0, linear)
+        SICCoefficients(g, np.zeros(32, dtype=complex), [1.0], 0.0, linear)
+    for bad in ([], [[1.0]]):
+        with pytest.raises(ValueError, match="a_hat must be a nonempty vector"):
+            SICCoefficients(g, h, bad, 0.0, linear)
     off_band = linear.copy()
     off_band[0, 2] = True
     with pytest.raises(ValueError, match="non-uplink subcarrier 2"):
-        SICCoefficients(g, h, {1: 1.0}, 0.0, off_band)
+        SICCoefficients(g, h, [1.0], 0.0, off_band)
     with pytest.raises(ValueError, match="shape"):
-        SICCoefficients(g, h, {1: 1.0, 3: 1.0}, 0.0, retained_mask(g, 2, {10: {2}}))
+        SICCoefficients(g, h, [1.0, 1.0], 0.0, retained_mask(g, 2, {10: {2}}))
     orphan = retained_mask(g, 1, {10: {1}}, unestimated={10})
     orphan[1, 10] = True
     with pytest.raises(ValueError, match="unestimated subcarrier 10"):
-        SICCoefficients(g, h, {1: 1.0, 3: 1.0}, 0.0, orphan)
-    coeffs = SICCoefficients(g, h, {1: 2.0, 5: 0.5}, 0.0, retained_mask(g, 2, {10: {2}}))
+        SICCoefficients(g, h, [1.0, 1.0], 0.0, orphan)
+    coeffs = SICCoefficients(g, h, [2.0, 0.0, 0.5], 0.0, retained_mask(g, 2, {10: {2}}))
     assert coeffs.k_max == 2
-    assert np.array_equal(coeffs.a_vector(), np.array([2.0, 0.0, 0.5]))
+    assert coeffs.a_hat.dtype == np.complex128
+    assert np.array_equal(coeffs.a_hat, [2.0, 0.0, 0.5])
 
 
 # ---------------------------------------------------------------- IQ estimation
@@ -358,7 +361,7 @@ def test_sic_coefficients_validation():
 
 def test_estimate_iq_exact_with_linear_pa():
     g = ibfd_grid()
-    pa = PAPolynomial({1: 2.0})
+    pa = [2.0]
     b = 0.05 * np.exp(0.4j)
     buf = make_buffer(g, pa, b, flat_channel(g), seed=3)
     b_hat = estimate_iq(buf)
@@ -367,7 +370,7 @@ def test_estimate_iq_exact_with_linear_pa():
 
 def test_estimate_iq_zero_imbalance_estimates_zero():
     g = ibfd_grid()
-    buf = make_buffer(g, PAPolynomial({1: 2.0}), 0.0, flat_channel(g), seed=4)
+    buf = make_buffer(g, [2.0], 0.0, flat_channel(g), seed=4)
     assert abs(estimate_iq(buf)) < 1e-12
 
 
@@ -382,12 +385,12 @@ def test_estimate_iq_tolerates_nonlinear_pa():
 
 def test_estimate_iq_needs_data_and_mirror_pairs():
     g = ibfd_grid()
-    buf = make_buffer(g, PAPolynomial({1: 1.0}), 0.0, flat_channel(g), n_train=5)  # one data row
+    buf = make_buffer(g, [1.0], 0.0, flat_channel(g), n_train=5)  # one data row
     with pytest.raises(ValueError, match="at least 2 data"):
         estimate_iq(buf)
 
     g2 = SubcarrierGrid(16, 120e3, 4, (2, 6), (10, 14))  # mirrors fall outside the band
-    buf2 = make_buffer(g2, PAPolynomial({1: 1.0}), 0.0, flat_channel(g2))
+    buf2 = make_buffer(g2, [1.0], 0.0, flat_channel(g2))
     with pytest.raises(ValueError, match="unidentifiable"):
         estimate_iq(buf2)
 
@@ -396,7 +399,7 @@ def test_estimate_iq_reports_zero_mirror_content():
     g = ibfd_grid()
     values = np.zeros(64, dtype=complex)
     values[10] = 1.0  # mirror subcarrier 54 stays empty in every symbol
-    body = forward_body(values, PAPolynomial({1: 1.0}), 0.0, flat_channel(g))
+    body = forward_body(values, [1.0], 0.0, flat_channel(g))
     buf = TrainingBuffer(
         grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(body, (3, 1)), n_impulse=0,
         omega=default_pilot_omega(g),
@@ -415,19 +418,20 @@ def test_estimate_pa_recovers_polynomial_exactly():
     gain = 0.02 + 0.005j
     buf = make_buffer(g, pa, b, flat_channel(g, gain), seed=6)
     a_hat = estimate_pa(buf, gain, b, K_MAX)
-    for order, truth in pa.coeffs.items():
-        assert abs(a_hat[order] - truth) / abs(truth) < 1e-9
+    assert a_hat.shape == (K_MAX + 1,)
+    for k, truth in enumerate(pa):
+        assert abs(a_hat[k] - truth) / abs(truth) < 1e-9
 
 
 def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
     g = ibfd_grid()
-    pa = PAPolynomial({1: 10.0})
+    pa = [10.0]
     gain = 0.02 + 0.005j
     buf = make_buffer(g, pa, 0.0, flat_channel(g, gain), seed=7)
     a_hat = estimate_pa(buf, gain, 0.0, K_MAX)
-    assert abs(a_hat[1] - 10.0) < 1e-9
-    assert abs(a_hat[3]) < 1e-8
-    assert abs(a_hat[5]) < 1e-8
+    assert abs(a_hat[0] - 10.0) < 1e-9
+    assert abs(a_hat[1]) < 1e-8
+    assert abs(a_hat[2]) < 1e-8
 
 
 def test_estimate_pa_validation():
@@ -457,8 +461,8 @@ def test_estimate_pa_coefficients_transfer_across_channels():
 
     chan_b, _ = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, seed=9)
-    h_hat, estimated = estimate_channel(buf_b, a_hat, b, K_MAX)
-    assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
+    h_hat = estimate_channel(buf_b, a_hat, b, K_MAX)
+    assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
     assert rel.max() < 1e-8
@@ -473,8 +477,8 @@ def test_estimate_channel_noiseless_recovery():
     b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=10)
     buf = make_buffer(g, pa, b, chan, seed=10)
-    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), b, K_MAX)
-    assert estimated.sum() == g.ul_size and estimated[g.ul_indices].all()
+    h_hat = estimate_channel(buf, pa, b, K_MAX)
+    assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
     assert rel.max() < 1e-8
@@ -489,13 +493,12 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
-    h_hat, estimated = estimate_channel(buf, dict(pa.coeffs), 0.0, K_MAX)
-    assert not estimated[: g.ul_start].any() and not estimated[g.ul_end + 1 :].any()
-    unest = frozenset(int(p) for p in g.ul_indices[~estimated[g.ul_indices]])
+    h_hat = estimate_channel(buf, pa, 0.0, K_MAX)
+    assert not h_hat[: g.ul_start].any() and not h_hat[g.ul_end + 1 :].any()
+    unest = frozenset(int(p) for p in g.ul_indices[h_hat[g.ul_indices] == 0])
     # everything past the support edge must be flagged; the last few inside
     # the support may fall below the relative power cut as well
     assert frozenset(range(23, 31)) <= unest <= frozenset(range(17, 31))
-    assert all(h_hat[p] == 0 for p in unest)
     good = sorted(set(int(p) for p in g.ul_indices) - unest)
     rel = np.abs(h_hat[good] - chan[good]) / np.abs(chan[good])
     assert rel.max() < 1e-6
@@ -506,7 +509,7 @@ def test_estimate_channel_counter_charge_is_linear_in_band():
     pa = default_measured_pa()
     buf = make_buffer(g, pa, 0.0, flat_channel(g), seed=12)
     counter = OpCounter()
-    estimate_channel(buf, dict(pa.coeffs), 0.0, K_MAX, counter=counter)
+    estimate_channel(buf, pa, 0.0, K_MAX, counter=counter)
     n_ul = g.ul_size
     m = len(buf.tx) - buf.n_impulse
     assert counter.mults("estimate_channel") == m * n_ul * (K_MAX + 3) + n_ul
@@ -517,8 +520,7 @@ def test_estimate_channel_counter_charge_is_linear_in_band():
 
 def test_select_basis_threshold_walk():
     g = ibfd_grid()
-    pa = default_measured_pa()
-    a_hat = dict(pa.coeffs)
+    a_hat = default_measured_pa()
     mu = mu_tables(g, 0.0, 0.6, 2)
     h = flat_channel(g, 0.05)
     ul = g.ul_indices
@@ -541,9 +543,9 @@ def test_select_basis_validation():
     g = ibfd_grid()
     mu = mu_tables(g, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        select_basis({1: 1.0}, mu, flat_channel(g), -1.0, 2, g)
+        select_basis([1.0], mu, flat_channel(g), -1.0, 2, g)
     with pytest.raises(ValueError, match="cover"):
-        select_basis({1: 1.0}, mu[:1], flat_channel(g), 1.0, 2, g)
+        select_basis([1.0], mu[:1], flat_channel(g), 1.0, 2, g)
 
 
 @pytest.mark.parametrize("k_max", [2, 3])
@@ -551,12 +553,12 @@ def test_select_basis_matches_loop_reference(k_max):
     g = sbfd_grid()
     ul = g.ul_indices
     rng = np.random.default_rng(30 + k_max)
-    a_hat = {2 * k + 1: complex(*rng.standard_normal(2)) for k in range(k_max + 1)}
+    a_hat = np.array([complex(*rng.standard_normal(2)) for k in range(k_max + 1)])
     mu = mu_tables(g, irr_to_b(25.0, 0.3), 1.0, k_max) * rng.uniform(0.1, 10.0, (k_max + 1, 64))
     h = 0.01 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     unestimated = rng.choice(ul, 4, replace=False)
     h[unestimated] = 0.0
-    power = predict_si_power(np.array(list(a_hat.values())), mu, h)[1:, ul]
+    power = predict_si_power(a_hat, mu, h)[1:, ul]
     for gamma in [0.0, *np.quantile(power[power > 0], [0.15, 0.5, 0.85])]:
         counter = OpCounter()
         ref_counter = OpCounter()
@@ -576,7 +578,7 @@ def test_run_sic_matches_loop_reference(k_max):
     g = ibfd_grid()
     ul = g.ul_indices
     rng = np.random.default_rng(40 + k_max)
-    a_hat = {2 * k + 1: complex(*rng.standard_normal(2)) / 10**k for k in range(k_max + 1)}
+    a_hat = np.array([complex(*rng.standard_normal(2)) / 10**k for k in range(k_max + 1)])
     b = 0.05 * np.exp(0.4j)
     h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     for trial in range(6):
@@ -589,19 +591,16 @@ def test_run_sic_matches_loop_reference(k_max):
         x = gen_qam_symbols(g, 16, 1.0, 1, seed=trial)[0]
         counter = OpCounter()
         ref_counter = OpCounter()
-        est = run_sic(x, coeffs, counter=counter)
+        combined = precombine(coeffs)
+        est = run_sic(x, coeffs, combined, counter=counter)
         xiq = x + b * np.conj(mirror_values(x))
-        ref = run_sic_loop(
-            xiq, basis_chain(xiq, k_max), precombine(coeffs), g, sets, unestimated, ref_counter
-        )
+        chain = basis_chain(xiq, k_max)
+        ref = run_sic_loop(xiq, chain, combined, g, sets, unestimated, ref_counter)
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert counter.mults("run") == ref_counter.mults("run")
         assert counter.adds("run") == ref_counter.adds("run")
         stack = np.concatenate([x[None], gen_qam_symbols(g, 16, 1.0, 3, seed=10 + trial)])
-        combined = precombine(coeffs)
-        assert_stack_matches_rows(
-            lambda xs, c: run_sic(xs, coeffs, counter=c, combined=combined), stack
-        )
+        assert_stack_matches_rows(lambda xs, c: run_sic(xs, coeffs, combined, counter=c), stack)
 
 
 # ---------------------------------------------------------------- running canceller
@@ -612,12 +611,12 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=13)
-    coeffs = perfect_coefficients(g, chan, dict(pa.coeffs), b)
+    coeffs = perfect_coefficients(g, chan, pa, b)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan))
     counter = OpCounter()
-    out = y - run_sic(x, coeffs, counter=counter)
+    out = y - run_sic(x, coeffs, precombine(coeffs), counter=counter)
     si_scale = np.abs(y[g.ul_indices]).max()
     assert np.abs(out[g.ul_indices]).max() < 1e-9 * si_scale
     # running cost: one multiply for the linear term plus one per retained order
@@ -629,7 +628,7 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=14)
     skip = int(g.ul_indices[2])
-    base = perfect_coefficients(g, chan, dict(pa.coeffs), 0.0)
+    base = perfect_coefficients(g, chan, pa, 0.0)
     retained = base.retained.copy()
     retained[:, skip] = False
     coeffs = SICCoefficients(
@@ -637,7 +636,7 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     )
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
-    out = y - run_sic(x, coeffs)
+    out = y - run_sic(x, coeffs, precombine(coeffs))
     assert out[skip] == y[skip]
     outside = np.setdiff1d(np.arange(64), g.ul_indices)
     assert np.array_equal(out[outside], y[outside])
@@ -645,24 +644,25 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
 
 def test_run_sic_rejects_energy_outside_downlink():
     g = sbfd_grid()
-    coeffs = perfect_coefficients(g, flat_channel(g), {1: 1.0}, 0.0)
+    coeffs = perfect_coefficients(g, flat_channel(g), [1.0], 0.0)
+    combined = precombine(coeffs)
     bad = np.zeros(64, dtype=complex)
     bad[g.ul_start] = 1.0  # uplink subcarrier carries transmit energy
     with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(bad, coeffs)
+        run_sic(bad, coeffs, combined)
     with pytest.raises(ValueError, match="length"):
-        run_sic(np.zeros(32, dtype=complex), coeffs)
+        run_sic(np.zeros(32, dtype=complex), coeffs, combined)
     # the checks hold for every row of a stack
     with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(np.stack([np.zeros(64, dtype=complex), bad]), coeffs)
+        run_sic(np.stack([np.zeros(64, dtype=complex), bad]), coeffs, combined)
     with pytest.raises(ValueError, match="length"):
-        run_sic(np.zeros((2, 32), dtype=complex), coeffs)
+        run_sic(np.zeros((2, 32), dtype=complex), coeffs, combined)
 
 
 def test_precombine_matches_manual_product():
     g = ibfd_grid()
     chan, _ = tapped_channel(g, seed=15)
-    coeffs = perfect_coefficients(g, chan, {1: 2.0, 3: -0.5, 5: 0.01}, 0.0)
+    coeffs = perfect_coefficients(g, chan, [2.0, -0.5, 0.01], 0.0)
     counter = OpCounter()
     combined = precombine(coeffs, counter=counter)
     ul = g.ul_indices
@@ -685,7 +685,7 @@ def test_estimated_canceller_reaches_noise_floor():
 
     b_hat = estimate_iq(buf)
     a_hat = estimate_pa(buf, los, b_hat, K_MAX)
-    h_hat, _ = estimate_channel(buf, a_hat, b_hat, K_MAX)
+    h_hat = estimate_channel(buf, a_hat, b_hat, K_MAX)
     mu = mu_tables(g, b_hat, a_digi, K_MAX)
     retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
     coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
@@ -693,7 +693,7 @@ def test_estimated_canceller_reaches_noise_floor():
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan, rng, sigma))
-    out = y - run_sic(x, coeffs)
+    out = y - run_sic(x, coeffs, precombine(coeffs))
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
     resid = np.abs(out[g.ul_indices]) ** 2
     raw = np.abs(y[g.ul_indices]) ** 2
