@@ -31,14 +31,13 @@ from .imd import (
     IMDTables,
     basis_chain,
     basis_direct,
-    default_pilot_omega,
     dump_imd_tables,
     impulse_pilot,
     impulse_pilot_basis,
     lambda_dl,
     make_imd_tables,
     mu_tables,
-    pilot_peak_sample,
+    pilot_profile,
     predict_si_power,
     q_size,
 )
@@ -55,7 +54,6 @@ from .ofdm import (
     dft,
     gen_qam_symbols,
     idft,
-    mirror_index,
     mirror_values,
     qam_constellation,
     remove_cp,

@@ -103,7 +103,7 @@ def _cmd_validate(args) -> int:
 
     pilot = impulse_pilot(grid, a_digi)
     try:
-        closed = impulse_pilot_basis(grid, b_iq, a_digi, k=1, q_tables=qs)
+        closed = impulse_pilot_basis(grid, b_iq, a_digi, k=1)
         direct = basis_direct(pilot, b_iq, 1)
         scale = float(np.max(np.abs(direct))) or 1.0
         err = float(np.max(np.abs(closed - direct))) / scale

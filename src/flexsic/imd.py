@@ -23,6 +23,12 @@ Lambda (the self-convolution of the downlink indicator, a triangle in
 closed form), and the basis itself obeys a recursion that needs only one
 squared spectrum and one FFT per order.
 
+The impulse pilot is a flat downlink spectrum carrying the phase ramp
+exp(-j 2 pi cp_length p / P), so its whole band lands in body sample
+cp_length: past the longest channel tap, and on an integer sample, which
+keeps the pilot's closed-form basis exact. Its spectrum, its basis and its
+time profile all live here and share that one ramp slope.
+
 Costs: lambda_dl is O(P). mu_tables, the basis-power prediction on the
 run path, is O(P log P) per order: one real-FFT circular correlation, with
 its round-off clipped to >= 0 and exact zeros kept off the subcarriers no
@@ -38,13 +44,12 @@ arrays: one (P,) spectrum or an (M, P) stack of them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .impairments import apply_iq_freq
-from .ofdm import SubcarrierGrid, mirror_index
+from .ofdm import SubcarrierGrid, mirror_values
 
 
 @dataclass(frozen=True)
@@ -54,18 +59,13 @@ class IMDTables:
     q_size[k, p] is the exact integer |Q^{2k+1}_p| (a Python int in an
     object array, since the counts outgrow int64); row 0 is the downlink
     indicator.  mu[k, p] is the predicted E|Phi_{2k+1}[p]|^2 for random
-    downlink symbols of per-subcarrier power a_digi^2.  lambda_dl[s] counts
-    downlink pairs with q1 + q2 = s (plain integer s, no wrap).
+    downlink symbols of per-subcarrier power a_digi^2.
     """
 
     grid: SubcarrierGrid
     k_max: int
     q_size: np.ndarray
     mu: np.ndarray
-    lambda_dl: np.ndarray
-    b_iq: complex
-    a_digi: float
-    moment_mode: str
 
 
 def lambda_dl(grid: SubcarrierGrid) -> np.ndarray:
@@ -233,7 +233,6 @@ def make_imd_tables(
     b_iq: complex,
     a_digi: float,
     k_max: int,
-    moment_mode: str = "biq",
 ) -> IMDTables:
     """Build and validate the full table set for one allocation."""
     qs = q_size(grid, k_max)
@@ -248,11 +247,7 @@ def make_imd_tables(
         grid=grid,
         k_max=k_max,
         q_size=qs,
-        mu=mu_tables(grid, b_iq, a_digi, k_max, moment_mode),
-        lambda_dl=lambda_dl(grid),
-        b_iq=complex(b_iq),
-        a_digi=float(a_digi),
-        moment_mode=moment_mode,
+        mu=mu_tables(grid, b_iq, a_digi, k_max),
     )
 
 
@@ -267,91 +262,82 @@ def dump_imd_tables(tables: IMDTables, path) -> None:
 
 def _dl_mirror_closed(grid: SubcarrierGrid) -> bool:
     """True when the downlink set maps onto itself under p -> (P - p) mod P."""
-    dl = set(int(i) for i in grid.dl_indices)
-    return dl == {mirror_index(i, grid.num_subcarriers) for i in dl}
+    return np.array_equal(mirror_values(grid.dl_mask), grid.dl_mask)
 
 
-def default_pilot_omega(grid: SubcarrierGrid) -> float:
-    """Phase slope placing the pilot peak at body sample cp_length."""
+def _pilot_slope(grid: SubcarrierGrid) -> float:
+    """Phase slope of the pilot ramp, placing its peak at body sample cp_length."""
     return 2.0 * np.pi * grid.cp_length / grid.num_subcarriers
 
 
-def pilot_peak_sample(grid: SubcarrierGrid, omega: float) -> float:
-    """Body sample index n0 = omega * P / (2 pi) of the pilot peak."""
-    return omega * grid.num_subcarriers / (2.0 * np.pi)
-
-
-def impulse_pilot(
-    grid: SubcarrierGrid, a_digi, omega: float | None = None
-) -> np.ndarray:
-    """Impulse-like pilot: X[p] = a_digi * exp(-j omega p) on the downlink set.
+def impulse_pilot(grid: SubcarrierGrid, a_digi) -> np.ndarray:
+    """Impulse-like pilot: X[p] = a_digi * exp(-j 2 pi cp_length p / P) on the downlink set.
 
     A scalar a_digi gives one (P,) pilot; an array of amplitudes gives one
     pilot per amplitude, shape a_digi.shape + (P,).
 
-    The linear phase ramp concentrates the time-domain energy at body
-    sample n0 = omega P / (2 pi); the default omega puts n0 at cp_length so
-    the peak clears the longest channel tap.  A non-integer n0 leaves the
-    peak straddling two samples and triggers a warning.
+    The phase ramp concentrates the time-domain energy at body sample
+    cp_length, where the peak clears the longest channel tap.
     """
     a_digi = np.asarray(a_digi, dtype=np.float64)
     if np.any(a_digi <= 0):
         raise ValueError(f"a_digi must be positive, got {a_digi}")
-    if omega is None:
-        omega = default_pilot_omega(grid)
-    n0 = pilot_peak_sample(grid, omega)
-    if abs(n0 - round(n0)) > 1e-9:
-        warnings.warn(
-            f"pilot peak sample n0 = {n0:.6f} is not an integer; "
-            "the time-domain peak straddles two samples",
-            stacklevel=2,
-        )
     values = np.zeros(a_digi.shape + (grid.num_subcarriers,), dtype=np.complex128)
     idx = grid.dl_indices
-    values[..., idx] = a_digi[..., None] * np.exp(-1j * omega * idx)
+    values[..., idx] = a_digi[..., None] * np.exp(-1j * _pilot_slope(grid) * idx)
     return values
 
 
+def pilot_profile(grid: SubcarrierGrid, samples: np.ndarray) -> np.ndarray:
+    """Unit-peak time profile of the impulse pilot at the given body samples.
+
+    The pilot spectrum is a constant with a linear phase ramp over the
+    contiguous downlink span, so its time profile is a geometric sum
+    evaluated in closed form: a handful of operations per sample, with no
+    dependence on the grid or band sizes. It is exactly 1 at sample
+    cp_length.
+    """
+    theta = (
+        2.0 * np.pi * np.asarray(samples, dtype=np.float64) / grid.num_subcarriers
+        - _pilot_slope(grid)
+    )
+    n = grid.dl_size
+    z = np.exp(1j * theta)
+    near_one = np.abs(z - 1.0) < 1e-12
+    # placeholder away from 1 but still unit modulus, so z**n stays bounded
+    safe = np.where(near_one, np.exp(0.5j), z)
+    out = np.exp(1j * theta * grid.dl_start) * (safe**n - 1.0) / (safe - 1.0)
+    out[near_one] = n
+    return out / n
+
+
 def impulse_pilot_basis(
-    grid: SubcarrierGrid,
-    b_iq: complex,
-    a_digi: float,
-    omega: float | None = None,
-    k: int = 0,
-    q_tables: np.ndarray | None = None,
+    grid: SubcarrierGrid, b_iq: complex, a_digi: float, k: int = 0
 ) -> np.ndarray:
     """Closed-form nonlinear basis of the impulse pilot, O(1) per subcarrier.
 
         Phi_{2k+1}[p] = (|Q^{2k+1}_p| / P^{2k}) * a^{2k+1}
-                        * |1 + b|^{2k} * (1 + b) * exp(-j omega p)
+                        * |1 + b|^{2k} * (1 + b) * exp(-j 2 pi cp_length p / P)
 
-    Exact when every tuple term carries the same per-subcarrier factor,
-    which requires an integer peak sample and either b = 0 or a
-    mirror-closed downlink set; violations raise.
+    Exact when every tuple term carries the same per-subcarrier factor.
+    The peak sits on the integer sample cp_length, so that holds when
+    b = 0 or the downlink set is mirror-closed; b != 0 on any other set
+    raises.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if omega is None:
-        omega = default_pilot_omega(grid)
-    n0 = pilot_peak_sample(grid, omega)
-    if abs(n0 - round(n0)) > 1e-9:
-        raise ValueError(
-            f"closed-form pilot basis needs an integer peak sample, got n0 = {n0:.6f}"
-        )
     if b_iq != 0 and not _dl_mirror_closed(grid):
         raise ValueError(
             "closed-form pilot basis with b != 0 requires a mirror-closed "
             "downlink set (dl_start + dl_end = P)"
         )
-    if q_tables is None:
-        q_tables = q_size(grid, k)
     p = grid.num_subcarriers
     one_b = 1.0 + b_iq
     scale = (
         a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
     )
-    ramp = np.exp(-1j * omega * np.arange(p))
-    return q_tables[k].astype(np.float64) * scale * ramp
+    ramp = np.exp(-1j * _pilot_slope(grid) * np.arange(p))
+    return q_size(grid, k)[k].astype(np.float64) * scale * ramp
 
 
 def predict_si_power(

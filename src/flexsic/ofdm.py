@@ -125,16 +125,6 @@ class SubcarrierGrid:
         return 1.0 / (self.num_subcarriers * self.subcarrier_spacing)
 
 
-def mirror_index(p: int, num_subcarriers: int) -> int:
-    """Map subcarrier p to its negative-frequency image (P - p) mod P.
-
-    The map is an involution; it fixes 0 (and P/2 when P is even).
-    """
-    if not (0 <= p < num_subcarriers):
-        raise ValueError(f"subcarrier index {p} outside [0, {num_subcarriers})")
-    return (num_subcarriers - p) % num_subcarriers
-
-
 def mirror_values(values: np.ndarray) -> np.ndarray:
     """Reindex the last axis by the mirror map: out[..., p] = values[..., (P - p) mod P]."""
     return np.roll(values[..., ::-1], 1, axis=-1)

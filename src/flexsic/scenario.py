@@ -47,7 +47,7 @@ from .channel import (
     synth_channel,
 )
 from .counters import OpCounter
-from .imd import default_pilot_omega, impulse_pilot, mu_tables
+from .imd import impulse_pilot, mu_tables
 from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
 from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
 from .sic import (
@@ -157,6 +157,14 @@ class ScenarioSpec:
             raise ValueError("cancellers must not repeat")
         if self.tap_file is not None and not os.path.exists(self.tap_file):
             raise ValueError(f"tap_file does not exist: {self.tap_file}")
+        # synth_channel puts NLoS ray i exactly on tap i * nlos_tap_step
+        longest = (self.channel.n_rays - 1) * self.channel.nlos_tap_step
+        if self.tap_file is None and longest >= self.cp_length:
+            raise ValueError(
+                f"cp_length must exceed the synthetic channel's longest tap {longest} "
+                f"(channel.n_rays - 1 = {self.channel.n_rays - 1} rays, "
+                f"channel.nlos_tap_step = {self.channel.nlos_tap_step}), got {self.cp_length}"
+            )
         if self.pa_coeffs is not None and (
             any(order < 1 or order % 2 == 0 for order in self.pa_coeffs)
             or self.pa_coeffs.get(1, 0) == 0
@@ -392,15 +400,14 @@ def _build_training(
     seed_data: int,
     seed_noise: int,
 ) -> TrainingBuffer:
-    omega = default_pilot_omega(grid)
     lo, hi = spec.impulse_amp_range
     peaks = np.linspace(lo, hi, spec.n_impulse_symbols)
-    pilots = impulse_pilot(grid, peaks * (grid.num_subcarriers / grid.dl_size), omega)
+    pilots = impulse_pilot(grid, peaks * (grid.num_subcarriers / grid.dl_size))
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
     rx = _add_noise(_rx_body(tx, b_iq, a, chan, grid), sigma_t, np.random.default_rng(seed_noise))
-    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
+    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
 def _fit_pa(

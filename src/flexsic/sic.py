@@ -3,13 +3,14 @@
 Stage one estimates the transmitter model from a short training window:
 the IQ-imbalance image weight b from mirror-subcarrier regressions, the
 odd-order polynomial coefficients a_{2k+1} from an amplitude-swept
-impulse pilot, and the effective channel H[p] from a per-subcarrier
-scalar regression against the composite nonlinear regressor. Stage two
-selects, per uplink subcarrier, which distortion orders are worth
-cancelling (predicted distortion power above a threshold gamma) and
-records the choice as one boolean retained-order mask. The per-symbol
-canceller is then a masked product-sum whose running cost is one
-multiply per retained basis per subcarrier.
+impulse pilot whose peak sits at body sample cp_length (its spectrum and
+closed-form time profile live in imd), and the effective channel H[p]
+from a per-subcarrier scalar regression against the composite nonlinear
+regressor. Stage two selects, per uplink subcarrier, which distortion
+orders are worth cancelling (predicted distortion power above a
+threshold gamma) and records the choice as one boolean retained-order
+mask. The per-symbol canceller is then a masked product-sum whose
+running cost is one multiply per retained basis per subcarrier.
 
 The running cancellers (run_sic, run_full_ls, baseline_linear) return
 the self-interference estimate on the grid; the caller subtracts it from
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import OpCounter, ls_costs
-from .imd import basis_chain, pilot_peak_sample, predict_si_power
+from .imd import basis_chain, pilot_profile, predict_si_power
 from .impairments import apply_iq_freq, apply_iq_time
 from .ofdm import SubcarrierGrid
 
@@ -81,7 +82,6 @@ class TrainingBuffer:
     tx: np.ndarray
     rx: np.ndarray
     n_impulse: int
-    omega: float
 
     def __post_init__(self):
         p = self.grid.num_subcarriers
@@ -290,28 +290,6 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
     return complex(np.sum(weight * (c[:, 1] / c[:, 0])) / den)
 
 
-def _pilot_kernel(grid: SubcarrierGrid, omega: float, samples: np.ndarray) -> np.ndarray:
-    """Unit-peak time profile of the flat-ramp pilot at the given body samples.
-
-    The pilot spectrum is a constant with a linear phase ramp over the
-    contiguous downlink span, so its time profile is a geometric sum
-    evaluated in closed form: a handful of operations per sample, with no
-    dependence on the grid or band sizes.
-    """
-    theta = (
-        2.0 * np.pi * np.asarray(samples, dtype=np.float64) / grid.num_subcarriers
-        - omega
-    )
-    n = grid.dl_size
-    z = np.exp(1j * theta)
-    near_one = np.abs(z - 1.0) < 1e-12
-    # placeholder away from 1 but still unit modulus, so z**n stays bounded
-    safe = np.where(near_one, np.exp(0.5j), z)
-    out = np.exp(1j * theta * grid.dl_start) * (safe**n - 1.0) / (safe - 1.0)
-    out[near_one] = n
-    return out / n
-
-
 def estimate_pa(
     buffer: TrainingBuffer,
     los_gain: complex,
@@ -355,10 +333,9 @@ def estimate_pa(
 
     grid = buffer.grid
     p_total = grid.num_subcarriers
-    n0 = pilot_peak_sample(grid, buffer.omega)
-    n0_int = int(round(n0))
-    if abs(n0 - n0_int) > 1e-9:
-        raise ValueError("pilot peak does not land on an integer sample")
+    # the pilot peak sits at body sample cp_length, and the guard window
+    # reaches one prefix length to either side of it
+    n0 = guard = grid.cp_length
 
     rx = buffer.rx[:m]
     amp = np.abs(buffer.tx[:m, grid.dl_start])
@@ -372,56 +349,54 @@ def estimate_pa(
     for k in range(k_max + 1):
         rows[:, k] = los_gain * term
         term = term * mag2
-    y = rx[:, (n0_int + los_tap_index) % p_total]
+    y = rx[:, (n0 + los_tap_index) % p_total]
     if counter is not None:
         counter.charge("estimate_pa", mults=m * (2 * k_max + 3), adds=m)
     coeffs = ls_solve(rows, y, regularization, counter=counter, stage="estimate_pa")
 
-    guard = min(grid.cp_length, n0_int)
-    if guard > 0:
-        offsets = np.arange(-guard, guard + 1)
-        kappa = _pilot_kernel(grid, buffer.omega, n0_int + offsets)
-        x_all = peaks[:, None] * kappa[None, :]
-        a_all = apply_iq_time(x_all, b_hat)
-        mag2_all = np.abs(a_all) ** 2
-        post_idx = (n0_int + los_tap_index + np.arange(1, guard + 1)) % p_total
-        rx_post = rx[:, post_idx]
-        n_echo = min(_PA_MAX_ECHOES, guard)
-        # column s of the joint design holds the echo at delay taus[s];
-        # row (i, tau) needs the amplifier output at offset tau - taus[s]
-        tau_rows = np.arange(1, guard + 1)
-        if counter is not None:
-            counter.charge(
-                "estimate_pa",
-                mults=8 * (2 * guard + 1)
-                + _PA_REFINE_PASSES
-                * (
-                    m * (2 * guard + 1) * (k_max + 3)
-                    + guard * (2 * m + 1)
-                    + 2 * m * n_echo
-                ),
-                adds=_PA_REFINE_PASSES * m * guard * 2,
-            )
-        for _ in range(_PA_REFINE_PASSES):
-            u = np.zeros_like(a_all)
-            for k in range(k_max, -1, -1):
-                u = u * mag2_all + coeffs[k]
-            u = u * a_all
-            u_peak = u[:, guard]
-            u_post = u[:, guard + 1 :]
-            resid = rx_post - los_gain * u_post
-            matched = (np.conj(u_peak) @ resid) / np.sum(np.abs(u_peak) ** 2)
-            taus = 1 + np.sort(np.argsort(np.abs(matched))[::-1][:n_echo])
-            design = u[:, guard + tau_rows[:, None] - taus[None, :]]
-            gains = ls_solve(
-                design.reshape(m * guard, len(taus)),
-                resid.reshape(m * guard),
-                regularization,
-                counter=counter,
-                stage="estimate_pa",
-            )
-            y_corr = y - u[:, guard - taus] @ gains
-            coeffs = ls_solve(rows, y_corr, regularization, counter=counter, stage="estimate_pa")
+    offsets = np.arange(-guard, guard + 1)
+    kappa = pilot_profile(grid, n0 + offsets)
+    x_all = peaks[:, None] * kappa[None, :]
+    a_all = apply_iq_time(x_all, b_hat)
+    mag2_all = np.abs(a_all) ** 2
+    post_idx = (n0 + los_tap_index + np.arange(1, guard + 1)) % p_total
+    rx_post = rx[:, post_idx]
+    n_echo = min(_PA_MAX_ECHOES, guard)
+    # column s of the joint design holds the echo at delay taus[s];
+    # row (i, tau) needs the amplifier output at offset tau - taus[s]
+    tau_rows = np.arange(1, guard + 1)
+    if counter is not None:
+        counter.charge(
+            "estimate_pa",
+            mults=8 * (2 * guard + 1)
+            + _PA_REFINE_PASSES
+            * (
+                m * (2 * guard + 1) * (k_max + 3)
+                + guard * (2 * m + 1)
+                + 2 * m * n_echo
+            ),
+            adds=_PA_REFINE_PASSES * m * guard * 2,
+        )
+    for _ in range(_PA_REFINE_PASSES):
+        u = np.zeros_like(a_all)
+        for k in range(k_max, -1, -1):
+            u = u * mag2_all + coeffs[k]
+        u = u * a_all
+        u_peak = u[:, guard]
+        u_post = u[:, guard + 1 :]
+        resid = rx_post - los_gain * u_post
+        matched = (np.conj(u_peak) @ resid) / np.sum(np.abs(u_peak) ** 2)
+        taus = 1 + np.sort(np.argsort(np.abs(matched))[::-1][:n_echo])
+        design = u[:, guard + tau_rows[:, None] - taus[None, :]]
+        gains = ls_solve(
+            design.reshape(m * guard, len(taus)),
+            resid.reshape(m * guard),
+            regularization,
+            counter=counter,
+            stage="estimate_pa",
+        )
+        y_corr = y - u[:, guard - taus] @ gains
+        coeffs = ls_solve(rows, y_corr, regularization, counter=counter, stage="estimate_pa")
     return coeffs
 
 
@@ -443,16 +418,18 @@ def _charged_bases(
     """Bases Phi_1 .. Phi_{2k_max+1} of (..., P) transmit spectra with the IQ image b_hat.
 
     Charged to stage per symbol: the image costs one multiply and one add
-    per downlink subcarrier, and basis_chain one spectrum FFT plus
-    squaring, then one FFT, one IFFT, one elementwise product and one
-    rescale per order.
+    per downlink subcarrier. For k_max >= 1, basis_chain adds one spectrum
+    FFT plus squaring, then one FFT, one IFFT, one elementwise product and
+    one rescale per order; at k_max = 0 it runs none of these, so only the
+    image is charged.
     """
     if counter is not None:
         p_total = grid.num_subcarriers
         count = _symbol_count(x, p_total)
         counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
-        counter.charge_fft(stage, p_total, count=count * (1 + 2 * k_max))
-        counter.charge(stage, mults=count * p_total * (1 + 2 * k_max))
+        if k_max >= 1:
+            counter.charge_fft(stage, p_total, count=count * (1 + 2 * k_max))
+            counter.charge(stage, mults=count * p_total * (1 + 2 * k_max))
     return basis_chain(apply_iq_freq(x, b_hat), k_max)
 
 
@@ -461,6 +438,24 @@ def _padded(a_hat: np.ndarray, k_max: int) -> np.ndarray:
     a_vec = np.zeros(k_max + 1, dtype=np.complex128)
     a_vec[: len(a_hat)] = a_hat[: k_max + 1]
     return a_vec
+
+
+def _scalar_ls(
+    regressor: np.ndarray, rx: np.ndarray, grid: SubcarrierGrid
+) -> tuple[np.ndarray, int]:
+    """Per-subcarrier scalar LS sum_m conj(r) y / sum_m |r|^2 of (M, |UL|) stacks.
+
+    Returns the estimate over the full grid and the number of uplink
+    subcarriers solved. A subcarrier whose regressor power is at most
+    _REGRESSOR_POWER_TOL of the band's largest stays zero.
+    """
+    num = (np.conj(regressor) * rx).sum(axis=0)
+    den = (np.abs(regressor) ** 2).sum(axis=0)
+    h = np.zeros(grid.num_subcarriers, dtype=np.complex128)
+    top = den.max() if den.size else 0.0
+    good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
+    h[grid.ul_indices[good]] = num[good] / den[good]
+    return h, int(good.sum())
 
 
 def estimate_channel(
@@ -484,26 +479,19 @@ def estimate_channel(
     if not m:
         raise ValueError("estimate_channel needs at least one data training symbol")
     grid = buffer.grid
-    p_total = grid.num_subcarriers
     ul = grid.ul_indices
     a_vec = _padded(a_hat, k_max)
 
     chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
     regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
-    num = (np.conj(regressor) * rx).sum(axis=0)
-    den = (np.abs(regressor) ** 2).sum(axis=0)
+    h_hat, _ = _scalar_ls(regressor, rx, grid)
     if counter is not None:
         counter.charge(
             "estimate_channel",
             mults=m * (len(ul) * (k_max + 1) + 2 * len(ul)) + len(ul),
             adds=m * (len(ul) * k_max + 2 * len(ul)),
         )
-
-    h_hat = np.zeros(p_total, dtype=np.complex128)
-    top = den.max() if den.size else 0.0
-    good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
-    h_hat[ul[good]] = num[good] / den[good]
     return h_hat
 
 
@@ -631,16 +619,9 @@ def estimate_linear_channel(
     ul = grid.ul_indices
     tx = buffer.tx[buffer.n_impulse:, ul]
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
-    num = (np.conj(tx) * rx).sum(axis=0)
-    den = (np.abs(tx) ** 2).sum(axis=0)
+    h, solved = _scalar_ls(tx, rx, grid)
     if counter is not None:
-        counter.charge("linear_est", mults=m * 2 * len(ul), adds=m * 2 * len(ul))
-    h = np.zeros(grid.num_subcarriers, dtype=np.complex128)
-    top = den.max() if den.size else 0.0
-    good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
-    h[np.asarray(ul)[good]] = num[good] / den[good]
-    if counter is not None:
-        counter.charge("linear_est", mults=int(np.sum(good)), adds=0)
+        counter.charge("linear_est", mults=m * 2 * len(ul) + solved, adds=m * 2 * len(ul))
     return h
 
 

@@ -32,7 +32,6 @@ from flexsic.counters import OpCounter
 from flexsic.imd import (
     basis_chain,
     basis_direct,
-    default_pilot_omega,
     impulse_pilot,
     impulse_pilot_basis,
     mu_tables,
@@ -245,12 +244,10 @@ def test_impulse_pilot_closed_form_basis_is_exact():
     grid = ScenarioSpec(duplex="ibfd").build_grid()
     b_iq = irr_to_b(25.0, 0.3)
     a_digi = 1.1
-    omega = default_pilot_omega(grid)
-    pilot = impulse_pilot(grid, a_digi, omega)
-    qs = q_size(grid, 2)
+    pilot = impulse_pilot(grid, a_digi)
     worst = 0.0
     for k in (0, 1, 2):
-        closed = impulse_pilot_basis(grid, b_iq, a_digi, omega, k, qs)
+        closed = impulse_pilot_basis(grid, b_iq, a_digi, k)
         direct = basis_direct(pilot, b_iq, k)
         peak = float(np.max(np.abs(direct)))
         support = np.abs(direct) > 1e-6 * peak
@@ -524,13 +521,12 @@ def test_amplifier_coefficients_recovered_from_pilots():
         return samples
 
     def training(chan, seed, sigma):
-        omega = default_pilot_omega(grid)
         rng = np.random.default_rng(seed) if sigma > 0 else None
         scale = 256 / grid.dl_size
-        pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 8) * scale, omega)
+        pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 8) * scale)
         tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, 6, seed + 7000)])
         rx = np.array([rx_body(x, chan, sigma, rng) for x in tx])
-        return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=8, omega=omega)
+        return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=8)
 
     chan_los = build_chan(ChannelProfile(n_rays=1), seed=10)
     buf = training(chan_los, 0, 0.0)

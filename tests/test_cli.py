@@ -137,6 +137,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("qam_order", 8),
         ("tx_array", [0, 4, 0.5]),
         ("rx_array", [4, 4, 0.0]),
+        ("cp_length", 16),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
@@ -157,10 +158,12 @@ def test_negative_seed_override_exits_2_naming_the_option(tmp_path, config_path,
 
 @pytest.mark.parametrize("command", ["tables", "validate"])
 def test_tables_and_validate_reject_a_config_that_run_rejects(tmp_path, capsys, command):
-    # the three subcommands share one validity rule; run's k_max case is in the malformed-value test
+    # the three subcommands share one validity rule; run's cases are in the malformed-value test
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, "k_max": 0}))
     out = ["--out", str(tmp_path / "t.csv")] if command == "tables" else []
-    rc = main([command, "--config", str(path)] + out)
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: k_max must")
+    # a 16-sample prefix cannot hold the default channel's last ray, on tap 16
+    for key, value in [("k_max", 0), ("cp_length", 16)]:
+        path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, key: value}))
+        rc = main([command, "--config", str(path)] + out)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must")

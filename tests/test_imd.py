@@ -6,14 +6,13 @@ from flexsic.imd import (
     IMDTables,
     basis_chain,
     basis_direct,
-    default_pilot_omega,
     dump_imd_tables,
     impulse_pilot,
     impulse_pilot_basis,
     lambda_dl,
     make_imd_tables,
     mu_tables,
-    pilot_peak_sample,
+    pilot_profile,
     predict_si_power,
     q_size,
 )
@@ -270,7 +269,6 @@ def test_make_imd_tables_and_dump(tmp_path):
     assert tables.mu[0, g.dl_start] == pytest.approx(
         (1 + abs(b_iq) ** 2) * 0.49
     )
-    assert np.array_equal(tables.lambda_dl, lambda_dl(g))
 
     path = tmp_path / "tables.csv"
     dump_imd_tables(tables, path)
@@ -295,17 +293,30 @@ def test_impulse_pilot_peak_position_and_height():
     assert mags[peak] == pytest.approx(g.dl_size / g.num_subcarriers)
     # the pre-peak body sits well below the peak
     assert 20.0 * np.log10(mags[peak] / mags[:peak].max()) > 10.0
-    assert pilot_peak_sample(g, default_pilot_omega(g)) == pytest.approx(g.cp_length)
 
 
-def test_impulse_pilot_warns_on_fractional_peak():
+def test_impulse_pilot_rejects_nonpositive_amplitude():
     g = desk_grid()
-    with pytest.warns(UserWarning, match="straddles"):
-        impulse_pilot(g, 1.0, omega=2.0 * np.pi * 10.5 / 256)
     with pytest.raises(ValueError, match="positive"):
         impulse_pilot(g, 0.0)
     with pytest.raises(ValueError, match="positive"):
         impulse_pilot(g, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "duplex, p_total",
+    [(preset, p) for preset in DUPLEX_PRESETS for p in (64, 256, 1024, 4096)] + [("custom", 256)],
+)
+def test_pilot_profile_matches_the_pilot_waveform(duplex, p_total):
+    # the closed-form profile is the pilot's body divided by its peak, at every sample;
+    # the custom grid has a five-subcarrier downlink
+    spans = dict(dl_span=(100, 104), ul_span=(10, 50)) if duplex == "custom" else {}
+    grid = ScenarioSpec(duplex=duplex, num_subcarriers=p_total, **spans).build_grid()
+    body = np.fft.ifft(impulse_pilot(grid, 1.0))
+    ref = body / body[grid.cp_length]
+    profile = pilot_profile(grid, np.arange(grid.num_subcarriers))
+    assert np.max(np.abs(profile - ref)) <= 1e-12
+    assert profile[grid.cp_length] == 1.0
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -337,8 +348,6 @@ def test_pilot_basis_closed_form_without_imbalance_any_set():
 
 def test_pilot_basis_validation():
     g = mid_grid()
-    with pytest.raises(ValueError, match="integer peak"):
-        impulse_pilot_basis(g, 0.0, 1.0, omega=2 * np.pi * 4.5 / 32, k=1)
     with pytest.raises(ValueError, match="mirror-closed"):
         impulse_pilot_basis(g, irr_to_b(25.0), 1.0, k=1)
 

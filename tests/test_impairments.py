@@ -9,7 +9,7 @@ from flexsic.impairments import (
     default_measured_pa,
     irr_to_b,
 )
-from flexsic.ofdm import dft, idft, mirror_index
+from flexsic.ofdm import dft, idft
 
 
 # ---------------------------------------------------------------- IQ imbalance
@@ -36,7 +36,7 @@ def test_iq_time_and_freq_pictures_agree(p, seed):
     assert np.allclose(via_time, via_freq, atol=1e-9)
     # spot-check the mirror formula on one subcarrier
     q = p // 3
-    expected = values[q] + b * np.conj(values[mirror_index(q, p)])
+    expected = values[q] + b * np.conj(values[(p - q) % p])
     assert via_freq[q] == pytest.approx(expected)
 
 

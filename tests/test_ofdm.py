@@ -8,7 +8,6 @@ from flexsic.ofdm import (
     dft,
     gen_qam_symbols,
     idft,
-    mirror_index,
     mirror_values,
     qam_constellation,
     remove_cp,
@@ -57,17 +56,6 @@ def test_grid_rejects_bad_parameters(kwargs):
 
 
 # ---------------------------------------------------------------- mirror
-
-
-def test_mirror_index_involution_and_fixed_points():
-    p = 16
-    for q in range(p):
-        assert mirror_index(mirror_index(q, p), p) == q
-    assert mirror_index(0, p) == 0
-    assert mirror_index(8, p) == 8
-    assert mirror_index(3, p) == 13
-    with pytest.raises(ValueError):
-        mirror_index(16, p)
 
 
 @given(st.integers(min_value=2, max_value=64), st.integers(0, 2**32 - 1))

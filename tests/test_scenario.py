@@ -4,8 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from flexsic.channel import ChannelProfile
-from flexsic.imd import default_pilot_omega, impulse_pilot
+from flexsic.channel import ChannelProfile, Ray, save_taps
+from flexsic.imd import impulse_pilot
 from flexsic.impairments import apply_pa, default_measured_pa
 from flexsic.ofdm import gen_qam_symbols
 import flexsic.scenario as scenario
@@ -145,6 +145,18 @@ def test_run_scenario_rejects_a_threshold_that_underflows():
         run_scenario(small_spec(gamma_dbm=-5000.0))
 
 
+def test_spec_rejects_a_prefix_the_synthetic_channel_outruns(tmp_path):
+    # NLoS ray i sits on tap i * nlos_tap_step, so the default channel's last ray is on tap 16
+    with pytest.raises(ValueError, match="cp_length must exceed the synthetic channel's longest tap 16"):
+        ScenarioSpec(num_subcarriers=64, cp_length=16)
+    ScenarioSpec(num_subcarriers=64, cp_length=17)
+    ScenarioSpec(num_subcarriers=64, cp_length=16, channel=ChannelProfile(n_rays=4))
+    # a tap file's delays are checked where they are rasterised, in build_mimo_taps
+    path = tmp_path / "taps.csv"
+    save_taps([Ray(gain=1e-3, delay_s=0.0, aoa=0.0, aod=0.0, is_los=True)], path)
+    ScenarioSpec(num_subcarriers=64, cp_length=16, tap_file=str(path))
+
+
 def test_spec_dict_roundtrip():
     spec = small_spec(
         duplex="custom",
@@ -198,7 +210,7 @@ def test_load_spec_errors(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_spec(path)
-    path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 16}))
+    path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20}))
     assert load_spec(path).num_subcarriers == 64
 
 
@@ -236,11 +248,10 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     sigma = 1e-3 * a_digi / 256
     buf = _build_training(spec, grid, b_iq, pa, chan, a_digi, sigma, seed_data=12, seed_noise=13)
 
-    omega = default_pilot_omega(grid)
     lo, hi = spec.impulse_amp_range
     scale = 256 / grid.dl_size
     pilots = [
-        impulse_pilot(grid, float(peak) * scale, omega)
+        impulse_pilot(grid, float(peak) * scale)
         for peak in np.linspace(lo, hi, spec.n_impulse_symbols)
     ]
     n_data = spec.n_train_symbols - spec.n_impulse_symbols

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from flexsic.counters import OpCounter
+from flexsic.counters import OpCounter, fft_adds, fft_mults
 from flexsic.imd import (
     basis_chain,
-    default_pilot_omega,
     impulse_pilot,
     mu_tables,
     predict_si_power,
@@ -73,14 +72,13 @@ def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
 
 def make_buffer(grid, pa, b_iq, chan_freq, seed=0, a_digi=1.0, sigma=0.0, n_train=14):
     # four impulse pilots swept over peak amplitudes 0.6..2.0, then data symbols
-    omega = default_pilot_omega(grid)
     rng = np.random.default_rng(seed + 1000) if sigma > 0 else None
     scale = grid.num_subcarriers / grid.dl_size
-    pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 4) * scale, omega)
+    pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 4) * scale)
     n_data = n_train - len(pilots)
     tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, n_data, seed)])
     rx = np.array([forward_body(x, pa, b_iq, chan_freq, rng, sigma) for x in tx])
-    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), omega=omega)
+    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
 def retained_mask(grid, k_max, basis_sets, unestimated=()):
@@ -237,7 +235,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
         wobble = 1.0 + 1e-10 * rng.standard_normal()
         tx[i, p_total - ridged] = np.conj(0.5 * tx[i, ridged] * wobble)  # near collinear
         rx[i] = forward_body(tx[i], pa, b, chan)
-    buf = TrainingBuffer(grid=g, tx=tx, rx=rx, n_impulse=buf.n_impulse, omega=buf.omega)
+    buf = TrainingBuffer(grid=g, tx=tx, rx=rx, n_impulse=buf.n_impulse)
     tx = tx[buf.n_impulse:]
     pair_cond = np.linalg.cond(np.stack([tx[:, ridged], np.conj(tx[:, p_total - ridged])], axis=1))
     assert 1e8 < pair_cond < 1e12  # auto ridge, not rank deficient
@@ -313,22 +311,20 @@ def test_training_buffer_ordering_and_shapes():
     g = ibfd_grid()
     zeros = np.zeros((3, 64), dtype=complex)
     rx = np.arange(3 * 64).reshape(3, 64).astype(complex)
-    buf = TrainingBuffer(grid=g, tx=zeros, rx=rx, n_impulse=1, omega=0.0)
+    buf = TrainingBuffer(grid=g, tx=zeros, rx=rx, n_impulse=1)
     # the impulse rows come first; demodulation starts at the requested row
     assert np.array_equal(buf.rx_spectra(buf.n_impulse), np.fft.fft(rx[1:], axis=-1))
     assert buf.rx_spectra().shape == (3, 64)
     for n_impulse in (-1, 4):
         with pytest.raises(ValueError, match="n_impulse"):
-            TrainingBuffer(grid=g, tx=zeros, rx=zeros, n_impulse=n_impulse, omega=0.0)
+            TrainingBuffer(grid=g, tx=zeros, rx=zeros, n_impulse=n_impulse)
     with pytest.raises(ValueError, match=r"tx has shape \(3, 32\), expected \(M, 64\)"):
-        TrainingBuffer(grid=g, tx=zeros[:, :32], rx=zeros[:, :32], n_impulse=1, omega=0.0)
+        TrainingBuffer(grid=g, tx=zeros[:, :32], rx=zeros[:, :32], n_impulse=1)
     with pytest.raises(ValueError, match="expected"):
-        TrainingBuffer(grid=g, tx=zeros[0], rx=zeros[0], n_impulse=0, omega=0.0)
+        TrainingBuffer(grid=g, tx=zeros[0], rx=zeros[0], n_impulse=0)
     # a received symbol that still carries its prefix is refused
     with pytest.raises(ValueError, match="rx has shape"):
-        TrainingBuffer(
-            grid=g, tx=zeros, rx=np.zeros((3, 72), dtype=complex), n_impulse=1, omega=0.0
-        )
+        TrainingBuffer(grid=g, tx=zeros, rx=np.zeros((3, 72), dtype=complex), n_impulse=1)
 
 
 def test_sic_coefficients_validation():
@@ -400,10 +396,7 @@ def test_estimate_iq_reports_zero_mirror_content():
     values = np.zeros(64, dtype=complex)
     values[10] = 1.0  # mirror subcarrier 54 stays empty in every symbol
     body = forward_body(values, [1.0], 0.0, flat_channel(g))
-    buf = TrainingBuffer(
-        grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(body, (3, 1)), n_impulse=0,
-        omega=default_pilot_omega(g),
-    )
+    buf = TrainingBuffer(grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(body, (3, 1)), n_impulse=0)
     with pytest.raises(ValueError, match="mirror content"):
         estimate_iq(buf)
 
@@ -440,14 +433,9 @@ def test_estimate_pa_validation():
     with pytest.raises(ValueError, match="nonzero"):
         estimate_pa(buf, 0.0, 0.0, K_MAX)
     keep = np.r_[0:2, buf.n_impulse:len(buf.tx)]  # two impulse rows, every data row
-    short = TrainingBuffer(grid=g, tx=buf.tx[keep], rx=buf.rx[keep], n_impulse=2, omega=buf.omega)
+    short = TrainingBuffer(grid=g, tx=buf.tx[keep], rx=buf.rx[keep], n_impulse=2)
     with pytest.raises(ValueError, match="cannot identify"):
         estimate_pa(short, 1.0, 0.0, K_MAX)
-    crooked = TrainingBuffer(
-        grid=g, tx=buf.tx, rx=buf.rx, n_impulse=buf.n_impulse, omega=buf.omega + 0.01
-    )
-    with pytest.raises(ValueError, match="integer sample"):
-        estimate_pa(crooked, 1.0, 0.0, K_MAX)
 
 
 def test_estimate_pa_coefficients_transfer_across_channels():
@@ -623,6 +611,25 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     assert counter.mults("run") == g.ul_size * 3
 
 
+def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
+    # basis_chain runs no FFT at k_max = 0, so only the image's multiply and add per
+    # downlink subcarrier is charged; from k_max = 1 the FFTs and products come in
+    g = sbfd_grid()
+    b = 0.05 * np.exp(0.4j)
+    x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
+    counter = OpCounter()
+    linear = perfect_coefficients(g, flat_channel(g), np.array([2.0]), b)
+    run_sic(x, linear, precombine(linear), counter=counter)
+    assert counter.mults("run_basis") == 3 * g.dl_size
+    assert counter.adds("run_basis") == 3 * g.dl_size
+    counter = OpCounter()
+    cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]), b)
+    run_sic(x, cubic, precombine(cubic), counter=counter)
+    p_total = g.num_subcarriers
+    assert counter.mults("run_basis") == 3 * (g.dl_size + 3 * fft_mults(p_total) + 3 * p_total)
+    assert counter.adds("run_basis") == 3 * (g.dl_size + 3 * fft_adds(p_total))
+
+
 def test_run_sic_leaves_unestimated_and_off_band_untouched():
     g = sbfd_grid()
     pa = default_measured_pa()
@@ -764,6 +771,6 @@ def test_full_ls_baseline_handles_split_allocation():
 def test_full_ls_needs_enough_symbols():
     g = ibfd_grid()
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
-    short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2, omega=buf.omega)
+    short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2)
     with pytest.raises(ValueError, match="cannot fit"):
         baseline_full_ls(short, K_MAX)
