@@ -30,7 +30,6 @@ from .counters import OpCounter
 from .imd import (
     IMDTables,
     basis_chain,
-    basis_direct,
     dump_imd_tables,
     impulse_pilot,
     impulse_pilot_basis,

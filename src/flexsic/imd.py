@@ -20,8 +20,15 @@ The IMD set Q^{2k+1}_p collects the downlink tuples landing on p; its size
 has an exact closed form, a bounded stars-and-bars count folded onto the
 grid. The basis-power prediction recurses through the pair-count function
 Lambda (the self-convolution of the downlink indicator, a triangle in
-closed form), and the basis itself obeys a recursion that needs only one
-squared spectrum and one FFT per order.
+closed form). The basis itself is computed from its time-domain
+definition: one IFFT of X_iq, then one FFT per order. The same bases obey
+the frequency-domain recursion
+
+    Phi_{2k+1}[p] = (1/P^2) * sum_{q1, q2} X_iq[q1] X_iq[q2]
+                              * conj(Phi_{2k-1}[(q1 + q2 - p) mod P]),
+
+since x^2 conj(|x|^{2k-2} x) = |x|^{2k} x per sample; the test suite keeps
+that recursion as the reference the shipped routine is checked against.
 
 The impulse pilot is a flat downlink spectrum carrying the phase ramp
 exp(-j 2 pi cp_length p / P), so its whole band lands in body sample
@@ -48,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import apply_iq_freq
 from .ofdm import SubcarrierGrid, mirror_values
 
 
@@ -90,6 +96,22 @@ def _fold_mod_p(arr: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _q_row(grid: SubcarrierGrid, k: int) -> np.ndarray:
+    """Exact |Q^{2k+1}_p| for one order k, shape (P,), Python ints (see q_size)."""
+    p = grid.num_subcarriers
+    w = grid.dl_size
+    n = 2 * k + 1
+    span = n * (w - 1) + 1  # offset sums 0 .. n (W - 1)
+    binom = np.array([math.comb(t + n - 1, n - 1) for t in range(span)], dtype=object)
+    count = np.zeros(span, dtype=object)
+    for j in range(n + 1):
+        if j * w >= span:
+            break
+        count[j * w :] += (-1) ** j * math.comb(n, j) * binom[: span - j * w]
+    offset = (k + 1) * grid.dl_start - k * grid.dl_end
+    return np.roll(_fold_mod_p(count, p), offset % p)
+
+
 def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     """Exact IMD set sizes |Q^{2k+1}_p| for k = 0..k_max, shape (k_max+1, P).
 
@@ -107,49 +129,17 @@ def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    p = grid.num_subcarriers
-    w = grid.dl_size
-    rows = np.zeros((k_max + 1, p), dtype=object)
-    for k in range(k_max + 1):
-        n = 2 * k + 1
-        span = n * (w - 1) + 1  # offset sums 0 .. n (W - 1)
-        binom = np.array([math.comb(t + n - 1, n - 1) for t in range(span)], dtype=object)
-        count = np.zeros(span, dtype=object)
-        for j in range(n + 1):
-            if j * w >= span:
-                break
-            count[j * w :] += (-1) ** j * math.comb(n, j) * binom[: span - j * w]
-        offset = (k + 1) * grid.dl_start - k * grid.dl_end
-        rows[k] = np.roll(_fold_mod_p(count, p), offset % p)
-    return rows
-
-
-def basis_direct(X: np.ndarray, b_iq: complex, k: int) -> np.ndarray:
-    """Reference order-(2k+1) basis straight from the definition, shape of X.
-
-    Applies the IQ image in frequency, transforms to time, raises to the
-    odd power per sample, and transforms back, along the last axis.  Every
-    other basis routine in the package is validated against this one.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    x_iq = np.fft.ifft(apply_iq_freq(X, b_iq), axis=-1)
-    phi = np.abs(x_iq) ** (2 * k) * x_iq
-    return np.fft.fft(phi, axis=-1)
+    return np.stack([_q_row(grid, k) for k in range(k_max + 1)])
 
 
 def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
     """All bases Phi_1 .. Phi_{2k_max+1}: shape (..., P) in, (..., k_max+1, P) out.
 
-    Implements the recursion
-
-        Phi_{2k+1}[p] = (1/P^2) * sum_{q1, q2} X_iq[q1] X_iq[q2]
-                                  * conj(Phi_{2k-1}[(q1 + q2 - p) mod P])
-
-    through FFTs of the subcarrier sequences, i.e. O(P log P) per order
-    instead of the O(P^2) double sum, reusing the squared spectrum across
-    orders. X_iq_values must be the IQ-applied spectrum (the order-1 basis);
-    leading axes index symbols.
+    X_iq_values must be the IQ-applied spectrum; leading axes index
+    symbols. Row 0 is the input, copied bit for bit. Row k is the
+    definition dft(|x_iq|^{2k} x_iq) with x_iq = idft(X_iq): one IFFT and
+    one squared magnitude per symbol, then one product and one FFT per
+    order, O(P log P) each.
     """
     x = np.asarray(X_iq_values)
     p = x.shape[-1]
@@ -157,16 +147,11 @@ def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
     out[..., 0, :] = x
     if k_max == 0:
         return out
-    fx2 = np.fft.fft(x, axis=-1)
-    fx2 *= fx2
-    # in place, so a stack of symbols holds few temporaries of its size
+    t = np.fft.ifft(x, axis=-1)
+    mag2 = np.abs(t) ** 2
     for k in range(1, k_max + 1):
-        term = np.fft.fft(out[..., k - 1, :], axis=-1)
-        np.conjugate(term, out=term)
-        np.multiply(fx2, term, out=term)
-        term = np.fft.ifft(term, axis=-1)
-        term /= p**2
-        out[..., k, :] = term
+        t *= mag2
+        out[..., k, :] = np.fft.fft(t, axis=-1)
     return out
 
 
@@ -337,7 +322,7 @@ def impulse_pilot_basis(
         a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
     )
     ramp = np.exp(-1j * _pilot_slope(grid) * np.arange(p))
-    return q_size(grid, k)[k].astype(np.float64) * scale * ramp
+    return _q_row(grid, k).astype(np.float64) * scale * ramp
 
 
 def predict_si_power(

@@ -418,18 +418,18 @@ def _charged_bases(
     """Bases Phi_1 .. Phi_{2k_max+1} of (..., P) transmit spectra with the IQ image b_hat.
 
     Charged to stage per symbol: the image costs one multiply and one add
-    per downlink subcarrier. For k_max >= 1, basis_chain adds one spectrum
-    FFT plus squaring, then one FFT, one IFFT, one elementwise product and
-    one rescale per order; at k_max = 0 it runs none of these, so only the
-    image is charged.
+    per downlink subcarrier. For k_max >= 1, basis_chain adds one IFFT and
+    one squared magnitude, then one elementwise product and one FFT per
+    order; at k_max = 0 it runs none of these, so only the image is
+    charged.
     """
     if counter is not None:
         p_total = grid.num_subcarriers
         count = _symbol_count(x, p_total)
         counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
         if k_max >= 1:
-            counter.charge_fft(stage, p_total, count=count * (1 + 2 * k_max))
-            counter.charge(stage, mults=count * p_total * (1 + 2 * k_max))
+            counter.charge_fft(stage, p_total, count=count * (1 + k_max))
+            counter.charge(stage, mults=count * p_total * (1 + k_max))
     return basis_chain(apply_iq_freq(x, b_hat), k_max)
 
 
@@ -485,11 +485,11 @@ def estimate_channel(
     chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
     regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
-    h_hat, _ = _scalar_ls(regressor, rx, grid)
+    h_hat, solved = _scalar_ls(regressor, rx, grid)
     if counter is not None:
         counter.charge(
             "estimate_channel",
-            mults=m * (len(ul) * (k_max + 1) + 2 * len(ul)) + len(ul),
+            mults=m * (len(ul) * (k_max + 1) + 2 * len(ul)) + solved,
             adds=m * (len(ul) * k_max + 2 * len(ul)),
         )
     return h_hat

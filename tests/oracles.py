@@ -93,6 +93,37 @@ def tuple_basis(values_iq: np.ndarray, k: int) -> np.ndarray:
     return out / p_total ** (2 * k)
 
 
+def basis_recursion(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
+    """All bases Phi_1 .. Phi_{2k_max+1} by the paper's IMD recursion.
+
+    Implements
+
+        Phi_{2k+1}[p] = (1/P^2) * sum_{q1, q2} X_iq[q1] X_iq[q2]
+                                  * conj(Phi_{2k-1}[(q1 + q2 - p) mod P])
+
+    through FFTs of the subcarrier sequences, reusing the squared spectrum
+    across orders: a frequency-domain route to the bases that
+    flexsic.imd.basis_chain computes from the time-domain definition.
+    Shape (..., P) in, (..., k_max+1, P) out; leading axes index symbols.
+    """
+    x = np.asarray(X_iq_values)
+    p = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (k_max + 1, p), dtype=np.complex128)
+    out[..., 0, :] = x
+    if k_max == 0:
+        return out
+    fx2 = np.fft.fft(x, axis=-1)
+    fx2 *= fx2
+    for k in range(1, k_max + 1):
+        term = np.fft.fft(out[..., k - 1, :], axis=-1)
+        np.conjugate(term, out=term)
+        np.multiply(fx2, term, out=term)
+        term = np.fft.ifft(term, axis=-1)
+        term /= p**2
+        out[..., k, :] = term
+    return out
+
+
 def mc_mu(
     grid: SubcarrierGrid,
     b: complex,
@@ -543,7 +574,7 @@ def estimate_channel_loop(
     the symbol (orders past the end of a_hat count as zero), and divides
     where the regressor power exceeds 1e-12 of the largest; every other
     subcarrier stays zero. Charges the basis build, (k_max + 3) multiplies
-    per uplink subcarrier and symbol, and one division per uplink
+    per uplink subcarrier and symbol, and one division per solved uplink
     subcarrier.
     """
     tx_rows = buffer.tx[buffer.n_impulse:]
@@ -571,14 +602,14 @@ def estimate_channel_loop(
                 mults=len(ul) * (k_max + 1) + 2 * len(ul),
                 adds=len(ul) * k_max + 2 * len(ul),
             )
-    if counter is not None:
-        counter.charge("estimate_channel", mults=len(ul), adds=0)
 
     h_hat = np.zeros(p_total, dtype=np.complex128)
     top = den.max() if den.size else 0.0
     for i, p in enumerate(ul):
         if top > 0 and den[i] > 1e-12 * top:
             h_hat[p] = num[i] / den[i]
+            if counter is not None:
+                counter.charge("estimate_channel", mults=1, adds=0)
     return h_hat
 
 

@@ -72,7 +72,6 @@ def test_validate_command_passes(config_path, capsys):
         "transform-roundtrip",
         "parseval",
         "tuple-count-identity",
-        "recursion-vs-direct",
         "pilot-closed-form",
         "perfect-coefficients-cancel",
         "mirror-convention",

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from flexsic.imd import (
     IMDTables,
     basis_chain,
-    basis_direct,
     dump_imd_tables,
     impulse_pilot,
     impulse_pilot_basis,
@@ -21,6 +20,7 @@ from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
 from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
 from flexsic.sic import select_basis
 from oracles import (
+    basis_recursion,
     brute_lambda,
     brute_q_size,
     exact_mu_gauss,
@@ -120,8 +120,9 @@ def test_basis_direct_matches_tuple_sum(k):
     rng = np.random.default_rng(3)
     values = np.zeros(8, dtype=complex)
     values[g.dl_indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    direct = basis_direct(values, b_iq, k)
-    literal = tuple_basis(apply_iq_freq(values, b_iq), k)
+    x_iq = apply_iq_freq(values, b_iq)
+    direct = basis_chain(x_iq, k)[k]
+    literal = tuple_basis(x_iq, k)
     assert np.allclose(direct, literal, atol=1e-12)
 
 
@@ -135,16 +136,15 @@ def test_basis_chain_matches_direct():
     chain = basis_chain(x_iq, k_max=3)
     assert chain.shape == (4, 32)
     assert np.array_equal(chain[0], x_iq)
+    recursion = basis_recursion(x_iq, k_max=3)
     for k in range(1, 4):
-        direct = basis_direct(sym, b_iq, k)
-        scale = np.abs(direct).max()
-        assert np.abs(chain[k] - direct).max() / scale < 1e-10
+        scale = np.abs(recursion[k]).max()
+        assert np.abs(chain[k] - recursion[k]).max() / scale < 1e-10
     # a stack of symbols gives one chain per row, bit for bit
     stacked = basis_chain(apply_iq_freq(syms, b_iq), k_max=3)
     assert stacked.shape == (3, 4, 32)
     for row, x in zip(stacked, syms):
         assert np.array_equal(row, basis_chain(apply_iq_freq(x, b_iq), k_max=3))
-    assert np.array_equal(basis_direct(syms, b_iq, 2)[2], basis_direct(syms[2], b_iq, 2))
 
 
 # ---------------------------------------------------------------- power prediction
@@ -328,13 +328,13 @@ def test_pilot_basis_closed_form_matches_direct(k):
     a = 0.8
     pilot = impulse_pilot(g, a)
     closed = impulse_pilot_basis(g, b_iq, a, k=k)
-    direct = basis_direct(pilot, b_iq, k)
+    direct = basis_chain(apply_iq_freq(pilot, b_iq), k)[k]
     scale = np.abs(direct).max()
     assert np.abs(closed - direct).max() / scale < 1e-12
     # an amplitude sweep gives one pilot per row, and each row keeps the closed form
     pilots = impulse_pilot(g, np.array([0.6, a, 1.3]))
     assert pilots.shape == (3, 256) and np.array_equal(pilots[1], pilot)
-    direct = basis_direct(pilots, b_iq, k)[2]
+    direct = basis_chain(apply_iq_freq(pilots, b_iq), k)[2, k]
     closed = impulse_pilot_basis(g, b_iq, 1.3, k=k)
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
@@ -342,7 +342,7 @@ def test_pilot_basis_closed_form_matches_direct(k):
 def test_pilot_basis_closed_form_without_imbalance_any_set():
     g = mid_grid()  # not mirror-closed
     closed = impulse_pilot_basis(g, 0.0, 1.1, k=2)
-    direct = basis_direct(impulse_pilot(g, 1.1), 0.0, 2)
+    direct = basis_chain(impulse_pilot(g, 1.1), 2)[2]
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 

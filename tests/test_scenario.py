@@ -383,8 +383,9 @@ def test_run_path_has_no_quadratic_kernel(monkeypatch, preset):
 
 @pytest.mark.parametrize("preset", DUPLEX_PRESETS)
 def test_complexity_csv_matches_golden_counts(tmp_path, preset):
-    # counts recorded from the per-subcarrier canceller loop that subtracted
-    # in place; the accounting conventions must keep them byte for byte
+    # the goldens pin each stage's multiply and add counts at this spec under
+    # the counters.py conventions: the *basis rows charge one IFFT plus one
+    # FFT per order, and the scalar-LS stages one division per solved subcarrier
     spec = small_spec(duplex=preset, n_run_symbols=3, cancellers=CANCELLERS)
     emit_report(run_scenario(spec), tmp_path)
     golden = pathlib.Path(__file__).parent / "golden" / f"complexity_{preset}.csv"

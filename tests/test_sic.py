@@ -278,23 +278,27 @@ def test_full_ls_matches_loop_reference(grid, b, regularization):
     assert counter.rows() == ref_counter.rows()
 
 
+A_HAT = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
+
+
 @pytest.mark.parametrize(
-    "grid",
+    "grid, b, a_hat",
     [
-        mirrored_grid(64),
-        mirrored_grid(1024),
+        (mirrored_grid(64), irr_to_b(25.0, 0.3), A_HAT),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3), A_HAT),
         # narrow downlink: the upper uplink subcarriers see no regressor at all
-        SubcarrierGrid(64, 120e3, 8, (4, 10), (12, 30)),
+        (SubcarrierGrid(64, 120e3, 8, (4, 10), (12, 30)), 0.0, A_HAT),
+        # split allocation fitted with the linear order alone, as iq_only is:
+        # only the IQ image reaches the uplink band, 11 of its 17 subcarriers
+        (sbfd_grid(), irr_to_b(25.0, 0.3), A_HAT[:1]),
     ],
-    ids=["ibfd-64", "ibfd-1024", "unreachable-64"],
+    ids=["ibfd-64", "ibfd-1024", "unreachable-64", "sbfd-iq-only-64"],
 )
-def test_estimate_channel_matches_loop_reference(grid):
+def test_estimate_channel_matches_loop_reference(grid, b, a_hat):
     pa = default_measured_pa()
-    b = irr_to_b(25.0, 0.3) if grid.dl_start + grid.dl_end == grid.num_subcarriers else 0.0
     chan, _ = tapped_channel(grid, seed=34)
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
     buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
-    a_hat = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
     counter, ref_counter = OpCounter(), OpCounter()
     h_hat = estimate_channel(buf, a_hat, b, K_MAX, counter=counter)
     h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
@@ -612,8 +616,9 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
 
 
 def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
-    # basis_chain runs no FFT at k_max = 0, so only the image's multiply and add per
-    # downlink subcarrier is charged; from k_max = 1 the FFTs and products come in
+    # basis_chain runs no transform at k_max = 0, so only the image's multiply and
+    # add per downlink subcarrier is charged; from k_max = 1 it adds one IFFT and
+    # one squared magnitude, then one product and one FFT per order
     g = sbfd_grid()
     b = 0.05 * np.exp(0.4j)
     x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
@@ -626,8 +631,8 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
     cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]), b)
     run_sic(x, cubic, precombine(cubic), counter=counter)
     p_total = g.num_subcarriers
-    assert counter.mults("run_basis") == 3 * (g.dl_size + 3 * fft_mults(p_total) + 3 * p_total)
-    assert counter.adds("run_basis") == 3 * (g.dl_size + 3 * fft_adds(p_total))
+    assert counter.mults("run_basis") == 3 * (g.dl_size + 2 * fft_mults(p_total) + 2 * p_total)
+    assert counter.adds("run_basis") == 3 * (g.dl_size + 2 * fft_adds(p_total))
 
 
 def test_run_sic_leaves_unestimated_and_off_band_untouched():
