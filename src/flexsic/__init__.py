@@ -77,6 +77,7 @@ from .sic import (
     TrainingBuffer,
     baseline_full_ls,
     baseline_linear,
+    basis_stack,
     estimate_channel,
     estimate_iq,
     estimate_linear_channel,

@@ -28,7 +28,7 @@ from .imd import (
 from .impairments import apply_iq_freq, apply_pa
 from .ofdm import dft, gen_qam_symbols, idft, mirror_values
 from .scenario import emit_report, load_spec, run_scenario
-from .sic import perfect_coefficients, precombine, run_sic
+from .sic import basis_stack, perfect_coefficients, precombine, run_sic
 
 
 def _cmd_run(args) -> int:
@@ -104,7 +104,8 @@ def _cmd_validate(args) -> int:
     pa_out = dft(apply_pa(idft(xiq), a))
     flat = np.ones(p, dtype=np.complex128)
     coeffs = perfect_coefficients(grid, flat, a, b_iq)
-    res = pa_out - run_sic(x, coeffs, precombine(coeffs))
+    chain = basis_stack(x, b_iq, coeffs.k_max, grid)
+    res = pa_out - run_sic(chain, coeffs, precombine(coeffs))
     ul = grid.ul_indices
     scale = float(np.max(np.abs(pa_out[ul]))) or 1.0
     err = float(np.max(np.abs(res[ul]))) / scale

@@ -200,7 +200,7 @@ def mu_tables(
     lam_hat = np.fft.rfft(_fold_mod_p(lambda_dl(grid), p).astype(np.float64))
     w = grid.dl_end - grid.dl_start
     mu = np.zeros((k_max + 1, p), dtype=np.float64)
-    mu[0, grid.dl_indices] = big_b
+    mu[0, grid.dl_band] = big_b
     for k in range(1, k_max + 1):
         conv = np.fft.irfft(lam_hat * np.conj(np.fft.rfft(mu[k - 1])), n=p)
         reached = (np.arange(p) - (grid.dl_start - k * w)) % p <= (2 * k + 1) * w
@@ -268,8 +268,9 @@ def impulse_pilot(grid: SubcarrierGrid, a_digi) -> np.ndarray:
     if np.any(a_digi <= 0):
         raise ValueError(f"a_digi must be positive, got {a_digi}")
     values = np.zeros(a_digi.shape + (grid.num_subcarriers,), dtype=np.complex128)
-    idx = grid.dl_indices
-    values[..., idx] = a_digi[..., None] * np.exp(-1j * _pilot_slope(grid) * idx)
+    values[..., grid.dl_band] = a_digi[..., None] * np.exp(
+        -1j * _pilot_slope(grid) * grid.dl_indices
+    )
     return values
 
 

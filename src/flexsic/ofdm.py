@@ -105,6 +105,16 @@ class SubcarrierGrid:
         return self.ul_set[1] - self.ul_set[0] + 1
 
     @property
+    def dl_band(self) -> slice:
+        """The downlink allocation as a slice of the subcarrier axis."""
+        return slice(self.dl_set[0], self.dl_set[1] + 1)
+
+    @property
+    def ul_band(self) -> slice:
+        """The uplink allocation as a slice of the subcarrier axis."""
+        return slice(self.ul_set[0], self.ul_set[1] + 1)
+
+    @property
     def dl_indices(self) -> np.ndarray:
         return np.arange(self.dl_set[0], self.dl_set[1] + 1)
 
@@ -116,7 +126,7 @@ class SubcarrierGrid:
     def dl_mask(self) -> np.ndarray:
         """Boolean indicator of the downlink allocation, length P."""
         mask = np.zeros(self.num_subcarriers, dtype=bool)
-        mask[self.dl_indices] = True
+        mask[self.dl_band] = True
         return mask
 
     @property
@@ -217,5 +227,5 @@ def gen_qam_symbols(
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(pts), size=(count, grid.dl_size))
     out = np.zeros((count, grid.num_subcarriers), dtype=np.complex128)
-    out[:, grid.dl_indices] = pts[picks]
+    out[:, grid.dl_band] = pts[picks]
     return out

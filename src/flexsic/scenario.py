@@ -17,7 +17,11 @@ samples, which keeps the memory of a long run flat, and each canceller is
 still charged its running cost per symbol. Estimates shared by several
 cancellers (the IQ image weight, and the amplifier polynomial with its
 basis-power table) are fitted once, and their cost is charged to each
-canceller that uses them.
+canceller that uses them. Basis stacks are shared the same way: the
+cancellers built on the estimated image weight read one training stack
+and, per run block, one stack up to the highest order any of them runs;
+pa_only builds its own with no image. Each canceller still charges the
+orders it reads to its own basis stage.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
@@ -55,6 +59,7 @@ from .sic import (
     TrainingBuffer,
     baseline_full_ls,
     baseline_linear,
+    basis_stack,
     estimate_channel,
     estimate_iq,
     estimate_linear_channel,
@@ -372,8 +377,12 @@ def _add_noise(samples: np.ndarray, sigma_t: float, rng: np.random.Generator) ->
     if sigma_t <= 0:
         return samples
     draws = rng.standard_normal(samples.shape[:-1] + (2, samples.shape[-1]))
-    noise = draws[..., 0, :] + 1j * draws[..., 1, :]
-    return samples + (sigma_t / np.sqrt(2.0)) * noise
+    noise = np.empty(samples.shape, dtype=np.complex128)
+    noise.real = draws[..., 0, :]
+    noise.imag = draws[..., 1, :]
+    noise *= sigma_t / np.sqrt(2.0)
+    noise += samples
+    return noise
 
 
 def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int) -> EffectiveChannel:
@@ -444,33 +453,36 @@ def _fit_canceller(
     a_digi: float,
     b_hat: complex | None,
     pa_fit: tuple[np.ndarray, np.ndarray] | None,
+    train: np.ndarray | None,
     counter: OpCounter,
 ):
     """Train one canceller; returns an opaque state consumed by _estimate_si.
 
     b_hat is the IQ image weight estimate shared by the cancellers in
-    _USES_B_HAT, and pa_fit the (a_hat, mu) pair fitted with it that the
-    cancellers in _USES_PA_FIT share (each None when the spec runs none of
-    its users); run_scenario fits them once and charges their cost to each
-    user's counter. pa_only fits its own polynomial with b = 0. gamma is the
-    basis-selection threshold in internal power units.
+    _USES_B_HAT, train the basis stack of the training window built with
+    it up to spec.k_max, and pa_fit the (a_hat, mu) pair fitted with it
+    that the cancellers in _USES_PA_FIT share (each None when the spec runs
+    none of its users); run_scenario fits them once and charges their cost
+    to each user's counter. pa_only fits its own polynomial and builds its
+    own stack with b = 0. gamma is the basis-selection threshold in
+    internal power units.
     """
     if name == "none":
         return None
     if name == "linear":
         return estimate_linear_channel(buffer, counter=counter)
     if name == "full_ls":
-        coeffs = baseline_full_ls(buffer, spec.k_max, b_hat, spec.regularization, counter=counter)
-        return coeffs, b_hat
+        return baseline_full_ls(buffer, train, spec.regularization, counter=counter)
     if name in ("proposed", "iq_only", "pa_only"):
         if name == "pa_only":
             b_hat = 0.0 + 0.0j
             a_hat, mu = _fit_pa(buffer, chan, spec, a_digi, b_hat, counter)
+            train = basis_stack(buffer.tx, b_hat, spec.k_max, grid)
         else:
             a_hat, mu = pa_fit
         if name == "iq_only":
             a_hat = a_hat[:1]
-        h_hat = estimate_channel(buffer, a_hat, b_hat, spec.k_max, counter=counter)
+        h_hat = estimate_channel(buffer, train, a_hat, counter=counter)
         retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counter)
         # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
@@ -486,23 +498,32 @@ def _fit_canceller(
     raise ValueError(f"unknown canceller {name!r}")
 
 
+def _run_order(name: str, state) -> int:
+    """Highest basis order the running stage of a canceller that reads a stack uses."""
+    return state.shape[0] - 1 if name == "full_ls" else state[0].k_used
+
+
 def _estimate_si(
     name: str,
     state,
     x_dl: np.ndarray,
+    chain: np.ndarray | None,
     grid: SubcarrierGrid,
     counter: OpCounter,
 ) -> np.ndarray:
-    """One canceller's self-interference estimate for (..., P) symbols, on the grid."""
+    """One canceller's self-interference estimate for (..., P) symbols, on the grid.
+
+    chain is the basis stack of x_dl the canceller reads (None for none
+    and linear, which read no bases).
+    """
     if name == "none":
         return np.zeros(x_dl.shape, dtype=np.complex128)
     if name == "linear":
         return baseline_linear(x_dl, state, grid, counter=counter)
     if name == "full_ls":
-        coeffs, b_hat = state
-        return run_full_ls(x_dl, coeffs, b_hat, grid, counter=counter)
+        return run_full_ls(chain, state, grid, counter=counter)
     coeffs, combined = state
-    return run_sic(x_dl, coeffs, combined, counter=counter)
+    return run_sic(chain, coeffs, combined, counter=counter)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
@@ -535,11 +556,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     # shared fits are made once and their cost charged to every canceller that uses them
     b_hat = None
     pa_fit = None
-    users = [name for name in spec.cancellers if name in _USES_B_HAT]
-    if users:
+    train = None
+    shared = [name for name in spec.cancellers if name in _USES_B_HAT]
+    if shared:
         scratch = OpCounter()
         b_hat = estimate_iq(buffer, counter=scratch)
-        _share(scratch, "estimate_iq", counters, users)
+        _share(scratch, "estimate_iq", counters, shared)
+        train = basis_stack(buffer.tx, b_hat, spec.k_max, grid)
     users = [name for name in spec.cancellers if name in _USES_PA_FIT]
     if users:
         scratch = OpCounter()
@@ -547,15 +570,26 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         _share(scratch, "estimate_pa", counters, users)
     states = {
         name: _fit_canceller(
-            name, buffer, grid, chan, spec, gamma, a_digi, b_hat, pa_fit, counters[name]
+            name, buffer, grid, chan, spec, gamma, a_digi, b_hat, pa_fit, train, counters[name]
         )
         for name in spec.cancellers
     }
+    # training is over; the run blocks build their own stacks
+    del buffer, train
+
+    # the cancellers grouped by the basis stack they read, as (image weight,
+    # top order, names); each run block builds each stack once, and the
+    # first group, none and linear, reads none
+    groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
+    if shared:
+        groups.append((b_hat, max(_run_order(name, states[name]) for name in shared), shared))
+    if "pa_only" in states:
+        groups.append((0.0 + 0.0j, _run_order("pa_only", states["pa_only"]), ["pa_only"]))
 
     run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
     noise_rng = np.random.default_rng(seeds[4])
-    ul = grid.ul_indices
-    shape = (len(run_syms), len(ul))
+    ul = grid.ul_band
+    shape = (len(run_syms), grid.ul_size)
     y_noisy = np.empty(shape, dtype=np.complex128)
     y_clean = np.empty(shape, dtype=np.complex128)
     est = {name: np.empty(shape, dtype=np.complex128) for name in spec.cancellers}
@@ -566,8 +600,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         body = _rx_body(x, b_iq, a, chan, grid)
         y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
         y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
-        for name in spec.cancellers:
-            est[name][rows] = _estimate_si(name, states[name], x, grid, counters[name])[:, ul]
+        for b, top, names in groups:
+            chain = None if b is None else basis_stack(x, b, top, grid)
+            for name in names:
+                si = _estimate_si(name, states[name], x, chain, grid, counters[name])
+                est[name][rows] = si[:, ul]
 
     psd_dbm: dict[str, np.ndarray] = {}
     cdf_dbm: dict[str, np.ndarray] = {}
@@ -584,7 +621,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     return MetricsReport(
         spec=spec,
         seed=seed,
-        ul_indices=tuple(int(p) for p in ul),
+        ul_indices=tuple(int(p) for p in grid.ul_indices),
         psd_dbm=psd_dbm,
         cdf_dbm=cdf_dbm,
         sicr_db=sicr_db,

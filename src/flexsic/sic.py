@@ -18,19 +18,28 @@ the received spectrum. Each still charges that subtraction's adds to its
 own stage, so the counts match a canceller that subtracts in place.
 
 Symbols are held as arrays, one per row. Every estimator works on the
-whole training window at once, and the running cancellers take a (..., P)
-stack of transmit spectra and act on its last axis.
+whole training window at once. baseline_linear takes a (..., P) stack of
+transmit spectra; estimate_channel, baseline_full_ls, run_sic and
+run_full_ls take the basis stack of their symbols, (..., k+1, P) from
+basis_stack, and read the orders they need from it. Like the IQ and
+amplifier fits, one stack serves every canceller built on the same image
+weight, and each of them still charges the basis build to its own stage.
 
 All estimator and canceller arithmetic is charged to an OpCounter so
 complexity claims can be checked against actual counts; a stacked step
 charges its per-symbol cost once per symbol. Receiver-side FFTs of the
 received waveform are not charged: demodulation happens regardless of
 which canceller is in use.
+
+Both allocations are contiguous spans, so every band gather and scatter
+is a slice (grid.dl_band, grid.ul_band); index arrays remain only for the
+mirror pairs of estimate_iq.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,8 +83,9 @@ class TrainingBuffer:
     tx holds the transmitted spectra and rx the received CP-free bodies,
     both of shape (M, P); the first n_impulse rows are the impulse pilots
     and the rest are data symbols. Estimators that work in the frequency
-    domain demodulate on access; that FFT is receiver work and is never
-    charged to a canceller stage.
+    domain read the demodulated bodies through rx_spectra. The buffer runs
+    that FFT once, on first access, and shares the read-only result; it is
+    receiver work and is never charged to a canceller stage.
     """
 
     grid: SubcarrierGrid
@@ -96,9 +106,15 @@ class TrainingBuffer:
         object.__setattr__(self, "tx", tx)
         object.__setattr__(self, "rx", rx)
 
+    @cached_property
+    def _spectra(self) -> np.ndarray:
+        spectra = np.fft.fft(self.rx, axis=-1)
+        spectra.flags.writeable = False
+        return spectra
+
     def rx_spectra(self, start: int = 0) -> np.ndarray:
-        """Receiver-side demodulation of the bodies from row start on (uncharged)."""
-        return np.fft.fft(self.rx[start:], axis=-1)
+        """Receiver-side demodulation of the bodies from row start on (uncharged, read-only)."""
+        return self._spectra[start:]
 
 
 @dataclass(frozen=True)
@@ -136,7 +152,7 @@ class SICCoefficients:
         if mask.shape != shape:
             raise ValueError(f"retained has shape {mask.shape}, expected {shape}")
         outside = mask.any(axis=0)
-        outside[self.grid.ul_indices] = False
+        outside[self.grid.ul_band] = False
         if outside.any():
             p = int(np.flatnonzero(outside)[0])
             raise ValueError(f"retained marks non-uplink subcarrier {p}")
@@ -149,6 +165,12 @@ class SICCoefficients:
     @property
     def k_max(self) -> int:
         return len(self.a_hat) - 1
+
+    @property
+    def k_used(self) -> int:
+        """Highest order retained at any subcarrier: the top basis run_sic reads."""
+        kept = np.flatnonzero(self.retained.any(axis=1))
+        return int(kept[-1]) if kept.size else 0
 
 
 def ls_solve(
@@ -407,30 +429,66 @@ def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
     return int(np.prod(np.shape(x_dl)[:-1]))
 
 
-def _charged_bases(
-    x: np.ndarray,
-    b_hat: complex,
-    k_max: int,
-    grid: SubcarrierGrid,
-    counter: OpCounter | None,
-    stage: str,
+def basis_stack(
+    x: np.ndarray, b_hat: complex, k_max: int, grid: SubcarrierGrid
 ) -> np.ndarray:
     """Bases Phi_1 .. Phi_{2k_max+1} of (..., P) transmit spectra with the IQ image b_hat.
 
-    Charged to stage per symbol: the image costs one multiply and one add
-    per downlink subcarrier. For k_max >= 1, basis_chain adds one IFFT and
-    one squared magnitude, then one elementwise product and one FFT per
-    order; at k_max = 0 it runs none of these, so only the image is
-    charged.
+    Returns basis_chain(apply_iq_freq(x, b_hat), k_max), shape
+    (..., k_max + 1, P), after checking that every symbol has the grid's
+    length and no energy outside the downlink band. Uncharged: each
+    canceller that reads the stack charges its own basis stage.
     """
-    if counter is not None:
-        p_total = grid.num_subcarriers
-        count = _symbol_count(x, p_total)
-        counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
-        if k_max >= 1:
-            counter.charge_fft(stage, p_total, count=count * (1 + k_max))
-            counter.charge(stage, mults=count * p_total * (1 + k_max))
+    _symbol_count(x, grid.num_subcarriers)
+    x = np.asarray(x)
+    if x[..., : grid.dl_start].any() or x[..., grid.dl_end + 1 :].any():
+        raise ValueError(
+            "allocation mismatch: transmit spectrum has energy outside the downlink band"
+        )
     return basis_chain(apply_iq_freq(x, b_hat), k_max)
+
+
+def _charge_bases(
+    counter: OpCounter | None, stage: str, count: int, k_max: int, grid: SubcarrierGrid
+) -> None:
+    """Charge stage for building the bases of count symbols up to order 2k_max+1.
+
+    Per symbol, the image costs one multiply and one add per downlink
+    subcarrier. For k_max >= 1, basis_chain adds one IFFT and one squared
+    magnitude, then one elementwise product and one FFT per order; at
+    k_max = 0 it runs none of these, so only the image is charged.
+    """
+    if counter is None:
+        return
+    p_total = grid.num_subcarriers
+    counter.charge(stage, mults=count * grid.dl_size, adds=count * grid.dl_size)
+    if k_max >= 1:
+        counter.charge_fft(stage, p_total, count=count * (1 + k_max))
+        counter.charge(stage, mults=count * p_total * (1 + k_max))
+
+
+def _stack_orders(chain: np.ndarray, k: int, grid: SubcarrierGrid) -> np.ndarray:
+    """Orders 0..k of a (..., K+1, P) basis stack; a ValueError when it holds fewer."""
+    if np.ndim(chain) < 2 or np.shape(chain)[-1] != grid.num_subcarriers:
+        raise ValueError(
+            f"basis stack has shape {np.shape(chain)}, expected (..., k+1, {grid.num_subcarriers})"
+        )
+    if np.shape(chain)[-2] <= k:
+        raise ValueError(
+            f"basis stack holds orders up to k = {np.shape(chain)[-2] - 1}, expected k = {k}"
+        )
+    return chain[..., : k + 1, :]
+
+
+def _training_k_max(chain: np.ndarray, buffer: TrainingBuffer) -> int:
+    """k_max of the basis stack of buffer.tx; a ValueError when it is another window's."""
+    shape = np.shape(chain)
+    if len(shape) != 3 or shape[0] != len(buffer.tx) or shape[2] != buffer.grid.num_subcarriers:
+        raise ValueError(
+            f"basis stack has shape {shape}, expected "
+            f"({len(buffer.tx)}, k+1, {buffer.grid.num_subcarriers}) for the training window"
+        )
+    return shape[1] - 1
 
 
 def _padded(a_hat: np.ndarray, k_max: int) -> np.ndarray:
@@ -454,43 +512,44 @@ def _scalar_ls(
     h = np.zeros(grid.num_subcarriers, dtype=np.complex128)
     top = den.max() if den.size else 0.0
     good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
-    h[grid.ul_indices[good]] = num[good] / den[good]
+    h[grid.ul_band][good] = num[good] / den[good]
     return h, int(good.sum())
 
 
 def estimate_channel(
     buffer: TrainingBuffer,
+    chain: np.ndarray,
     a_hat: np.ndarray,
-    b_hat: complex,
-    k_max: int,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Per-subcarrier scalar LS for the effective channel on the uplink band.
 
-    The regressor at subcarrier p is sum_k a_hat[k] Phi_{2k+1}[p], with
-    a_hat zero-padded to k_max + 1 orders, built from the composed
-    transmit spectrum, so the channel stays identifiable even where only
+    chain is basis_stack(buffer.tx, b_hat, k_max, grid); the fit reads its
+    data rows (n_impulse on) and every one of its k_max + 1 orders. The
+    regressor at subcarrier p is sum_k a_hat[k] Phi_{2k+1}[p], with a_hat
+    zero-padded to k_max + 1 orders, built from the composed transmit
+    spectrum, so the channel stays identifiable even where only
     out-of-band distortion lands. Returns h_hat over the full grid.
     Uplink subcarriers whose regressor power was too small to trust stay
     zero, and the canceller leaves them untouched.
     """
-    tx = buffer.tx[buffer.n_impulse:]
-    m = len(tx)
+    k_max = _training_k_max(chain, buffer)
+    m = len(buffer.tx) - buffer.n_impulse
     if not m:
         raise ValueError("estimate_channel needs at least one data training symbol")
     grid = buffer.grid
-    ul = grid.ul_indices
+    ul, n_ul = grid.ul_band, grid.ul_size
     a_vec = _padded(a_hat, k_max)
 
-    chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
-    regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
+    _charge_bases(counter, "train_basis", m, k_max, grid)
+    regressor = (a_vec[:, None] * chain[buffer.n_impulse:, :, ul]).sum(axis=1)
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
     h_hat, solved = _scalar_ls(regressor, rx, grid)
     if counter is not None:
         counter.charge(
             "estimate_channel",
-            mults=m * (len(ul) * (k_max + 1) + 2 * len(ul)) + solved,
-            adds=m * (len(ul) * k_max + 2 * len(ul)),
+            mults=m * (n_ul * (k_max + 1) + 2 * n_ul) + solved,
+            adds=m * (n_ul * k_max + 2 * n_ul),
         )
     return h_hat
 
@@ -522,7 +581,7 @@ def select_basis(
         raise ValueError("gamma must be nonnegative")
     if mu.shape[0] < k_max + 1:
         raise ValueError("mu table does not cover k_max")
-    ul = grid.ul_indices
+    ul = grid.ul_band
     power = predict_si_power(_padded(a_hat, k_max)[1:], mu[1 : k_max + 1, ul], h_hat[ul])
     retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
     retained[0, ul] = h_hat[ul] != 0
@@ -538,50 +597,46 @@ def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.
     k_max = coeffs.k_max
     grid = coeffs.grid
     combined = np.zeros((k_max + 1, grid.num_subcarriers), dtype=np.complex128)
-    ul = grid.ul_indices
+    ul = grid.ul_band
     combined[:, ul] = coeffs.a_hat[:, None] * coeffs.h_hat[ul][None, :]
     if counter is not None:
-        counter.charge("coeff_combine", mults=(k_max + 1) * len(ul), adds=0)
+        counter.charge("coeff_combine", mults=(k_max + 1) * grid.ul_size, adds=0)
     return combined
 
 
 def run_sic(
-    x_dl: np.ndarray,
+    chain: np.ndarray,
     coeffs: SICCoefficients,
     combined: np.ndarray,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Self-interference estimate of a (..., P) stack of symbols, on the grid.
+    """Self-interference estimate of a stack of symbols, on the grid.
 
-    combined is precombine(coeffs), made once per canceller. Builds the
-    composed transmit spectra and the distortion bases up to the largest
-    retained order, then returns, along the last axis,
-    sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each uplink
-    subcarrier that coeffs.retained marks, and zero elsewhere. The caller
-    subtracts it from the received spectra. Running stage cost per symbol
-    is sum_p (1 + |K_p|) multiplies, plus one add per retained order and
-    per uplink subcarrier for the subtraction.
+    chain is the symbols' basis stack, basis_stack(x, coeffs.b_hat, k, grid)
+    with k >= coeffs.k_used, of shape (..., k+1, P); combined is
+    precombine(coeffs), made once per canceller. Returns, with shape
+    (..., P), sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each
+    uplink subcarrier that coeffs.retained marks, and zero elsewhere. The
+    caller subtracts it from the received spectra. run_basis is charged
+    the bases up to the largest retained order, whatever the stack holds.
+    Running stage cost per symbol is sum_p (1 + |K_p|) multiplies, plus
+    one add per retained order and per uplink subcarrier for the
+    subtraction.
     """
     grid = coeffs.grid
-    count = _symbol_count(x_dl, grid.num_subcarriers)
-    if np.any(x_dl[..., ~grid.dl_mask]):
-        raise ValueError(
-            "allocation mismatch: transmit spectrum has energy outside the downlink band"
-        )
+    k_used = coeffs.k_used
+    chain = _stack_orders(chain, k_used, grid)
+    count = int(np.prod(chain.shape[:-2]))
+    _charge_bases(counter, "run_basis", count, k_used, grid)
 
     mask = coeffs.retained
-    kept_rows = np.flatnonzero(mask.any(axis=1))
-    k_used = int(kept_rows[-1]) if kept_rows.size else 0
-
-    chain = _charged_bases(x_dl, coeffs.b_hat, k_used, grid, counter, "run_basis")
-
-    ul = grid.ul_indices
+    ul = grid.ul_band
     terms = combined[: k_used + 1, ul] * chain[..., ul]
-    est = np.zeros(np.shape(x_dl), dtype=np.complex128)
+    est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
     est[..., ul] = np.where(mask[: k_used + 1, ul], terms, 0.0).sum(axis=-2)
     if counter is not None:
         n_terms, n_orders = int(mask.sum()), int(mask[1:].sum())
-        counter.charge("run", mults=count * n_terms, adds=count * (n_orders + len(ul)))
+        counter.charge("run", mults=count * n_terms, adds=count * (n_orders + grid.ul_size))
     return est
 
 
@@ -593,7 +648,7 @@ def perfect_coefficients(
 ) -> SICCoefficients:
     """Oracle coefficients of the true polynomial a, every basis retained; for invariant checks."""
     retained = np.zeros((len(a), grid.num_subcarriers), dtype=bool)
-    retained[:, grid.ul_indices] = True
+    retained[:, grid.ul_band] = True
     return SICCoefficients(
         grid=grid,
         h_hat=np.asarray(freq_response, dtype=np.complex128).copy(),
@@ -616,12 +671,12 @@ def estimate_linear_channel(
     if not m:
         raise ValueError("linear channel estimation needs at least one data symbol")
     grid = buffer.grid
-    ul = grid.ul_indices
+    ul, n_ul = grid.ul_band, grid.ul_size
     tx = buffer.tx[buffer.n_impulse:, ul]
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
     h, solved = _scalar_ls(tx, rx, grid)
     if counter is not None:
-        counter.charge("linear_est", mults=m * 2 * len(ul) + solved, adds=m * 2 * len(ul))
+        counter.charge("linear_est", mults=m * 2 * n_ul + solved, adds=m * 2 * n_ul)
     return h
 
 
@@ -637,43 +692,44 @@ def baseline_linear(
     products and for the caller's subtraction.
     """
     count = _symbol_count(x_dl, grid.num_subcarriers)
-    ul = grid.ul_indices
+    ul = grid.ul_band
     est = np.zeros(x_dl.shape, dtype=np.complex128)
     est[..., ul] = h_hat_lin[ul] * x_dl[..., ul]
     if counter is not None:
-        counter.charge("linear_run", mults=count * len(ul), adds=count * len(ul))
+        counter.charge("linear_run", mults=count * grid.ul_size, adds=count * grid.ul_size)
     return est
 
 
 def baseline_full_ls(
     buffer: TrainingBuffer,
-    k_max: int,
-    b_hat: complex = 0.0,
+    chain: np.ndarray,
     regularization: float = 0.0,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Conventional joint per-subcarrier LS over all distortion orders.
 
-    Fits, at every uplink subcarrier independently, a coefficient for
-    each basis Phi_1..Phi_{2k_max+1} from the whole training window.
+    chain is basis_stack(buffer.tx, b_hat, k_max, grid). Fits, at every
+    uplink subcarrier independently, a coefficient for each basis
+    Phi_1..Phi_{2k_max+1} from the whole training window.
     This is the accuracy ceiling the low-complexity estimator is
     compared against; its cost scales with the uplink band width times
     the training length. A subcarrier whose regressors are singular
     (the linear column is identically zero off the downlink band, for
     instance) falls back to a tiny documented ridge.
     """
+    k_max = _training_k_max(chain, buffer)
     m = len(buffer.tx)
     if m < k_max + 1:
         raise ValueError(
             f"{m} training symbols cannot fit {k_max + 1} coefficients per subcarrier"
         )
     grid = buffer.grid
-    chains = _charged_bases(buffer.tx, b_hat, k_max, grid, counter, "full_ls_basis")
+    _charge_bases(counter, "full_ls_basis", m, k_max, grid)
     rx = buffer.rx_spectra()
 
     # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
-    band = slice(grid.ul_set[0], grid.ul_set[1] + 1)
-    a = chains[:, :, band].transpose(2, 0, 1)
+    band = grid.ul_band
+    a = chain[:, :, band].transpose(2, 0, 1)
     y = rx[:, band].T
     c, solved = _ls_solve_stack(a, y, regularization, counter, "full_ls_est")
     # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
@@ -689,28 +745,31 @@ def baseline_full_ls(
 
 
 def run_full_ls(
-    x_dl: np.ndarray,
+    chain: np.ndarray,
     coeffs: np.ndarray,
-    b_hat: complex,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """SI estimate of the conventional canceller for (..., P) symbols.
+    """SI estimate of the conventional canceller for a stack of symbols.
 
-    Every basis at every uplink subcarrier, zero off the uplink band.
-    full_ls_run is charged per symbol for the estimate and for the caller's
+    chain is the symbols' basis stack, basis_stack(x, b_hat, k, grid) with
+    k >= k_max = len(coeffs) - 1, of shape (..., k+1, P). Every basis at
+    every uplink subcarrier, zero off the uplink band; the estimate has
+    shape (..., P). full_ls_run_basis is charged the bases up to k_max and
+    full_ls_run per symbol for the estimate and for the caller's
     subtraction.
     """
-    count = _symbol_count(x_dl, grid.num_subcarriers)
     k_max = coeffs.shape[0] - 1
-    chain = _charged_bases(x_dl, b_hat, k_max, grid, counter, "full_ls_run_basis")
-    ul = grid.ul_indices
-    est = np.zeros(np.shape(x_dl), dtype=np.complex128)
+    chain = _stack_orders(chain, k_max, grid)
+    count = int(np.prod(chain.shape[:-2]))
+    _charge_bases(counter, "full_ls_run_basis", count, k_max, grid)
+    ul, n_ul = grid.ul_band, grid.ul_size
+    est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
     est[..., ul] = (coeffs[:, ul] * chain[..., ul]).sum(axis=-2)
     if counter is not None:
         counter.charge(
             "full_ls_run",
-            mults=count * (k_max + 1) * len(ul),
-            adds=count * (k_max * len(ul) + len(ul)),
+            mults=count * (k_max + 1) * n_ul,
+            adds=count * (k_max * n_ul + n_ul),
         )
     return est

@@ -13,9 +13,11 @@ import itertools
 
 import numpy as np
 
-from flexsic.counters import OpCounter, ls_costs
+from flexsic.counters import OpCounter, fft_adds, fft_mults, ls_costs
+from flexsic.imd import basis_chain
+from flexsic.impairments import apply_iq_freq
 from flexsic.ofdm import SubcarrierGrid
-from flexsic.sic import SingularSystemError, TrainingBuffer, _charged_bases
+from flexsic.sic import SingularSystemError, TrainingBuffer
 
 
 def dft_ref(samples: np.ndarray) -> np.ndarray:
@@ -518,6 +520,31 @@ def estimate_iq_loop(
     return complex(num / den)
 
 
+def symbol_bases(
+    tx: np.ndarray,
+    b_hat: complex,
+    k_max: int,
+    grid: SubcarrierGrid,
+    counter: OpCounter | None,
+    stage: str,
+) -> np.ndarray:
+    """Bases of one transmit spectrum, charging stage as the package's convention says.
+
+    The IQ image costs one multiply and one add per downlink subcarrier;
+    from k_max = 1 on, one IFFT plus one squared magnitude, then one
+    product and one FFT per order (1 + k_max transforms and
+    (1 + k_max) P products in all).
+    """
+    if counter is not None:
+        p_total = grid.num_subcarriers
+        mults, adds = grid.dl_size, grid.dl_size
+        if k_max >= 1:
+            mults += (1 + k_max) * (fft_mults(p_total) + p_total)
+            adds += (1 + k_max) * fft_adds(p_total)
+        counter.charge(stage, mults=mults, adds=adds)
+    return basis_chain(apply_iq_freq(tx, b_hat), k_max)
+
+
 def baseline_full_ls_loop(
     buffer: TrainingBuffer,
     grid: SubcarrierGrid,
@@ -542,7 +569,7 @@ def baseline_full_ls_loop(
     chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
     rx = np.empty((m, p_total), dtype=np.complex128)
     for i, (tx, body) in enumerate(zip(buffer.tx, buffer.rx)):
-        chains[i] = _charged_bases(tx, b_hat, k_max, grid, counter, "full_ls_basis")
+        chains[i] = symbol_bases(tx, b_hat, k_max, grid, counter, "full_ls_basis")
         rx[i] = np.fft.fft(body)
 
     coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
@@ -591,7 +618,7 @@ def estimate_channel_loop(
     num = np.zeros(len(ul), dtype=np.complex128)
     den = np.zeros(len(ul), dtype=np.float64)
     for tx, body in zip(tx_rows, rx_rows):
-        chain = _charged_bases(tx, b_hat, k_max, grid, counter, "train_basis")
+        chain = symbol_bases(tx, b_hat, k_max, grid, counter, "train_basis")
         regressor = (a_vec[:, None] * chain[:, ul]).sum(axis=0)
         rx = np.fft.fft(body)
         num += np.conj(regressor) * rx[ul]

@@ -58,6 +58,7 @@ from flexsic.sic import (
     estimate_iq,
     estimate_pa,
     precombine,
+    basis_stack,
     run_sic,
     select_basis,
 )
@@ -406,7 +407,7 @@ def test_arithmetic_cost_scaling_and_baseline_comparison():
     )
     counter = OpCounter()
     x = gen_qam_symbols(grid_hot, 16, a_digi, 1, 11)[0]
-    run_sic(x, coeffs, precombine(coeffs), counter=counter)
+    run_sic(basis_stack(x, 0.0, 2, grid_hot), coeffs, precombine(coeffs), counter=counter)
     expected = sum(1 + int(retained[1:, p].sum()) for p in grid_hot.ul_indices)
     got = counter.mults("run")
     hot_bound = grid_hot.ul_size * 3

@@ -12,6 +12,7 @@ from flexsic.ofdm import (
     qam_constellation,
     remove_cp,
 )
+from flexsic.scenario import DUPLEX_PRESETS, duplex_allocation
 from oracles import dft_ref, idft_ref
 
 
@@ -31,6 +32,20 @@ def test_grid_basic_properties():
     assert g.dl_mask[2] and g.dl_mask[6] and not g.dl_mask[7]
     assert 10 in g.ul_indices and 9 not in g.ul_indices
     assert g.sampling_interval == pytest.approx(1.0 / (16 * 15e3))
+
+
+@pytest.mark.parametrize("p", [64, 256, 1024, 4096])
+def test_band_slices_select_the_index_arrays(p):
+    # every preset, plus a one-subcarrier band, bands ending at P - 1 and
+    # bands starting at 0
+    spans = [duplex_allocation(preset, p) for preset in DUPLEX_PRESETS]
+    spans += [((5, 5), (p - 1, p - 1)), ((0, p // 2), (p // 4, p - 1)), ((0, 0), (0, p - 1))]
+    axis = np.arange(p)
+    for dl, ul in spans:
+        g = SubcarrierGrid(p, 15e3, 4, dl, ul)
+        assert np.array_equal(axis[g.dl_band], g.dl_indices)
+        assert np.array_equal(axis[g.ul_band], g.ul_indices)
+        assert np.array_equal(np.flatnonzero(g.dl_mask), g.dl_indices)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from flexsic.imd import impulse_pilot
 from flexsic.impairments import apply_pa, default_measured_pa
 from flexsic.ofdm import gen_qam_symbols
 import flexsic.scenario as scenario
+import flexsic.sic as sic
 from flexsic.scenario import (
     _build_effective_channel,
     _build_training,
@@ -282,6 +284,64 @@ def test_blocked_run_window_matches_one_symbol_blocks(monkeypatch, preset, n_run
         assert np.max(np.abs(blocked.cdf_dbm[name] - single.cdf_dbm[name])) <= 1e-10
         assert blocked.sicr_db[name] == pytest.approx(single.sicr_db[name], rel=0, abs=1e-10)
         assert blocked.counters[name].rows() == single.counters[name].rows()
+
+
+def test_add_noise_draws_each_symbol_real_then_imaginary():
+    # a stack draws the same numbers as its rows drawn one after another,
+    # and the noisy samples equal the textbook expression bit for bit
+    rng = np.random.default_rng(0)
+    body = rng.standard_normal((3, 2, 16)) + 1j * rng.standard_normal((3, 2, 16))
+    noisy = scenario._add_noise(body, 0.7, np.random.default_rng(5))
+    ref_rng = np.random.default_rng(5)
+    for row, clean in zip(noisy.reshape(-1, 16), body.reshape(-1, 16)):
+        noise = ref_rng.standard_normal(16) + 1j * ref_rng.standard_normal(16)
+        assert np.array_equal(row, clean + (0.7 / np.sqrt(2.0)) * noise)
+    assert scenario._add_noise(body, 0.0, None) is body
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_each_canceller_alone_matches_the_shared_run(preset, k_max):
+    # 70 run symbols at P = 256 make two blocks, of 64 and 6 symbols. The
+    # cancellers share the fits, the training basis stack and one run stack
+    # per block; none of that sharing may reach another canceller's output
+    # or counters
+    spec = ScenarioSpec(
+        num_subcarriers=256, duplex=preset, k_max=k_max, n_run_symbols=70, cancellers=CANCELLERS
+    )
+    together = run_scenario(spec)
+    for name in CANCELLERS:
+        alone = run_scenario(replace(spec, cancellers=(name,)))
+        assert alone.sicr_db[name] == together.sicr_db[name]
+        assert np.array_equal(alone.psd_dbm[name], together.psd_dbm[name])
+        assert np.array_equal(alone.cdf_dbm[name], together.cdf_dbm[name])
+        assert alone.counters[name].rows() == together.counters[name].rows()
+
+
+@pytest.mark.parametrize(
+    "cancellers, stacks",
+    [
+        (CANCELLERS, 2),
+        (("none", "proposed", "full_ls"), 1),
+        (("iq_only",), 1),
+        (("pa_only",), 1),
+        (("none", "linear"), 0),
+    ],
+)
+def test_each_block_builds_one_basis_stack_per_image_weight(monkeypatch, cancellers, stacks):
+    # the cancellers built on b_hat read one training stack and one stack per
+    # run block; pa_only builds the same again with no image
+    calls = []
+    build = sic.basis_chain
+
+    def counted(x_iq, k_max):
+        calls.append(np.shape(x_iq)[0])
+        return build(x_iq, k_max)
+
+    monkeypatch.setattr(sic, "basis_chain", counted)
+    spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=70, cancellers=cancellers)
+    run_scenario(spec)
+    assert calls == [spec.n_train_symbols] * stacks + [64] * stacks + [6] * stacks
 
 
 def test_run_scenario_smoke_and_shapes():

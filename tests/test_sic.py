@@ -17,6 +17,7 @@ from flexsic.sic import (
     _ls_solve_stack,
     baseline_full_ls,
     baseline_linear,
+    basis_stack,
     estimate_channel,
     estimate_iq,
     estimate_linear_channel,
@@ -265,7 +266,8 @@ def test_full_ls_matches_loop_reference(grid, b, regularization):
     chan, _ = tapped_channel(grid, seed=33)
     buf = make_buffer(grid, pa, b, chan, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
     counter, ref_counter = OpCounter(), OpCounter()
-    coeffs = baseline_full_ls(buf, K_MAX, b, regularization, counter=counter)
+    chain = basis_stack(buf.tx, b, K_MAX, grid)
+    coeffs = baseline_full_ls(buf, chain, regularization, counter=counter)
     ref = baseline_full_ls_loop(buf, grid, K_MAX, b, regularization, counter=ref_counter)
     ul = grid.ul_indices
     size = np.linalg.norm(ref[:, ul], axis=0)
@@ -300,7 +302,7 @@ def test_estimate_channel_matches_loop_reference(grid, b, a_hat):
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
     buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
     counter, ref_counter = OpCounter(), OpCounter()
-    h_hat = estimate_channel(buf, a_hat, b, K_MAX, counter=counter)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx, b, K_MAX, grid), a_hat, counter=counter)
     h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
     # the estimated subcarriers are those with a nonzero channel estimate
     assert np.array_equal(h_hat != 0, h_ref != 0)
@@ -319,6 +321,9 @@ def test_training_buffer_ordering_and_shapes():
     # the impulse rows come first; demodulation starts at the requested row
     assert np.array_equal(buf.rx_spectra(buf.n_impulse), np.fft.fft(rx[1:], axis=-1))
     assert buf.rx_spectra().shape == (3, 64)
+    # the window is demodulated once: every read is a read-only view of one array
+    assert np.shares_memory(buf.rx_spectra(), buf.rx_spectra(buf.n_impulse))
+    assert not buf.rx_spectra().flags.writeable
     for n_impulse in (-1, 4):
         with pytest.raises(ValueError, match="n_impulse"):
             TrainingBuffer(grid=g, tx=zeros, rx=zeros, n_impulse=n_impulse)
@@ -453,7 +458,7 @@ def test_estimate_pa_coefficients_transfer_across_channels():
 
     chan_b, _ = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, seed=9)
-    h_hat = estimate_channel(buf_b, a_hat, b, K_MAX)
+    h_hat = estimate_channel(buf_b, basis_stack(buf_b.tx, b, K_MAX, g), a_hat)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
@@ -469,7 +474,7 @@ def test_estimate_channel_noiseless_recovery():
     b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=10)
     buf = make_buffer(g, pa, b, chan, seed=10)
-    h_hat = estimate_channel(buf, pa, b, K_MAX)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx, b, K_MAX, g), pa)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
@@ -485,7 +490,7 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
-    h_hat = estimate_channel(buf, pa, 0.0, K_MAX)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), pa)
     assert not h_hat[: g.ul_start].any() and not h_hat[g.ul_end + 1 :].any()
     unest = frozenset(int(p) for p in g.ul_indices[h_hat[g.ul_indices] == 0])
     # everything past the support edge must be flagged; the last few inside
@@ -501,7 +506,7 @@ def test_estimate_channel_counter_charge_is_linear_in_band():
     pa = default_measured_pa()
     buf = make_buffer(g, pa, 0.0, flat_channel(g), seed=12)
     counter = OpCounter()
-    estimate_channel(buf, pa, 0.0, K_MAX, counter=counter)
+    estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), pa, counter=counter)
     n_ul = g.ul_size
     m = len(buf.tx) - buf.n_impulse
     assert counter.mults("estimate_channel") == m * n_ul * (K_MAX + 3) + n_ul
@@ -584,7 +589,7 @@ def test_run_sic_matches_loop_reference(k_max):
         counter = OpCounter()
         ref_counter = OpCounter()
         combined = precombine(coeffs)
-        est = run_sic(x, coeffs, combined, counter=counter)
+        est = run_sic(basis_stack(x, b, k_max, g), coeffs, combined, counter=counter)
         xiq = x + b * np.conj(mirror_values(x))
         chain = basis_chain(xiq, k_max)
         ref = run_sic_loop(xiq, chain, combined, g, sets, unestimated, ref_counter)
@@ -592,7 +597,10 @@ def test_run_sic_matches_loop_reference(k_max):
         assert counter.mults("run") == ref_counter.mults("run")
         assert counter.adds("run") == ref_counter.adds("run")
         stack = np.concatenate([x[None], gen_qam_symbols(g, 16, 1.0, 3, seed=10 + trial)])
-        assert_stack_matches_rows(lambda xs, c: run_sic(xs, coeffs, combined, counter=c), stack)
+        assert_stack_matches_rows(
+            lambda xs, c: run_sic(basis_stack(xs, b, k_max, g), coeffs, combined, counter=c),
+            stack,
+        )
 
 
 # ---------------------------------------------------------------- running canceller
@@ -608,7 +616,7 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan))
     counter = OpCounter()
-    out = y - run_sic(x, coeffs, precombine(coeffs), counter=counter)
+    out = y - run_sic(basis_stack(x, b, K_MAX, g), coeffs, precombine(coeffs), counter=counter)
     si_scale = np.abs(y[g.ul_indices]).max()
     assert np.abs(out[g.ul_indices]).max() < 1e-9 * si_scale
     # running cost: one multiply for the linear term plus one per retained order
@@ -624,12 +632,12 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
     x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
     counter = OpCounter()
     linear = perfect_coefficients(g, flat_channel(g), np.array([2.0]), b)
-    run_sic(x, linear, precombine(linear), counter=counter)
+    run_sic(basis_stack(x, b, 0, g), linear, precombine(linear), counter=counter)
     assert counter.mults("run_basis") == 3 * g.dl_size
     assert counter.adds("run_basis") == 3 * g.dl_size
     counter = OpCounter()
     cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]), b)
-    run_sic(x, cubic, precombine(cubic), counter=counter)
+    run_sic(basis_stack(x, b, 1, g), cubic, precombine(cubic), counter=counter)
     p_total = g.num_subcarriers
     assert counter.mults("run_basis") == 3 * (g.dl_size + 2 * fft_mults(p_total) + 2 * p_total)
     assert counter.adds("run_basis") == 3 * (g.dl_size + 2 * fft_adds(p_total))
@@ -648,27 +656,45 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     )
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
-    out = y - run_sic(x, coeffs, precombine(coeffs))
+    out = y - run_sic(basis_stack(x, 0.0, K_MAX, g), coeffs, precombine(coeffs))
     assert out[skip] == y[skip]
     outside = np.setdiff1d(np.arange(64), g.ul_indices)
     assert np.array_equal(out[outside], y[outside])
 
 
-def test_run_sic_rejects_energy_outside_downlink():
+def test_basis_stack_rejects_energy_outside_downlink():
     g = sbfd_grid()
-    coeffs = perfect_coefficients(g, flat_channel(g), [1.0], 0.0)
-    combined = precombine(coeffs)
     bad = np.zeros(64, dtype=complex)
     bad[g.ul_start] = 1.0  # uplink subcarrier carries transmit energy
     with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(bad, coeffs, combined)
+        basis_stack(bad, 0.0, 0, g)
     with pytest.raises(ValueError, match="length"):
-        run_sic(np.zeros(32, dtype=complex), coeffs, combined)
-    # the checks hold for every row of a stack
-    with pytest.raises(ValueError, match="allocation mismatch"):
-        run_sic(np.stack([np.zeros(64, dtype=complex), bad]), coeffs, combined)
+        basis_stack(np.zeros(32, dtype=complex), 0.0, 0, g)
+    # the checks hold for every row of a stack, on both sides of the downlink
+    below = np.zeros(64, dtype=complex)
+    below[g.dl_start - 1] = 1.0
+    for off in (bad, below):
+        with pytest.raises(ValueError, match="allocation mismatch"):
+            basis_stack(np.stack([np.zeros(64, dtype=complex), off]), 0.0, 2, g)
     with pytest.raises(ValueError, match="length"):
-        run_sic(np.zeros((2, 32), dtype=complex), coeffs, combined)
+        basis_stack(np.zeros((2, 32), dtype=complex), 0.0, 0, g)
+
+
+def test_running_cancellers_reject_a_stack_short_of_their_orders():
+    g = sbfd_grid()
+    coeffs = perfect_coefficients(g, flat_channel(g), [1.0, 0.1], 0.0)
+    x = gen_qam_symbols(g, 16, 1.0, 2, seed=6)
+    with pytest.raises(ValueError, match="orders up to k = 0, expected k = 1"):
+        run_sic(basis_stack(x, 0.0, 0, g), coeffs, precombine(coeffs))
+    with pytest.raises(ValueError, match="orders up to k = 1, expected k = 2"):
+        run_full_ls(basis_stack(x, 0.0, 1, g), np.ones((3, 64), dtype=complex), g)
+    with pytest.raises(ValueError, match="expected"):
+        run_sic(basis_stack(x, 0.0, 1, g)[..., :32], coeffs, precombine(coeffs))
+    buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
+    with pytest.raises(ValueError, match="training window"):
+        estimate_channel(buf, basis_stack(buf.tx[1:], 0.0, K_MAX, g), [1.0])
+    with pytest.raises(ValueError, match="training window"):
+        baseline_full_ls(buf, basis_stack(buf.tx[0], 0.0, K_MAX, g))
 
 
 def test_precombine_matches_manual_product():
@@ -697,7 +723,7 @@ def test_estimated_canceller_reaches_noise_floor():
 
     b_hat = estimate_iq(buf)
     a_hat = estimate_pa(buf, los, b_hat, K_MAX)
-    h_hat = estimate_channel(buf, a_hat, b_hat, K_MAX)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx, b_hat, K_MAX, g), a_hat)
     mu = mu_tables(g, b_hat, a_digi, K_MAX)
     retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
     coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
@@ -705,7 +731,7 @@ def test_estimated_canceller_reaches_noise_floor():
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan, rng, sigma))
-    out = y - run_sic(x, coeffs, precombine(coeffs))
+    out = y - run_sic(basis_stack(x, b_hat, K_MAX, g), coeffs, precombine(coeffs))
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
     resid = np.abs(out[g.ul_indices]) ** 2
     raw = np.abs(y[g.ul_indices]) ** 2
@@ -759,18 +785,20 @@ def test_full_ls_baseline_handles_split_allocation():
     chan, _ = tapped_channel(g, seed=22)
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, b, chan, seed=22, a_digi=a_digi)
-    coeffs = baseline_full_ls(buf, K_MAX, b)
+    coeffs = baseline_full_ls(buf, basis_stack(buf.tx, b, K_MAX, g))
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan))
-    out = y - run_full_ls(x, coeffs, b, g)
+    out = y - run_full_ls(basis_stack(x, b, K_MAX, g), coeffs, g)
     ul = g.ul_indices
     raw = np.mean(np.abs(y[ul]) ** 2)
     resid = np.mean(np.abs(out[ul]) ** 2)
     assert resid < 1e-6 * raw
     stack = gen_qam_symbols(g, 16, a_digi, 3, seed=123)
-    assert_stack_matches_rows(lambda xs, c: run_full_ls(xs, coeffs, b, g, counter=c), stack)
+    assert_stack_matches_rows(
+        lambda xs, c: run_full_ls(basis_stack(xs, b, K_MAX, g), coeffs, g, counter=c), stack
+    )
 
 
 def test_full_ls_needs_enough_symbols():
@@ -778,4 +806,4 @@ def test_full_ls_needs_enough_symbols():
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     short = TrainingBuffer(grid=g, tx=buf.tx[:2], rx=buf.rx[:2], n_impulse=2)
     with pytest.raises(ValueError, match="cannot fit"):
-        baseline_full_ls(short, K_MAX)
+        baseline_full_ls(short, basis_stack(short.tx, 0.0, K_MAX, g))
