@@ -463,9 +463,10 @@ def _fit_canceller(
     it up to spec.k_max, and pa_fit the (a_hat, mu) pair fitted with it
     that the cancellers in _USES_PA_FIT share (each None when the spec runs
     none of its users); run_scenario fits them once and charges their cost
-    to each user's counter. pa_only fits its own polynomial and builds its
-    own stack with b = 0. gamma is the basis-selection threshold in
-    internal power units.
+    to each user's counter. train holds every training row when full_ls
+    runs and the data rows alone otherwise. pa_only fits its own polynomial
+    and builds its own stack of the data rows with b = 0. gamma is the
+    basis-selection threshold in internal power units.
     """
     if name == "none":
         return None
@@ -477,12 +478,14 @@ def _fit_canceller(
         if name == "pa_only":
             b_hat = 0.0 + 0.0j
             a_hat, mu = _fit_pa(buffer, chan, spec, a_digi, b_hat, counter)
-            train = basis_stack(buffer.tx, b_hat, spec.k_max, grid)
+            data = basis_stack(buffer.tx[buffer.n_impulse:], b_hat, spec.k_max, grid)
         else:
             a_hat, mu = pa_fit
+            # the stack ends with the data rows, the only ones estimate_channel reads
+            data = train[len(train) - (len(buffer.tx) - buffer.n_impulse) :]
         if name == "iq_only":
             a_hat = a_hat[:1]
-        h_hat = estimate_channel(buffer, train, a_hat, counter=counter)
+        h_hat = estimate_channel(buffer, data, a_hat, counter=counter)
         retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counter)
         # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
@@ -562,7 +565,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         scratch = OpCounter()
         b_hat = estimate_iq(buffer, counter=scratch)
         _share(scratch, "estimate_iq", counters, shared)
-        train = basis_stack(buffer.tx, b_hat, spec.k_max, grid)
+        first = 0 if "full_ls" in spec.cancellers else buffer.n_impulse
+        train = basis_stack(buffer.tx[first:], b_hat, spec.k_max, grid)
     users = [name for name in spec.cancellers if name in _USES_PA_FIT]
     if users:
         scratch = OpCounter()
@@ -573,9 +577,18 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
             name, buffer, grid, chan, spec, gamma, a_digi, b_hat, pa_fit, train, counters[name]
         )
         for name in spec.cancellers
+        if name != "pa_only"
     }
+    # pa_only builds its own training stack, so it is fitted once the shared
+    # one is released and the fits never hold two at once
+    del train
+    if "pa_only" in spec.cancellers:
+        states["pa_only"] = _fit_canceller(
+            "pa_only", buffer, grid, chan, spec, gamma, a_digi,
+            None, None, None, counters["pa_only"],
+        )
     # training is over; the run blocks build their own stacks
-    del buffer, train
+    del buffer
 
     # the cancellers grouped by the basis stack they read, as (image weight,
     # top order, names); each run block builds each stack once, and the

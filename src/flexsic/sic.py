@@ -21,7 +21,8 @@ Symbols are held as arrays, one per row. Every estimator works on the
 whole training window at once. baseline_linear takes a (..., P) stack of
 transmit spectra; estimate_channel, baseline_full_ls, run_sic and
 run_full_ls take the basis stack of their symbols, (..., k+1, P) from
-basis_stack, and read the orders they need from it. Like the IQ and
+basis_stack, and read the orders they need from it; estimate_channel's
+symbols are the data rows of the training window alone. Like the IQ and
 amplifier fits, one stack serves every canceller built on the same image
 weight, and each of them still charges the basis build to its own stage.
 
@@ -56,6 +57,17 @@ _REGRESSOR_POWER_TOL = 1e-12
 # sides) and raised peak memory by a tenth at P = 4096; blocks of this size
 # keep the temporaries small while the per-call overhead stays amortised.
 _LS_BLOCK = 256
+# Screen of _ls_solve_stack's batched Cholesky: a system skips the QR when
+# sqrt(2) max_j ||a_j|| < _CHOLESKY_SCREEN min|L_kk| and the rounding bound
+# of _screened holds. That bound makes every exact |R_kk| at least
+# |L_kk| / sqrt(2), and max|R_kk| <= max_j ||a_j||, so a cleared system's QR
+# ratio is under 1e6: two decades under the auto-ridge (1e8) and six under
+# the rank limit (1e12), where the QR rule gives no ridge and solves it.
+# Otherwise the QR rule stays the judge: the Gram squares the condition
+# number, so it cannot resolve the 1e-12 rank limit itself.
+_CHOLESKY_SCREEN = 1e6
+_SQRT2 = np.sqrt(2.0)
+_EPS = np.finfo(np.float64).eps
 # Echo taps resolved jointly by the polynomial estimator's multipath guard.
 # Indoor self-interference channels are sparse, so a handful of taps carries
 # the leakage that matters; the cap keeps the joint solve at a fixed size.
@@ -212,6 +224,36 @@ def _r_diagonal(a: np.ndarray) -> np.ndarray:
     return np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
 
 
+def _screened(gram: np.ndarray, m: int) -> np.ndarray:
+    """Which Gram matrices of M-row systems the Cholesky screen clears.
+
+    Returns a boolean mask of shape (n,) for the (n, K, K) stack, from one
+    batched Cholesky. When any matrix of the stack is not numerically
+    positive definite the whole Cholesky raises, and none is cleared.
+
+    Scaled by the column norms n_j = sqrt(gram[j, j]), the Gram formation
+    and the Cholesky carry a backward error of 2-norm at most
+    delta = K (M + K + 4) eps, and the scaled factor's inverse has 2-norm at
+    most beta = prod_k (1 + n_k / |L_kk|), since its rows have unit norm to
+    rounding. When 4 delta beta^2 <= 1, every exact |R_kk| is at least
+    |L_kk| / sqrt(2). Without this bound a dependent column reached through a large
+    combination of nearly parallel ones reads a rounding-sized |L_kk| that
+    the column norms alone do not expose.
+    """
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return np.zeros(len(gram), dtype=bool)
+    k = gram.shape[-1]
+    diag = chol.diagonal(axis1=1, axis2=2).real
+    norms = np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
+    beta = (norms / diag + 1.0).prod(axis=1)
+    delta = k * (m + k + 4) * _EPS
+    return (norms.max(axis=1) < _CHOLESKY_SCREEN / _SQRT2 * diag.min(axis=1)) & (
+        beta * beta <= 0.25 / delta
+    )
+
+
 def _ls_solve_stack(
     a: np.ndarray,
     y: np.ndarray,
@@ -230,37 +272,57 @@ def _ls_solve_stack(
     rank-deficient system stays unsolved, with zero coefficients, and is
     not charged; every solved one is charged one M-row, K-column solve.
 
+    Most systems never need the QR: one batched Cholesky of the zero-ridge
+    Gram matrices clears each system whose largest column norm is under
+    _CHOLESKY_SCREEN / sqrt(2) = 7.1e5 times its smallest |L_kk| and whose
+    rounding bound holds (see _screened). Every exact |R_kk| of a cleared
+    system is then at least |L_kk| / sqrt(2), so its QR ratio is under 1e6,
+    far inside both guard rails, where the QR rule gives no ridge. The
+    other zero-ridge systems, and every zero-ridge system of a block whose
+    Cholesky raises, go through the QR rule. Every system is then solved
+    from the same gram + ridge I as under the QR rule alone, so
+    coefficients, solved mask and charges equal that rule's bit for bit.
+
     The stack is worked through in blocks of _LS_BLOCK systems read as
     slices, so the temporaries stay a fixed size however wide the band.
     """
     n, m, k = a.shape
     ridge_all = np.broadcast_to(np.asarray(regularization, dtype=np.float64), (n,))
-    if np.any(ridge_all < 0):
+    if (ridge_all < 0).any():
         raise ValueError("regularization must be nonnegative")
     coeffs = np.zeros((n, k), dtype=np.complex128)
     solved = np.zeros(n, dtype=bool)
     eye = np.eye(k)
     for start in range(0, n, _LS_BLOCK):
-        block = a[start : start + _LS_BLOCK]
-        ridge = ridge_all[start : start + _LS_BLOCK].copy()
-        ok = np.ones(len(block), dtype=bool)
-        checked = ridge == 0.0
-        if checked.any():
-            diag = _r_diagonal(block)
+        rows = slice(start, start + _LS_BLOCK)
+        block = a[rows]
+        ah = block.conj().transpose(0, 2, 1)
+        gram = ah @ block
+        rhs = ah @ y[rows, :, None]
+        ridge = ridge_all[rows]
+        checked = np.flatnonzero(ridge == 0.0)
+        suspect = checked[~_screened(gram[checked], m)]
+        ok = None
+        if len(suspect):
+            diag = _r_diagonal(block[suspect])
             top = diag.max(axis=1)
             low = diag.min(axis=1)
-            ok = ~checked | (low > _RANK_TOL * top)
-            cond = top / np.where(checked & ok, low, 1.0)
-            auto = checked & ok & (cond > _AUTO_RIDGE_COND)
-            ridge[auto] = (top[auto] / _AUTO_RIDGE_COND) ** 2
-        if not ok.any():
-            continue
-        ah = block.conj().transpose(0, 2, 1)
-        gram = ah @ block + ridge[:, None, None] * eye
-        rhs = ah @ y[start : start + _LS_BLOCK, :, None]
-        coeffs[start : start + _LS_BLOCK][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
-        solved[start : start + _LS_BLOCK] = ok
-    count = int(solved.sum())
+            full_rank = low > _RANK_TOL * top
+            cond = top / np.where(full_rank, low, 1.0)
+            auto = full_rank & (cond > _AUTO_RIDGE_COND)
+            ridge = ridge.copy()
+            ridge[suspect[auto]] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+            if not full_rank.all():
+                ok = np.ones(len(block), dtype=bool)
+                ok[suspect] = full_rank
+        gram += ridge[:, None, None] * eye
+        if ok is None:
+            coeffs[rows] = np.linalg.solve(gram, rhs)[:, :, 0]
+            solved[rows] = True
+        elif ok.any():
+            coeffs[rows][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+            solved[rows] = ok
+    count = np.count_nonzero(solved)
     if counter is not None and count:
         mults, adds = ls_costs(m, k)
         counter.charge(stage, mults=count * mults, adds=count * adds)
@@ -480,13 +542,15 @@ def _stack_orders(chain: np.ndarray, k: int, grid: SubcarrierGrid) -> np.ndarray
     return chain[..., : k + 1, :]
 
 
-def _training_k_max(chain: np.ndarray, buffer: TrainingBuffer) -> int:
-    """k_max of the basis stack of buffer.tx; a ValueError when it is another window's."""
+def _training_k_max(chain: np.ndarray, buffer: TrainingBuffer, start: int = 0) -> int:
+    """k_max of the basis stack of buffer.tx[start:]; a ValueError when it is another window's."""
+    rows = len(buffer.tx) - start
     shape = np.shape(chain)
-    if len(shape) != 3 or shape[0] != len(buffer.tx) or shape[2] != buffer.grid.num_subcarriers:
+    if len(shape) != 3 or shape[0] != rows or shape[2] != buffer.grid.num_subcarriers:
+        what = "training window" if not start else "data rows of the training window"
         raise ValueError(
             f"basis stack has shape {shape}, expected "
-            f"({len(buffer.tx)}, k+1, {buffer.grid.num_subcarriers}) for the training window"
+            f"({rows}, k+1, {buffer.grid.num_subcarriers}) for the {what}"
         )
     return shape[1] - 1
 
@@ -524,25 +588,26 @@ def estimate_channel(
 ) -> np.ndarray:
     """Per-subcarrier scalar LS for the effective channel on the uplink band.
 
-    chain is basis_stack(buffer.tx, b_hat, k_max, grid); the fit reads its
-    data rows (n_impulse on) and every one of its k_max + 1 orders. The
-    regressor at subcarrier p is sum_k a_hat[k] Phi_{2k+1}[p], with a_hat
-    zero-padded to k_max + 1 orders, built from the composed transmit
-    spectrum, so the channel stays identifiable even where only
-    out-of-band distortion lands. Returns h_hat over the full grid.
+    chain is basis_stack(buffer.tx[buffer.n_impulse:], b_hat, k_max, grid),
+    the stack of the data rows alone; the fit reads every one of its
+    k_max + 1 orders. The regressor at subcarrier p is
+    sum_k a_hat[k] Phi_{2k+1}[p], with a_hat zero-padded to k_max + 1
+    orders, built from the composed transmit spectrum, so the channel
+    stays identifiable even where only out-of-band distortion lands.
+    Returns h_hat over the full grid.
     Uplink subcarriers whose regressor power was too small to trust stay
     zero, and the canceller leaves them untouched.
     """
-    k_max = _training_k_max(chain, buffer)
     m = len(buffer.tx) - buffer.n_impulse
     if not m:
         raise ValueError("estimate_channel needs at least one data training symbol")
+    k_max = _training_k_max(chain, buffer, buffer.n_impulse)
     grid = buffer.grid
     ul, n_ul = grid.ul_band, grid.ul_size
     a_vec = _padded(a_hat, k_max)
 
     _charge_bases(counter, "train_basis", m, k_max, grid)
-    regressor = (a_vec[:, None] * chain[buffer.n_impulse:, :, ul]).sum(axis=1)
+    regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
     rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
     h_hat, solved = _scalar_ls(regressor, rx, grid)
     if counter is not None:

@@ -17,7 +17,13 @@ from flexsic.counters import OpCounter, fft_adds, fft_mults, ls_costs
 from flexsic.imd import basis_chain
 from flexsic.impairments import apply_iq_freq
 from flexsic.ofdm import SubcarrierGrid
-from flexsic.sic import SingularSystemError, TrainingBuffer
+from flexsic.sic import (
+    _AUTO_RIDGE_COND,
+    _LS_BLOCK,
+    _RANK_TOL,
+    SingularSystemError,
+    TrainingBuffer,
+)
 
 
 def dft_ref(samples: np.ndarray) -> np.ndarray:
@@ -461,6 +467,70 @@ def ls_solve_ref(
     if counter is not None:
         counter.charge(stage, *ls_costs(m, k))
     return np.linalg.solve(gram, rhs)
+
+
+# The stacked solver as it stood before its Cholesky screen, kept verbatim:
+# a QR of every zero-ridge system decides rank deficiency and the ridge.
+
+
+def _r_diagonal(a: np.ndarray) -> np.ndarray:
+    """|R_kk| of the QR factor of each stacked (M, K) system: shape (n, K)."""
+    return np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
+
+
+def ls_solve_stack_qr(
+    a: np.ndarray,
+    y: np.ndarray,
+    regularization,
+    counter: OpCounter | None,
+    stage: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """ls_solve over n independent systems stacked on axis 0.
+
+    a has shape (n, M, K) and y shape (n, M); regularization is one ridge
+    for all systems or one per system. Each system gets ls_solve's guard
+    rails: with a zero ridge, a system whose smallest |R_kk| is at most
+    1e-12 of its largest is rank deficient, and one whose condition
+    estimate exceeds 1e8 is solved with the ridge (top / 1e8)^2. Returns
+    (coefficients of shape (n, K), boolean solved mask of shape (n,)). A
+    rank-deficient system stays unsolved, with zero coefficients, and is
+    not charged; every solved one is charged one M-row, K-column solve.
+
+    The stack is worked through in blocks of _LS_BLOCK systems read as
+    slices, so the temporaries stay a fixed size however wide the band.
+    """
+    n, m, k = a.shape
+    ridge_all = np.broadcast_to(np.asarray(regularization, dtype=np.float64), (n,))
+    if np.any(ridge_all < 0):
+        raise ValueError("regularization must be nonnegative")
+    coeffs = np.zeros((n, k), dtype=np.complex128)
+    solved = np.zeros(n, dtype=bool)
+    eye = np.eye(k)
+    for start in range(0, n, _LS_BLOCK):
+        block = a[start : start + _LS_BLOCK]
+        ridge = ridge_all[start : start + _LS_BLOCK].copy()
+        ok = np.ones(len(block), dtype=bool)
+        checked = ridge == 0.0
+        if checked.any():
+            diag = _r_diagonal(block)
+            top = diag.max(axis=1)
+            low = diag.min(axis=1)
+            ok = ~checked | (low > _RANK_TOL * top)
+            cond = top / np.where(checked & ok, low, 1.0)
+            auto = checked & ok & (cond > _AUTO_RIDGE_COND)
+            ridge[auto] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+        if not ok.any():
+            continue
+        ah = block.conj().transpose(0, 2, 1)
+        gram = ah @ block + ridge[:, None, None] * eye
+        rhs = ah @ y[start : start + _LS_BLOCK, :, None]
+        coeffs[start : start + _LS_BLOCK][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+        solved[start : start + _LS_BLOCK] = ok
+    count = int(solved.sum())
+    if counter is not None and count:
+        mults, adds = ls_costs(m, k)
+        counter.charge(stage, mults=count * mults, adds=count * adds)
+    return coeffs, solved
 
 
 def estimate_iq_loop(

@@ -330,7 +330,9 @@ def test_each_canceller_alone_matches_the_shared_run(preset, k_max):
 )
 def test_each_block_builds_one_basis_stack_per_image_weight(monkeypatch, cancellers, stacks):
     # the cancellers built on b_hat read one training stack and one stack per
-    # run block; pa_only builds the same again with no image
+    # run block; pa_only builds the same again with no image. A training
+    # stack holds the data rows alone, the only ones estimate_channel reads,
+    # unless full_ls runs: it fits every training row
     calls = []
     build = sic.basis_chain
 
@@ -341,7 +343,9 @@ def test_each_block_builds_one_basis_stack_per_image_weight(monkeypatch, cancell
     monkeypatch.setattr(sic, "basis_chain", counted)
     spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=70, cancellers=cancellers)
     run_scenario(spec)
-    assert calls == [spec.n_train_symbols] * stacks + [64] * stacks + [6] * stacks
+    data = spec.n_train_symbols - spec.n_impulse_symbols
+    train = [spec.n_train_symbols if "full_ls" in cancellers else data] + [data]
+    assert calls == train[:stacks] + [64] * stacks + [6] * stacks
 
 
 def test_run_scenario_smoke_and_shapes():

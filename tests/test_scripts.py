@@ -48,3 +48,40 @@ def test_readme_library_quickstart_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     # SICR and noise floor, total multiplies, then the |K_p| row
     assert len(out) >= 3
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    script = load_script("bench_pairs")
+
+    def run(p50, sicr):
+        return {"values": {"scenario_s.p50": p50, "sicr_db.proposed": sicr}}
+
+    parent = [5.9, 6.0, 6.1, 5.8, 6.3]
+    change = [5.5, 5.4, 6.2, 5.5, 5.6]  # slower on the third pair only
+    pairs = [
+        {"seed": i, "parent": run(p, 40.0), "change": run(c, 40.0 + (i == 4))}
+        for i, (p, c) in enumerate(zip(parent, change))
+    ]
+    summary = script.summarize(pairs, {"scenario_s.p50": "lower", "sicr_db.proposed": "higher"})
+    p50 = summary["scenario_s.p50"]
+    assert p50["pairs"] == 5 and p50["change_wins"] == 4
+    assert p50["parent"] == {"median": 6.0, "q1": 5.9, "q3": 6.1}
+    assert p50["change"] == {"median": 5.5, "q1": 5.5, "q3": 5.6}
+    assert abs(p50["gain"] - 0.5) < 1e-12 and abs(p50["parent_iqr"] - 0.2) < 1e-12
+    # equal values are no win; higher is better for SICR
+    sicr = summary["sicr_db.proposed"]
+    assert sicr["change_wins"] == 1 and sicr["gain"] == 0.0
+
+
+def test_bench_pairs_reads_the_run_output():
+    script = load_script("bench_pairs")
+    stdout = "\n".join(
+        [
+            "desk_suite  seed 1  trace 0",
+            'info {"scenario_wall_s.p50": 0.006, "scenarios": 60}',
+            'env {"nproc": 2, "numpy": "2.0"}',
+            '{"correct": true, "attempted": 61, "failed": 0, "metrics": {}}',
+        ]
+    )
+    result, info, env = script.parse_output(stdout)
+    assert result["attempted"] == 61 and info["scenarios"] == 60 and env["nproc"] == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import flexsic.sic as sic
 from flexsic.counters import OpCounter, fft_adds, fft_mults
 from flexsic.imd import (
     basis_chain,
@@ -34,6 +35,7 @@ from oracles import (
     estimate_channel_loop,
     estimate_iq_loop,
     ls_solve_ref,
+    ls_solve_stack_qr,
     run_sic_loop,
     select_basis_loop,
 )
@@ -203,6 +205,133 @@ def test_ls_solve_stack_matches_per_system_reference():
     assert counter.rows() == []  # nothing solved, nothing charged
 
 
+def graded_systems(rng, ratios, m=8, k=3):
+    """Systems A = Q diag(d) T whose |R_kk| fall geometrically from 1 to 1/ratio.
+
+    Q has orthonormal columns and T is unit upper triangular, so R = diag(d) T
+    up to phases and the |R_kk| ratio of each system is set exactly. Systems
+    up to a ratio of 1e7 get random couplings in T. Stiffer ones keep T = I,
+    so cond(A) equals the ratio: their auto-ridge (top / 1e8)^2 sits at the
+    rounding level of a coupled Gram matrix, which can then round to an
+    exactly singular one that neither rule can solve.
+    """
+    n = len(ratios)
+    z = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+    q = np.linalg.qr(z)[0]
+    t = np.triu(rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k)), 1)
+    t = np.where((np.asarray(ratios) <= 1e7)[:, None, None], t, 0.0) + np.eye(k)
+    d = np.asarray(ratios, dtype=float)[:, None] ** -np.linspace(0.0, 1.0, k)
+    return q @ (d[:, :, None] * t)
+
+
+def hidden_dependence(rng, n, m=8, gap=1e-3, noise=0.0):
+    """(n, m, 3) systems whose third column is (a_1 - a_0) / gap, plus noise.
+
+    a_0 has unit norm and a_1 = a_0 + gap v with v a unit vector orthogonal
+    to a_0, so every column has a norm near 1 while the third is dependent
+    (or, with noise, nearly so) through coefficients of size 1 / gap. The
+    Gram's rounding then reaches the Cholesky's last |L_kk|^2 amplified by
+    1 / gap^2, where the column norms alone cannot see it.
+    """
+    z = rng.standard_normal((n, m, 3)) + 1j * rng.standard_normal((n, m, 3))
+    q = np.linalg.qr(z[:, :, :2])[0]
+    a = np.empty_like(z)
+    a[:, :, 0] = q[:, :, 0]
+    a[:, :, 1] = q[:, :, 0] + gap * q[:, :, 1]
+    a[:, :, 2] = (a[:, :, 1] - a[:, :, 0]) / gap + noise * z[:, :, 2]
+    return a
+
+
+def qr_ratio(a):
+    """max |R_kk| / min |R_kk| of each stacked system, by the QR rule's own diagonal."""
+    diag = np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diag.min(axis=1) > 0, diag.max(axis=1) / diag.min(axis=1), np.inf)
+
+
+def cholesky_raises(a):
+    gram = a.conj().transpose(0, 2, 1) @ a
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
+    # three blocks of systems whose |R_kk| ratios run from 1 to 1e13, across
+    # the 1e6 screen, the 1e8 auto-ridge and the 1e12 rank limit; the middle
+    # block holds an all-zero and an exactly dependent system, so its
+    # Cholesky raises next to healthy systems
+    rng = np.random.default_rng(13)
+    levels = np.array([1, 10, 1e3, 1e5, 3e5, 3e6, 1e7, 3e7, 3e8, 1e9, 1e11, 3e11, 3e12, 1e13])
+    n, m, block = 612, 8, 256
+    a = graded_systems(rng, levels[np.arange(n) % len(levels)])
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    a[300] = 0.0
+    a[301, :, 2] = (0.5 - 2j) * a[301, :, 0]
+    ratios = qr_ratio(a)
+    ridge = np.where(np.arange(n) % 5 == 0, 1e-3, 0.0)  # explicit ridge on every fifth system
+
+    seen = []
+    qr_rule = sic._r_diagonal
+
+    def counted(stack):
+        seen.extend(system.tobytes() for system in stack)
+        return qr_rule(stack)
+
+    def check(a, y, regularization):
+        seen.clear()
+        counter, ref_counter = OpCounter(), OpCounter()
+        coeffs, solved = _ls_solve_stack(a, y, regularization, counter, "s")
+        ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, regularization, ref_counter, "s")
+        assert np.array_equal(coeffs, ref_coeffs)
+        assert np.array_equal(solved, ref_solved)
+        assert counter.rows() == ref_counter.rows()
+        index = {a[i].tobytes(): i for i in range(len(a))}
+        reached = np.zeros(len(a), dtype=bool)
+        reached[[index[s] for s in seen]] = True
+        return reached
+
+    monkeypatch.setattr(sic, "_r_diagonal", counted)
+    for regularization in (0.0, 1e-3, ridge):
+        reached = check(a, y, regularization)
+        zero_ridge = np.broadcast_to(regularization, (n,)) == 0.0
+        raising = np.zeros(n, dtype=bool)
+        for start in range(0, n, block):
+            rows = np.flatnonzero(zero_ridge[start : start + block]) + start
+            raising[rows] = cholesky_raises(a[rows])
+        assert raising[300] == zero_ridge[300] and not raising[:block].any()
+        # every system above the screen, or in a raising block, reaches the
+        # QR; healthy ones (ratio up to 1e3) elsewhere never do. Between the
+        # two the screen's rounding bound may send a coupled system either way.
+        assert not (reached & ~zero_ridge).any()
+        assert reached[zero_ridge & (raising | (ratios > 1e6))].all()
+        assert not reached[zero_ridge & ~raising & (ratios <= 1e3)].any()
+    # with no ridge exactly the systems under the rank limit are solved
+    coeffs, solved = _ls_solve_stack(a, y, 0.0, None, "s")
+    assert np.array_equal(solved, ratios < 1e12)
+
+    # dependence behind large coefficients, one system per stack: a column
+    # 1e3 times another, exactly and with 1e-9 relative noise, and a unit
+    # column that is 1e3 times the gap of two nearly parallel ones
+    z = rng.standard_normal((8, m, 3)) + 1j * rng.standard_normal((8, m, 3))
+    scaled = z.copy()
+    scaled[:, :, 2] = 1e3 * z[:, :, 0]
+    noisy = z.copy()
+    noisy[:, :, 2] = 1e3 * z[:, :, 0] * (1.0 + 1e-9 * rng.standard_normal((8, m)))
+    hidden = hidden_dependence(rng, 8)
+    through_screen = 0
+    for system in np.concatenate([scaled, noisy, hidden, hidden_dependence(rng, 8, noise=1e-7)]):
+        reached = check(system[None], y[:1], 0.0)
+        assert reached[0] or qr_ratio(system[None])[0] <= 1e6
+        through_screen += bool(reached[0]) and not cholesky_raises(system[None])
+    assert through_screen  # some were turned away by the screen, not by a raising Cholesky
+    for system in np.concatenate([scaled, hidden]):
+        with pytest.raises(SingularSystemError):
+            ls_solve(system, y[0])
+
+
 def test_ls_solve_rejects_negative_ridge():
     # a negative ridge would make the Gram matrix indefinite
     a = np.eye(4, 2, dtype=complex)
@@ -302,7 +431,8 @@ def test_estimate_channel_matches_loop_reference(grid, b, a_hat):
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
     buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
     counter, ref_counter = OpCounter(), OpCounter()
-    h_hat = estimate_channel(buf, basis_stack(buf.tx, b, K_MAX, grid), a_hat, counter=counter)
+    chain = basis_stack(buf.tx[buf.n_impulse:], b, K_MAX, grid)
+    h_hat = estimate_channel(buf, chain, a_hat, counter=counter)
     h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
     # the estimated subcarriers are those with a nonzero channel estimate
     assert np.array_equal(h_hat != 0, h_ref != 0)
@@ -458,7 +588,7 @@ def test_estimate_pa_coefficients_transfer_across_channels():
 
     chan_b, _ = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, seed=9)
-    h_hat = estimate_channel(buf_b, basis_stack(buf_b.tx, b, K_MAX, g), a_hat)
+    h_hat = estimate_channel(buf_b, basis_stack(buf_b.tx[buf_b.n_impulse:], b, K_MAX, g), a_hat)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
@@ -474,7 +604,7 @@ def test_estimate_channel_noiseless_recovery():
     b = irr_to_b(25.0, 0.3)
     chan, _ = tapped_channel(g, seed=10)
     buf = make_buffer(g, pa, b, chan, seed=10)
-    h_hat = estimate_channel(buf, basis_stack(buf.tx, b, K_MAX, g), pa)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b, K_MAX, g), pa)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
     rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
@@ -490,7 +620,7 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     pa = default_measured_pa()
     chan, _ = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
-    h_hat = estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), pa)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], 0.0, K_MAX, g), pa)
     assert not h_hat[: g.ul_start].any() and not h_hat[g.ul_end + 1 :].any()
     unest = frozenset(int(p) for p in g.ul_indices[h_hat[g.ul_indices] == 0])
     # everything past the support edge must be flagged; the last few inside
@@ -506,7 +636,8 @@ def test_estimate_channel_counter_charge_is_linear_in_band():
     pa = default_measured_pa()
     buf = make_buffer(g, pa, 0.0, flat_channel(g), seed=12)
     counter = OpCounter()
-    estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), pa, counter=counter)
+    chain = basis_stack(buf.tx[buf.n_impulse:], 0.0, K_MAX, g)
+    estimate_channel(buf, chain, pa, counter=counter)
     n_ul = g.ul_size
     m = len(buf.tx) - buf.n_impulse
     assert counter.mults("estimate_channel") == m * n_ul * (K_MAX + 3) + n_ul
@@ -692,7 +823,7 @@ def test_running_cancellers_reject_a_stack_short_of_their_orders():
         run_sic(basis_stack(x, 0.0, 1, g)[..., :32], coeffs, precombine(coeffs))
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     with pytest.raises(ValueError, match="training window"):
-        estimate_channel(buf, basis_stack(buf.tx[1:], 0.0, K_MAX, g), [1.0])
+        estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), [1.0])
     with pytest.raises(ValueError, match="training window"):
         baseline_full_ls(buf, basis_stack(buf.tx[0], 0.0, K_MAX, g))
 
@@ -723,7 +854,7 @@ def test_estimated_canceller_reaches_noise_floor():
 
     b_hat = estimate_iq(buf)
     a_hat = estimate_pa(buf, los, b_hat, K_MAX)
-    h_hat = estimate_channel(buf, basis_stack(buf.tx, b_hat, K_MAX, g), a_hat)
+    h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b_hat, K_MAX, g), a_hat)
     mu = mu_tables(g, b_hat, a_digi, K_MAX)
     retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
     coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
