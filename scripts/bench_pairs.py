@@ -14,7 +14,10 @@ faults per scenario: the growth of RUSAGE_CHILDREN's ru_minflt over the
 run (its set-up processes included) divided by the scenarios it ran. It
 writes one JSON file with the machine, the settings, every pair and, per
 metric, each side's median and quartiles and the number of pairs the
-working tree won.
+working tree won. Each workload also records split_pairs, the number of
+pairs whose two sides sat in different allocator states: exactly one side
+above HIGH_FAULTS_PER_SCENARIO minor faults per scenario. The p50 gap of
+such a pair measures the state as much as the code.
 
 Example, from the repository root:
 
@@ -39,6 +42,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Directions of the figures recorded next to BENCHMARK.json's metrics.
 EXTRA_BETTER = {"scenario_wall_s.p50": "lower", "minflt_per_scenario": "lower"}
 ENV_KEYS = ("cpu_model", "nproc", "python", "numpy", "blas")
+# Minor faults per scenario above which a run sits in the high-fault
+# allocator state; wide_ibfd's low state reads 50-330, its high one 2100-5100.
+HIGH_FAULTS_PER_SCENARIO = 1000
 
 
 def export_revision(rev: str, dest: str) -> None:
@@ -134,6 +140,26 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def split_pairs(pairs: list[dict]) -> int:
+    """Number of pairs where exactly one side is in the high-fault state."""
+    return sum(
+        (pair["parent"]["values"]["minflt_per_scenario"] > HIGH_FAULTS_PER_SCENARIO)
+        != (pair["change"]["values"]["minflt_per_scenario"] > HIGH_FAULTS_PER_SCENARIO)
+        for pair in pairs
+    )
+
+
+def pair_line(workload: str, pair: dict) -> str:
+    """One printed line per pair: each side's p50 and minor faults per scenario."""
+    sides = (pair["first"], "parent" if pair["first"] == "change" else "change")
+    runs = "  ".join(
+        f"{side} {pair[side]['values']['scenario_s.p50'] * 1e3:.3f} ms "
+        f"{pair[side]['values']['minflt_per_scenario']:.0f} faults"
+        for side in sides
+    )
+    return f"{workload} seed {pair['seed']}: {runs}"
+
+
 def benchmark_directions() -> dict[str, str]:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
@@ -171,10 +197,12 @@ def main(argv=None) -> int:
                     pair[side], env = run_once(trees[side], workload, seed, args.seconds)
                     report.setdefault("machine", {key: env.get(key) for key in ENV_KEYS})
                 pairs.append(pair)
-                p50 = {side: pair[side]["values"]["scenario_s.p50"] * 1e3 for side in order}
-                times = "  ".join(f"{s} {v:.3f} ms" for s, v in p50.items())
-                print(f"{workload} seed {seed}: {times}")
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+                print(pair_line(workload, pair))
+            report["workloads"][workload] = {
+                "pairs": pairs,
+                "summary": summarize(pairs, better),
+                "split_pairs": split_pairs(pairs),
+            }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

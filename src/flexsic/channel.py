@@ -106,10 +106,6 @@ class EffectiveChannel:
     los_tap_index: int
     los_scalar: complex
 
-    @property
-    def n_taps(self) -> int:
-        return len(self.time_taps)
-
 
 def array_response(geom: ArrayGeometry, angle: float) -> np.ndarray:
     """Unnormalized steering vector of a planar array toward `angle`.

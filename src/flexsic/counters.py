@@ -75,10 +75,6 @@ class OpCounter:
         keys = self.stages if stages is None else stages
         return sum(self._mults.get(s, 0) for s in keys)
 
-    def total_adds(self, stages=None) -> int:
-        keys = self.stages if stages is None else stages
-        return sum(self._adds.get(s, 0) for s in keys)
-
     def rows(self) -> list[tuple[str, str, int]]:
         """Stable (stage, counter, value) rows for reporting."""
         out = []

@@ -87,14 +87,6 @@ class SubcarrierGrid:
         return self.dl_set[1]
 
     @property
-    def ul_start(self) -> int:
-        return self.ul_set[0]
-
-    @property
-    def ul_end(self) -> int:
-        return self.ul_set[1]
-
-    @property
     def dl_size(self) -> int:
         """Number of downlink subcarriers."""
         return self.dl_set[1] - self.dl_set[0] + 1

@@ -14,14 +14,14 @@ Symbols are plain complex arrays, one per row. The whole training window
 goes through the transmit chain as one (M, P) stack; the run symbols go
 through it and every running canceller in blocks of _RUN_BLOCK_SAMPLES
 samples, which keeps the memory of a long run flat, and each canceller is
-still charged its running cost per symbol. Estimates shared by several
-cancellers (the IQ image weight, and the amplifier polynomial with its
-basis-power table) are fitted once, and their cost is charged to each
-canceller that uses them. Basis stacks are shared the same way: the
-cancellers built on the estimated image weight read one training stack
-and, per run block, one stack up to the highest order any of them runs;
-pa_only builds its own with no image. Each canceller still charges the
-orders it reads to its own basis stage.
+still charged its running cost per symbol. The cancellers that read basis
+stacks are grouped by image weight: proposed, full_ls and iq_only use the
+estimated one, and pa_only, which is proposed at b = 0, forms a group of
+its own. Groups are trained one at a time, each from one training stack
+and one amplifier fit with its basis-power table, and per run block each
+group reads one stack up to the highest order any member runs. A fit or a
+stack shared by several cancellers is made once, and each of them charges
+its cost (for a stack, the orders it reads) to its own stage.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
@@ -80,8 +80,6 @@ _FLOOR = 1e-300
 _RUN_BLOCK_SAMPLES = 16384
 # cancellers built on the estimated IQ image weight b_hat
 _USES_B_HAT = ("proposed", "full_ls", "iq_only")
-# cancellers built on the amplifier polynomial fitted with that b_hat
-_USES_PA_FIT = ("proposed", "iq_only")
 
 
 def duplex_allocation(preset: str, num_subcarriers: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -138,7 +136,6 @@ class ScenarioSpec:
     k_max: int = 2
     n_impulse_symbols: int = 4
     n_train_symbols: int = 14
-    regularization: float = 0.0
     impulse_amp_range: tuple[float, float] = (0.6, 2.0)
     seed: int = 1
     n_run_symbols: int = 20
@@ -210,8 +207,6 @@ class ScenarioSpec:
                 f"{self.n_impulse_symbols} impulse symbols to estimate the IQ image weight "
                 f"for {', '.join(iq_users)}, got {self.n_train_symbols}"
             )
-        if self.regularization < 0:
-            raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
         lo, hi = self.impulse_amp_range
         if not 0 < lo < hi:
             raise ValueError(
@@ -419,22 +414,6 @@ def _build_training(
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
-def _fit_pa(
-    buffer: TrainingBuffer,
-    chan: EffectiveChannel,
-    spec: ScenarioSpec,
-    a_digi: float,
-    b_hat: complex,
-    counter: OpCounter,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplifier polynomial and predicted basis powers for one image weight."""
-    a_hat = estimate_pa(
-        buffer, chan.los_scalar, b_hat, spec.k_max, spec.regularization, chan.los_tap_index,
-        counter=counter,
-    )
-    return a_hat, mu_tables(buffer.grid, b_hat, a_digi, spec.k_max)
-
-
 def _share(
     scratch: OpCounter, stage: str, counters: dict[str, OpCounter], names: list[str]
 ) -> None:
@@ -443,50 +422,48 @@ def _share(
         counters[name].charge(stage, mults=scratch.mults(stage), adds=scratch.adds(stage))
 
 
-def _fit_canceller(
-    name: str,
+def _fit_group(
+    names: list[str],
+    b_hat: complex,
     buffer: TrainingBuffer,
-    grid: SubcarrierGrid,
     chan: EffectiveChannel,
     spec: ScenarioSpec,
     gamma: float,
     a_digi: float,
-    b_hat: complex | None,
-    pa_fit: tuple[np.ndarray, np.ndarray] | None,
-    train: np.ndarray | None,
-    counter: OpCounter,
-):
-    """Train one canceller; returns an opaque state consumed by _estimate_si.
+    counters: dict[str, OpCounter],
+) -> tuple[dict, int]:
+    """Train the cancellers that read the basis stacks of one image weight.
 
-    b_hat is the IQ image weight estimate shared by the cancellers in
-    _USES_B_HAT, train the basis stack of the training window built with
-    it up to spec.k_max, and pa_fit the (a_hat, mu) pair fitted with it
-    that the cancellers in _USES_PA_FIT share (each None when the spec runs
-    none of its users); run_scenario fits them once and charges their cost
-    to each user's counter. train holds every training row when full_ls
-    runs and the data rows alone otherwise. pa_only fits its own polynomial
-    and builds its own stack of the data rows with b = 0. gamma is the
-    basis-selection threshold in internal power units.
+    Returns their states, consumed by _estimate_si, and the highest basis
+    order their running stages read. The training stack holds every
+    training row when full_ls is among names and the data rows alone
+    otherwise. The amplifier polynomial and its basis-power table are
+    fitted once with b_hat for every member but full_ls, and their cost is
+    charged to each. gamma is the basis-selection threshold in internal
+    power units.
     """
-    if name == "none":
-        return None
-    if name == "linear":
-        return estimate_linear_channel(buffer, counter=counter)
-    if name == "full_ls":
-        return baseline_full_ls(buffer, train, spec.regularization, counter=counter)
-    if name in ("proposed", "iq_only", "pa_only"):
-        if name == "pa_only":
-            b_hat = 0.0 + 0.0j
-            a_hat, mu = _fit_pa(buffer, chan, spec, a_digi, b_hat, counter)
-            data = basis_stack(buffer.tx[buffer.n_impulse:], b_hat, spec.k_max, grid)
-        else:
-            a_hat, mu = pa_fit
-            # the stack ends with the data rows, the only ones estimate_channel reads
-            data = train[len(train) - (len(buffer.tx) - buffer.n_impulse) :]
-        if name == "iq_only":
-            a_hat = a_hat[:1]
-        h_hat = estimate_channel(buffer, data, a_hat, counter=counter)
-        retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counter)
+    grid = buffer.grid
+    first = 0 if "full_ls" in names else buffer.n_impulse
+    train = basis_stack(buffer.tx[first:], b_hat, spec.k_max, grid)
+    # the stack ends with the data rows, the only ones estimate_channel reads
+    data = train[buffer.n_impulse - first :]
+    users = [name for name in names if name != "full_ls"]
+    if users:
+        scratch = OpCounter()
+        a_fit = estimate_pa(
+            buffer, chan.los_scalar, b_hat, spec.k_max, chan.los_tap_index, counter=scratch
+        )
+        mu = mu_tables(grid, b_hat, a_digi, spec.k_max)
+        _share(scratch, "estimate_pa", counters, users)
+    states, top = {}, 0
+    for name in names:
+        if name == "full_ls":
+            states[name] = baseline_full_ls(buffer, train, counter=counters[name])
+            top = max(top, spec.k_max)
+            continue
+        a_hat = a_fit[:1] if name == "iq_only" else a_fit
+        h_hat = estimate_channel(buffer, data, a_hat, counter=counters[name])
+        retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counters[name])
         # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; the mask keeps the rows a_hat has
         coeffs = SICCoefficients(
@@ -496,14 +473,9 @@ def _fit_canceller(
             b_hat=b_hat,
             retained=retained[: len(a_hat)],
         )
-        combined = precombine(coeffs, counter=counter)
-        return coeffs, combined
-    raise ValueError(f"unknown canceller {name!r}")
-
-
-def _run_order(name: str, state) -> int:
-    """Highest basis order the running stage of a canceller that reads a stack uses."""
-    return state.shape[0] - 1 if name == "full_ls" else state[0].k_used
+        states[name] = coeffs, precombine(coeffs, counter=counters[name])
+        top = max(top, coeffs.k_used)
+    return states, top
 
 
 def _estimate_si(
@@ -556,48 +528,31 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     )
 
     counters = {name: OpCounter() for name in spec.cancellers}
-    # shared fits are made once and their cost charged to every canceller that uses them
-    b_hat = None
-    pa_fit = None
-    train = None
+    states = {"none": None}
+    if "linear" in spec.cancellers:
+        states["linear"] = estimate_linear_channel(buffer, counter=counters["linear"])
+    # the cancellers that read basis stacks, grouped by their image weight:
+    # pa_only is proposed at b = 0
+    weights = []
     shared = [name for name in spec.cancellers if name in _USES_B_HAT]
     if shared:
         scratch = OpCounter()
         b_hat = estimate_iq(buffer, counter=scratch)
         _share(scratch, "estimate_iq", counters, shared)
-        first = 0 if "full_ls" in spec.cancellers else buffer.n_impulse
-        train = basis_stack(buffer.tx[first:], b_hat, spec.k_max, grid)
-    users = [name for name in spec.cancellers if name in _USES_PA_FIT]
-    if users:
-        scratch = OpCounter()
-        pa_fit = _fit_pa(buffer, chan, spec, a_digi, b_hat, scratch)
-        _share(scratch, "estimate_pa", counters, users)
-    states = {
-        name: _fit_canceller(
-            name, buffer, grid, chan, spec, gamma, a_digi, b_hat, pa_fit, train, counters[name]
-        )
-        for name in spec.cancellers
-        if name != "pa_only"
-    }
-    # pa_only builds its own training stack, so it is fitted once the shared
-    # one is released and the fits never hold two at once
-    del train
+        weights.append((b_hat, shared))
     if "pa_only" in spec.cancellers:
-        states["pa_only"] = _fit_canceller(
-            "pa_only", buffer, grid, chan, spec, gamma, a_digi,
-            None, None, None, counters["pa_only"],
-        )
+        weights.append((0.0 + 0.0j, ["pa_only"]))
+    # each group is trained in turn, so the fits hold one training stack at
+    # a time; as (image weight, top order, names) the groups then drive the
+    # run blocks, which build each stack once, and the first group, none
+    # and linear, reads none
+    groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
+    for b, names in weights:
+        fitted, top = _fit_group(names, b, buffer, chan, spec, gamma, a_digi, counters)
+        states.update(fitted)
+        groups.append((b, top, names))
     # training is over; the run blocks build their own stacks
     del buffer
-
-    # the cancellers grouped by the basis stack they read, as (image weight,
-    # top order, names); each run block builds each stack once, and the
-    # first group, none and linear, reads none
-    groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
-    if shared:
-        groups.append((b_hat, max(_run_order(name, states[name]) for name in shared), shared))
-    if "pa_only" in states:
-        groups.append((0.0 + 0.0j, _run_order("pa_only", states["pa_only"]), ["pa_only"]))
 
     run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
     noise_rng = np.random.default_rng(seeds[4])

@@ -188,17 +188,16 @@ class SICCoefficients:
 def ls_solve(
     regressors: np.ndarray,
     observations: np.ndarray,
-    regularization: float = 0.0,
     counter: OpCounter | None = None,
     stage: str = "ls",
 ) -> np.ndarray:
     """Least squares through the normal equations, with guard rails.
 
-    With regularization == 0 the system is checked for rank deficiency
-    first (a SingularSystemError names the offending column) and a small
-    ridge is switched on automatically when the condition estimate
-    exceeds 1e8. With regularization > 0 the ridge is applied as given.
-    The returned coefficients minimize ||y - A c||^2 + reg ||c||^2.
+    The system is checked for rank deficiency first (a SingularSystemError
+    names the offending column), and a small ridge is switched on
+    automatically when the condition estimate exceeds 1e8. The returned
+    coefficients minimize ||y - A c||^2, plus ridge ||c||^2 when the
+    ridge is on.
     """
     a = np.asarray(regressors, dtype=np.complex128)
     y = np.asarray(observations, dtype=np.complex128)
@@ -210,7 +209,7 @@ def ls_solve(
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
-    coeffs, solved = _ls_solve_stack(a[None], y[None], regularization, counter, stage)
+    coeffs, solved = _ls_solve_stack(a[None], y[None], 0.0, counter, stage)
     if not solved[0]:
         diag = _r_diagonal(a[None])[0]
         if diag.max() == 0.0:
@@ -257,13 +256,13 @@ def _screened(gram: np.ndarray, m: int) -> np.ndarray:
 def _ls_solve_stack(
     a: np.ndarray,
     y: np.ndarray,
-    regularization,
+    ridges,
     counter: OpCounter | None,
     stage: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """ls_solve over n independent systems stacked on axis 0.
 
-    a has shape (n, M, K) and y shape (n, M); regularization is one ridge
+    a has shape (n, M, K) and y shape (n, M); ridges is one ridge
     for all systems or one per system. Each system gets ls_solve's guard
     rails: with a zero ridge, a system whose smallest |R_kk| is at most
     1e-12 of its largest is rank deficient, and one whose condition
@@ -287,9 +286,9 @@ def _ls_solve_stack(
     slices, so the temporaries stay a fixed size however wide the band.
     """
     n, m, k = a.shape
-    ridge_all = np.broadcast_to(np.asarray(regularization, dtype=np.float64), (n,))
+    ridge_all = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
     if (ridge_all < 0).any():
-        raise ValueError("regularization must be nonnegative")
+        raise ValueError("ridge must be nonnegative")
     coeffs = np.zeros((n, k), dtype=np.complex128)
     solved = np.zeros(n, dtype=bool)
     eye = np.eye(k)
@@ -379,7 +378,6 @@ def estimate_pa(
     los_gain: complex,
     b_hat: complex,
     k_max: int,
-    regularization: float = 0.0,
     los_tap_index: int = 0,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
@@ -436,7 +434,7 @@ def estimate_pa(
     y = rx[:, (n0 + los_tap_index) % p_total]
     if counter is not None:
         counter.charge("estimate_pa", mults=m * (2 * k_max + 3), adds=m)
-    coeffs = ls_solve(rows, y, regularization, counter=counter, stage="estimate_pa")
+    coeffs = ls_solve(rows, y, counter=counter, stage="estimate_pa")
 
     offsets = np.arange(-guard, guard + 1)
     kappa = pilot_profile(grid, n0 + offsets)
@@ -475,12 +473,11 @@ def estimate_pa(
         gains = ls_solve(
             design.reshape(m * guard, len(taus)),
             resid.reshape(m * guard),
-            regularization,
             counter=counter,
             stage="estimate_pa",
         )
         y_corr = y - u[:, guard - taus] @ gains
-        coeffs = ls_solve(rows, y_corr, regularization, counter=counter, stage="estimate_pa")
+        coeffs = ls_solve(rows, y_corr, counter=counter, stage="estimate_pa")
     return coeffs
 
 
@@ -768,7 +765,6 @@ def baseline_linear(
 def baseline_full_ls(
     buffer: TrainingBuffer,
     chain: np.ndarray,
-    regularization: float = 0.0,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Conventional joint per-subcarrier LS over all distortion orders.
@@ -796,7 +792,7 @@ def baseline_full_ls(
     band = grid.ul_band
     a = chain[:, :, band].transpose(2, 0, 1)
     y = rx[:, band].T
-    c, solved = _ls_solve_stack(a, y, regularization, counter, "full_ls_est")
+    c, solved = _ls_solve_stack(a, y, 0.0, counter, "full_ls_est")
     # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
     # all-zero ones stay zero
     retry = np.flatnonzero(~solved)

@@ -108,7 +108,7 @@ def test_siso_los_channel_is_flat():
     geom = ArrayGeometry(1, 1)
     mimo = build_mimo_taps(los_only(gain=0.5 + 0.1j), geom, geom, g)
     chan = apply_beams(mimo, BeamVector([1.0]), BeamVector([1.0]))
-    assert chan.n_taps == 1
+    assert len(chan.time_taps) == 1
     assert chan.los_tap_index == 0
     assert chan.los_scalar == pytest.approx(0.5 + 0.1j)
     assert np.allclose(chan.freq_response, 0.5 + 0.1j)
@@ -120,7 +120,7 @@ def test_apply_channel_equals_frequency_product():
     rays = synth_channel(ChannelProfile(), g, seed=3)
     mimo = build_mimo_taps(rays, geom, geom, g)
     chan = apply_beams(mimo, conjugate_beam(geom, 0.0), conjugate_beam(geom, 0.0))
-    assert chan.n_taps > 1
+    assert len(chan.time_taps) > 1
 
     rng = np.random.default_rng(5)
     values = np.zeros(256, dtype=complex)

@@ -127,7 +127,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("seed", -1),
         ("k_max", 0),
         ("n_impulse_symbols", 2),
-        ("regularization", -1.0),
+        ("pa_drive_rms", 0.0),
         ("impulse_amp_range", [2.0, 0.6]),
         ("n_train_symbols", 5),
         ("pa_coeffs", {"2": [1, 0]}),

@@ -1,5 +1,7 @@
+import gc
 import json
 import pathlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +120,6 @@ def test_spec_rejects_bad_estimator_values():
             "n_train_symbols must leave at least two data training symbols after the 4 impulse "
             "symbols to estimate the IQ image weight for proposed, got 5",
         ),
-        ({"regularization": -1.0}, "regularization must be nonnegative, got -1.0"),
         ({"impulse_amp_range": (2.0, 0.6)}, "impulse_amp_range must be increasing and positive"),
         ({"impulse_amp_range": (0.0, 2.0)}, "impulse_amp_range must be increasing and positive"),
     ]
@@ -202,6 +203,9 @@ def test_spec_from_dict_rejects_unknown_keys():
         spec_from_dict({"frequency": 3.5e9})
     with pytest.raises(ValueError, match="unknown channel keys: taps"):
         spec_from_dict({"channel": {"taps": 4}})
+    # the ridge knob is gone: every solve keeps the automatic guard rails
+    with pytest.raises(ValueError, match="unknown config keys: regularization"):
+        spec_from_dict({"regularization": 0.0})
 
 
 def test_load_spec_errors(tmp_path):
@@ -348,6 +352,25 @@ def test_each_block_builds_one_basis_stack_per_image_weight(monkeypatch, cancell
     assert calls == train[:stacks] + [64] * stacks + [6] * stacks
 
 
+def test_fits_hold_one_training_basis_stack_at_a_time(monkeypatch):
+    # the b_hat group's training stack must be released before pa_only's
+    # is built: at P = 4096 one (M, k_max + 1, P) stack of 14 rows is 2.75 MB
+    stacks = []
+    build = scenario.basis_stack
+
+    def tracked(x, b, k_max, grid):
+        if len(stacks) == 1:
+            assert b == 0.0  # pa_only's training stack comes second
+            gc.collect()
+            assert stacks[0]() is None, "the b_hat training stack is still alive"
+        chain = build(x, b, k_max, grid)
+        stacks.append(weakref.ref(chain))
+        return chain
+
+    monkeypatch.setattr(scenario, "basis_stack", tracked)
+    spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=4, cancellers=CANCELLERS)
+    run_scenario(spec)
+    assert len(stacks) == 2 + 2  # two training stacks, then one run block of two
 def test_run_scenario_smoke_and_shapes():
     spec = small_spec()
     report = run_scenario(spec, seed=2)

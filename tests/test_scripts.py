@@ -85,3 +85,23 @@ def test_bench_pairs_reads_the_run_output():
     )
     result, info, env = script.parse_output(stdout)
     assert result["attempted"] == 61 and info["scenarios"] == 60 and env["nproc"] == 2
+
+
+def test_bench_pairs_counts_pairs_split_across_fault_states():
+    script = load_script("bench_pairs")
+    high = script.HIGH_FAULTS_PER_SCENARIO
+
+    def run(p50, faults):
+        return {"values": {"scenario_s.p50": p50, "minflt_per_scenario": faults}}
+
+    faults = [(238, 3700), (250, 260), (4000, 3500), (high, high + 1), (high + 1, 50)]
+    pairs = [
+        {"seed": i, "first": "change", "parent": run(0.0432, p), "change": run(0.0489, c)}
+        for i, (p, c) in enumerate(faults)
+    ]
+    # both low and both high are not split; the named limit itself counts as low
+    assert script.split_pairs(pairs) == 3
+    pairs[1]["first"] = "parent"
+    assert script.pair_line("wide_ibfd", pairs[1]) == (
+        "wide_ibfd seed 1: parent 43.200 ms 250 faults  change 48.900 ms 260 faults"
+    )

@@ -161,12 +161,13 @@ def test_ls_solve_auto_ridge_on_bad_conditioning():
 
 
 def test_ls_solve_explicit_ridge_shrinks():
+    # an explicit ridge reaches only the stacked solver, whose full_ls refit passes one
     rng = np.random.default_rng(2)
     a = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
     y = a @ np.array([3.0, -2.0])
     plain = ls_solve(a, y)
-    shrunk = ls_solve(a, y, regularization=1e3)
-    assert np.linalg.norm(shrunk) < np.linalg.norm(plain)
+    shrunk, solved = _ls_solve_stack(a[None], y[None], 1e3, None, "s")
+    assert solved[0] and np.linalg.norm(shrunk[0]) < np.linalg.norm(plain)
 
 
 def test_ls_solve_charges_counter():
@@ -334,9 +335,9 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
 
 def test_ls_solve_rejects_negative_ridge():
     # a negative ridge would make the Gram matrix indefinite
-    a = np.eye(4, 2, dtype=complex)
+    a = np.eye(4, 2, dtype=complex)[None]
     with pytest.raises(ValueError, match="nonnegative"):
-        ls_solve(a, np.ones(4, dtype=complex), regularization=-1.0)
+        _ls_solve_stack(a, np.ones((1, 4), dtype=complex), -1.0, None, "s")
 
 
 # ---------------------------------------------------------------- stacked estimators
@@ -378,26 +379,25 @@ def test_estimate_iq_matches_loop_reference(p_total):
 
 
 @pytest.mark.parametrize(
-    "grid, b, regularization",
+    "grid, b",
     [
-        (mirrored_grid(64), irr_to_b(25.0, 0.3), 0.0),
-        (mirrored_grid(1024), irr_to_b(25.0, 0.3), 0.0),
-        (mirrored_grid(1024), irr_to_b(25.0, 0.3), 1e-3),
-        (sbfd_grid(), irr_to_b(25.0, 0.3), 0.0),
+        (mirrored_grid(64), irr_to_b(25.0, 0.3)),
+        (mirrored_grid(1024), irr_to_b(25.0, 0.3)),
+        (sbfd_grid(), irr_to_b(25.0, 0.3)),
         # without an image the linear column is zero on uplink 777..904,
         # so the ridge refit covers both blocks of the 305-subcarrier stack
-        (SubcarrierGrid(1024, 120e3, 8, (112, 776), (600, 904)), 0.0, 0.0),
+        (SubcarrierGrid(1024, 120e3, 8, (112, 776), (600, 904)), 0.0),
     ],
-    ids=["ibfd-64", "ibfd-1024", "ibfd-1024-ridge", "sbfd-fallback", "overlap-1024-fallback"],
+    ids=["ibfd-64", "ibfd-1024", "sbfd-fallback", "overlap-1024-fallback"],
 )
-def test_full_ls_matches_loop_reference(grid, b, regularization):
+def test_full_ls_matches_loop_reference(grid, b):
     pa = default_measured_pa()
     chan, _ = tapped_channel(grid, seed=33)
     buf = make_buffer(grid, pa, b, chan, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
     counter, ref_counter = OpCounter(), OpCounter()
     chain = basis_stack(buf.tx, b, K_MAX, grid)
-    coeffs = baseline_full_ls(buf, chain, regularization, counter=counter)
-    ref = baseline_full_ls_loop(buf, grid, K_MAX, b, regularization, counter=ref_counter)
+    coeffs = baseline_full_ls(buf, chain, counter=counter)
+    ref = baseline_full_ls_loop(buf, grid, K_MAX, b, 0.0, counter=ref_counter)
     ul = grid.ul_indices
     size = np.linalg.norm(ref[:, ul], axis=0)
     assert np.all(size > 0)
@@ -621,7 +621,8 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     chan, _ = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], 0.0, K_MAX, g), pa)
-    assert not h_hat[: g.ul_start].any() and not h_hat[g.ul_end + 1 :].any()
+    lo, hi = g.ul_set
+    assert not h_hat[:lo].any() and not h_hat[hi + 1 :].any()
     unest = frozenset(int(p) for p in g.ul_indices[h_hat[g.ul_indices] == 0])
     # everything past the support edge must be flagged; the last few inside
     # the support may fall below the relative power cut as well
@@ -796,7 +797,7 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
 def test_basis_stack_rejects_energy_outside_downlink():
     g = sbfd_grid()
     bad = np.zeros(64, dtype=complex)
-    bad[g.ul_start] = 1.0  # uplink subcarrier carries transmit energy
+    bad[g.ul_set[0]] = 1.0  # uplink subcarrier carries transmit energy
     with pytest.raises(ValueError, match="allocation mismatch"):
         basis_stack(bad, 0.0, 0, g)
     with pytest.raises(ValueError, match="length"):
