@@ -2,7 +2,7 @@
 
 The package splits into small layers: ofdm (grids, transforms, cyclic
 prefix, QAM), impairments (IQ imbalance and the odd-order amplifier
-polynomial), channel (rays, arrays, beamformed effective channel), imd
+polynomial), channel (rays, arrays, beamformed channel taps), imd
 (distortion bases, tuple-count and power-prediction tables, the impulse
 pilot), sic (estimators, basis selection, the running canceller and
 baselines), counters (arithmetic accounting), and scenario/cli (end-to-end
@@ -13,8 +13,6 @@ from .channel import (
     ArrayGeometry,
     BeamVector,
     ChannelProfile,
-    EffectiveChannel,
-    MimoTaps,
     Ray,
     apply_beams,
     apply_channel,

@@ -2,8 +2,9 @@
 
 A channel is a list of rays; each ray carries a complex gain, a delay, and
 angles of arrival/departure.  Rays are rasterized onto sampling-interval
-taps as outer products of array steering vectors, then collapsed to a
-scalar effective channel by the transmit/receive beams:
+taps as outer products of array steering vectors, an (n_taps, n_rx, n_tx)
+array H, then collapsed to the beamformed channel taps, an (n_taps,)
+array h, by the transmit/receive beams:
 
     h[n] = w_rx^H  H[n]  f_tx.
 
@@ -83,30 +84,6 @@ def normalize_beam(weights: np.ndarray) -> BeamVector:
     return BeamVector(weights=w / np.abs(w) / np.sqrt(w.size))
 
 
-@dataclass(frozen=True)
-class MimoTaps:
-    """Per-tap MIMO matrices H[n] (n_taps, n_rx, n_tx) plus LoS bookkeeping."""
-
-    taps: np.ndarray
-    los_tap_index: int
-    los_matrix: np.ndarray
-    grid: SubcarrierGrid
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Beamformed scalar channel: time taps, frequency response, LoS part.
-
-    freq_response[p] is the length-P DFT of the zero-padded taps;
-    los_scalar is the LoS ray's gain, which sits on tap los_tap_index.
-    """
-
-    time_taps: np.ndarray
-    freq_response: np.ndarray
-    los_tap_index: int
-    los_scalar: complex
-
-
 def array_response(geom: ArrayGeometry, angle: float) -> np.ndarray:
     """Unnormalized steering vector of a planar array toward `angle`.
 
@@ -152,13 +129,13 @@ def build_mimo_taps(
     geom_tx: ArrayGeometry,
     geom_rx: ArrayGeometry,
     grid: SubcarrierGrid,
-) -> MimoTaps:
+) -> np.ndarray:
     """Rasterize rays onto sampling taps as steering outer products.
 
-    Each ray lands on tap round(delay / T_sampling) with matrix
-    g * e_rx(aoa) e_tx(aod)^H; rays sharing a tap add.  Tap indices at or
-    beyond cp_length are rejected (they would break the per-subcarrier
-    product model).
+    Returns the (n_taps, n_rx, n_tx) tap matrices H. Each ray lands on tap
+    round(delay / T_sampling) with matrix g * e_rx(aoa) e_tx(aod)^H; rays
+    sharing a tap add.  Tap indices at or beyond cp_length are rejected
+    (they would break the per-subcarrier product model).
     """
     validate_rays(rays)
     ts = grid.sampling_interval
@@ -171,39 +148,27 @@ def build_mimo_taps(
             )
     n_taps = max(tap_idx) + 1
     taps = np.zeros((n_taps, geom_rx.n_elements, geom_tx.n_elements), dtype=complex)
-    los_matrix = np.zeros_like(taps[0])
-    los_tap = 0
     for r, t in zip(rays, tap_idx):
-        outer = r.gain * np.outer(
+        taps[t] += r.gain * np.outer(
             array_response(geom_rx, r.aoa), np.conj(array_response(geom_tx, r.aod))
         )
-        taps[t] += outer
-        if r.is_los:
-            los_matrix = outer
-            los_tap = t
-    return MimoTaps(taps=taps, los_tap_index=los_tap, los_matrix=los_matrix, grid=grid)
+    return taps
 
 
-def apply_beams(mimo: MimoTaps, f_tx: BeamVector, w_rx: BeamVector) -> EffectiveChannel:
-    """Collapse the MIMO taps to the scalar channel h[n] = w^H H[n] f."""
-    n_taps, n_rx, n_tx = mimo.taps.shape
+def apply_beams(taps: np.ndarray, f_tx: BeamVector, w_rx: BeamVector) -> np.ndarray:
+    """Collapse the MIMO taps H to the (n_taps,) beamformed taps h[n] = w^H H[n] f."""
+    n_taps, n_rx, n_tx = taps.shape
     if len(f_tx.weights) != n_tx or len(w_rx.weights) != n_rx:
         raise ValueError(
             f"beam dimensions ({len(w_rx.weights)}, {len(f_tx.weights)}) do not "
             f"match channel dimensions ({n_rx}, {n_tx})"
         )
     w = np.conj(w_rx.weights)
-    h = np.array([w @ mimo.taps[n] @ f_tx.weights for n in range(n_taps)])
-    return EffectiveChannel(
-        time_taps=h,
-        freq_response=np.fft.fft(h, n=mimo.grid.num_subcarriers),
-        los_tap_index=mimo.los_tap_index,
-        los_scalar=complex(w @ mimo.los_matrix @ f_tx.weights),
-    )
+    return np.array([w @ taps[n] @ f_tx.weights for n in range(n_taps)])
 
 
-def apply_channel(x: np.ndarray, chan: EffectiveChannel) -> np.ndarray:
-    """Causal FIR filtering of CP-bearing symbols by the channel taps.
+def apply_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Causal FIR filtering of CP-bearing symbols by the beamformed taps h.
 
     Filters along the last axis and keeps its length: out[n] = sum_t
     h[t] x[n - t] over the taps with t <= n. The cyclic prefix absorbs the
@@ -212,7 +177,6 @@ def apply_channel(x: np.ndarray, chan: EffectiveChannel) -> np.ndarray:
     per-subcarrier product in frequency). Rays land on a few of the taps
     only, so the zero taps are skipped.
     """
-    taps = chan.time_taps
     out = taps[0] * x
     for t in np.flatnonzero(taps[1:]) + 1:
         out[..., t:] += taps[t] * x[..., :-t]

@@ -103,7 +103,7 @@ def _cmd_validate(args) -> int:
 
     pa_out = dft(apply_pa(idft(xiq), a))
     flat = np.ones(p, dtype=np.complex128)
-    coeffs = perfect_coefficients(grid, flat, a, b_iq)
+    coeffs = perfect_coefficients(grid, flat, a)
     chain = basis_stack(x, b_iq, coeffs.k_max, grid)
     res = pa_out - run_sic(chain, coeffs, precombine(coeffs))
     ul = grid.ul_indices

@@ -42,7 +42,6 @@ import numpy as np
 from .channel import (
     ArrayGeometry,
     ChannelProfile,
-    EffectiveChannel,
     apply_beams,
     apply_channel,
     build_mimo_taps,
@@ -351,7 +350,7 @@ def _rx_body(
     x: np.ndarray,
     b_iq: complex,
     a: np.ndarray,
-    chan: EffectiveChannel,
+    taps: np.ndarray,
     grid: SubcarrierGrid,
 ) -> np.ndarray:
     """Noiseless body samples of symbols (..., P) through the transmit chain and the SI channel."""
@@ -359,7 +358,7 @@ def _rx_body(
     t = apply_iq_time(t, b_iq)
     t = apply_pa(t, a)
     t = add_cp(t, grid)
-    t = apply_channel(t, chan)
+    t = apply_channel(t, taps)
     return remove_cp(t, grid)
 
 
@@ -380,7 +379,8 @@ def _add_noise(samples: np.ndarray, sigma_t: float, rng: np.random.Generator) ->
     return noise
 
 
-def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int) -> EffectiveChannel:
+def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int) -> np.ndarray:
+    """The beamformed self-interference channel taps, shape (n_taps,)."""
     if spec.tap_file is not None:
         rays = load_taps(spec.tap_file)
     else:
@@ -398,7 +398,7 @@ def _build_training(
     grid: SubcarrierGrid,
     b_iq: complex,
     a: np.ndarray,
-    chan: EffectiveChannel,
+    taps: np.ndarray,
     a_digi: float,
     sigma_t: float,
     seed_data: int,
@@ -410,7 +410,7 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
-    rx = _add_noise(_rx_body(tx, b_iq, a, chan, grid), sigma_t, np.random.default_rng(seed_noise))
+    rx = _add_noise(_rx_body(tx, b_iq, a, taps, grid), sigma_t, np.random.default_rng(seed_noise))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
@@ -426,7 +426,7 @@ def _fit_group(
     names: list[str],
     b_hat: complex,
     buffer: TrainingBuffer,
-    chan: EffectiveChannel,
+    taps: np.ndarray,
     spec: ScenarioSpec,
     gamma: float,
     a_digi: float,
@@ -439,8 +439,9 @@ def _fit_group(
     training row when full_ls is among names and the data rows alone
     otherwise. The amplifier polynomial and its basis-power table are
     fitted once with b_hat for every member but full_ls, and their cost is
-    charged to each. gamma is the basis-selection threshold in internal
-    power units.
+    charged to each; the fit samples the pilot peaks behind the first
+    nonzero beamformed tap, the direct path's delay. gamma is the
+    basis-selection threshold in internal power units.
     """
     grid = buffer.grid
     first = 0 if "full_ls" in names else buffer.n_impulse
@@ -449,10 +450,14 @@ def _fit_group(
     data = train[buffer.n_impulse - first :]
     users = [name for name in names if name != "full_ls"]
     if users:
+        direct = np.flatnonzero(taps)
+        if not direct.size:
+            raise ValueError(
+                "the self-interference channel is zero (every beamformed tap is 0), "
+                "so the amplifier fit has no direct path to sample"
+            )
         scratch = OpCounter()
-        a_fit = estimate_pa(
-            buffer, chan.los_scalar, b_hat, spec.k_max, chan.los_tap_index, counter=scratch
-        )
+        a_fit = estimate_pa(buffer, b_hat, spec.k_max, int(direct[0]), counter=scratch)
         mu = mu_tables(grid, b_hat, a_digi, spec.k_max)
         _share(scratch, "estimate_pa", counters, users)
     states, top = {}, 0
@@ -470,7 +475,6 @@ def _fit_group(
             grid=grid,
             h_hat=h_hat,
             a_hat=a_hat,
-            b_hat=b_hat,
             retained=retained[: len(a_hat)],
         )
         states[name] = coeffs, precombine(coeffs, counter=counters[name])
@@ -522,9 +526,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         raise ValueError(f"gamma_dbm={gamma_dbm} gives a selection threshold that is not positive")
 
     seeds = _seed_ints(seed, 5)
-    chan = _build_effective_channel(spec, grid, seeds[0])
+    taps = _build_effective_channel(spec, grid, seeds[0])
     buffer = _build_training(
-        spec, grid, b_iq, a, chan, a_digi, sigma_t, seeds[1], seeds[2]
+        spec, grid, b_iq, a, taps, a_digi, sigma_t, seeds[1], seeds[2]
     )
 
     counters = {name: OpCounter() for name in spec.cancellers}
@@ -548,7 +552,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     # and linear, reads none
     groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
     for b, names in weights:
-        fitted, top = _fit_group(names, b, buffer, chan, spec, gamma, a_digi, counters)
+        fitted, top = _fit_group(names, b, buffer, taps, spec, gamma, a_digi, counters)
         states.update(fitted)
         groups.append((b, top, names))
     # training is over; the run blocks build their own stacks
@@ -565,7 +569,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        body = _rx_body(x, b_iq, a, chan, grid)
+        body = _rx_body(x, b_iq, a, taps, grid)
         y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
         y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
         for b, top, names in groups:

@@ -136,7 +136,9 @@ class SICCoefficients:
     h_hat holds the effective channel estimate over the full grid
     (zeros outside the uplink band and at unestimated subcarriers).
     a_hat holds the polynomial coefficients, a_hat[k] = a_{2k+1} for
-    k = 0..k_max, so k_max = len(a_hat) - 1. retained is
+    k = 0..k_max, so k_max = len(a_hat) - 1; only the products
+    h_hat a_hat matter, so a common scale may move between the two
+    (estimate_pa's a_hat carries the direct path's gain). retained is
     a boolean mask of shape (k_max + 1, P): row 0 marks the uplink
     subcarriers the canceller acts on (those with a channel estimate),
     and row k >= 1 marks where order 2k+1 is cancelled, so column p
@@ -147,7 +149,6 @@ class SICCoefficients:
     grid: SubcarrierGrid
     h_hat: np.ndarray
     a_hat: np.ndarray
-    b_hat: complex
     retained: np.ndarray
 
     def __post_init__(self):
@@ -375,22 +376,24 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
 
 def estimate_pa(
     buffer: TrainingBuffer,
-    los_gain: complex,
     b_hat: complex,
     k_max: int,
     los_tap_index: int = 0,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Estimate the polynomial a[k] = a_{2k+1}, k = 0..k_max, from the impulse pilot peaks.
+    """Estimate h_los * a[k], a[k] = a_{2k+1}, k = 0..k_max, from the impulse pilot peaks.
 
     Each impulse symbol concentrates the downlink band into one body
     sample of known amplitude. Sampling the received body at the pilot
-    peak (shifted by the line-of-sight tap) gives one scalar equation
-    y_m ~= h_los * sum_k a_k |alpha_m|^{2k} alpha_m per symbol, where
-    alpha_m is the amplifier input peak after IQ imbalance. The sweep of
-    pilot amplitudes across symbols makes the orders separable, and the
-    solve touches k_max + 1 unknowns regardless of how many subcarriers
-    the uplink band has.
+    peak, delayed by los_tap_index, the direct path's tap, gives one
+    scalar equation y_m ~= sum_k h_los a_k |alpha_m|^{2k} alpha_m per
+    symbol, where alpha_m is the amplifier input peak after IQ imbalance
+    and h_los the direct path's unknown gain. So the fit returns the
+    polynomial scaled by h_los; estimate_channel's h_hat absorbs that
+    scale, and every canceller reads only the products h_hat a_hat. The
+    sweep of pilot amplitudes across symbols makes the orders separable,
+    and the solve touches k_max + 1 unknowns regardless of how many
+    subcarriers the uplink band has.
 
     Echo taps behind the line of sight leak the pilot's pre-peak tail
     into the peak sample. That leakage is linear in the pilot amplitude,
@@ -410,8 +413,6 @@ def estimate_pa(
         raise ValueError(
             f"{m} impulse symbols cannot identify {k_max + 1} coefficients"
         )
-    if los_gain == 0:
-        raise ValueError("line-of-sight gain must be nonzero")
 
     grid = buffer.grid
     p_total = grid.num_subcarriers
@@ -429,11 +430,11 @@ def estimate_pa(
     rows = np.empty((m, k_max + 1), dtype=np.complex128)
     term = alpha
     for k in range(k_max + 1):
-        rows[:, k] = los_gain * term
+        rows[:, k] = term
         term = term * mag2
     y = rx[:, (n0 + los_tap_index) % p_total]
     if counter is not None:
-        counter.charge("estimate_pa", mults=m * (2 * k_max + 3), adds=m)
+        counter.charge("estimate_pa", mults=m * (k_max + 2), adds=m)
     coeffs = ls_solve(rows, y, counter=counter, stage="estimate_pa")
 
     offsets = np.arange(-guard, guard + 1)
@@ -454,7 +455,7 @@ def estimate_pa(
             + _PA_REFINE_PASSES
             * (
                 m * (2 * guard + 1) * (k_max + 3)
-                + guard * (2 * m + 1)
+                + guard * (m + 1)
                 + 2 * m * n_echo
             ),
             adds=_PA_REFINE_PASSES * m * guard * 2,
@@ -466,7 +467,7 @@ def estimate_pa(
         u = u * a_all
         u_peak = u[:, guard]
         u_post = u[:, guard + 1 :]
-        resid = rx_post - los_gain * u_post
+        resid = rx_post - u_post
         matched = (np.conj(u_peak) @ resid) / np.sum(np.abs(u_peak) ** 2)
         taus = 1 + np.sort(np.argsort(np.abs(matched))[::-1][:n_echo])
         design = u[:, guard + tau_rows[:, None] - taus[None, :]]
@@ -674,8 +675,9 @@ def run_sic(
 ) -> np.ndarray:
     """Self-interference estimate of a stack of symbols, on the grid.
 
-    chain is the symbols' basis stack, basis_stack(x, coeffs.b_hat, k, grid)
-    with k >= coeffs.k_used, of shape (..., k+1, P); combined is
+    chain is the symbols' basis stack, basis_stack(x, b, k, grid) with the
+    image weight b the coefficients were fitted on and k >= coeffs.k_used,
+    of shape (..., k+1, P); combined is
     precombine(coeffs), made once per canceller. Returns, with shape
     (..., P), sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each
     uplink subcarrier that coeffs.retained marks, and zero elsewhere. The
@@ -706,7 +708,6 @@ def perfect_coefficients(
     grid: SubcarrierGrid,
     freq_response: np.ndarray,
     a: np.ndarray,
-    b_iq: complex,
 ) -> SICCoefficients:
     """Oracle coefficients of the true polynomial a, every basis retained; for invariant checks."""
     retained = np.zeros((len(a), grid.num_subcarriers), dtype=bool)
@@ -715,7 +716,6 @@ def perfect_coefficients(
         grid=grid,
         h_hat=np.asarray(freq_response, dtype=np.complex128).copy(),
         a_hat=np.array(a, dtype=np.complex128),
-        b_hat=complex(b_iq),
         retained=retained,
     )
 

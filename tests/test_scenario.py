@@ -160,6 +160,42 @@ def test_spec_rejects_a_prefix_the_synthetic_channel_outruns(tmp_path):
     ScenarioSpec(num_subcarriers=64, cp_length=16, tap_file=str(path))
 
 
+def tap_file_spec(tmp_path, rays_db, **overrides):
+    """A P = 256 ibfd spec on a tap file of boresight rays given as (gain dB or None, tap, is_los)."""
+    ts = ScenarioSpec(num_subcarriers=256).build_grid().sampling_interval
+    rays = []
+    for db, tap, is_los in rays_db:
+        gain = 0.0 if db is None else 10.0 ** (db / 20.0)
+        rays.append(Ray(gain=gain, delay_s=tap * ts, aoa=0.0, aod=0.0, is_los=is_los))
+    path = tmp_path / "taps.csv"
+    save_taps(rays, path)
+    return ScenarioSpec(num_subcarriers=256, duplex="ibfd", seed=1, tap_file=str(path), **overrides)
+
+
+@pytest.mark.parametrize("name", ["proposed", "iq_only", "pa_only"])
+def test_a_zero_channel_stops_the_amplifier_fit_by_name(tmp_path, name):
+    spec = tap_file_spec(tmp_path, [(None, 0, True), (None, 4, False)], cancellers=("none", name))
+    with pytest.raises(ValueError, match="^the self-interference channel is zero"):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "rays_db",
+    [
+        # a line-of-sight gain of 0: the first nonzero tap is the echo on tap 4
+        # (48.3 dB; sampling the empty tap 0 instead gave 38.1 dB)
+        [(None, 0, True), (-52.0, 4, False), (-80.0, 8, False)],
+        # every ray arrives late, the direct path on tap 3
+        # (47.8 dB; sampling the pilot peaks at tap 0 instead gave 35.1 dB)
+        [(-52.0, 3, True), (-80.0, 7, False), (-86.0, 11, False)],
+    ],
+    ids=["zero-los-gain", "late-los"],
+)
+def test_the_amplifier_fit_samples_behind_the_first_nonzero_tap(tmp_path, rays_db):
+    spec = tap_file_spec(tmp_path, rays_db)
+    assert run_scenario(spec).sicr_db["proposed"] >= 45.0
+
+
 def test_spec_dict_roundtrip():
     spec = small_spec(
         duplex="custom",
@@ -248,11 +284,11 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     spec = ScenarioSpec(duplex=preset, num_subcarriers=256, seed=3)
     grid = spec.build_grid()
     b_iq, pa = spec.build_imbalance(), spec.build_pa()
-    chan = _build_effective_channel(spec, grid, seed=11)
+    taps = _build_effective_channel(spec, grid, seed=11)
     a_digi = spec.drive_amplitude(grid)
     assert a_digi == spec.pa_drive_rms * 256 / np.sqrt(grid.dl_size)
     sigma = 1e-3 * a_digi / 256
-    buf = _build_training(spec, grid, b_iq, pa, chan, a_digi, sigma, seed_data=12, seed_noise=13)
+    buf = _build_training(spec, grid, b_iq, pa, taps, a_digi, sigma, seed_data=12, seed_noise=13)
 
     lo, hi = spec.impulse_amp_range
     scale = 256 / grid.dl_size
@@ -265,7 +301,7 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     assert buf.n_impulse == spec.n_impulse_symbols
     assert np.array_equal(buf.tx, tx)
     ref = rx_body_loop(
-        tx, b_iq, lambda t: apply_pa(t, pa), chan.time_taps, grid.cp_length, sigma,
+        tx, b_iq, lambda t: apply_pa(t, pa), taps, grid.cp_length, sigma,
         np.random.default_rng(13),
     )
     assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)

@@ -58,7 +58,7 @@ def tapped_channel(grid, seed=0, n_taps=5):
     rng = np.random.default_rng(seed)
     taps = 0.02 * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
     taps[0] += 0.05  # keep a dominant first tap
-    return np.fft.fft(taps, grid.num_subcarriers), complex(taps[0])
+    return np.fft.fft(taps, grid.num_subcarriers)
 
 
 def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
@@ -354,7 +354,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
     g = mirrored_grid(p_total)
     pa = default_measured_pa()
     b = 0.05 * np.exp(0.4j)
-    chan, _ = tapped_channel(g, seed=31)
+    chan = tapped_channel(g, seed=31)
     a_digi = 0.5 * p_total / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, b, chan, seed=31, a_digi=a_digi)
     pairs = [p for p in g.dl_indices if p_total - p != p]
@@ -392,7 +392,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
 )
 def test_full_ls_matches_loop_reference(grid, b):
     pa = default_measured_pa()
-    chan, _ = tapped_channel(grid, seed=33)
+    chan = tapped_channel(grid, seed=33)
     buf = make_buffer(grid, pa, b, chan, seed=33, a_digi=0.5 * 8 / np.sqrt(grid.dl_size))
     counter, ref_counter = OpCounter(), OpCounter()
     chain = basis_stack(buf.tx, b, K_MAX, grid)
@@ -427,7 +427,7 @@ A_HAT = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
 )
 def test_estimate_channel_matches_loop_reference(grid, b, a_hat):
     pa = default_measured_pa()
-    chan, _ = tapped_channel(grid, seed=34)
+    chan = tapped_channel(grid, seed=34)
     a_digi = 0.5 * grid.num_subcarriers / np.sqrt(grid.dl_size)
     buf = make_buffer(grid, pa, b, chan, seed=34, a_digi=a_digi, sigma=1e-6)
     counter, ref_counter = OpCounter(), OpCounter()
@@ -471,21 +471,21 @@ def test_sic_coefficients_validation():
     h = np.zeros(64, dtype=complex)
     linear = retained_mask(g, 0, {})
     with pytest.raises(ValueError, match="one entry per subcarrier"):
-        SICCoefficients(g, np.zeros(32, dtype=complex), [1.0], 0.0, linear)
+        SICCoefficients(g, np.zeros(32, dtype=complex), [1.0], linear)
     for bad in ([], [[1.0]]):
         with pytest.raises(ValueError, match="a_hat must be a nonempty vector"):
-            SICCoefficients(g, h, bad, 0.0, linear)
+            SICCoefficients(g, h, bad, linear)
     off_band = linear.copy()
     off_band[0, 2] = True
     with pytest.raises(ValueError, match="non-uplink subcarrier 2"):
-        SICCoefficients(g, h, [1.0], 0.0, off_band)
+        SICCoefficients(g, h, [1.0], off_band)
     with pytest.raises(ValueError, match="shape"):
-        SICCoefficients(g, h, [1.0, 1.0], 0.0, retained_mask(g, 2, {10: {2}}))
+        SICCoefficients(g, h, [1.0, 1.0], retained_mask(g, 2, {10: {2}}))
     orphan = retained_mask(g, 1, {10: {1}}, unestimated={10})
     orphan[1, 10] = True
     with pytest.raises(ValueError, match="unestimated subcarrier 10"):
-        SICCoefficients(g, h, [1.0, 1.0], 0.0, orphan)
-    coeffs = SICCoefficients(g, h, [2.0, 0.0, 0.5], 0.0, retained_mask(g, 2, {10: {2}}))
+        SICCoefficients(g, h, [1.0, 1.0], orphan)
+    coeffs = SICCoefficients(g, h, [2.0, 0.0, 0.5], retained_mask(g, 2, {10: {2}}))
     assert coeffs.k_max == 2
     assert coeffs.a_hat.dtype == np.complex128
     assert np.array_equal(coeffs.a_hat, [2.0, 0.0, 0.5])
@@ -549,10 +549,11 @@ def test_estimate_pa_recovers_polynomial_exactly():
     b = irr_to_b(25.0, 0.3)
     gain = 0.02 + 0.005j
     buf = make_buffer(g, pa, b, flat_channel(g, gain), seed=6)
-    a_hat = estimate_pa(buf, gain, b, K_MAX)
+    a_hat = estimate_pa(buf, b, K_MAX)
     assert a_hat.shape == (K_MAX + 1,)
+    # the fit carries the direct path's gain
     for k, truth in enumerate(pa):
-        assert abs(a_hat[k] - truth) / abs(truth) < 1e-9
+        assert abs(a_hat[k] - gain * truth) / abs(gain * truth) < 1e-9
 
 
 def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
@@ -560,8 +561,8 @@ def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
     pa = [10.0]
     gain = 0.02 + 0.005j
     buf = make_buffer(g, pa, 0.0, flat_channel(g, gain), seed=7)
-    a_hat = estimate_pa(buf, gain, 0.0, K_MAX)
-    assert abs(a_hat[0] - 10.0) < 1e-9
+    a_hat = estimate_pa(buf, 0.0, K_MAX)
+    assert abs(a_hat[0] - gain * 10.0) < 1e-9
     assert abs(a_hat[1]) < 1e-8
     assert abs(a_hat[2]) < 1e-8
 
@@ -569,12 +570,10 @@ def test_estimate_pa_linear_amplifier_yields_no_false_nonlinearity():
 def test_estimate_pa_validation():
     g = ibfd_grid()
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
-    with pytest.raises(ValueError, match="nonzero"):
-        estimate_pa(buf, 0.0, 0.0, K_MAX)
     keep = np.r_[0:2, buf.n_impulse:len(buf.tx)]  # two impulse rows, every data row
     short = TrainingBuffer(grid=g, tx=buf.tx[keep], rx=buf.rx[keep], n_impulse=2)
     with pytest.raises(ValueError, match="cannot identify"):
-        estimate_pa(short, 1.0, 0.0, K_MAX)
+        estimate_pa(short, 0.0, K_MAX)
 
 
 def test_estimate_pa_coefficients_transfer_across_channels():
@@ -584,14 +583,15 @@ def test_estimate_pa_coefficients_transfer_across_channels():
     b = irr_to_b(25.0, 0.3)
     los = 0.02 + 0.005j
     buf_a = make_buffer(g, pa, b, flat_channel(g, los), seed=8)
-    a_hat = estimate_pa(buf_a, los, b, K_MAX)
+    a_hat = estimate_pa(buf_a, b, K_MAX)
 
-    chan_b, _ = tapped_channel(g, seed=9)
+    chan_b = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, seed=9)
     h_hat = estimate_channel(buf_b, basis_stack(buf_b.tx[buf_b.n_impulse:], b, K_MAX, g), a_hat)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
     ul = np.asarray(g.ul_indices)
-    rel = np.abs(h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
+    # a_hat carries channel A's gain los, which h_hat absorbs
+    rel = np.abs(los * h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
     assert rel.max() < 1e-8
 
 
@@ -602,7 +602,7 @@ def test_estimate_channel_noiseless_recovery():
     g = ibfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
-    chan, _ = tapped_channel(g, seed=10)
+    chan = tapped_channel(g, seed=10)
     buf = make_buffer(g, pa, b, chan, seed=10)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b, K_MAX, g), pa)
     assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
@@ -618,7 +618,7 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     # 3*10 - 2*4 = 22, so the upper uplink subcarriers see no regressor at all
     g = SubcarrierGrid(64, 120e3, 8, (4, 10), (12, 30))
     pa = default_measured_pa()
-    chan, _ = tapped_channel(g, seed=11)
+    chan = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], 0.0, K_MAX, g), pa)
     lo, hi = g.ul_set
@@ -716,7 +716,7 @@ def test_run_sic_matches_loop_reference(k_max):
             for p in ul
         } if trial else {}
         unestimated = frozenset(int(p) for p in rng.choice(ul, 5, replace=False))
-        coeffs = SICCoefficients(g, h, a_hat, b, retained_mask(g, k_max, sets, unestimated))
+        coeffs = SICCoefficients(g, h, a_hat, retained_mask(g, k_max, sets, unestimated))
         x = gen_qam_symbols(g, 16, 1.0, 1, seed=trial)[0]
         counter = OpCounter()
         ref_counter = OpCounter()
@@ -742,8 +742,8 @@ def test_run_sic_with_perfect_coefficients_cancels_everything():
     g = ibfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
-    chan, _ = tapped_channel(g, seed=13)
-    coeffs = perfect_coefficients(g, chan, pa, b)
+    chan = tapped_channel(g, seed=13)
+    coeffs = perfect_coefficients(g, chan, pa)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan))
@@ -763,12 +763,12 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
     b = 0.05 * np.exp(0.4j)
     x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
     counter = OpCounter()
-    linear = perfect_coefficients(g, flat_channel(g), np.array([2.0]), b)
+    linear = perfect_coefficients(g, flat_channel(g), np.array([2.0]))
     run_sic(basis_stack(x, b, 0, g), linear, precombine(linear), counter=counter)
     assert counter.mults("run_basis") == 3 * g.dl_size
     assert counter.adds("run_basis") == 3 * g.dl_size
     counter = OpCounter()
-    cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]), b)
+    cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]))
     run_sic(basis_stack(x, b, 1, g), cubic, precombine(cubic), counter=counter)
     p_total = g.num_subcarriers
     assert counter.mults("run_basis") == 3 * (g.dl_size + 2 * fft_mults(p_total) + 2 * p_total)
@@ -778,13 +778,13 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
 def test_run_sic_leaves_unestimated_and_off_band_untouched():
     g = sbfd_grid()
     pa = default_measured_pa()
-    chan, _ = tapped_channel(g, seed=14)
+    chan = tapped_channel(g, seed=14)
     skip = int(g.ul_indices[2])
-    base = perfect_coefficients(g, chan, pa, 0.0)
+    base = perfect_coefficients(g, chan, pa)
     retained = base.retained.copy()
     retained[:, skip] = False
     coeffs = SICCoefficients(
-        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, b_hat=base.b_hat, retained=retained
+        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, retained=retained
     )
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
@@ -814,7 +814,7 @@ def test_basis_stack_rejects_energy_outside_downlink():
 
 def test_running_cancellers_reject_a_stack_short_of_their_orders():
     g = sbfd_grid()
-    coeffs = perfect_coefficients(g, flat_channel(g), [1.0, 0.1], 0.0)
+    coeffs = perfect_coefficients(g, flat_channel(g), [1.0, 0.1])
     x = gen_qam_symbols(g, 16, 1.0, 2, seed=6)
     with pytest.raises(ValueError, match="orders up to k = 0, expected k = 1"):
         run_sic(basis_stack(x, 0.0, 0, g), coeffs, precombine(coeffs))
@@ -831,8 +831,8 @@ def test_running_cancellers_reject_a_stack_short_of_their_orders():
 
 def test_precombine_matches_manual_product():
     g = ibfd_grid()
-    chan, _ = tapped_channel(g, seed=15)
-    coeffs = perfect_coefficients(g, chan, [2.0, -0.5, 0.01], 0.0)
+    chan = tapped_channel(g, seed=15)
+    coeffs = perfect_coefficients(g, chan, [2.0, -0.5, 0.01])
     counter = OpCounter()
     combined = precombine(coeffs, counter=counter)
     ul = g.ul_indices
@@ -848,17 +848,17 @@ def test_estimated_canceller_reaches_noise_floor():
     g = ibfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
-    chan, los = tapped_channel(g, seed=16)
+    chan = tapped_channel(g, seed=16)
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     sigma = 1e-5
     buf = make_buffer(g, pa, b, chan, seed=16, a_digi=a_digi, sigma=sigma)
 
     b_hat = estimate_iq(buf)
-    a_hat = estimate_pa(buf, los, b_hat, K_MAX)
+    a_hat = estimate_pa(buf, b_hat, K_MAX)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b_hat, K_MAX, g), a_hat)
     mu = mu_tables(g, b_hat, a_digi, K_MAX)
     retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
-    coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, b_hat=b_hat, retained=retained)
+    coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, retained=retained)
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
@@ -877,7 +877,7 @@ def test_estimated_canceller_reaches_noise_floor():
 def test_linear_baseline_cancels_only_the_linear_part():
     g = ibfd_grid()
     pa = default_measured_pa()
-    chan, _ = tapped_channel(g, seed=18)
+    chan = tapped_channel(g, seed=18)
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, 0.0, chan, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
@@ -896,7 +896,7 @@ def test_linear_baseline_cancels_only_the_linear_part():
 def test_linear_baseline_is_inert_off_the_downlink_band():
     g = sbfd_grid()
     pa = default_measured_pa()
-    chan, _ = tapped_channel(g, seed=20)
+    chan = tapped_channel(g, seed=20)
     buf = make_buffer(g, pa, 0.0, chan, seed=20)
     h_lin = estimate_linear_channel(buf)
     assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
@@ -914,7 +914,7 @@ def test_full_ls_baseline_handles_split_allocation():
     g = sbfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
-    chan, _ = tapped_channel(g, seed=22)
+    chan = tapped_channel(g, seed=22)
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, b, chan, seed=22, a_digi=a_digi)
     coeffs = baseline_full_ls(buf, basis_stack(buf.tx, b, K_MAX, g))
