@@ -70,7 +70,6 @@ from .scenario import (
     spec_to_dict,
 )
 from .sic import (
-    SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
     baseline_full_ls,
@@ -81,7 +80,6 @@ from .sic import (
     estimate_linear_channel,
     estimate_pa,
     ls_solve,
-    perfect_coefficients,
     precombine,
     run_full_ls,
     run_sic,

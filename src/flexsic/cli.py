@@ -28,7 +28,7 @@ from .imd import (
 from .impairments import apply_iq_freq, apply_pa
 from .ofdm import dft, gen_qam_symbols, idft, mirror_values
 from .scenario import emit_report, load_spec, run_scenario
-from .sic import basis_stack, perfect_coefficients, precombine, run_sic
+from .sic import basis_stack, run_sic
 
 
 def _cmd_run(args) -> int:
@@ -102,10 +102,10 @@ def _cmd_validate(args) -> int:
         print(f"SKIP pilot-closed-form ({reason})")
 
     pa_out = dft(apply_pa(idft(xiq), a))
-    flat = np.ones(p, dtype=np.complex128)
-    coeffs = perfect_coefficients(grid, flat, a)
-    chain = basis_stack(x, b_iq, coeffs.k_max, grid)
-    res = pa_out - run_sic(chain, coeffs, precombine(coeffs))
+    # the true polynomial through a flat unit channel, every order kept
+    weights = np.zeros((len(a), p), dtype=np.complex128)
+    weights[:, grid.ul_band] = a[:, None]
+    res = pa_out - run_sic(basis_stack(x, b_iq, len(a) - 1, grid), weights, grid)
     ul = grid.ul_indices
     scale = float(np.max(np.abs(pa_out[ul]))) or 1.0
     err = float(np.max(np.abs(res[ul]))) / scale

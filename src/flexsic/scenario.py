@@ -54,7 +54,6 @@ from .imd import impulse_pilot, mu_tables
 from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
 from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
 from .sic import (
-    SICCoefficients,
     TrainingBuffer,
     baseline_full_ls,
     baseline_linear,
@@ -67,6 +66,7 @@ from .sic import (
     run_full_ls,
     run_sic,
     select_basis,
+    top_order,
 )
 
 CANCELLERS = ("none", "linear", "proposed", "full_ls", "iq_only", "pa_only")
@@ -426,7 +426,7 @@ def _fit_group(
     names: list[str],
     b_hat: complex,
     buffer: TrainingBuffer,
-    taps: np.ndarray,
+    direct: int,
     spec: ScenarioSpec,
     gamma: float,
     a_digi: float,
@@ -434,13 +434,13 @@ def _fit_group(
 ) -> tuple[dict, int]:
     """Train the cancellers that read the basis stacks of one image weight.
 
-    Returns their states, consumed by _estimate_si, and the highest basis
-    order their running stages read. The training stack holds every
-    training row when full_ls is among names and the data rows alone
-    otherwise. The amplifier polynomial and its basis-power table are
-    fitted once with b_hat for every member but full_ls, and their cost is
-    charged to each; the fit samples the pilot peaks behind the first
-    nonzero beamformed tap, the direct path's delay. gamma is the
+    Returns their (k+1, P) weight arrays, consumed by _estimate_si, and the
+    highest basis order their running stages read. The training stack
+    holds every training row when full_ls is among names and the data rows
+    alone otherwise. The amplifier polynomial and its basis-power table
+    are fitted once with b_hat for every member but full_ls, and their cost
+    is charged to each; the fit samples the pilot peaks behind tap direct,
+    the first nonzero beamformed tap, the direct path's delay. gamma is the
     basis-selection threshold in internal power units.
     """
     grid = buffer.grid
@@ -450,14 +450,8 @@ def _fit_group(
     data = train[buffer.n_impulse - first :]
     users = [name for name in names if name != "full_ls"]
     if users:
-        direct = np.flatnonzero(taps)
-        if not direct.size:
-            raise ValueError(
-                "the self-interference channel is zero (every beamformed tap is 0), "
-                "so the amplifier fit has no direct path to sample"
-            )
         scratch = OpCounter()
-        a_fit = estimate_pa(buffer, b_hat, spec.k_max, int(direct[0]), counter=scratch)
+        a_fit = estimate_pa(buffer, b_hat, spec.k_max, direct, counter=scratch)
         mu = mu_tables(grid, b_hat, a_digi, spec.k_max)
         _share(scratch, "estimate_pa", counters, users)
     states, top = {}, 0
@@ -470,15 +464,9 @@ def _fit_group(
         h_hat = estimate_channel(buffer, data, a_hat, counter=counters[name])
         retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counters[name])
         # selection walks spec.k_max orders even for iq_only, whose a_hat
-        # keeps the linear order alone; the mask keeps the rows a_hat has
-        coeffs = SICCoefficients(
-            grid=grid,
-            h_hat=h_hat,
-            a_hat=a_hat,
-            retained=retained[: len(a_hat)],
-        )
-        states[name] = coeffs, precombine(coeffs, counter=counters[name])
-        top = max(top, coeffs.k_used)
+        # keeps the linear order alone; its weights keep the rows a_hat has
+        states[name] = precombine(h_hat, a_hat, retained[: len(a_hat)], grid, counters[name])
+        top = max(top, top_order(states[name], grid))
     return states, top
 
 
@@ -501,8 +489,7 @@ def _estimate_si(
         return baseline_linear(x_dl, state, grid, counter=counter)
     if name == "full_ls":
         return run_full_ls(chain, state, grid, counter=counter)
-    coeffs, combined = state
-    return run_sic(chain, coeffs, combined, counter=counter)
+    return run_sic(chain, state, grid, counter=counter)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
@@ -527,6 +514,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
 
     seeds = _seed_ints(seed, 5)
     taps = _build_effective_channel(spec, grid, seeds[0])
+    direct = np.flatnonzero(taps)
+    if not direct.size:
+        raise ValueError(
+            "the self-interference channel is zero (every beamformed tap is 0), "
+            "so there is no self-interference to cancel and no direct path to fit"
+        )
     buffer = _build_training(
         spec, grid, b_iq, a, taps, a_digi, sigma_t, seeds[1], seeds[2]
     )
@@ -552,7 +545,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     # and linear, reads none
     groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
     for b, names in weights:
-        fitted, top = _fit_group(names, b, buffer, taps, spec, gamma, a_digi, counters)
+        fitted, top = _fit_group(names, b, buffer, int(direct[0]), spec, gamma, a_digi, counters)
         states.update(fitted)
         groups.append((b, top, names))
     # training is over; the run blocks build their own stacks

@@ -9,8 +9,13 @@ from a per-subcarrier scalar regression against the composite nonlinear
 regressor. Stage two selects, per uplink subcarrier, which distortion
 orders are worth cancelling (predicted distortion power above a
 threshold gamma) and records the choice as one boolean retained-order
-mask. The per-symbol canceller is then a masked product-sum whose
-running cost is one multiply per retained basis per subcarrier.
+mask. precombine folds the mask, h_hat and a_hat into the canceller's
+whole state: one (k+1, P) weight array W, zero wherever an order is not
+cancelled. The per-symbol canceller run_sic is then a product-sum over
+W's nonzero weights, and its running cost, one multiply per retained
+basis per subcarrier, is read from W alone. The conventional full_ls
+canceller's state is the same kind of array, its per-subcarrier LS
+coefficients, and run_full_ls runs and charges it densely.
 
 The running cancellers (run_sic, run_full_ls, baseline_linear) return
 the self-interference estimate on the grid; the caller subtracts it from
@@ -129,63 +134,6 @@ class TrainingBuffer:
         return self._spectra[start:]
 
 
-@dataclass(frozen=True)
-class SICCoefficients:
-    """Everything the running canceller needs.
-
-    h_hat holds the effective channel estimate over the full grid
-    (zeros outside the uplink band and at unestimated subcarriers).
-    a_hat holds the polynomial coefficients, a_hat[k] = a_{2k+1} for
-    k = 0..k_max, so k_max = len(a_hat) - 1; only the products
-    h_hat a_hat matter, so a common scale may move between the two
-    (estimate_pa's a_hat carries the direct path's gain). retained is
-    a boolean mask of shape (k_max + 1, P): row 0 marks the uplink
-    subcarriers the canceller acts on (those with a channel estimate),
-    and row k >= 1 marks where order 2k+1 is cancelled, so column p
-    holds {0} u K_p. The rows k >= 1 need not be nested in each other,
-    but they lie within row 0, and nothing is marked off the uplink.
-    """
-
-    grid: SubcarrierGrid
-    h_hat: np.ndarray
-    a_hat: np.ndarray
-    retained: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h_hat, dtype=np.complex128)
-        if h.shape != (self.grid.num_subcarriers,):
-            raise ValueError("h_hat must have one entry per subcarrier")
-        object.__setattr__(self, "h_hat", h)
-        a = np.asarray(self.a_hat, dtype=np.complex128)
-        if a.ndim != 1 or not a.size:
-            raise ValueError("a_hat must be a nonempty vector, one coefficient per order")
-        object.__setattr__(self, "a_hat", a)
-        mask = np.asarray(self.retained, dtype=bool)
-        shape = (self.k_max + 1, self.grid.num_subcarriers)
-        if mask.shape != shape:
-            raise ValueError(f"retained has shape {mask.shape}, expected {shape}")
-        outside = mask.any(axis=0)
-        outside[self.grid.ul_band] = False
-        if outside.any():
-            p = int(np.flatnonzero(outside)[0])
-            raise ValueError(f"retained marks non-uplink subcarrier {p}")
-        orphan = (mask[1:] & ~mask[0]).any(axis=0)
-        if orphan.any():
-            p = int(np.flatnonzero(orphan)[0])
-            raise ValueError(f"retained keeps distortion orders at unestimated subcarrier {p}")
-        object.__setattr__(self, "retained", mask)
-
-    @property
-    def k_max(self) -> int:
-        return len(self.a_hat) - 1
-
-    @property
-    def k_used(self) -> int:
-        """Highest order retained at any subcarrier: the top basis run_sic reads."""
-        kept = np.flatnonzero(self.retained.any(axis=1))
-        return int(kept[-1]) if kept.size else 0
-
-
 def ls_solve(
     regressors: np.ndarray,
     observations: np.ndarray,
@@ -254,6 +202,26 @@ def _screened(gram: np.ndarray, m: int) -> np.ndarray:
     )
 
 
+def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the stacked systems gram x = rhs, shape (n, K), and which were solved.
+
+    One batched solve; when it raises, the systems are solved one by one,
+    and one that is exactly singular stays unsolved with zero coefficients.
+    """
+    try:
+        return np.linalg.solve(gram, rhs)[:, :, 0], np.ones(len(gram), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros(rhs.shape[:2], dtype=np.complex128)
+    solved = np.ones(len(gram), dtype=bool)
+    for i in range(len(gram)):
+        try:
+            x[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return x, solved
+
+
 def _ls_solve_stack(
     a: np.ndarray,
     y: np.ndarray,
@@ -269,8 +237,9 @@ def _ls_solve_stack(
     1e-12 of its largest is rank deficient, and one whose condition
     estimate exceeds 1e8 is solved with the ridge (top / 1e8)^2. Returns
     (coefficients of shape (n, K), boolean solved mask of shape (n,)). A
-    rank-deficient system stays unsolved, with zero coefficients, and is
-    not charged; every solved one is charged one M-row, K-column solve.
+    rank-deficient system, or one whose gram + ridge I rounds to an exactly
+    singular matrix, stays unsolved, with zero coefficients, and is not
+    charged; every solved one is charged one M-row, K-column solve.
 
     Most systems never need the QR: one batched Cholesky of the zero-ridge
     Gram matrices clears each system whose largest column norm is under
@@ -317,10 +286,9 @@ def _ls_solve_stack(
                 ok[suspect] = full_rank
         gram += ridge[:, None, None] * eye
         if ok is None:
-            coeffs[rows] = np.linalg.solve(gram, rhs)[:, :, 0]
-            solved[rows] = True
+            coeffs[rows], solved[rows] = _solve_each(gram, rhs)
         elif ok.any():
-            coeffs[rows][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+            coeffs[rows][ok], ok[ok] = _solve_each(gram[ok], rhs[ok])
             solved[rows] = ok
     count = np.count_nonzero(solved)
     if counter is not None and count:
@@ -636,7 +604,7 @@ def select_basis(
     Each order the walk looks at costs three multiplies.
 
     Returns the retained-order mask of shape (k_max + 1, P) that
-    SICCoefficients takes: row 0 marks the uplink subcarriers with a
+    precombine takes: row 0 marks the uplink subcarriers with a
     nonzero channel estimate (estimate_channel leaves the unestimated
     ones at zero), row k marks where order 2k+1 is kept.
     """
@@ -655,69 +623,90 @@ def select_basis(
     return retained
 
 
-def precombine(coeffs: SICCoefficients, counter: OpCounter | None = None) -> np.ndarray:
-    """One-off combine c_k[p] = h_hat[p] a_hat[k] that run_sic takes."""
-    k_max = coeffs.k_max
-    grid = coeffs.grid
-    combined = np.zeros((k_max + 1, grid.num_subcarriers), dtype=np.complex128)
+def precombine(
+    h_hat: np.ndarray,
+    a_hat: np.ndarray,
+    retained: np.ndarray,
+    grid: SubcarrierGrid,
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """The running weights W[k, p] = a_hat[k] h_hat[p] of the orders retained keeps.
+
+    h_hat is the channel estimate over the full grid, a_hat holds one
+    coefficient per order, a_hat[k] = a_{2k+1}, and retained is
+    select_basis's mask cut to those len(a_hat) orders. W has retained's
+    shape and is zero off the uplink band and wherever an order is not
+    kept; it is zero too where h_hat is, at the unestimated subcarriers.
+    Only the products h_hat a_hat matter, so a common scale may move
+    between the two. coeff_combine is charged one multiply per order per
+    uplink subcarrier.
+    """
+    a = np.asarray(a_hat, dtype=np.complex128)
+    h = np.asarray(h_hat, dtype=np.complex128)
+    p_total = grid.num_subcarriers
+    if h.shape != (p_total,):
+        raise ValueError(f"h_hat has shape {h.shape}, expected ({p_total},)")
+    if np.shape(retained) != (len(a), p_total):
+        raise ValueError(
+            f"retained has shape {np.shape(retained)}, expected ({len(a)}, {p_total}) "
+            "for one row per order of a_hat"
+        )
     ul = grid.ul_band
-    combined[:, ul] = coeffs.a_hat[:, None] * coeffs.h_hat[ul][None, :]
+    weights = np.zeros((len(a), p_total), dtype=np.complex128)
+    np.multiply(a[:, None], h[ul], out=weights[:, ul], where=retained[:, ul])
     if counter is not None:
-        counter.charge("coeff_combine", mults=(k_max + 1) * grid.ul_size, adds=0)
-    return combined
+        counter.charge("coeff_combine", mults=len(a) * grid.ul_size, adds=0)
+    return weights
+
+
+def _weight_orders(weights: np.ndarray, grid: SubcarrierGrid) -> int:
+    """k of a (k+1, P) weight array; a ValueError naming its shape when it is not one."""
+    shape = np.shape(weights)
+    if len(shape) != 2 or not shape[0] or shape[1] != grid.num_subcarriers:
+        raise ValueError(f"weights have shape {shape}, expected (k+1, {grid.num_subcarriers})")
+    return shape[0] - 1
+
+
+def top_order(weights: np.ndarray, grid: SubcarrierGrid) -> int:
+    """Highest order with a nonzero uplink weight, 0 when there is none: the top basis run_sic reads."""
+    _weight_orders(weights, grid)
+    kept = np.flatnonzero(weights[:, grid.ul_band].any(axis=1))
+    return int(kept[-1]) if kept.size else 0
 
 
 def run_sic(
     chain: np.ndarray,
-    coeffs: SICCoefficients,
-    combined: np.ndarray,
+    weights: np.ndarray,
+    grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Self-interference estimate of a stack of symbols, on the grid.
 
-    chain is the symbols' basis stack, basis_stack(x, b, k, grid) with the
-    image weight b the coefficients were fitted on and k >= coeffs.k_used,
-    of shape (..., k+1, P); combined is
-    precombine(coeffs), made once per canceller. Returns, with shape
-    (..., P), sum_{k in {0} u K_p} h_hat[p] a_{2k+1} Phi_{2k+1}[p] at each
-    uplink subcarrier that coeffs.retained marks, and zero elsewhere. The
-    caller subtracts it from the received spectra. run_basis is charged
-    the bases up to the largest retained order, whatever the stack holds.
-    Running stage cost per symbol is sum_p (1 + |K_p|) multiplies, plus
-    one add per retained order and per uplink subcarrier for the
-    subtraction.
+    weights is a (k+1, P) array W, from precombine for the proposed
+    canceller and its ablations. chain is the symbols' basis stack,
+    basis_stack(x, b, k', grid) with the image weight b W was fitted on
+    and k' >= top_order(W), of shape (..., k'+1, P). Returns, with shape
+    (..., P), sum_k W[k, p] Phi_{2k+1}[p] over the nonzero weights at each
+    uplink subcarrier, and zero elsewhere; W is not read off the uplink.
+    The caller subtracts it from the received spectra. Everything charged
+    is read from W: run_basis the bases up to its top order, whatever the
+    stack holds, and run, per symbol, one multiply per nonzero weight,
+    sum_p (1 + |K_p|) for precombine's W, plus one add per nonzero weight
+    of order k >= 1 and one per uplink subcarrier for the subtraction.
     """
-    grid = coeffs.grid
-    k_used = coeffs.k_used
-    chain = _stack_orders(chain, k_used, grid)
+    top = top_order(weights, grid)
+    chain = _stack_orders(chain, top, grid)
     count = int(np.prod(chain.shape[:-2]))
-    _charge_bases(counter, "run_basis", count, k_used, grid)
-
-    mask = coeffs.retained
+    _charge_bases(counter, "run_basis", count, top, grid)
     ul = grid.ul_band
-    terms = combined[: k_used + 1, ul] * chain[..., ul]
+    w = weights[: top + 1, ul]
     est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
-    est[..., ul] = np.where(mask[: k_used + 1, ul], terms, 0.0).sum(axis=-2)
+    est[..., ul] = (w * chain[..., ul]).sum(axis=-2)
     if counter is not None:
-        n_terms, n_orders = int(mask.sum()), int(mask[1:].sum())
+        live = w != 0
+        n_terms, n_orders = int(live.sum()), int(live[1:].sum())
         counter.charge("run", mults=count * n_terms, adds=count * (n_orders + grid.ul_size))
     return est
-
-
-def perfect_coefficients(
-    grid: SubcarrierGrid,
-    freq_response: np.ndarray,
-    a: np.ndarray,
-) -> SICCoefficients:
-    """Oracle coefficients of the true polynomial a, every basis retained; for invariant checks."""
-    retained = np.zeros((len(a), grid.num_subcarriers), dtype=bool)
-    retained[:, grid.ul_band] = True
-    return SICCoefficients(
-        grid=grid,
-        h_hat=np.asarray(freq_response, dtype=np.complex128).copy(),
-        a_hat=np.array(a, dtype=np.complex128),
-        retained=retained,
-    )
 
 
 def estimate_linear_channel(
@@ -807,26 +796,28 @@ def baseline_full_ls(
 
 def run_full_ls(
     chain: np.ndarray,
-    coeffs: np.ndarray,
+    weights: np.ndarray,
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """SI estimate of the conventional canceller for a stack of symbols.
 
-    chain is the symbols' basis stack, basis_stack(x, b_hat, k, grid) with
-    k >= k_max = len(coeffs) - 1, of shape (..., k+1, P). Every basis at
-    every uplink subcarrier, zero off the uplink band; the estimate has
-    shape (..., P). full_ls_run_basis is charged the bases up to k_max and
-    full_ls_run per symbol for the estimate and for the caller's
+    weights is the (k_max+1, P) array W of baseline_full_ls. chain is the
+    symbols' basis stack, basis_stack(x, b_hat, k, grid) with k >= k_max,
+    of shape (..., k+1, P). Every basis at every uplink subcarrier, zero
+    off the uplink band; the estimate has shape (..., P). W may hold exact
+    zeros (a split allocation's linear column), yet the conventional
+    canceller runs densely: full_ls_run_basis is charged the bases up to
+    k_max and full_ls_run per symbol every product, and the caller's
     subtraction.
     """
-    k_max = coeffs.shape[0] - 1
+    k_max = _weight_orders(weights, grid)
     chain = _stack_orders(chain, k_max, grid)
     count = int(np.prod(chain.shape[:-2]))
     _charge_bases(counter, "full_ls_run_basis", count, k_max, grid)
     ul, n_ul = grid.ul_band, grid.ul_size
     est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
-    est[..., ul] = (coeffs[:, ul] * chain[..., ul]).sum(axis=-2)
+    est[..., ul] = (weights[:, ul] * chain[..., ul]).sum(axis=-2)
     if counter is not None:
         counter.charge(
             "full_ls_run",

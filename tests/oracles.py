@@ -493,8 +493,9 @@ def ls_solve_stack_qr(
     1e-12 of its largest is rank deficient, and one whose condition
     estimate exceeds 1e8 is solved with the ridge (top / 1e8)^2. Returns
     (coefficients of shape (n, K), boolean solved mask of shape (n,)). A
-    rank-deficient system stays unsolved, with zero coefficients, and is
-    not charged; every solved one is charged one M-row, K-column solve.
+    rank-deficient system, or one whose gram + ridge I rounds to an exactly
+    singular matrix, stays unsolved, with zero coefficients, and is not
+    charged; every solved one is charged one M-row, K-column solve.
 
     The stack is worked through in blocks of _LS_BLOCK systems read as
     slices, so the temporaries stay a fixed size however wide the band.
@@ -524,7 +525,15 @@ def ls_solve_stack_qr(
         ah = block.conj().transpose(0, 2, 1)
         gram = ah @ block + ridge[:, None, None] * eye
         rhs = ah @ y[start : start + _LS_BLOCK, :, None]
-        coeffs[start : start + _LS_BLOCK][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+        try:
+            coeffs[start : start + _LS_BLOCK][ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # one at a time; an exactly singular gram + ridge I stays unsolved
+            for i in np.flatnonzero(ok):
+                try:
+                    coeffs[start + i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    ok[i] = False
         solved[start : start + _LS_BLOCK] = ok
     count = int(solved.sum())
     if counter is not None and count:

@@ -53,7 +53,6 @@ from flexsic.ofdm import (
 )
 from flexsic.scenario import ScenarioSpec, run_scenario
 from flexsic.sic import (
-    SICCoefficients,
     TrainingBuffer,
     estimate_iq,
     estimate_pa,
@@ -402,12 +401,10 @@ def test_arithmetic_cost_scaling_and_baseline_comparison():
     mu = mu_tables(grid_hot, 0.0, a_digi, 2)
     h_flat = np.full(256, 0.01, dtype=np.complex128)
     retained = select_basis(PA_TRUTH, mu, h_flat, 5e-6, 2, grid_hot)
-    coeffs = SICCoefficients(
-        grid=grid_hot, h_hat=h_flat, a_hat=PA_TRUTH, retained=retained
-    )
+    weights = precombine(h_flat, PA_TRUTH, retained, grid_hot)
     counter = OpCounter()
     x = gen_qam_symbols(grid_hot, 16, a_digi, 1, 11)[0]
-    run_sic(basis_stack(x, 0.0, 2, grid_hot), coeffs, precombine(coeffs), counter=counter)
+    run_sic(basis_stack(x, 0.0, 2, grid_hot), weights, grid_hot, counter=counter)
     expected = sum(1 + int(retained[1:, p].sum()) for p in grid_hot.ul_indices)
     got = counter.mults("run")
     hot_bound = grid_hot.ul_size * 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from flexsic.imd import (
 from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
 from flexsic.sic import (
-    SICCoefficients,
     SingularSystemError,
     TrainingBuffer,
     _ls_solve_stack,
@@ -24,7 +25,6 @@ from flexsic.sic import (
     estimate_linear_channel,
     estimate_pa,
     ls_solve,
-    perfect_coefficients,
     precombine,
     run_full_ls,
     run_sic,
@@ -92,6 +92,13 @@ def retained_mask(grid, k_max, basis_sets, unestimated=()):
         for k in kset:
             mask[k, p] = True
     mask[:, list(unestimated)] = False
+    return mask
+
+
+def every_order(grid, k_max):
+    """Retained-order mask that keeps orders 0..k_max at every uplink subcarrier."""
+    mask = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
+    mask[:, grid.ul_band] = True
     return mask
 
 
@@ -209,18 +216,15 @@ def test_ls_solve_stack_matches_per_system_reference():
 def graded_systems(rng, ratios, m=8, k=3):
     """Systems A = Q diag(d) T whose |R_kk| fall geometrically from 1 to 1/ratio.
 
-    Q has orthonormal columns and T is unit upper triangular, so R = diag(d) T
-    up to phases and the |R_kk| ratio of each system is set exactly. Systems
-    up to a ratio of 1e7 get random couplings in T. Stiffer ones keep T = I,
-    so cond(A) equals the ratio: their auto-ridge (top / 1e8)^2 sits at the
-    rounding level of a coupled Gram matrix, which can then round to an
-    exactly singular one that neither rule can solve.
+    Q has orthonormal columns and T is unit upper triangular with random
+    couplings, so R = diag(d) T up to phases and the |R_kk| ratio of each
+    system is set exactly.
     """
     n = len(ratios)
     z = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
     q = np.linalg.qr(z)[0]
     t = np.triu(rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k)), 1)
-    t = np.where((np.asarray(ratios) <= 1e7)[:, None, None], t, 0.0) + np.eye(k)
+    t = t + np.eye(k)
     d = np.asarray(ratios, dtype=float)[:, None] ** -np.linspace(0.0, 1.0, k)
     return q @ (d[:, :, None] * t)
 
@@ -262,8 +266,9 @@ def cholesky_raises(a):
 def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
     # three blocks of systems whose |R_kk| ratios run from 1 to 1e13, across
     # the 1e6 screen, the 1e8 auto-ridge and the 1e12 rank limit; the middle
-    # block holds an all-zero and an exactly dependent system, so its
-    # Cholesky raises next to healthy systems
+    # block also holds an all-zero and an exactly dependent system. The
+    # stiff coupled systems make every block's Cholesky raise next to
+    # healthy systems, so a fourth stack stops at 3e6, where it does not.
     rng = np.random.default_rng(13)
     levels = np.array([1, 10, 1e3, 1e5, 3e5, 3e6, 1e7, 3e7, 3e8, 1e9, 1e11, 3e11, 3e12, 1e13])
     n, m, block = 612, 8, 256
@@ -302,16 +307,24 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
         for start in range(0, n, block):
             rows = np.flatnonzero(zero_ridge[start : start + block]) + start
             raising[rows] = cholesky_raises(a[rows])
-        assert raising[300] == zero_ridge[300] and not raising[:block].any()
+        assert raising[300] == zero_ridge[300]
         # every system above the screen, or in a raising block, reaches the
         # QR; healthy ones (ratio up to 1e3) elsewhere never do. Between the
         # two the screen's rounding bound may send a coupled system either way.
         assert not (reached & ~zero_ridge).any()
         assert reached[zero_ridge & (raising | (ratios > 1e6))].all()
         assert not reached[zero_ridge & ~raising & (ratios <= 1e3)].any()
-    # with no ridge exactly the systems under the rank limit are solved
+    # with no ridge the systems under the rank limit are solved, but for six
+    # whose auto-ridge (top / 1e8)^2 sits at the rounding level of their Gram
+    # matrix: gram + ridge I rounds to an exactly singular matrix, so these
+    # stay unsolved, uncharged and zero, and the rest of the stack is solved
     coeffs, solved = _ls_solve_stack(a, y, 0.0, None, "s")
-    assert np.array_equal(solved, ratios < 1e12)
+    lost = np.flatnonzero(~solved & (ratios < 1e12))
+    assert len(lost) == 6 and (ratios[lost] > 1e8).all() and not coeffs[lost].any()
+    assert not (solved & (ratios >= 1e12)).any()
+    counter = OpCounter()
+    _ls_solve_stack(a[lost], y[lost], 0.0, counter, "s")
+    assert counter.rows() == []
 
     # dependence behind large coefficients, one system per stack: a column
     # 1e3 times another, exactly and with 1e-9 relative noise, and a unit
@@ -331,6 +344,16 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
     for system in np.concatenate([scaled, hidden]):
         with pytest.raises(SingularSystemError):
             ls_solve(system, y[0])
+
+    # one block whose Cholesky clears: the screen alone sends every system
+    # above 1e6 to the QR and keeps the healthy ones away from it. Coupled
+    # systems at 1e7 make half such blocks raise, at 3e6 none of 60 seeds.
+    mild = levels[levels <= 3e6]
+    mild = graded_systems(rng, mild[np.arange(block) % len(mild)])
+    assert not cholesky_raises(mild)
+    reached = check(mild, y[:block], 0.0)
+    mild_ratios = qr_ratio(mild)
+    assert reached[mild_ratios > 1e6].all() and not reached[mild_ratios <= 1e3].any()
 
 
 def test_ls_solve_rejects_negative_ridge():
@@ -466,29 +489,34 @@ def test_training_buffer_ordering_and_shapes():
         TrainingBuffer(grid=g, tx=zeros, rx=np.zeros((3, 72), dtype=complex), n_impulse=1)
 
 
-def test_sic_coefficients_validation():
+def test_precombine_zeroes_the_orders_it_does_not_keep():
     g = ibfd_grid()
-    h = np.zeros(64, dtype=complex)
-    linear = retained_mask(g, 0, {})
-    with pytest.raises(ValueError, match="one entry per subcarrier"):
-        SICCoefficients(g, np.zeros(32, dtype=complex), [1.0], linear)
-    for bad in ([], [[1.0]]):
-        with pytest.raises(ValueError, match="a_hat must be a nonempty vector"):
-            SICCoefficients(g, h, bad, linear)
-    off_band = linear.copy()
-    off_band[0, 2] = True
-    with pytest.raises(ValueError, match="non-uplink subcarrier 2"):
-        SICCoefficients(g, h, [1.0], off_band)
-    with pytest.raises(ValueError, match="shape"):
-        SICCoefficients(g, h, [1.0, 1.0], retained_mask(g, 2, {10: {2}}))
-    orphan = retained_mask(g, 1, {10: {1}}, unestimated={10})
-    orphan[1, 10] = True
-    with pytest.raises(ValueError, match="unestimated subcarrier 10"):
-        SICCoefficients(g, h, [1.0, 1.0], orphan)
-    coeffs = SICCoefficients(g, h, [2.0, 0.0, 0.5], retained_mask(g, 2, {10: {2}}))
-    assert coeffs.k_max == 2
-    assert coeffs.a_hat.dtype == np.complex128
-    assert np.array_equal(coeffs.a_hat, [2.0, 0.0, 0.5])
+    h = flat_channel(g)
+    h[10] = 0.0  # unestimated
+    mask = retained_mask(g, 2, {12: {2}, 20: {1, 2}})
+    mask[:, 10] = True  # every order marked where h_hat = 0
+    mask[0, 2] = mask[1, 60] = True  # off the uplink band (8..56)
+    counter = OpCounter()
+    weights = precombine(h, [2.0, 0.0, 0.5], mask, g, counter=counter)
+    assert weights.shape == (3, 64) and weights.dtype == np.complex128
+    assert counter.mults("coeff_combine") == 3 * g.ul_size
+    assert not weights[:, 10].any() and not weights[:, [2, 60]].any()
+    assert not weights[1].any()  # a_hat[1] = 0, though order 1 is marked at 20
+    kept = mask.copy()
+    kept[:, [2, 10, 60]] = False
+    kept[1] = False
+    assert np.array_equal(weights != 0, kept)
+    assert np.array_equal(weights[kept], (np.array([2.0, 0.0, 0.5])[:, None] * h)[kept])
+    # the running canceller charges the nonzero weights alone
+    x = gen_qam_symbols(g, 16, 1.0, 2, seed=3)
+    counter = OpCounter()
+    run_sic(basis_stack(x, 0.0, 2, g), weights, g, counter=counter)
+    assert counter.mults("run") == 2 * np.count_nonzero(weights)
+    assert counter.adds("run") == 2 * (np.count_nonzero(weights[1:]) + g.ul_size)
+    with pytest.raises(ValueError, match=r"h_hat has shape \(32,\), expected \(64,\)"):
+        precombine(h[:32], [1.0], every_order(g, 0), g)
+    with pytest.raises(ValueError, match=r"retained has shape \(3, 64\), expected \(2, 64\)"):
+        precombine(h, [1.0, 1.0], every_order(g, 2), g)
 
 
 # ---------------------------------------------------------------- IQ estimation
@@ -716,21 +744,22 @@ def test_run_sic_matches_loop_reference(k_max):
             for p in ul
         } if trial else {}
         unestimated = frozenset(int(p) for p in rng.choice(ul, 5, replace=False))
-        coeffs = SICCoefficients(g, h, a_hat, retained_mask(g, k_max, sets, unestimated))
+        mask = retained_mask(g, k_max, sets, unestimated)
+        weights = precombine(h, a_hat, mask, g)
+        assert np.count_nonzero(weights) == mask.sum()
         x = gen_qam_symbols(g, 16, 1.0, 1, seed=trial)[0]
         counter = OpCounter()
         ref_counter = OpCounter()
-        combined = precombine(coeffs)
-        est = run_sic(basis_stack(x, b, k_max, g), coeffs, combined, counter=counter)
+        est = run_sic(basis_stack(x, b, k_max, g), weights, g, counter=counter)
         xiq = x + b * np.conj(mirror_values(x))
         chain = basis_chain(xiq, k_max)
-        ref = run_sic_loop(xiq, chain, combined, g, sets, unestimated, ref_counter)
+        ref = run_sic_loop(xiq, chain, weights, g, sets, unestimated, ref_counter)
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert counter.mults("run") == ref_counter.mults("run")
         assert counter.adds("run") == ref_counter.adds("run")
         stack = np.concatenate([x[None], gen_qam_symbols(g, 16, 1.0, 3, seed=10 + trial)])
         assert_stack_matches_rows(
-            lambda xs, c: run_sic(basis_stack(xs, b, k_max, g), coeffs, combined, counter=c),
+            lambda xs, c: run_sic(basis_stack(xs, b, k_max, g), weights, g, counter=c),
             stack,
         )
 
@@ -738,17 +767,17 @@ def test_run_sic_matches_loop_reference(k_max):
 # ---------------------------------------------------------------- running canceller
 
 
-def test_run_sic_with_perfect_coefficients_cancels_everything():
+def test_run_sic_with_perfect_weights_cancels_everything():
     g = ibfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
     chan = tapped_channel(g, seed=13)
-    coeffs = perfect_coefficients(g, chan, pa)
+    weights = precombine(chan, pa, every_order(g, K_MAX), g)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan))
     counter = OpCounter()
-    out = y - run_sic(basis_stack(x, b, K_MAX, g), coeffs, precombine(coeffs), counter=counter)
+    out = y - run_sic(basis_stack(x, b, K_MAX, g), weights, g, counter=counter)
     si_scale = np.abs(y[g.ul_indices]).max()
     assert np.abs(out[g.ul_indices]).max() < 1e-9 * si_scale
     # running cost: one multiply for the linear term plus one per retained order
@@ -763,13 +792,13 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
     b = 0.05 * np.exp(0.4j)
     x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
     counter = OpCounter()
-    linear = perfect_coefficients(g, flat_channel(g), np.array([2.0]))
-    run_sic(basis_stack(x, b, 0, g), linear, precombine(linear), counter=counter)
+    linear = precombine(flat_channel(g), [2.0], every_order(g, 0), g)
+    run_sic(basis_stack(x, b, 0, g), linear, g, counter=counter)
     assert counter.mults("run_basis") == 3 * g.dl_size
     assert counter.adds("run_basis") == 3 * g.dl_size
     counter = OpCounter()
-    cubic = perfect_coefficients(g, flat_channel(g), np.array([2.0, 0.1]))
-    run_sic(basis_stack(x, b, 1, g), cubic, precombine(cubic), counter=counter)
+    cubic = precombine(flat_channel(g), [2.0, 0.1], every_order(g, 1), g)
+    run_sic(basis_stack(x, b, 1, g), cubic, g, counter=counter)
     p_total = g.num_subcarriers
     assert counter.mults("run_basis") == 3 * (g.dl_size + 2 * fft_mults(p_total) + 2 * p_total)
     assert counter.adds("run_basis") == 3 * (g.dl_size + 2 * fft_adds(p_total))
@@ -780,15 +809,12 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     pa = default_measured_pa()
     chan = tapped_channel(g, seed=14)
     skip = int(g.ul_indices[2])
-    base = perfect_coefficients(g, chan, pa)
-    retained = base.retained.copy()
+    retained = every_order(g, K_MAX)
     retained[:, skip] = False
-    coeffs = SICCoefficients(
-        grid=g, h_hat=base.h_hat, a_hat=base.a_hat, retained=retained
-    )
+    weights = precombine(chan, pa, retained, g)
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
     y = np.fft.fft(forward_body(x, pa, 0.0, chan))
-    out = y - run_sic(basis_stack(x, 0.0, K_MAX, g), coeffs, precombine(coeffs))
+    out = y - run_sic(basis_stack(x, 0.0, K_MAX, g), weights, g)
     assert out[skip] == y[skip]
     outside = np.setdiff1d(np.arange(64), g.ul_indices)
     assert np.array_equal(out[outside], y[outside])
@@ -814,14 +840,14 @@ def test_basis_stack_rejects_energy_outside_downlink():
 
 def test_running_cancellers_reject_a_stack_short_of_their_orders():
     g = sbfd_grid()
-    coeffs = perfect_coefficients(g, flat_channel(g), [1.0, 0.1])
+    weights = precombine(flat_channel(g), [1.0, 0.1], every_order(g, 1), g)
     x = gen_qam_symbols(g, 16, 1.0, 2, seed=6)
     with pytest.raises(ValueError, match="orders up to k = 0, expected k = 1"):
-        run_sic(basis_stack(x, 0.0, 0, g), coeffs, precombine(coeffs))
+        run_sic(basis_stack(x, 0.0, 0, g), weights, g)
     with pytest.raises(ValueError, match="orders up to k = 1, expected k = 2"):
         run_full_ls(basis_stack(x, 0.0, 1, g), np.ones((3, 64), dtype=complex), g)
     with pytest.raises(ValueError, match="expected"):
-        run_sic(basis_stack(x, 0.0, 1, g)[..., :32], coeffs, precombine(coeffs))
+        run_sic(basis_stack(x, 0.0, 1, g)[..., :32], weights, g)
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     with pytest.raises(ValueError, match="training window"):
         estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), [1.0])
@@ -829,12 +855,22 @@ def test_running_cancellers_reject_a_stack_short_of_their_orders():
         baseline_full_ls(buf, basis_stack(buf.tx[0], 0.0, K_MAX, g))
 
 
+def test_running_cancellers_reject_weights_that_are_not_k_plus_1_by_p():
+    g = sbfd_grid()
+    chain = basis_stack(gen_qam_symbols(g, 16, 1.0, 2, seed=7), 0.0, 2, g)
+    for shape in [(3, 32), (64,), (0, 64), (1, 3, 64)]:
+        weights = np.ones(shape, dtype=complex)
+        pattern = "weights have shape " + re.escape(str(shape)) + r", expected \(k\+1, 64\)"
+        for run in (run_sic, run_full_ls):
+            with pytest.raises(ValueError, match=pattern):
+                run(chain, weights, g)
+
+
 def test_precombine_matches_manual_product():
     g = ibfd_grid()
     chan = tapped_channel(g, seed=15)
-    coeffs = perfect_coefficients(g, chan, [2.0, -0.5, 0.01])
     counter = OpCounter()
-    combined = precombine(coeffs, counter=counter)
+    combined = precombine(chan, [2.0, -0.5, 0.01], every_order(g, 2), g, counter=counter)
     ul = g.ul_indices
     assert np.allclose(combined[0, ul], 2.0 * chan[ul])
     assert np.allclose(combined[2, ul], 0.01 * chan[ul])
@@ -858,12 +894,12 @@ def test_estimated_canceller_reaches_noise_floor():
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b_hat, K_MAX, g), a_hat)
     mu = mu_tables(g, b_hat, a_digi, K_MAX)
     retained = select_basis(a_hat, mu, h_hat, 1e-14, K_MAX, g)
-    coeffs = SICCoefficients(grid=g, h_hat=h_hat, a_hat=a_hat, retained=retained)
+    weights = precombine(h_hat, a_hat, retained, g)
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
     y = np.fft.fft(forward_body(x, pa, b, chan, rng, sigma))
-    out = y - run_sic(basis_stack(x, b_hat, K_MAX, g), coeffs, precombine(coeffs))
+    out = y - run_sic(basis_stack(x, b_hat, K_MAX, g), weights, g)
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
     resid = np.abs(out[g.ul_indices]) ** 2
     raw = np.abs(y[g.ul_indices]) ** 2
