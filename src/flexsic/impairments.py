@@ -36,15 +36,19 @@ def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
 
 
 def apply_pa(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Memoryless polynomial PA sample by sample: sum_k a[k] |x|^{2k} x."""
+    """Memoryless polynomial PA sample by sample: sum_k a[k] |x|^{2k} x.
+
+    The polynomial in |x|^2 is evaluated by Horner's rule in place, so a
+    stack of symbols needs no arrays of its size beyond |x|^2 and the output.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    out = np.zeros_like(x)
-    mag2 = np.abs(x) ** 2
-    for k, a_k in enumerate(np.asarray(a, dtype=np.complex128)):
-        # in place, so a stack of symbols holds few temporaries of its size
-        term = a_k * mag2**k
-        term *= x
-        out += term
+    a = np.asarray(a, dtype=np.complex128)
+    mag2 = x.real**2 + x.imag**2
+    out = np.full(x.shape, a[-1])
+    for a_k in a[-2::-1]:
+        out *= mag2
+        out += a_k
+    out *= x
     return out
 
 

@@ -23,6 +23,17 @@ group reads one stack up to the highest order any member runs. A fit or a
 stack shared by several cancellers is made once, and each of them charges
 its cost (for a stack, the orders it reads) to its own stage.
 
+The two windows are received differently. The training window goes
+through the time-domain channel: cyclic prefix, the FIR filter of the
+beamformed taps, prefix removal, plus noise on every body sample, because
+the amplifier fit reads body samples. The run window is received per
+subcarrier, as the paper's receiver sees it: every tap lies within the
+cyclic prefix, so after prefix removal the channel is one complex gain per
+subcarrier, and the uplink reception is the amplifier output's spectrum
+times the channel's frequency response. Its noise is drawn on the uplink
+bins alone, with the variance per bin that time-domain noise has after the
+DFT, so the run window's statistics are those of the time-domain chain.
+
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
 tx_power_dbm. Every reported dBm figure uses that anchor, and the noise
@@ -52,7 +63,7 @@ from .channel import (
 from .counters import OpCounter
 from .imd import impulse_pilot, mu_tables
 from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
-from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, gen_qam_symbols, idft, remove_cp
+from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, dft, gen_qam_symbols, idft, remove_cp
 from .sic import (
     TrainingBuffer,
     baseline_full_ls,
@@ -73,9 +84,10 @@ CANCELLERS = ("none", "linear", "proposed", "full_ls", "iq_only", "pa_only")
 DUPLEX_PRESETS = ("ibfd", "sbfd", "overlap")
 
 _FLOOR = 1e-300
-# Run symbols go through the chain max(1, _RUN_BLOCK_SAMPLES // P) at a time:
-# one stack for 200 symbols at P = 1024 took peak memory from 51 to 75 MB, and
-# 8 rows at P = 4096 from 59 to 62 MB, where 4 rows cost no more than 1 row.
+# Run symbols go through the chain max(1, _RUN_BLOCK_SAMPLES // P) at a time.
+# Peak memory over five scenarios: at P = 1024, one stack for 200 symbols took
+# it from 49 to 70 MB; at P = 4096 (20 symbols), 1, 4 and 8 rows read 50.7,
+# 51.9 and 53.4 MB.
 _RUN_BLOCK_SAMPLES = 16384
 # cancellers built on the estimated IQ image weight b_hat
 _USES_B_HAT = ("proposed", "full_ls", "iq_only")
@@ -362,19 +374,39 @@ def _rx_body(
     return remove_cp(t, grid)
 
 
-def _add_noise(samples: np.ndarray, sigma_t: float, rng: np.random.Generator) -> np.ndarray:
-    """A noisy copy of body samples: complex Gaussian noise of variance sigma_t^2.
+def _rx_uplink(
+    x: np.ndarray,
+    b_iq: complex,
+    a: np.ndarray,
+    h_ul: np.ndarray,
+    grid: SubcarrierGrid,
+) -> np.ndarray:
+    """Noiseless uplink spectra of symbols (n, P) through the transmit chain and the SI channel.
 
-    Each symbol draws its P real parts and then its P imaginary parts, so
-    a stack draws the same numbers as its rows drawn one after another.
+    h_ul is the channel's frequency response on the uplink, fft(taps, n=P)
+    there. Every tap lies below cp_length and each prefixed symbol is
+    filtered from a zero state, so the body left after prefix removal is
+    the circular convolution of the amplifier output with the taps, and
+    its spectrum is the amplifier output's spectrum times the response:
+    the same reception as dft(_rx_body(...))[:, ul], in one FFT.
     """
-    if sigma_t <= 0:
+    return dft(apply_pa(apply_iq_time(idft(x), b_iq), a))[:, grid.ul_band] * h_ul
+
+
+def _add_noise(samples: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """A noisy copy of samples: circular complex Gaussian noise of variance sigma^2.
+
+    Each row draws one real part per entry of the last axis and then as
+    many imaginary parts, so a stack draws the same numbers as its rows
+    drawn one after another, whatever the block size.
+    """
+    if sigma <= 0:
         return samples
     draws = rng.standard_normal(samples.shape[:-1] + (2, samples.shape[-1]))
     noise = np.empty(samples.shape, dtype=np.complex128)
     noise.real = draws[..., 0, :]
     noise.imag = draws[..., 1, :]
-    noise *= sigma_t / np.sqrt(2.0)
+    noise *= sigma / np.sqrt(2.0)
     noise += samples
     return noise
 
@@ -553,7 +585,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
 
     run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
     noise_rng = np.random.default_rng(seeds[4])
+    # the run window is received per subcarrier (see _rx_uplink): the DFT of
+    # white noise of variance sigma_t^2 per sample is white with variance
+    # P sigma_t^2 = noise_f per bin, so that is drawn on the uplink bins
     ul = grid.ul_band
+    h_ul = np.fft.fft(taps, n=grid.num_subcarriers)[ul]
+    sigma_f = float(np.sqrt(noise_f))
     shape = (len(run_syms), grid.ul_size)
     y_noisy = np.empty(shape, dtype=np.complex128)
     y_clean = np.empty(shape, dtype=np.complex128)
@@ -562,9 +599,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        body = _rx_body(x, b_iq, a, taps, grid)
-        y_noisy[rows] = np.fft.fft(_add_noise(body, sigma_t, noise_rng), axis=-1)[:, ul]
-        y_clean[rows] = np.fft.fft(body, axis=-1)[:, ul]
+        y_clean[rows] = _rx_uplink(x, b_iq, a, h_ul, grid)
+        y_noisy[rows] = _add_noise(y_clean[rows], sigma_f, noise_rng)
         for b, top, names in groups:
             chain = None if b is None else basis_stack(x, b, top, grid)
             for name in names:

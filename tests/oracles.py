@@ -728,7 +728,7 @@ def rx_body_loop(
     sigma: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Noisy received bodies of a training window, one symbol at a time.
+    """Noisy received bodies of a window of symbols, one symbol at a time.
 
     For each row: inverse FFT, time-domain IQ image, the amplifier
     polynomial pa_eval, cyclic prefix, truncated causal convolution with

@@ -55,7 +55,13 @@ def test_pa_evaluate_matches_direct_polynomial():
     out = apply_pa(x, a)
     mag2 = np.abs(x) ** 2
     direct = 2.0 * x - 0.5j * mag2 * x + 0.01 * mag2**2 * x
-    assert np.allclose(out, direct, rtol=1e-14)
+    # atol=0, so that the relative bound is the one that binds
+    assert np.allclose(out, direct, rtol=1e-14, atol=0)
+    # a linear amplifier alone, and four orders with the middle one zero
+    assert np.allclose(apply_pa(x, np.array([1.5 - 0.5j])), (1.5 - 0.5j) * x, rtol=1e-14, atol=0)
+    a = np.array([2.0 + 0.5j, -0.1j, 0.0, 0.003 - 0.001j])
+    direct = sum(a_k * mag2**k * x for k, a_k in enumerate(a))
+    assert np.allclose(apply_pa(x, a), direct, rtol=1e-14, atol=0)
 
 
 def test_default_measured_pa_values():

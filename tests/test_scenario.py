@@ -312,6 +312,79 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     assert np.max(np.abs(buf.rx - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def assert_rx_uplink_matches_time_domain_chain(spec, taps):
+    """_rx_uplink equals the uplink bins of the prefixed time-domain chain, noiseless."""
+    grid = spec.build_grid()
+    b_iq, pa = spec.build_imbalance(), spec.build_pa()
+    x = gen_qam_symbols(grid, spec.qam_order, spec.drive_amplitude(grid), 12, seed=21)
+    h_ul = np.fft.fft(taps, n=grid.num_subcarriers)[grid.ul_band]
+    got = scenario._rx_uplink(x, b_iq, pa, h_ul, grid)
+    body = rx_body_loop(
+        x, b_iq, lambda t: apply_pa(t, pa), taps, grid.cp_length, 0.0, np.random.default_rng(0)
+    )
+    ref = np.fft.fft(body, axis=-1)[:, grid.ul_band]
+    assert got.shape == ref.shape == (12, grid.ul_size)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [256, 1024])
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_run_reception_per_subcarrier_matches_time_domain_chain(preset, p):
+    # the run window skips the prefix and the FIR filter: with every tap
+    # inside the prefix, the channel is one gain per subcarrier
+    spec = ScenarioSpec(num_subcarriers=p, duplex=preset, seed=4)
+    taps = _build_effective_channel(spec, spec.build_grid(), seed=17)
+    assert 1 < len(taps) <= spec.cp_length
+    assert_rx_uplink_matches_time_domain_chain(spec, taps)
+
+
+def test_run_reception_per_subcarrier_holds_with_a_tap_on_the_prefix_edge(tmp_path):
+    # a tap at cp_length - 1 is the last one the prefix absorbs; one tap
+    # further, circular and linear convolution would part
+    spec = tap_file_spec(tmp_path, [(-52.0, 0, True), (-60.0, 31, False)])
+    assert spec.cp_length == 32
+    taps = _build_effective_channel(spec, spec.build_grid(), seed=0)
+    assert np.flatnonzero(taps).tolist() == [0, spec.cp_length - 1]
+    assert_rx_uplink_matches_time_domain_chain(spec, taps)
+
+
+def test_run_noise_is_drawn_on_the_uplink_bins_at_the_noise_floor(monkeypatch):
+    # the run noise is drawn per uplink bin with the variance a per-sample
+    # noise of the floor's power has after the DFT, noise_f; in dBm that
+    # is noise_dbm, split evenly over uncorrelated real and imaginary parts
+    spec = ScenarioSpec(num_subcarriers=256, duplex="ibfd", n_run_symbols=20, seed=2)
+    grid = spec.build_grid()
+    drawn = []
+    add_noise = scenario._add_noise
+
+    def recording(samples, sigma, rng):
+        noisy = add_noise(samples, sigma, rng)
+        drawn.append(noisy - samples)
+        return noisy
+
+    monkeypatch.setattr(scenario, "_add_noise", recording)
+    run_scenario(spec)
+    # the training window draws on (M, P) bodies, the run window on its uplink bins
+    train, *run = drawn
+    assert train.shape == (spec.n_train_symbols, 256)
+    noise = np.concatenate(run)
+    assert noise.shape == (spec.n_run_symbols, grid.ul_size)
+    unit_power = abs(spec.build_pa()[0] * spec.drive_amplitude(grid)) ** 2
+    mw_per_unit = 10.0 ** (spec.tx_power_dbm / 10.0) / unit_power
+    floor = 10.0 ** (spec.noise_dbm / 10.0) / mw_per_unit
+    n = noise.size
+    assert n >= 2000
+
+    def within_5_se(samples, mean):
+        return abs(samples.mean() - mean) <= 5 * samples.std() / np.sqrt(n)
+
+    noise = noise.ravel()
+    assert within_5_se(np.abs(noise) ** 2, floor)
+    assert within_5_se(noise.real**2, floor / 2)
+    assert within_5_se(noise.imag**2, floor / 2)
+    assert within_5_se(noise.real * noise.imag, 0.0)
+
+
 @pytest.mark.parametrize("n_run", [7, 1])
 @pytest.mark.parametrize("preset", DUPLEX_PRESETS)
 def test_blocked_run_window_matches_one_symbol_blocks(monkeypatch, preset, n_run):
