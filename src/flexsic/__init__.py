@@ -1,12 +1,13 @@
 """Flexible-duplex OFDM baseband with low-complexity nonlinear SI cancellation.
 
-The package splits into small layers: ofdm (grids, transforms, cyclic
-prefix, QAM), impairments (IQ imbalance and the odd-order amplifier
-polynomial), channel (rays, arrays, beamformed channel taps), imd
-(distortion bases, tuple-count and power-prediction tables, the impulse
-pilot), sic (estimators, basis selection, the running canceller and
-baselines), counters (arithmetic accounting), and scenario/cli (end-to-end
-runs). Signals are plain complex arrays, one symbol per row.
+The package splits into small layers: ofdm (grids, transforms, QAM),
+impairments (IQ imbalance and the odd-order amplifier polynomial), channel
+(rays, arrays, beamformed channel taps), imd (distortion bases, tuple-count
+and power-prediction tables, the impulse pilot), sic (estimators, basis
+selection, the running canceller and baselines), counters (arithmetic
+accounting), and scenario/cli (end-to-end runs, where the channel acts as
+one complex gain per subcarrier). Signals are plain complex arrays, one
+symbol per row.
 """
 
 from .channel import (
@@ -15,7 +16,6 @@ from .channel import (
     ChannelProfile,
     Ray,
     apply_beams,
-    apply_channel,
     array_response,
     build_mimo_taps,
     conjugate_beam,
@@ -47,13 +47,11 @@ from .impairments import (
 )
 from .ofdm import (
     SubcarrierGrid,
-    add_cp,
     dft,
     gen_qam_symbols,
     idft,
     mirror_values,
     qam_constellation,
-    remove_cp,
 )
 from .scenario import (
     CANCELLERS,

@@ -9,8 +9,9 @@ array h, by the transmit/receive beams:
     h[n] = w_rx^H  H[n]  f_tx.
 
 Delays snap to the nearest tap; every tap index must stay below the cyclic
-prefix length so that circular convolution by the taps equals a
-per-subcarrier product in frequency.
+prefix length. The prefix then absorbs the channel memory, so after its
+removal the channel acts on each subcarrier as one complex gain, the taps'
+frequency response fft(h, n=P), and the receiver needs nothing else.
 """
 
 from __future__ import annotations
@@ -165,22 +166,6 @@ def apply_beams(taps: np.ndarray, f_tx: BeamVector, w_rx: BeamVector) -> np.ndar
         )
     w = np.conj(w_rx.weights)
     return np.array([w @ taps[n] @ f_tx.weights for n in range(n_taps)])
-
-
-def apply_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering of CP-bearing symbols by the beamformed taps h.
-
-    Filters along the last axis and keeps its length: out[n] = sum_t
-    h[t] x[n - t] over the taps with t <= n. The cyclic prefix absorbs the
-    channel memory, so after CP removal the body equals the circular
-    convolution of the transmitted body with the taps (equivalently, a
-    per-subcarrier product in frequency). Rays land on a few of the taps
-    only, so the zero taps are skipped.
-    """
-    out = taps[0] * x
-    for t in np.flatnonzero(taps[1:]) + 1:
-        out[..., t:] += taps[t] * x[..., :-t]
-    return out
 
 
 @dataclass(frozen=True)

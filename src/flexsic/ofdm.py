@@ -1,11 +1,11 @@
 """OFDM numerology, flexible-duplex allocation, and transform primitives.
 
 A symbol is a plain complex array whose last axis is the subcarrier grid
-(length P) in the frequency domain, or the time-domain body (length P) or
-prefixed symbol (length P + cp_length). A leading axis, when present,
-indexes symbols, so one (P,) symbol and an (M, P) stack go through the same
-functions. Whether a time-domain signal carries its cyclic prefix is told by
-its length: add_cp accepts only bodies and remove_cp only prefixed symbols.
+(length P) in the frequency domain, or the time-domain body (length P). A
+leading axis, when present, indexes symbols, so one (P,) symbol and an
+(M, P) stack go through the same functions. The cyclic prefix is not
+simulated: cp_length bounds the channel's taps, which makes the channel one
+complex gain per subcarrier after prefix removal (see channel).
 
 Transform convention used throughout the package:
 
@@ -144,30 +144,8 @@ def dft(samples: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis, without a scale factor.
 
     spectrum[p] = sum_n samples[n] * exp(-j 2 pi p n / P)
-
-    The input must be a CP-free body of P samples; strip the prefix first.
     """
     return np.fft.fft(samples, axis=-1)
-
-
-def add_cp(body: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
-    """Prepend the last cp_length samples of each body (last axis of length P)."""
-    n = body.shape[-1]
-    if n != grid.num_subcarriers:
-        raise ValueError(
-            f"body length {n} does not match num_subcarriers {grid.num_subcarriers}"
-        )
-    return np.concatenate([body[..., n - grid.cp_length:], body], axis=-1)
-
-
-def remove_cp(signal: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
-    """Drop the first cp_length samples of each prefixed symbol; inverse of add_cp."""
-    expected = grid.num_subcarriers + grid.cp_length
-    if signal.shape[-1] != expected:
-        raise ValueError(
-            f"prefixed length {signal.shape[-1]} does not match P + cp_length = {expected}"
-        )
-    return signal[..., grid.cp_length:]
 
 
 def qam_constellation(order: int) -> np.ndarray:

@@ -23,16 +23,16 @@ group reads one stack up to the highest order any member runs. A fit or a
 stack shared by several cancellers is made once, and each of them charges
 its cost (for a stack, the orders it reads) to its own stage.
 
-The two windows are received differently. The training window goes
-through the time-domain channel: cyclic prefix, the FIR filter of the
-beamformed taps, prefix removal, plus noise on every body sample, because
-the amplifier fit reads body samples. The run window is received per
-subcarrier, as the paper's receiver sees it: every tap lies within the
-cyclic prefix, so after prefix removal the channel is one complex gain per
-subcarrier, and the uplink reception is the amplifier output's spectrum
-times the channel's frequency response. Its noise is drawn on the uplink
-bins alone, with the variance per bin that time-domain noise has after the
-DFT, so the run window's statistics are those of the time-domain chain.
+Both windows are received one way, per subcarrier, as the paper's
+receiver sees them (_receive): every tap lies within the cyclic prefix, so
+after prefix removal the channel is one complex gain per subcarrier, and a
+received spectrum is the amplifier output's spectrum times the channel's
+frequency response. Each window adds its noise where it is read. The
+training window's bodies, the inverse DFT of that product, get noise on
+every sample, because the amplifier fit reads body samples. The run
+window's noise is drawn on the uplink bins alone, with the variance per
+bin that time-domain noise has after the DFT, so both windows see the
+statistics of one time-domain noise floor.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
@@ -54,7 +54,6 @@ from .channel import (
     ArrayGeometry,
     ChannelProfile,
     apply_beams,
-    apply_channel,
     build_mimo_taps,
     conjugate_beam,
     load_taps,
@@ -63,7 +62,7 @@ from .channel import (
 from .counters import OpCounter
 from .imd import impulse_pilot, mu_tables
 from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
-from .ofdm import QAM_ORDERS, SubcarrierGrid, add_cp, dft, gen_qam_symbols, idft, remove_cp
+from .ofdm import QAM_ORDERS, SubcarrierGrid, dft, gen_qam_symbols, idft
 from .sic import (
     TrainingBuffer,
     baseline_full_ls,
@@ -118,10 +117,10 @@ class ScenarioSpec:
     """Complete description of one experiment.
 
     duplex is a preset name or "custom", in which case dl_span/ul_span
-    (inclusive subcarrier ranges) must be given. pa_coeffs maps odd order
-    2k+1 to the amplifier coefficient a_{2k+1}; None selects the measured
-    polynomial. gamma_dbm of None puts the basis-selection threshold at
-    the noise floor.
+    (inclusive subcarrier ranges) must be given; a preset takes neither.
+    pa_coeffs maps odd order 2k+1 to the amplifier coefficient a_{2k+1};
+    None selects the measured polynomial. gamma_dbm of None puts the
+    basis-selection threshold at the noise floor.
     """
 
     num_subcarriers: int = 256
@@ -159,6 +158,12 @@ class ScenarioSpec:
             )
         if self.duplex == "custom" and (self.dl_span is None or self.ul_span is None):
             raise ValueError("duplex='custom' requires dl_span and ul_span")
+        spans = [n for n in ("dl_span", "ul_span") if getattr(self, n) is not None]
+        if self.duplex != "custom" and spans:
+            raise ValueError(
+                f"{' and '.join(spans)} set with duplex={self.duplex!r}, whose preset "
+                "fixes the bands; use duplex='custom' to give spans"
+            )
         if not self.noise_dbm < self.tx_power_dbm:
             raise ValueError(
                 f"noise_dbm={self.noise_dbm} must lie below tx_power_dbm={self.tx_power_dbm}"
@@ -358,39 +363,20 @@ def _seed_ints(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def _rx_body(
-    x: np.ndarray,
-    b_iq: complex,
-    a: np.ndarray,
-    taps: np.ndarray,
-    grid: SubcarrierGrid,
+def _receive(
+    x: np.ndarray, b_iq: complex, a: np.ndarray, h: np.ndarray, band: slice
 ) -> np.ndarray:
-    """Noiseless body samples of symbols (..., P) through the transmit chain and the SI channel."""
-    t = idft(x)
-    t = apply_iq_time(t, b_iq)
-    t = apply_pa(t, a)
-    t = add_cp(t, grid)
-    t = apply_channel(t, taps)
-    return remove_cp(t, grid)
+    """Noiseless spectra on band of symbols (n, P) through the transmit chain and the SI channel.
 
-
-def _rx_uplink(
-    x: np.ndarray,
-    b_iq: complex,
-    a: np.ndarray,
-    h_ul: np.ndarray,
-    grid: SubcarrierGrid,
-) -> np.ndarray:
-    """Noiseless uplink spectra of symbols (n, P) through the transmit chain and the SI channel.
-
-    h_ul is the channel's frequency response on the uplink, fft(taps, n=P)
-    there. Every tap lies below cp_length and each prefixed symbol is
-    filtered from a zero state, so the body left after prefix removal is
-    the circular convolution of the amplifier output with the taps, and
-    its spectrum is the amplifier output's spectrum times the response:
-    the same reception as dft(_rx_body(...))[:, ul], in one FFT.
+    h is the channel's frequency response, fft(taps, n=P). Every tap lies
+    below cp_length and each prefixed symbol is filtered from a zero state,
+    so the body left after prefix removal is the circular convolution of
+    the amplifier output with the taps, and its spectrum is the amplifier
+    output's spectrum times the response.
     """
-    return dft(apply_pa(apply_iq_time(idft(x), b_iq), a))[:, grid.ul_band] * h_ul
+    y = dft(apply_pa(apply_iq_time(idft(x), b_iq), a))[:, band]
+    y *= h[band]  # in place: one (n, P) temporary fewer per call
+    return y
 
 
 def _add_noise(samples: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -430,7 +416,7 @@ def _build_training(
     grid: SubcarrierGrid,
     b_iq: complex,
     a: np.ndarray,
-    taps: np.ndarray,
+    h: np.ndarray,
     a_digi: float,
     sigma_t: float,
     seed_data: int,
@@ -442,7 +428,8 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
-    rx = _add_noise(_rx_body(tx, b_iq, a, taps, grid), sigma_t, np.random.default_rng(seed_noise))
+    body = idft(_receive(tx, b_iq, a, h, slice(None)))
+    rx = _add_noise(body, sigma_t, np.random.default_rng(seed_noise))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
@@ -552,9 +539,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
             "the self-interference channel is zero (every beamformed tap is 0), "
             "so there is no self-interference to cancel and no direct path to fit"
         )
-    buffer = _build_training(
-        spec, grid, b_iq, a, taps, a_digi, sigma_t, seeds[1], seeds[2]
-    )
+    h = np.fft.fft(taps, n=grid.num_subcarriers)
+    buffer = _build_training(spec, grid, b_iq, a, h, a_digi, sigma_t, seeds[1], seeds[2])
 
     counters = {name: OpCounter() for name in spec.cancellers}
     states = {"none": None}
@@ -585,11 +571,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
 
     run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
     noise_rng = np.random.default_rng(seeds[4])
-    # the run window is received per subcarrier (see _rx_uplink): the DFT of
-    # white noise of variance sigma_t^2 per sample is white with variance
-    # P sigma_t^2 = noise_f per bin, so that is drawn on the uplink bins
+    # the DFT of white noise of variance sigma_t^2 per sample is white with
+    # variance P sigma_t^2 = noise_f per bin, so that is drawn on the uplink bins
     ul = grid.ul_band
-    h_ul = np.fft.fft(taps, n=grid.num_subcarriers)[ul]
     sigma_f = float(np.sqrt(noise_f))
     shape = (len(run_syms), grid.ul_size)
     y_noisy = np.empty(shape, dtype=np.complex128)
@@ -599,7 +583,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        y_clean[rows] = _rx_uplink(x, b_iq, a, h_ul, grid)
+        y_clean[rows] = _receive(x, b_iq, a, h, ul)
         y_noisy[rows] = _add_noise(y_clean[rows], sigma_f, noise_rng)
         for b, top, names in groups:
             chain = None if b is None else basis_stack(x, b, top, grid)

@@ -97,10 +97,11 @@ class SingularSystemError(ValueError):
 class TrainingBuffer:
     """Training window, one symbol per row: impulse pilots first, then data.
 
-    tx holds the transmitted spectra and rx the received CP-free bodies,
-    both of shape (M, P); the first n_impulse rows are the impulse pilots
-    and the rest are data symbols. Estimators that work in the frequency
-    domain read the demodulated bodies through rx_spectra. The buffer runs
+    tx holds the transmitted spectra and rx the received bodies, P
+    time-domain samples per symbol, both of shape (M, P); the first
+    n_impulse rows are the impulse pilots and the rest are data symbols.
+    Estimators that work in the frequency domain read the demodulated
+    bodies through rx_spectra. The buffer runs
     that FFT once, on first access, and shares the read-only result; it is
     receiver work and is never charged to a canceller stage.
     """

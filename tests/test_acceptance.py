@@ -23,7 +23,6 @@ from flexsic.channel import (
     ArrayGeometry,
     ChannelProfile,
     apply_beams,
-    apply_channel,
     build_mimo_taps,
     conjugate_beam,
     synth_channel,
@@ -38,18 +37,14 @@ from flexsic.imd import (
 )
 from flexsic.impairments import (
     apply_iq_freq,
-    apply_iq_time,
     apply_pa,
     default_measured_pa,
     irr_to_b,
 )
 from flexsic.ofdm import (
     SubcarrierGrid,
-    add_cp,
     gen_qam_symbols,
-    idft,
     mirror_values,
-    remove_cp,
 )
 from flexsic.scenario import ScenarioSpec, run_scenario
 from flexsic.sic import (
@@ -61,7 +56,7 @@ from flexsic.sic import (
     run_sic,
     select_basis,
 )
-from oracles import basis_recursion, brute_q_size, mc_mu
+from oracles import basis_recursion, brute_q_size, mc_mu, rx_body_loop
 
 NOISE_DBM = -90.0
 PA_TRUTH = np.array([35.89, -2.24, 0.0015])  # a[k] = a_{2k+1}
@@ -513,20 +508,14 @@ def test_amplifier_coefficients_recovered_from_pilots():
         mimo = build_mimo_taps(rays, geom, geom, grid)
         return apply_beams(mimo, conjugate_beam(geom, 0.4), conjugate_beam(geom, -0.4))
 
-    def rx_body(x, chan, sigma, rng):
-        t = apply_pa(apply_iq_time(idft(x), b_iq), pa)
-        samples = remove_cp(apply_channel(add_cp(t, grid), chan), grid)
-        if rng is not None and sigma > 0:
-            noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-            samples = samples + (sigma / np.sqrt(2.0)) * noise
-        return samples
-
     def training(chan, seed, sigma):
-        rng = np.random.default_rng(seed) if sigma > 0 else None
         scale = 256 / grid.dl_size
         pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 8) * scale)
         tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, 6, seed + 7000)])
-        rx = np.array([rx_body(x, chan, sigma, rng) for x in tx])
+        rx = rx_body_loop(
+            tx, b_iq, lambda t: apply_pa(t, pa), chan, grid.cp_length, sigma,
+            np.random.default_rng(seed),
+        )
         return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=8)
 
     chan_los = build_chan(ChannelProfile(n_rays=1), seed=10)

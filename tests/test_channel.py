@@ -7,7 +7,6 @@ from flexsic.channel import (
     ChannelProfile,
     Ray,
     apply_beams,
-    apply_channel,
     array_response,
     build_mimo_taps,
     conjugate_beam,
@@ -17,7 +16,7 @@ from flexsic.channel import (
     synth_channel,
     validate_rays,
 )
-from flexsic.ofdm import SubcarrierGrid, add_cp, dft, idft, remove_cp
+from flexsic.ofdm import SubcarrierGrid
 
 
 def grid256():
@@ -111,55 +110,6 @@ def test_siso_los_channel_is_flat():
     assert len(taps) == 1
     assert taps[0] == pytest.approx(0.5 + 0.1j)
     assert np.allclose(np.fft.fft(taps, n=g.num_subcarriers), 0.5 + 0.1j)
-
-
-def test_apply_channel_equals_frequency_product():
-    g = grid256()
-    geom = ArrayGeometry(2, 2)
-    rays = synth_channel(ChannelProfile(), g, seed=3)
-    mimo = build_mimo_taps(rays, geom, geom, g)
-    taps = apply_beams(mimo, conjugate_beam(geom, 0.0), conjugate_beam(geom, 0.0))
-    assert len(taps) > 1
-
-    rng = np.random.default_rng(5)
-    values = np.zeros(256, dtype=complex)
-    values[g.dl_indices] = rng.standard_normal(g.dl_size) + 1j * rng.standard_normal(
-        g.dl_size
-    )
-    tx = add_cp(idft(values), g)
-    rx = dft(remove_cp(apply_channel(tx, taps), g))
-    expected = np.fft.fft(taps, n=g.num_subcarriers) * values
-    assert np.allclose(rx, expected, atol=1e-12 * np.abs(expected).max())
-
-
-def test_apply_channel_filters_each_row_of_a_stack():
-    g = grid256()
-    geom = ArrayGeometry(2, 2)
-    rays = synth_channel(ChannelProfile(), g, seed=4)
-    taps = apply_beams(
-        build_mimo_taps(rays, geom, geom, g), conjugate_beam(geom, 0.0), conjugate_beam(geom, 0.0)
-    )
-    assert np.count_nonzero(taps == 0) > 0  # taps between the rays stay zero
-    rng = np.random.default_rng(6)
-    stack = rng.standard_normal((3, 288)) + 1j * rng.standard_normal((3, 288))
-    out = apply_channel(stack, taps)
-    assert out.shape == stack.shape
-    for row, x in zip(out, stack):
-        # truncated causal convolution, the filter's textbook form
-        ref = np.convolve(x, taps)[: len(x)]
-        assert np.allclose(row, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
-
-
-def test_apply_channel_requires_cp():
-    g = grid256()
-    geom = ArrayGeometry(1, 1)
-    taps = apply_beams(
-        build_mimo_taps(los_only(), geom, geom, g), BeamVector([1.0]), BeamVector([1.0])
-    )
-    # a chain that skips add_cp is caught when the prefix is stripped
-    body = idft(np.zeros(256, dtype=complex))
-    with pytest.raises(ValueError, match="prefixed length 256 does not match"):
-        remove_cp(apply_channel(body, taps), g)
 
 
 def test_beam_dimension_mismatch_is_reported():

@@ -4,13 +4,11 @@ from hypothesis import given, strategies as st
 
 from flexsic.ofdm import (
     SubcarrierGrid,
-    add_cp,
     dft,
     gen_qam_symbols,
     idft,
     mirror_values,
     qam_constellation,
-    remove_cp,
 )
 from flexsic.scenario import DUPLEX_PRESETS, duplex_allocation
 from oracles import dft_ref, idft_ref
@@ -124,38 +122,6 @@ def test_transforms_act_row_by_row_on_stacks():
     for row, spectrum in zip(time, stack):
         assert np.array_equal(row, idft(spectrum))
     assert np.array_equal(dft(time)[1], dft(time[1]))
-
-
-# ---------------------------------------------------------------- cyclic prefix
-
-
-def test_cp_roundtrip_and_shapes():
-    g = small_grid()
-    rng = np.random.default_rng(0)
-    body = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    fixed = add_cp(body, g)
-    assert fixed.shape == (20,)
-    assert np.array_equal(fixed[:4], body[-4:])
-    stripped = remove_cp(fixed, g)
-    assert np.array_equal(stripped, body)
-    # a stack of bodies gets one prefix per row
-    stack = np.stack([body, 2.0 * body])
-    fixed = add_cp(stack, g)
-    assert fixed.shape == (2, 20)
-    assert np.array_equal(fixed[1, :4], 2.0 * body[-4:])
-    assert np.array_equal(remove_cp(fixed, g), stack)
-
-
-def test_cp_errors():
-    g = small_grid()
-    body = np.zeros(16, dtype=complex)
-    # whether a signal carries its prefix is told by its length
-    with pytest.raises(ValueError, match="prefixed length 16 does not match"):
-        remove_cp(body, g)
-    with pytest.raises(ValueError, match="body length 20 does not match"):
-        add_cp(add_cp(body, g), g)
-    with pytest.raises(ValueError, match="body length 8 does not match"):
-        add_cp(np.zeros(8, dtype=complex), g)
 
 
 # ---------------------------------------------------------------- QAM

@@ -90,6 +90,13 @@ def test_scenario_spec_validation():
         ScenarioSpec(duplex="fdd")
     with pytest.raises(ValueError, match="requires dl_span"):
         ScenarioSpec(duplex="custom")
+    # a preset fixes the bands, so spans given with it would be dropped
+    with pytest.raises(ValueError, match="^dl_span and ul_span set with duplex='ibfd'"):
+        ScenarioSpec(duplex="ibfd", dl_span=(10, 20), ul_span=(30, 40))
+    with pytest.raises(ValueError, match="^ul_span set with duplex='sbfd'"):
+        ScenarioSpec(duplex="sbfd", ul_span=(30, 40))
+    with pytest.raises(ValueError, match="^dl_span set with duplex='overlap'"):
+        spec_from_dict({"duplex": "overlap", "dl_span": [10, 20]})
     with pytest.raises(ValueError, match="below tx_power_dbm"):
         ScenarioSpec(noise_dbm=30.0, tx_power_dbm=23.0)
     with pytest.raises(ValueError, match="unknown cancellers"):
@@ -281,18 +288,51 @@ def test_residual_cdf_sorts():
 # ---------------------------------------------------------------- runs
 
 
+def assert_reception_matches_time_domain_chain(spec, taps, window):
+    """_receive equals the prefixed time-domain chain, rx_body_loop, on one window.
+
+    The training window is read through _build_training: its noisy bodies
+    must equal the oracle's, the noise drawn symbol by symbol from the same
+    stream, to 1e-13 relative. The run window's noiseless uplink bins must
+    equal the oracle's to 1e-12 relative. Returns the symbols received.
+    """
+    grid = spec.build_grid()
+    b_iq, pa = spec.build_imbalance(), spec.build_pa()
+    a_digi = spec.drive_amplitude(grid)
+    h = np.fft.fft(taps, n=grid.num_subcarriers)
+
+    def oracle(tx, sigma, seed):
+        return rx_body_loop(
+            tx, b_iq, lambda t: apply_pa(t, pa), taps, grid.cp_length, sigma,
+            np.random.default_rng(seed),
+        )
+
+    if window == "training":
+        sigma = 1e-3 * a_digi / grid.num_subcarriers
+        buf = _build_training(spec, grid, b_iq, pa, h, a_digi, sigma, seed_data=12, seed_noise=13)
+        assert buf.n_impulse == spec.n_impulse_symbols
+        tx, got, ref, bound = buf.tx, buf.rx, oracle(buf.tx, sigma, 13), 1e-13
+        shape = (spec.n_train_symbols, grid.num_subcarriers)
+    else:
+        tx = gen_qam_symbols(grid, spec.qam_order, a_digi, 12, seed=21)
+        got = scenario._receive(tx, b_iq, pa, h, grid.ul_band)
+        ref = np.fft.fft(oracle(tx, 0.0, 0), axis=-1)[:, grid.ul_band]
+        bound, shape = 1e-12, (12, grid.ul_size)
+    assert got.shape == ref.shape == shape
+    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+    return tx
+
+
 @pytest.mark.parametrize("preset", DUPLEX_PRESETS)
 def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
     # the window goes through the transmit chain as one stack; each row must
     # equal the chain run on that symbol alone, with the noise drawn per symbol
     spec = ScenarioSpec(duplex=preset, num_subcarriers=256, seed=3)
     grid = spec.build_grid()
-    b_iq, pa = spec.build_imbalance(), spec.build_pa()
-    taps = _build_effective_channel(spec, grid, seed=11)
     a_digi = spec.drive_amplitude(grid)
     assert a_digi == spec.pa_drive_rms * 256 / np.sqrt(grid.dl_size)
-    sigma = 1e-3 * a_digi / 256
-    buf = _build_training(spec, grid, b_iq, pa, taps, a_digi, sigma, seed_data=12, seed_noise=13)
+    taps = _build_effective_channel(spec, grid, seed=11)
+    tx = assert_reception_matches_time_domain_chain(spec, taps, "training")
 
     lo, hi = spec.impulse_amp_range
     scale = 256 / grid.dl_size
@@ -301,30 +341,8 @@ def test_stacked_training_window_matches_symbol_by_symbol_chain(preset):
         for peak in np.linspace(lo, hi, spec.n_impulse_symbols)
     ]
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
-    tx = np.array(pilots + list(gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, 12)))
-    assert buf.n_impulse == spec.n_impulse_symbols
-    assert np.array_equal(buf.tx, tx)
-    ref = rx_body_loop(
-        tx, b_iq, lambda t: apply_pa(t, pa), taps, grid.cp_length, sigma,
-        np.random.default_rng(13),
-    )
-    assert buf.rx.shape == ref.shape == (spec.n_train_symbols, 256)
-    assert np.max(np.abs(buf.rx - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def assert_rx_uplink_matches_time_domain_chain(spec, taps):
-    """_rx_uplink equals the uplink bins of the prefixed time-domain chain, noiseless."""
-    grid = spec.build_grid()
-    b_iq, pa = spec.build_imbalance(), spec.build_pa()
-    x = gen_qam_symbols(grid, spec.qam_order, spec.drive_amplitude(grid), 12, seed=21)
-    h_ul = np.fft.fft(taps, n=grid.num_subcarriers)[grid.ul_band]
-    got = scenario._rx_uplink(x, b_iq, pa, h_ul, grid)
-    body = rx_body_loop(
-        x, b_iq, lambda t: apply_pa(t, pa), taps, grid.cp_length, 0.0, np.random.default_rng(0)
-    )
-    ref = np.fft.fft(body, axis=-1)[:, grid.ul_band]
-    assert got.shape == ref.shape == (12, grid.ul_size)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = np.array(pilots + list(gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, 12)))
+    assert np.array_equal(tx, ref)
 
 
 @pytest.mark.parametrize("p", [256, 1024])
@@ -335,17 +353,25 @@ def test_run_reception_per_subcarrier_matches_time_domain_chain(preset, p):
     spec = ScenarioSpec(num_subcarriers=p, duplex=preset, seed=4)
     taps = _build_effective_channel(spec, spec.build_grid(), seed=17)
     assert 1 < len(taps) <= spec.cp_length
-    assert_rx_uplink_matches_time_domain_chain(spec, taps)
+    assert_reception_matches_time_domain_chain(spec, taps, "run")
 
 
-def test_run_reception_per_subcarrier_holds_with_a_tap_on_the_prefix_edge(tmp_path):
-    # a tap at cp_length - 1 is the last one the prefix absorbs; one tap
-    # further, circular and linear convolution would part
+def edge_tap_spec(tmp_path):
+    """A tap file with taps 0 and cp_length - 1, the last one the prefix absorbs."""
     spec = tap_file_spec(tmp_path, [(-52.0, 0, True), (-60.0, 31, False)])
     assert spec.cp_length == 32
     taps = _build_effective_channel(spec, spec.build_grid(), seed=0)
     assert np.flatnonzero(taps).tolist() == [0, spec.cp_length - 1]
-    assert_rx_uplink_matches_time_domain_chain(spec, taps)
+    return spec, taps
+
+
+def test_run_reception_per_subcarrier_holds_with_a_tap_on_the_prefix_edge(tmp_path):
+    # one tap further, circular and linear convolution would part
+    assert_reception_matches_time_domain_chain(*edge_tap_spec(tmp_path), "run")
+
+
+def test_training_reception_holds_with_a_tap_on_the_prefix_edge(tmp_path):
+    assert_reception_matches_time_domain_chain(*edge_tap_spec(tmp_path), "training")
 
 
 def test_run_noise_is_drawn_on_the_uplink_bins_at_the_noise_floor(monkeypatch):
