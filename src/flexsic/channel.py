@@ -257,12 +257,16 @@ def load_taps(path) -> list[Ray]:
                     f"fields, got {len(row)}"
                 )
             try:
+                delay, gain_re, gain_im, aoa, aod = values = [float(v) for v in row[1:6]]
+                for name, value in zip(RAY_CSV_HEADER[1:6], values):
+                    if not np.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
                 rays.append(
                     Ray(
-                        gain=float(row[2]) + 1j * float(row[3]),
-                        delay_s=float(row[1]),
-                        aoa=float(row[4]),
-                        aod=float(row[5]),
+                        gain=gain_re + 1j * gain_im,
+                        delay_s=delay,
+                        aoa=aoa,
+                        aod=aod,
                         is_los=bool(int(row[6])),
                     )
                 )

@@ -27,12 +27,13 @@ Both windows are received one way, per subcarrier, as the paper's
 receiver sees them (_receive): every tap lies within the cyclic prefix, so
 after prefix removal the channel is one complex gain per subcarrier, and a
 received spectrum is the amplifier output's spectrum times the channel's
-frequency response. Each window adds its noise where it is read. The
-training window's bodies, the inverse DFT of that product, get noise on
-every sample, because the amplifier fit reads body samples. The run
-window's noise is drawn on the uplink bins alone, with the variance per
-bin that time-domain noise has after the DFT, so both windows see the
-statistics of one time-domain noise floor.
+frequency response. Both windows are held as received spectra; the
+amplifier fit alone reads body samples, the inverse DFT of its pilot
+rows. The training window's noise is drawn on every body sample and
+added through the DFT, because the amplifier fit reads body samples.
+The run window's noise is drawn on the uplink bins alone, with the
+variance per bin that time-domain noise has after the DFT, so both
+windows see the statistics of one time-domain noise floor.
 
 Power bookkeeping: the per-subcarrier transmit power after the linear
 amplifier gain, |a_1 a_digi|^2 in internal units, is pinned to
@@ -278,6 +279,9 @@ def _conform(key: str, value, hint):
         return tuple(_conform(key, v, h) for v, h in zip(value, items))
     kind = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}.get(hint, hint)
     if origin is None and isinstance(value, kind) and not isinstance(value, bool):
+        # json.load reads NaN and Infinity, which no field takes
+        if hint in (float, complex) and not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
         return complex(value) if hint is complex else value
     raise ValueError(f"{key} must be {hint.__name__ if origin is None else hint}, got {value!r}")
 
@@ -379,21 +383,18 @@ def _receive(
     return y
 
 
-def _add_noise(samples: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """A noisy copy of samples: circular complex Gaussian noise of variance sigma^2.
+def _noise(shape: tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Circular complex Gaussian noise of variance sigma^2 and the given shape.
 
     Each row draws one real part per entry of the last axis and then as
     many imaginary parts, so a stack draws the same numbers as its rows
     drawn one after another, whatever the block size.
     """
-    if sigma <= 0:
-        return samples
-    draws = rng.standard_normal(samples.shape[:-1] + (2, samples.shape[-1]))
-    noise = np.empty(samples.shape, dtype=np.complex128)
+    draws = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+    noise = np.empty(shape, dtype=np.complex128)
     noise.real = draws[..., 0, :]
     noise.imag = draws[..., 1, :]
     noise *= sigma / np.sqrt(2.0)
-    noise += samples
     return noise
 
 
@@ -428,8 +429,9 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
-    body = idft(_receive(tx, b_iq, a, h, slice(None)))
-    rx = _add_noise(body, sigma_t, np.random.default_rng(seed_noise))
+    # the noise is drawn per body sample, where the amplifier fit reads it
+    rx = _receive(tx, b_iq, a, h, slice(None))
+    rx += dft(_noise(rx.shape, sigma_t, np.random.default_rng(seed_noise)))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
@@ -584,7 +586,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         rows = slice(start, start + block)
         x = run_syms[rows]
         y_clean[rows] = _receive(x, b_iq, a, h, ul)
-        y_noisy[rows] = _add_noise(y_clean[rows], sigma_f, noise_rng)
+        y_noisy[rows] = _noise(y_clean[rows].shape, sigma_f, noise_rng)
+        y_noisy[rows] += y_clean[rows]
         for b, top, names in groups:
             chain = None if b is None else basis_stack(x, b, top, grid)
             for name in names:

@@ -23,19 +23,22 @@ the received spectrum. Each still charges that subtraction's adds to its
 own stage, so the counts match a canceller that subtracts in place.
 
 Symbols are held as arrays, one per row. Every estimator works on the
-whole training window at once. baseline_linear takes a (..., P) stack of
-transmit spectra; estimate_channel, baseline_full_ls, run_sic and
-run_full_ls take the basis stack of their symbols, (..., k+1, P) from
-basis_stack, and read the orders they need from it; estimate_channel's
-symbols are the data rows of the training window alone. Like the IQ and
-amplifier fits, one stack serves every canceller built on the same image
-weight, and each of them still charges the basis build to its own stage.
+whole training window at once, which holds received spectra, as the run
+window does; only estimate_pa reads body samples, the inverse DFT of the
+pilot rows. baseline_linear takes a (..., P) stack of transmit spectra;
+estimate_channel, baseline_full_ls, run_sic and run_full_ls take the
+basis stack of their symbols, (..., k+1, P) from basis_stack, and read
+the orders they need from it; estimate_channel's symbols are the data
+rows of the training window alone. Like the IQ and amplifier fits, one
+stack serves every canceller built on the same image weight, and each of
+them still charges the basis build to its own stage.
 
 All estimator and canceller arithmetic is charged to an OpCounter so
 complexity claims can be checked against actual counts; a stacked step
-charges its per-symbol cost once per symbol. Receiver-side FFTs of the
-received waveform are not charged: demodulation happens regardless of
-which canceller is in use.
+charges its per-symbol cost once per symbol. Receiver-side transforms of
+the received signal are not charged: demodulation happens regardless of
+which canceller is in use, and estimate_pa's inverse DFT only recovers
+the pilot bodies a receiver holds before it demodulates them.
 
 Both allocations are contiguous spans, so every band gather and scatter
 is a slice (grid.dl_band, grid.ul_band); index arrays remain only for the
@@ -45,14 +48,13 @@ mirror pairs of estimate_iq.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_profile, predict_si_power
 from .impairments import apply_iq_freq, apply_iq_time
-from .ofdm import SubcarrierGrid
+from .ofdm import SubcarrierGrid, idft
 
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
@@ -97,13 +99,9 @@ class SingularSystemError(ValueError):
 class TrainingBuffer:
     """Training window, one symbol per row: impulse pilots first, then data.
 
-    tx holds the transmitted spectra and rx the received bodies, P
-    time-domain samples per symbol, both of shape (M, P); the first
-    n_impulse rows are the impulse pilots and the rest are data symbols.
-    Estimators that work in the frequency domain read the demodulated
-    bodies through rx_spectra. The buffer runs
-    that FFT once, on first access, and shares the read-only result; it is
-    receiver work and is never charged to a canceller stage.
+    tx holds the transmitted spectra and rx the received spectra, as the
+    receiver demodulates them, both of shape (M, P); the first n_impulse
+    rows are the impulse pilots and the rest are data symbols.
     """
 
     grid: SubcarrierGrid
@@ -123,16 +121,6 @@ class TrainingBuffer:
             raise ValueError(f"n_impulse={self.n_impulse} is outside 0..{len(tx)}")
         object.__setattr__(self, "tx", tx)
         object.__setattr__(self, "rx", rx)
-
-    @cached_property
-    def _spectra(self) -> np.ndarray:
-        spectra = np.fft.fft(self.rx, axis=-1)
-        spectra.flags.writeable = False
-        return spectra
-
-    def rx_spectra(self, start: int = 0) -> np.ndarray:
-        """Receiver-side demodulation of the bodies from row start on (uncharged, read-only)."""
-        return self._spectra[start:]
 
 
 def ls_solve(
@@ -328,7 +316,7 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
     a = np.empty((len(pairs), m, 2), dtype=np.complex128)
     a[:, :, 0] = tx[:, pairs].T
     a[:, :, 1] = np.conj(tx[:, mirrors]).T
-    y = buffer.rx_spectra(buffer.n_impulse)[:, pairs].T
+    y = buffer.rx[buffer.n_impulse:, pairs].T
     mirror_power = np.sum(np.abs(a[:, :, 1]) ** 2, axis=1)
     c, solved = _ls_solve_stack(a, y, 0.0, counter, "estimate_iq")
     used = solved & (c[:, 0] != 0.0)
@@ -353,16 +341,18 @@ def estimate_pa(
     """Estimate h_los * a[k], a[k] = a_{2k+1}, k = 0..k_max, from the impulse pilot peaks.
 
     Each impulse symbol concentrates the downlink band into one body
-    sample of known amplitude. Sampling the received body at the pilot
-    peak, delayed by los_tap_index, the direct path's tap, gives one
-    scalar equation y_m ~= sum_k h_los a_k |alpha_m|^{2k} alpha_m per
-    symbol, where alpha_m is the amplifier input peak after IQ imbalance
-    and h_los the direct path's unknown gain. So the fit returns the
-    polynomial scaled by h_los; estimate_channel's h_hat absorbs that
-    scale, and every canceller reads only the products h_hat a_hat. The
-    sweep of pilot amplitudes across symbols makes the orders separable,
-    and the solve touches k_max + 1 unknowns regardless of how many
-    subcarriers the uplink band has.
+    sample of known amplitude. The fit reads the received pilot bodies,
+    the inverse DFT of the buffer's first n_impulse rows, uncharged
+    receiver work. Sampling the received body at the pilot peak, delayed
+    by los_tap_index, the direct path's tap, gives one scalar equation
+    y_m ~= sum_k h_los a_k |alpha_m|^{2k} alpha_m per symbol, where
+    alpha_m is the amplifier input peak after IQ imbalance and h_los the
+    direct path's unknown gain. So the fit returns the polynomial scaled
+    by h_los; estimate_channel's h_hat absorbs that scale, and every
+    canceller reads only the products h_hat a_hat. The sweep of pilot
+    amplitudes across symbols makes the orders separable, and the solve
+    touches k_max + 1 unknowns regardless of how many subcarriers the
+    uplink band has.
 
     Echo taps behind the line of sight leak the pilot's pre-peak tail
     into the peak sample. That leakage is linear in the pilot amplitude,
@@ -389,7 +379,7 @@ def estimate_pa(
     # reaches one prefix length to either side of it
     n0 = guard = grid.cp_length
 
-    rx = buffer.rx[:m]
+    rx = idft(buffer.rx[:m])
     amp = np.abs(buffer.tx[:m, grid.dl_start])
     if not amp.all():
         raise ValueError(f"impulse symbol {int(np.argmin(amp))} has no pilot energy")
@@ -575,7 +565,7 @@ def estimate_channel(
 
     _charge_bases(counter, "train_basis", m, k_max, grid)
     regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
-    rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
+    rx = buffer.rx[buffer.n_impulse:, ul]
     h_hat, solved = _scalar_ls(regressor, rx, grid)
     if counter is not None:
         counter.charge(
@@ -725,7 +715,7 @@ def estimate_linear_channel(
     grid = buffer.grid
     ul, n_ul = grid.ul_band, grid.ul_size
     tx = buffer.tx[buffer.n_impulse:, ul]
-    rx = buffer.rx_spectra(buffer.n_impulse)[:, ul]
+    rx = buffer.rx[buffer.n_impulse:, ul]
     h, solved = _scalar_ls(tx, rx, grid)
     if counter is not None:
         counter.charge("linear_est", mults=m * 2 * n_ul + solved, adds=m * 2 * n_ul)
@@ -776,12 +766,11 @@ def baseline_full_ls(
         )
     grid = buffer.grid
     _charge_bases(counter, "full_ls_basis", m, k_max, grid)
-    rx = buffer.rx_spectra()
 
     # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
     band = grid.ul_band
     a = chain[:, :, band].transpose(2, 0, 1)
-    y = rx[:, band].T
+    y = buffer.rx[:, band].T
     c, solved = _ls_solve_stack(a, y, 0.0, counter, "full_ls_est")
     # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
     # all-zero ones stay zero

@@ -575,7 +575,7 @@ def estimate_iq_loop(
         )
 
     tx = np.stack(list(tx_rows))
-    rx = np.stack([np.fft.fft(body) for body in rx_rows])
+    rx = np.stack(list(rx_rows))
     m = len(tx_rows)
 
     num = 0.0 + 0.0j
@@ -646,10 +646,9 @@ def baseline_full_ls_loop(
     ul = grid.ul_indices
 
     chains = np.empty((m, k_max + 1, p_total), dtype=np.complex128)
-    rx = np.empty((m, p_total), dtype=np.complex128)
-    for i, (tx, body) in enumerate(zip(buffer.tx, buffer.rx)):
+    for i, tx in enumerate(buffer.tx):
         chains[i] = symbol_bases(tx, b_hat, k_max, grid, counter, "full_ls_basis")
-        rx[i] = np.fft.fft(body)
+    rx = buffer.rx
 
     coeffs = np.zeros((k_max + 1, p_total), dtype=np.complex128)
     for p in ul:
@@ -696,10 +695,9 @@ def estimate_channel_loop(
 
     num = np.zeros(len(ul), dtype=np.complex128)
     den = np.zeros(len(ul), dtype=np.float64)
-    for tx, body in zip(tx_rows, rx_rows):
+    for tx, rx in zip(tx_rows, rx_rows):
         chain = symbol_bases(tx, b_hat, k_max, grid, counter, "train_basis")
         regressor = (a_vec[:, None] * chain[:, ul]).sum(axis=0)
-        rx = np.fft.fft(body)
         num += np.conj(regressor) * rx[ul]
         den += np.abs(regressor) ** 2
         if counter is not None:

@@ -512,11 +512,11 @@ def test_amplifier_coefficients_recovered_from_pilots():
         scale = 256 / grid.dl_size
         pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 8) * scale)
         tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, 6, seed + 7000)])
-        rx = rx_body_loop(
+        bodies = rx_body_loop(
             tx, b_iq, lambda t: apply_pa(t, pa), chan, grid.cp_length, sigma,
             np.random.default_rng(seed),
         )
-        return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=8)
+        return TrainingBuffer(grid=grid, tx=tx, rx=np.fft.fft(bodies, axis=-1), n_impulse=8)
 
     chan_los = build_chan(ChannelProfile(n_rays=1), seed=10)
     buf = training(chan_los, 0, 0.0)

@@ -167,3 +167,11 @@ def test_load_taps_error_reporting(tmp_path):
     )
     with pytest.raises(ValueError, match="line 2"):
         load_taps(path)
+    # float() reads nan and inf; the line that holds one is named
+    for row, what in [("1,nan,0.1,0,0,0,0", "delay_s must be finite, got nan"),
+                      ("1,1e-8,inf,0,0,0,0", "gain_re must be finite, got inf")]:
+        path.write_text(
+            "ray,delay_s,gain_re,gain_im,aoa_rad,aod_rad,is_los\n0,0.0,1.0,0,0,0,1\n" + row + "\n"
+        )
+        with pytest.raises(ValueError, match=f"^{path}: line 3: {what}$"):
+            load_taps(path)

@@ -137,6 +137,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("tx_array", [0, 4, 0.5]),
         ("rx_array", [4, 4, 0.0]),
         ("cp_length", 16),
+        # json.load reads NaN and Infinity
+        ("pa_drive_rms", float("nan")),
+        ("subcarrier_spacing", float("inf")),
+        ("iq_phase", float("nan")),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):

@@ -10,7 +10,7 @@ import pytest
 from flexsic.channel import ChannelProfile, Ray, save_taps
 from flexsic.imd import impulse_pilot
 from flexsic.impairments import apply_pa, default_measured_pa
-from flexsic.ofdm import gen_qam_symbols
+from flexsic.ofdm import gen_qam_symbols, idft
 import flexsic.scenario as scenario
 import flexsic.sic as sic
 from flexsic.scenario import (
@@ -265,6 +265,14 @@ def test_load_spec_errors(tmp_path):
         load_spec(path)
     path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20}))
     assert load_spec(path).num_subcarriers == 64
+    # json.load reads NaN and Infinity; a nested field and a [re, im] pair are checked too
+    for data, key in [
+        ({"channel": {"los_gain_db": float("nan")}}, "channel.los_gain_db"),
+        ({"pa_coeffs": {"1": [1.0, float("inf")]}}, "pa_coeffs"),
+    ]:
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got (nan|inf)$"):
+            load_spec(path)
 
 
 # ---------------------------------------------------------------- metrics
@@ -291,10 +299,12 @@ def test_residual_cdf_sorts():
 def assert_reception_matches_time_domain_chain(spec, taps, window):
     """_receive equals the prefixed time-domain chain, rx_body_loop, on one window.
 
-    The training window is read through _build_training: its noisy bodies
-    must equal the oracle's, the noise drawn symbol by symbol from the same
-    stream, to 1e-13 relative. The run window's noiseless uplink bins must
-    equal the oracle's to 1e-12 relative. Returns the symbols received.
+    The training window is read through _build_training: its noisy spectra
+    must equal the FFT of the oracle's bodies, the noise drawn symbol by
+    symbol from the same stream, and the inverse FFT of its pilot rows the
+    oracle's pilot bodies, both to 1e-13 relative. The run window's
+    noiseless uplink bins must equal the oracle's to 1e-12 relative.
+    Returns the symbols received.
     """
     grid = spec.build_grid()
     b_iq, pa = spec.build_imbalance(), spec.build_pa()
@@ -311,7 +321,11 @@ def assert_reception_matches_time_domain_chain(spec, taps, window):
         sigma = 1e-3 * a_digi / grid.num_subcarriers
         buf = _build_training(spec, grid, b_iq, pa, h, a_digi, sigma, seed_data=12, seed_noise=13)
         assert buf.n_impulse == spec.n_impulse_symbols
-        tx, got, ref, bound = buf.tx, buf.rx, oracle(buf.tx, sigma, 13), 1e-13
+        bodies = oracle(buf.tx, sigma, 13)
+        pilots, ref_pilots = idft(buf.rx[: buf.n_impulse]), bodies[: buf.n_impulse]
+        assert pilots.shape == ref_pilots.shape == (buf.n_impulse, grid.num_subcarriers)
+        assert np.max(np.abs(pilots - ref_pilots)) <= 1e-13 * np.max(np.abs(ref_pilots))
+        tx, got, ref, bound = buf.tx, buf.rx, np.fft.fft(bodies, axis=-1), 1e-13
         shape = (spec.n_train_symbols, grid.num_subcarriers)
     else:
         tx = gen_qam_symbols(grid, spec.qam_order, a_digi, 12, seed=21)
@@ -381,14 +395,13 @@ def test_run_noise_is_drawn_on_the_uplink_bins_at_the_noise_floor(monkeypatch):
     spec = ScenarioSpec(num_subcarriers=256, duplex="ibfd", n_run_symbols=20, seed=2)
     grid = spec.build_grid()
     drawn = []
-    add_noise = scenario._add_noise
+    noise = scenario._noise
 
-    def recording(samples, sigma, rng):
-        noisy = add_noise(samples, sigma, rng)
-        drawn.append(noisy - samples)
-        return noisy
+    def recording(shape, sigma, rng):
+        drawn.append(noise(shape, sigma, rng))
+        return drawn[-1]
 
-    monkeypatch.setattr(scenario, "_add_noise", recording)
+    monkeypatch.setattr(scenario, "_noise", recording)
     run_scenario(spec)
     # the training window draws on (M, P) bodies, the run window on its uplink bins
     train, *run = drawn
@@ -429,17 +442,18 @@ def test_blocked_run_window_matches_one_symbol_blocks(monkeypatch, preset, n_run
         assert blocked.counters[name].rows() == single.counters[name].rows()
 
 
-def test_add_noise_draws_each_symbol_real_then_imaginary():
+def test_noise_draws_each_symbol_real_then_imaginary():
     # a stack draws the same numbers as its rows drawn one after another,
     # and the noisy samples equal the textbook expression bit for bit
     rng = np.random.default_rng(0)
     body = rng.standard_normal((3, 2, 16)) + 1j * rng.standard_normal((3, 2, 16))
-    noisy = scenario._add_noise(body, 0.7, np.random.default_rng(5))
+    noisy = body + scenario._noise(body.shape, 0.7, np.random.default_rng(5))
     ref_rng = np.random.default_rng(5)
     for row, clean in zip(noisy.reshape(-1, 16), body.reshape(-1, 16)):
         noise = ref_rng.standard_normal(16) + 1j * ref_rng.standard_normal(16)
         assert np.array_equal(row, clean + (0.7 / np.sqrt(2.0)) * noise)
-    assert scenario._add_noise(body, 0.0, None) is body
+    # a zero sigma leaves the samples as they are, bit for bit
+    assert np.array_equal(body + scenario._noise(body.shape, 0.0, rng), body)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 3])

@@ -61,16 +61,15 @@ def tapped_channel(grid, seed=0, n_taps=5):
     return np.fft.fft(taps, grid.num_subcarriers)
 
 
-def forward_body(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
-    """Transmit chain in the circular picture: IQ image, PA, channel."""
+def forward_spectrum(values, pa, b_iq, chan_freq, rng=None, sigma=0.0):
+    """Received spectrum in the circular picture: IQ image, PA, channel, body noise."""
     xiq = values + b_iq * np.conj(mirror_values(values))
     t = np.fft.ifft(xiq)
     y = np.fft.fft(apply_pa(t, pa)) * chan_freq
-    body = np.fft.ifft(y)
     if rng is not None and sigma > 0:
-        noise = rng.standard_normal(len(body)) + 1j * rng.standard_normal(len(body))
-        body = body + (sigma / np.sqrt(2.0)) * noise
-    return body
+        noise = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+        y = y + np.fft.fft((sigma / np.sqrt(2.0)) * noise)
+    return y
 
 
 def make_buffer(grid, pa, b_iq, chan_freq, seed=0, a_digi=1.0, sigma=0.0, n_train=14):
@@ -80,7 +79,7 @@ def make_buffer(grid, pa, b_iq, chan_freq, seed=0, a_digi=1.0, sigma=0.0, n_trai
     pilots = impulse_pilot(grid, np.linspace(0.6, 2.0, 4) * scale)
     n_data = n_train - len(pilots)
     tx = np.concatenate([pilots, gen_qam_symbols(grid, 16, a_digi, n_data, seed)])
-    rx = np.array([forward_body(x, pa, b_iq, chan_freq, rng, sigma) for x in tx])
+    rx = np.array([forward_spectrum(x, pa, b_iq, chan_freq, rng, sigma) for x in tx])
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
 
@@ -388,7 +387,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
         tx[i, p_total - late] = 0.0  # zero mirror: both pairs of late are singular
         wobble = 1.0 + 1e-10 * rng.standard_normal()
         tx[i, p_total - ridged] = np.conj(0.5 * tx[i, ridged] * wobble)  # near collinear
-        rx[i] = forward_body(tx[i], pa, b, chan)
+        rx[i] = forward_spectrum(tx[i], pa, b, chan)
     buf = TrainingBuffer(grid=g, tx=tx, rx=rx, n_impulse=buf.n_impulse)
     tx = tx[buf.n_impulse:]
     pair_cond = np.linalg.cond(np.stack([tx[:, ridged], np.conj(tx[:, p_total - ridged])], axis=1))
@@ -471,12 +470,7 @@ def test_training_buffer_ordering_and_shapes():
     zeros = np.zeros((3, 64), dtype=complex)
     rx = np.arange(3 * 64).reshape(3, 64).astype(complex)
     buf = TrainingBuffer(grid=g, tx=zeros, rx=rx, n_impulse=1)
-    # the impulse rows come first; demodulation starts at the requested row
-    assert np.array_equal(buf.rx_spectra(buf.n_impulse), np.fft.fft(rx[1:], axis=-1))
-    assert buf.rx_spectra().shape == (3, 64)
-    # the window is demodulated once: every read is a read-only view of one array
-    assert np.shares_memory(buf.rx_spectra(), buf.rx_spectra(buf.n_impulse))
-    assert not buf.rx_spectra().flags.writeable
+    assert np.array_equal(buf.rx, rx) and buf.rx.dtype == np.complex128
     for n_impulse in (-1, 4):
         with pytest.raises(ValueError, match="n_impulse"):
             TrainingBuffer(grid=g, tx=zeros, rx=zeros, n_impulse=n_impulse)
@@ -562,8 +556,8 @@ def test_estimate_iq_reports_zero_mirror_content():
     g = ibfd_grid()
     values = np.zeros(64, dtype=complex)
     values[10] = 1.0  # mirror subcarrier 54 stays empty in every symbol
-    body = forward_body(values, [1.0], 0.0, flat_channel(g))
-    buf = TrainingBuffer(grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(body, (3, 1)), n_impulse=0)
+    y = forward_spectrum(values, [1.0], 0.0, flat_channel(g))
+    buf = TrainingBuffer(grid=g, tx=np.tile(values, (3, 1)), rx=np.tile(y, (3, 1)), n_impulse=0)
     with pytest.raises(ValueError, match="mirror content"):
         estimate_iq(buf)
 
@@ -775,7 +769,7 @@ def test_run_sic_with_perfect_weights_cancels_everything():
     weights = precombine(chan, pa, every_order(g, K_MAX), g)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
-    y = np.fft.fft(forward_body(x, pa, b, chan))
+    y = forward_spectrum(x, pa, b, chan)
     counter = OpCounter()
     out = y - run_sic(basis_stack(x, b, K_MAX, g), weights, g, counter=counter)
     si_scale = np.abs(y[g.ul_indices]).max()
@@ -813,7 +807,7 @@ def test_run_sic_leaves_unestimated_and_off_band_untouched():
     retained[:, skip] = False
     weights = precombine(chan, pa, retained, g)
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
-    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
+    y = forward_spectrum(x, pa, 0.0, chan)
     out = y - run_sic(basis_stack(x, 0.0, K_MAX, g), weights, g)
     assert out[skip] == y[skip]
     outside = np.setdiff1d(np.arange(64), g.ul_indices)
@@ -898,7 +892,7 @@ def test_estimated_canceller_reaches_noise_floor():
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
-    y = np.fft.fft(forward_body(x, pa, b, chan, rng, sigma))
+    y = forward_spectrum(x, pa, b, chan, rng, sigma)
     out = y - run_sic(basis_stack(x, b_hat, K_MAX, g), weights, g)
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
     resid = np.abs(out[g.ul_indices]) ** 2
@@ -918,7 +912,7 @@ def test_linear_baseline_cancels_only_the_linear_part():
     buf = make_buffer(g, pa, 0.0, chan, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=19)[0]
-    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
+    y = forward_spectrum(x, pa, 0.0, chan)
     out = y - baseline_linear(x, h_lin, g)
     ul = g.ul_indices
     raw = np.mean(np.abs(y[ul]) ** 2)
@@ -937,7 +931,7 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     h_lin = estimate_linear_channel(buf)
     assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
     x = gen_qam_symbols(g, 16, 1.0, 1, seed=21)[0]
-    y = np.fft.fft(forward_body(x, pa, 0.0, chan))
+    y = forward_spectrum(x, pa, 0.0, chan)
     out = y - baseline_linear(x, h_lin, g)
     assert np.array_equal(out, y)
     stack = gen_qam_symbols(g, 16, 1.0, 3, seed=121)
@@ -957,7 +951,7 @@ def test_full_ls_baseline_handles_split_allocation():
     assert coeffs.shape == (3, 64)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
-    y = np.fft.fft(forward_body(x, pa, b, chan))
+    y = forward_spectrum(x, pa, b, chan)
     out = y - run_full_ls(basis_stack(x, b, K_MAX, g), coeffs, g)
     ul = g.ul_indices
     raw = np.mean(np.abs(y[ul]) ** 2)
