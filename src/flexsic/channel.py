@@ -17,7 +17,7 @@ frequency response fft(h, n=P), and the receiver needs nothing else.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,6 +168,16 @@ def apply_beams(taps: np.ndarray, f_tx: BeamVector, w_rx: BeamVector) -> np.ndar
     return np.array([w @ taps[n] @ f_tx.weights for n in range(n_taps)])
 
 
+def require_finite(spec) -> None:
+    """Refuse a NaN or an infinity in a field of dataclass spec, or in a tuple's or dict's items."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        items = value.values() if isinstance(value, dict) else value
+        for item in items if isinstance(value, (tuple, dict)) else (value,):
+            if isinstance(item, (float, complex, np.inexact)) and not np.isfinite(item):
+                raise ValueError(f"{f.name} must be finite, got {item!r}")
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
     """Synthetic LoS + decaying NLoS profile.
@@ -187,6 +197,7 @@ class ChannelProfile:
     nlos_tap_step: int = 4
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_rays < 1:
             raise ValueError(f"n_rays must be >= 1, got {self.n_rays}")
         if self.nlos_tap_step < 1:

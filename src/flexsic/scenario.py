@@ -5,8 +5,8 @@ band allocation, the transmitter impairments, the self-interference
 channel, power levels, the estimator knobs, and which cancellers to
 compare. run_scenario simulates the training window, fits each
 canceller, and for a shared batch of data symbols computes each
-canceller's self-interference estimate and subtracts it from the noisy
-and the noiseless reception alike. It returns
+canceller's self-interference estimate on the uplink band and subtracts
+it from the noisy and the noiseless reception alike. It returns
 per-subcarrier residual spectra, residual-power CDF samples,
 cancellation ratios, and per-stage arithmetic counters.
 
@@ -58,6 +58,7 @@ from .channel import (
     build_mimo_taps,
     conjugate_beam,
     load_taps,
+    require_finite,
     synth_channel,
 )
 from .counters import OpCounter
@@ -153,6 +154,7 @@ class ScenarioSpec:
     cancellers: tuple[str, ...] = ("none", "linear", "proposed")
 
     def __post_init__(self):
+        require_finite(self)
         if self.duplex not in DUPLEX_PRESETS + ("custom",):
             raise ValueError(
                 f"duplex={self.duplex!r} is not a preset ({', '.join(DUPLEX_PRESETS)}) or 'custom'"
@@ -165,6 +167,11 @@ class ScenarioSpec:
                 f"{' and '.join(spans)} set with duplex={self.duplex!r}, whose preset "
                 "fixes the bands; use duplex='custom' to give spans"
             )
+        p = self.num_subcarriers
+        for name in spans:
+            span = getattr(self, name)
+            if len(span) != 2 or not 0 <= span[0] <= span[1] < p:
+                raise ValueError(f"{name} must be a (start, end) pair in 0..{p - 1}, got {span}")
         if not self.noise_dbm < self.tx_power_dbm:
             raise ValueError(
                 f"noise_dbm={self.noise_dbm} must lie below tx_power_dbm={self.tx_power_dbm}"
@@ -279,7 +286,8 @@ def _conform(key: str, value, hint):
         return tuple(_conform(key, v, h) for v, h in zip(value, items))
     kind = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}.get(hint, hint)
     if origin is None and isinstance(value, kind) and not isinstance(value, bool):
-        # json.load reads NaN and Infinity, which no field takes
+        # json.load reads NaN and Infinity; __post_init__ refuses them too, but only
+        # here is the key a nested one and the value one part of a [re, im] pair
         if hint in (float, complex) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
         return complex(value) if hint is complex else value
@@ -455,7 +463,7 @@ def _fit_group(
 ) -> tuple[dict, int]:
     """Train the cancellers that read the basis stacks of one image weight.
 
-    Returns their (k+1, P) weight arrays, consumed by _estimate_si, and the
+    Returns their (k+1, |UL|) weight arrays, consumed by _estimate_si, and the
     highest basis order their running stages read. The training stack
     holds every training row when full_ls is among names and the data rows
     alone otherwise. The amplifier polynomial and its basis-power table
@@ -492,25 +500,14 @@ def _fit_group(
 
 
 def _estimate_si(
-    name: str,
-    state,
-    x_dl: np.ndarray,
-    chain: np.ndarray | None,
-    grid: SubcarrierGrid,
-    counter: OpCounter,
+    name: str, state, inputs: np.ndarray, grid: SubcarrierGrid, counter: OpCounter
 ) -> np.ndarray:
-    """One canceller's self-interference estimate for (..., P) symbols, on the grid.
+    """One canceller's (..., |UL|) self-interference estimate.
 
-    chain is the basis stack of x_dl the canceller reads (None for none
-    and linear, which read no bases).
+    inputs are the (..., P) symbols for linear and their basis stack for the others.
     """
-    if name == "none":
-        return np.zeros(x_dl.shape, dtype=np.complex128)
-    if name == "linear":
-        return baseline_linear(x_dl, state, grid, counter=counter)
-    if name == "full_ls":
-        return run_full_ls(chain, state, grid, counter=counter)
-    return run_sic(chain, state, grid, counter=counter)
+    run = {"linear": baseline_linear, "full_ls": run_full_ls}.get(name, run_sic)
+    return run(inputs, state, grid, counter=counter)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
@@ -545,7 +542,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     buffer = _build_training(spec, grid, b_iq, a, h, a_digi, sigma_t, seeds[1], seeds[2])
 
     counters = {name: OpCounter() for name in spec.cancellers}
-    states = {"none": None}
+    states = {}
     if "linear" in spec.cancellers:
         states["linear"] = estimate_linear_channel(buffer, counter=counters["linear"])
     # the cancellers that read basis stacks, grouped by their image weight:
@@ -561,9 +558,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
         weights.append((0.0 + 0.0j, ["pa_only"]))
     # each group is trained in turn, so the fits hold one training stack at
     # a time; as (image weight, top order, names) the groups then drive the
-    # run blocks, which build each stack once, and the first group, none
-    # and linear, reads none
-    groups = [(None, 0, [name for name in spec.cancellers if name in ("none", "linear")])]
+    # run blocks, which build each stack once, and the first group, linear,
+    # reads no stack; the none canceller is in no group: its estimate stays 0
+    groups = [(None, 0, [name for name in spec.cancellers if name == "linear"])]
     for b, names in weights:
         fitted, top = _fit_group(names, b, buffer, int(direct[0]), spec, gamma, a_digi, counters)
         states.update(fitted)
@@ -575,24 +572,22 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     noise_rng = np.random.default_rng(seeds[4])
     # the DFT of white noise of variance sigma_t^2 per sample is white with
     # variance P sigma_t^2 = noise_f per bin, so that is drawn on the uplink bins
-    ul = grid.ul_band
     sigma_f = float(np.sqrt(noise_f))
     shape = (len(run_syms), grid.ul_size)
     y_noisy = np.empty(shape, dtype=np.complex128)
     y_clean = np.empty(shape, dtype=np.complex128)
-    est = {name: np.empty(shape, dtype=np.complex128) for name in spec.cancellers}
+    est = {name: np.zeros(shape, dtype=np.complex128) for name in spec.cancellers}
     block = max(1, _RUN_BLOCK_SAMPLES // grid.num_subcarriers)
     for start in range(0, len(run_syms), block):
         rows = slice(start, start + block)
         x = run_syms[rows]
-        y_clean[rows] = _receive(x, b_iq, a, h, ul)
+        y_clean[rows] = _receive(x, b_iq, a, h, grid.ul_band)
         y_noisy[rows] = _noise(y_clean[rows].shape, sigma_f, noise_rng)
         y_noisy[rows] += y_clean[rows]
         for b, top, names in groups:
-            chain = None if b is None else basis_stack(x, b, top, grid)
+            inputs = x if b is None else basis_stack(x, b, top, grid)
             for name in names:
-                si = _estimate_si(name, states[name], x, chain, grid, counters[name])
-                est[name][rows] = si[:, ul]
+                est[name][rows] = _estimate_si(name, states[name], inputs, grid, counters[name])
 
     psd_dbm: dict[str, np.ndarray] = {}
     cdf_dbm: dict[str, np.ndarray] = {}

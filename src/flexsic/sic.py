@@ -10,24 +10,29 @@ regressor. Stage two selects, per uplink subcarrier, which distortion
 orders are worth cancelling (predicted distortion power above a
 threshold gamma) and records the choice as one boolean retained-order
 mask. precombine folds the mask, h_hat and a_hat into the canceller's
-whole state: one (k+1, P) weight array W, zero wherever an order is not
-cancelled. The per-symbol canceller run_sic is then a product-sum over
-W's nonzero weights, and its running cost, one multiply per retained
-basis per subcarrier, is read from W alone. The conventional full_ls
-canceller's state is the same kind of array, its per-subcarrier LS
-coefficients, and run_full_ls runs and charges it densely.
+whole state: one (k+1, |UL|) weight array W, zero wherever an order is
+not cancelled. The per-symbol canceller run_sic is then a product-sum
+over W's nonzero weights, and its running cost, one multiply per
+retained basis per subcarrier, is read from W alone. The conventional
+full_ls canceller's state is the same kind of array, its per-subcarrier
+LS coefficients, and run_full_ls runs and charges it densely.
 
-The running cancellers (run_sic, run_full_ls, baseline_linear) return
-the self-interference estimate on the grid; the caller subtracts it from
-the received spectrum. Each still charges that subtraction's adds to its
-own stage, so the counts match a canceller that subtracts in place.
+The cancellers work on the uplink band alone, as the paper defines them
+per uplink subcarrier: channel estimates, retained masks, W and running
+estimates end in a |UL| axis, column i for subcarrier grid.ul_set[0] + i.
+Transmit spectra, the training window and imd's tables keep the grid;
+basis_stack takes the band of the bases it builds. The running
+cancellers (run_sic, run_full_ls, baseline_linear) return the estimate on
+the band, and the caller subtracts it from the received spectrum. Each
+still charges that subtraction's adds to its own stage, so the counts
+match a canceller that subtracts in place.
 
 Symbols are held as arrays, one per row. Every estimator works on the
 whole training window at once, which holds received spectra, as the run
 window does; only estimate_pa reads body samples, the inverse DFT of the
 pilot rows. baseline_linear takes a (..., P) stack of transmit spectra;
 estimate_channel, baseline_full_ls, run_sic and run_full_ls take the
-basis stack of their symbols, (..., k+1, P) from basis_stack, and read
+basis stack of their symbols, (..., k+1, |UL|) from basis_stack, and read
 the orders they need from it; estimate_channel's symbols are the data
 rows of the training window alone. Like the IQ and amplifier fits, one
 stack serves every canceller built on the same image weight, and each of
@@ -40,9 +45,9 @@ the received signal are not charged: demodulation happens regardless of
 which canceller is in use, and estimate_pa's inverse DFT only recovers
 the pilot bodies a receiver holds before it demodulates them.
 
-Both allocations are contiguous spans, so every band gather and scatter
-is a slice (grid.dl_band, grid.ul_band); index arrays remain only for the
-mirror pairs of estimate_iq.
+Both allocations are contiguous spans, so every band gather is a slice
+(grid.dl_band, grid.ul_band); index arrays remain only for the mirror
+pairs of estimate_iq.
 """
 
 from __future__ import annotations
@@ -451,12 +456,13 @@ def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
 def basis_stack(
     x: np.ndarray, b_hat: complex, k_max: int, grid: SubcarrierGrid
 ) -> np.ndarray:
-    """Bases Phi_1 .. Phi_{2k_max+1} of (..., P) transmit spectra with the IQ image b_hat.
+    """Bases Phi_1 .. Phi_{2k_max+1} on the uplink band of (..., P) spectra with the IQ image b_hat.
 
-    Returns basis_chain(apply_iq_freq(x, b_hat), k_max), shape
-    (..., k_max + 1, P), after checking that every symbol has the grid's
-    length and no energy outside the downlink band. Uncharged: each
-    canceller that reads the stack charges its own basis stage.
+    Returns basis_chain(apply_iq_freq(x, b_hat), k_max)[..., grid.ul_band],
+    a view of shape (..., k_max + 1, |UL|), after checking that every
+    symbol has the grid's length and no energy outside the downlink band.
+    Uncharged: each canceller that reads the stack charges its own basis
+    stage.
     """
     _symbol_count(x, grid.num_subcarriers)
     x = np.asarray(x)
@@ -464,7 +470,7 @@ def basis_stack(
         raise ValueError(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
-    return basis_chain(apply_iq_freq(x, b_hat), k_max)
+    return basis_chain(apply_iq_freq(x, b_hat), k_max)[..., grid.ul_band]
 
 
 def _charge_bases(
@@ -487,10 +493,10 @@ def _charge_bases(
 
 
 def _stack_orders(chain: np.ndarray, k: int, grid: SubcarrierGrid) -> np.ndarray:
-    """Orders 0..k of a (..., K+1, P) basis stack; a ValueError when it holds fewer."""
-    if np.ndim(chain) < 2 or np.shape(chain)[-1] != grid.num_subcarriers:
+    """Orders 0..k of a (..., K+1, |UL|) basis stack; a ValueError when it holds fewer."""
+    if np.ndim(chain) < 2 or np.shape(chain)[-1] != grid.ul_size:
         raise ValueError(
-            f"basis stack has shape {np.shape(chain)}, expected (..., k+1, {grid.num_subcarriers})"
+            f"basis stack has shape {np.shape(chain)}, expected (..., k+1, {grid.ul_size})"
         )
     if np.shape(chain)[-2] <= k:
         raise ValueError(
@@ -503,11 +509,11 @@ def _training_k_max(chain: np.ndarray, buffer: TrainingBuffer, start: int = 0) -
     """k_max of the basis stack of buffer.tx[start:]; a ValueError when it is another window's."""
     rows = len(buffer.tx) - start
     shape = np.shape(chain)
-    if len(shape) != 3 or shape[0] != rows or shape[2] != buffer.grid.num_subcarriers:
+    if len(shape) != 3 or shape[0] != rows or shape[2] != buffer.grid.ul_size:
         what = "training window" if not start else "data rows of the training window"
         raise ValueError(
             f"basis stack has shape {shape}, expected "
-            f"({rows}, k+1, {buffer.grid.num_subcarriers}) for the {what}"
+            f"({rows}, k+1, {buffer.grid.ul_size}) for the {what}"
         )
     return shape[1] - 1
 
@@ -519,21 +525,19 @@ def _padded(a_hat: np.ndarray, k_max: int) -> np.ndarray:
     return a_vec
 
 
-def _scalar_ls(
-    regressor: np.ndarray, rx: np.ndarray, grid: SubcarrierGrid
-) -> tuple[np.ndarray, int]:
+def _scalar_ls(regressor: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-subcarrier scalar LS sum_m conj(r) y / sum_m |r|^2 of (M, |UL|) stacks.
 
-    Returns the estimate over the full grid and the number of uplink
-    subcarriers solved. A subcarrier whose regressor power is at most
-    _REGRESSOR_POWER_TOL of the band's largest stays zero.
+    Returns the (|UL|,) estimate and the number of subcarriers solved. A
+    subcarrier whose regressor power is at most _REGRESSOR_POWER_TOL of
+    the band's largest stays zero.
     """
     num = (np.conj(regressor) * rx).sum(axis=0)
     den = (np.abs(regressor) ** 2).sum(axis=0)
-    h = np.zeros(grid.num_subcarriers, dtype=np.complex128)
+    h = np.zeros(len(den), dtype=np.complex128)
     top = den.max() if den.size else 0.0
     good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
-    h[grid.ul_band][good] = num[good] / den[good]
+    h[good] = num[good] / den[good]
     return h, int(good.sum())
 
 
@@ -551,22 +555,20 @@ def estimate_channel(
     sum_k a_hat[k] Phi_{2k+1}[p], with a_hat zero-padded to k_max + 1
     orders, built from the composed transmit spectrum, so the channel
     stays identifiable even where only out-of-band distortion lands.
-    Returns h_hat over the full grid.
-    Uplink subcarriers whose regressor power was too small to trust stay
-    zero, and the canceller leaves them untouched.
+    Returns h_hat, shape (|UL|,). Subcarriers whose regressor power was
+    too small to trust stay zero, and the canceller leaves them untouched.
     """
     m = len(buffer.tx) - buffer.n_impulse
     if not m:
         raise ValueError("estimate_channel needs at least one data training symbol")
     k_max = _training_k_max(chain, buffer, buffer.n_impulse)
     grid = buffer.grid
-    ul, n_ul = grid.ul_band, grid.ul_size
+    n_ul = grid.ul_size
     a_vec = _padded(a_hat, k_max)
 
     _charge_bases(counter, "train_basis", m, k_max, grid)
-    regressor = (a_vec[:, None] * chain[:, :, ul]).sum(axis=1)
-    rx = buffer.rx[buffer.n_impulse:, ul]
-    h_hat, solved = _scalar_ls(regressor, rx, grid)
+    regressor = (a_vec[:, None] * chain).sum(axis=1)
+    h_hat, solved = _scalar_ls(regressor, buffer.rx[buffer.n_impulse:, grid.ul_band])
     if counter is not None:
         counter.charge(
             "estimate_channel",
@@ -594,22 +596,25 @@ def select_basis(
     levels; anything below gamma costs more to cancel than it removes.
     Each order the walk looks at costs three multiplies.
 
-    Returns the retained-order mask of shape (k_max + 1, P) that
-    precombine takes: row 0 marks the uplink subcarriers with a
-    nonzero channel estimate (estimate_channel leaves the unestimated
-    ones at zero), row k marks where order 2k+1 is kept.
+    h_hat is estimate_channel's (|UL|,) estimate and mu the grid-wide
+    table of mu_tables. Returns the retained-order mask of shape
+    (k_max + 1, |UL|) that precombine takes: row 0 marks the subcarriers
+    with a nonzero channel estimate (estimate_channel leaves the
+    unestimated ones at zero), row k marks where order 2k+1 is kept.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if mu.shape[0] < k_max + 1:
         raise ValueError("mu table does not cover k_max")
-    ul = grid.ul_band
-    power = predict_si_power(_padded(a_hat, k_max)[1:], mu[1 : k_max + 1, ul], h_hat[ul])
-    retained = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
-    retained[0, ul] = h_hat[ul] != 0
-    retained[1:, ul] = np.logical_and.accumulate(power > gamma, axis=0)
+    h_hat = np.asarray(h_hat)
+    if h_hat.shape != (grid.ul_size,):
+        raise ValueError(f"h_hat has shape {h_hat.shape}, expected ({grid.ul_size},)")
+    power = predict_si_power(_padded(a_hat, k_max)[1:], mu[1 : k_max + 1, grid.ul_band], h_hat)
+    retained = np.empty((k_max + 1, grid.ul_size), dtype=bool)
+    retained[0] = h_hat != 0
+    retained[1:] = np.logical_and.accumulate(power > gamma, axis=0)
     if counter is not None:
-        walked = np.minimum(k_max, retained[1:, ul].sum(axis=0) + 1)
+        walked = np.minimum(k_max, retained[1:].sum(axis=0) + 1)
         counter.charge("select_basis", mults=3 * int(walked.sum()), adds=0)
     return retained
 
@@ -623,45 +628,43 @@ def precombine(
 ) -> np.ndarray:
     """The running weights W[k, p] = a_hat[k] h_hat[p] of the orders retained keeps.
 
-    h_hat is the channel estimate over the full grid, a_hat holds one
-    coefficient per order, a_hat[k] = a_{2k+1}, and retained is
-    select_basis's mask cut to those len(a_hat) orders. W has retained's
-    shape and is zero off the uplink band and wherever an order is not
-    kept; it is zero too where h_hat is, at the unestimated subcarriers.
-    Only the products h_hat a_hat matter, so a common scale may move
-    between the two. coeff_combine is charged one multiply per order per
-    uplink subcarrier.
+    h_hat is the (|UL|,) channel estimate, a_hat holds one coefficient per
+    order, a_hat[k] = a_{2k+1}, and retained is select_basis's mask cut to
+    those len(a_hat) orders. W has retained's shape, (len(a_hat), |UL|),
+    and is zero wherever an order is not kept; it is zero too where h_hat
+    is, at the unestimated subcarriers. Only the products h_hat a_hat
+    matter, so a common scale may move between the two. coeff_combine is
+    charged one multiply per order per uplink subcarrier.
     """
     a = np.asarray(a_hat, dtype=np.complex128)
     h = np.asarray(h_hat, dtype=np.complex128)
-    p_total = grid.num_subcarriers
-    if h.shape != (p_total,):
-        raise ValueError(f"h_hat has shape {h.shape}, expected ({p_total},)")
-    if np.shape(retained) != (len(a), p_total):
+    n_ul = grid.ul_size
+    if h.shape != (n_ul,):
+        raise ValueError(f"h_hat has shape {h.shape}, expected ({n_ul},)")
+    if np.shape(retained) != (len(a), n_ul):
         raise ValueError(
-            f"retained has shape {np.shape(retained)}, expected ({len(a)}, {p_total}) "
+            f"retained has shape {np.shape(retained)}, expected ({len(a)}, {n_ul}) "
             "for one row per order of a_hat"
         )
-    ul = grid.ul_band
-    weights = np.zeros((len(a), p_total), dtype=np.complex128)
-    np.multiply(a[:, None], h[ul], out=weights[:, ul], where=retained[:, ul])
+    weights = np.zeros((len(a), n_ul), dtype=np.complex128)
+    np.multiply(a[:, None], h, out=weights, where=retained)
     if counter is not None:
-        counter.charge("coeff_combine", mults=len(a) * grid.ul_size, adds=0)
+        counter.charge("coeff_combine", mults=len(a) * n_ul, adds=0)
     return weights
 
 
 def _weight_orders(weights: np.ndarray, grid: SubcarrierGrid) -> int:
-    """k of a (k+1, P) weight array; a ValueError naming its shape when it is not one."""
+    """k of a (k+1, |UL|) weight array; a ValueError naming its shape when it is not one."""
     shape = np.shape(weights)
-    if len(shape) != 2 or not shape[0] or shape[1] != grid.num_subcarriers:
-        raise ValueError(f"weights have shape {shape}, expected (k+1, {grid.num_subcarriers})")
+    if len(shape) != 2 or not shape[0] or shape[1] != grid.ul_size:
+        raise ValueError(f"weights have shape {shape}, expected (k+1, {grid.ul_size})")
     return shape[0] - 1
 
 
 def top_order(weights: np.ndarray, grid: SubcarrierGrid) -> int:
-    """Highest order with a nonzero uplink weight, 0 when there is none: the top basis run_sic reads."""
+    """Highest order with a nonzero weight, 0 when there is none: the top basis run_sic reads."""
     _weight_orders(weights, grid)
-    kept = np.flatnonzero(weights[:, grid.ul_band].any(axis=1))
+    kept = np.flatnonzero(weights.any(axis=1))
     return int(kept[-1]) if kept.size else 0
 
 
@@ -671,28 +674,26 @@ def run_sic(
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Self-interference estimate of a stack of symbols, on the grid.
+    """Self-interference estimate of a stack of symbols, on the uplink band.
 
-    weights is a (k+1, P) array W, from precombine for the proposed
+    weights is a (k+1, |UL|) array W, from precombine for the proposed
     canceller and its ablations. chain is the symbols' basis stack,
     basis_stack(x, b, k', grid) with the image weight b W was fitted on
-    and k' >= top_order(W), of shape (..., k'+1, P). Returns, with shape
-    (..., P), sum_k W[k, p] Phi_{2k+1}[p] over the nonzero weights at each
-    uplink subcarrier, and zero elsewhere; W is not read off the uplink.
-    The caller subtracts it from the received spectra. Everything charged
-    is read from W: run_basis the bases up to its top order, whatever the
-    stack holds, and run, per symbol, one multiply per nonzero weight,
-    sum_p (1 + |K_p|) for precombine's W, plus one add per nonzero weight
-    of order k >= 1 and one per uplink subcarrier for the subtraction.
+    and k' >= top_order(W), of shape (..., k'+1, |UL|). Returns, with
+    shape (..., |UL|), sum_k W[k, p] Phi_{2k+1}[p] over the nonzero
+    weights at each uplink subcarrier p. The caller subtracts it from the
+    received spectra. Everything charged is read from W: run_basis the
+    bases up to its top order, whatever the stack holds, and run, per
+    symbol, one multiply per nonzero weight, sum_p (1 + |K_p|) for
+    precombine's W, plus one add per nonzero weight of order k >= 1 and
+    one per uplink subcarrier for the subtraction.
     """
     top = top_order(weights, grid)
     chain = _stack_orders(chain, top, grid)
     count = int(np.prod(chain.shape[:-2]))
     _charge_bases(counter, "run_basis", count, top, grid)
-    ul = grid.ul_band
-    w = weights[: top + 1, ul]
-    est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
-    est[..., ul] = (w * chain[..., ul]).sum(axis=-2)
+    w = weights[: top + 1]
+    est = (w * chain).sum(axis=-2)
     if counter is not None:
         live = w != 0
         n_terms, n_orders = int(live.sum()), int(live[1:].sum())
@@ -705,18 +706,16 @@ def estimate_linear_channel(
 ) -> np.ndarray:
     """Scalar LS of the received spectrum on the transmit spectrum alone.
 
-    The linear baseline's estimator. Where the transmit spectrum carries
-    no energy (the uplink band in a split allocation) the estimate stays
-    zero and the linear canceller does nothing.
+    The linear baseline's estimator, shape (|UL|,). Where the transmit
+    spectrum carries no energy (the uplink band in a split allocation)
+    the estimate stays zero and the linear canceller does nothing.
     """
     m = len(buffer.tx) - buffer.n_impulse
     if not m:
         raise ValueError("linear channel estimation needs at least one data symbol")
     grid = buffer.grid
     ul, n_ul = grid.ul_band, grid.ul_size
-    tx = buffer.tx[buffer.n_impulse:, ul]
-    rx = buffer.rx[buffer.n_impulse:, ul]
-    h, solved = _scalar_ls(tx, rx, grid)
+    h, solved = _scalar_ls(buffer.tx[buffer.n_impulse:, ul], buffer.rx[buffer.n_impulse:, ul])
     if counter is not None:
         counter.charge("linear_est", mults=m * 2 * n_ul + solved, adds=m * 2 * n_ul)
     return h
@@ -728,15 +727,13 @@ def baseline_linear(
     grid: SubcarrierGrid,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Linear-only SI estimate h_lin[p] X[p] of (..., P) symbols.
+    """Linear-only SI estimate h_lin[p] X[p] of (..., P) symbols, shape (..., |UL|).
 
-    Zero off the uplink band. linear_run is charged per symbol for the
-    products and for the caller's subtraction.
+    h_hat_lin is estimate_linear_channel's (|UL|,) estimate. linear_run is
+    charged per symbol for the products and for the caller's subtraction.
     """
     count = _symbol_count(x_dl, grid.num_subcarriers)
-    ul = grid.ul_band
-    est = np.zeros(x_dl.shape, dtype=np.complex128)
-    est[..., ul] = h_hat_lin[ul] * x_dl[..., ul]
+    est = h_hat_lin * x_dl[..., grid.ul_band]
     if counter is not None:
         counter.charge("linear_run", mults=count * grid.ul_size, adds=count * grid.ul_size)
     return est
@@ -751,7 +748,8 @@ def baseline_full_ls(
 
     chain is basis_stack(buffer.tx, b_hat, k_max, grid). Fits, at every
     uplink subcarrier independently, a coefficient for each basis
-    Phi_1..Phi_{2k_max+1} from the whole training window.
+    Phi_1..Phi_{2k_max+1} from the whole training window, and returns
+    them as the (k_max + 1, |UL|) weight array of run_full_ls.
     This is the accuracy ceiling the low-complexity estimator is
     compared against; its cost scales with the uplink band width times
     the training length. A subcarrier whose regressors are singular
@@ -767,10 +765,9 @@ def baseline_full_ls(
     grid = buffer.grid
     _charge_bases(counter, "full_ls_basis", m, k_max, grid)
 
-    # the uplink is one contiguous span, so the (|UL|, m, k_max+1) stack is a view
-    band = grid.ul_band
-    a = chain[:, :, band].transpose(2, 0, 1)
-    y = buffer.rx[:, band].T
+    # one (m, k_max+1) system per uplink subcarrier, read as a view
+    a = chain.transpose(2, 0, 1)
+    y = buffer.rx[:, grid.ul_band].T
     c, solved = _ls_solve_stack(a, y, 0.0, counter, "full_ls_est")
     # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
     # all-zero ones stay zero
@@ -779,9 +776,7 @@ def baseline_full_ls(
     retry, scale = retry[scale > 0.0], scale[scale > 0.0]
     if retry.size:
         c[retry], _ = _ls_solve_stack(a[retry], y[retry], 1e-8 * scale, counter, "full_ls_est")
-    coeffs = np.zeros((k_max + 1, grid.num_subcarriers), dtype=np.complex128)
-    coeffs[:, band] = c.T
-    return coeffs
+    return c.T
 
 
 def run_full_ls(
@@ -792,22 +787,20 @@ def run_full_ls(
 ) -> np.ndarray:
     """SI estimate of the conventional canceller for a stack of symbols.
 
-    weights is the (k_max+1, P) array W of baseline_full_ls. chain is the
-    symbols' basis stack, basis_stack(x, b_hat, k, grid) with k >= k_max,
-    of shape (..., k+1, P). Every basis at every uplink subcarrier, zero
-    off the uplink band; the estimate has shape (..., P). W may hold exact
-    zeros (a split allocation's linear column), yet the conventional
-    canceller runs densely: full_ls_run_basis is charged the bases up to
-    k_max and full_ls_run per symbol every product, and the caller's
-    subtraction.
+    weights is the (k_max+1, |UL|) array W of baseline_full_ls. chain is
+    the symbols' basis stack, basis_stack(x, b_hat, k, grid) with
+    k >= k_max, of shape (..., k+1, |UL|). Every basis at every uplink
+    subcarrier; the estimate has shape (..., |UL|). W may hold exact zeros
+    (a split allocation's linear column), yet the conventional canceller
+    runs densely: full_ls_run_basis is charged the bases up to k_max and
+    full_ls_run per symbol every product, and the caller's subtraction.
     """
     k_max = _weight_orders(weights, grid)
     chain = _stack_orders(chain, k_max, grid)
     count = int(np.prod(chain.shape[:-2]))
     _charge_bases(counter, "full_ls_run_basis", count, k_max, grid)
-    ul, n_ul = grid.ul_band, grid.ul_size
-    est = np.zeros(chain.shape[:-2] + (grid.num_subcarriers,), dtype=np.complex128)
-    est[..., ul] = (weights[:, ul] * chain[..., ul]).sum(axis=-2)
+    n_ul = grid.ul_size
+    est = (weights * chain).sum(axis=-2)
     if counter is not None:
         counter.charge(
             "full_ls_run",

@@ -152,6 +152,20 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, va
     assert err.startswith(f"error: {key} must")
 
 
+@pytest.mark.parametrize(
+    "key, spans",
+    [("dl_span", ([10, 5], [0, 3])), ("ul_span", ([10, 20], [30, 64]))],
+)
+def test_custom_span_outside_the_grid_exits_2_naming_the_span(tmp_path, capsys, key, spans):
+    path = tmp_path / "bad.json"
+    dl_span, ul_span = spans
+    config = {"num_subcarriers": 64, "cp_length": 20, "duplex": "custom"}
+    path.write_text(json.dumps(dict(config, dl_span=dl_span, ul_span=ul_span)))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must")
+
+
 def test_negative_seed_override_exits_2_naming_the_option(tmp_path, config_path, capsys):
     rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--seed", "-1"])
     assert rc == 2

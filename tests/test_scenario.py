@@ -113,6 +113,8 @@ def test_scenario_spec_validation():
 
 def test_spec_rejects_bad_estimator_values():
     # every message starts with the config key it is about
+    nan, inf = float("nan"), float("inf")
+    span_rule = r"must be a \(start, end\) pair in 0\.\.255, got"
     cases = [
         ({"seed": -1}, "seed must be nonnegative, got -1"),
         ({"k_max": 0}, "k_max must be at least 1, got 0"),
@@ -129,10 +131,24 @@ def test_spec_rejects_bad_estimator_values():
         ),
         ({"impulse_amp_range": (2.0, 0.6)}, "impulse_amp_range must be increasing and positive"),
         ({"impulse_amp_range": (0.0, 2.0)}, "impulse_amp_range must be increasing and positive"),
+        # a spec built in Python is refused NaN and infinity as a config file is
+        ({"pa_drive_rms": nan}, "pa_drive_rms must be finite, got nan$"),
+        ({"subcarrier_spacing": inf}, "subcarrier_spacing must be finite, got inf$"),
+        ({"gamma_dbm": nan}, "gamma_dbm must be finite, got nan$"),
+        ({"dl_beam_angle": inf}, "dl_beam_angle must be finite, got inf$"),
+        ({"pa_coeffs": {1: complex(1.0, nan)}}, r"pa_coeffs must be finite, got \(1\+nanj\)$"),
+        ({"tx_array": (4, 4, inf)}, "tx_array must be finite, got inf$"),
+        # custom spans must lie on the grid
+        ({"duplex": "custom", "dl_span": (10, 5), "ul_span": (0, 3)}, f"dl_span {span_rule}"),
+        ({"duplex": "custom", "dl_span": (-1, 5), "ul_span": (0, 3)}, f"dl_span {span_rule}"),
+        ({"duplex": "custom", "dl_span": (10, 20), "ul_span": (30, 256)}, f"ul_span {span_rule}"),
+        ({"duplex": "custom", "dl_span": (1, 2), "ul_span": (3, 4, 5)}, f"ul_span {span_rule}"),
     ]
     for overrides, message in cases:
         with pytest.raises(ValueError, match="^" + message):
             ScenarioSpec(**overrides)
+    with pytest.raises(ValueError, match="^los_gain_db must be finite, got nan$"):
+        ScenarioSpec(channel=ChannelProfile(los_gain_db=nan))
 
 
 def test_one_data_training_symbol_serves_the_cancellers_without_b_hat():

@@ -11,7 +11,7 @@ from flexsic.imd import (
     mu_tables,
     predict_si_power,
 )
-from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
+from flexsic.impairments import apply_iq_freq, apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
 from flexsic.sic import (
     SingularSystemError,
@@ -84,28 +84,27 @@ def make_buffer(grid, pa, b_iq, chan_freq, seed=0, a_digi=1.0, sigma=0.0, n_trai
 
 
 def retained_mask(grid, k_max, basis_sets, unestimated=()):
-    """Retained-order mask from per-subcarrier kept-order sets K_p."""
-    mask = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
-    mask[0, grid.ul_indices] = True
+    """(k_max + 1, |UL|) retained-order mask from the kept-order sets K_p of grid subcarriers p."""
+    lo = grid.ul_set[0]
+    mask = np.zeros((k_max + 1, grid.ul_size), dtype=bool)
+    mask[0] = True
     for p, kset in basis_sets.items():
         for k in kset:
-            mask[k, p] = True
-    mask[:, list(unestimated)] = False
+            mask[k, p - lo] = True
+    mask[:, [p - lo for p in unestimated]] = False
     return mask
 
 
 def every_order(grid, k_max):
     """Retained-order mask that keeps orders 0..k_max at every uplink subcarrier."""
-    mask = np.zeros((k_max + 1, grid.num_subcarriers), dtype=bool)
-    mask[:, grid.ul_band] = True
-    return mask
+    return np.ones((k_max + 1, grid.ul_size), dtype=bool)
 
 
-def assert_stack_matches_rows(run, xs):
+def assert_stack_matches_rows(run, xs, grid):
     """run(x, counter) on a (B, P) stack equals run on each row alone and charges B rows."""
     counter = OpCounter()
     est = run(xs, counter)
-    assert est.shape == xs.shape
+    assert est.shape == (len(xs), grid.ul_size)
     for row, x in zip(est, xs):
         one = OpCounter()
         ref = run(x, one)
@@ -419,14 +418,13 @@ def test_full_ls_matches_loop_reference(grid, b):
     counter, ref_counter = OpCounter(), OpCounter()
     chain = basis_stack(buf.tx, b, K_MAX, grid)
     coeffs = baseline_full_ls(buf, chain, counter=counter)
-    ref = baseline_full_ls_loop(buf, grid, K_MAX, b, 0.0, counter=ref_counter)
-    ul = grid.ul_indices
-    size = np.linalg.norm(ref[:, ul], axis=0)
+    ref = baseline_full_ls_loop(buf, grid, K_MAX, b, 0.0, counter=ref_counter)[:, grid.ul_band]
+    size = np.linalg.norm(ref, axis=0)
     assert np.all(size > 0)
     # relative to each subcarrier's coefficient vector: the stacked A^H y
     # rounds differently from a matrix-vector product, and a high-order
     # coefficient can sit orders of magnitude below the linear one
-    assert np.all(np.linalg.norm(coeffs[:, ul] - ref[:, ul], axis=0) <= 1e-10 * size)
+    assert np.all(np.linalg.norm(coeffs - ref, axis=0) <= 1e-10 * size)
     assert np.array_equal(coeffs != 0, ref != 0)
     assert counter.rows() == ref_counter.rows()
 
@@ -455,7 +453,7 @@ def test_estimate_channel_matches_loop_reference(grid, b, a_hat):
     counter, ref_counter = OpCounter(), OpCounter()
     chain = basis_stack(buf.tx[buf.n_impulse:], b, K_MAX, grid)
     h_hat = estimate_channel(buf, chain, a_hat, counter=counter)
-    h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)
+    h_ref = estimate_channel_loop(buf, a_hat, b, K_MAX, counter=ref_counter)[grid.ul_band]
     # the estimated subcarriers are those with a nonzero channel estimate
     assert np.array_equal(h_hat != 0, h_ref != 0)
     assert np.all(np.abs(h_hat - h_ref) <= 1e-12 * np.abs(h_ref))
@@ -485,19 +483,19 @@ def test_training_buffer_ordering_and_shapes():
 
 def test_precombine_zeroes_the_orders_it_does_not_keep():
     g = ibfd_grid()
-    h = flat_channel(g)
-    h[10] = 0.0  # unestimated
+    unestimated = 10 - g.ul_set[0]  # band column of subcarrier 10
+    h = flat_channel(g)[g.ul_band]
+    h[unestimated] = 0.0
     mask = retained_mask(g, 2, {12: {2}, 20: {1, 2}})
-    mask[:, 10] = True  # every order marked where h_hat = 0
-    mask[0, 2] = mask[1, 60] = True  # off the uplink band (8..56)
+    mask[:, unestimated] = True  # every order marked where h_hat = 0
     counter = OpCounter()
     weights = precombine(h, [2.0, 0.0, 0.5], mask, g, counter=counter)
-    assert weights.shape == (3, 64) and weights.dtype == np.complex128
+    assert weights.shape == (3, g.ul_size) and weights.dtype == np.complex128
     assert counter.mults("coeff_combine") == 3 * g.ul_size
-    assert not weights[:, 10].any() and not weights[:, [2, 60]].any()
+    assert not weights[:, unestimated].any()
     assert not weights[1].any()  # a_hat[1] = 0, though order 1 is marked at 20
     kept = mask.copy()
-    kept[:, [2, 10, 60]] = False
+    kept[:, unestimated] = False
     kept[1] = False
     assert np.array_equal(weights != 0, kept)
     assert np.array_equal(weights[kept], (np.array([2.0, 0.0, 0.5])[:, None] * h)[kept])
@@ -507,10 +505,15 @@ def test_precombine_zeroes_the_orders_it_does_not_keep():
     run_sic(basis_stack(x, 0.0, 2, g), weights, g, counter=counter)
     assert counter.mults("run") == 2 * np.count_nonzero(weights)
     assert counter.adds("run") == 2 * (np.count_nonzero(weights[1:]) + g.ul_size)
-    with pytest.raises(ValueError, match=r"h_hat has shape \(32,\), expected \(64,\)"):
+    with pytest.raises(ValueError, match=r"h_hat has shape \(32,\), expected \(49,\)"):
         precombine(h[:32], [1.0], every_order(g, 0), g)
-    with pytest.raises(ValueError, match=r"retained has shape \(3, 64\), expected \(2, 64\)"):
+    with pytest.raises(ValueError, match=r"retained has shape \(3, 49\), expected \(2, 49\)"):
         precombine(h, [1.0, 1.0], every_order(g, 2), g)
+    # an estimate or a mask over the whole grid, off-band subcarriers included, is refused
+    with pytest.raises(ValueError, match=r"h_hat has shape \(64,\), expected \(49,\)"):
+        precombine(flat_channel(g), [1.0], every_order(g, 0), g)
+    with pytest.raises(ValueError, match=r"retained has shape \(1, 64\), expected \(1, 49\)"):
+        precombine(h, [1.0], np.ones((1, 64), dtype=bool), g)
 
 
 # ---------------------------------------------------------------- IQ estimation
@@ -610,10 +613,10 @@ def test_estimate_pa_coefficients_transfer_across_channels():
     chan_b = tapped_channel(g, seed=9)
     buf_b = make_buffer(g, pa, b, chan_b, seed=9)
     h_hat = estimate_channel(buf_b, basis_stack(buf_b.tx[buf_b.n_impulse:], b, K_MAX, g), a_hat)
-    assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
-    ul = np.asarray(g.ul_indices)
+    assert h_hat.shape == (g.ul_size,) and h_hat.all()
+    ul = g.ul_band
     # a_hat carries channel A's gain los, which h_hat absorbs
-    rel = np.abs(los * h_hat[ul] - chan_b[ul]) / np.abs(chan_b[ul])
+    rel = np.abs(los * h_hat - chan_b[ul]) / np.abs(chan_b[ul])
     assert rel.max() < 1e-8
 
 
@@ -627,12 +630,11 @@ def test_estimate_channel_noiseless_recovery():
     chan = tapped_channel(g, seed=10)
     buf = make_buffer(g, pa, b, chan, seed=10)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], b, K_MAX, g), pa)
-    assert np.count_nonzero(h_hat) == g.ul_size and h_hat[g.ul_indices].all()
-    ul = np.asarray(g.ul_indices)
-    rel = np.abs(h_hat[ul] - chan[ul]) / np.abs(chan[ul])
+    # one estimate per uplink subcarrier, every one of them solved
+    assert h_hat.shape == (g.ul_size,) and h_hat.all()
+    ul = g.ul_band
+    rel = np.abs(h_hat - chan[ul]) / np.abs(chan[ul])
     assert rel.max() < 1e-8
-    off_band = np.delete(h_hat, ul)
-    assert np.all(off_band == 0)
 
 
 def test_estimate_channel_marks_unreachable_subcarriers():
@@ -643,14 +645,14 @@ def test_estimate_channel_marks_unreachable_subcarriers():
     chan = tapped_channel(g, seed=11)
     buf = make_buffer(g, pa, 0.0, chan, seed=11)
     h_hat = estimate_channel(buf, basis_stack(buf.tx[buf.n_impulse:], 0.0, K_MAX, g), pa)
-    lo, hi = g.ul_set
-    assert not h_hat[:lo].any() and not h_hat[hi + 1 :].any()
-    unest = frozenset(int(p) for p in g.ul_indices[h_hat[g.ul_indices] == 0])
+    lo = g.ul_set[0]
+    assert h_hat.shape == (g.ul_size,)
+    unest = frozenset(int(p) for p in g.ul_indices[h_hat == 0])
     # everything past the support edge must be flagged; the last few inside
     # the support may fall below the relative power cut as well
     assert frozenset(range(23, 31)) <= unest <= frozenset(range(17, 31))
     good = sorted(set(int(p) for p in g.ul_indices) - unest)
-    rel = np.abs(h_hat[good] - chan[good]) / np.abs(chan[good])
+    rel = np.abs(h_hat[np.subtract(good, lo)] - chan[good]) / np.abs(chan[good])
     assert rel.max() < 1e-6
 
 
@@ -673,13 +675,12 @@ def test_select_basis_threshold_walk():
     g = ibfd_grid()
     a_hat = default_measured_pa()
     mu = mu_tables(g, 0.0, 0.6, 2)
-    h = flat_channel(g, 0.05)
-    ul = g.ul_indices
+    h = flat_channel(g, 0.05)[g.ul_band]
     full = select_basis(a_hat, mu, h, 1e-30, 2, g)
-    assert full.shape == (3, 64)
-    assert full[:, ul].all() and full.sum() == 3 * g.ul_size
+    assert full.shape == (3, g.ul_size)
+    assert full.all() and full.sum() == 3 * g.ul_size
     empty = select_basis(a_hat, mu, h, 1e30, 2, g)
-    assert empty[0, ul].all() and not empty[1:].any()
+    assert empty[0].all() and not empty[1:].any()
 
     gammas = np.logspace(-30, 10, 9)
     prev = None
@@ -693,10 +694,16 @@ def test_select_basis_threshold_walk():
 def test_select_basis_validation():
     g = ibfd_grid()
     mu = mu_tables(g, 0.0, 1.0, 2)
+    h = flat_channel(g)[g.ul_band]
     with pytest.raises(ValueError, match="nonnegative"):
-        select_basis([1.0], mu, flat_channel(g), -1.0, 2, g)
+        select_basis([1.0], mu, h, -1.0, 2, g)
     with pytest.raises(ValueError, match="cover"):
-        select_basis([1.0], mu[:1], flat_channel(g), 1.0, 2, g)
+        select_basis([1.0], mu[:1], h, 1.0, 2, g)
+    # h_hat is estimate_channel's band estimate, not a channel over the grid
+    for wrong in (flat_channel(g), h[:-1], h[None]):
+        pattern = r"h_hat has shape " + re.escape(str(wrong.shape)) + r", expected \(49,\)"
+        with pytest.raises(ValueError, match=pattern):
+            select_basis([1.0], mu, wrong, 1.0, 2, g)
 
 
 @pytest.mark.parametrize("k_max", [2, 3])
@@ -713,13 +720,12 @@ def test_select_basis_matches_loop_reference(k_max):
     for gamma in [0.0, *np.quantile(power[power > 0], [0.15, 0.5, 0.85])]:
         counter = OpCounter()
         ref_counter = OpCounter()
-        retained = select_basis(a_hat, mu, h, float(gamma), k_max, g, counter=counter)
+        retained = select_basis(a_hat, mu, h[g.ul_band], float(gamma), k_max, g, counter=counter)
         sets = select_basis_loop(a_hat, mu, h, float(gamma), k_max, g, counter=ref_counter)
-        assert retained.shape == (k_max + 1, 64)
-        assert np.array_equal(np.flatnonzero(retained[0]), np.setdiff1d(ul, unestimated))
-        assert retained.sum() == retained[:, ul].sum()
-        for p in ul:
-            assert frozenset(int(k) + 1 for k in np.flatnonzero(retained[1:, p])) == sets[int(p)]
+        assert retained.shape == (k_max + 1, g.ul_size)
+        assert np.array_equal(ul[retained[0]], np.setdiff1d(ul, unestimated))
+        for i, p in enumerate(ul):
+            assert frozenset(int(k) + 1 for k in np.flatnonzero(retained[1:, i])) == sets[int(p)]
         assert counter.mults("select_basis") == ref_counter.mults("select_basis")
 
 
@@ -739,7 +745,7 @@ def test_run_sic_matches_loop_reference(k_max):
         } if trial else {}
         unestimated = frozenset(int(p) for p in rng.choice(ul, 5, replace=False))
         mask = retained_mask(g, k_max, sets, unestimated)
-        weights = precombine(h, a_hat, mask, g)
+        weights = precombine(h[g.ul_band], a_hat, mask, g)
         assert np.count_nonzero(weights) == mask.sum()
         x = gen_qam_symbols(g, 16, 1.0, 1, seed=trial)[0]
         counter = OpCounter()
@@ -747,7 +753,9 @@ def test_run_sic_matches_loop_reference(k_max):
         est = run_sic(basis_stack(x, b, k_max, g), weights, g, counter=counter)
         xiq = x + b * np.conj(mirror_values(x))
         chain = basis_chain(xiq, k_max)
-        ref = run_sic_loop(xiq, chain, weights, g, sets, unestimated, ref_counter)
+        on_grid = np.zeros((k_max + 1, 64), dtype=complex)  # the oracle reads W on the grid
+        on_grid[:, g.ul_band] = weights
+        ref = run_sic_loop(xiq, chain, on_grid, g, sets, unestimated, ref_counter)[g.ul_band]
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert counter.mults("run") == ref_counter.mults("run")
         assert counter.adds("run") == ref_counter.adds("run")
@@ -755,6 +763,7 @@ def test_run_sic_matches_loop_reference(k_max):
         assert_stack_matches_rows(
             lambda xs, c: run_sic(basis_stack(xs, b, k_max, g), weights, g, counter=c),
             stack,
+            g,
         )
 
 
@@ -766,14 +775,14 @@ def test_run_sic_with_perfect_weights_cancels_everything():
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
     chan = tapped_channel(g, seed=13)
-    weights = precombine(chan, pa, every_order(g, K_MAX), g)
+    weights = precombine(chan[g.ul_band], pa, every_order(g, K_MAX), g)
 
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=13)[0]
-    y = forward_spectrum(x, pa, b, chan)
+    y = forward_spectrum(x, pa, b, chan)[g.ul_band]
     counter = OpCounter()
     out = y - run_sic(basis_stack(x, b, K_MAX, g), weights, g, counter=counter)
-    si_scale = np.abs(y[g.ul_indices]).max()
-    assert np.abs(out[g.ul_indices]).max() < 1e-9 * si_scale
+    si_scale = np.abs(y).max()
+    assert np.abs(out).max() < 1e-9 * si_scale
     # running cost: one multiply for the linear term plus one per retained order
     assert counter.mults("run") == g.ul_size * 3
 
@@ -786,32 +795,40 @@ def test_run_basis_at_k_max_zero_charges_the_iq_image_alone():
     b = 0.05 * np.exp(0.4j)
     x = gen_qam_symbols(g, 16, 1.0, 3, seed=5)
     counter = OpCounter()
-    linear = precombine(flat_channel(g), [2.0], every_order(g, 0), g)
+    linear = precombine(flat_channel(g)[g.ul_band], [2.0], every_order(g, 0), g)
     run_sic(basis_stack(x, b, 0, g), linear, g, counter=counter)
     assert counter.mults("run_basis") == 3 * g.dl_size
     assert counter.adds("run_basis") == 3 * g.dl_size
     counter = OpCounter()
-    cubic = precombine(flat_channel(g), [2.0, 0.1], every_order(g, 1), g)
+    cubic = precombine(flat_channel(g)[g.ul_band], [2.0, 0.1], every_order(g, 1), g)
     run_sic(basis_stack(x, b, 1, g), cubic, g, counter=counter)
     p_total = g.num_subcarriers
     assert counter.mults("run_basis") == 3 * (g.dl_size + 2 * fft_mults(p_total) + 2 * p_total)
     assert counter.adds("run_basis") == 3 * (g.dl_size + 2 * fft_adds(p_total))
 
 
-def test_run_sic_leaves_unestimated_and_off_band_untouched():
+def test_run_sic_leaves_unestimated_subcarriers_untouched():
     g = sbfd_grid()
     pa = default_measured_pa()
     chan = tapped_channel(g, seed=14)
-    skip = int(g.ul_indices[2])
+    skip = 2  # band column of uplink subcarrier 48
     retained = every_order(g, K_MAX)
     retained[:, skip] = False
-    weights = precombine(chan, pa, retained, g)
+    weights = precombine(chan[g.ul_band], pa, retained, g)
     x = gen_qam_symbols(g, 16, 0.8, 1, seed=14)[0]
-    y = forward_spectrum(x, pa, 0.0, chan)
+    y = forward_spectrum(x, pa, 0.0, chan)[g.ul_band]
     out = y - run_sic(basis_stack(x, 0.0, K_MAX, g), weights, g)
     assert out[skip] == y[skip]
-    outside = np.setdiff1d(np.arange(64), g.ul_indices)
-    assert np.array_equal(out[outside], y[outside])
+
+
+def test_basis_stack_is_the_uplink_band_of_the_basis_chain():
+    b = 0.05 * np.exp(0.4j)
+    for g in (ibfd_grid(), sbfd_grid()):
+        x = gen_qam_symbols(g, 16, 1.0, 3, seed=24)
+        for k_max in (0, 2):
+            stack = basis_stack(x, b, k_max, g)
+            assert stack.shape == (3, k_max + 1, g.ul_size)
+            assert np.array_equal(stack, basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band])
 
 
 def test_basis_stack_rejects_energy_outside_downlink():
@@ -834,14 +851,14 @@ def test_basis_stack_rejects_energy_outside_downlink():
 
 def test_running_cancellers_reject_a_stack_short_of_their_orders():
     g = sbfd_grid()
-    weights = precombine(flat_channel(g), [1.0, 0.1], every_order(g, 1), g)
+    weights = precombine(flat_channel(g)[g.ul_band], [1.0, 0.1], every_order(g, 1), g)
     x = gen_qam_symbols(g, 16, 1.0, 2, seed=6)
     with pytest.raises(ValueError, match="orders up to k = 0, expected k = 1"):
         run_sic(basis_stack(x, 0.0, 0, g), weights, g)
     with pytest.raises(ValueError, match="orders up to k = 1, expected k = 2"):
-        run_full_ls(basis_stack(x, 0.0, 1, g), np.ones((3, 64), dtype=complex), g)
-    with pytest.raises(ValueError, match="expected"):
-        run_sic(basis_stack(x, 0.0, 1, g)[..., :32], weights, g)
+        run_full_ls(basis_stack(x, 0.0, 1, g), np.ones((3, g.ul_size), dtype=complex), g)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., k\+1, 17\)"):
+        run_sic(basis_stack(x, 0.0, 1, g)[..., :8], weights, g)
     buf = make_buffer(g, default_measured_pa(), 0.0, flat_channel(g))
     with pytest.raises(ValueError, match="training window"):
         estimate_channel(buf, basis_stack(buf.tx, 0.0, K_MAX, g), [1.0])
@@ -849,12 +866,13 @@ def test_running_cancellers_reject_a_stack_short_of_their_orders():
         baseline_full_ls(buf, basis_stack(buf.tx[0], 0.0, K_MAX, g))
 
 
-def test_running_cancellers_reject_weights_that_are_not_k_plus_1_by_p():
+def test_running_cancellers_reject_weights_that_are_not_k_plus_1_by_ul():
     g = sbfd_grid()
     chain = basis_stack(gen_qam_symbols(g, 16, 1.0, 2, seed=7), 0.0, 2, g)
-    for shape in [(3, 32), (64,), (0, 64), (1, 3, 64)]:
+    # (3, 64) is a weight array over the whole grid
+    for shape in [(3, 32), (3, 64), (17,), (0, 17), (1, 3, 17)]:
         weights = np.ones(shape, dtype=complex)
-        pattern = "weights have shape " + re.escape(str(shape)) + r", expected \(k\+1, 64\)"
+        pattern = "weights have shape " + re.escape(str(shape)) + r", expected \(k\+1, 17\)"
         for run in (run_sic, run_full_ls):
             with pytest.raises(ValueError, match=pattern):
                 run(chain, weights, g)
@@ -864,10 +882,10 @@ def test_precombine_matches_manual_product():
     g = ibfd_grid()
     chan = tapped_channel(g, seed=15)
     counter = OpCounter()
-    combined = precombine(chan, [2.0, -0.5, 0.01], every_order(g, 2), g, counter=counter)
-    ul = g.ul_indices
-    assert np.allclose(combined[0, ul], 2.0 * chan[ul])
-    assert np.allclose(combined[2, ul], 0.01 * chan[ul])
+    ul = g.ul_band
+    combined = precombine(chan[ul], [2.0, -0.5, 0.01], every_order(g, 2), g, counter=counter)
+    assert np.allclose(combined[0], 2.0 * chan[ul])
+    assert np.allclose(combined[2], 0.01 * chan[ul])
     assert counter.mults("coeff_combine") == 3 * g.ul_size
 
 
@@ -892,11 +910,11 @@ def test_estimated_canceller_reaches_noise_floor():
 
     rng = np.random.default_rng(99)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=17)[0]
-    y = forward_spectrum(x, pa, b, chan, rng, sigma)
+    y = forward_spectrum(x, pa, b, chan, rng, sigma)[g.ul_band]
     out = y - run_sic(basis_stack(x, b_hat, K_MAX, g), weights, g)
     noise_power = 64 * sigma**2  # per-subcarrier spectrum power of the time noise
-    resid = np.abs(out[g.ul_indices]) ** 2
-    raw = np.abs(y[g.ul_indices]) ** 2
+    resid = np.abs(out) ** 2
+    raw = np.abs(y) ** 2
     assert np.mean(resid) < 10 * noise_power
     assert np.mean(resid) < 1e-3 * np.mean(raw)
 
@@ -912,15 +930,14 @@ def test_linear_baseline_cancels_only_the_linear_part():
     buf = make_buffer(g, pa, 0.0, chan, seed=18, a_digi=a_digi)
     h_lin = estimate_linear_channel(buf)
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=19)[0]
-    y = forward_spectrum(x, pa, 0.0, chan)
+    y = forward_spectrum(x, pa, 0.0, chan)[g.ul_band]
     out = y - baseline_linear(x, h_lin, g)
-    ul = g.ul_indices
-    raw = np.mean(np.abs(y[ul]) ** 2)
-    resid = np.mean(np.abs(out[ul]) ** 2)
+    raw = np.mean(np.abs(y) ** 2)
+    resid = np.mean(np.abs(out) ** 2)
     assert resid < raw  # removes the dominant linear term
     assert resid > 1e-8 * raw  # but the distortion floor remains
     stack = gen_qam_symbols(g, 16, a_digi, 3, seed=119)
-    assert_stack_matches_rows(lambda xs, c: baseline_linear(xs, h_lin, g, counter=c), stack)
+    assert_stack_matches_rows(lambda xs, c: baseline_linear(xs, h_lin, g, counter=c), stack, g)
 
 
 def test_linear_baseline_is_inert_off_the_downlink_band():
@@ -929,9 +946,9 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
     chan = tapped_channel(g, seed=20)
     buf = make_buffer(g, pa, 0.0, chan, seed=20)
     h_lin = estimate_linear_channel(buf)
-    assert np.all(h_lin[np.asarray(g.ul_indices)] == 0)
+    assert h_lin.shape == (g.ul_size,) and np.all(h_lin == 0)
     x = gen_qam_symbols(g, 16, 1.0, 1, seed=21)[0]
-    y = forward_spectrum(x, pa, 0.0, chan)
+    y = forward_spectrum(x, pa, 0.0, chan)[g.ul_band]
     out = y - baseline_linear(x, h_lin, g)
     assert np.array_equal(out, y)
     stack = gen_qam_symbols(g, 16, 1.0, 3, seed=121)
@@ -948,18 +965,17 @@ def test_full_ls_baseline_handles_split_allocation():
     a_digi = 0.5 * 8 / np.sqrt(g.dl_size)
     buf = make_buffer(g, pa, b, chan, seed=22, a_digi=a_digi)
     coeffs = baseline_full_ls(buf, basis_stack(buf.tx, b, K_MAX, g))
-    assert coeffs.shape == (3, 64)
+    assert coeffs.shape == (3, g.ul_size)
     assert np.all(np.isfinite(coeffs))
     x = gen_qam_symbols(g, 16, a_digi, 1, seed=23)[0]
-    y = forward_spectrum(x, pa, b, chan)
+    y = forward_spectrum(x, pa, b, chan)[g.ul_band]
     out = y - run_full_ls(basis_stack(x, b, K_MAX, g), coeffs, g)
-    ul = g.ul_indices
-    raw = np.mean(np.abs(y[ul]) ** 2)
-    resid = np.mean(np.abs(out[ul]) ** 2)
+    raw = np.mean(np.abs(y) ** 2)
+    resid = np.mean(np.abs(out) ** 2)
     assert resid < 1e-6 * raw
     stack = gen_qam_symbols(g, 16, a_digi, 3, seed=123)
     assert_stack_matches_rows(
-        lambda xs, c: run_full_ls(basis_stack(xs, b, K_MAX, g), coeffs, g, counter=c), stack
+        lambda xs, c: run_full_ls(basis_stack(xs, b, K_MAX, g), coeffs, g, counter=c), stack, g
     )
 
 
