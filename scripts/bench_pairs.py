@@ -13,8 +13,13 @@ line, the raw wall-time median of the `info` line, and the minor page
 faults per scenario: the growth of RUSAGE_CHILDREN's ru_minflt over the
 run (its set-up processes included) divided by the scenarios it ran. It
 writes one JSON file with the machine, the settings, every pair and, per
-metric, each side's median and quartiles and the number of pairs the
-working tree won. Each workload also records split_pairs, the number of
+metric, each side's median and quartiles, the number of pairs the working
+tree won and a verdict, which it also prints per metric and workload:
+"gain" when the working tree won at least nine tenths of the pairs and its
+median gain exceeds the parent's interquartile range; "worse" when its
+median is worse than the parent's by more than the metric's bound in
+BENCHMARK.json, a fraction of the parent's median; "unresolved" otherwise.
+Each workload also records split_pairs, the number of
 pairs whose two sides sat in different allocator states: exactly one side
 above HIGH_FAULTS_PER_SCENARIO minor faults per scenario. The p50 gap of
 such a pair measures the state as much as the code.
@@ -111,13 +116,30 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins.
+def verdict(summary: dict, bound: float | None) -> str:
+    """The verdict on one metric's summary: gain, worse or unresolved (see the module docstring).
+
+    bound is the largest relative worsening of the median allowed, or None
+    for a metric that has none; such a metric is never "worse".
+    """
+    won = 10 * summary["change_wins"] >= 9 * summary["pairs"]
+    if won and summary["gain"] > summary["parent_iqr"]:
+        return "gain"
+    if bound is not None and -summary["gain"] > bound * abs(summary["parent"]["median"]):
+        return "worse"
+    return "unresolved"
+
+
+def summarize(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict:
+    """Per metric: each side's median and quartiles, the change's wins and the verdict.
 
     pairs holds {"parent": record, "change": record} entries whose records
-    carry a "values" mapping; better maps a metric to "lower" or "higher".
-    A pair is a win when the change is strictly better. gain is the parent
-    median minus the change median, signed so that positive is better, and
+    carry a "values" mapping; better maps a metric to "lower" or "higher",
+    and bounds a metric to its relative bound, where it has one. A pair is
+    a win when the change is strictly better. gain is the parent median
+    minus the change median, signed so that positive is better, and
     parent_iqr is the spread it is read against.
     """
     out = {}
@@ -136,6 +158,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             summary[side] = {"median": median, "q1": q1, "q3": q3}
         summary["gain"] = sign * (summary["parent"]["median"] - summary["change"]["median"])
         summary["parent_iqr"] = summary["parent"]["q3"] - summary["parent"]["q1"]
+        summary["verdict"] = verdict(summary, (bounds or {}).get(name))
         out[name] = summary
     return out
 
@@ -160,12 +183,23 @@ def pair_line(workload: str, pair: dict) -> str:
     return f"{workload} seed {pair['seed']}: {runs}"
 
 
-def benchmark_directions() -> dict[str, str]:
+def verdict_line(workload: str, name: str, summary: dict) -> str:
+    """One printed line per metric: the verdict, the wins and each side's median."""
+    return (
+        f"{workload} {name}: {summary['verdict']} ({summary['change_wins']} of "
+        f"{summary['pairs']} pairs; median {summary['parent']['median']:.6g} -> "
+        f"{summary['change']['median']:.6g}, parent IQR {summary['parent_iqr']:.3g})"
+    )
+
+
+def benchmark_metrics() -> tuple[dict[str, str], dict[str, float]]:
+    """Directions and relative bounds of BENCHMARK.json's end-to-end metrics, and EXTRA_BETTER's."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     better.update(EXTRA_BETTER)
-    return better
+    return better, bounds
 
 
 def main(argv=None) -> int:
@@ -181,7 +215,7 @@ def main(argv=None) -> int:
     rev = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", args.parent], capture_output=True, text=True, check=True
     ).stdout.strip()
-    better = benchmark_directions()
+    better, bounds = benchmark_metrics()
     seeds = [args.first_seed + i for i in range(args.pairs)]
     report = {"parent": rev, "seconds": args.seconds, "seeds": seeds, "workloads": {}}
     with tempfile.TemporaryDirectory() as scratch:
@@ -198,9 +232,12 @@ def main(argv=None) -> int:
                     report.setdefault("machine", {key: env.get(key) for key in ENV_KEYS})
                 pairs.append(pair)
                 print(pair_line(workload, pair))
+            summary = summarize(pairs, better, bounds)
+            for name in better:
+                print(verdict_line(workload, name, summary[name]))
             report["workloads"][workload] = {
                 "pairs": pairs,
-                "summary": summarize(pairs, better),
+                "summary": summary,
                 "split_pairs": split_pairs(pairs),
             }
     with open(args.out, "w") as fh:

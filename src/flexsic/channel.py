@@ -17,6 +17,9 @@ frequency response fft(h, n=P), and the receiver needs nothing else.
 from __future__ import annotations
 
 import csv
+import functools
+import numbers
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -178,6 +181,30 @@ def require_finite(spec) -> None:
                 raise ValueError(f"{f.name} must be finite, got {item!r}")
 
 
+def _declared_ints(value, hint) -> list:
+    """The parts of value that type hint declares int: value itself, or a tuple's items."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # an optional field, X | None
+        return [] if value is None else _declared_ints(value, args[0])
+    if typing.get_origin(hint) is tuple and isinstance(value, (tuple, list)):
+        return [part for v, h in zip(value, args) for part in _declared_ints(v, h)]
+    return [value] if hint is int else []
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """typing.get_type_hints of a dataclass, evaluated once per class."""
+    return typing.get_type_hints(cls)
+
+
+def require_integers(spec) -> None:
+    """Refuse a non-integer, a bool included, where dataclass spec's type hints declare an int."""
+    for name, hint in _type_hints(type(spec)).items():
+        for item in _declared_ints(getattr(spec, name), hint):
+            if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {item!r}")
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
     """Synthetic LoS + decaying NLoS profile.
@@ -198,6 +225,7 @@ class ChannelProfile:
 
     def __post_init__(self):
         require_finite(self)
+        require_integers(self)
         if self.n_rays < 1:
             raise ValueError(f"n_rays must be >= 1, got {self.n_rays}")
         if self.nlos_tap_step < 1:

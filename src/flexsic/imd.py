@@ -21,7 +21,8 @@ has an exact closed form, a bounded stars-and-bars count folded onto the
 grid. The basis-power prediction recurses through the pair-count function
 Lambda (the self-convolution of the downlink indicator, a triangle in
 closed form). The basis itself is computed from its time-domain
-definition: one IFFT of X_iq, then one FFT per order. The same bases obey
+definition: one IFFT of X_iq, or samples the caller took already, then one
+FFT per order, kept on the band asked for. The same bases obey
 the frequency-domain recursion
 
     Phi_{2k+1}[p] = (1/P^2) * sum_{q1, q2} X_iq[q1] X_iq[q2]
@@ -132,26 +133,42 @@ def q_size(grid: SubcarrierGrid, k_max: int) -> np.ndarray:
     return np.stack([_q_row(grid, k) for k in range(k_max + 1)])
 
 
-def basis_chain(X_iq_values: np.ndarray, k_max: int) -> np.ndarray:
-    """All bases Phi_1 .. Phi_{2k_max+1}: shape (..., P) in, (..., k_max+1, P) out.
+def basis_chain(
+    X_iq_values: np.ndarray,
+    k_max: int,
+    samples: np.ndarray | None = None,
+    band: slice = slice(None),
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """All bases Phi_1 .. Phi_{2k_max+1} on band: shape (..., k_max+1, |band|).
 
-    X_iq_values must be the IQ-applied spectrum; leading axes index
-    symbols. Row 0 is the input, copied bit for bit. Row k is the
-    definition dft(|x_iq|^{2k} x_iq) with x_iq = idft(X_iq): one IFFT and
-    one squared magnitude per symbol, then one product and one FFT per
-    order, O(P log P) each.
+    X_iq_values is the IQ-applied spectrum on band, (..., |band|), and on
+    the whole grid, (..., P), by default; leading axes index symbols. Row 0
+    is X_iq_values, copied bit for bit. Row k is the definition
+    dft(|x_iq|^{2k} x_iq)[..., band] with x_iq = idft(X_iq): one squared
+    magnitude per symbol, then one product and one FFT per order, O(P log P)
+    each. samples is x_iq, (..., P). By default it is idft(X_iq_values),
+    which needs the whole grid; samples that are given are overwritten, so
+    a caller that holds them already spends no IFFT here. out, of the
+    returned shape, is filled and returned when given.
     """
     x = np.asarray(X_iq_values)
-    p = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (k_max + 1, p), dtype=np.complex128)
+    if out is None:
+        out = np.empty(x.shape[:-1] + (k_max + 1, x.shape[-1]), dtype=np.complex128)
     out[..., 0, :] = x
     if k_max == 0:
         return out
-    t = np.fft.ifft(x, axis=-1)
-    mag2 = np.abs(t) ** 2
+    if samples is None:
+        if band != slice(None):
+            raise ValueError("basis_chain needs the samples to build the bases on a band")
+        samples = np.fft.ifft(x, axis=-1)
+    mag2 = np.abs(samples)
+    np.square(mag2, out=mag2)
+    spectrum = np.empty_like(samples)
     for k in range(1, k_max + 1):
-        t *= mag2
-        out[..., k, :] = np.fft.fft(t, axis=-1)
+        samples *= mag2
+        np.fft.fft(samples, axis=-1, out=spectrum)
+        out[..., k, :] = spectrum[..., band]
     return out
 
 

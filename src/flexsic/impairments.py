@@ -25,9 +25,9 @@ import numpy as np
 from .ofdm import mirror_values
 
 
-def apply_iq_time(x: np.ndarray, b_iq: complex) -> np.ndarray:
-    """Per-sample image: out[n] = x[n] + b * conj(x[n])."""
-    return x + b_iq * np.conj(x)
+def apply_iq_time(x: np.ndarray, b_iq: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample image: out[n] = x[n] + b * conj(x[n]), written into out when given."""
+    return np.add(x, b_iq * np.conj(x), out=out)
 
 
 def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
@@ -35,16 +35,19 @@ def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
     return X + b_iq * np.conj(mirror_values(X))
 
 
-def apply_pa(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def apply_pa(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Memoryless polynomial PA sample by sample: sum_k a[k] |x|^{2k} x.
 
     The polynomial in |x|^2 is evaluated by Horner's rule in place, so a
-    stack of symbols needs no arrays of its size beyond |x|^2 and the output.
+    stack of symbols needs no arrays of its size beyond |x|^2 and the
+    output, which is written into out when given (out must not be x).
     """
     x = np.asarray(x, dtype=np.complex128)
     a = np.asarray(a, dtype=np.complex128)
     mag2 = x.real**2 + x.imag**2
-    out = np.full(x.shape, a[-1])
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    out[...] = a[-1]
     for a_k in a[-2::-1]:
         out *= mag2
         out += a_k

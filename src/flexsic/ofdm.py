@@ -132,20 +132,20 @@ def mirror_values(values: np.ndarray) -> np.ndarray:
     return np.roll(values[..., ::-1], 1, axis=-1)
 
 
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform along the last axis, with the 1/P factor.
+def idft(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform along the last axis, with the 1/P factor, into out when given.
 
     samples[n] = (1/P) * sum_p spectrum[p] * exp(+j 2 pi p n / P)
     """
-    return np.fft.ifft(spectrum, axis=-1)
+    return np.fft.ifft(spectrum, axis=-1, out=out)
 
 
-def dft(samples: np.ndarray) -> np.ndarray:
-    """Forward transform along the last axis, without a scale factor.
+def dft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform along the last axis, without a scale factor, into out when given.
 
     spectrum[p] = sum_n samples[n] * exp(-j 2 pi p n / P)
     """
-    return np.fft.fft(samples, axis=-1)
+    return np.fft.fft(samples, axis=-1, out=out)
 
 
 def qam_constellation(order: int) -> np.ndarray:
@@ -168,7 +168,8 @@ def gen_qam_symbols(
     order: int,
     amplitude: float,
     count: int,
-    seed: int,
+    seed: int | np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw independent uniform QAM symbols on the downlink allocation.
 
@@ -181,8 +182,13 @@ def gen_qam_symbols(
         Per-subcarrier RMS amplitude: E|X[p]|^2 = amplitude^2 on dl_set.
     count : int
         Number of symbols to generate.
-    seed : int
-        PRNG seed; output is deterministic given the seed.
+    seed : int or numpy.random.Generator
+        PRNG seed, or a generator to draw from; output is deterministic
+        given the seed. One generator's draws split across calls bit for
+        bit: count symbols drawn in one call equal the same count drawn
+        over several.
+    out : ndarray of shape (count, P), optional
+        Filled and returned in place of a new array.
 
     Returns
     -------
@@ -196,6 +202,10 @@ def gen_qam_symbols(
     pts = qam_constellation(order) * amplitude
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(pts), size=(count, grid.dl_size))
-    out = np.zeros((count, grid.num_subcarriers), dtype=np.complex128)
+    if out is None:
+        out = np.zeros((count, grid.num_subcarriers), dtype=np.complex128)
+    else:
+        out[:, : grid.dl_start] = 0.0
+        out[:, grid.dl_end + 1 :] = 0.0
     out[:, grid.dl_band] = pts[picks]
     return out

@@ -11,17 +11,21 @@ per-subcarrier residual spectra, residual-power CDF samples,
 cancellation ratios, and per-stage arithmetic counters.
 
 Symbols are plain complex arrays, one per row. The whole training window
-goes through the transmit chain as one (M, P) stack; the run symbols go
-through it and every running canceller in blocks of _RUN_BLOCK_SAMPLES
-samples, which keeps the memory of a long run flat, and each canceller is
-still charged its running cost per symbol. The cancellers that read basis
-stacks are grouped by image weight: proposed, full_ls and iq_only use the
-estimated one, and pa_only, which is proposed at b = 0, forms a group of
-its own. Groups are trained one at a time, each from one training stack
-and one amplifier fit with its basis-power table, and per run block each
-group reads one stack up to the highest order any member runs. A fit or a
-stack shared by several cancellers is made once, and each of them charges
-its cost (for a stack, the orders it reads) to its own stage.
+goes through the transmit chain as one (M, P) stack. The run window is a
+stream of blocks of _RUN_BLOCK_SAMPLES samples (_run_window): each block's
+symbols are drawn, received and cancelled in workspaces allocated once per
+scenario, and one inverse FFT of them serves both the reception and every
+basis stack. Each canceller's residual is reduced per block to running
+sums, so no (n_run, |UL|) array is kept and the memory of a long run stays
+flat, and each canceller is still charged its running cost per symbol. The
+cancellers that read basis stacks are grouped by image weight: proposed,
+full_ls and iq_only use the estimated one, and pa_only, which is proposed
+at b = 0, forms a group of its own. Groups are trained one at a time, each
+from one training stack and one amplifier fit with its basis-power table,
+and per run block each group reads one stack up to the highest order any
+member runs. A fit or a stack shared by several cancellers is made once,
+and each of them charges its cost (for a stack, the orders it reads) to
+its own stage.
 
 Both windows are received one way, per subcarrier, as the paper's
 receiver sees them (_receive): every tap lies within the cyclic prefix, so
@@ -59,6 +63,7 @@ from .channel import (
     conjugate_beam,
     load_taps,
     require_finite,
+    require_integers,
     synth_channel,
 )
 from .counters import OpCounter
@@ -86,9 +91,9 @@ DUPLEX_PRESETS = ("ibfd", "sbfd", "overlap")
 
 _FLOOR = 1e-300
 # Run symbols go through the chain max(1, _RUN_BLOCK_SAMPLES // P) at a time.
-# Peak memory over five scenarios: at P = 1024, one stack for 200 symbols took
-# it from 49 to 70 MB; at P = 4096 (20 symbols), 1, 4 and 8 rows read 50.7,
-# 51.9 and 53.4 MB.
+# Peak RSS over five scenarios (2-vCPU Xeon, numpy 2.4.6): at P = 1024, one
+# block of all 200 symbols took it from 40.9 to 68.6 MB; at P = 4096 (20
+# symbols), blocks of 1, 4 and 8 rows read 46.6, 46.6 and 47.5 MB.
 _RUN_BLOCK_SAMPLES = 16384
 # cancellers built on the estimated IQ image weight b_hat
 _USES_B_HAT = ("proposed", "full_ls", "iq_only")
@@ -155,6 +160,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         require_finite(self)
+        require_integers(self)
         if self.duplex not in DUPLEX_PRESETS + ("custom",):
             raise ValueError(
                 f"duplex={self.duplex!r} is not a preset ({', '.join(DUPLEX_PRESETS)}) or 'custom'"
@@ -346,21 +352,19 @@ class MetricsReport:
     noise_floor_dbm: float
 
 
-def sicr(raw_si: np.ndarray, residual: np.ndarray) -> float:
+def sicr(raw_power: float, residual_power: float) -> float:
     """Cancellation ratio in dB: raw self-interference power over what is left.
 
-    Arrays must cover the same band and symbol count. A residual of
-    exactly zero returns the +inf sentinel.
+    Both are powers summed over the same band and symbols. A residual
+    power of exactly zero returns the +inf sentinel; a negative or
+    non-finite power is refused.
     """
-    raw = np.asarray(raw_si)
-    res = np.asarray(residual)
-    if raw.shape != res.shape:
-        raise ValueError("raw and residual arrays must have matching shapes")
-    p_raw = float(np.sum(np.abs(raw) ** 2))
-    p_res = float(np.sum(np.abs(res) ** 2))
-    if p_res == 0.0:
+    for what, value in (("raw", raw_power), ("residual", residual_power)):
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{what} power must be finite and nonnegative, got {value!r}")
+    if residual_power == 0.0:
         return float("inf")
-    return 10.0 * np.log10(p_raw / p_res)
+    return 10.0 * np.log10(raw_power / residual_power)
 
 
 def residual_cdf(samples) -> np.ndarray:
@@ -376,30 +380,41 @@ def _seed_ints(seed: int, count: int) -> list[int]:
 
 
 def _receive(
-    x: np.ndarray, b_iq: complex, a: np.ndarray, h: np.ndarray, band: slice
+    t: np.ndarray,
+    b_iq: complex,
+    a: np.ndarray,
+    h: np.ndarray,
+    band: slice,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noiseless spectra on band of symbols (n, P) through the transmit chain and the SI channel.
+    """Noiseless spectra on band of symbols through the transmit chain and the SI channel.
 
-    h is the channel's frequency response, fft(taps, n=P). Every tap lies
-    below cp_length and each prefixed symbol is filtered from a zero state,
-    so the body left after prefix removal is the circular convolution of
-    the amplifier output with the taps, and its spectrum is the amplifier
-    output's spectrum times the response.
+    t holds the symbols' time samples, idft of the (n, P) spectra, and h is
+    the channel's frequency response, fft(taps, n=P). Every tap lies below
+    cp_length and each prefixed symbol is filtered from a zero state, so
+    the body left after prefix removal is the circular convolution of the
+    amplifier output with the taps, and its spectrum is the amplifier
+    output's spectrum times the response. work, two (n, P) complex arrays,
+    holds the chain's steps, and out, (n, |band|), the result, when given.
     """
-    y = dft(apply_pa(apply_iq_time(idft(x), b_iq), a))[:, band]
-    y *= h[band]  # in place: one (n, P) temporary fewer per call
-    return y
+    first, second = (None, None) if work is None else work
+    y = dft(apply_pa(apply_iq_time(t, b_iq, out=first), a, out=second), out=first)[:, band]
+    # in place when no out is given: one (n, P) temporary fewer per call
+    return np.multiply(y, h[band], out=y if out is None else out)
 
 
-def _noise(shape: tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian noise of variance sigma^2 and the given shape.
+def _noise(
+    shape: tuple[int, ...], sigma: float, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Circular complex Gaussian noise of variance sigma^2 and the given shape, into out when given.
 
     Each row draws one real part per entry of the last axis and then as
     many imaginary parts, so a stack draws the same numbers as its rows
     drawn one after another, whatever the block size.
     """
     draws = rng.standard_normal(shape[:-1] + (2, shape[-1]))
-    noise = np.empty(shape, dtype=np.complex128)
+    noise = np.empty(shape, dtype=np.complex128) if out is None else out
     noise.real = draws[..., 0, :]
     noise.imag = draws[..., 1, :]
     noise *= sigma / np.sqrt(2.0)
@@ -438,7 +453,7 @@ def _build_training(
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
     # the noise is drawn per body sample, where the amplifier fit reads it
-    rx = _receive(tx, b_iq, a, h, slice(None))
+    rx = _receive(idft(tx), b_iq, a, h, slice(None))
     rx += dft(_noise(rx.shape, sigma_t, np.random.default_rng(seed_noise)))
     return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
 
@@ -510,6 +525,77 @@ def _estimate_si(
     return run(inputs, state, grid, counter=counter)
 
 
+def _run_window(
+    spec: ScenarioSpec,
+    grid: SubcarrierGrid,
+    b_iq: complex,
+    a: np.ndarray,
+    h: np.ndarray,
+    a_digi: float,
+    sigma_f: float,
+    groups: list,
+    states: dict,
+    counters: dict[str, OpCounter],
+    seed_data: int,
+    seed_noise: int,
+) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray, float]]]:
+    """Stream the run symbols through the transmit chain and the cancellers in blocks.
+
+    Returns the raw self-interference power summed over the window and,
+    per canceller, three running reductions of its residual: the
+    per-subcarrier sum of the noisy residual power, (|UL|,); the mean
+    noisy residual power of each symbol, (n_run,); and the noiseless
+    residual power summed over the window. No (n_run, |UL|) array is held.
+    Each block fills workspaces allocated once per scenario, of
+    min(block, n_run) rows, and one inverse FFT of its symbols serves the
+    reception and every group's basis stack. sigma_f is the noise deviation
+    per uplink bin: the DFT of white noise of variance sigma_t^2 per sample
+    is white with variance P sigma_t^2 per bin.
+    """
+    n_run, p, n_ul, ul = spec.n_run_symbols, grid.num_subcarriers, grid.ul_size, grid.ul_band
+    rows = min(max(1, _RUN_BLOCK_SAMPLES // p), n_run)
+    symbols, samples, first, second = np.empty((4, rows, p), dtype=np.complex128)
+    clean, noisy, resid = np.empty((3, rows, n_ul), dtype=np.complex128)
+    power = np.empty((rows, n_ul))
+    stack = np.empty((rows, max(top for _, top, _ in groups) + 1, n_ul), dtype=np.complex128)
+    data_rng = np.random.default_rng(seed_data)
+    noise_rng = np.random.default_rng(seed_noise)
+
+    def residual_power(y, est, n):
+        """|y - est|^2 of a block's n rows, in the power workspace; est None stands for 0."""
+        if est is not None:
+            y = np.subtract(y, est, out=resid[:n])
+        np.abs(y, out=power[:n])
+        return np.square(power[:n], out=power[:n])
+
+    raw = 0.0
+    sums = {name: (np.zeros(n_ul), np.empty(n_run), 0.0) for name in spec.cancellers}
+    for start in range(0, n_run, rows):
+        n = min(rows, n_run - start)
+        x = gen_qam_symbols(grid, spec.qam_order, a_digi, n, data_rng, out=symbols[:n])
+        t = idft(x, out=samples[:n])
+        y = _receive(t, b_iq, a, h, ul, work=(first[:n], second[:n]), out=clean[:n])
+        y_noisy = _noise(y.shape, sigma_f, noise_rng, out=noisy[:n])
+        y_noisy += y
+        raw += float(residual_power(y, None, n).sum())
+        # the none canceller is in no group: its estimate stays 0
+        estimates = [("none", None)] if "none" in sums else []
+        for b, top, names in groups:
+            inputs = x if b is None else basis_stack(x, b, top, grid, t, out=stack[:n, : top + 1])
+            for name in names:
+                est = _estimate_si(name, states[name], inputs, grid, counters[name])
+                estimates.append((name, est))
+        for name, est in estimates:
+            # the estimate depends on the transmit symbols only, so it is
+            # subtracted from both the noisy and the noiseless reception
+            psd, means, residual = sums[name]
+            noisy_power = residual_power(y_noisy, est, n)
+            psd += noisy_power.sum(axis=0)
+            means[start : start + n] = noisy_power.mean(axis=1)
+            sums[name] = psd, means, residual + float(residual_power(y, est, n).sum())
+    return raw, sums
+
+
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     """Simulate one scenario end to end; deterministic in (spec, seed)."""
     if seed is None:
@@ -568,38 +654,19 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     # training is over; the run blocks build their own stacks
     del buffer
 
-    run_syms = gen_qam_symbols(grid, spec.qam_order, a_digi, spec.n_run_symbols, seeds[3])
-    noise_rng = np.random.default_rng(seeds[4])
-    # the DFT of white noise of variance sigma_t^2 per sample is white with
-    # variance P sigma_t^2 = noise_f per bin, so that is drawn on the uplink bins
     sigma_f = float(np.sqrt(noise_f))
-    shape = (len(run_syms), grid.ul_size)
-    y_noisy = np.empty(shape, dtype=np.complex128)
-    y_clean = np.empty(shape, dtype=np.complex128)
-    est = {name: np.zeros(shape, dtype=np.complex128) for name in spec.cancellers}
-    block = max(1, _RUN_BLOCK_SAMPLES // grid.num_subcarriers)
-    for start in range(0, len(run_syms), block):
-        rows = slice(start, start + block)
-        x = run_syms[rows]
-        y_clean[rows] = _receive(x, b_iq, a, h, grid.ul_band)
-        y_noisy[rows] = _noise(y_clean[rows].shape, sigma_f, noise_rng)
-        y_noisy[rows] += y_clean[rows]
-        for b, top, names in groups:
-            inputs = x if b is None else basis_stack(x, b, top, grid)
-            for name in names:
-                est[name][rows] = _estimate_si(name, states[name], inputs, grid, counters[name])
-
+    raw, sums = _run_window(
+        spec, grid, b_iq, a, h, a_digi, sigma_f, groups, states, counters, seeds[3], seeds[4]
+    )
     psd_dbm: dict[str, np.ndarray] = {}
     cdf_dbm: dict[str, np.ndarray] = {}
     sicr_db: dict[str, float] = {}
-    for name in spec.cancellers:
-        # the estimate depends on the transmit symbols only, so it is
-        # subtracted from both the noisy and the noiseless reception
-        power = np.abs(y_noisy - est[name]) ** 2
-        psd_dbm[name] = 10.0 * np.log10(np.maximum(power.mean(axis=0) * mw_per_unit, _FLOOR))
-        samples = 10.0 * np.log10(np.maximum(power.mean(axis=1) * mw_per_unit, _FLOOR))
-        cdf_dbm[name] = residual_cdf(samples)
-        sicr_db[name] = sicr(y_clean, y_clean - est[name])
+    for name, (psd, means, residual) in sums.items():
+        psd_dbm[name] = 10.0 * np.log10(
+            np.maximum(psd / spec.n_run_symbols * mw_per_unit, _FLOOR)
+        )
+        cdf_dbm[name] = residual_cdf(10.0 * np.log10(np.maximum(means * mw_per_unit, _FLOOR)))
+        sicr_db[name] = sicr(raw, residual)
 
     return MetricsReport(
         spec=spec,

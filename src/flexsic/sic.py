@@ -454,15 +454,27 @@ def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
 
 
 def basis_stack(
-    x: np.ndarray, b_hat: complex, k_max: int, grid: SubcarrierGrid
+    x: np.ndarray,
+    b_hat: complex,
+    k_max: int,
+    grid: SubcarrierGrid,
+    samples: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bases Phi_1 .. Phi_{2k_max+1} on the uplink band of (..., P) spectra with the IQ image b_hat.
 
     Returns basis_chain(apply_iq_freq(x, b_hat), k_max)[..., grid.ul_band],
-    a view of shape (..., k_max + 1, |UL|), after checking that every
-    symbol has the grid's length and no energy outside the downlink band.
-    Uncharged: each canceller that reads the stack charges its own basis
-    stage.
+    shape (..., k_max + 1, |UL|), after checking that every symbol has the
+    grid's length and no energy outside the downlink band; only the band of
+    each order's FFT is kept. samples, when given, is idft(x): the run
+    window's one inverse FFT per block, shared with the reception. Row 0,
+    the image, is then computed on the band alone, and the orders above it
+    take the image in time, t + b_hat conj(t), which equals
+    idft(apply_iq_freq(x, b_hat)) to round-off (about 1e-15 relative).
+    Without samples the image is taken on the whole grid, which its inverse
+    FFT needs, and the stack is the chain's band bit for bit. out, of the
+    returned shape, is filled and returned when given. Uncharged: each
+    canceller that reads the stack charges its own basis stage.
     """
     _symbol_count(x, grid.num_subcarriers)
     x = np.asarray(x)
@@ -470,7 +482,18 @@ def basis_stack(
         raise ValueError(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
-    return basis_chain(apply_iq_freq(x, b_hat), k_max)[..., grid.ul_band]
+    if samples is None:
+        # the inverse FFT needs the image on the whole grid; the training
+        # stacks keep this path, as full_ls's fit amplifies their round-off
+        # (through the time image its residual PSD moved by 3.8e-12 dB)
+        x_iq = apply_iq_freq(x, b_hat)
+        image, x_iq = x_iq[..., grid.ul_band], (idft(x_iq) if k_max else None)
+    else:
+        # the image on the band alone (the mirror of subcarrier p, (P - p)
+        # mod P, is the negative index -p), and in time for the orders above
+        image = x[..., grid.ul_band] + b_hat * np.conj(x[..., -grid.ul_indices])
+        x_iq = apply_iq_time(samples, b_hat) if k_max else None
+    return basis_chain(image, k_max, samples=x_iq, band=grid.ul_band, out=out)
 
 
 def _charge_bases(
@@ -481,7 +504,9 @@ def _charge_bases(
     Per symbol, the image costs one multiply and one add per downlink
     subcarrier. For k_max >= 1, basis_chain adds one IFFT and one squared
     magnitude, then one elementwise product and one FFT per order; at
-    k_max = 0 it runs none of these, so only the image is charged.
+    k_max = 0 it runs none of these, so only the image is charged. The
+    IFFT is charged also where a run block shares it with the reception:
+    the counts are those of a canceller that builds its own bases.
     """
     if counter is None:
         return

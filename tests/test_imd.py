@@ -147,6 +147,24 @@ def test_basis_chain_matches_direct():
         assert np.array_equal(row, basis_chain(apply_iq_freq(x, b_iq), k_max=3))
 
 
+def test_basis_chain_on_a_band_from_given_samples_is_the_band_of_the_chain():
+    # given x_iq's samples, the chain skips its IFFT and keeps the band of
+    # each order: bit for bit the band of the whole-grid chain
+    g = mid_grid()
+    syms = gen_qam_symbols(g, 16, amplitude=1.0, count=3, seed=8)
+    x_iq = apply_iq_freq(syms, irr_to_b(25.0, 0.3))
+    band = slice(5, 20)
+    whole = basis_chain(x_iq, k_max=3)
+    samples = np.fft.ifft(x_iq, axis=-1)
+    out = np.empty((3, 4, 15), dtype=complex)
+    got = basis_chain(x_iq[..., band], 3, samples=samples.copy(), band=band, out=out)
+    assert got is out and np.array_equal(got, whole[..., band])
+    # order 0 alone reads no samples
+    assert np.array_equal(basis_chain(x_iq[..., band], 0, band=band), whole[..., :1, band])
+    with pytest.raises(ValueError, match="needs the samples"):
+        basis_chain(x_iq[..., band], 2, band=band)
+
+
 # ---------------------------------------------------------------- power prediction
 
 

@@ -154,6 +154,26 @@ def test_gen_qam_symbols_support_and_determinism():
     assert any(not np.array_equal(a, b) for a, b in zip(syms, other))
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("block", [1, 4, 64])
+def test_qam_draws_split_across_calls_bit_for_bit(block, order):
+    # the run window draws its symbols block by block from one generator,
+    # into a buffer it reuses; together they must be the symbols of one call
+    g = SubcarrierGrid(256, 15e3, 20, (10, 200), (0, 5))
+    assert g.dl_size % 2 == 1
+    count = 70
+    whole = gen_qam_symbols(g, order, amplitude=1.5, count=count, seed=9)
+    rng = np.random.default_rng(9)
+    buffer = np.full((block, 256), 7.0 + 7.0j)  # stale values must not survive
+    parts = []
+    for start in range(0, count, block):
+        n = min(block, count - start)
+        rows = gen_qam_symbols(g, order, amplitude=1.5, count=n, seed=rng, out=buffer[:n])
+        assert rows.base is buffer or rows is buffer
+        parts.append(rows.copy())
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_gen_qam_symbols_power_statistics():
     g = SubcarrierGrid(64, 15e3, 8, (8, 55), (8, 55))
     syms = gen_qam_symbols(g, 16, amplitude=3.0, count=400, seed=1)

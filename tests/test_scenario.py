@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -143,12 +144,32 @@ def test_spec_rejects_bad_estimator_values():
         ({"duplex": "custom", "dl_span": (-1, 5), "ul_span": (0, 3)}, f"dl_span {span_rule}"),
         ({"duplex": "custom", "dl_span": (10, 20), "ul_span": (30, 256)}, f"ul_span {span_rule}"),
         ({"duplex": "custom", "dl_span": (1, 2), "ul_span": (3, 4, 5)}, f"ul_span {span_rule}"),
+        # integer fields take integers, and no bool, as a config file does
+        ({"k_max": 2.5}, "k_max must be an integer, got 2.5$"),
+        ({"n_run_symbols": 2.5}, "n_run_symbols must be an integer, got 2.5$"),
+        (
+            {"duplex": "custom", "dl_span": (10.7, 200.2), "ul_span": (20, 100)},
+            "dl_span must be an integer, got 10.7$",
+        ),
+        (
+            {"duplex": "custom", "dl_span": (10, 200), "ul_span": (20, 100.0)},
+            "ul_span must be an integer, got 100.0$",
+        ),
+        ({"tx_array": (4.0, 4, 0.5)}, "tx_array must be an integer, got 4.0$"),
+        ({"rx_array": (4, True, 0.5)}, "rx_array must be an integer, got True$"),
+        ({"seed": True}, "seed must be an integer, got True$"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0$"),
+        ({"num_subcarriers": 256.0}, "num_subcarriers must be an integer, got 256.0$"),
     ]
     for overrides, message in cases:
         with pytest.raises(ValueError, match="^" + message):
             ScenarioSpec(**overrides)
     with pytest.raises(ValueError, match="^los_gain_db must be finite, got nan$"):
         ScenarioSpec(channel=ChannelProfile(los_gain_db=nan))
+    with pytest.raises(ValueError, match="^n_rays must be an integer, got 2.5$"):
+        ChannelProfile(n_rays=2.5)
+    # numpy integers are integers
+    assert ScenarioSpec(seed=np.int64(3), k_max=np.int32(2)).seed == 3
 
 
 def test_one_data_training_symbol_serves_the_cancellers_without_b_hat():
@@ -295,11 +316,12 @@ def test_load_spec_errors(tmp_path):
 
 
 def test_sicr_values_and_guards():
-    raw = np.ones((2, 4), dtype=complex)
-    assert sicr(raw, raw / np.sqrt(10)) == pytest.approx(10.0)
-    assert sicr(raw, np.zeros_like(raw)) == float("inf")
-    with pytest.raises(ValueError, match="matching shapes"):
-        sicr(raw, raw[:1])
+    # the powers are sums over the same band and symbols
+    assert sicr(8.0, 0.8) == pytest.approx(10.0)
+    assert sicr(8.0, 0.0) == float("inf")
+    for raw, residual in [(8.0, -0.8), (-8.0, 0.8), (8.0, float("nan")), (float("inf"), 0.8)]:
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            sicr(raw, residual)
 
 
 def test_residual_cdf_sorts():
@@ -345,7 +367,7 @@ def assert_reception_matches_time_domain_chain(spec, taps, window):
         shape = (spec.n_train_symbols, grid.num_subcarriers)
     else:
         tx = gen_qam_symbols(grid, spec.qam_order, a_digi, 12, seed=21)
-        got = scenario._receive(tx, b_iq, pa, h, grid.ul_band)
+        got = scenario._receive(idft(tx), b_iq, pa, h, grid.ul_band)
         ref = np.fft.fft(oracle(tx, 0.0, 0), axis=-1)[:, grid.ul_band]
         bound, shape = 1e-12, (12, grid.ul_size)
     assert got.shape == ref.shape == shape
@@ -413,9 +435,11 @@ def test_run_noise_is_drawn_on_the_uplink_bins_at_the_noise_floor(monkeypatch):
     drawn = []
     noise = scenario._noise
 
-    def recording(shape, sigma, rng):
-        drawn.append(noise(shape, sigma, rng))
-        return drawn[-1]
+    def recording(shape, sigma, rng, out=None):
+        # the run window draws into a workspace it reuses, so keep a copy
+        values = noise(shape, sigma, rng, out=out)
+        drawn.append(values.copy())
+        return values
 
     monkeypatch.setattr(scenario, "_noise", recording)
     run_scenario(spec)
@@ -456,6 +480,28 @@ def test_blocked_run_window_matches_one_symbol_blocks(monkeypatch, preset, n_run
         assert np.max(np.abs(blocked.cdf_dbm[name] - single.cdf_dbm[name])) <= 1e-10
         assert blocked.sicr_db[name] == pytest.approx(single.sicr_db[name], rel=0, abs=1e-10)
         assert blocked.counters[name].rows() == single.counters[name].rows()
+
+
+def test_run_window_memory_does_not_grow_with_its_length():
+    # each block is worked in buffers allocated once per scenario and its
+    # residuals reduced to running sums, so no array grows with n_run
+    def peak(n_run):
+        spec = ScenarioSpec(
+            num_subcarriers=1024,
+            duplex="overlap",
+            cancellers=("none", "proposed", "full_ls"),
+            n_run_symbols=n_run,
+        )
+        tracemalloc.start()
+        try:
+            run_scenario(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(40)  # the first run fills caches a later one finds
+    short, long = peak(40), peak(2000)
+    assert long <= 1.25 * short, f"peak {long} B at 2000 symbols, {short} B at 40"
 
 
 def test_noise_draws_each_symbol_real_then_imaginary():
@@ -509,9 +555,9 @@ def test_each_block_builds_one_basis_stack_per_image_weight(monkeypatch, cancell
     calls = []
     build = sic.basis_chain
 
-    def counted(x_iq, k_max):
+    def counted(x_iq, k_max, **kwargs):
         calls.append(np.shape(x_iq)[0])
-        return build(x_iq, k_max)
+        return build(x_iq, k_max, **kwargs)
 
     monkeypatch.setattr(sic, "basis_chain", counted)
     spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=70, cancellers=cancellers)
@@ -527,12 +573,12 @@ def test_fits_hold_one_training_basis_stack_at_a_time(monkeypatch):
     stacks = []
     build = scenario.basis_stack
 
-    def tracked(x, b, k_max, grid):
+    def tracked(x, b, k_max, grid, *args, **kwargs):
         if len(stacks) == 1:
             assert b == 0.0  # pa_only's training stack comes second
             gc.collect()
             assert stacks[0]() is None, "the b_hat training stack is still alive"
-        chain = build(x, b, k_max, grid)
+        chain = build(x, b, k_max, grid, *args, **kwargs)
         stacks.append(weakref.ref(chain))
         return chain
 

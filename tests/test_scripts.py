@@ -93,6 +93,36 @@ def test_bench_pairs_summary_of_canned_runs():
     # equal values are no win; higher is better for SICR
     sicr = summary["sicr_db.proposed"]
     assert sicr["change_wins"] == 1 and sicr["gain"] == 0.0
+    # 4 of 5 pairs is short of nine tenths, whatever the gain: no verdict
+    assert p50["verdict"] == sicr["verdict"] == "unresolved"
+
+
+def test_bench_pairs_verdicts():
+    script = load_script("bench_pairs")
+    parent = [30.0, 31.0, 32.0, 33.0, 34.0, 35.0, 36.0, 37.0, 38.0, 39.0]
+
+    def verdict(change, better="lower", bound=0.25):
+        pairs = [
+            {"parent": {"values": {"m": p}}, "change": {"values": {"m": c}}}
+            for p, c in zip(parent, change)
+        ]
+        return script.summarize(pairs, {"m": better}, {"m": bound})["m"]["verdict"]
+
+    # 9 of 10 pairs won with a median gain of 2.5, under the parent IQR of
+    # 4.5, is no gain; with a median gain of 5 it is
+    assert verdict([p - 2.5 for p in parent[:9]] + [40.0]) == "unresolved"
+    assert verdict([p - 5.0 for p in parent[:9]] + [40.0]) == "gain"
+    # worse counts against the bound, a fraction of the parent median (34.5)
+    assert verdict([p + 8.0 for p in parent]) == "unresolved"
+    assert verdict([p + 9.0 for p in parent]) == "worse"
+    assert verdict([p - 9.0 for p in parent], better="higher") == "worse"
+    # a metric with no bound is never worse
+    pairs = [{"parent": {"values": {"m": p}}, "change": {"values": {"m": 2 * p}}} for p in parent]
+    assert script.summarize(pairs, {"m": "lower"})["m"]["verdict"] == "unresolved"
+    summary = script.summarize(pairs[:2], {"m": "lower"})["m"]
+    assert script.verdict_line("long_run", "m", summary) == (
+        "long_run m: unresolved (0 of 2 pairs; median 30.5 -> 61, parent IQR 0.5)"
+    )
 
 
 def test_bench_pairs_reads_the_run_output():

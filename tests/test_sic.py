@@ -13,6 +13,7 @@ from flexsic.imd import (
 )
 from flexsic.impairments import apply_iq_freq, apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
+from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
 from flexsic.sic import (
     SingularSystemError,
     TrainingBuffer,
@@ -829,6 +830,27 @@ def test_basis_stack_is_the_uplink_band_of_the_basis_chain():
             stack = basis_stack(x, b, k_max, g)
             assert stack.shape == (3, k_max + 1, g.ul_size)
             assert np.array_equal(stack, basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band])
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+@pytest.mark.parametrize("b", [0.0, 0.05 * np.exp(0.4j)])
+def test_basis_stack_from_shared_samples_matches_the_basis_chain(preset, b):
+    # the run window hands basis_stack the inverse FFT of its symbols; the
+    # image then enters in time, t + b conj(t), so the orders above 0 match
+    # the chain of the spectral image to round-off, and row 0, the image on
+    # the band, bit for bit
+    g = ScenarioSpec(num_subcarriers=256, duplex=preset).build_grid()
+    x = gen_qam_symbols(g, 16, 1.0, 5, seed=25)
+    for k_max in (0, 1, 3):
+        ref = basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band]
+        out = np.empty((5, k_max + 1, g.ul_size), dtype=complex)
+        samples = np.fft.ifft(x, axis=-1)
+        stack = basis_stack(x, b, k_max, g, samples=samples, out=out)
+        assert stack is out
+        assert np.array_equal(samples, np.fft.ifft(x, axis=-1)), "the shared samples changed"
+        assert np.array_equal(stack[:, 0], ref[:, 0])
+        for k in range(1, k_max + 1):
+            assert np.max(np.abs(stack[:, k] - ref[:, k])) <= 1e-13 * np.max(np.abs(ref[:, k]))
 
 
 def test_basis_stack_rejects_energy_outside_downlink():
