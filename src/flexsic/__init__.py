@@ -26,20 +26,15 @@ from .channel import (
 )
 from .counters import OpCounter
 from .imd import (
-    IMDTables,
     basis_chain,
-    dump_imd_tables,
     impulse_pilot,
-    impulse_pilot_basis,
     lambda_dl,
-    make_imd_tables,
     mu_tables,
     pilot_profile,
     predict_si_power,
     q_size,
 )
 from .impairments import (
-    apply_iq_freq,
     apply_iq_time,
     apply_pa,
     default_measured_pa,
@@ -50,7 +45,6 @@ from .ofdm import (
     dft,
     gen_qam_symbols,
     idft,
-    mirror_values,
     qam_constellation,
 )
 from .scenario import (

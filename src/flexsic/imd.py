@@ -34,15 +34,15 @@ that recursion as the reference the shipped routine is checked against.
 The impulse pilot is a flat downlink spectrum carrying the phase ramp
 exp(-j 2 pi cp_length p / P), so its whole band lands in body sample
 cp_length: past the longest channel tap, and on an integer sample, which
-keeps the pilot's closed-form basis exact. Its spectrum, its basis and its
-time profile all live here and share that one ramp slope.
+keeps the pilot's closed-form basis exact (the test suite holds that
+closed form as a reference). Its spectrum and its time profile live here
+and share that one ramp slope.
 
 Costs: lambda_dl is O(P). mu_tables, the basis-power prediction on the
 run path, is O(P log P) per order: one real-FFT circular correlation, with
 its round-off clipped to >= 0 and exact zeros kept off the subcarriers no
 tuple reaches. q_size is exact in Python integers, O(k^2 P) per order; it
-serves the table dump, the validation and the pilot closed form, never
-the run path.
+serves the `flexsic tables` dump, never the run path.
 
 Everything in this module is per-allocation and symbol-independent except
 the basis operators themselves, which act on the last axis of plain complex
@@ -52,27 +52,10 @@ arrays: one (P,) spectrum or an (M, P) stack of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import SubcarrierGrid, mirror_values
-
-
-@dataclass(frozen=True)
-class IMDTables:
-    """Per-allocation IMD combinatorics and basis-power expectations.
-
-    q_size[k, p] is the exact integer |Q^{2k+1}_p| (a Python int in an
-    object array, since the counts outgrow int64); row 0 is the downlink
-    indicator.  mu[k, p] is the predicted E|Phi_{2k+1}[p]|^2 for random
-    downlink symbols of per-subcarrier power a_digi^2.
-    """
-
-    grid: SubcarrierGrid
-    k_max: int
-    q_size: np.ndarray
-    mu: np.ndarray
+from .ofdm import SubcarrierGrid
 
 
 def lambda_dl(grid: SubcarrierGrid) -> np.ndarray:
@@ -230,43 +213,6 @@ def mu_tables(
     return mu
 
 
-def make_imd_tables(
-    grid: SubcarrierGrid,
-    b_iq: complex,
-    a_digi: float,
-    k_max: int,
-) -> IMDTables:
-    """Build and validate the full table set for one allocation."""
-    qs = q_size(grid, k_max)
-    for k in range(k_max + 1):
-        total = int(sum(int(v) for v in qs[k]))
-        expect = grid.dl_size ** (2 * k + 1)
-        if total != expect:
-            raise AssertionError(
-                f"q_size row {k} sums to {total}, expected |DL|^{2 * k + 1} = {expect}"
-            )
-    return IMDTables(
-        grid=grid,
-        k_max=k_max,
-        q_size=qs,
-        mu=mu_tables(grid, b_iq, a_digi, k_max),
-    )
-
-
-def dump_imd_tables(tables: IMDTables, path) -> None:
-    """Write the tables as CSV rows `k,p,q_size,mu`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,p,q_size,mu\n")
-        for k in range(tables.k_max + 1):
-            for p in range(tables.grid.num_subcarriers):
-                fh.write(f"{k},{p},{int(tables.q_size[k, p])},{float(tables.mu[k, p])!r}\n")
-
-
-def _dl_mirror_closed(grid: SubcarrierGrid) -> bool:
-    """True when the downlink set maps onto itself under p -> (P - p) mod P."""
-    return np.array_equal(mirror_values(grid.dl_mask), grid.dl_mask)
-
-
 def _pilot_slope(grid: SubcarrierGrid) -> float:
     """Phase slope of the pilot ramp, placing its peak at body sample cp_length."""
     return 2.0 * np.pi * grid.cp_length / grid.num_subcarriers
@@ -314,35 +260,6 @@ def pilot_profile(grid: SubcarrierGrid, samples: np.ndarray) -> np.ndarray:
     return out / n
 
 
-def impulse_pilot_basis(
-    grid: SubcarrierGrid, b_iq: complex, a_digi: float, k: int = 0
-) -> np.ndarray:
-    """Closed-form nonlinear basis of the impulse pilot, O(1) per subcarrier.
-
-        Phi_{2k+1}[p] = (|Q^{2k+1}_p| / P^{2k}) * a^{2k+1}
-                        * |1 + b|^{2k} * (1 + b) * exp(-j 2 pi cp_length p / P)
-
-    Exact when every tuple term carries the same per-subcarrier factor.
-    The peak sits on the integer sample cp_length, so that holds when
-    b = 0 or the downlink set is mirror-closed; b != 0 on any other set
-    raises.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if b_iq != 0 and not _dl_mirror_closed(grid):
-        raise ValueError(
-            "closed-form pilot basis with b != 0 requires a mirror-closed "
-            "downlink set (dl_start + dl_end = P)"
-        )
-    p = grid.num_subcarriers
-    one_b = 1.0 + b_iq
-    scale = (
-        a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
-    )
-    ramp = np.exp(-1j * _pilot_slope(grid) * np.arange(p))
-    return _q_row(grid, k).astype(np.float64) * scale * ramp
-
-
 def predict_si_power(
     a_hat: np.ndarray, mu: np.ndarray, h_hat: np.ndarray
 ) -> np.ndarray:
@@ -355,5 +272,5 @@ def predict_si_power(
             f"a_hat has {len(a_hat)} orders but mu has {mu.shape[0]} rows"
         )
     if mu.shape[1] != len(h_hat):
-        raise ValueError("mu and h_hat disagree on grid size")
+        raise ValueError("mu and h_hat disagree on subcarrier count")
     return (np.abs(a_hat) ** 2)[:, None] * mu * (np.abs(h_hat) ** 2)[None, :]

@@ -5,7 +5,9 @@ IQ imbalance adds a conjugate image scaled by a complex coefficient b:
     time domain:       x_iq[n] = x[n] + b * conj(x[n])
     frequency domain:  X_iq[p] = X[p] + b * conj(X[(P - p) mod P])
 
-The image rejection ratio is IRR = 1/|b|^2.
+apply_iq_time is the time-domain form; sic.basis_stack takes the
+frequency-domain form on the uplink band alone. The image rejection
+ratio is IRR = 1/|b|^2.
 
 The PA is an odd-order memoryless polynomial applied per sample:
 
@@ -22,17 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ofdm import mirror_values
-
 
 def apply_iq_time(x: np.ndarray, b_iq: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample image: out[n] = x[n] + b * conj(x[n]), written into out when given."""
-    return np.add(x, b_iq * np.conj(x), out=out)
+    """Per-sample image: out[n] = x[n] + b * conj(x[n]), written into out when given.
 
-
-def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
-    """Per-subcarrier image along the last axis: out[p] = X[p] + b * conj(X[(P - p) mod P])."""
-    return X + b_iq * np.conj(mirror_values(X))
+    The product is taken in place as b * conj(x), in that operand order at
+    every size: numpy's temporary elision would turn b * np.conj(x) into
+    conj(x) * b for large arrays, which differs in the last bit, so a stack's
+    rows would not equal the same rows imaged one at a time.
+    """
+    image = np.conj(x, dtype=np.complex128)
+    np.multiply(b_iq, image, out=image)
+    return np.add(x, image, out=image if out is None else out)
 
 
 def apply_pa(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -127,11 +127,6 @@ class SubcarrierGrid:
         return 1.0 / (self.num_subcarriers * self.subcarrier_spacing)
 
 
-def mirror_values(values: np.ndarray) -> np.ndarray:
-    """Reindex the last axis by the mirror map: out[..., p] = values[..., (P - p) mod P]."""
-    return np.roll(values[..., ::-1], 1, axis=-1)
-
-
 def idft(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse transform along the last axis, with the 1/P factor, into out when given.
 

@@ -710,8 +710,11 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
     csv format produces psd.csv (canceller,p,residual_dbm), cdf.csv
     (canceller,sample,residual_dbm), complexity.csv (stage,counter,value)
     and config.json. json format produces a single report.json holding
-    the same content. Output is byte-identical for identical runs.
+    the same content. Output is byte-identical for identical runs. An
+    unknown fmt is refused before out_dir is created.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     config = spec_to_dict(report.spec)
@@ -739,7 +742,7 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
             json.dump({"config": config, "seed": report.seed}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
-    elif fmt == "json":
+    else:
         payload = {
             "config": config,
             "seed": report.seed,
@@ -764,6 +767,4 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
     return written

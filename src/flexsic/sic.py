@@ -46,8 +46,8 @@ which canceller is in use, and estimate_pa's inverse DFT only recovers
 the pilot bodies a receiver holds before it demodulates them.
 
 Both allocations are contiguous spans, so every band gather is a slice
-(grid.dl_band, grid.ul_band); index arrays remain only for the mirror
-pairs of estimate_iq.
+(grid.dl_band, grid.ul_band); index arrays remain only for mirror
+subcarriers, in estimate_iq's pairs and basis_stack's image.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_profile, predict_si_power
-from .impairments import apply_iq_freq, apply_iq_time
+from .impairments import apply_iq_time
 from .ofdm import SubcarrierGrid, idft
 
 _RANK_TOL = 1e-12
@@ -463,18 +463,17 @@ def basis_stack(
 ) -> np.ndarray:
     """Bases Phi_1 .. Phi_{2k_max+1} on the uplink band of (..., P) spectra with the IQ image b_hat.
 
-    Returns basis_chain(apply_iq_freq(x, b_hat), k_max)[..., grid.ul_band],
-    shape (..., k_max + 1, |UL|), after checking that every symbol has the
-    grid's length and no energy outside the downlink band; only the band of
-    each order's FFT is kept. samples, when given, is idft(x): the run
-    window's one inverse FFT per block, shared with the reception. Row 0,
-    the image, is then computed on the band alone, and the orders above it
-    take the image in time, t + b_hat conj(t), which equals
-    idft(apply_iq_freq(x, b_hat)) to round-off (about 1e-15 relative).
-    Without samples the image is taken on the whole grid, which its inverse
-    FFT needs, and the stack is the chain's band bit for bit. out, of the
-    returned shape, is filled and returned when given. Uncharged: each
-    canceller that reads the stack charges its own basis stage.
+    Returns the (..., k_max + 1, |UL|) stack after checking that every
+    symbol has the grid's length and no energy outside the downlink band.
+    Row 0, the image X[p] + b_hat conj(X[(P - p) mod P]), is taken on the
+    band alone. The orders above it take the image in time, t + b_hat
+    conj(t) with t = idft(x), which equals the inverse transform of the
+    spectral image to round-off (about 1e-15 relative), and keep the band
+    of each order's FFT: basis_chain on the band. samples, when given, is
+    idft(x), such as the run window's one inverse FFT per block, shared
+    with the reception; otherwise it is taken here. out, of the returned
+    shape, is filled and returned when given. Uncharged: each canceller
+    that reads the stack charges its own basis stage.
     """
     _symbol_count(x, grid.num_subcarriers)
     x = np.asarray(x)
@@ -482,17 +481,14 @@ def basis_stack(
         raise ValueError(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
-    if samples is None:
-        # the inverse FFT needs the image on the whole grid; the training
-        # stacks keep this path, as full_ls's fit amplifies their round-off
-        # (through the time image its residual PSD moved by 3.8e-12 dB)
-        x_iq = apply_iq_freq(x, b_hat)
-        image, x_iq = x_iq[..., grid.ul_band], (idft(x_iq) if k_max else None)
-    else:
-        # the image on the band alone (the mirror of subcarrier p, (P - p)
-        # mod P, is the negative index -p), and in time for the orders above
-        image = x[..., grid.ul_band] + b_hat * np.conj(x[..., -grid.ul_indices])
-        x_iq = apply_iq_time(samples, b_hat) if k_max else None
+    # the mirror of subcarrier p, (P - p) mod P, is the negative index -p;
+    # the product is taken as in apply_iq_time, b_hat * conj(.) at every size
+    image = np.conj(x[..., -grid.ul_indices], dtype=np.complex128)
+    np.multiply(b_hat, image, out=image)
+    image += x[..., grid.ul_band]
+    x_iq = None
+    if k_max:
+        x_iq = apply_iq_time(idft(x) if samples is None else samples, b_hat)
     return basis_chain(image, k_max, samples=x_iq, band=grid.ul_band, out=out)
 
 

@@ -14,8 +14,7 @@ import itertools
 import numpy as np
 
 from flexsic.counters import OpCounter, fft_adds, fft_mults, ls_costs
-from flexsic.imd import basis_chain
-from flexsic.impairments import apply_iq_freq
+from flexsic.imd import basis_chain, q_size
 from flexsic.ofdm import SubcarrierGrid
 from flexsic.sic import (
     _AUTO_RIDGE_COND,
@@ -40,6 +39,47 @@ def idft_ref(values: np.ndarray) -> np.ndarray:
     grid_n = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(grid_n, grid_n) / n)
     return (phases @ np.asarray(values, dtype=np.complex128)) / n
+
+
+def mirror_values(values: np.ndarray) -> np.ndarray:
+    """Reindex the last axis by the mirror map: out[..., p] = values[..., (P - p) mod P]."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
+
+
+def apply_iq_freq(X: np.ndarray, b_iq: complex) -> np.ndarray:
+    """IQ image on the whole grid, along the last axis: out[p] = X[p] + b * conj(X[(P - p) mod P]).
+
+    The frequency-domain picture of flexsic.impairments.apply_iq_time, which
+    flexsic.sic.basis_stack takes on the uplink band alone.
+    """
+    return X + b_iq * np.conj(mirror_values(X))
+
+
+def impulse_pilot_basis(
+    grid: SubcarrierGrid, b_iq: complex, a_digi: float, k: int = 0
+) -> np.ndarray:
+    """Closed-form nonlinear basis of flexsic.imd.impulse_pilot, O(1) per subcarrier.
+
+        Phi_{2k+1}[p] = (|Q^{2k+1}_p| / P^{2k}) * a^{2k+1}
+                        * |1 + b|^{2k} * (1 + b) * exp(-j 2 pi cp_length p / P)
+
+    Exact when every tuple term carries the same per-subcarrier factor.
+    The peak sits on the integer sample cp_length, so that holds when
+    b = 0 or the downlink set is mirror-closed; b != 0 on any other set
+    raises.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if b_iq != 0 and not np.array_equal(mirror_values(grid.dl_mask), grid.dl_mask):
+        raise ValueError(
+            "closed-form pilot basis with b != 0 requires a mirror-closed "
+            "downlink set (dl_start + dl_end = P)"
+        )
+    p = grid.num_subcarriers
+    one_b = 1.0 + b_iq
+    scale = a_digi ** (2 * k + 1) * abs(one_b) ** (2 * k) * one_b / p ** (2 * k)
+    ramp = np.exp(-2j * np.pi * grid.cp_length * np.arange(p) / p)
+    return q_size(grid, k)[k].astype(np.float64) * scale * ramp
 
 
 def brute_q_size(grid: SubcarrierGrid, k: int) -> np.ndarray:

@@ -31,12 +31,10 @@ from flexsic.counters import OpCounter
 from flexsic.imd import (
     basis_chain,
     impulse_pilot,
-    impulse_pilot_basis,
     mu_tables,
     q_size,
 )
 from flexsic.impairments import (
-    apply_iq_freq,
     apply_pa,
     default_measured_pa,
     irr_to_b,
@@ -44,7 +42,6 @@ from flexsic.impairments import (
 from flexsic.ofdm import (
     SubcarrierGrid,
     gen_qam_symbols,
-    mirror_values,
 )
 from flexsic.scenario import ScenarioSpec, run_scenario
 from flexsic.sic import (
@@ -56,7 +53,15 @@ from flexsic.sic import (
     run_sic,
     select_basis,
 )
-from oracles import basis_recursion, brute_q_size, mc_mu, rx_body_loop
+from oracles import (
+    apply_iq_freq,
+    basis_recursion,
+    brute_q_size,
+    impulse_pilot_basis,
+    mc_mu,
+    mirror_values,
+    rx_body_loop,
+)
 
 NOISE_DBM = -90.0
 PA_TRUTH = np.array([35.89, -2.24, 0.0015])  # a[k] = a_{2k+1}

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from flexsic.cli import main
+from flexsic.imd import mu_tables, q_size
+from flexsic.scenario import load_spec
 
 
 @pytest.fixture
@@ -60,46 +62,26 @@ def test_tables_command(tmp_path, config_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "k,p,q_size,mu"
     assert len(lines) == 1 + 3 * 64  # k_max + 1 rows per subcarrier
-
-
-def test_validate_command_passes(config_path, capsys):
-    rc = main(["validate", "--config", str(config_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "all checks passed" in out
-    assert "FAIL" not in out
-    for name in (
-        "transform-roundtrip",
-        "parseval",
-        "tuple-count-identity",
-        "pilot-closed-form",
-        "perfect-coefficients-cancel",
-        "mirror-convention",
-    ):
-        assert f"PASS {name}" in out
-
-
-def test_validate_skips_pilot_closed_form_off_mirror(tmp_path, capsys):
-    cfg = {
-        "num_subcarriers": 64,
-        "cp_length": 20,
-        "duplex": "custom",
-        "dl_span": [8, 40],
-        "ul_span": [46, 62],
-        "seed": 1,
-    }
-    path = tmp_path / "sbfd.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["validate", "--config", str(path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "SKIP pilot-closed-form" in out
+    # every row is the exact count and the prediction, mu round-tripping exactly
+    spec = load_spec(config_path)
+    grid = spec.build_grid()
+    counts = q_size(grid, spec.k_max)
+    mu = mu_tables(grid, spec.build_imbalance(), spec.drive_amplitude(grid), spec.k_max)
+    for i, line in enumerate(lines[1:]):
+        k, p, count, power = line.split(",")
+        assert (int(k), int(p)) == divmod(i, 64)
+        assert int(count) == counts[int(k), int(p)]
+        assert float(power) == mu[int(k), int(p)]
+    assert counts[0, grid.dl_start] == 1
+    assert mu[0, grid.dl_start] == pytest.approx(
+        (1 + abs(spec.build_imbalance()) ** 2) * spec.drive_amplitude(grid) ** 2
+    )
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"num_subcarrier": 64}))
-    rc = main(["validate", "--config", str(path)])
+    rc = main(["tables", "--config", str(path), "--out", str(tmp_path / "t.csv")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
@@ -173,14 +155,12 @@ def test_negative_seed_override_exits_2_naming_the_option(tmp_path, config_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["tables", "validate"])
-def test_tables_and_validate_reject_a_config_that_run_rejects(tmp_path, capsys, command):
-    # the three subcommands share one validity rule; run's cases are in the malformed-value test
+def test_tables_rejects_a_config_that_run_rejects(tmp_path, capsys):
+    # both subcommands share one validity rule; run's cases are in the malformed-value test
     path = tmp_path / "bad.json"
-    out = ["--out", str(tmp_path / "t.csv")] if command == "tables" else []
     # a 16-sample prefix cannot hold the default channel's last ray, on tap 16
     for key, value in [("k_max", 0), ("cp_length", 16)]:
         path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, key: value}))
-        rc = main([command, "--config", str(path)] + out)
+        rc = main(["tables", "--config", str(path), "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must")

@@ -3,28 +3,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexsic.imd import (
-    IMDTables,
     basis_chain,
-    dump_imd_tables,
     impulse_pilot,
-    impulse_pilot_basis,
     lambda_dl,
-    make_imd_tables,
     mu_tables,
     pilot_profile,
     predict_si_power,
     q_size,
 )
-from flexsic.impairments import apply_iq_freq, default_measured_pa, irr_to_b
+from flexsic.impairments import default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
 from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
 from flexsic.sic import select_basis
 from oracles import (
+    apply_iq_freq,
     basis_recursion,
     brute_lambda,
     brute_q_size,
     exact_mu_gauss,
     exact_mu_tiny,
+    impulse_pilot_basis,
     mc_mu,
     mu_tables_conv,
     q_size_recursion,
@@ -278,27 +276,6 @@ def test_mu_moment_mode_validation_and_gap():
     assert np.allclose(plain, mu_tables(g, 0.0, 1.0, 1), rtol=1e-15)
 
 
-def test_make_imd_tables_and_dump(tmp_path):
-    g = mid_grid()
-    b_iq = irr_to_b(25.0, 0.3)
-    tables = make_imd_tables(g, b_iq, a_digi=0.7, k_max=2)
-    assert isinstance(tables, IMDTables)
-    assert tables.q_size[0, g.dl_start] == 1
-    assert tables.mu[0, g.dl_start] == pytest.approx(
-        (1 + abs(b_iq) ** 2) * 0.49
-    )
-
-    path = tmp_path / "tables.csv"
-    dump_imd_tables(tables, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,p,q_size,mu"
-    assert len(lines) == 1 + 3 * 32
-    k, p, q, mu = lines[1 + 32].split(",")
-    assert (int(k), int(p)) == (1, 0)
-    assert int(q) == tables.q_size[1, 0]
-    assert float(mu) == tables.mu[1, 0]
-
-
 # ---------------------------------------------------------------- impulse pilots
 
 
@@ -384,5 +361,5 @@ def test_predict_si_power_shapes_and_values():
     assert np.allclose(out[1], 0.25 * mu[1] * 9.0)
     with pytest.raises(ValueError, match="orders"):
         predict_si_power(np.ones(3), mu, h)
-    with pytest.raises(ValueError, match="grid size"):
+    with pytest.raises(ValueError, match="subcarrier count"):
         predict_si_power(a_hat, mu, h[:10])

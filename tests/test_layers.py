@@ -18,8 +18,14 @@ import pytest
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
-# the time-domain prefix chain, replaced by the per-subcarrier reception
-RETIRED = ("ofdm.add_cp", "ofdm.remove_cp", "channel.apply_channel")
+RETIRED = (
+    # the time-domain prefix chain, replaced by the per-subcarrier reception
+    "ofdm.add_cp",
+    "ofdm.remove_cp",
+    "channel.apply_channel",
+    # the table wrapper; `flexsic tables` calls q_size and mu_tables itself
+    "imd.make_imd_tables",
+)
 
 
 def _hooks() -> tuple[str, ...]:

@@ -7,11 +7,10 @@ from flexsic.ofdm import (
     dft,
     gen_qam_symbols,
     idft,
-    mirror_values,
     qam_constellation,
 )
 from flexsic.scenario import DUPLEX_PRESETS, duplex_allocation
-from oracles import dft_ref, idft_ref
+from oracles import dft_ref, idft_ref, mirror_values
 
 
 def small_grid(p=16, dl=(2, 6), ul=(10, 14)):

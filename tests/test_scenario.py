@@ -659,8 +659,11 @@ def test_emit_report_json(tmp_path):
     assert payload["noise_floor_dbm"] == spec.noise_dbm
     assert len(payload["ul_indices"]) == spec.build_grid().ul_size
     assert any(row["stage"].startswith("proposed.") for row in payload["complexity"])
+    # an unknown format is refused before the directory is made
+    fresh = tmp_path / "fresh"
     with pytest.raises(ValueError, match="unknown report format"):
-        emit_report(report, tmp_path, fmt="yaml")
+        emit_report(report, fresh, fmt="yaml")
+    assert not fresh.exists()
 
 
 def test_all_cancellers_run_together():

@@ -11,8 +11,8 @@ from flexsic.imd import (
     mu_tables,
     predict_si_power,
 )
-from flexsic.impairments import apply_iq_freq, apply_pa, default_measured_pa, irr_to_b
-from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols, mirror_values
+from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
+from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
 from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
 from flexsic.sic import (
     SingularSystemError,
@@ -32,11 +32,13 @@ from flexsic.sic import (
     select_basis,
 )
 from oracles import (
+    apply_iq_freq,
     baseline_full_ls_loop,
     estimate_channel_loop,
     estimate_iq_loop,
     ls_solve_ref,
     ls_solve_stack_qr,
+    mirror_values,
     run_sic_loop,
     select_basis_loop,
 )
@@ -822,32 +824,25 @@ def test_run_sic_leaves_unestimated_subcarriers_untouched():
     assert out[skip] == y[skip]
 
 
-def test_basis_stack_is_the_uplink_band_of_the_basis_chain():
-    b = 0.05 * np.exp(0.4j)
-    for g in (ibfd_grid(), sbfd_grid()):
-        x = gen_qam_symbols(g, 16, 1.0, 3, seed=24)
-        for k_max in (0, 2):
-            stack = basis_stack(x, b, k_max, g)
-            assert stack.shape == (3, k_max + 1, g.ul_size)
-            assert np.array_equal(stack, basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band])
-
-
 @pytest.mark.parametrize("preset", DUPLEX_PRESETS)
 @pytest.mark.parametrize("b", [0.0, 0.05 * np.exp(0.4j)])
 def test_basis_stack_from_shared_samples_matches_the_basis_chain(preset, b):
-    # the run window hands basis_stack the inverse FFT of its symbols; the
-    # image then enters in time, t + b conj(t), so the orders above 0 match
-    # the chain of the spectral image to round-off, and row 0, the image on
-    # the band, bit for bit
+    # the image enters the orders above 0 in time, t + b conj(t) with
+    # t = idft(x), so they match the chain of the spectral image to
+    # round-off, and row 0, the image on the band, bit for bit; samples
+    # the caller shares, as the run window does, give the same stack
     g = ScenarioSpec(num_subcarriers=256, duplex=preset).build_grid()
     x = gen_qam_symbols(g, 16, 1.0, 5, seed=25)
     for k_max in (0, 1, 3):
         ref = basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band]
+        own = basis_stack(x, b, k_max, g)
+        assert own.shape == (5, k_max + 1, g.ul_size)
         out = np.empty((5, k_max + 1, g.ul_size), dtype=complex)
         samples = np.fft.ifft(x, axis=-1)
         stack = basis_stack(x, b, k_max, g, samples=samples, out=out)
         assert stack is out
         assert np.array_equal(samples, np.fft.ifft(x, axis=-1)), "the shared samples changed"
+        assert np.array_equal(stack, own)
         assert np.array_equal(stack[:, 0], ref[:, 0])
         for k in range(1, k_max + 1):
             assert np.max(np.abs(stack[:, k] - ref[:, k])) <= 1e-13 * np.max(np.abs(ref[:, k]))
