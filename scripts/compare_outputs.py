@@ -3,15 +3,17 @@
 
 Exports the parent revision with `git archive` and runs one fixed grid of
 scenarios in each tree, each in a child interpreter that imports only the
-public API of flexsic (ScenarioSpec, run_scenario, CANCELLERS) from that
-tree's src/. The grid is P = 256 and 1024 on every duplex preset with
-seeds 1-8, plus P = 4096 ibfd with seeds 1-2: 50 scenarios, all six
-cancellers each.
+public API of flexsic (ScenarioSpec, run_scenario, spec_to_dict,
+CANCELLERS) from that tree's src/. The grid is P = 256 and 1024 on every
+duplex preset with seeds 1-8, plus P = 4096 ibfd with seeds 1-2: 50
+scenarios, all six cancellers each.
 
 Prints, per canceller, the largest |delta| of SICR, of the residual PSD
 and of the residual CDF samples, in dB, and the number of scenarios whose
-SICR, PSD and CDF are bit-identical. Exits 1 when any counter row
-(stage, counter, value) differs, 0 otherwise.
+SICR, PSD and CDF are bit-identical, then the number of scenarios whose
+counter rows (stage, counter, value) differ and the number whose
+spec_to_dict, which emit_report writes as config.json, differs. Exits 1
+when any counter row or config differs, 0 otherwise.
 
 Example, from the repository root:
 
@@ -38,16 +40,19 @@ GRID = [(p, duplex, seed) for p in (256, 1024) for duplex in ("ibfd", "sbfd", "o
 
 CHILD = """
 import json, pickle, sys
-from flexsic import CANCELLERS, ScenarioSpec, run_scenario
+from flexsic import CANCELLERS, ScenarioSpec, run_scenario, spec_to_dict
 
 out = []
 for p, duplex, seed in json.loads(sys.argv[2]):
     spec = ScenarioSpec(num_subcarriers=p, duplex=duplex, seed=seed, cancellers=CANCELLERS)
     report = run_scenario(spec)
     out.append({
-        name: (report.sicr_db[name], report.psd_dbm[name], report.cdf_dbm[name],
-               report.counters[name].rows())
-        for name in spec.cancellers
+        "config": json.dumps(spec_to_dict(spec), sort_keys=True),
+        "outputs": {
+            name: (report.sicr_db[name], report.psd_dbm[name], report.cdf_dbm[name],
+                   report.counters[name].rows())
+            for name in spec.cancellers
+        },
     })
 with open(sys.argv[1], "wb") as fh:
     pickle.dump(out, fh)
@@ -57,7 +62,9 @@ with open(sys.argv[1], "wb") as fh:
 def dump(tree: str, path: str, grid=GRID) -> list[dict]:
     """Outputs of grid run by the flexsic of tree/src in a child interpreter, also written to path.
 
-    One dict per scenario maps each canceller to (SICR, PSD, CDF, counter rows).
+    One dict per scenario holds its "config", spec_to_dict as JSON text,
+    and its "outputs", which map each canceller to (SICR, PSD, CDF,
+    counter rows).
     """
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     subprocess.run(
@@ -79,26 +86,31 @@ def _delta(a, b) -> float:
 
 
 def compare(parent: list[dict], change: list[dict]) -> tuple[list[str], int]:
-    """(report lines, number of scenarios whose counter rows differ) of two dumps of one grid."""
+    """Report lines and the number of scenarios whose counter rows or config differ in two dumps."""
     if len(parent) != len(change):
         raise ValueError(f"dumps hold {len(parent)} and {len(change)} scenarios")
     lines = [f"{'canceller':10s} {'max|dSICR| dB':>14s} {'max|dPSD| dB':>13s} "
              f"{'max|dCDF| dB':>13s} {'bit-identical':>14s}"]
-    for name in parent[0] if parent else ():
+    parent_outputs = [scenario["outputs"] for scenario in parent]
+    change_outputs = [scenario["outputs"] for scenario in change]
+    for name in parent_outputs[0] if parent else ():
         # per scenario: |dSICR|, |dPSD| and |dCDF|
         deltas = np.array([
             [_delta(old[name][i], new[name][i]) for i in range(3)]
-            for old, new in zip(parent, change)
+            for old, new in zip(parent_outputs, change_outputs)
         ])
         d_sicr, d_psd, d_cdf = deltas.max(axis=0)
         same = int((deltas == 0).all(axis=1).sum())
         lines.append(f"{name:10s} {d_sicr:14.3g} {d_psd:13.3g} {d_cdf:13.3g} "
                      f"{same:>8d} of {len(parent)}")
-    differ = sum(
-        any(old[name][3] != new[name][3] for name in old) for old, new in zip(parent, change)
-    )
-    lines.append(f"counter rows differ in {differ} of {len(parent)} scenarios")
-    return lines, differ
+    counters = [
+        any(old[name][3] != new[name][3] for name in old)
+        for old, new in zip(parent_outputs, change_outputs)
+    ]
+    configs = [old["config"] != new["config"] for old, new in zip(parent, change)]
+    lines.append(f"counter rows differ in {sum(counters)} of {len(parent)} scenarios")
+    lines.append(f"configs differ in {sum(configs)} of {len(parent)} scenarios")
+    return lines, sum(c or d for c, d in zip(counters, configs))
 
 
 def main(argv=None) -> int:

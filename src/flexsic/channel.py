@@ -17,13 +17,11 @@ frequency response fft(h, n=P), and the receiver needs nothing else.
 from __future__ import annotations
 
 import csv
-import functools
-import numbers
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import conform_fields
 from .ofdm import SubcarrierGrid
 
 RAY_CSV_HEADER = ["ray", "delay_s", "gain_re", "gain_im", "aoa_rad", "aod_rad", "is_los"]
@@ -50,6 +48,7 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self):
+        conform_fields(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         if self.spacing <= 0:
@@ -171,40 +170,6 @@ def apply_beams(taps: np.ndarray, f_tx: BeamVector, w_rx: BeamVector) -> np.ndar
     return np.array([w @ taps[n] @ f_tx.weights for n in range(n_taps)])
 
 
-def require_finite(spec) -> None:
-    """Refuse a NaN or an infinity in a field of dataclass spec, or in a tuple's or dict's items."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        items = value.values() if isinstance(value, dict) else value
-        for item in items if isinstance(value, (tuple, dict)) else (value,):
-            if isinstance(item, (float, complex, np.inexact)) and not np.isfinite(item):
-                raise ValueError(f"{f.name} must be finite, got {item!r}")
-
-
-def _declared_ints(value, hint) -> list:
-    """The parts of value that type hint declares int: value itself, or a tuple's items."""
-    args = typing.get_args(hint)
-    if type(None) in args:  # an optional field, X | None
-        return [] if value is None else _declared_ints(value, args[0])
-    if typing.get_origin(hint) is tuple and isinstance(value, (tuple, list)):
-        return [part for v, h in zip(value, args) for part in _declared_ints(v, h)]
-    return [value] if hint is int else []
-
-
-@functools.cache
-def _type_hints(cls) -> dict:
-    """typing.get_type_hints of a dataclass, evaluated once per class."""
-    return typing.get_type_hints(cls)
-
-
-def require_integers(spec) -> None:
-    """Refuse a non-integer, a bool included, where dataclass spec's type hints declare an int."""
-    for name, hint in _type_hints(type(spec)).items():
-        for item in _declared_ints(getattr(spec, name), hint):
-            if isinstance(item, bool) or not isinstance(item, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {item!r}")
-
-
 @dataclass(frozen=True)
 class ChannelProfile:
     """Synthetic LoS + decaying NLoS profile.
@@ -224,8 +189,7 @@ class ChannelProfile:
     nlos_tap_step: int = 4
 
     def __post_init__(self):
-        require_finite(self)
-        require_integers(self)
+        conform_fields(self)
         if self.n_rays < 1:
             raise ValueError(f"n_rays must be >= 1, got {self.n_rays}")
         if self.nlos_tap_step < 1:

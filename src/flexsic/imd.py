@@ -130,10 +130,10 @@ def basis_chain(
     is X_iq_values, copied bit for bit. Row k is the definition
     dft(|x_iq|^{2k} x_iq)[..., band] with x_iq = idft(X_iq): one squared
     magnitude per symbol, then one product and one FFT per order, O(P log P)
-    each. samples is x_iq, (..., P). By default it is idft(X_iq_values),
-    which needs the whole grid; samples that are given are overwritten, so
-    a caller that holds them already spends no IFFT here. out, of the
-    returned shape, is filled and returned when given.
+    each. samples is x_iq, (..., P), which the caller holds already (see
+    sic.basis_stack), so no IFFT is spent here; it is required for k_max
+    >= 1 and read by no order at k_max = 0, and it is overwritten. out, of
+    the returned shape, is filled and returned when given.
     """
     x = np.asarray(X_iq_values)
     if out is None:
@@ -142,9 +142,7 @@ def basis_chain(
     if k_max == 0:
         return out
     if samples is None:
-        if band != slice(None):
-            raise ValueError("basis_chain needs the samples to build the bases on a band")
-        samples = np.fft.ifft(x, axis=-1)
+        raise ValueError("basis_chain needs the samples x_iq to build the orders above 1")
     mag2 = np.abs(samples)
     np.square(mag2, out=mag2)
     spectrum = np.empty_like(samples)

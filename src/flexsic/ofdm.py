@@ -28,12 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import conform_fields
+
 QAM_ORDERS = (4, 16, 64)
 
 
 @dataclass(frozen=True)
 class SubcarrierGrid:
     """OFDM dimensions plus downlink/uplink allocation ranges.
+
+    Each field must fit its type hint (fields.conform_fields): a span index
+    that is not an integer is refused by name, never truncated.
 
     Parameters
     ----------
@@ -55,9 +60,10 @@ class SubcarrierGrid:
     ul_set: tuple[int, int]
 
     def __post_init__(self):
+        conform_fields(self)
         p = self.num_subcarriers
-        if not (isinstance(p, (int, np.integer)) and p > 0):
-            raise ValueError(f"num_subcarriers must be a positive integer, got {p!r}")
+        if p < 1:
+            raise ValueError(f"num_subcarriers must be positive, got {p}")
         if not self.subcarrier_spacing > 0:
             raise ValueError(
                 f"subcarrier_spacing must be positive, got {self.subcarrier_spacing!r}"
@@ -68,15 +74,11 @@ class SubcarrierGrid:
                 f"got cp_length={self.cp_length} with num_subcarriers={p}"
             )
         for name in ("dl_set", "ul_set"):
-            rng = getattr(self, name)
-            if len(rng) != 2:
-                raise ValueError(f"{name} must be a (start, end) pair, got {rng!r}")
-            start, end = rng
+            start, end = getattr(self, name)
             if not (0 <= start <= end < p):
                 raise ValueError(
                     f"{name}=({start}, {end}) violates 0 <= start <= end < {p}"
                 )
-            object.__setattr__(self, name, (int(start), int(end)))
 
     @property
     def dl_start(self) -> int:

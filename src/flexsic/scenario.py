@@ -47,10 +47,9 @@ floor is placed noise_dbm below it.
 
 from __future__ import annotations
 
+import itertools
 import json
-import numbers
 import os
-import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -62,11 +61,10 @@ from .channel import (
     build_mimo_taps,
     conjugate_beam,
     load_taps,
-    require_finite,
-    require_integers,
     synth_channel,
 )
 from .counters import OpCounter
+from .fields import conform, conform_fields, from_fields
 from .imd import impulse_pilot, mu_tables
 from .impairments import apply_iq_time, apply_pa, default_measured_pa, irr_to_b
 from .ofdm import QAM_ORDERS, SubcarrierGrid, dft, gen_qam_symbols, idft
@@ -128,6 +126,10 @@ class ScenarioSpec:
     pa_coeffs maps odd order 2k+1 to the amplifier coefficient a_{2k+1};
     None selects the measured polynomial. gamma_dbm of None puts the
     basis-selection threshold at the noise floor.
+
+    A spec built in Python meets a config file's type rules (fields): lists
+    become tuples, a channel dict a ChannelProfile and numpy scalars Python
+    numbers.
     """
 
     num_subcarriers: int = 256
@@ -159,8 +161,7 @@ class ScenarioSpec:
     cancellers: tuple[str, ...] = ("none", "linear", "proposed")
 
     def __post_init__(self):
-        require_finite(self)
-        require_integers(self)
+        conform_fields(self)
         if self.duplex not in DUPLEX_PRESETS + ("custom",):
             raise ValueError(
                 f"duplex={self.duplex!r} is not a preset ({', '.join(DUPLEX_PRESETS)}) or 'custom'"
@@ -176,7 +177,7 @@ class ScenarioSpec:
         p = self.num_subcarriers
         for name in spans:
             span = getattr(self, name)
-            if len(span) != 2 or not 0 <= span[0] <= span[1] < p:
+            if not 0 <= span[0] <= span[1] < p:
                 raise ValueError(f"{name} must be a (start, end) pair in 0..{p - 1}, got {span}")
         if not self.noise_dbm < self.tx_power_dbm:
             raise ValueError(
@@ -252,8 +253,8 @@ class ScenarioSpec:
             num_subcarriers=self.num_subcarriers,
             subcarrier_spacing=self.subcarrier_spacing,
             cp_length=self.cp_length,
-            dl_set=tuple(dl_span),
-            ul_set=tuple(ul_span),
+            dl_set=dl_span,
+            ul_set=ul_span,
         )
 
     def drive_amplitude(self, grid: SubcarrierGrid) -> float:
@@ -274,44 +275,9 @@ class ScenarioSpec:
         return irr_to_b(self.irr_db, self.iq_phase)
 
 
-def _conform(key: str, value, hint):
-    """value in the form of its field's type hint; a ValueError names key if it does not fit."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if type(None) in args:  # an optional field, X | None
-        return None if value is None else _conform(key, value, args[0])
-    if hint is ChannelProfile and isinstance(value, dict):
-        return _from_fields(ChannelProfile, value, "channel", prefix=f"{key}.")
-    if origin is dict and isinstance(value, dict) and all(str(k).isdigit() for k in value):
-        return {int(k): _conform(key, v, args[1]) for k, v in value.items()}
-    if hint is complex and isinstance(value, (list, tuple)):  # a [re, im] pair
-        return complex(*_conform(key, value, tuple[float, float]))
-    if origin is tuple and isinstance(value, (list, tuple)):
-        items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
-        if len(value) != len(items):
-            raise ValueError(f"{key} must hold {len(items)} values, got {len(value)}")
-        return tuple(_conform(key, v, h) for v, h in zip(value, items))
-    kind = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}.get(hint, hint)
-    if origin is None and isinstance(value, kind) and not isinstance(value, bool):
-        # json.load reads NaN and Infinity; __post_init__ refuses them too, but only
-        # here is the key a nested one and the value one part of a [re, im] pair
-        if hint in (float, complex) and not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-        return complex(value) if hint is complex else value
-    raise ValueError(f"{key} must be {hint.__name__ if origin is None else hint}, got {value!r}")
-
-
-def _from_fields(cls, data: dict, what: str, prefix: str = ""):
-    """A dataclass built from a dict of its fields, each checked against its type hint."""
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
-    return cls(**{k: _conform(prefix + k, v, hints[k]) for k, v in data.items()})
-
-
 def spec_from_dict(data: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from parsed config data; unknown keys and ill-typed values error out."""
-    return _from_fields(ScenarioSpec, data, "config")
+    return from_fields(ScenarioSpec, data, "config")
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
@@ -321,9 +287,6 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
         out["pa_coeffs"] = {
             str(k): [v.real, v.imag] for k, v in sorted(out["pa_coeffs"].items())
         }
-    for name in ("dl_span", "ul_span", "tx_array", "rx_array", "impulse_amp_range", "cancellers"):
-        if out[name] is not None:
-            out[name] = list(out[name])
     return out
 
 
@@ -598,9 +561,8 @@ def _run_window(
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     """Simulate one scenario end to end; deterministic in (spec, seed)."""
-    if seed is None:
-        seed = spec.seed
-    elif seed < 0:
+    seed = spec.seed if seed is None else conform("seed", seed, int)
+    if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     grid = spec.build_grid()
     b_iq = spec.build_imbalance()
@@ -680,18 +642,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     )
 
 
-def _psd_rows(report: MetricsReport) -> list[tuple[str, int, float]]:
+def _curve_rows(report: MetricsReport, curves: dict, index) -> list[tuple[str, int, float]]:
+    """(canceller, index of entry, entry) rows of each canceller's curve in curves."""
     rows = []
     for name in report.spec.cancellers:
-        for i, p in enumerate(report.ul_indices):
-            rows.append((name, p, float(report.psd_dbm[name][i])))
-    return rows
-
-
-def _cdf_rows(report: MetricsReport) -> list[tuple[str, int, float]]:
-    rows = []
-    for name in report.spec.cancellers:
-        for i, v in enumerate(report.cdf_dbm[name]):
+        for i, v in zip(index, curves[name]):
             rows.append((name, i, float(v)))
     return rows
 
@@ -719,31 +674,24 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
     written = []
     config = spec_to_dict(report.spec)
     if fmt == "csv":
-        path = os.path.join(out_dir, "psd.csv")
-        with open(path, "w") as fh:
-            fh.write("canceller,p,residual_dbm\n")
-            for name, p, v in _psd_rows(report):
-                fh.write(f"{name},{p},{v!r}\n")
-        written.append(path)
-        path = os.path.join(out_dir, "cdf.csv")
-        with open(path, "w") as fh:
-            fh.write("canceller,sample,residual_dbm\n")
-            for name, i, v in _cdf_rows(report):
-                fh.write(f"{name},{i},{v!r}\n")
-        written.append(path)
-        path = os.path.join(out_dir, "complexity.csv")
-        with open(path, "w") as fh:
-            fh.write("stage,counter,value\n")
-            for stage, kind, value in _complexity_rows(report):
-                fh.write(f"{stage},{kind},{value}\n")
-        written.append(path)
-        path = os.path.join(out_dir, "config.json")
-        with open(path, "w") as fh:
-            json.dump({"config": config, "seed": report.seed}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+        psd = _curve_rows(report, report.psd_dbm, report.ul_indices)
+        cdf = _curve_rows(report, report.cdf_dbm, itertools.count())
+        tables = [
+            ("psd.csv", "canceller,p,residual_dbm", psd),
+            ("cdf.csv", "canceller,sample,residual_dbm", cdf),
+            ("complexity.csv", "stage,counter,value", _complexity_rows(report)),
+        ]
+        for filename, header, rows in tables:
+            path = os.path.join(out_dir, filename)
+            with open(path, "w") as fh:
+                fh.write(header + "\n")
+                for first, second, value in rows:
+                    # a float value is written as its repr, an int count as its digits
+                    fh.write(f"{first},{second},{value!r}\n")
+            written.append(path)
+        filename, payload = "config.json", {"config": config, "seed": report.seed}
     else:
-        payload = {
+        filename, payload = "report.json", {
             "config": config,
             "seed": report.seed,
             "noise_floor_dbm": report.noise_floor_dbm,
@@ -762,9 +710,9 @@ def emit_report(report: MetricsReport, out_dir, fmt: str = "csv") -> list[str]:
                 for stage, kind, value in _complexity_rows(report)
             ],
         }
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+    path = os.path.join(out_dir, filename)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(path)
     return written

@@ -25,6 +25,12 @@ from flexsic.sic import (
 )
 
 
+def whole_grid_chain(X_iq_values, k_max: int) -> np.ndarray:
+    """flexsic.imd.basis_chain on the whole grid, from the inverse FFT of X_iq_values taken here."""
+    x = np.asarray(X_iq_values)
+    return basis_chain(x, k_max, samples=np.fft.ifft(x, axis=-1))
+
+
 def dft_ref(samples: np.ndarray) -> np.ndarray:
     """O(P^2) literal forward transform, values[p] = sum_n x[n] e^{-j2pi pn/P}."""
     n = len(samples)
@@ -661,7 +667,7 @@ def symbol_bases(
             mults += (1 + k_max) * (fft_mults(p_total) + p_total)
             adds += (1 + k_max) * fft_adds(p_total)
         counter.charge(stage, mults=mults, adds=adds)
-    return basis_chain(apply_iq_freq(tx, b_hat), k_max)
+    return whole_grid_chain(apply_iq_freq(tx, b_hat), k_max)
 
 
 def baseline_full_ls_loop(

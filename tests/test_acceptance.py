@@ -29,7 +29,6 @@ from flexsic.channel import (
 )
 from flexsic.counters import OpCounter
 from flexsic.imd import (
-    basis_chain,
     impulse_pilot,
     mu_tables,
     q_size,
@@ -61,6 +60,7 @@ from oracles import (
     mc_mu,
     mirror_values,
     rx_body_loop,
+    whole_grid_chain,
 )
 
 NOISE_DBM = -90.0
@@ -124,7 +124,7 @@ def test_recursive_basis_matches_direct_computation():
         sym = gen_qam_symbols(grid, 16, 1.0, 1, 4000 + seed)[0]
         xiq = sym + b_iq * np.conj(mirror_values(sym))
         recursion = basis_recursion(xiq, 3)
-        chain = basis_chain(xiq, 3)
+        chain = whole_grid_chain(xiq, 3)
         for k in range(4):
             direct = chain[k]
             diff = np.abs(recursion[k] - direct)
@@ -245,7 +245,7 @@ def test_impulse_pilot_closed_form_basis_is_exact():
     grid = ScenarioSpec(duplex="ibfd").build_grid()
     b_iq = irr_to_b(25.0, 0.3)
     a_digi = 1.1
-    chain = basis_chain(apply_iq_freq(impulse_pilot(grid, a_digi), b_iq), 2)
+    chain = whole_grid_chain(apply_iq_freq(impulse_pilot(grid, a_digi), b_iq), 2)
     worst = 0.0
     for k in (0, 1, 2):
         closed = impulse_pilot_basis(grid, b_iq, a_digi, k)

@@ -70,6 +70,13 @@ def test_array_geometry_validation():
         ArrayGeometry(rows=0, cols=2)
     with pytest.raises(ValueError):
         ArrayGeometry(rows=1, cols=1, spacing=0.0)
+    for args, message in [
+        ((2.5, 4), "rows must be an integer, got 2.5$"),
+        ((2, True), "cols must be an integer, got True$"),
+        ((2, 4, float("nan")), "spacing must be finite, got nan$"),
+    ]:
+        with pytest.raises(ValueError, match="^" + message):
+            ArrayGeometry(*args)
 
 
 # ---------------------------------------------------------------- ray validation

@@ -4,7 +4,7 @@ import pytest
 
 from flexsic.cli import main
 from flexsic.imd import mu_tables, q_size
-from flexsic.scenario import load_spec
+from flexsic.scenario import ScenarioSpec, load_spec, spec_from_dict
 
 
 @pytest.fixture
@@ -94,37 +94,38 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("channel", [1, 2]),
-        ("pa_coeffs", [1, 2]),
-        ("tx_array", [4, 4]),
-        ("num_subcarriers", "256"),
-        ("noise_dbm", "x"),
-        ("n_run_symbols", 2.5),
-        ("cancellers", "proposed"),
-        ("impulse_amp_range", [0.6]),
-        ("n_train_symbols", 2),
-        ("seed", -1),
-        ("k_max", 0),
-        ("n_impulse_symbols", 2),
-        ("pa_drive_rms", 0.0),
-        ("impulse_amp_range", [2.0, 0.6]),
-        ("n_train_symbols", 5),
-        ("pa_coeffs", {"2": [1, 0]}),
-        ("pa_coeffs", {"0": 1.0, "1": 1.0}),
-        ("pa_coeffs", {"3": 1.0}),
-        ("qam_order", 8),
-        ("tx_array", [0, 4, 0.5]),
-        ("rx_array", [4, 4, 0.0]),
-        ("cp_length", 16),
-        # json.load reads NaN and Infinity
-        ("pa_drive_rms", float("nan")),
-        ("subcarrier_spacing", float("inf")),
-        ("iq_phase", float("nan")),
-    ],
-)
+# one malformed value per row, each refused by a message that starts with its key
+MALFORMED = [
+    ("channel", [1, 2]),
+    ("pa_coeffs", [1, 2]),
+    ("tx_array", [4, 4]),
+    ("num_subcarriers", "256"),
+    ("noise_dbm", "x"),
+    ("n_run_symbols", 2.5),
+    ("cancellers", "proposed"),
+    ("impulse_amp_range", [0.6]),
+    ("n_train_symbols", 2),
+    ("seed", -1),
+    ("k_max", 0),
+    ("n_impulse_symbols", 2),
+    ("pa_drive_rms", 0.0),
+    ("impulse_amp_range", [2.0, 0.6]),
+    ("n_train_symbols", 5),
+    ("pa_coeffs", {"2": [1, 0]}),
+    ("pa_coeffs", {"0": 1.0, "1": 1.0}),
+    ("pa_coeffs", {"3": 1.0}),
+    ("qam_order", 8),
+    ("tx_array", [0, 4, 0.5]),
+    ("rx_array", [4, 4, 0.0]),
+    ("cp_length", 16),
+    # json.load reads NaN and Infinity
+    ("pa_drive_rms", float("nan")),
+    ("subcarrier_spacing", float("inf")),
+    ("iq_phase", float("nan")),
+]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED)
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"num_subcarriers": 64, "cp_length": 20, key: value}))
@@ -132,6 +133,18 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {key} must")
+
+
+@pytest.mark.parametrize("key, value", MALFORMED)
+def test_malformed_value_is_refused_alike_from_a_config_and_from_python(key, value):
+    # a spec built in Python meets the config file's rules, message for message
+    data = {"num_subcarriers": 64, "cp_length": 20, key: value}
+    with pytest.raises(ValueError) as from_config:
+        spec_from_dict(json.loads(json.dumps(data)))
+    with pytest.raises(ValueError) as from_python:
+        ScenarioSpec(**data)
+    assert str(from_python.value) == str(from_config.value)
+    assert str(from_config.value).startswith(f"{key} must")
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from oracles import (
     mu_tables_conv,
     q_size_recursion,
     tuple_basis,
+    whole_grid_chain,
 )
 
 
@@ -119,7 +120,7 @@ def test_basis_direct_matches_tuple_sum(k):
     values = np.zeros(8, dtype=complex)
     values[g.dl_indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x_iq = apply_iq_freq(values, b_iq)
-    direct = basis_chain(x_iq, k)[k]
+    direct = whole_grid_chain(x_iq, k)[k]
     literal = tuple_basis(x_iq, k)
     assert np.allclose(direct, literal, atol=1e-12)
 
@@ -131,7 +132,7 @@ def test_basis_chain_matches_direct():
     sym = syms[0]
     x_iq = apply_iq_freq(sym, b_iq)
 
-    chain = basis_chain(x_iq, k_max=3)
+    chain = whole_grid_chain(x_iq, k_max=3)
     assert chain.shape == (4, 32)
     assert np.array_equal(chain[0], x_iq)
     recursion = basis_recursion(x_iq, k_max=3)
@@ -139,10 +140,10 @@ def test_basis_chain_matches_direct():
         scale = np.abs(recursion[k]).max()
         assert np.abs(chain[k] - recursion[k]).max() / scale < 1e-10
     # a stack of symbols gives one chain per row, bit for bit
-    stacked = basis_chain(apply_iq_freq(syms, b_iq), k_max=3)
+    stacked = whole_grid_chain(apply_iq_freq(syms, b_iq), k_max=3)
     assert stacked.shape == (3, 4, 32)
     for row, x in zip(stacked, syms):
-        assert np.array_equal(row, basis_chain(apply_iq_freq(x, b_iq), k_max=3))
+        assert np.array_equal(row, whole_grid_chain(apply_iq_freq(x, b_iq), k_max=3))
 
 
 def test_basis_chain_on_a_band_from_given_samples_is_the_band_of_the_chain():
@@ -152,15 +153,17 @@ def test_basis_chain_on_a_band_from_given_samples_is_the_band_of_the_chain():
     syms = gen_qam_symbols(g, 16, amplitude=1.0, count=3, seed=8)
     x_iq = apply_iq_freq(syms, irr_to_b(25.0, 0.3))
     band = slice(5, 20)
-    whole = basis_chain(x_iq, k_max=3)
+    whole = whole_grid_chain(x_iq, k_max=3)
     samples = np.fft.ifft(x_iq, axis=-1)
     out = np.empty((3, 4, 15), dtype=complex)
     got = basis_chain(x_iq[..., band], 3, samples=samples.copy(), band=band, out=out)
     assert got is out and np.array_equal(got, whole[..., band])
     # order 0 alone reads no samples
     assert np.array_equal(basis_chain(x_iq[..., band], 0, band=band), whole[..., :1, band])
-    with pytest.raises(ValueError, match="needs the samples"):
-        basis_chain(x_iq[..., band], 2, band=band)
+    # the orders above it need the samples, on a band or on the whole grid
+    for values, kwargs in ((x_iq[..., band], {"band": band}), (x_iq, {})):
+        with pytest.raises(ValueError, match="needs the samples"):
+            basis_chain(values, 2, **kwargs)
 
 
 # ---------------------------------------------------------------- power prediction
@@ -323,13 +326,13 @@ def test_pilot_basis_closed_form_matches_direct(k):
     a = 0.8
     pilot = impulse_pilot(g, a)
     closed = impulse_pilot_basis(g, b_iq, a, k=k)
-    direct = basis_chain(apply_iq_freq(pilot, b_iq), k)[k]
+    direct = whole_grid_chain(apply_iq_freq(pilot, b_iq), k)[k]
     scale = np.abs(direct).max()
     assert np.abs(closed - direct).max() / scale < 1e-12
     # an amplitude sweep gives one pilot per row, and each row keeps the closed form
     pilots = impulse_pilot(g, np.array([0.6, a, 1.3]))
     assert pilots.shape == (3, 256) and np.array_equal(pilots[1], pilot)
-    direct = basis_chain(apply_iq_freq(pilots, b_iq), k)[2, k]
+    direct = whole_grid_chain(apply_iq_freq(pilots, b_iq), k)[2, k]
     closed = impulse_pilot_basis(g, b_iq, 1.3, k=k)
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
@@ -337,7 +340,7 @@ def test_pilot_basis_closed_form_matches_direct(k):
 def test_pilot_basis_closed_form_without_imbalance_any_set():
     g = mid_grid()  # not mirror-closed
     closed = impulse_pilot_basis(g, 0.0, 1.1, k=2)
-    direct = basis_chain(impulse_pilot(g, 1.1), 2)[2]
+    direct = whole_grid_chain(impulse_pilot(g, 1.1), 2)[2]
     assert np.abs(closed - direct).max() / np.abs(direct).max() < 1e-12
 
 

@@ -67,6 +67,28 @@ def test_grid_rejects_bad_parameters(kwargs):
         SubcarrierGrid(**base)
 
 
+def test_grid_refuses_ill_typed_fields_by_name():
+    # a span is checked, never truncated, and a size, prefix or spacing must have its type
+    base = dict(
+        num_subcarriers=256, subcarrier_spacing=60e3, cp_length=32,
+        dl_set=(10, 200), ul_set=(20, 100),
+    )
+    for kwargs, message in [
+        (dict(dl_set=(10.7, 200.2), ul_set=(20.9, 100.5)), "dl_set must be an integer, got 10.7$"),
+        (dict(ul_set=(20, 100.5)), "ul_set must be an integer, got 100.5$"),
+        (dict(dl_set=(10, 200, 30)), "dl_set must hold 2 values, got 3$"),
+        (dict(cp_length=32.5), "cp_length must be an integer, got 32.5$"),
+        (dict(num_subcarriers=True), "num_subcarriers must be an integer, got True$"),
+        (dict(subcarrier_spacing=float("inf")), "subcarrier_spacing must be finite, got inf$"),
+    ]:
+        with pytest.raises(ValueError, match="^" + message):
+            SubcarrierGrid(**dict(base, **kwargs))
+    # lists become tuples and numpy scalars Python numbers
+    g = SubcarrierGrid(np.int64(256), np.float32(60e3), 32, [10, 200], (np.int32(20), 100))
+    assert g == SubcarrierGrid(**base)
+    assert type(g.num_subcarriers) is int and type(g.ul_set[0]) is int
+
+
 # ---------------------------------------------------------------- mirror
 
 

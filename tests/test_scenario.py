@@ -143,7 +143,10 @@ def test_spec_rejects_bad_estimator_values():
         ({"duplex": "custom", "dl_span": (10, 5), "ul_span": (0, 3)}, f"dl_span {span_rule}"),
         ({"duplex": "custom", "dl_span": (-1, 5), "ul_span": (0, 3)}, f"dl_span {span_rule}"),
         ({"duplex": "custom", "dl_span": (10, 20), "ul_span": (30, 256)}, f"ul_span {span_rule}"),
-        ({"duplex": "custom", "dl_span": (1, 2), "ul_span": (3, 4, 5)}, f"ul_span {span_rule}"),
+        (
+            {"duplex": "custom", "dl_span": (1, 2), "ul_span": (3, 4, 5)},
+            "ul_span must hold 2 values, got 3$",
+        ),
         # integer fields take integers, and no bool, as a config file does
         ({"k_max": 2.5}, "k_max must be an integer, got 2.5$"),
         ({"n_run_symbols": 2.5}, "n_run_symbols must be an integer, got 2.5$"),
@@ -160,6 +163,13 @@ def test_spec_rejects_bad_estimator_values():
         ({"seed": True}, "seed must be an integer, got True$"),
         ({"seed": 1.0}, "seed must be an integer, got 1.0$"),
         ({"num_subcarriers": 256.0}, "num_subcarriers must be an integer, got 256.0$"),
+        # every field has its type, not only the integer and float ones
+        ({"tx_array": (4, 4)}, "tx_array must hold 3 values, got 2$"),
+        ({"irr_db": "25"}, "irr_db must be float, got '25'$"),
+        ({"irr_db": True}, "irr_db must be float, got True$"),
+        ({"pa_coeffs": {1: "a"}}, "pa_coeffs must be complex, got 'a'$"),
+        ({"noise_dbm": None}, "noise_dbm must be float, got None$"),
+        ({"channel": {"taps": 4}}, "unknown channel keys: taps$"),
     ]
     for overrides, message in cases:
         with pytest.raises(ValueError, match="^" + message):
@@ -184,6 +194,10 @@ def test_one_data_training_symbol_serves_the_cancellers_without_b_hat():
 def test_run_scenario_rejects_a_negative_seed_argument():
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         run_scenario(small_spec(), seed=-1)
+    # the override has the seed field's type
+    for seed in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            run_scenario(small_spec(), seed=seed)
 
 
 def test_run_scenario_rejects_a_threshold_that_underflows():
@@ -256,6 +270,26 @@ def test_spec_dict_roundtrip():
     assert data["pa_coeffs"] == {"1": [20.0, 0.0], "3": [-1.0, 0.5]}
     back = spec_from_dict(json.loads(json.dumps(data)))
     assert back == spec
+
+
+def test_python_values_take_the_normal_form_a_report_can_write(tmp_path):
+    spec = small_spec(
+        cancellers=["none", "proposed"],
+        channel={"n_rays": 3},
+        seed=np.int64(3),
+        irr_db=np.float32(25.5),
+        tx_array=[np.int64(4), 4, np.float64(0.5)],
+    )
+    assert spec.cancellers == ("none", "proposed") and spec.channel == ChannelProfile(n_rays=3)
+    assert spec.tx_array == (4, 4, 0.5) and type(spec.tx_array[0]) is int
+    assert type(spec.seed) is int and type(spec.irr_db) is float
+    assert hash(spec) == hash(replace(spec))
+    report = run_scenario(spec)
+    emit_report(report, tmp_path / "csv")
+    emit_report(report, tmp_path / "json", fmt="json")
+    config = json.loads((tmp_path / "csv" / "config.json").read_text())
+    assert config["seed"] == 3 and spec_from_dict(config["config"]) == spec
+    assert json.loads((tmp_path / "json" / "report.json").read_text())["config"] == config["config"]
 
 
 def test_pa_coeffs_validation_and_build_pa():

@@ -56,20 +56,30 @@ def test_compare_outputs_finds_equal_dumps_and_reports_a_perturbed_value(tmp_pat
     first = script.dump(str(ROOT), str(tmp_path / "first.pkl"), grid)
     second = script.dump(str(ROOT), str(tmp_path / "second.pkl"), grid)
     lines, differ = script.compare(first, second)
-    assert differ == 0 and lines[-1] == "counter rows differ in 0 of 2 scenarios"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
+    assert differ == 0 and lines[-2:] == [
+        "counter rows differ in 0 of 2 scenarios", "configs differ in 0 of 2 scenarios"
+    ]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-2]}
     assert set(rows) == {"none", "linear", "proposed", "full_ls", "iq_only", "pa_only"}
     assert all(row == ["0", "0", "0", "2", "of", "2"] for row in rows.values())
 
     # one residual PSD value of proposed moves by 0.25 dB, one counter row of full_ls by 1
-    second[1]["proposed"][1][3] += 0.25
-    stage, kind, value = second[0]["full_ls"][3][0]
-    second[0]["full_ls"][3][0] = (stage, kind, value + 1)
+    second[1]["outputs"]["proposed"][1][3] += 0.25
+    stage, kind, value = second[0]["outputs"]["full_ls"][3][0]
+    second[0]["outputs"]["full_ls"][3][0] = (stage, kind, value + 1)
     lines, differ = script.compare(first, second)
-    assert differ == 1 and lines[-1] == "counter rows differ in 1 of 2 scenarios"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
+    assert differ == 1 and lines[-2] == "counter rows differ in 1 of 2 scenarios"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-2]}
     assert rows["proposed"] == ["0", "0.25", "0", "1", "of", "2"]
     assert rows["full_ls"] == ["0", "0", "0", "2", "of", "2"]
+
+    # a config that a schema change moves is counted though every output is equal
+    second = [dict(scenario) for scenario in first]
+    second[1]["config"] = second[1]["config"].replace('"seed": 2', '"seed": true')
+    lines, differ = script.compare(first, second)
+    assert differ == 1 and lines[-2:] == [
+        "counter rows differ in 0 of 2 scenarios", "configs differ in 1 of 2 scenarios"
+    ]
 
 
 def test_bench_pairs_summary_of_canned_runs():

@@ -6,7 +6,6 @@ import pytest
 import flexsic.sic as sic
 from flexsic.counters import OpCounter, fft_adds, fft_mults
 from flexsic.imd import (
-    basis_chain,
     impulse_pilot,
     mu_tables,
     predict_si_power,
@@ -41,6 +40,7 @@ from oracles import (
     mirror_values,
     run_sic_loop,
     select_basis_loop,
+    whole_grid_chain,
 )
 
 
@@ -755,7 +755,7 @@ def test_run_sic_matches_loop_reference(k_max):
         ref_counter = OpCounter()
         est = run_sic(basis_stack(x, b, k_max, g), weights, g, counter=counter)
         xiq = x + b * np.conj(mirror_values(x))
-        chain = basis_chain(xiq, k_max)
+        chain = whole_grid_chain(xiq, k_max)
         on_grid = np.zeros((k_max + 1, 64), dtype=complex)  # the oracle reads W on the grid
         on_grid[:, g.ul_band] = weights
         ref = run_sic_loop(xiq, chain, on_grid, g, sets, unestimated, ref_counter)[g.ul_band]
@@ -834,7 +834,7 @@ def test_basis_stack_from_shared_samples_matches_the_basis_chain(preset, b):
     g = ScenarioSpec(num_subcarriers=256, duplex=preset).build_grid()
     x = gen_qam_symbols(g, 16, 1.0, 5, seed=25)
     for k_max in (0, 1, 3):
-        ref = basis_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band]
+        ref = whole_grid_chain(apply_iq_freq(x, b), k_max)[..., g.ul_band]
         own = basis_stack(x, b, k_max, g)
         assert own.shape == (5, k_max + 1, g.ul_size)
         out = np.empty((5, k_max + 1, g.ul_size), dtype=complex)
