@@ -5,10 +5,11 @@ conform_fields first in __post_init__, and spec_from_dict reads a config
 file through from_fields, so a spec built in Python meets a config file's
 rules. conform checks a value against its hint and returns it in the
 hint's form: an int takes no bool and no float; a float or complex must be
-finite, and a plain int given for a float stays as it was given; a numpy
-scalar becomes the Python number it holds; a list becomes a tuple of the
-declared length; a dict's int keys may be digits, as JSON writes them; a
-complex takes an [re, im] pair; a dataclass takes a dict of its fields. A
+finite, and a plain int given for a float stays as it was given, while
+any other real, such as a Fraction, becomes a float; a numpy scalar
+becomes the Python number it holds; a list becomes a tuple of the declared
+length; a dict's int keys may be digits, as JSON writes them; a complex
+takes an [re, im] pair; a dataclass takes a dict of its fields. A
 value that fits no rule raises a ValueError that names the field. Value
 rules, such as a positive size, stay in each __post_init__.
 """
@@ -62,7 +63,9 @@ def conform(key: str, value, hint):
         # json.load reads NaN and Infinity
         if hint in (float, complex) and not cmath.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
-        return complex(value) if hint is complex else value
+        if hint is complex:
+            return complex(value)
+        return float(value) if hint is float and type(value) is not int else value
     if hint is int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     raise ValueError(f"{key} must be {hint.__name__ if origin is None else hint}, got {value!r}")

@@ -48,6 +48,9 @@ the pilot bodies a receiver holds before it demodulates them.
 Both allocations are contiguous spans, so every band gather is a slice
 (grid.dl_band, grid.ul_band); index arrays remain only for mirror
 subcarriers, in estimate_iq's pairs and basis_stack's image.
+
+Band-wide least-squares fits stack their systems band-last, (M, K, n), as
+the basis stack is; one Cholesky over the band screens and solves them.
 """
 
 from __future__ import annotations
@@ -64,19 +67,11 @@ from .ofdm import SubcarrierGrid, idft
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
 _REGRESSOR_POWER_TOL = 1e-12
-# Systems per block in _ls_solve_stack. Solving a whole band at once holds
-# several band-sized temporaries (QR workspace, Gram matrices, right-hand
-# sides) and raised peak memory by a tenth at P = 4096; blocks of this size
-# keep the temporaries small while the per-call overhead stays amortised.
-_LS_BLOCK = 256
-# Screen of _ls_solve_stack's batched Cholesky: a system skips the QR when
-# sqrt(2) max_j ||a_j|| < _CHOLESKY_SCREEN min|L_kk| and the rounding bound
-# of _screened holds. That bound makes every exact |R_kk| at least
-# |L_kk| / sqrt(2), and max|R_kk| <= max_j ||a_j||, so a cleared system's QR
-# ratio is under 1e6: two decades under the auto-ridge (1e8) and six under
-# the rank limit (1e12), where the QR rule gives no ridge and solves it.
-# Otherwise the QR rule stays the judge: the Gram squares the condition
-# number, so it cannot resolve the 1e-12 rank limit itself.
+# Screen of _ls_solve_stack's band Cholesky, per system: with its rounding
+# bound (see _band_cholesky), a cleared system's QR ratio is under 1e6, two
+# decades under the auto-ridge (1e8) and six under the rank limit (1e12).
+# The rest go to the QR rule: the Gram squares the condition number, so it
+# cannot resolve the 1e-12 rank limit itself.
 _CHOLESKY_SCREEN = 1e6
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(np.float64).eps
@@ -152,12 +147,14 @@ def ls_solve(
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
-    coeffs, solved = _ls_solve_stack(a[None], y[None], 0.0, counter, stage)
+    coeffs, solved = _qr_rule(a[None], y[None], np.zeros(1))
     if not solved[0]:
         diag = _r_diagonal(a[None])[0]
         if diag.max() == 0.0:
             raise SingularSystemError(0, "least-squares system is all zero")
         raise SingularSystemError(int(np.argmin(diag)))
+    if counter is not None:
+        counter.charge(stage, *ls_costs(m, k))
     return coeffs[0]
 
 
@@ -166,54 +163,85 @@ def _r_diagonal(a: np.ndarray) -> np.ndarray:
     return np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
 
 
-def _screened(gram: np.ndarray, m: int) -> np.ndarray:
-    """Which Gram matrices of M-row systems the Cholesky screen clears.
+def _qr_rule(a: np.ndarray, y: np.ndarray, ridge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ls_solve's guard rails on (n, M, K) systems, (n, M) observations and (n,) ridges.
 
-    Returns a boolean mask of shape (n,) for the (n, K, K) stack, from one
-    batched Cholesky. When any matrix of the stack is not numerically
-    positive definite the whole Cholesky raises, and none is cleared.
-
-    Scaled by the column norms n_j = sqrt(gram[j, j]), the Gram formation
-    and the Cholesky carry a backward error of 2-norm at most
-    delta = K (M + K + 4) eps, and the scaled factor's inverse has 2-norm at
-    most beta = prod_k (1 + n_k / |L_kk|), since its rows have unit norm to
-    rounding. When 4 delta beta^2 <= 1, every exact |R_kk| is at least
-    |L_kk| / sqrt(2). Without this bound a dependent column reached through a large
-    combination of nearly parallel ones reads a rounding-sized |L_kk| that
-    the column norms alone do not expose.
+    A zero-ridge system is judged by the |R_kk| of its QR: rank deficient
+    when the smallest is at most 1e-12 of the largest, given the ridge
+    (top / 1e8)^2 when their ratio exceeds 1e8 (written into ridge). The
+    others are solved from gram + ridge I; one that rounds to an exactly
+    singular matrix stays unsolved. Returns (coefficients (n, K), solved (n,)).
     """
+    ah = a.conj().transpose(0, 2, 1)
+    gram = ah @ a
+    rhs = ah @ y[:, :, None]
+    checked = np.flatnonzero(ridge == 0.0)
+    ok = np.ones(len(a), dtype=bool)
+    if len(checked):
+        diag = _r_diagonal(a[checked])
+        top, low = diag.max(axis=1), diag.min(axis=1)
+        full_rank = low > _RANK_TOL * top
+        cond = top / np.where(full_rank, low, 1.0)
+        auto = full_rank & (cond > _AUTO_RIDGE_COND)
+        ridge[checked[auto]] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+        ok[checked] = full_rank
+    gram += ridge[:, None, None] * np.eye(a.shape[2])
+    coeffs = np.zeros(rhs.shape[:2], dtype=np.complex128)
     try:
-        chol = np.linalg.cholesky(gram)
+        coeffs[ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.zeros(len(gram), dtype=bool)
-    k = gram.shape[-1]
-    diag = chol.diagonal(axis1=1, axis2=2).real
-    norms = np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
-    beta = (norms / diag + 1.0).prod(axis=1)
-    delta = k * (m + k + 4) * _EPS
-    return (norms.max(axis=1) < _CHOLESKY_SCREEN / _SQRT2 * diag.min(axis=1)) & (
-        beta * beta <= 0.25 / delta
-    )
+        for i in np.flatnonzero(ok):
+            try:
+                coeffs[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return coeffs, ok
 
 
-def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of the stacked systems gram x = rhs, shape (n, K), and which were solved.
+def _band_cholesky(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky solves of the band-last systems a (M, K, n), y (M, n) the screen clears.
 
-    One batched solve; when it raises, the systems are solved one by one,
-    and one that is exactly singular stays unsolved with zero coefficients.
+    Returns (coefficients (K, n), cleared mask (n,)); an uncleared system's
+    coefficients mean nothing. Each Gram entry and right-hand side is one
+    elementwise product summed over M. The factor, one Cholesky vectorised
+    over the band, is the upper R of [A y]^H [A y], row by row: its last
+    column is z = R^-H A^H y, so one back sweep R c = z solves.
+
+    A system is cleared when sqrt(2) max_j n_j < _CHOLESKY_SCREEN min|R_kk|,
+    n_j = ||a_j||, and 4 delta beta^2 <= 1. Scaled by the column norms, the
+    Gram formation and the Cholesky carry a backward error of 2-norm at
+    most delta = K (M + K + 4) eps in any order of summation, and the
+    scaled factor's inverse has 2-norm at most beta = prod_k (1 + n_k /
+    |R_kk|), its rows having unit norm to rounding. Then every exact |R_kk|
+    of the QR is at least the computed one over sqrt(2). The column norms
+    alone miss a dependent column reached through a large combination of
+    nearly parallel ones, which reads a rounding-sized |R_kk|.
     """
-    try:
-        return np.linalg.solve(gram, rhs)[:, :, 0], np.ones(len(gram), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    x = np.zeros(rhs.shape[:2], dtype=np.complex128)
-    solved = np.ones(len(gram), dtype=bool)
-    for i in range(len(gram)):
-        try:
-            x[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
-        except np.linalg.LinAlgError:
-            solved[i] = False
-    return x, solved
+    m, k, n = a.shape
+    r = np.empty((k, k + 1, n), dtype=np.complex128)
+    norms, diag = np.empty((2, k, n))
+    conj, prod = np.empty((2, m, n), dtype=np.complex128)
+    ok = np.ones(n, dtype=bool)
+    for j in range(k):
+        row = r[j, j:]
+        np.conjugate(a[:, j], out=conj)
+        for i in range(j, k + 1):
+            np.multiply(conj, a[:, i] if i < k else y, out=prod)
+            prod.sum(axis=0, out=row[i - j])
+        norms[j] = np.sqrt(row[0].real)
+        if j:
+            row -= (r[:j, j, None].conj() * r[:j, j:]).sum(axis=0)
+        # a pivot this small fails the screen; an infinite one keeps its row zero
+        good = row[0].real > 2.0 * (norms[j] / _CHOLESKY_SCREEN) ** 2
+        ok &= good
+        diag[j] = np.sqrt(np.where(good, row[0].real, np.inf))
+        row[1:] /= diag[j]
+    coeffs = np.empty((k, n), dtype=np.complex128)
+    for j in range(k - 1, -1, -1):
+        coeffs[j] = (r[j, k] - (r[j, j + 1 : k] * coeffs[j + 1 :]).sum(axis=0)) / diag[j]
+    beta = (norms / diag + 1.0).prod(axis=0)
+    ok &= norms.max(axis=0) < _CHOLESKY_SCREEN / _SQRT2 * diag.min(axis=0)
+    return coeffs, ok & (beta * beta <= 0.25 / (k * (m + k + 4) * _EPS))
 
 
 def _ls_solve_stack(
@@ -223,67 +251,38 @@ def _ls_solve_stack(
     counter: OpCounter | None,
     stage: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ls_solve over n independent systems stacked on axis 0.
+    """ls_solve over n independent systems stacked on the last axis.
 
-    a has shape (n, M, K) and y shape (n, M); ridges is one ridge
-    for all systems or one per system. Each system gets ls_solve's guard
-    rails: with a zero ridge, a system whose smallest |R_kk| is at most
-    1e-12 of its largest is rank deficient, and one whose condition
-    estimate exceeds 1e8 is solved with the ridge (top / 1e8)^2. Returns
-    (coefficients of shape (n, K), boolean solved mask of shape (n,)). A
-    rank-deficient system, or one whose gram + ridge I rounds to an exactly
-    singular matrix, stays unsolved, with zero coefficients, and is not
-    charged; every solved one is charged one M-row, K-column solve.
+    a has shape (M, K, n) and y (M, n), the band-last layout of the basis
+    stack and the training spectra; ridges is one ridge for all systems or
+    one per system. Returns (coefficients (K, n), boolean solved mask (n,))
+    with _qr_rule's guard rails, which leave a rank-deficient system
+    unsolved, with zero coefficients and uncharged; every solved one is
+    charged one M-row, K-column solve.
 
-    Most systems never need the QR: one batched Cholesky of the zero-ridge
-    Gram matrices clears each system whose largest column norm is under
-    _CHOLESKY_SCREEN / sqrt(2) = 7.1e5 times its smallest |L_kk| and whose
-    rounding bound holds (see _screened). Every exact |R_kk| of a cleared
-    system is then at least |L_kk| / sqrt(2), so its QR ratio is under 1e6,
-    far inside both guard rails, where the QR rule gives no ridge. The
-    other zero-ridge systems, and every zero-ridge system of a block whose
-    Cholesky raises, go through the QR rule. Every system is then solved
-    from the same gram + ridge I as under the QR rule alone, so
-    coefficients, solved mask and charges equal that rule's bit for bit.
-
-    The stack is worked through in blocks of _LS_BLOCK systems read as
-    slices, so the temporaries stay a fixed size however wide the band.
+    Most zero-ridge systems never reach the QR: _band_cholesky clears each
+    whose QR ratio it proves under 1e6, far inside both rails, where
+    _qr_rule gives no ridge, and solves it from its own factor, which
+    differs from the Gram solve by rounding only. Every other system goes
+    to _qr_rule, so solved mask and charges are the QR rule's alone, and
+    so are the coefficients of the systems it judges.
     """
-    n, m, k = a.shape
-    ridge_all = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
-    if (ridge_all < 0).any():
+    m, k, n = a.shape
+    ridge = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
+    if (ridge < 0).any():
         raise ValueError("ridge must be nonnegative")
-    coeffs = np.zeros((n, k), dtype=np.complex128)
+    coeffs = np.zeros((k, n), dtype=np.complex128)
     solved = np.zeros(n, dtype=bool)
-    eye = np.eye(k)
-    for start in range(0, n, _LS_BLOCK):
-        rows = slice(start, start + _LS_BLOCK)
-        block = a[rows]
-        ah = block.conj().transpose(0, 2, 1)
-        gram = ah @ block
-        rhs = ah @ y[rows, :, None]
-        ridge = ridge_all[rows]
-        checked = np.flatnonzero(ridge == 0.0)
-        suspect = checked[~_screened(gram[checked], m)]
-        ok = None
-        if len(suspect):
-            diag = _r_diagonal(block[suspect])
-            top = diag.max(axis=1)
-            low = diag.min(axis=1)
-            full_rank = low > _RANK_TOL * top
-            cond = top / np.where(full_rank, low, 1.0)
-            auto = full_rank & (cond > _AUTO_RIDGE_COND)
-            ridge = ridge.copy()
-            ridge[suspect[auto]] = (top[auto] / _AUTO_RIDGE_COND) ** 2
-            if not full_rank.all():
-                ok = np.ones(len(block), dtype=bool)
-                ok[suspect] = full_rank
-        gram += ridge[:, None, None] * eye
-        if ok is None:
-            coeffs[rows], solved[rows] = _solve_each(gram, rhs)
-        elif ok.any():
-            coeffs[rows][ok], ok[ok] = _solve_each(gram[ok], rhs[ok])
-            solved[rows] = ok
+    zero = ridge == 0.0
+    if zero.any():
+        band = slice(None) if zero.all() else zero
+        c, cleared = _band_cholesky(a[..., band], y[:, band])
+        solved[band] = cleared
+        coeffs[:, solved] = c[:, cleared]
+    rest = np.flatnonzero(~solved)
+    if rest.size:
+        c, solved[rest] = _qr_rule(a.transpose(2, 0, 1)[rest], y.T[rest], ridge[rest])
+        coeffs[:, rest] = c.T
     count = np.count_nonzero(solved)
     if counter is not None and count:
         mults, adds = ls_costs(m, k)
@@ -317,23 +316,23 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
             "IQ image weight is unidentifiable: no downlink subcarrier has its mirror in the band"
         )
 
-    # one (m, 2) system per pair
-    a = np.empty((len(pairs), m, 2), dtype=np.complex128)
-    a[:, :, 0] = tx[:, pairs].T
-    a[:, :, 1] = np.conj(tx[:, mirrors]).T
-    y = buffer.rx[buffer.n_impulse:, pairs].T
-    mirror_power = np.sum(np.abs(a[:, :, 1]) ** 2, axis=1)
+    # one (m, 2) system per pair, stacked band-last
+    a = np.empty((m, 2, len(pairs)), dtype=np.complex128)
+    a[:, 0] = tx[:, pairs]
+    np.conjugate(tx[:, mirrors], out=a[:, 1])
+    y = buffer.rx[buffer.n_impulse:, pairs]
+    mirror_power = np.sum(np.abs(a[:, 1]) ** 2, axis=0)
     c, solved = _ls_solve_stack(a, y, 0.0, counter, "estimate_iq")
-    used = solved & (c[:, 0] != 0.0)
-    c = c[used]
-    weight = np.abs(c[:, 0]) ** 2 * mirror_power[used]
+    used = solved & (c[0] != 0.0)
+    c = c[:, used]
+    weight = np.abs(c[0]) ** 2 * mirror_power[used]
     den = float(weight.sum())
     if den == 0.0:
         raise ValueError("IQ image weight is unidentifiable: mirror content is all zero")
     if counter is not None:
         n_used = int(used.sum())
         counter.charge("estimate_iq", mults=n_used * (m + 3), adds=n_used * m)
-    return complex(np.sum(weight * (c[:, 1] / c[:, 0])) / den)
+    return complex(np.sum(weight * (c[1] / c[0])) / den)
 
 
 def estimate_pa(
@@ -786,18 +785,19 @@ def baseline_full_ls(
     grid = buffer.grid
     _charge_bases(counter, "full_ls_basis", m, k_max, grid)
 
-    # one (m, k_max+1) system per uplink subcarrier, read as a view
-    a = chain.transpose(2, 0, 1)
-    y = buffer.rx[:, grid.ul_band].T
-    c, solved = _ls_solve_stack(a, y, 0.0, counter, "full_ls_est")
+    # one (m, k_max+1) system per uplink subcarrier, stacked band-last
+    y = buffer.rx[:, grid.ul_band]
+    c, solved = _ls_solve_stack(chain, y, 0.0, counter, "full_ls_est")
     # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
     # all-zero ones stay zero
     retry = np.flatnonzero(~solved)
-    scale = np.max(np.abs(a[retry]) ** 2, axis=(1, 2))
+    scale = np.max(np.abs(chain[:, :, retry]) ** 2, axis=(0, 1))
     retry, scale = retry[scale > 0.0], scale[scale > 0.0]
     if retry.size:
-        c[retry], _ = _ls_solve_stack(a[retry], y[retry], 1e-8 * scale, counter, "full_ls_est")
-    return c.T
+        c[:, retry], _ = _ls_solve_stack(
+            chain[:, :, retry], y[:, retry], 1e-8 * scale, counter, "full_ls_est"
+        )
+    return c
 
 
 def run_full_ls(

@@ -18,7 +18,6 @@ from flexsic.imd import basis_chain, q_size
 from flexsic.ofdm import SubcarrierGrid
 from flexsic.sic import (
     _AUTO_RIDGE_COND,
-    _LS_BLOCK,
     _RANK_TOL,
     SingularSystemError,
     TrainingBuffer,
@@ -517,6 +516,9 @@ def ls_solve_ref(
 
 # The stacked solver as it stood before its Cholesky screen, kept verbatim:
 # a QR of every zero-ridge system decides rank deficiency and the ridge.
+# Its systems are stacked on axis 0 and worked through in blocks of this
+# many, the block size the package's solver had then.
+_LS_BLOCK = 256
 
 
 def _r_diagonal(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import fractions
 import gc
 import json
 import pathlib
@@ -290,6 +291,16 @@ def test_python_values_take_the_normal_form_a_report_can_write(tmp_path):
     config = json.loads((tmp_path / "csv" / "config.json").read_text())
     assert config["seed"] == 3 and spec_from_dict(config["config"]) == spec
     assert json.loads((tmp_path / "json" / "report.json").read_text())["config"] == config["config"]
+
+
+def test_a_fraction_for_a_float_field_becomes_a_float(tmp_path):
+    spec = small_spec(irr_db=fractions.Fraction(51, 2), noise_dbm=-90, cancellers=["none"])
+    assert type(spec.irr_db) is float and spec.irr_db == 25.5
+    assert type(spec.noise_dbm) is int  # a plain int stays as given, so config.json keeps it
+    json.dumps(spec_to_dict(spec))
+    emit_report(run_scenario(spec), tmp_path, fmt="json")
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config["irr_db"] == 25.5 and spec_from_dict(config) == spec
 
 
 def test_pa_coeffs_validation_and_build_pa():

@@ -174,8 +174,8 @@ def test_ls_solve_explicit_ridge_shrinks():
     a = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
     y = a @ np.array([3.0, -2.0])
     plain = ls_solve(a, y)
-    shrunk, solved = _ls_solve_stack(a[None], y[None], 1e3, None, "s")
-    assert solved[0] and np.linalg.norm(shrunk[0]) < np.linalg.norm(plain)
+    shrunk, solved = _ls_solve_stack(a[:, :, None], y[:, None], 1e3, None, "s")
+    assert solved[0] and np.linalg.norm(shrunk[:, 0]) < np.linalg.norm(plain)
 
 
 def test_ls_solve_charges_counter():
@@ -185,8 +185,13 @@ def test_ls_solve_charges_counter():
     assert counter.mults("here") == 4 * 4 + 2 * 4 + 8
 
 
+def band_last(a, y):
+    """(n, M, K) systems and (n, M) observations in _ls_solve_stack's (M, K, n), (M, n) layout."""
+    return a.transpose(1, 2, 0), y.T
+
+
 def test_ls_solve_stack_matches_per_system_reference():
-    # 600 systems span three blocks; the degenerate ones sit in the later two
+    # degenerate systems amid 600 healthy ones
     rng = np.random.default_rng(5)
     n, m, k = 600, 6, 3
     a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
@@ -197,20 +202,21 @@ def test_ls_solve_stack_matches_per_system_reference():
     ridge = np.where(np.arange(n) % 2 == 0, 0.0, 0.5)  # explicit ridge on odd systems
     for regularization in (0.0, 0.5, ridge):
         counter, ref_counter = OpCounter(), OpCounter()
-        coeffs, solved = _ls_solve_stack(a, y, regularization, counter, "s")
+        coeffs, solved = _ls_solve_stack(*band_last(a, y), regularization, counter, "s")
+        assert coeffs.shape == (k, n)
         per_system = np.broadcast_to(regularization, (n,))
         for i in range(n):
             try:
                 ref = ls_solve_ref(a[i], y[i], per_system[i], ref_counter, "s")
             except SingularSystemError:
-                assert not solved[i] and np.all(coeffs[i] == 0)
+                assert not solved[i] and np.all(coeffs[:, i] == 0)
                 continue
             assert solved[i]
-            np.testing.assert_allclose(coeffs[i], ref, rtol=1e-10)
+            np.testing.assert_allclose(coeffs[:, i], ref, rtol=1e-10)
         assert counter.rows() == ref_counter.rows()
     assert not solved[[300, 400]].any()
     counter = OpCounter()
-    _ls_solve_stack(a[[300, 400]], y[[300, 400]], 0.0, counter, "s")
+    _ls_solve_stack(*band_last(a[[300, 400]], y[[300, 400]]), 0.0, counter, "s")
     assert counter.rows() == []  # nothing solved, nothing charged
 
 
@@ -265,19 +271,21 @@ def cholesky_raises(a):
 
 
 def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
-    # three blocks of systems whose |R_kk| ratios run from 1 to 1e13, across
-    # the 1e6 screen, the 1e8 auto-ridge and the 1e12 rank limit; the middle
-    # block also holds an all-zero and an exactly dependent system. The
-    # stiff coupled systems make every block's Cholesky raise next to
-    # healthy systems, so a fourth stack stops at 3e6, where it does not.
+    # systems whose |R_kk| ratios run from 1 to 1e13, across the 1e6 screen,
+    # the 1e8 auto-ridge and the 1e12 rank limit, with an all-zero and an
+    # exactly dependent system among them. The screen judges each system on
+    # its own: healthy systems sit next to stiff ones whose Gram matrices
+    # make a batched Cholesky of the whole stack raise.
     rng = np.random.default_rng(13)
     levels = np.array([1, 10, 1e3, 1e5, 3e5, 3e6, 1e7, 3e7, 3e8, 1e9, 1e11, 3e11, 3e12, 1e13])
-    n, m, block = 612, 8, 256
-    a = graded_systems(rng, levels[np.arange(n) % len(levels)])
+    n, m, k = 612, 8, 3
+    a = graded_systems(rng, levels[np.arange(n) % len(levels)], m, k)
     y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     a[300] = 0.0
     a[301, :, 2] = (0.5 - 2j) * a[301, :, 0]
     ratios = qr_ratio(a)
+    # the normal equations' forward error: (M + K) kappa_2(A)^2 eps of max|c|
+    bound = (m + k) * np.linalg.cond(a) ** 2 * np.finfo(float).eps
     ridge = np.where(np.arange(n) % 5 == 0, 1e-3, 0.0)  # explicit ridge on every fifth system
 
     seen = []
@@ -288,43 +296,49 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
         return qr_rule(stack)
 
     def check(a, y, regularization):
+        """Which systems reached the QR; checks mask, charges and coefficients against it."""
         seen.clear()
         counter, ref_counter = OpCounter(), OpCounter()
-        coeffs, solved = _ls_solve_stack(a, y, regularization, counter, "s")
+        coeffs, solved = _ls_solve_stack(*band_last(a, y), regularization, counter, "s")
         ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, regularization, ref_counter, "s")
-        assert np.array_equal(coeffs, ref_coeffs)
         assert np.array_equal(solved, ref_solved)
         assert counter.rows() == ref_counter.rows()
         index = {a[i].tobytes(): i for i in range(len(a))}
         reached = np.zeros(len(a), dtype=bool)
         reached[[index[s] for s in seen]] = True
-        return reached
+        # the systems the QR rule judged, ridged or reached, match it bit for
+        # bit; the cleared ones are solved from their own Cholesky factor
+        judged = reached | (np.broadcast_to(regularization, (len(a),)) > 0)
+        assert np.array_equal(coeffs.T[judged], ref_coeffs[judged])
+        return reached, coeffs.T, ref_coeffs
 
+    assert cholesky_raises(a)
     monkeypatch.setattr(sic, "_r_diagonal", counted)
     for regularization in (0.0, 1e-3, ridge):
-        reached = check(a, y, regularization)
+        reached, coeffs, ref_coeffs = check(a, y, regularization)
         zero_ridge = np.broadcast_to(regularization, (n,)) == 0.0
-        raising = np.zeros(n, dtype=bool)
-        for start in range(0, n, block):
-            rows = np.flatnonzero(zero_ridge[start : start + block]) + start
-            raising[rows] = cholesky_raises(a[rows])
-        assert raising[300] == zero_ridge[300]
-        # every system above the screen, or in a raising block, reaches the
-        # QR; healthy ones (ratio up to 1e3) elsewhere never do. Between the
-        # two the screen's rounding bound may send a coupled system either way.
+        # every zero-ridge system above the screen reaches the QR, and a
+        # healthy one (ratio up to 1e3) never does, whatever its neighbours.
+        # Between the two the screen's rounding bound may send a coupled
+        # system either way.
         assert not (reached & ~zero_ridge).any()
-        assert reached[zero_ridge & (raising | (ratios > 1e6))].all()
-        assert not reached[zero_ridge & ~raising & (ratios <= 1e3)].any()
+        assert reached[zero_ridge & (ratios > 1e6)].all()
+        assert not reached[zero_ridge & (ratios <= 1e3)].any()
+        cleared = zero_ridge & ~reached
+        assert cleared.sum() >= np.count_nonzero(zero_ridge & (ratios <= 1e3))
+        error = np.abs(coeffs - ref_coeffs).max(axis=1)
+        scale = np.abs(ref_coeffs).max(axis=1)
+        assert (error[cleared] <= bound[cleared] * scale[cleared]).all()
     # with no ridge the systems under the rank limit are solved, but for six
     # whose auto-ridge (top / 1e8)^2 sits at the rounding level of their Gram
     # matrix: gram + ridge I rounds to an exactly singular matrix, so these
     # stay unsolved, uncharged and zero, and the rest of the stack is solved
-    coeffs, solved = _ls_solve_stack(a, y, 0.0, None, "s")
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, None, "s")
     lost = np.flatnonzero(~solved & (ratios < 1e12))
-    assert len(lost) == 6 and (ratios[lost] > 1e8).all() and not coeffs[lost].any()
+    assert len(lost) == 6 and (ratios[lost] > 1e8).all() and not coeffs[:, lost].any()
     assert not (solved & (ratios >= 1e12)).any()
     counter = OpCounter()
-    _ls_solve_stack(a[lost], y[lost], 0.0, counter, "s")
+    _ls_solve_stack(*band_last(a[lost], y[lost]), 0.0, counter, "s")
     assert counter.rows() == []
 
     # dependence behind large coefficients, one system per stack: a column
@@ -338,7 +352,7 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
     hidden = hidden_dependence(rng, 8)
     through_screen = 0
     for system in np.concatenate([scaled, noisy, hidden, hidden_dependence(rng, 8, noise=1e-7)]):
-        reached = check(system[None], y[:1], 0.0)
+        reached = check(system[None], y[:1], 0.0)[0]
         assert reached[0] or qr_ratio(system[None])[0] <= 1e6
         through_screen += bool(reached[0]) and not cholesky_raises(system[None])
     assert through_screen  # some were turned away by the screen, not by a raising Cholesky
@@ -346,22 +360,63 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
         with pytest.raises(SingularSystemError):
             ls_solve(system, y[0])
 
-    # one block whose Cholesky clears: the screen alone sends every system
-    # above 1e6 to the QR and keeps the healthy ones away from it. Coupled
-    # systems at 1e7 make half such blocks raise, at 3e6 none of 60 seeds.
-    mild = levels[levels <= 3e6]
-    mild = graded_systems(rng, mild[np.arange(block) % len(mild)])
-    assert not cholesky_raises(mild)
-    reached = check(mild, y[:block], 0.0)
-    mild_ratios = qr_ratio(mild)
-    assert reached[mild_ratios > 1e6].all() and not reached[mild_ratios <= 1e3].any()
+
+def test_ls_solve_stack_on_a_sub_stack_matches_the_whole_band():
+    rng = np.random.default_rng(17)
+    levels = np.array([1, 10, 1e3, 1e5, 3e6, 1e9, 3e12])
+    n, m = 500, 6
+    a = graded_systems(rng, levels[rng.integers(len(levels), size=n)], m)
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    a[7] = 0.0
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, None, "s")
+    for size in (1, 37, 250):
+        part = np.sort(rng.choice(n, size=size, replace=False))
+        sub, sub_solved = _ls_solve_stack(*band_last(a[part], y[part]), 0.0, None, "s")
+        assert np.array_equal(sub_solved, solved[part])
+        assert np.abs(sub - coeffs[:, part]).max() <= 1e-13 * np.abs(coeffs).max()
+
+
+def test_ls_solve_stack_takes_one_column_and_an_empty_band():
+    rng = np.random.default_rng(19)
+    n, m = 40, 5
+    a = rng.standard_normal((n, m, 1)) + 1j * rng.standard_normal((n, m, 1))
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    a[3] = 0.0
+    counter, ref_counter = OpCounter(), OpCounter()
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, counter, "s")
+    ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, 0.0, ref_counter, "s")
+    assert coeffs.shape == (1, n) and np.array_equal(solved, ref_solved) and not solved[3]
+    np.testing.assert_allclose(coeffs.T, ref_coeffs, rtol=1e-13, atol=0)
+    assert counter.rows() == ref_counter.rows()
+
+    counter = OpCounter()
+    coeffs, solved = _ls_solve_stack(
+        np.zeros((m, 3, 0), dtype=complex), np.zeros((m, 0), dtype=complex), 0.0, counter, "s"
+    )
+    assert coeffs.shape == (3, 0) and solved.shape == (0,) and counter.rows() == []
+
+
+def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch):
+    rng = np.random.default_rng(23)
+    n, m, k = 30, 6, 3
+    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    ridge = rng.uniform(0.1, 1.0, n)
+
+    def refused(*args):
+        raise AssertionError("the band factor was computed")
+
+    monkeypatch.setattr(sic, "_band_cholesky", refused)
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
+    ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, ridge, None, "s")
+    assert solved.all() and np.array_equal(coeffs.T, ref_coeffs)
 
 
 def test_ls_solve_rejects_negative_ridge():
     # a negative ridge would make the Gram matrix indefinite
-    a = np.eye(4, 2, dtype=complex)[None]
+    a = np.eye(4, 2, dtype=complex)[:, :, None]
     with pytest.raises(ValueError, match="nonnegative"):
-        _ls_solve_stack(a, np.ones((1, 4), dtype=complex), -1.0, None, "s")
+        _ls_solve_stack(a, np.ones((4, 1), dtype=complex), -1.0, None, "s")
 
 
 # ---------------------------------------------------------------- stacked estimators
