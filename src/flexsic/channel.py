@@ -232,10 +232,9 @@ def save_taps(rays: list[Ray], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RAY_CSV_HEADER)
         for i, r in enumerate(rays):
-            writer.writerow(
-                [i, repr(r.delay_s), repr(r.gain.real), repr(r.gain.imag),
-                 repr(r.aoa), repr(r.aod), int(r.is_los)]
-            )
+            # float() first: numpy 2 writes a numpy scalar as np.float64(...)
+            values = (r.delay_s, r.gain.real, r.gain.imag, r.aoa, r.aod)
+            writer.writerow([i, *(repr(float(v)) for v in values), int(r.is_los)])
 
 
 def load_taps(path) -> list[Ray]:

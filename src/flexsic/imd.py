@@ -158,7 +158,6 @@ def mu_tables(
     b_iq: complex,
     a_digi: float,
     k_max: int,
-    moment_mode: str = "biq",
 ) -> np.ndarray:
     """Predicted basis powers mu[k, p] = E|Phi_{2k+1}[p]|^2, shape (k_max+1, P).
 
@@ -167,15 +166,14 @@ def mu_tables(
 
         mu_1[p]      = B on the downlink set, 0 elsewhere
         mu_{2k+1}[p] = (2k (2k-1) B^2 / P^4) * sum_rho Lambda_fold[(p+rho) mod P] mu_{2k-1}[rho]
-                     + ((k+1)^2 * F2 / P^4) * |DL|^2 * mu_{2k-1}[p]
+                     + ((k+1)^2 * B^2 / P^4) * |DL|^2 * mu_{2k-1}[p]
 
-    moment_mode selects the second-term factor F2: "biq" uses B^2 and is
-    the variant consistent with Monte Carlo measurements; "a4" uses
-    a_digi^4 and is kept for comparison (it understates the term by
-    (1 + |b|^2)^2 when b != 0).  The prediction treats the subcarrier
-    amplitudes as circular Gaussian, so for QAM inputs it carries an
-    O(1/|DL|) relative error from degenerate index tuples, plus an
-    O(|b|^2) term from conjugate-pair correlations.
+    Both terms scale by B^2, the squared composed per-subcarrier power: the
+    weighting Monte Carlo measurements bear out, where a_digi^4 in the
+    second term would understate it by (1 + |b|^2)^2 when b != 0. The
+    prediction treats the subcarrier amplitudes as circular Gaussian, so
+    for QAM inputs it carries an O(1/|DL|) relative error from degenerate
+    index tuples, plus an O(|b|^2) term from conjugate-pair correlations.
 
     Each order costs one real-FFT circular correlation, O(P log P), against
     the spectrum of Lambda_fold computed once per call. A correlation of
@@ -186,15 +184,12 @@ def mu_tables(
     exact sum. Entries match the exact correlation to FFT round-off
     relative to the row maximum; q_size is the exact integer path.
     """
-    if moment_mode not in ("biq", "a4"):
-        raise ValueError(f"moment_mode must be 'biq' or 'a4', got {moment_mode!r}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = grid.num_subcarriers
     b_mag2 = abs(b_iq) ** 2
     big_b = (1.0 + b_mag2) * a_digi**2
-    f1 = big_b**2
-    f2 = big_b**2 if moment_mode == "biq" else a_digi**4
+    f = big_b**2
     lam_hat = np.fft.rfft(_fold_mod_p(lambda_dl(grid), p).astype(np.float64))
     w = grid.dl_end - grid.dl_start
     mu = np.zeros((k_max + 1, p), dtype=np.float64)
@@ -203,8 +198,8 @@ def mu_tables(
         conv = np.fft.irfft(lam_hat * np.conj(np.fft.rfft(mu[k - 1])), n=p)
         reached = (np.arange(p) - (grid.dl_start - k * w)) % p <= (2 * k + 1) * w
         conv = np.where(reached, np.maximum(conv, 0.0), 0.0)
-        mu[k] = (2 * k * (2 * k - 1) * f1 / p**4) * conv + (
-            (k + 1) ** 2 * f2 / p**4
+        mu[k] = (2 * k * (2 * k - 1) * f / p**4) * conv + (
+            (k + 1) ** 2 * f / p**4
         ) * grid.dl_size**2 * mu[k - 1]
     if np.any(mu < 0):
         raise AssertionError("mu table contains negative entries")

@@ -22,10 +22,10 @@ cancellers that read basis stacks are grouped by image weight: proposed,
 full_ls and iq_only use the estimated one, and pa_only, which is proposed
 at b = 0, forms a group of its own. Groups are trained one at a time, each
 from one training stack and one amplifier fit with its basis-power table,
-and per run block each group reads one stack up to the highest order any
-member runs. A fit or a stack shared by several cancellers is made once,
-and each of them charges its cost (for a stack, the orders it reads) to
-its own stage.
+into a list of (name, running canceller, weights) members, and per run
+block each group reads one stack up to the highest order any member runs.
+A fit or a stack shared by several cancellers is made once, and each of
+them charges its cost (for a stack, the orders it reads) to its own stage.
 
 Both windows are received one way, per subcarrier, as the paper's
 receiver sees them (_receive): every tap lies within the cyclic prefix, so
@@ -438,17 +438,20 @@ def _fit_group(
     gamma: float,
     a_digi: float,
     counters: dict[str, OpCounter],
-) -> tuple[dict, int]:
+) -> tuple[complex, int, list]:
     """Train the cancellers that read the basis stacks of one image weight.
 
-    Returns their (k+1, |UL|) weight arrays, consumed by _estimate_si, and the
-    highest basis order their running stages read. The training stack
-    holds every training row when full_ls is among names and the data rows
-    alone otherwise. The amplifier polynomial and its basis-power table
-    are fitted once with b_hat for every member but full_ls, and their cost
-    is charged to each; the fit samples the pilot peaks behind tap direct,
-    the first nonzero beamformed tap, the direct path's delay. gamma is the
-    basis-selection threshold in internal power units.
+    Returns the group (b_hat, top, members): one (name, run, W) member per
+    name, W its (k+1, |UL|) weight array and run the running canceller W
+    drives (run_full_ls for full_ls, run_sic otherwise), and top the highest
+    basis order their running stages read. The training stack holds every
+    training row when full_ls is among names and the data rows alone
+    otherwise. The amplifier polynomial and its
+    basis-power table are fitted once with b_hat for every member but
+    full_ls, and their cost is charged to each; the fit samples the pilot
+    peaks behind tap direct, the first nonzero beamformed tap, the direct
+    path's delay. gamma is the basis-selection threshold in internal power
+    units.
     """
     grid = buffer.grid
     first = 0 if "full_ls" in names else buffer.n_impulse
@@ -461,10 +464,10 @@ def _fit_group(
         a_fit = estimate_pa(buffer, b_hat, spec.k_max, direct, counter=scratch)
         mu = mu_tables(grid, b_hat, a_digi, spec.k_max)
         _share(scratch, "estimate_pa", counters, users)
-    states, top = {}, 0
+    members, top = [], 0
     for name in names:
         if name == "full_ls":
-            states[name] = baseline_full_ls(buffer, train, counter=counters[name])
+            members.append((name, run_full_ls, baseline_full_ls(buffer, train, counters[name])))
             top = max(top, spec.k_max)
             continue
         a_hat = a_fit[:1] if name == "iq_only" else a_fit
@@ -472,20 +475,10 @@ def _fit_group(
         retained = select_basis(a_hat, mu, h_hat, gamma, spec.k_max, grid, counter=counters[name])
         # selection walks spec.k_max orders even for iq_only, whose a_hat
         # keeps the linear order alone; its weights keep the rows a_hat has
-        states[name] = precombine(h_hat, a_hat, retained[: len(a_hat)], grid, counters[name])
-        top = max(top, top_order(states[name], grid))
-    return states, top
-
-
-def _estimate_si(
-    name: str, state, inputs: np.ndarray, grid: SubcarrierGrid, counter: OpCounter
-) -> np.ndarray:
-    """One canceller's (..., |UL|) self-interference estimate.
-
-    inputs are the (..., P) symbols for linear and their basis stack for the others.
-    """
-    run = {"linear": baseline_linear, "full_ls": run_full_ls}.get(name, run_sic)
-    return run(inputs, state, grid, counter=counter)
+        w = precombine(h_hat, a_hat, retained[: len(a_hat)], grid, counters[name])
+        members.append((name, run_sic, w))
+        top = max(top, top_order(w, grid))
+    return b_hat, top, members
 
 
 def _run_window(
@@ -497,7 +490,6 @@ def _run_window(
     a_digi: float,
     sigma_f: float,
     groups: list,
-    states: dict,
     counters: dict[str, OpCounter],
     seed_data: int,
     seed_noise: int,
@@ -509,18 +501,22 @@ def _run_window(
     per-subcarrier sum of the noisy residual power, (|UL|,); the mean
     noisy residual power of each symbol, (n_run,); and the noiseless
     residual power summed over the window. No (n_run, |UL|) array is held.
-    Each block fills workspaces allocated once per scenario, of
-    min(block, n_run) rows, and one inverse FFT of its symbols serves the
-    reception and every group's basis stack. sigma_f is the noise deviation
-    per uplink bin: the DFT of white noise of variance sigma_t^2 per sample
-    is white with variance P sigma_t^2 per bin.
+    groups are run_scenario's (b, top, members): per block, each group with
+    an image weight b builds one basis stack up to order top, linear's
+    (b None) reads the symbols themselves, and each (name, run, W) member
+    estimates with run(inputs, W, grid). Each block fills workspaces
+    allocated once per scenario, of min(block, n_run) rows, and one inverse
+    FFT of its symbols serves the reception and every group's basis stack.
+    sigma_f is the noise deviation per uplink bin: the DFT of white noise of
+    variance sigma_t^2 per sample is white with variance P sigma_t^2 per bin.
     """
     n_run, p, n_ul, ul = spec.n_run_symbols, grid.num_subcarriers, grid.ul_size, grid.ul_band
     rows = min(max(1, _RUN_BLOCK_SAMPLES // p), n_run)
     symbols, samples, first, second = np.empty((4, rows, p), dtype=np.complex128)
     clean, noisy, resid = np.empty((3, rows, n_ul), dtype=np.complex128)
     power = np.empty((rows, n_ul))
-    stack = np.empty((rows, max(top for _, top, _ in groups) + 1, n_ul), dtype=np.complex128)
+    orders = max((top for _, top, _ in groups), default=0) + 1
+    stack = np.empty((rows, orders, n_ul), dtype=np.complex128)
     data_rng = np.random.default_rng(seed_data)
     noise_rng = np.random.default_rng(seed_noise)
 
@@ -543,11 +539,10 @@ def _run_window(
         raw += float(residual_power(y, None, n).sum())
         # the none canceller is in no group: its estimate stays 0
         estimates = [("none", None)] if "none" in sums else []
-        for b, top, names in groups:
+        for b, top, members in groups:
             inputs = x if b is None else basis_stack(x, b, top, grid, t, out=stack[:n, : top + 1])
-            for name in names:
-                est = _estimate_si(name, states[name], inputs, grid, counters[name])
-                estimates.append((name, est))
+            for name, run, w in members:
+                estimates.append((name, run(inputs, w, grid, counter=counters[name])))
         for name, est in estimates:
             # the estimate depends on the transmit symbols only, so it is
             # subtracted from both the noisy and the noiseless reception
@@ -580,45 +575,41 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
 
     seeds = _seed_ints(seed, 5)
     taps = _build_effective_channel(spec, grid, seeds[0])
-    direct = np.flatnonzero(taps)
-    if not direct.size:
+    nonzero = np.flatnonzero(taps)
+    if not nonzero.size:
         raise ValueError(
             "the self-interference channel is zero (every beamformed tap is 0), "
             "so there is no self-interference to cancel and no direct path to fit"
         )
+    direct = int(nonzero[0])
     h = np.fft.fft(taps, n=grid.num_subcarriers)
     buffer = _build_training(spec, grid, b_iq, a, h, a_digi, sigma_t, seeds[1], seeds[2])
 
     counters = {name: OpCounter() for name in spec.cancellers}
-    states = {}
+    # each group, as (image weight, top order, [(name, run, W), ...]), drives
+    # the run blocks, which build its stack once; linear's group has no image
+    # weight and reads the symbols
+    groups = []
     if "linear" in spec.cancellers:
-        states["linear"] = estimate_linear_channel(buffer, counter=counters["linear"])
+        h_lin = estimate_linear_channel(buffer, counter=counters["linear"])
+        groups.append((None, 0, [("linear", baseline_linear, h_lin)]))
     # the cancellers that read basis stacks, grouped by their image weight:
-    # pa_only is proposed at b = 0
-    weights = []
+    # pa_only is proposed at b = 0. Each group is trained in turn, so the
+    # fits hold one training stack at a time
     shared = [name for name in spec.cancellers if name in _USES_B_HAT]
     if shared:
         scratch = OpCounter()
         b_hat = estimate_iq(buffer, counter=scratch)
         _share(scratch, "estimate_iq", counters, shared)
-        weights.append((b_hat, shared))
+        groups.append(_fit_group(shared, b_hat, buffer, direct, spec, gamma, a_digi, counters))
     if "pa_only" in spec.cancellers:
-        weights.append((0.0 + 0.0j, ["pa_only"]))
-    # each group is trained in turn, so the fits hold one training stack at
-    # a time; as (image weight, top order, names) the groups then drive the
-    # run blocks, which build each stack once, and the first group, linear,
-    # reads no stack; the none canceller is in no group: its estimate stays 0
-    groups = [(None, 0, [name for name in spec.cancellers if name == "linear"])]
-    for b, names in weights:
-        fitted, top = _fit_group(names, b, buffer, int(direct[0]), spec, gamma, a_digi, counters)
-        states.update(fitted)
-        groups.append((b, top, names))
+        groups.append(_fit_group(["pa_only"], 0j, buffer, direct, spec, gamma, a_digi, counters))
     # training is over; the run blocks build their own stacks
     del buffer
 
     sigma_f = float(np.sqrt(noise_f))
     raw, sums = _run_window(
-        spec, grid, b_iq, a, h, a_digi, sigma_f, groups, states, counters, seeds[3], seeds[4]
+        spec, grid, b_iq, a, h, a_digi, sigma_f, groups, counters, seeds[3], seeds[4]
     )
     psd_dbm: dict[str, np.ndarray] = {}
     cdf_dbm: dict[str, np.ndarray] = {}

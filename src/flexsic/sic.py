@@ -61,7 +61,7 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_profile, predict_si_power
-from .impairments import apply_iq_time
+from .impairments import apply_iq_time, apply_pa
 from .ofdm import SubcarrierGrid, idft
 
 _RANK_TOL = 1e-12
@@ -404,7 +404,6 @@ def estimate_pa(
     kappa = pilot_profile(grid, n0 + offsets)
     x_all = peaks[:, None] * kappa[None, :]
     a_all = apply_iq_time(x_all, b_hat)
-    mag2_all = np.abs(a_all) ** 2
     post_idx = (n0 + los_tap_index + np.arange(1, guard + 1)) % p_total
     rx_post = rx[:, post_idx]
     n_echo = min(_PA_MAX_ECHOES, guard)
@@ -424,10 +423,7 @@ def estimate_pa(
             adds=_PA_REFINE_PASSES * m * guard * 2,
         )
     for _ in range(_PA_REFINE_PASSES):
-        u = np.zeros_like(a_all)
-        for k in range(k_max, -1, -1):
-            u = u * mag2_all + coeffs[k]
-        u = u * a_all
+        u = apply_pa(a_all, coeffs)
         u_peak = u[:, guard]
         u_post = u[:, guard + 1 :]
         resid = rx_post - u_post

@@ -59,6 +59,7 @@ from oracles import (
     impulse_pilot_basis,
     mc_mu,
     mirror_values,
+    mu_tables_conv,
     rx_body_loop,
     whole_grid_chain,
 )
@@ -178,9 +179,9 @@ def test_predicted_basis_powers_match_monte_carlo():
         ul = grid.ul_indices
         for b_label, b_iq in (("b=0", 0.0), ("irr25", irr_to_b(25.0, 0.3))):
             mc, se = mc_mu(grid, b_iq, n_sym, seed=77, k_max=2)
-            pred = mu_tables(grid, b_iq, 1.0, 2, "biq")
+            pred = mu_tables(grid, b_iq, 1.0, 2)
             if b_label == "irr25":
-                pred_a4 = mu_tables(grid, b_iq, 1.0, 2, "a4")
+                pred_a4 = mu_tables_conv(grid, b_iq, 1.0, 2, "a4")
                 for k in (1, 2):
                     mode_devs[(duplex, k)] = (
                         float(np.max(np.abs(mc[k, ul] - pred[k, ul]) / pred[k, ul])),

@@ -161,6 +161,23 @@ def test_ray_csv_roundtrip(tmp_path):
         assert a.is_los == b.is_los
 
 
+def test_rays_with_numpy_scalar_fields_save_and_load(tmp_path):
+    # numpy 2's repr of a numpy scalar, np.float64(0.0), is no float literal
+    rays = [
+        Ray(gain=np.complex128(0.5 - 0.25j), delay_s=np.float64(0.0), aoa=np.float64(0.1),
+            aod=np.float32(-0.5), is_los=True),
+        Ray(gain=0.01j, delay_s=np.float64(4e-9), aoa=-0.3, aod=0.2),
+    ]
+    path = tmp_path / "taps.csv"
+    save_taps(rays, path)
+    assert "np." not in path.read_text()
+    back = load_taps(path)
+    for a, b in zip(rays, back, strict=True):
+        assert (a.gain, a.delay_s, a.aoa, a.aod, a.is_los) == (
+            b.gain, b.delay_s, b.aoa, b.aod, b.is_los
+        )
+
+
 def test_load_taps_error_reporting(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("")

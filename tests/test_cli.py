@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -6,6 +7,7 @@ from flexsic.cli import main
 from flexsic.imd import mu_tables, q_size
 from flexsic.scenario import ScenarioSpec, load_spec, spec_from_dict
 
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -76,6 +78,16 @@ def test_tables_command(tmp_path, config_path, capsys):
     assert mu[0, grid.dl_start] == pytest.approx(
         (1 + abs(spec.build_imbalance()) ** 2) * spec.drive_amplitude(grid) ** 2
     )
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_configs_run_and_dump_tables(tmp_path, capsys, path):
+    # the configs README's quickstart runs
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cancellers = load_spec(path).cancellers
+    assert [line.split(":")[0] for line in lines if "SICR" in line] == list(cancellers)
+    assert main(["tables", "--config", str(path), "--out", str(tmp_path / "tables.csv")]) == 0
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -266,17 +266,21 @@ def test_mu_scales_with_drive_and_imbalance():
 
 
 def test_mu_moment_mode_validation_and_gap():
+    # mu_tables weights both terms by B^2 ("biq"); the oracle keeps the
+    # a_digi^4 weighting of the second term ("a4") for comparison
     g = mid_grid()
     with pytest.raises(ValueError, match="moment_mode"):
-        mu_tables(g, 0.0, 1.0, 1, moment_mode="exact")
+        mu_tables_conv(g, 0.0, 1.0, 1, moment_mode="exact")
     b_iq = irr_to_b(25.0, 0.0)
-    biq = mu_tables(g, b_iq, 1.0, 1, moment_mode="biq")
-    a4 = mu_tables(g, b_iq, 1.0, 1, moment_mode="a4")
+    biq = mu_tables_conv(g, b_iq, 1.0, 1, moment_mode="biq")
+    a4 = mu_tables_conv(g, b_iq, 1.0, 1, moment_mode="a4")
     # the modes differ only in the self-term, which lives on the downlink set
     assert np.all(biq[1] >= a4[1])
     assert np.all(biq[1, g.dl_indices] > a4[1, g.dl_indices])
-    plain = mu_tables(g, 0.0, 1.0, 1, moment_mode="a4")
-    assert np.allclose(plain, mu_tables(g, 0.0, 1.0, 1), rtol=1e-15)
+    # at b = 0, B^2 = a_digi^4, so the modes agree
+    plain = mu_tables_conv(g, 0.0, 1.0, 1, moment_mode="a4")
+    assert np.allclose(plain, mu_tables_conv(g, 0.0, 1.0, 1), rtol=1e-15)
+    assert np.allclose(plain, mu_tables(g, 0.0, 1.0, 1), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- impulse pilots

@@ -631,6 +631,39 @@ def test_fits_hold_one_training_basis_stack_at_a_time(monkeypatch):
     spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=4, cancellers=CANCELLERS)
     run_scenario(spec)
     assert len(stacks) == 2 + 2  # two training stacks, then one run block of two
+
+
+@pytest.mark.parametrize(
+    "cancellers, overrides, tops",
+    [
+        (("iq_only",), {}, {"b_hat": 0}),
+        (("full_ls",), {}, {"b_hat": 2}),
+        (("proposed",), {}, {"b_hat": 1}),
+        (("proposed",), {"gamma_dbm": 100.0}, {"b_hat": 0}),
+        (("pa_only",), {}, {0.0: 1}),
+        (CANCELLERS, {}, {"b_hat": 2, 0.0: 1}),
+    ],
+)
+def test_each_run_stack_reaches_the_top_order_its_group_runs(
+    monkeypatch, cancellers, overrides, tops
+):
+    # a group's run stack holds the orders up to the highest one any member
+    # reads: k_max for full_ls, top_order(W) for the others. The outputs do
+    # not show it; only the transforms spent on the stack do
+    run_tops = []
+    build = scenario.basis_stack
+
+    def recorded(x, b, k_max, grid, *args, **kwargs):
+        if "out" in kwargs:  # a run block's stack; training stacks take no workspace
+            run_tops.append(("b_hat" if b != 0 else 0.0, k_max))
+        return build(x, b, k_max, grid, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "basis_stack", recorded)
+    spec = ScenarioSpec(num_subcarriers=256, n_run_symbols=4, cancellers=cancellers, **overrides)
+    run_scenario(spec)
+    assert run_tops == list(tops.items())
+
+
 def test_run_scenario_smoke_and_shapes():
     spec = small_spec()
     report = run_scenario(spec, seed=2)
