@@ -12,13 +12,10 @@ symbol per row.
 
 from .channel import (
     ArrayGeometry,
-    BeamVector,
     ChannelProfile,
     Ray,
     apply_beams,
     array_response,
-    build_mimo_taps,
-    conjugate_beam,
     load_taps,
     save_taps,
     synth_channel,

@@ -1,17 +1,21 @@
 """Ray-based MIMO self-interference channel with analog beamforming.
 
 A channel is a list of rays; each ray carries a complex gain, a delay, and
-angles of arrival/departure.  Rays are rasterized onto sampling-interval
-taps as outer products of array steering vectors, an (n_taps, n_rx, n_tx)
-array H, then collapsed to the beamformed channel taps, an (n_taps,)
-array h, by the transmit/receive beams:
+angles of arrival/departure. The transmit and receive arrays apply the
+beams matched to the downlink and uplink beam angles,
+f = e_tx(dl_angle)/sqrt(N_tx) and w = e_rx(ul_angle)/sqrt(N_rx), so each
+ray reaches the baseband as one beamformed gain, and the rays sum onto
+sampling-interval taps, an (n_taps,) array h:
 
-    h[n] = w_rx^H  H[n]  f_tx.
+    h[n] = sum over rays on tap n of g (w^H e_rx(aoa)) (e_tx(aod)^H f).
 
-Delays snap to the nearest tap; every tap index must stay below the cyclic
-prefix length. The prefix then absorbs the channel memory, so after its
-removal the channel acts on each subcarrier as one complex gain, the taps'
-frequency response fft(h, n=P), and the receiver needs nothing else.
+That is the beamformed MIMO channel w^H H[n] f, H[n] the sum of the rays'
+steering outer products g e_rx(aoa) e_tx(aod)^H, with the contraction
+taken ray by ray. Delays snap to the nearest tap; every tap index must stay
+below the cyclic prefix length. The prefix then absorbs the channel memory,
+so after its removal the channel acts on each subcarrier as one complex
+gain, the taps' frequency response fft(h, n=P), and the receiver needs
+nothing else.
 """
 
 from __future__ import annotations
@@ -59,34 +63,6 @@ class ArrayGeometry:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class BeamVector:
-    """Analog beam weights, unit modulus per entry: |w_i| = 1/sqrt(N)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.complex128).ravel()
-        if w.size == 0:
-            raise ValueError("beam vector must have at least one entry")
-        target = 1.0 / np.sqrt(w.size)
-        mags = np.abs(w)
-        if np.any(np.abs(mags - target) > 1e-9 * max(target, 1.0)):
-            raise ValueError(
-                "beam weights must have unit modulus 1/sqrt(N) per entry; "
-                "use normalize_beam to project arbitrary weights"
-            )
-        object.__setattr__(self, "weights", w)
-
-
-def normalize_beam(weights: np.ndarray) -> BeamVector:
-    """Keep the phases, force every magnitude to 1/sqrt(N)."""
-    w = np.asarray(weights, dtype=np.complex128).ravel()
-    if np.any(w == 0):
-        raise ValueError("cannot normalize a beam weight of exactly zero")
-    return BeamVector(weights=w / np.abs(w) / np.sqrt(w.size))
-
-
 def array_response(geom: ArrayGeometry, angle: float) -> np.ndarray:
     """Unnormalized steering vector of a planar array toward `angle`.
 
@@ -97,16 +73,6 @@ def array_response(geom: ArrayGeometry, angle: float) -> np.ndarray:
     c = np.arange(geom.cols)[None, :]
     phase = 2.0 * np.pi * geom.spacing * (r + c) * np.sin(angle)
     return np.exp(1j * phase).ravel()
-
-
-def conjugate_beam(geom: ArrayGeometry, angle: float) -> BeamVector:
-    """Unit-modulus beam conjugate-matched to the steering vector at `angle`.
-
-    apply_beams applies the receive weights as w^H and the transmit weights
-    against a conjugated departure steering vector, so the matched weights
-    equal the steering vector itself; the conjugation lives in the combiner.
-    """
-    return normalize_beam(array_response(geom, angle))
 
 
 def validate_rays(rays: list[Ray]) -> None:
@@ -127,18 +93,21 @@ def validate_rays(rays: list[Ray]) -> None:
         )
 
 
-def build_mimo_taps(
+def apply_beams(
     rays: list[Ray],
     geom_tx: ArrayGeometry,
     geom_rx: ArrayGeometry,
+    dl_angle: float,
+    ul_angle: float,
     grid: SubcarrierGrid,
 ) -> np.ndarray:
-    """Rasterize rays onto sampling taps as steering outer products.
+    """The (n_taps,) beamformed taps of rays under the beams matched to dl_angle and ul_angle.
 
-    Returns the (n_taps, n_rx, n_tx) tap matrices H. Each ray lands on tap
-    round(delay / T_sampling) with matrix g * e_rx(aoa) e_tx(aod)^H; rays
-    sharing a tap add.  Tap indices at or beyond cp_length are rejected
-    (they would break the per-subcarrier product model).
+    Each ray adds g (w^H e_rx(aoa)) (e_tx(aod)^H f) to tap
+    round(delay / T_sampling), with w = e_rx(ul_angle)/sqrt(N_rx) and
+    f = e_tx(dl_angle)/sqrt(N_tx); rays sharing a tap add. Tap indices at
+    or beyond cp_length are rejected (they would break the per-subcarrier
+    product model).
     """
     validate_rays(rays)
     ts = grid.sampling_interval
@@ -149,25 +118,14 @@ def build_mimo_taps(
                 f"ray {i}: delay {rays[i].delay_s} maps to tap {t}, "
                 f"which reaches the cyclic prefix length {grid.cp_length}"
             )
-    n_taps = max(tap_idx) + 1
-    taps = np.zeros((n_taps, geom_rx.n_elements, geom_tx.n_elements), dtype=complex)
+    w_h = np.conj(array_response(geom_rx, ul_angle)) / np.sqrt(geom_rx.n_elements)
+    f = array_response(geom_tx, dl_angle) / np.sqrt(geom_tx.n_elements)
+    taps = np.zeros(max(tap_idx) + 1, dtype=complex)
     for r, t in zip(rays, tap_idx):
-        taps[t] += r.gain * np.outer(
-            array_response(geom_rx, r.aoa), np.conj(array_response(geom_tx, r.aod))
-        )
+        rx_gain = w_h @ array_response(geom_rx, r.aoa)
+        tx_gain = np.conj(array_response(geom_tx, r.aod)) @ f
+        taps[t] += r.gain * rx_gain * tx_gain
     return taps
-
-
-def apply_beams(taps: np.ndarray, f_tx: BeamVector, w_rx: BeamVector) -> np.ndarray:
-    """Collapse the MIMO taps H to the (n_taps,) beamformed taps h[n] = w^H H[n] f."""
-    n_taps, n_rx, n_tx = taps.shape
-    if len(f_tx.weights) != n_tx or len(w_rx.weights) != n_rx:
-        raise ValueError(
-            f"beam dimensions ({len(w_rx.weights)}, {len(f_tx.weights)}) do not "
-            f"match channel dimensions ({n_rx}, {n_tx})"
-        )
-    w = np.conj(w_rx.weights)
-    return np.array([w @ taps[n] @ f_tx.weights for n in range(n_taps)])
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,6 @@ from .channel import (
     ArrayGeometry,
     ChannelProfile,
     apply_beams,
-    build_mimo_taps,
-    conjugate_beam,
     load_taps,
     synth_channel,
 )
@@ -243,6 +241,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"impulse_amp_range must be increasing and positive, got {self.impulse_amp_range}"
             )
+        # the grid's and the image weight's own checks, whose messages name the key
+        self.build_grid()
+        self.build_imbalance()
 
     def build_grid(self) -> SubcarrierGrid:
         if self.duplex == "custom":
@@ -390,12 +391,14 @@ def _build_effective_channel(spec: ScenarioSpec, grid: SubcarrierGrid, seed: int
         rays = load_taps(spec.tap_file)
     else:
         rays = synth_channel(spec.channel, grid, seed)
-    geom_tx = ArrayGeometry(*spec.tx_array[:2], spacing=spec.tx_array[2])
-    geom_rx = ArrayGeometry(*spec.rx_array[:2], spacing=spec.rx_array[2])
-    mimo = build_mimo_taps(rays, geom_tx, geom_rx, grid)
-    f_tx = conjugate_beam(geom_tx, spec.dl_beam_angle)
-    w_rx = conjugate_beam(geom_rx, spec.ul_beam_angle)
-    return apply_beams(mimo, f_tx, w_rx)
+    return apply_beams(
+        rays,
+        ArrayGeometry(*spec.tx_array),
+        ArrayGeometry(*spec.rx_array),
+        spec.dl_beam_angle,
+        spec.ul_beam_angle,
+        grid,
+    )
 
 
 def _build_training(

@@ -23,8 +23,6 @@ from flexsic.channel import (
     ArrayGeometry,
     ChannelProfile,
     apply_beams,
-    build_mimo_taps,
-    conjugate_beam,
     synth_channel,
 )
 from flexsic.counters import OpCounter
@@ -510,8 +508,7 @@ def test_amplifier_coefficients_recovered_from_pilots():
     def build_chan(profile: ChannelProfile, seed: int):
         rays = synth_channel(profile, grid, seed)
         geom = ArrayGeometry(4, 4, 0.5)
-        mimo = build_mimo_taps(rays, geom, geom, grid)
-        return apply_beams(mimo, conjugate_beam(geom, 0.4), conjugate_beam(geom, -0.4))
+        return apply_beams(rays, geom, geom, 0.4, -0.4, grid)
 
     def training(chan, seed, sigma):
         scale = 256 / grid.dl_size

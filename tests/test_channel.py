@@ -3,15 +3,11 @@ import pytest
 
 from flexsic.channel import (
     ArrayGeometry,
-    BeamVector,
     ChannelProfile,
     Ray,
     apply_beams,
     array_response,
-    build_mimo_taps,
-    conjugate_beam,
     load_taps,
-    normalize_beam,
     save_taps,
     synth_channel,
     validate_rays,
@@ -45,24 +41,18 @@ def test_array_response_two_element_endfire():
     assert v[1] == pytest.approx(np.exp(1j * np.pi))
 
 
-def test_conjugate_beam_maximizes_gain():
-    geom = ArrayGeometry(rows=2, cols=2)
-    angle = 0.4
-    beam = conjugate_beam(geom, angle)
-    matched = abs(np.conj(beam.weights) @ array_response(geom, angle))
-    assert matched == pytest.approx(np.sqrt(geom.n_elements))
-    for other in (-0.5, 0.0, 1.0):
-        off = abs(np.conj(beam.weights) @ array_response(geom, other))
-        assert off <= matched + 1e-12
-
-
-def test_beam_vector_modulus_constraint():
-    with pytest.raises(ValueError, match="unit modulus"):
-        BeamVector(weights=np.array([1.0, 0.5]))
-    beam = normalize_beam(np.array([1.0, 2j, -3.0]))
-    assert np.allclose(np.abs(beam.weights), 1 / np.sqrt(3))
-    with pytest.raises(ValueError, match="zero"):
-        normalize_beam(np.array([1.0, 0.0]))
+def test_matched_beams_give_the_full_array_gain():
+    # one ray: the beams matched to its angles gain |g| sqrt(N_tx N_rx), others less
+    g = grid256()
+    geom_tx, geom_rx = ArrayGeometry(2, 2), ArrayGeometry(1, 3)
+    aod, aoa = 0.4, -0.3
+    gain = 0.02 - 0.01j
+    rays = [Ray(gain=gain, delay_s=0.0, aoa=aoa, aod=aod, is_los=True)]
+    matched = abs(apply_beams(rays, geom_tx, geom_rx, aod, aoa, g)[0])
+    assert matched == pytest.approx(abs(gain) * np.sqrt(4 * 3))
+    for dl_angle, ul_angle in [(aod, 0.0), (0.0, aoa), (-0.5, 1.0)]:
+        off = abs(apply_beams(rays, geom_tx, geom_rx, dl_angle, ul_angle, g)[0])
+        assert off < matched
 
 
 def test_array_geometry_validation():
@@ -102,8 +92,8 @@ def test_build_rejects_delays_reaching_cp():
     too_late = g.cp_length * g.sampling_interval
     rays = los_only() + [Ray(0.1, too_late, 0, 0, False)]
     geom = ArrayGeometry(1, 1)
-    with pytest.raises(ValueError, match="cyclic prefix"):
-        build_mimo_taps(rays, geom, geom, g)
+    with pytest.raises(ValueError, match="^ray 1: delay .* maps to tap 32, which reaches the cyclic"):
+        apply_beams(rays, geom, geom, 0.0, 0.0, g)
 
 
 # ---------------------------------------------------------------- effective channel
@@ -112,18 +102,49 @@ def test_build_rejects_delays_reaching_cp():
 def test_siso_los_channel_is_flat():
     g = grid256()
     geom = ArrayGeometry(1, 1)
-    mimo = build_mimo_taps(los_only(gain=0.5 + 0.1j), geom, geom, g)
-    taps = apply_beams(mimo, BeamVector([1.0]), BeamVector([1.0]))
+    taps = apply_beams(los_only(gain=0.5 + 0.1j), geom, geom, 0.0, 0.0, g)
     assert len(taps) == 1
     assert taps[0] == pytest.approx(0.5 + 0.1j)
     assert np.allclose(np.fft.fft(taps, n=g.num_subcarriers), 0.5 + 0.1j)
 
 
-def test_beam_dimension_mismatch_is_reported():
+def beamformed_mimo_taps(rays, geom_tx, geom_rx, dl_angle, ul_angle, grid):
+    """w^H H[n] f per tap n, H the (n_taps, n_rx, n_tx) sum of the rays' g e_rx(aoa) e_tx(aod)^H."""
+    taps = [round(r.delay_s / grid.sampling_interval) for r in rays]
+    on_tap = np.eye(max(taps) + 1)[taps]
+    gains = np.array([r.gain for r in rays])
+    e_rx = np.array([array_response(geom_rx, r.aoa) for r in rays])
+    e_tx = np.array([array_response(geom_tx, r.aod) for r in rays])
+    mimo = np.einsum("r,rn,ri,rj->nij", gains, on_tap, e_rx, e_tx.conj())
+    w = array_response(geom_rx, ul_angle) / np.sqrt(geom_rx.n_elements)
+    f = array_response(geom_tx, dl_angle) / np.sqrt(geom_tx.n_elements)
+    return np.einsum("i,nij,j->n", w.conj(), mimo, f)
+
+
+def test_apply_beams_equals_the_beamformed_mimo_channel(tmp_path):
     g = grid256()
-    mimo = build_mimo_taps(los_only(), ArrayGeometry(2, 2), ArrayGeometry(2, 2), g)
-    with pytest.raises(ValueError, match="do not\n?\\s*match"):
-        apply_beams(mimo, BeamVector([1.0]), conjugate_beam(ArrayGeometry(2, 2), 0.0))
+    geom_tx, geom_rx = ArrayGeometry(2, 3, 0.5), ArrayGeometry(4, 1, 0.7)
+    ts = g.sampling_interval
+    # two rays on tap 5 (delays 5 and 5.2 samples) behind a line of sight on tap 3
+    path = tmp_path / "taps.csv"
+    save_taps(
+        [
+            Ray(gain=3e-3 + 1e-3j, delay_s=3 * ts, aoa=0.2, aod=-0.1, is_los=True),
+            Ray(gain=-4e-4j, delay_s=5 * ts, aoa=-0.7, aod=0.9),
+            Ray(gain=2e-4, delay_s=5.2 * ts, aoa=0.5, aod=0.3),
+            Ray(gain=1e-5 - 3e-5j, delay_s=9 * ts, aoa=1.1, aod=-1.2),
+        ],
+        path,
+    )
+    ray_sets = [synth_channel(ChannelProfile(), g, seed) for seed in range(6)]
+    ray_sets.append(load_taps(path))
+    for rays in ray_sets:
+        taps = apply_beams(rays, geom_tx, geom_rx, 0.4, -0.4, g)
+        ref = beamformed_mimo_taps(rays, geom_tx, geom_rx, 0.4, -0.4, g)
+        assert taps.shape == ref.shape
+        assert np.linalg.norm(taps - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the taps ahead of the line of sight are exactly zero
+    assert len(taps) == 10 and not taps[:3].any() and taps[3] != 0
 
 
 # ---------------------------------------------------------------- synthesis, IO

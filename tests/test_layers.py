@@ -25,6 +25,8 @@ RETIRED = (
     "channel.apply_channel",
     # the table wrapper; `flexsic tables` calls q_size and mu_tables itself
     "imd.make_imd_tables",
+    # the (n_taps, n_rx, n_tx) tap tensor; apply_beams sums each ray onto its tap
+    "channel.build_mimo_taps",
 )
 
 

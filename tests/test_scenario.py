@@ -171,6 +171,14 @@ def test_spec_rejects_bad_estimator_values():
         ({"pa_coeffs": {1: "a"}}, "pa_coeffs must be complex, got 'a'$"),
         ({"noise_dbm": None}, "noise_dbm must be float, got None$"),
         ({"channel": {"taps": 4}}, "unknown channel keys: taps$"),
+        # the grid and the image weight are checked as the spec is built, not at run time
+        (
+            {"num_subcarriers": 16, "cp_length": 32},
+            "cp_length must satisfy 0 < cp_length < num_subcarriers, "
+            "got cp_length=32 with num_subcarriers=16$",
+        ),
+        ({"subcarrier_spacing": -1.0}, "subcarrier_spacing must be positive, got -1.0$"),
+        ({"irr_db": -5.0}, "irr_db must be positive, got -5.0$"),
     ]
     for overrides, message in cases:
         with pytest.raises(ValueError, match="^" + message):
@@ -213,7 +221,7 @@ def test_spec_rejects_a_prefix_the_synthetic_channel_outruns(tmp_path):
         ScenarioSpec(num_subcarriers=64, cp_length=16)
     ScenarioSpec(num_subcarriers=64, cp_length=17)
     ScenarioSpec(num_subcarriers=64, cp_length=16, channel=ChannelProfile(n_rays=4))
-    # a tap file's delays are checked where they are rasterised, in build_mimo_taps
+    # a tap file's delays are checked where they are put on taps, in apply_beams
     path = tmp_path / "taps.csv"
     save_taps([Ray(gain=1e-3, delay_s=0.0, aoa=0.0, aod=0.0, is_los=True)], path)
     ScenarioSpec(num_subcarriers=64, cp_length=16, tap_file=str(path))

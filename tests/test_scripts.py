@@ -40,6 +40,23 @@ def test_run_duplex_suite_writes_one_csv_per_mode(tmp_path, capsys):
         assert all(len(line.split(",")) == 6 for line in lines)
 
 
+def test_attribution_ladder_reaches_the_true_parameter_ceiling(capsys):
+    script = load_script("attribution")
+    argv = ["--noise-dbm", "-250", "--drives", "0.5", "--seeds", "1"]
+    assert script.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[-4:] == ["as-is", "b", "b,a", "b,a,h"]
+    rows = {(cols[0], cols[4]): [float(v) for v in cols[5:]] for cols in map(str.split, out[1:])}
+    presets = ("ibfd", "sbfd", "overlap")
+    assert set(rows) == {(p, c) for p in presets for c in ("proposed", "full_ls")}
+    for preset in presets:
+        # with the true b and h_los a, proposed cancels far below any noise floor;
+        # the last rung sits at the double-precision floor and is not asserted
+        assert rows[preset, "proposed"][2] >= 170.0
+        # full_ls reads neither a_hat nor h_hat
+        assert rows[preset, "full_ls"][1] == rows[preset, "full_ls"][2]
+
+
 def test_readme_library_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quickstart: library", 1)[1]
