@@ -6,10 +6,10 @@ Conventions used by the whole package:
 - a length-n FFT or IFFT costs (n/2) log2(n) multiplies and n log2(n) adds;
 - an elementwise product of two length-L vectors costs L multiplies;
 - a complex division counts as one multiply;
-- a least-squares solve with M rows and K columns through the normal
-  equations costs K^2 M + K M + K^3 multiplies and
-  K^2 (M-1) + K (M-1) + K^3 adds (Gram matrix, projected observations,
-  and the K-dimensional solve);
+- a least-squares solve with M rows and K columns costs K^2 M + K M + K^3
+  multiplies and K^2 (M-1) + K (M-1) + K^3 adds, the normal equations'
+  count (Gram matrix, projected observations, K-dimensional solve), kept
+  as a fixed convention whichever factorization, QR or Cholesky, solves it;
 - bookkeeping (copies, comparisons, validation) is free.
 """
 
@@ -39,7 +39,7 @@ def _log2_int(n: int) -> int:
 
 
 def ls_costs(m: int, k: int) -> tuple[int, int]:
-    """(multiplies, adds) for a normal-equation LS solve, M rows, K columns."""
+    """(multiplies, adds) charged for an LS solve, M rows, K columns: the normal-equation count."""
     mults = k * k * m + k * m + k**3
     adds = k * k * max(m - 1, 0) + k * max(m - 1, 0) + k**3
     return mults, adds

@@ -101,18 +101,23 @@ def duplex_allocation(preset: str, num_subcarriers: int) -> tuple[tuple[int, int
     ibfd shares one mirror-symmetric band between both directions; sbfd
     splits them with a guard wide enough that the uplink clears both the
     downlink band and its mirror image; overlap slides the uplink onto
-    the upper half of the downlink band.
+    the upper half of the downlink band. A grid too small for the preset's
+    spans to end inside it is refused by its size.
     """
     p = num_subcarriers
     if preset == "ibfd":
         start = round(0.109 * p)
-        span = (start, p - start)
-        return span, span
-    if preset == "sbfd":
-        return (round(0.109 * p), round(0.758 * p)), (round(0.898 * p), round(0.988 * p))
-    if preset == "overlap":
-        return (round(0.109 * p), round(0.758 * p)), (round(0.586 * p), round(0.883 * p))
-    raise ValueError(f"unknown duplex preset {preset!r}; expected one of {DUPLEX_PRESETS}")
+        spans = (start, p - start), (start, p - start)
+    elif preset == "sbfd":
+        spans = (round(0.109 * p), round(0.758 * p)), (round(0.898 * p), round(0.988 * p))
+    elif preset == "overlap":
+        spans = (round(0.109 * p), round(0.758 * p)), (round(0.586 * p), round(0.883 * p))
+    else:
+        raise ValueError(f"unknown duplex preset {preset!r}; expected one of {DUPLEX_PRESETS}")
+    end = max(spans[0][1], spans[1][1])
+    if end >= p:
+        raise ValueError(f"num_subcarriers={p} is too small for {preset!r}: a band ends at {end}")
+    return spans
 
 
 @dataclass(frozen=True)

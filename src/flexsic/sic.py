@@ -50,7 +50,8 @@ Both allocations are contiguous spans, so every band gather is a slice
 subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
-the basis stack is; one Cholesky over the band screens and solves them.
+the basis stack is; one Cholesky over the band screens and solves them. The
+rest, and ls_solve's single systems, are judged and solved by a QR each.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def ls_solve(
     counter: OpCounter | None = None,
     stage: str = "ls",
 ) -> np.ndarray:
-    """Least squares through the normal equations, with guard rails.
+    """Least squares from a QR factor, with guard rails.
 
     The system is checked for rank deficiency first (a SingularSystemError
     names the offending column), and a small ridge is switched on
@@ -147,55 +148,48 @@ def ls_solve(
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
-    coeffs, solved = _qr_rule(a[None], y[None], np.zeros(1))
+    coeffs, solved, diag = _qr_rule(a[None], y[None], np.zeros(1))
     if not solved[0]:
-        diag = _r_diagonal(a[None])[0]
-        if diag.max() == 0.0:
+        if diag[0].max() == 0.0:
             raise SingularSystemError(0, "least-squares system is all zero")
-        raise SingularSystemError(int(np.argmin(diag)))
+        raise SingularSystemError(int(np.argmin(diag[0])))
     if counter is not None:
         counter.charge(stage, *ls_costs(m, k))
     return coeffs[0]
 
 
-def _r_diagonal(a: np.ndarray) -> np.ndarray:
-    """|R_kk| of the QR factor of each stacked (M, K) system: shape (n, K)."""
-    return np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
-
-
-def _qr_rule(a: np.ndarray, y: np.ndarray, ridge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _qr_rule(
+    a: np.ndarray, y: np.ndarray, ridge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ls_solve's guard rails on (n, M, K) systems, (n, M) observations and (n,) ridges.
 
-    A zero-ridge system is judged by the |R_kk| of its QR: rank deficient
-    when the smallest is at most 1e-12 of the largest, given the ridge
-    (top / 1e8)^2 when their ratio exceeds 1e8 (written into ridge). The
-    others are solved from gram + ridge I; one that rounds to an exactly
-    singular matrix stays unsolved. Returns (coefficients (n, K), solved (n,)).
+    One Householder QR of [A y] per system gives R in its first K columns
+    and z = Q^H y in its last. A zero-ridge system is judged by its |R_kk|:
+    rank deficient when the smallest is at most 1e-12 of the largest, given
+    the ridge (top / 1e8)^2 when their ratio exceeds 1e8 (written into
+    ridge). Every ridged system, the ridge given or automatic, is factored
+    again as [A y] over [sqrt(ridge) I 0], the ridge's own least-squares
+    problem. The rest solve R c = z, which a nonzero diagonal keeps
+    solvable. Returns (coefficients (n, K), solved (n,), |R_kk| (n, K) of
+    the first factor).
     """
-    ah = a.conj().transpose(0, 2, 1)
-    gram = ah @ a
-    rhs = ah @ y[:, :, None]
-    checked = np.flatnonzero(ridge == 0.0)
-    ok = np.ones(len(a), dtype=bool)
-    if len(checked):
-        diag = _r_diagonal(a[checked])
-        top, low = diag.max(axis=1), diag.min(axis=1)
-        full_rank = low > _RANK_TOL * top
-        cond = top / np.where(full_rank, low, 1.0)
-        auto = full_rank & (cond > _AUTO_RIDGE_COND)
-        ridge[checked[auto]] = (top[auto] / _AUTO_RIDGE_COND) ** 2
-        ok[checked] = full_rank
-    gram += ridge[:, None, None] * np.eye(a.shape[2])
-    coeffs = np.zeros(rhs.shape[:2], dtype=np.complex128)
-    try:
-        coeffs[ok] = np.linalg.solve(gram[ok], rhs[ok])[:, :, 0]
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok):
-            try:
-                coeffs[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    return coeffs, ok
+    k = a.shape[2]
+    ay = np.concatenate([a, y[:, :, None]], axis=2)
+    r = np.linalg.qr(ay, mode="r")[:, :k]
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    top, low = diag.max(axis=1), diag.min(axis=1)
+    checked = ridge == 0.0
+    ok = ~checked | (low > _RANK_TOL * top)
+    cond = top / np.where(checked & ok, low, 1.0)
+    auto = checked & ok & (cond > _AUTO_RIDGE_COND)
+    ridge[auto] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+    ridged = np.flatnonzero(ridge > 0.0)
+    if ridged.size:
+        lift = np.sqrt(ridge[ridged])[:, None, None] * np.eye(k, k + 1)
+        r[ridged] = np.linalg.qr(np.concatenate([ay[ridged], lift], axis=1), mode="r")[:, :k]
+    coeffs = np.zeros((len(a), k), dtype=np.complex128)
+    coeffs[ok] = np.linalg.solve(r[ok, :, :k], r[ok, :, k:])[:, :, 0]
+    return coeffs, ok, diag
 
 
 def _band_cholesky(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +256,10 @@ def _ls_solve_stack(
 
     Most zero-ridge systems never reach the QR: _band_cholesky clears each
     whose QR ratio it proves under 1e6, far inside both rails, where
-    _qr_rule gives no ridge, and solves it from its own factor, which
-    differs from the Gram solve by rounding only. Every other system goes
-    to _qr_rule, so solved mask and charges are the QR rule's alone, and
-    so are the coefficients of the systems it judges.
+    _qr_rule gives no ridge, and solves it from its own factor, within
+    the normal equations' rounding of the QR solve. Every other system
+    goes to _qr_rule, so solved mask and charges are the QR rule's alone,
+    and so are the coefficients of the systems it judges.
     """
     m, k, n = a.shape
     ridge = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
@@ -281,7 +275,7 @@ def _ls_solve_stack(
         coeffs[:, solved] = c[:, cleared]
     rest = np.flatnonzero(~solved)
     if rest.size:
-        c, solved[rest] = _qr_rule(a.transpose(2, 0, 1)[rest], y.T[rest], ridge[rest])
+        c, solved[rest], _ = _qr_rule(a.transpose(2, 0, 1)[rest], y.T[rest], ridge[rest])
         coeffs[:, rest] = c.T
     count = np.count_nonzero(solved)
     if counter is not None and count:

@@ -483,12 +483,15 @@ def ls_solve_ref(
     counter: OpCounter | None = None,
     stage: str = "ls",
 ) -> np.ndarray:
-    """One least-squares system through the normal equations, with guard rails.
+    """One least-squares system with guard rails, each solve by its definition.
 
     With regularization == 0: SingularSystemError when the smallest |R_kk|
     of the QR factor is at most 1e-12 of the largest (or all are zero),
     and the ridge (top / 1e8)^2 when their ratio exceeds 1e8. With
-    regularization > 0 the ridge is applied as given. Charges one solve.
+    regularization > 0 the ridge is applied as given. A system without a
+    ridge is solved through the normal equations; a ridged one is the
+    least-squares problem [A; sqrt(ridge) I] c ~= [y; 0], solved by
+    np.linalg.lstsq. Charges one solve.
     """
     a = np.asarray(regressors, dtype=np.complex128)
     y = np.asarray(observations, dtype=np.complex128)
@@ -505,13 +508,12 @@ def ls_solve_ref(
         if top / diag[worst] > 1e8:
             reg = (top / 1e8) ** 2
 
-    gram = a.conj().T @ a
-    rhs = a.conj().T @ y
-    if reg > 0.0:
-        gram = gram + reg * np.eye(k)
     if counter is not None:
         counter.charge(stage, *ls_costs(m, k))
-    return np.linalg.solve(gram, rhs)
+    if reg > 0.0:
+        lifted = np.concatenate([a, np.sqrt(reg) * np.eye(k)])
+        return np.linalg.lstsq(lifted, np.concatenate([y, np.zeros(k)]), rcond=None)[0]
+    return np.linalg.solve(a.conj().T @ a, a.conj().T @ y)
 
 
 # The stacked solver as it stood before its Cholesky screen, kept verbatim:

@@ -56,6 +56,26 @@ def test_duplex_allocation_desk_scale():
         duplex_allocation("tdd", 256)
 
 
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_duplex_allocation_fits_every_small_grid_or_names_its_size(preset):
+    # sbfd's uplink ends at round(0.988 P), past the grid up to P = 41, and
+    # ibfd's shared span ends at P - round(0.109 P), past it up to P = 4
+    refused = []
+    for p in range(1, 65):
+        try:
+            spans = duplex_allocation(preset, p)
+        except ValueError as err:
+            assert f"num_subcarriers={p}" in str(err)
+            refused.append(p)
+            continue
+        for start, end in spans:
+            assert 0 <= start <= end < p
+    assert refused == list(range(1, max(refused) + 1))
+    assert max(refused) == {"ibfd": 4, "sbfd": 41, "overlap": 4}[preset]
+    with pytest.raises(ValueError, match="num_subcarriers=32 is too small"):
+        ScenarioSpec(num_subcarriers=32, cp_length=20, duplex="sbfd")
+
+
 def test_preset_grids_classify_as_expected():
     # ibfd shares one band, sbfd splits the bands apart, overlap shares part of them
     for p in (64, 256, 1024):
@@ -569,6 +589,17 @@ def test_noise_draws_each_symbol_real_then_imaginary():
         assert np.array_equal(row, clean + (0.7 / np.sqrt(2.0)) * noise)
     # a zero sigma leaves the samples as they are, bit for bit
     assert np.array_equal(body + scenario._noise(body.shape, 0.0, rng), body)
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_smallest_training_window_runs_every_canceller(preset):
+    # two data training symbols, the fewest the spec allows where b_hat is
+    # estimated: estimate_iq solves square 2 x 2 mirror-pair systems
+    spec = ScenarioSpec(duplex=preset, n_train_symbols=6, cancellers=CANCELLERS)
+    assert spec.n_train_symbols == spec.n_impulse_symbols + 2
+    report = run_scenario(spec)
+    assert set(report.sicr_db) == set(CANCELLERS)
+    assert np.isfinite(list(report.sicr_db.values())).all()
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 3])

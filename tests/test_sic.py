@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexsic.sic as sic
-from flexsic.counters import OpCounter, fft_adds, fft_mults
+from flexsic.counters import OpCounter, fft_adds, fft_mults, ls_costs
 from flexsic.imd import (
     impulse_pilot,
     mu_tables,
@@ -190,6 +190,41 @@ def band_last(a, y):
     return a.transpose(1, 2, 0), y.T
 
 
+def auto_ridge(a):
+    """ls_solve's ridge of each stacked system: (top / 1e8)^2 when its |R_kk| ratio exceeds 1e8."""
+    diag = np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
+    top, low = diag.max(axis=1), diag.min(axis=1)
+    return np.where(top > 1e8 * low, (top / 1e8) ** 2, 0.0)
+
+
+def ridged_lstsq(a, y, ridge):
+    """np.linalg.lstsq of [A; sqrt(ridge) I] against [y; 0] for each of (n, M, K) systems.
+
+    Returns the (n, K) coefficients c and the (n,) bound on the 2-norm
+    distance of a solve with backward error (M + K) eps from them:
+    (M + K) eps kappa (2 ||c|| + (kappa + 1) ||r|| / ||B||), B = [A; sqrt(ridge) I],
+    kappa its condition number and r its residual, the first-order
+    perturbation bound of least squares (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Theorem 20.1).
+    """
+    n, m, k = a.shape
+    lifted = np.concatenate([a, np.sqrt(ridge)[:, None, None] * np.eye(k)], axis=1)
+    rhs = np.concatenate([y, np.zeros((n, k))], axis=1)
+    coeffs = np.array([np.linalg.lstsq(s, t, rcond=None)[0] for s, t in zip(lifted, rhs)])
+    coeffs = coeffs.reshape(n, k)
+    resid = np.linalg.norm(rhs - (lifted @ coeffs[:, :, None])[:, :, 0], axis=1)
+    kappa = np.linalg.cond(lifted)
+    scale = np.linalg.norm(lifted, 2, axis=(1, 2))
+    spread = 2 * np.linalg.norm(coeffs, axis=1) + (kappa + 1) * resid / scale
+    return coeffs, (m + k) * np.finfo(float).eps * kappa * spread
+
+
+def assert_within(coeffs, ref, bound):
+    """Each row of coeffs lies within its bound of ref's row, in the 2-norm."""
+    error = np.linalg.norm(coeffs - ref, axis=1)
+    assert (error <= bound).all(), (error / bound).max()
+
+
 def test_ls_solve_stack_matches_per_system_reference():
     # degenerate systems amid 600 healthy ones
     rng = np.random.default_rng(5)
@@ -212,7 +247,12 @@ def test_ls_solve_stack_matches_per_system_reference():
                 assert not solved[i] and np.all(coeffs[:, i] == 0)
                 continue
             assert solved[i]
-            np.testing.assert_allclose(coeffs[:, i], ref, rtol=1e-10)
+            if i == 500 and per_system[i] == 0.0:
+                # the auto-ridged system: both sides solve [A; sqrt(ridge) I] c ~= [y; 0]
+                bound = ridged_lstsq(a[i : i + 1], y[i : i + 1], auto_ridge(a[i : i + 1]))[1]
+                assert_within(coeffs[:, i : i + 1].T, ref[None], bound)
+            else:
+                np.testing.assert_allclose(coeffs[:, i], ref, rtol=1e-10)
         assert counter.rows() == ref_counter.rows()
     assert not solved[[300, 400]].any()
     counter = OpCounter()
@@ -289,11 +329,12 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
     ridge = np.where(np.arange(n) % 5 == 0, 1e-3, 0.0)  # explicit ridge on every fifth system
 
     seen = []
-    qr_rule = sic._r_diagonal
+    qr_rule = sic._qr_rule
 
-    def counted(stack):
-        seen.extend(system.tobytes() for system in stack)
-        return qr_rule(stack)
+    def counted(stack, obs, ridges):
+        # the zero-ridge systems, those whose rank the rule judges
+        seen.extend(system.tobytes() for system in stack[ridges == 0.0])
+        return qr_rule(stack, obs, ridges)
 
     def check(a, y, regularization):
         """Which systems reached the QR; checks mask, charges and coefficients against it."""
@@ -301,19 +342,29 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
         counter, ref_counter = OpCounter(), OpCounter()
         coeffs, solved = _ls_solve_stack(*band_last(a, y), regularization, counter, "s")
         ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, regularization, ref_counter, "s")
-        assert np.array_equal(solved, ref_solved)
+        # the old rule's mask plus exactly the full-rank systems it lost,
+        # each charged one solve
+        given = np.broadcast_to(regularization, (len(a),)) > 0
+        assert np.array_equal(solved, given | (qr_ratio(a) < 1e12))
+        assert not (ref_solved & ~solved).any()
+        gained = np.count_nonzero(solved & ~ref_solved)
+        if gained:
+            mults, adds = ls_costs(*a.shape[1:])
+            ref_counter.charge("s", mults=gained * mults, adds=gained * adds)
         assert counter.rows() == ref_counter.rows()
         index = {a[i].tobytes(): i for i in range(len(a))}
         reached = np.zeros(len(a), dtype=bool)
         reached[[index[s] for s in seen]] = True
-        # the systems the QR rule judged, ridged or reached, match it bit for
-        # bit; the cleared ones are solved from their own Cholesky factor
-        judged = reached | (np.broadcast_to(regularization, (len(a),)) > 0)
-        assert np.array_equal(coeffs.T[judged], ref_coeffs[judged])
+        # the systems the QR rule judged, ridged or reached, solve the
+        # ridge's own problem to its rounding; the cleared ones are solved
+        # from their own Cholesky factor
+        judged = (reached | given) & solved
+        ridges = np.where(given, regularization, auto_ridge(a))[judged]
+        assert_within(coeffs.T[judged], *ridged_lstsq(a[judged], y[judged], ridges))
         return reached, coeffs.T, ref_coeffs
 
     assert cholesky_raises(a)
-    monkeypatch.setattr(sic, "_r_diagonal", counted)
+    monkeypatch.setattr(sic, "_qr_rule", counted)
     for regularization in (0.0, 1e-3, ridge):
         reached, coeffs, ref_coeffs = check(a, y, regularization)
         zero_ridge = np.broadcast_to(regularization, (n,)) == 0.0
@@ -329,17 +380,19 @@ def test_ls_solve_stack_screen_matches_qr_rule(monkeypatch):
         error = np.abs(coeffs - ref_coeffs).max(axis=1)
         scale = np.abs(ref_coeffs).max(axis=1)
         assert (error[cleared] <= bound[cleared] * scale[cleared]).all()
-    # with no ridge the systems under the rank limit are solved, but for six
-    # whose auto-ridge (top / 1e8)^2 sits at the rounding level of their Gram
-    # matrix: gram + ridge I rounds to an exactly singular matrix, so these
-    # stay unsolved, uncharged and zero, and the rest of the stack is solved
+    # with no ridge every system under the rank limit is solved, and none at
+    # or above it. The old rule, the Gram solve, lost six of them: their
+    # auto-ridge (top / 1e8)^2 sits at the rounding level of their Gram
+    # matrix, so gram + ridge I rounded to an exactly singular matrix. Each
+    # QR factor of [A; sqrt(ridge) I] solves them, and they are charged.
     coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, None, "s")
-    lost = np.flatnonzero(~solved & (ratios < 1e12))
-    assert len(lost) == 6 and (ratios[lost] > 1e8).all() and not coeffs[:, lost].any()
-    assert not (solved & (ratios >= 1e12)).any()
+    assert np.array_equal(solved, ratios < 1e12)
+    lost = np.flatnonzero(~ls_solve_stack_qr(a, y, 0.0, None, "s")[1] & (ratios < 1e12))
+    assert len(lost) == 6 and (ratios[lost] > 1e8).all()
+    assert_within(coeffs.T[lost], *ridged_lstsq(a[lost], y[lost], auto_ridge(a[lost])))
     counter = OpCounter()
     _ls_solve_stack(*band_last(a[lost], y[lost]), 0.0, counter, "s")
-    assert counter.rows() == []
+    assert counter.mults("s") == len(lost) * ls_costs(m, k)[0]
 
     # dependence behind large coefficients, one system per stack: a column
     # 1e3 times another, exactly and with 1e-9 relative noise, and a unit
@@ -408,8 +461,29 @@ def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch)
 
     monkeypatch.setattr(sic, "_band_cholesky", refused)
     coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
-    ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, ridge, None, "s")
-    assert solved.all() and np.array_equal(coeffs.T, ref_coeffs)
+    assert solved.all()
+    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
+
+
+def test_ls_solve_square_systems_with_and_without_the_auto_ridge():
+    # M = K: the QR of [A y] has K rows, R and z = Q^H y with no residual row
+    rng = np.random.default_rng(29)
+    n, k = 40, 3
+    stiff = np.arange(n) % 2 == 1
+    a = graded_systems(rng, np.where(stiff, 1e10, 10.0), m=k, k=k)
+    y = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    ridge = auto_ridge(a)
+    assert np.array_equal(ridge > 0, stiff)
+    ref, bound = ridged_lstsq(a, y, ridge)
+    assert_within(np.array([ls_solve(a[i], y[i]) for i in range(n)]), ref, bound)
+    counter = OpCounter()
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, counter, "s")
+    assert solved.all() and counter.mults("s") == n * ls_costs(k, k)[0]
+    # the stiff systems reach the QR rule; the screen clears the healthy
+    # ones, solved through their Gram matrix to (M + K) kappa^2 eps
+    assert_within(coeffs.T[stiff], ref[stiff], bound[stiff])
+    gram_bound = 2 * k * np.linalg.cond(a) ** 2 * np.finfo(float).eps * np.linalg.norm(ref, axis=1)
+    assert_within(coeffs.T[~stiff], ref[~stiff], gram_bound[~stiff])
 
 
 def test_ls_solve_rejects_negative_ridge():
