@@ -9,7 +9,7 @@ Conventions used by the whole package:
 - a least-squares solve with M rows and K columns costs K^2 M + K M + K^3
   multiplies and K^2 (M-1) + K (M-1) + K^3 adds, the normal equations'
   count (Gram matrix, projected observations, K-dimensional solve), kept
-  as a fixed convention whichever factorization, QR or Cholesky, solves it;
+  as a fixed convention though a Householder QR solves it;
 - bookkeeping (copies, comparisons, validation) is free.
 """
 

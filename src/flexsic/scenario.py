@@ -109,7 +109,8 @@ def duplex_allocation(preset: str, num_subcarriers: int) -> tuple[tuple[int, int
         start = round(0.109 * p)
         spans = (start, p - start), (start, p - start)
     elif preset == "sbfd":
-        spans = (round(0.109 * p), round(0.758 * p)), (round(0.898 * p), round(0.988 * p))
+        start = round(0.109 * p)
+        spans = (start, round(0.758 * p)), (max(round(0.898 * p), p - start + 1), round(0.988 * p))
     elif preset == "overlap":
         spans = (round(0.109 * p), round(0.758 * p)), (round(0.586 * p), round(0.883 * p))
     else:

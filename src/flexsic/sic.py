@@ -50,8 +50,8 @@ Both allocations are contiguous spans, so every band gather is a slice
 subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
-the basis stack is; one Cholesky over the band screens and solves them. The
-rest, and ls_solve's single systems, are judged and solved by a QR each.
+the basis stack is; one Householder QR over the band judges them all and
+solves the unridged ones. The rest, and ls_solve's, are solved by a QR each.
 """
 
 from __future__ import annotations
@@ -68,14 +68,9 @@ from .ofdm import SubcarrierGrid, idft
 _RANK_TOL = 1e-12
 _AUTO_RIDGE_COND = 1e8
 _REGRESSOR_POWER_TOL = 1e-12
-# Screen of _ls_solve_stack's band Cholesky, per system: with its rounding
-# bound (see _band_cholesky), a cleared system's QR ratio is under 1e6, two
-# decades under the auto-ridge (1e8) and six under the rank limit (1e12).
-# The rest go to the QR rule: the Gram squares the condition number, so it
-# cannot resolve the 1e-12 rank limit itself.
-_CHOLESKY_SCREEN = 1e6
-_SQRT2 = np.sqrt(2.0)
-_EPS = np.finfo(np.float64).eps
+# Systems per block of _band_qr, whose one workspace serves block after block:
+# sized to a wide band it was faulted in afresh per call, at twice the time.
+_QR_BLOCK = 1024
 # Echo taps resolved jointly by the polynomial estimator's multipath guard.
 # Indoor self-interference channels are sparse, so a handful of taps carries
 # the leakage that matters; the cap keeps the joint solve at a fixed size.
@@ -158,31 +153,39 @@ def ls_solve(
     return coeffs[0]
 
 
+def _rails(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ls_solve's guard rails on the |R_kk| (n, K) of n zero-ridge systems.
+
+    Returns (full rank (n,), ridge (n,)): a system is rank deficient when its
+    smallest |R_kk| is at most 1e-12 of its largest, and a full-rank one whose
+    ratio exceeds 1e8 gets the ridge (top / 1e8)^2, the rest 0.
+    """
+    top, low = diag.max(axis=1), diag.min(axis=1)
+    ok = low > _RANK_TOL * top
+    cond = top / np.where(ok, low, 1.0)
+    return ok, np.where(ok & (cond > _AUTO_RIDGE_COND), (top / _AUTO_RIDGE_COND) ** 2, 0.0)
+
+
 def _qr_rule(
     a: np.ndarray, y: np.ndarray, ridge: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ls_solve's guard rails on (n, M, K) systems, (n, M) observations and (n,) ridges.
 
     One Householder QR of [A y] per system gives R in its first K columns
-    and z = Q^H y in its last. A zero-ridge system is judged by its |R_kk|:
-    rank deficient when the smallest is at most 1e-12 of the largest, given
-    the ridge (top / 1e8)^2 when their ratio exceeds 1e8 (written into
-    ridge). Every ridged system, the ridge given or automatic, is factored
-    again as [A y] over [sqrt(ridge) I 0], the ridge's own least-squares
-    problem. The rest solve R c = z, which a nonzero diagonal keeps
-    solvable. Returns (coefficients (n, K), solved (n,), |R_kk| (n, K) of
-    the first factor).
+    and z = Q^H y in its last. A zero-ridge system is judged by _rails on
+    its |R_kk|. Every ridged system, the ridge given or automatic, is
+    factored again as [A y] over [sqrt(ridge) I 0], the ridge's own
+    least-squares problem. The rest solve R c = z, which a nonzero diagonal
+    keeps solvable. Returns (coefficients (n, K), solved (n,), |R_kk| (n, K)
+    of the first factor).
     """
     k = a.shape[2]
     ay = np.concatenate([a, y[:, :, None]], axis=2)
     r = np.linalg.qr(ay, mode="r")[:, :k]
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    top, low = diag.max(axis=1), diag.min(axis=1)
-    checked = ridge == 0.0
-    ok = ~checked | (low > _RANK_TOL * top)
-    cond = top / np.where(checked & ok, low, 1.0)
-    auto = checked & ok & (cond > _AUTO_RIDGE_COND)
-    ridge[auto] = (top[auto] / _AUTO_RIDGE_COND) ** 2
+    full, auto = _rails(diag)
+    ok = (ridge > 0.0) | full
+    ridge = np.where(ridge > 0.0, ridge, auto)
     ridged = np.flatnonzero(ridge > 0.0)
     if ridged.size:
         lift = np.sqrt(ridge[ridged])[:, None, None] * np.eye(k, k + 1)
@@ -192,50 +195,42 @@ def _qr_rule(
     return coeffs, ok, diag
 
 
-def _band_cholesky(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky solves of the band-last systems a (M, K, n), y (M, n) the screen clears.
+def _band_qr(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of the band-last [A y] stacks, a (M, K, n) and y (M, n).
 
-    Returns (coefficients (K, n), cleared mask (n,)); an uncleared system's
-    coefficients mean nothing. Each Gram entry and right-hand side is one
-    elementwise product summed over M. The factor, one Cholesky vectorised
-    over the band, is the upper R of [A y]^H [A y], row by row: its last
-    column is z = R^-H A^H y, so one back sweep R c = z solves.
-
-    A system is cleared when sqrt(2) max_j n_j < _CHOLESKY_SCREEN min|R_kk|,
-    n_j = ||a_j||, and 4 delta beta^2 <= 1. Scaled by the column norms, the
-    Gram formation and the Cholesky carry a backward error of 2-norm at
-    most delta = K (M + K + 4) eps in any order of summation, and the
-    scaled factor's inverse has 2-norm at most beta = prod_k (1 + n_k /
-    |R_kk|), its rows having unit norm to rounding. Then every exact |R_kk|
-    of the QR is at least the computed one over sqrt(2). The column norms
-    alone miss a dependent column reached through a large combination of
-    nearly parallel ones, which reads a rounding-sized |R_kk|.
+    Returns (R's K rows (K, K + 1, n), z = Q^H y in the last column; |R_kk|
+    (K, n)), over blocks of _QR_BLOCK systems with a loop over the K columns.
+    Step k's reflector maps column k's remaining rows onto -|R_kk| e_1 times
+    the phase of their first entry (1 where it is 0); a zero column takes none.
     """
     m, k, n = a.shape
     r = np.empty((k, k + 1, n), dtype=np.complex128)
-    norms, diag = np.empty((2, k, n))
-    conj, prod = np.empty((2, m, n), dtype=np.complex128)
-    ok = np.ones(n, dtype=bool)
-    for j in range(k):
-        row = r[j, j:]
-        np.conjugate(a[:, j], out=conj)
-        for i in range(j, k + 1):
-            np.multiply(conj, a[:, i] if i < k else y, out=prod)
-            prod.sum(axis=0, out=row[i - j])
-        norms[j] = np.sqrt(row[0].real)
-        if j:
-            row -= (r[:j, j, None].conj() * r[:j, j:]).sum(axis=0)
-        # a pivot this small fails the screen; an infinite one keeps its row zero
-        good = row[0].real > 2.0 * (norms[j] / _CHOLESKY_SCREEN) ** 2
-        ok &= good
-        diag[j] = np.sqrt(np.where(good, row[0].real, np.inf))
-        row[1:] /= diag[j]
-    coeffs = np.empty((k, n), dtype=np.complex128)
-    for j in range(k - 1, -1, -1):
-        coeffs[j] = (r[j, k] - (r[j, j + 1 : k] * coeffs[j + 1 :]).sum(axis=0)) / diag[j]
-    beta = (norms / diag + 1.0).prod(axis=0)
-    ok &= norms.max(axis=0) < _CHOLESKY_SCREEN / _SQRT2 * diag.min(axis=0)
-    return coeffs, ok & (beta * beta <= 0.25 / (k * (m + k + 4) * _EPS))
+    diag = np.empty((k, n))
+    space = np.empty((k + 2, m, min(n, _QR_BLOCK)), dtype=np.complex128)
+    for start in range(0, n, _QR_BLOCK):
+        cols = slice(start, start + _QR_BLOCK)
+        # w[c] is column c of [A y] on the block; scratch holds conj(x), then products
+        w, scratch = space[: k + 1, :, : n - start], space[k + 1, :, : n - start]
+        w[:k] = a[:, :, cols].transpose(1, 0, 2)
+        w[k] = y[:, cols]
+        r_cols, diag_cols = r[..., cols], diag[:, cols]
+        for j in range(k):
+            x = w[j, j:]
+            lanes = np.einsum("in,in->n", x.view(np.float64), x.view(np.float64))
+            diag_cols[j] = norm = np.sqrt(lanes[0::2] + lanes[1::2])
+            head = np.abs(x[0])
+            lead = np.divide(x[0] * norm, head, out=norm.astype(np.complex128), where=head > 0.0)
+            r_cols[j, j] = -lead
+            # the reflector I - v v^H / (norm (norm + |x_0|)), v = x - R_jj e_1
+            x[0] += lead
+            scale = norm * (norm + head)
+            proj = np.einsum("in,kin->kn", np.conjugate(x, out=scratch[j:]), w[j + 1 :, j:])
+            proj /= np.where(scale > 0.0, scale, np.inf)
+            for c, coef in enumerate(proj, j + 1):
+                col = w[c, j:]
+                col -= np.multiply(x, coef, out=scratch[j:])
+                r_cols[j, c] = col[0]
+    return r, diag
 
 
 def _ls_solve_stack(
@@ -250,33 +245,36 @@ def _ls_solve_stack(
     a has shape (M, K, n) and y (M, n), the band-last layout of the basis
     stack and the training spectra; ridges is one ridge for all systems or
     one per system. Returns (coefficients (K, n), boolean solved mask (n,))
-    with _qr_rule's guard rails, which leave a rank-deficient system
+    with ls_solve's guard rails, which leave a rank-deficient system
     unsolved, with zero coefficients and uncharged; every solved one is
     charged one M-row, K-column solve.
 
-    Most zero-ridge systems never reach the QR: _band_cholesky clears each
-    whose QR ratio it proves under 1e6, far inside both rails, where
-    _qr_rule gives no ridge, and solves it from its own factor, within
-    the normal equations' rounding of the QR solve. Every other system
-    goes to _qr_rule, so solved mask and charges are the QR rule's alone,
-    and so are the coefficients of the systems it judges.
+    Zero-ridge systems are judged by _rails from one _band_qr over the band,
+    which solves those given no ridge by one back sweep R c = z; the ridged
+    ones, the ridge given or automatic, go to _qr_rule with their ridge.
     """
     m, k, n = a.shape
     ridge = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
     if (ridge < 0).any():
         raise ValueError("ridge must be nonnegative")
     coeffs = np.zeros((k, n), dtype=np.complex128)
-    solved = np.zeros(n, dtype=bool)
-    zero = ridge == 0.0
-    if zero.any():
-        band = slice(None) if zero.all() else zero
-        c, cleared = _band_cholesky(a[..., band], y[:, band])
-        solved[band] = cleared
-        coeffs[:, solved] = c[:, cleared]
-    rest = np.flatnonzero(~solved)
-    if rest.size:
-        c, solved[rest], _ = _qr_rule(a.transpose(2, 0, 1)[rest], y.T[rest], ridge[rest])
-        coeffs[:, rest] = c.T
+    solved = ridge > 0.0
+    zero = np.flatnonzero(~solved)
+    if zero.size:
+        ridge = ridge.copy()
+        band = slice(None) if zero.size == n else zero
+        r, diag = _band_qr(a[..., band], y[:, band])
+        solved[zero], ridge[zero] = _rails(diag.T)
+        plain = solved[zero] & (ridge[zero] == 0.0)
+        r = r[..., plain]
+        c = np.empty_like(r[:, k])
+        for j in range(k - 1, -1, -1):
+            c[j] = (r[j, k] - (r[j, j + 1 : k] * c[j + 1 :]).sum(axis=0)) / r[j, j]
+        coeffs[:, zero[plain]] = c
+    ridged = np.flatnonzero(ridge > 0.0)
+    if ridged.size:
+        c = _qr_rule(a.transpose(2, 0, 1)[ridged], y.T[ridged], ridge[ridged])[0]
+        coeffs[:, ridged] = c.T
     count = np.count_nonzero(solved)
     if counter is not None and count:
         mults, adds = ls_costs(m, k)

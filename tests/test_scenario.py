@@ -96,12 +96,15 @@ def test_preset_grids_classify_as_expected():
 
 
 def test_sbfd_uplink_clears_downlink_and_its_image():
-    g = ScenarioSpec(duplex="sbfd").build_grid()
-    p = g.num_subcarriers
-    mirror = {(p - q) % p for q in g.dl_indices}
-    ul = set(int(q) for q in g.ul_indices)
-    assert not ul & set(int(q) for q in g.dl_indices)
-    assert not ul & mirror
+    # every grid the preset takes, from the smallest (P = 42) up
+    for p in [*range(42, 1025), 4096]:
+        dl, ul = duplex_allocation("sbfd", p)
+        downlink = set(range(dl[0], dl[1] + 1))
+        mirror = {(p - q) % p for q in downlink}
+        uplink = set(range(ul[0], ul[1] + 1))
+        assert ul[0] <= ul[1] < p, p
+        assert not uplink & downlink, p
+        assert not uplink & mirror, p
 
 
 # ---------------------------------------------------------------- spec handling
