@@ -9,20 +9,35 @@ layout, and with it the allocator's page-fault state, of the same code.
 Both runs of a pair use the same workload seed, and the side that runs
 first alternates from pair to pair, so slow drift of the machine falls on
 both sides alike. For each run it records the metrics of the JSON last
-line, the raw wall-time median of the `info` line, and the minor page
-faults per scenario: the growth of RUSAGE_CHILDREN's ru_minflt over the
-run (its set-up processes included) divided by the scenarios it ran. It
-writes one JSON file with the machine, the settings, every pair and, per
-metric, each side's median and quartiles, the number of pairs the working
-tree won and a verdict, which it also prints per metric and workload:
-"gain" when the working tree won at least nine tenths of the pairs and its
-median gain exceeds the parent's interquartile range; "worse" when its
-median is worse than the parent's by more than the metric's bound in
-BENCHMARK.json, a fraction of the parent's median; "unresolved" otherwise.
-Each workload also records split_pairs, the number of
-pairs whose two sides sat in different allocator states: exactly one side
-above HIGH_FAULTS_PER_SCENARIO minor faults per scenario. The p50 gap of
-such a pair measures the state as much as the code.
+line, the raw wall-time median of the `info` line, and, per scenario, the
+minor page faults and the CPU time: the growth of RUSAGE_CHILDREN's
+ru_minflt, and of its ru_utime + ru_stime, over the run (its set-up
+processes included) divided by the scenarios it ran.
+
+Every pair has two legs. The default leg runs in this process's
+environment. The pinned leg runs with glibc's heap pinned (PINNED_ENV: no
+trimming, no mmap below 256 MiB), set in the child's environment alone,
+so its allocations fault in no fresh pages and its times read the code
+without the allocator's page-fault state; the default leg's children get
+none of those variables, even when this process has them.
+
+It writes one JSON file with the machine (libc included), the settings,
+every pair and, per leg and metric, each side's median and quartiles, the
+number of pairs the working tree won and a verdict, which it also prints
+per metric and workload: "gain" when the working tree won at least nine
+tenths of the pairs and its median gain exceeds the parent's
+interquartile range; "worse" when its median is worse than the parent's by
+more than the metric's bound in BENCHMARK.json, a fraction of the parent's
+median; "unresolved" otherwise. A time metric then gets one verdict from
+its legs (leg_verdict): "gain" only when the default (scaled), the raw
+wall-time (for scenario_s.p50) and the pinned legs all read gain, and
+"state-dependent", printed with each leg's fault levels, when the default
+and pinned legs disagree. Each workload also records split_pairs, the
+number of default pairs whose two sides sat in different allocator states:
+exactly one side above HIGH_FAULTS_PER_SCENARIO minor faults per
+scenario. The p50 gap of such a pair measures the state as much as the
+code. --pairs counts the pairs of each leg, and the JSON records it as
+pairs_per_leg: 5 per leg take as long as 10 pairs of one leg did.
 
 Example, from the repository root:
 
@@ -35,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import shutil
 import statistics
@@ -45,7 +61,23 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Directions of the figures recorded next to BENCHMARK.json's metrics.
-EXTRA_BETTER = {"scenario_wall_s.p50": "lower", "minflt_per_scenario": "lower"}
+EXTRA_BETTER = {
+    "scenario_wall_s.p50": "lower",
+    "cpu_s_per_scenario": "lower",
+    "minflt_per_scenario": "lower",
+}
+# The time metrics that leg_verdict judges over both legs: BENCHMARK.json's
+# metrics in seconds and EXTRA_BETTER's; a raw wall-time twin is one more leg.
+EXTRA_TIMES = ("scenario_wall_s.p50", "cpu_s_per_scenario")
+RAW_OF = {"scenario_s.p50": "scenario_wall_s.p50"}
+# glibc's heap pinned in the pinned leg's children: never trim, and no mmap
+# below 256 MiB, so no scenario faults in fresh pages.
+PINNED_ENV = {
+    "MALLOC_TRIM_THRESHOLD_": str(256 << 20),
+    "MALLOC_TOP_PAD_": str(64 << 20),
+    "MALLOC_MMAP_THRESHOLD_": str(256 << 20),
+}
+LEGS = ("default", "pinned")
 ENV_KEYS = ("cpu_model", "nproc", "python", "numpy", "blas")
 # Minor faults per scenario above which a run sits in the high-fault
 # allocator state; wide_ibfd's low state reads 50-330, its high one 2100-5100.
@@ -89,17 +121,31 @@ def parse_output(stdout: str) -> tuple[dict, dict, dict]:
     return json.loads(lines[-1]), info, env
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One bench/run.py run in tree; returns (record, env)."""
+def child_env(leg: str) -> dict[str, str]:
+    """The environment of a leg's bench run: this one's, with PINNED_ENV in the pinned leg only."""
+    env = {key: value for key, value in os.environ.items() if key not in PINNED_ENV}
+    if leg == "pinned":
+        env.update(PINNED_ENV)
+    return env
+
+
+def run_once(
+    tree: str, workload: str, seed: int, seconds: float, leg: str = "default"
+) -> tuple[dict, dict]:
+    """One bench/run.py run in tree, in leg's environment; returns (record, env)."""
     args = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     args += ["--seconds", str(seconds)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    done = subprocess.run(args, cwd=tree, capture_output=True, text=True, check=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        args, cwd=tree, env=child_env(leg), capture_output=True, text=True, check=True
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     result, info, env = parse_output(done.stdout)
     values = {name: entry["value"] for name, entry in result["metrics"].items()}
     values["scenario_wall_s.p50"] = info["scenario_wall_s.p50"]
-    values["minflt_per_scenario"] = faults / info["scenarios"]
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    values["cpu_s_per_scenario"] = cpu / info["scenarios"]
+    values["minflt_per_scenario"] = (after.ru_minflt - before.ru_minflt) / info["scenarios"]
     record = {
         "values": values,
         "scenarios": info["scenarios"],
@@ -163,6 +209,34 @@ def summarize(
     return out
 
 
+def leg_verdict(default: str, pinned: str, raw: str | None = None) -> str:
+    """One time metric's verdict from the verdicts of its legs (see the module docstring).
+
+    default is the scaled metric's verdict in the default leg, pinned the
+    same metric's in the pinned leg and raw its raw wall-time twin's in the
+    default leg, None for a metric without one. Legs that agree keep their
+    verdict, except that "gain" needs the raw leg's gain too.
+    """
+    if default != pinned:
+        return "state-dependent"
+    if default == "gain" and raw not in (None, "gain"):
+        return "unresolved"
+    return default
+
+
+def leg_verdicts(summaries: dict[str, dict], times: list[str]) -> dict[str, str]:
+    """leg_verdict of each time metric, from the per-leg summaries of summarize."""
+    default, pinned = summaries["default"], summaries["pinned"]
+    return {
+        name: leg_verdict(
+            default[name]["verdict"],
+            pinned[name]["verdict"],
+            default[RAW_OF[name]]["verdict"] if name in RAW_OF else None,
+        )
+        for name in times
+    }
+
+
 def split_pairs(pairs: list[dict]) -> int:
     """Number of pairs where exactly one side is in the high-fault state."""
     return sum(
@@ -172,15 +246,19 @@ def split_pairs(pairs: list[dict]) -> int:
     )
 
 
-def pair_line(workload: str, pair: dict) -> str:
-    """One printed line per pair: each side's p50 and minor faults per scenario."""
+def pair_line(workload: str, pair: dict, leg: str = "default") -> str:
+    """One printed line per pair and leg: each side's p50 and minor faults per scenario.
+
+    A pinned leg's line names its leg after the seed; the default leg's names none.
+    """
+    runs, label = (pair, "") if leg == "default" else (pair[leg], f" {leg}")
     sides = (pair["first"], "parent" if pair["first"] == "change" else "change")
-    runs = "  ".join(
-        f"{side} {pair[side]['values']['scenario_s.p50'] * 1e3:.3f} ms "
-        f"{pair[side]['values']['minflt_per_scenario']:.0f} faults"
+    text = "  ".join(
+        f"{side} {runs[side]['values']['scenario_s.p50'] * 1e3:.3f} ms "
+        f"{runs[side]['values']['minflt_per_scenario']:.0f} faults"
         for side in sides
     )
-    return f"{workload} seed {pair['seed']}: {runs}"
+    return f"{workload} seed {pair['seed']}{label}: {text}"
 
 
 def verdict_line(workload: str, name: str, summary: dict) -> str:
@@ -192,14 +270,31 @@ def verdict_line(workload: str, name: str, summary: dict) -> str:
     )
 
 
-def benchmark_metrics() -> tuple[dict[str, str], dict[str, float]]:
-    """Directions and relative bounds of BENCHMARK.json's end-to-end metrics, and EXTRA_BETTER's."""
+def leg_line(workload: str, name: str, judged: str, summaries: dict[str, dict]) -> str:
+    """One printed line per time metric: its verdict over the legs, and when the
+    legs disagree, each leg's verdict and fault levels (parent -> change medians)."""
+    line = f"{workload} {name} over the legs: {judged}"
+    if judged == "state-dependent":
+        levels = ", ".join(
+            f"{leg} {summaries[leg][name]['verdict']} at "
+            f"{summaries[leg]['minflt_per_scenario']['parent']['median']:.0f} -> "
+            f"{summaries[leg]['minflt_per_scenario']['change']['median']:.0f} faults"
+            for leg in LEGS
+        )
+        line += f" ({levels} per scenario)"
+    return line
+
+
+def benchmark_metrics() -> tuple[dict[str, str], dict[str, float], list[str]]:
+    """Directions and relative bounds of BENCHMARK.json's end-to-end metrics, and EXTRA_BETTER's,
+    and the time metrics among them."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
+    times = [metric["name"] for metric in declared["end_to_end"] if metric["unit"] == "s"]
     better.update(EXTRA_BETTER)
-    return better, bounds
+    return better, bounds, times + list(EXTRA_TIMES)
 
 
 def main(argv=None) -> int:
@@ -215,9 +310,16 @@ def main(argv=None) -> int:
     rev = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", args.parent], capture_output=True, text=True, check=True
     ).stdout.strip()
-    better, bounds = benchmark_metrics()
+    better, bounds, times = benchmark_metrics()
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    report = {"parent": rev, "seconds": args.seconds, "seeds": seeds, "workloads": {}}
+    report = {
+        "parent": rev,
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "pairs_per_leg": args.pairs,
+        "pinned_env": PINNED_ENV,
+        "workloads": {},
+    }
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: os.path.join(scratch, side) for side in ("change", "parent")}
         export_worktree(trees["change"])
@@ -226,18 +328,32 @@ def main(argv=None) -> int:
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side], env = run_once(trees[side], workload, seed, args.seconds)
-                    report.setdefault("machine", {key: env.get(key) for key in ENV_KEYS})
+                # the default leg's records sit on the pair itself, the pinned leg's under "pinned"
+                pair = {"seed": seed, "first": order[0], "pinned": {}}
+                for leg in LEGS:
+                    runs = pair if leg == "default" else pair[leg]
+                    for side in order:
+                        runs[side], env = run_once(trees[side], workload, seed, args.seconds, leg)
+                        machine = {key: env.get(key) for key in ENV_KEYS}
+                        machine["libc"] = " ".join(platform.libc_ver())
+                        report.setdefault("machine", machine)
+                    print(pair_line(workload, pair, leg))
                 pairs.append(pair)
-                print(pair_line(workload, pair))
-            summary = summarize(pairs, better, bounds)
-            for name in better:
-                print(verdict_line(workload, name, summary[name]))
+            summaries = {
+                "default": summarize(pairs, better, bounds),
+                "pinned": summarize([pair["pinned"] for pair in pairs], better, bounds),
+            }
+            verdicts = leg_verdicts(summaries, times)
+            for leg in LEGS:
+                for name in better:
+                    print(verdict_line(f"{workload} {leg}", name, summaries[leg][name]))
+            for name, judged in verdicts.items():
+                print(leg_line(workload, name, judged, summaries))
             report["workloads"][workload] = {
                 "pairs": pairs,
-                "summary": summary,
+                "summary": summaries["default"],
+                "pinned_summary": summaries["pinned"],
+                "verdicts": verdicts,
                 "split_pairs": split_pairs(pairs),
             }
     with open(args.out, "w") as fh:

@@ -28,14 +28,15 @@ import numpy as np
 def apply_iq_time(x: np.ndarray, b_iq: complex, out: np.ndarray | None = None) -> np.ndarray:
     """Per-sample image: out[n] = x[n] + b * conj(x[n]), written into out when given.
 
-    The product is taken in place as b * conj(x), in that operand order at
-    every size: numpy's temporary elision would turn b * np.conj(x) into
-    conj(x) * b for large arrays, which differs in the last bit, so a stack's
-    rows would not equal the same rows imaged one at a time.
+    The image is formed in out itself, so out must not be x. The product
+    is taken in place as b * conj(x), in that operand order at every size:
+    numpy's temporary elision would turn b * np.conj(x) into conj(x) * b
+    for large arrays, which differs in the last bit, so a stack's rows
+    would not equal the same rows imaged one at a time.
     """
-    image = np.conj(x, dtype=np.complex128)
+    image = np.conj(x, dtype=np.complex128, out=out)
     np.multiply(b_iq, image, out=image)
-    return np.add(x, image, out=image if out is None else out)
+    return np.add(x, image, out=image)
 
 
 def apply_pa(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -47,7 +48,8 @@ def apply_pa(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.
     """
     x = np.asarray(x, dtype=np.complex128)
     a = np.asarray(a, dtype=np.complex128)
-    mag2 = x.real**2 + x.imag**2
+    mag2 = np.square(x.real)
+    mag2 += np.square(x.imag)
     if out is None:
         out = np.empty(x.shape, dtype=np.complex128)
     out[...] = a[-1]

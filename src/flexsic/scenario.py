@@ -33,8 +33,10 @@ after prefix removal the channel is one complex gain per subcarrier, and a
 received spectrum is the amplifier output's spectrum times the channel's
 frequency response. Both windows are held as received spectra; the
 amplifier fit alone reads body samples, the inverse DFT of its pilot
-rows. The training window's noise is drawn on every body sample and
-added through the DFT, because the amplifier fit reads body samples.
+rows, which the training window holds beside its transmit samples, each
+transform taken once. The training window's noise is drawn on every body
+sample and added through the DFT, because the amplifier fit reads body
+samples.
 The run window's noise is drawn on the uplink bins alone, with the
 variance per bin that time-domain noise has after the DFT, so both
 windows see the statistics of one time-domain noise floor.
@@ -424,10 +426,12 @@ def _build_training(
     n_data = spec.n_train_symbols - spec.n_impulse_symbols
     data = gen_qam_symbols(grid, spec.qam_order, a_digi, n_data, seed_data)
     tx = np.concatenate([pilots, data])
+    samples = idft(tx)
+    rx = _receive(samples, b_iq, a, h, slice(None))
     # the noise is drawn per body sample, where the amplifier fit reads it
-    rx = _receive(idft(tx), b_iq, a, h, slice(None))
-    rx += dft(_noise(rx.shape, sigma_t, np.random.default_rng(seed_noise)))
-    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots))
+    noise = _noise(rx.shape, sigma_t, np.random.default_rng(seed_noise))
+    rx += dft(noise, out=noise)
+    return TrainingBuffer(grid=grid, tx=tx, rx=rx, n_impulse=len(pilots), samples=samples)
 
 
 def _share(
@@ -464,7 +468,7 @@ def _fit_group(
     """
     grid = buffer.grid
     first = 0 if "full_ls" in names else buffer.n_impulse
-    train = basis_stack(buffer.tx[first:], b_hat, spec.k_max, grid)
+    train = basis_stack(buffer.tx[first:], b_hat, spec.k_max, grid, buffer.samples[first:])
     # the stack ends with the data rows, the only ones estimate_channel reads
     data = train[buffer.n_impulse - first :]
     users = [name for name in names if name != "full_ls"]
@@ -633,7 +637,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     return MetricsReport(
         spec=spec,
         seed=seed,
-        ul_indices=tuple(int(p) for p in grid.ul_indices),
+        ul_indices=tuple(range(grid.ul_set[0], grid.ul_set[1] + 1)),
         psd_dbm=psd_dbm,
         cdf_dbm=cdf_dbm,
         sicr_db=sicr_db,

@@ -30,7 +30,8 @@ match a canceller that subtracts in place.
 Symbols are held as arrays, one per row. Every estimator works on the
 whole training window at once, which holds received spectra, as the run
 window does; only estimate_pa reads body samples, the inverse DFT of the
-pilot rows. baseline_linear takes a (..., P) stack of transmit spectra;
+pilot rows, which the window holds, as it holds its transmit samples.
+baseline_linear takes a (..., P) stack of transmit spectra;
 estimate_channel, baseline_full_ls, run_sic and run_full_ls take the
 basis stack of their symbols, (..., k+1, |UL|) from basis_stack, and read
 the orders they need from it; estimate_channel's symbols are the data
@@ -51,12 +52,13 @@ subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
 the basis stack is; one Householder QR over the band judges them all and
-solves the unridged ones. The rest, and ls_solve's, are solved by a QR each.
+solves the unridged ones. The ridged rest go to _qr_rule, a QR each;
+ls_solve takes the same rule on one 2-D QR, with no stack of one around it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,13 +99,19 @@ class TrainingBuffer:
 
     tx holds the transmitted spectra and rx the received spectra, as the
     receiver demodulates them, both of shape (M, P); the first n_impulse
-    rows are the impulse pilots and the rest are data symbols.
+    rows are the impulse pilots and the rest are data symbols. Each
+    transform the fits read is held, taken once: samples = idft(tx), taken
+    here unless given; bodies = idft(rx[:n_impulse]); and profile, the
+    pilot's time profile on estimate_pa's guard window, samples 0..2 cp_length.
     """
 
     grid: SubcarrierGrid
     tx: np.ndarray
     rx: np.ndarray
     n_impulse: int
+    samples: np.ndarray | None = None
+    bodies: np.ndarray = field(init=False, repr=False)
+    profile: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.grid.num_subcarriers
@@ -111,12 +119,19 @@ class TrainingBuffer:
         rx = np.asarray(self.rx, dtype=np.complex128)
         if tx.ndim != 2 or tx.shape[1] != p:
             raise ValueError(f"tx has shape {tx.shape}, expected (M, {p})")
-        if rx.shape != tx.shape:
-            raise ValueError(f"rx has shape {rx.shape}, expected the tx shape {tx.shape}")
+        samples = idft(tx) if self.samples is None else np.asarray(self.samples, np.complex128)
+        for name, arr in (("rx", rx), ("samples", samples)):
+            if arr.shape != tx.shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected the tx shape {tx.shape}")
         if not 0 <= self.n_impulse <= len(tx):
             raise ValueError(f"n_impulse={self.n_impulse} is outside 0..{len(tx)}")
         object.__setattr__(self, "tx", tx)
         object.__setattr__(self, "rx", rx)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "bodies", idft(rx[: self.n_impulse]))
+        object.__setattr__(
+            self, "profile", pilot_profile(self.grid, np.arange(2 * self.grid.cp_length + 1))
+        )
 
 
 def ls_solve(
@@ -131,7 +146,7 @@ def ls_solve(
     names the offending column), and a small ridge is switched on
     automatically when the condition estimate exceeds 1e8. The returned
     coefficients minimize ||y - A c||^2, plus ridge ||c||^2 when the
-    ridge is on.
+    ridge is on. It is _qr_rule's rule, on the 2-D [A y] of one system.
     """
     a = np.asarray(regressors, dtype=np.complex128)
     y = np.asarray(observations, dtype=np.complex128)
@@ -143,27 +158,40 @@ def ls_solve(
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
-    coeffs, solved, diag = _qr_rule(a[None], y[None], np.zeros(1))
-    if not solved[0]:
-        if diag[0].max() == 0.0:
+    ay = np.concatenate([a, y[:, None]], axis=1)
+    r = np.linalg.qr(ay, mode="r")[:k]
+    diag = np.abs(np.diagonal(r))
+    full, ridge = _rails(diag)
+    if not full:
+        if diag.max() == 0.0:
             raise SingularSystemError(0, "least-squares system is all zero")
-        raise SingularSystemError(int(np.argmin(diag[0])))
+        raise SingularSystemError(int(np.argmin(diag)))
+    if ridge:
+        r = _lifted(ay, ridge)
     if counter is not None:
         counter.charge(stage, *ls_costs(m, k))
-    return coeffs[0]
+    return np.linalg.solve(r[:, :k], r[:, k])
 
 
 def _rails(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ls_solve's guard rails on the |R_kk| (n, K) of n zero-ridge systems.
+    """ls_solve's guard rails on the |R_kk| of zero-ridge systems, K on the last axis.
 
-    Returns (full rank (n,), ridge (n,)): a system is rank deficient when its
-    smallest |R_kk| is at most 1e-12 of its largest, and a full-rank one whose
-    ratio exceeds 1e8 gets the ridge (top / 1e8)^2, the rest 0.
+    Returns (full rank, ridge), one per system: a system is rank deficient
+    when its smallest |R_kk| is at most 1e-12 of its largest, and a
+    full-rank one whose ratio exceeds 1e8 gets the ridge (top / 1e8)^2, the
+    rest 0.
     """
-    top, low = diag.max(axis=1), diag.min(axis=1)
+    top, low = diag.max(axis=-1), diag.min(axis=-1)
     ok = low > _RANK_TOL * top
     cond = top / np.where(ok, low, 1.0)
     return ok, np.where(ok & (cond > _AUTO_RIDGE_COND), (top / _AUTO_RIDGE_COND) ** 2, 0.0)
+
+
+def _lifted(ay: np.ndarray, ridge) -> np.ndarray:
+    """R's K rows, z last, of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS."""
+    k = ay.shape[-1] - 1
+    lift = np.sqrt(ridge)[..., None, None] * np.eye(k, k + 1)
+    return np.linalg.qr(np.concatenate([ay, lift], axis=-2), mode="r")[..., :k, :]
 
 
 def _qr_rule(
@@ -174,10 +202,10 @@ def _qr_rule(
     One Householder QR of [A y] per system gives R in its first K columns
     and z = Q^H y in its last. A zero-ridge system is judged by _rails on
     its |R_kk|. Every ridged system, the ridge given or automatic, is
-    factored again as [A y] over [sqrt(ridge) I 0], the ridge's own
-    least-squares problem. The rest solve R c = z, which a nonzero diagonal
-    keeps solvable. Returns (coefficients (n, K), solved (n,), |R_kk| (n, K)
-    of the first factor).
+    factored again over the ridge lift (_lifted). The rest solve R c = z,
+    which a nonzero diagonal keeps solvable. Returns (coefficients (n, K),
+    solved (n,), |R_kk| (n, K) of the first factor). _ls_solve_stack sends
+    it the band's ridged systems; ls_solve takes the same rule on one.
     """
     k = a.shape[2]
     ay = np.concatenate([a, y[:, :, None]], axis=2)
@@ -188,8 +216,7 @@ def _qr_rule(
     ridge = np.where(ridge > 0.0, ridge, auto)
     ridged = np.flatnonzero(ridge > 0.0)
     if ridged.size:
-        lift = np.sqrt(ridge[ridged])[:, None, None] * np.eye(k, k + 1)
-        r[ridged] = np.linalg.qr(np.concatenate([ay[ridged], lift], axis=1), mode="r")[:, :k]
+        r[ridged] = _lifted(ay[ridged], ridge[ridged])
     coeffs = np.zeros((len(a), k), dtype=np.complex128)
     coeffs[ok] = np.linalg.solve(r[ok, :, :k], r[ok, :, k:])[:, :, 0]
     return coeffs, ok, diag
@@ -337,10 +364,11 @@ def estimate_pa(
     """Estimate h_los * a[k], a[k] = a_{2k+1}, k = 0..k_max, from the impulse pilot peaks.
 
     Each impulse symbol concentrates the downlink band into one body
-    sample of known amplitude. The fit reads the received pilot bodies,
-    the inverse DFT of the buffer's first n_impulse rows, uncharged
-    receiver work. Sampling the received body at the pilot peak, delayed
-    by los_tap_index, the direct path's tap, gives one scalar equation
+    sample of known amplitude. The fit reads the received pilot bodies the
+    buffer holds, the inverse DFT of its first n_impulse rows, uncharged
+    receiver work, and its guard-window pilot profile. Sampling the
+    received body at the pilot peak, delayed by los_tap_index, the direct
+    path's tap, gives one scalar equation
     y_m ~= sum_k h_los a_k |alpha_m|^{2k} alpha_m per symbol, where
     alpha_m is the amplifier input peak after IQ imbalance and h_los the
     direct path's unknown gain. So the fit returns the polynomial scaled
@@ -375,7 +403,7 @@ def estimate_pa(
     # reaches one prefix length to either side of it
     n0 = guard = grid.cp_length
 
-    rx = idft(buffer.rx[:m])
+    rx = buffer.bodies
     amp = np.abs(buffer.tx[:m, grid.dl_start])
     if not amp.all():
         raise ValueError(f"impulse symbol {int(np.argmin(amp))} has no pilot energy")
@@ -392,9 +420,8 @@ def estimate_pa(
         counter.charge("estimate_pa", mults=m * (k_max + 2), adds=m)
     coeffs = ls_solve(rows, y, counter=counter, stage="estimate_pa")
 
-    offsets = np.arange(-guard, guard + 1)
-    kappa = pilot_profile(grid, n0 + offsets)
-    x_all = peaks[:, None] * kappa[None, :]
+    # the profile at body samples n0 - guard .. n0 + guard
+    x_all = peaks[:, None] * buffer.profile[None, :]
     a_all = apply_iq_time(x_all, b_hat)
     post_idx = (n0 + los_tap_index + np.arange(1, guard + 1)) % p_total
     rx_post = rx[:, post_idx]
@@ -575,7 +602,11 @@ def estimate_channel(
     a_vec = _padded(a_hat, k_max)
 
     _charge_bases(counter, "train_basis", m, k_max, grid)
-    regressor = (a_vec[:, None] * chain).sum(axis=1)
+    # sum_k a_vec[k] chain[:, k], accumulated in place in order of k
+    regressor = a_vec[0] * chain[:, 0]
+    term = np.empty_like(regressor)
+    for k in range(1, k_max + 1):
+        regressor += np.multiply(a_vec[k], chain[:, k], out=term)
     h_hat, solved = _scalar_ls(regressor, buffer.rx[buffer.n_impulse:, grid.ul_band])
     if counter is not None:
         counter.charge(

@@ -723,6 +723,36 @@ def test_run_scenario_smoke_and_shapes():
     assert report.noise_floor_dbm == spec.noise_dbm
 
 
+def test_run_scenario_takes_each_inverse_transform_once(monkeypatch):
+    """One six-canceller run takes the training window's transmit samples once, its
+    pilot bodies once and one inverse FFT per run block, and the training window
+    holds the first two bit for bit."""
+    spec = small_spec(cancellers=CANCELLERS, n_run_symbols=5)
+    grid = spec.build_grid()
+    p = grid.num_subcarriers
+    monkeypatch.setattr(scenario, "_RUN_BLOCK_SAMPLES", 2 * p)
+    shapes, buffers = [], []
+
+    def counted(spectrum, out=None):
+        shapes.append(np.shape(spectrum))
+        return idft(spectrum, out=out)
+
+    def kept(*args, **kwargs):
+        buffers.append(_build_training(*args, **kwargs))
+        return buffers[-1]
+
+    for module in (scenario, sic):
+        monkeypatch.setattr(module, "idft", counted)
+    monkeypatch.setattr(scenario, "_build_training", kept)
+    report = run_scenario(spec, seed=3)
+    assert set(report.sicr_db) == set(CANCELLERS)
+    (buf,) = buffers
+    m = spec.n_train_symbols
+    assert shapes == [(m, p), (buf.n_impulse, p), (2, p), (2, p), (1, p)]
+    assert np.array_equal(buf.samples, idft(buf.tx))
+    assert np.array_equal(buf.bodies, idft(buf.rx[: buf.n_impulse]))
+
+
 def test_run_scenario_is_deterministic():
     spec = small_spec()
     a = run_scenario(spec, seed=5)

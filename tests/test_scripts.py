@@ -184,3 +184,94 @@ def test_bench_pairs_counts_pairs_split_across_fault_states():
     assert script.pair_line("wide_ibfd", pairs[1]) == (
         "wide_ibfd seed 1: parent 43.200 ms 250 faults  change 48.900 ms 260 faults"
     )
+    pairs[1]["pinned"] = {"parent": run(0.0400, 0), "change": run(0.0401, 1)}
+    assert script.pair_line("wide_ibfd", pairs[1], "pinned") == (
+        "wide_ibfd seed 1 pinned: parent 40.000 ms 0 faults  change 40.100 ms 1 faults"
+    )
+
+
+def test_bench_pairs_leg_verdicts():
+    script = load_script("bench_pairs")
+    # gain needs every leg; legs that disagree name the state, not the code
+    assert script.leg_verdict("gain", "gain", "gain") == "gain"
+    assert script.leg_verdict("gain", "gain") == "gain"
+    assert script.leg_verdict("gain", "gain", "unresolved") == "unresolved"
+    assert script.leg_verdict("gain", "unresolved", "gain") == "state-dependent"
+    assert script.leg_verdict("unresolved", "gain") == "state-dependent"
+    assert script.leg_verdict("worse", "worse", "unresolved") == "worse"
+    assert script.leg_verdict("unresolved", "unresolved", "gain") == "unresolved"
+
+    parent = [30.0, 31.0, 32.0, 33.0, 34.0, 35.0, 36.0, 37.0, 38.0, 39.0]
+
+    def run(p50, wall, faults):
+        values = {"scenario_s.p50": p50, "scenario_wall_s.p50": wall}
+        return {"values": {**values, "minflt_per_scenario": faults}}
+
+    # the change is faster scaled and raw in the default leg, but not pinned
+    pairs = [
+        {
+            "parent": run(p, p, 2500.0),
+            "change": run(p - 5.0, p - 5.0, 1200.0),
+            "pinned": {"parent": run(p, p, 0.0), "change": run(p, p, 0.0)},
+        }
+        for p in parent
+    ]
+    better = {name: "lower" for name in ("scenario_s.p50", "scenario_wall_s.p50",
+                                         "minflt_per_scenario")}
+    summaries = {
+        "default": script.summarize(pairs, better),
+        "pinned": script.summarize([pair["pinned"] for pair in pairs], better),
+    }
+    verdicts = script.leg_verdicts(summaries, ["scenario_s.p50", "scenario_wall_s.p50"])
+    assert verdicts == {"scenario_s.p50": "state-dependent",
+                        "scenario_wall_s.p50": "state-dependent"}
+    assert script.leg_line("wide_ibfd", "scenario_s.p50", "state-dependent", summaries) == (
+        "wide_ibfd scenario_s.p50 over the legs: state-dependent (default gain at "
+        "2500 -> 1200 faults, pinned unresolved at 0 -> 0 faults per scenario)"
+    )
+    for pair in pairs:
+        pair["pinned"]["change"] = run(pair["parent"]["values"]["scenario_s.p50"] - 5.0, 0.0, 0.0)
+    summaries["pinned"] = script.summarize([pair["pinned"] for pair in pairs], better)
+    assert script.leg_verdicts(summaries, ["scenario_s.p50"]) == {"scenario_s.p50": "gain"}
+    assert script.leg_line("desk_suite", "scenario_s.p50", "gain", summaries) == (
+        "desk_suite scenario_s.p50 over the legs: gain"
+    )
+
+
+def test_bench_pairs_pins_the_child_heap_only_and_reads_cpu_time(monkeypatch):
+    script = load_script("bench_pairs")
+    # a variable of the pinned set in this process reaches no default child
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "1")
+    parent_env = dict(script.os.environ)
+    seen = []
+    stdout = "\n".join(
+        [
+            'info {"scenario_wall_s.p50": 0.004, "scenarios": 50}',
+            'env {"nproc": 2}',
+            '{"attempted": 51, "failed": 0, "metrics": {"scenario_s.p50": {"value": 0.005}}}',
+        ]
+    )
+
+    def fake_run(args, cwd, env, **kwargs):
+        seen.append(env)
+        return script.subprocess.CompletedProcess(args, 0, stdout=stdout)
+
+    usages = iter(
+        [
+            script.resource.struct_rusage((10.0, 2.0) + (0,) * 4 + (1000,) + (0,) * 9),
+            script.resource.struct_rusage((10.5, 2.25) + (0,) * 4 + (1500,) + (0,) * 9),
+        ]
+        * 2
+    )
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setattr(script.resource, "getrusage", lambda who: next(usages))
+    default, _ = script.run_once("tree", "desk_suite", 1, 1.0)
+    pinned, _ = script.run_once("tree", "desk_suite", 1, 1.0, "pinned")
+    assert not set(script.PINNED_ENV) & set(seen[0])
+    assert {key: seen[1][key] for key in script.PINNED_ENV} == script.PINNED_ENV
+    assert dict(script.os.environ) == parent_env
+    for record in (default, pinned):
+        # 0.75 s of user and system time and 500 faults over 50 scenarios
+        assert record["values"]["cpu_s_per_scenario"] == 0.015
+        assert record["values"]["minflt_per_scenario"] == 10.0
+        assert record["values"]["scenario_wall_s.p50"] == 0.004

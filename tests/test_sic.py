@@ -185,6 +185,50 @@ def test_ls_solve_charges_counter():
     assert counter.mults("here") == 4 * 4 + 2 * 4 + 8
 
 
+def stacked_ls_solve(a, y, counter):
+    """ls_solve's rule through _qr_rule on a stack of one: its error and charge, from _qr_rule's."""
+    coeffs, solved, diag = sic._qr_rule(a[None], y[None], np.zeros(1))
+    if not solved[0]:
+        if diag[0].max() == 0.0:
+            raise SingularSystemError(0, "least-squares system is all zero")
+        raise SingularSystemError(int(np.argmin(diag[0])))
+    counter.charge("ls", *ls_costs(*a.shape))
+    return coeffs[0]
+
+
+def test_ls_solve_on_one_system_equals_qr_rule_on_a_stack_of_one():
+    rng = np.random.default_rng(7)
+
+    def system(m, k):
+        return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+    base = np.ones(6, dtype=complex)
+    ill = np.stack([base, base + 1e-9 * np.arange(6), system(6, 1)[:, 0]], axis=1)
+    deficient = system(6, 3)
+    deficient[:, 2] = 2.0 * deficient[:, 0] - deficient[:, 1]
+    cases = [system(4, 3), system(128, 8), ill, deficient, np.zeros((5, 2), dtype=complex)]
+    # the |R_kk| ratio of the ill-conditioned system puts it on the auto ridge
+    diag = np.abs(np.diagonal(np.linalg.qr(ill, mode="r")))
+    assert diag.max() > 1e8 * diag.min() > 1e-4 * diag.max()
+    for a in cases:
+        y = system(len(a), 1)[:, 0]
+        got_counter, ref_counter = OpCounter(), OpCounter()
+        try:
+            ref = stacked_ls_solve(a, y, ref_counter)
+        except SingularSystemError as err:
+            with pytest.raises(SingularSystemError) as got:
+                ls_solve(a, y, counter=got_counter)
+            assert (got.value.column, str(got.value)) == (err.column, str(err))
+        else:
+            assert np.array_equal(ls_solve(a, y, counter=got_counter), ref)
+        assert got_counter.rows() == ref_counter.rows()
+    # the rank-deficient and the all-zero systems are refused, each with its column
+    with pytest.raises(SingularSystemError, match="column 2"):
+        ls_solve(deficient, base)
+    with pytest.raises(SingularSystemError, match="all zero"):
+        ls_solve(cases[-1], base[:5])
+
+
 def band_last(a, y):
     """(n, M, K) systems and (n, M) observations in _ls_solve_stack's (M, K, n), (M, n) layout."""
     return a.transpose(1, 2, 0), y.T
