@@ -9,10 +9,12 @@ layout, and with it the allocator's page-fault state, of the same code.
 Both runs of a pair use the same workload seed, and the side that runs
 first alternates from pair to pair, so slow drift of the machine falls on
 both sides alike. For each run it records the metrics of the JSON last
-line, the raw wall-time median of the `info` line, and, per scenario, the
-minor page faults and the CPU time: the growth of RUSAGE_CHILDREN's
-ru_minflt, and of its ru_utime + ru_stime, over the run (its set-up
-processes included) divided by the scenarios it ran.
+line, the raw wall-time median and the probe median (probe_s.p50, the
+seconds of the speed probe the scaled times are divided by) of the `info`
+line, and, per scenario, the minor page faults and the CPU time: the
+growth of RUSAGE_CHILDREN's ru_minflt, and of its ru_utime + ru_stime,
+over the run (its set-up processes included) divided by the scenarios it
+ran.
 
 Every pair has two legs. The default leg runs in this process's
 environment. The pinned leg runs with glibc's heap pinned (PINNED_ENV: no
@@ -32,7 +34,11 @@ median; "unresolved" otherwise. A time metric then gets one verdict from
 its legs (leg_verdict): "gain" only when the default (scaled), the raw
 wall-time (for scenario_s.p50) and the pinned legs all read gain, and
 "state-dependent", printed with each leg's fault levels, when the default
-and pinned legs disagree. Each workload also records split_pairs, the
+and pinned legs disagree. Next to those verdicts it prints each leg's probe
+median per side (probe_line): a verdict whose scaled and raw readings
+split then shows whether the probe itself moved beside the change, which
+scales the change's times as much as its code does. Each workload also
+records split_pairs, the
 number of default pairs whose two sides sat in different allocator states:
 exactly one side above HIGH_FAULTS_PER_SCENARIO minor faults per
 scenario. The p50 gap of such a pair measures the state as much as the
@@ -65,6 +71,7 @@ EXTRA_BETTER = {
     "scenario_wall_s.p50": "lower",
     "cpu_s_per_scenario": "lower",
     "minflt_per_scenario": "lower",
+    "probe_s.p50": "lower",
 }
 # The time metrics that leg_verdict judges over both legs: BENCHMARK.json's
 # metrics in seconds and EXTRA_BETTER's; a raw wall-time twin is one more leg.
@@ -143,6 +150,7 @@ def run_once(
     result, info, env = parse_output(done.stdout)
     values = {name: entry["value"] for name, entry in result["metrics"].items()}
     values["scenario_wall_s.p50"] = info["scenario_wall_s.p50"]
+    values["probe_s.p50"] = info["probe_s.p50"]
     cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     values["cpu_s_per_scenario"] = cpu / info["scenarios"]
     values["minflt_per_scenario"] = (after.ru_minflt - before.ru_minflt) / info["scenarios"]
@@ -285,6 +293,16 @@ def leg_line(workload: str, name: str, judged: str, summaries: dict[str, dict]) 
     return line
 
 
+def probe_line(workload: str, summaries: dict[str, dict]) -> str:
+    """One printed line per workload: each leg's probe median, parent -> change, in µs."""
+    legs = ", ".join(
+        f"{leg} {summaries[leg]['probe_s.p50']['parent']['median'] * 1e6:.1f} -> "
+        f"{summaries[leg]['probe_s.p50']['change']['median'] * 1e6:.1f} us"
+        for leg in LEGS
+    )
+    return f"{workload} probe_s.p50: {legs}"
+
+
 def benchmark_metrics() -> tuple[dict[str, str], dict[str, float], list[str]]:
     """Directions and relative bounds of BENCHMARK.json's end-to-end metrics, and EXTRA_BETTER's,
     and the time metrics among them."""
@@ -349,6 +367,7 @@ def main(argv=None) -> int:
                     print(verdict_line(f"{workload} {leg}", name, summaries[leg][name]))
             for name, judged in verdicts.items():
                 print(leg_line(workload, name, judged, summaries))
+            print(probe_line(workload, summaries))
             report["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summaries["default"],

@@ -41,8 +41,9 @@ and share that one ramp slope.
 Costs: lambda_dl is O(P). mu_tables, the basis-power prediction on the
 run path, is O(P log P) per order: one real-FFT circular correlation, with
 its round-off clipped to >= 0 and exact zeros kept off the subcarriers no
-tuple reaches. q_size is exact in Python integers, O(k^2 P) per order; it
-serves the `flexsic tables` dump, never the run path.
+tuple reaches, taken once for every image weight it is asked for. q_size
+is exact in Python integers, O(k^2 P) per order; it serves the `flexsic
+tables` dump, never the run path.
 
 Everything in this module is per-allocation and symbol-independent except
 the basis operators themselves, which act on the last axis of plain complex
@@ -155,7 +156,7 @@ def basis_chain(
 
 def mu_tables(
     grid: SubcarrierGrid,
-    b_iq: complex,
+    b_iq: complex | list[complex],
     a_digi: float,
     k_max: int,
 ) -> np.ndarray:
@@ -175,6 +176,11 @@ def mu_tables(
     for QAM inputs it carries an O(1/|DL|) relative error from degenerate
     index tuples, plus an O(|b|^2) term from conjugate-pair correlations.
 
+    So row k is B^{2k+1} times the table at B = 1, and one recursion serves
+    every image weight: b_iq is one weight, for one (k_max+1, P) table, or
+    a sequence of them, for one table per weight, (len(b_iq), k_max+1, P).
+    The recursion runs once at B = 1 and each table scales its rows.
+
     Each order costs one real-FFT circular correlation, O(P log P), against
     the spectrum of Lambda_fold computed once per call. A correlation of
     nonnegative arrays is nonnegative, so its FFT round-off is clipped to
@@ -187,20 +193,19 @@ def mu_tables(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = grid.num_subcarriers
-    b_mag2 = abs(b_iq) ** 2
-    big_b = (1.0 + b_mag2) * a_digi**2
-    f = big_b**2
+    big_b = (1.0 + np.abs(np.asarray(b_iq, dtype=np.complex128)) ** 2) * a_digi**2
     lam_hat = np.fft.rfft(_fold_mod_p(lambda_dl(grid), p).astype(np.float64))
     w = grid.dl_end - grid.dl_start
-    mu = np.zeros((k_max + 1, p), dtype=np.float64)
-    mu[0, grid.dl_band] = big_b
+    unit = np.zeros((k_max + 1, p), dtype=np.float64)
+    unit[0, grid.dl_band] = 1.0
     for k in range(1, k_max + 1):
-        conv = np.fft.irfft(lam_hat * np.conj(np.fft.rfft(mu[k - 1])), n=p)
+        conv = np.fft.irfft(lam_hat * np.conj(np.fft.rfft(unit[k - 1])), n=p)
         reached = (np.arange(p) - (grid.dl_start - k * w)) % p <= (2 * k + 1) * w
         conv = np.where(reached, np.maximum(conv, 0.0), 0.0)
-        mu[k] = (2 * k * (2 * k - 1) * f / p**4) * conv + (
-            (k + 1) ** 2 * f / p**4
-        ) * grid.dl_size**2 * mu[k - 1]
+        unit[k] = (2 * k * (2 * k - 1) / p**4) * conv + (
+            (k + 1) ** 2 / p**4
+        ) * grid.dl_size**2 * unit[k - 1]
+    mu = big_b[..., None, None] ** (2 * np.arange(k_max + 1) + 1)[:, None] * unit
     if np.any(mu < 0):
         raise AssertionError("mu table contains negative entries")
     return mu

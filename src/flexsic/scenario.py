@@ -445,11 +445,11 @@ def _share(
 def _fit_group(
     names: list[str],
     b_hat: complex,
+    mu: np.ndarray | None,
     buffer: TrainingBuffer,
     direct: int,
     spec: ScenarioSpec,
     gamma: float,
-    a_digi: float,
     counters: dict[str, OpCounter],
 ) -> tuple[complex, int, list]:
     """Train the cancellers that read the basis stacks of one image weight.
@@ -459,12 +459,12 @@ def _fit_group(
     drives (run_full_ls for full_ls, run_sic otherwise), and top the highest
     basis order their running stages read. The training stack holds every
     training row when full_ls is among names and the data rows alone
-    otherwise. The amplifier polynomial and its
-    basis-power table are fitted once with b_hat for every member but
-    full_ls, and their cost is charged to each; the fit samples the pilot
-    peaks behind tap direct, the first nonzero beamformed tap, the direct
-    path's delay. gamma is the basis-selection threshold in internal power
-    units.
+    otherwise. The amplifier polynomial is fitted once with b_hat for
+    every member but full_ls, and its cost is charged to each; the fit
+    samples the pilot peaks behind tap direct, the first nonzero beamformed
+    tap, the direct path's delay. mu is the members' basis-power table,
+    mu_tables at b_hat, and None when full_ls is the only member. gamma is
+    the basis-selection threshold in internal power units.
     """
     grid = buffer.grid
     first = 0 if "full_ls" in names else buffer.n_impulse
@@ -475,7 +475,6 @@ def _fit_group(
     if users:
         scratch = OpCounter()
         a_fit = estimate_pa(buffer, b_hat, spec.k_max, direct, counter=scratch)
-        mu = mu_tables(grid, b_hat, a_digi, spec.k_max)
         _share(scratch, "estimate_pa", counters, users)
     members, top = [], 0
     for name in names:
@@ -609,14 +608,21 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsReport:
     # the cancellers that read basis stacks, grouped by their image weight:
     # pa_only is proposed at b = 0. Each group is trained in turn, so the
     # fits hold one training stack at a time
+    fits = []
     shared = [name for name in spec.cancellers if name in _USES_B_HAT]
     if shared:
         scratch = OpCounter()
         b_hat = estimate_iq(buffer, counter=scratch)
         _share(scratch, "estimate_iq", counters, shared)
-        groups.append(_fit_group(shared, b_hat, buffer, direct, spec, gamma, a_digi, counters))
+        fits.append((shared, b_hat))
     if "pa_only" in spec.cancellers:
-        groups.append(_fit_group(["pa_only"], 0j, buffer, direct, spec, gamma, a_digi, counters))
+        fits.append((["pa_only"], 0j))
+    # one basis-power recursion gives every group its table; full_ls alone reads none
+    selecting = [b for names, b in fits if names != ["full_ls"]]
+    tables = iter(mu_tables(grid, selecting, a_digi, spec.k_max)) if selecting else None
+    for names, b in fits:
+        mu = None if names == ["full_ls"] else next(tables)
+        groups.append(_fit_group(names, b, mu, buffer, direct, spec, gamma, counters))
     # training is over; the run blocks build their own stacks
     del buffer
 

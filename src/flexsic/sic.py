@@ -52,8 +52,14 @@ subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
 the basis stack is; one Householder QR over the band judges them all and
-solves the unridged ones. The ridged rest go to _qr_rule, a QR each;
-ls_solve takes the same rule on one 2-D QR, with no stack of one around it.
+solves the unridged ones. The ridged rest go to _qr_rule, one QR each over
+its ridge lift; ls_solve takes the same rule on one 2-D QR, with no stack
+of one around it. Both solve R c = z by back-substitution over Python
+complex scalars, not numpy's LU, whose per-call overhead outweighs the
+arithmetic of a few unknowns: _back_solve takes one system and
+_back_solve_stack a stack, one step at a time over all of its systems, in
+the same operations and order, so a system solves bit for bit alike by
+either.
 """
 
 from __future__ import annotations
@@ -146,7 +152,9 @@ def ls_solve(
     names the offending column), and a small ridge is switched on
     automatically when the condition estimate exceeds 1e8. The returned
     coefficients minimize ||y - A c||^2, plus ridge ||c||^2 when the
-    ridge is on. It is _qr_rule's rule, on the 2-D [A y] of one system.
+    ridge is on. It is _qr_rule's rule, on the 2-D [A y] of one system,
+    and solves R c = z by _back_solve, which _back_solve_stack matches bit
+    for bit.
     """
     a = np.asarray(regressors, dtype=np.complex128)
     y = np.asarray(observations, dtype=np.complex128)
@@ -159,7 +167,7 @@ def ls_solve(
         raise ValueError(f"underdetermined system: {m} rows for {k} unknowns")
 
     ay = np.concatenate([a, y[:, None]], axis=1)
-    r = np.linalg.qr(ay, mode="r")[:k]
+    r = _r_rows(ay)
     diag = np.abs(np.diagonal(r))
     full, ridge = _rails(diag)
     if not full:
@@ -170,7 +178,7 @@ def ls_solve(
         r = _lifted(ay, ridge)
     if counter is not None:
         counter.charge(stage, *ls_costs(m, k))
-    return np.linalg.solve(r[:, :k], r[:, k])
+    return np.array(_back_solve(r.tolist()))
 
 
 def _rails(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +195,58 @@ def _rails(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ok, np.where(ok & (cond > _AUTO_RIDGE_COND), (top / _AUTO_RIDGE_COND) ** 2, 0.0)
 
 
+def _r_rows(ay: np.ndarray) -> np.ndarray:
+    """R's K rows, z = Q^H y last, of the Householder QR of (..., M, K + 1) [A y].
+
+    numpy's raw mode leaves R on and above the diagonal and the reflectors
+    below it, which no reader of R touches, so no triu is taken.
+    """
+    return np.linalg.qr(ay, mode="raw")[0].swapaxes(-1, -2)[..., : ay.shape[-1] - 1, :]
+
+
 def _lifted(ay: np.ndarray, ridge) -> np.ndarray:
-    """R's K rows, z last, of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS."""
+    """_r_rows of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS."""
     k = ay.shape[-1] - 1
     lift = np.sqrt(ridge)[..., None, None] * np.eye(k, k + 1)
-    return np.linalg.qr(np.concatenate([ay, lift], axis=-2), mode="r")[..., :k, :]
+    return _r_rows(np.concatenate([ay, lift], axis=-2))
+
+
+def _back_solve(rows: list) -> list:
+    """c of R c = z by back-substitution over Python complex scalars.
+
+    rows is R's K rows with z last, as nested lists (r.tolist() of _r_rows);
+    entries below the diagonal are not read. A system of a few unknowns
+    costs its arithmetic here, not numpy's per-call overhead.
+    """
+    k = len(rows)
+    c = [0j] * k
+    for j in range(k - 1, -1, -1):
+        row = rows[j]
+        acc = row[k]
+        for i in range(j + 1, k):
+            acc -= row[i] * c[i]
+        c[j] = acc / row[j]
+    return c
+
+
+def _back_solve_stack(r: np.ndarray) -> np.ndarray:
+    """_back_solve of every system in an (n, K, K + 1) stack of _r_rows: (n, K).
+
+    Each step takes _back_solve's scalar operation, in its order, over one
+    list of that entry of all n systems, so every system solves bit for bit
+    as _back_solve solves it alone, at one list comprehension per step
+    instead of one Python call per system.
+    """
+    k = r.shape[1]
+    cols = r.transpose(1, 2, 0).tolist()
+    c = [[]] * k
+    for j in range(k - 1, -1, -1):
+        row = cols[j]
+        acc = row[k]
+        for i in range(j + 1, k):
+            acc = [s - t * u for s, t, u in zip(acc, row[i], c[i])]
+        c[j] = [s / d for s, d in zip(acc, row[j])]
+    return np.array(c, dtype=np.complex128).T
 
 
 def _qr_rule(
@@ -199,26 +254,32 @@ def _qr_rule(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ls_solve's guard rails on (n, M, K) systems, (n, M) observations and (n,) ridges.
 
-    One Householder QR of [A y] per system gives R in its first K columns
-    and z = Q^H y in its last. A zero-ridge system is judged by _rails on
+    A system given no ridge takes one Householder QR of [A y], R in its
+    first K columns and z = Q^H y in its last, and is judged by _rails on
     its |R_kk|. Every ridged system, the ridge given or automatic, is
-    factored again over the ridge lift (_lifted). The rest solve R c = z,
-    which a nonzero diagonal keeps solvable. Returns (coefficients (n, K),
-    solved (n,), |R_kk| (n, K) of the first factor). _ls_solve_stack sends
-    it the band's ridged systems; ls_solve takes the same rule on one.
+    factored over the ridge lift (_lifted) alone. The rest solve R c = z by
+    _back_solve_stack, which a nonzero diagonal keeps solvable. Returns
+    (coefficients (n, K), solved (n,), |R_kk| (n, K) of the first factor,
+    NaN on the rows of systems given a ridge, which take none).
+    _ls_solve_stack sends it the band's ridged systems; ls_solve takes the
+    same rule on one.
     """
-    k = a.shape[2]
+    n, _, k = a.shape
     ay = np.concatenate([a, y[:, :, None]], axis=2)
-    r = np.linalg.qr(ay, mode="r")[:, :k]
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    full, auto = _rails(diag)
-    ok = (ridge > 0.0) | full
-    ridge = np.where(ridge > 0.0, ridge, auto)
+    r = np.empty((n, k, k + 1), dtype=np.complex128)
+    diag = np.full((n, k), np.nan)
+    ok = ridge > 0.0
+    ridge = ridge.copy()
+    free = np.flatnonzero(~ok)
+    if free.size:
+        r[free] = rows = _r_rows(ay[free])
+        diag[free] = np.abs(np.diagonal(rows, axis1=1, axis2=2))
+        ok[free], ridge[free] = _rails(diag[free])
     ridged = np.flatnonzero(ridge > 0.0)
     if ridged.size:
         r[ridged] = _lifted(ay[ridged], ridge[ridged])
-    coeffs = np.zeros((len(a), k), dtype=np.complex128)
-    coeffs[ok] = np.linalg.solve(r[ok, :, :k], r[ok, :, k:])[:, :, 0]
+    coeffs = np.zeros((n, k), dtype=np.complex128)
+    coeffs[ok] = _back_solve_stack(r[ok])
     return coeffs, ok, diag
 
 

@@ -265,6 +265,16 @@ def test_mu_scales_with_drive_and_imbalance():
     assert np.allclose(tilted[1], base[1] * factor**1.5, rtol=1e-12)
 
 
+def test_mu_tables_of_several_image_weights_stack_their_single_tables():
+    # one recursion serves a sequence of weights, one table each
+    g = mid_grid()
+    weights = [irr_to_b(25.0, 0.3), 0.0]
+    both = mu_tables(g, weights, a_digi=1.7, k_max=2)
+    assert both.shape == (2, 3, g.num_subcarriers)
+    for mu, b in zip(both, weights):
+        assert np.array_equal(mu, mu_tables(g, b, a_digi=1.7, k_max=2))
+
+
 def test_mu_moment_mode_validation_and_gap():
     # mu_tables weights both terms by B^2 ("biq"); the oracle keeps the
     # a_digi^4 weighting of the second term ("a4") for comparison

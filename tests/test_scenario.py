@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flexsic.channel import ChannelProfile, Ray, save_taps
-from flexsic.imd import impulse_pilot
+from flexsic.imd import impulse_pilot, mu_tables
 from flexsic.impairments import apply_pa, default_measured_pa
 from flexsic.ofdm import gen_qam_symbols, idft
 import flexsic.scenario as scenario
@@ -751,6 +751,41 @@ def test_run_scenario_takes_each_inverse_transform_once(monkeypatch):
     assert shapes == [(m, p), (buf.n_impulse, p), (2, p), (2, p), (1, p)]
     assert np.array_equal(buf.samples, idft(buf.tx))
     assert np.array_equal(buf.bodies, idft(buf.rx[: buf.n_impulse]))
+
+
+def test_run_scenario_takes_one_basis_power_recursion(monkeypatch):
+    """proposed and pa_only read tables at two image weights, b_hat and 0, from
+    one recursion: one real FFT of the pair count and one per order above the
+    first. Each group's table is mu_tables at its own weight."""
+    spec = small_spec(cancellers=("proposed", "pa_only"), k_max=2)
+    grid = spec.build_grid()
+    rffts, b_hats, tables = [], [], []
+    rfft, estimate_iq, select_basis = np.fft.rfft, scenario.estimate_iq, scenario.select_basis
+
+    def counted(*args, **kwargs):
+        rffts.append(1)
+        return rfft(*args, **kwargs)
+
+    def kept_b(*args, **kwargs):
+        b_hats.append(estimate_iq(*args, **kwargs))
+        return b_hats[-1]
+
+    def kept_mu(a_hat, mu, *args, **kwargs):
+        tables.append(mu)
+        return select_basis(a_hat, mu, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(scenario, "estimate_iq", kept_b)
+    monkeypatch.setattr(scenario, "select_basis", kept_mu)
+    run_scenario(spec, seed=4)
+    assert len(rffts) == 1 + spec.k_max
+    monkeypatch.undo()
+    assert len(tables) == 2
+    a_digi = spec.drive_amplitude(grid)
+    for mu, b in zip(tables, [b_hats[0], 0j]):
+        ref = mu_tables(grid, b, a_digi, spec.k_max)
+        assert mu.shape == ref.shape
+        assert (np.abs(mu - ref) <= 1e-15 * ref.max(axis=1, keepdims=True)).all()
 
 
 def test_run_scenario_is_deterministic():

@@ -246,7 +246,7 @@ def test_bench_pairs_pins_the_child_heap_only_and_reads_cpu_time(monkeypatch):
     seen = []
     stdout = "\n".join(
         [
-            'info {"scenario_wall_s.p50": 0.004, "scenarios": 50}',
+            'info {"probe_s.p50": 4e-05, "scenario_wall_s.p50": 0.004, "scenarios": 50}',
             'env {"nproc": 2}',
             '{"attempted": 51, "failed": 0, "metrics": {"scenario_s.p50": {"value": 0.005}}}',
         ]
@@ -275,3 +275,53 @@ def test_bench_pairs_pins_the_child_heap_only_and_reads_cpu_time(monkeypatch):
         assert record["values"]["cpu_s_per_scenario"] == 0.015
         assert record["values"]["minflt_per_scenario"] == 10.0
         assert record["values"]["scenario_wall_s.p50"] == 0.004
+        assert record["values"]["probe_s.p50"] == 4e-05
+
+
+def test_bench_pairs_records_the_probe_and_prints_it_per_leg(monkeypatch):
+    script = load_script("bench_pairs")
+    # the probe ran about 9% faster beside the change in the default leg and
+    # alike in the pinned one: the default leg's scaled times moved with it
+    probes = {
+        ("parent", "default"): [4.09e-05, 4.12e-05, 4.05e-05],
+        ("change", "default"): [3.72e-05, 3.70e-05, 3.75e-05],
+        ("parent", "pinned"): [4.0e-05, 4.01e-05, 3.99e-05],
+        ("change", "pinned"): [4.0e-05, 3.98e-05, 4.02e-05],
+    }
+
+    def fake_run(args, cwd, env, **kwargs):
+        leg = "pinned" if "MALLOC_TOP_PAD_" in env else "default"
+        probe = probes[cwd, leg].pop(0)
+        stdout = "\n".join(
+            [
+                "long_run  seed 1  trace 0",
+                f'info {{"probe_s.p50": {probe}, "scenario_wall_s.p50": 0.02, "scenarios": 40}}',
+                'env {"nproc": 2}',
+                '{"attempted": 41, "failed": 0, "metrics": {"scenario_s.p50": {"value": 0.025}}}',
+            ]
+        )
+        return script.subprocess.CompletedProcess(args, 0, stdout=stdout)
+
+    usage = script.resource.struct_rusage((1.0,) * 16)
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setattr(script.resource, "getrusage", lambda who: usage)
+    pairs = []
+    for seed in (1, 2, 3):
+        pair = {"seed": seed, "pinned": {}}
+        for leg in script.LEGS:
+            runs = pair if leg == "default" else pair["pinned"]
+            for side in ("parent", "change"):
+                runs[side] = script.run_once(side, "long_run", seed, 1.0, leg)[0]
+        pairs.append(pair)
+    assert pairs[0]["change"]["values"]["probe_s.p50"] == 3.72e-05
+    assert pairs[2]["pinned"]["parent"]["values"]["probe_s.p50"] == 3.99e-05
+    better, _, _ = script.benchmark_metrics()
+    assert better["probe_s.p50"] == "lower"
+    probe = {"probe_s.p50": "lower"}
+    summaries = {
+        "default": script.summarize(pairs, probe),
+        "pinned": script.summarize([pair["pinned"] for pair in pairs], probe),
+    }
+    assert script.probe_line("long_run", summaries) == (
+        "long_run probe_s.p50: default 40.9 -> 37.2 us, pinned 40.0 -> 40.0 us"
+    )

@@ -269,6 +269,35 @@ def assert_within(coeffs, ref, bound):
     assert (error <= bound).all(), (error / bound).max()
 
 
+def test_ls_solve_matches_an_independent_least_squares_reference():
+    # the five systems of test_ls_solve_on_one_system_equals_qr_rule_on_a_stack_of_one,
+    # drawn alike; that test holds ls_solve and _qr_rule to each other, which
+    # shared arithmetic would pass even if both were wrong, so here each
+    # solvable system meets np.linalg.lstsq of its ridge's own problem
+    rng = np.random.default_rng(7)
+
+    def system(m, k):
+        return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+    base = np.ones(6, dtype=complex)
+    ill = np.stack([base, base + 1e-9 * np.arange(6), system(6, 1)[:, 0]], axis=1)
+    deficient = system(6, 3)
+    deficient[:, 2] = 2.0 * deficient[:, 0] - deficient[:, 1]
+    cases = [system(4, 3), system(128, 8), ill, deficient, np.zeros((5, 2), dtype=complex)]
+    solvable = 0
+    for a in cases:
+        y = system(len(a), 1)[:, 0]
+        if not qr_ratio(a[None])[0] < 1e12:
+            with pytest.raises(SingularSystemError):
+                ls_solve(a, y)
+            continue
+        solvable += 1
+        ridge = auto_ridge(a[None])
+        assert (ridge[0] > 0) == (a is ill)
+        assert_within(ls_solve(a, y)[None], *ridged_lstsq(a[None], y[None], ridge))
+    assert solvable == 3
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no 0 / 0 on a zero column
 def test_ls_solve_stack_matches_per_system_reference():
     # degenerate systems amid 600 healthy ones
@@ -468,6 +497,44 @@ def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch)
     coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
     assert solved.all()
     assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
+
+
+def test_qr_rule_factors_a_system_given_a_ridge_over_its_lift_alone(monkeypatch):
+    # a ridged system is solved from the QR of [A y] over [sqrt(ridge) I 0]
+    # alone, so a stack given its ridges takes one QR, and no |R_kk| of a
+    # factor it never took
+    rng = np.random.default_rng(31)
+    n, m, k = 25, 7, 3
+    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    ridge = rng.uniform(0.1, 1.0, n)
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(x, mode="reduced"):
+        calls.append(np.shape(x))
+        return qr(x, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    coeffs, solved, diag = sic._qr_rule(a, y, ridge)
+    assert calls == [(n, m + k, k + 1)]
+    assert solved.all() and np.isnan(diag).all()
+    monkeypatch.undo()
+    assert_within(coeffs, *ridged_lstsq(a, y, ridge))
+
+
+def test_back_solve_stack_solves_each_system_as_back_solve_does_alone():
+    # one arithmetic, over a list per entry or system by system: equal bits
+    rng = np.random.default_rng(37)
+    for n, k in ((5, 1), (40, 3), (9, 8), (0, 2)):
+        r = rng.standard_normal((n, k, k + 1)) + 1j * rng.standard_normal((n, k, k + 1))
+        r += 2.0 * np.eye(k, k + 1)
+        # neither reads below the diagonal, where _r_rows leaves the reflectors
+        dirty = np.where(np.tri(k, k + 1, -1, dtype=bool), np.nan, r)
+        alone = np.array([sic._back_solve(rows) for rows in dirty.tolist()]).reshape(n, k)
+        assert np.isfinite(alone).all()
+        assert np.array_equal(sic._back_solve_stack(r), alone)
+        assert np.array_equal(sic._back_solve_stack(dirty), alone)
 
 
 def test_ls_solve_square_systems_with_and_without_the_auto_ridge():
