@@ -52,14 +52,12 @@ subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
 the basis stack is; one Householder QR over the band judges them all and
-solves the unridged ones. The ridged rest go to _qr_rule, one QR each over
-its ridge lift; ls_solve takes the same rule on one 2-D QR, with no stack
-of one around it. Both solve R c = z by back-substitution over Python
-complex scalars, not numpy's LU, whose per-call overhead outweighs the
-arithmetic of a few unknowns: _back_solve takes one system and
-_back_solve_stack a stack, one step at a time over all of its systems, in
-the same operations and order, so a system solves bit for bit alike by
-either.
+factors the unridged ones, and the ridged rest are factored one QR each
+over their ridge lift. ls_solve takes the same rails on one system's 2-D
+QR. R c = z is back-substituted once per layout: a stack's by one numpy
+sweep over all of its systems, _back_sweep, and ls_solve's one system over
+Python complex scalars, _back_solve, since numpy's per-call overhead
+outweighs the arithmetic of a few unknowns.
 """
 
 from __future__ import annotations
@@ -152,9 +150,9 @@ def ls_solve(
     names the offending column), and a small ridge is switched on
     automatically when the condition estimate exceeds 1e8. The returned
     coefficients minimize ||y - A c||^2, plus ridge ||c||^2 when the
-    ridge is on. It is _qr_rule's rule, on the 2-D [A y] of one system,
-    and solves R c = z by _back_solve, which _back_solve_stack matches bit
-    for bit.
+    ridge is on. The rails read the |R_kk| of one QR of [A y], a ridged
+    system is factored again over its lift (_lifted), and R c = z is
+    solved by _back_solve.
     """
     a = np.asarray(regressors, dtype=np.complex128)
     y = np.asarray(observations, dtype=np.complex128)
@@ -205,7 +203,11 @@ def _r_rows(ay: np.ndarray) -> np.ndarray:
 
 
 def _lifted(ay: np.ndarray, ridge) -> np.ndarray:
-    """_r_rows of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS."""
+    """_r_rows of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS.
+
+    ridge is one per system; ls_solve lifts its one system, _ls_solve_stack
+    its ridged ones.
+    """
     k = ay.shape[-1] - 1
     lift = np.sqrt(ridge)[..., None, None] * np.eye(k, k + 1)
     return _r_rows(np.concatenate([ay, lift], axis=-2))
@@ -229,58 +231,17 @@ def _back_solve(rows: list) -> list:
     return c
 
 
-def _back_solve_stack(r: np.ndarray) -> np.ndarray:
-    """_back_solve of every system in an (n, K, K + 1) stack of _r_rows: (n, K).
+def _back_sweep(r: np.ndarray) -> np.ndarray:
+    """c of R c = z for every system of a band-last (K, K + 1, n) stack of R rows: (K, n).
 
-    Each step takes _back_solve's scalar operation, in its order, over one
-    list of that entry of all n systems, so every system solves bit for bit
-    as _back_solve solves it alone, at one list comprehension per step
-    instead of one Python call per system.
+    One numpy step per unknown over all n systems; entries below the
+    diagonal are not read.
     """
-    k = r.shape[1]
-    cols = r.transpose(1, 2, 0).tolist()
-    c = [[]] * k
+    k = r.shape[0]
+    c = np.empty_like(r[:, k])
     for j in range(k - 1, -1, -1):
-        row = cols[j]
-        acc = row[k]
-        for i in range(j + 1, k):
-            acc = [s - t * u for s, t, u in zip(acc, row[i], c[i])]
-        c[j] = [s / d for s, d in zip(acc, row[j])]
-    return np.array(c, dtype=np.complex128).T
-
-
-def _qr_rule(
-    a: np.ndarray, y: np.ndarray, ridge: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ls_solve's guard rails on (n, M, K) systems, (n, M) observations and (n,) ridges.
-
-    A system given no ridge takes one Householder QR of [A y], R in its
-    first K columns and z = Q^H y in its last, and is judged by _rails on
-    its |R_kk|. Every ridged system, the ridge given or automatic, is
-    factored over the ridge lift (_lifted) alone. The rest solve R c = z by
-    _back_solve_stack, which a nonzero diagonal keeps solvable. Returns
-    (coefficients (n, K), solved (n,), |R_kk| (n, K) of the first factor,
-    NaN on the rows of systems given a ridge, which take none).
-    _ls_solve_stack sends it the band's ridged systems; ls_solve takes the
-    same rule on one.
-    """
-    n, _, k = a.shape
-    ay = np.concatenate([a, y[:, :, None]], axis=2)
-    r = np.empty((n, k, k + 1), dtype=np.complex128)
-    diag = np.full((n, k), np.nan)
-    ok = ridge > 0.0
-    ridge = ridge.copy()
-    free = np.flatnonzero(~ok)
-    if free.size:
-        r[free] = rows = _r_rows(ay[free])
-        diag[free] = np.abs(np.diagonal(rows, axis1=1, axis2=2))
-        ok[free], ridge[free] = _rails(diag[free])
-    ridged = np.flatnonzero(ridge > 0.0)
-    if ridged.size:
-        r[ridged] = _lifted(ay[ridged], ridge[ridged])
-    coeffs = np.zeros((n, k), dtype=np.complex128)
-    coeffs[ok] = _back_solve_stack(r[ok])
-    return coeffs, ok, diag
+        c[j] = (r[j, k] - (r[j, j + 1 : k] * c[j + 1 :]).sum(axis=0)) / r[j, j]
+    return c
 
 
 def _band_qr(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +298,9 @@ def _ls_solve_stack(
     unsolved, with zero coefficients and uncharged; every solved one is
     charged one M-row, K-column solve.
 
-    Zero-ridge systems are judged by _rails from one _band_qr over the band,
-    which solves those given no ridge by one back sweep R c = z; the ridged
-    ones, the ridge given or automatic, go to _qr_rule with their ridge.
+    Zero-ridge systems are judged by _rails from one _band_qr over the band.
+    The ridged ones, the ridge given or automatic, are factored over their
+    lift alone (_lifted). Both sets of R rows are solved by _back_sweep.
     """
     m, k, n = a.shape
     ridge = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
@@ -354,15 +315,12 @@ def _ls_solve_stack(
         r, diag = _band_qr(a[..., band], y[:, band])
         solved[zero], ridge[zero] = _rails(diag.T)
         plain = solved[zero] & (ridge[zero] == 0.0)
-        r = r[..., plain]
-        c = np.empty_like(r[:, k])
-        for j in range(k - 1, -1, -1):
-            c[j] = (r[j, k] - (r[j, j + 1 : k] * c[j + 1 :]).sum(axis=0)) / r[j, j]
-        coeffs[:, zero[plain]] = c
+        coeffs[:, zero[plain]] = _back_sweep(r[..., plain])
     ridged = np.flatnonzero(ridge > 0.0)
     if ridged.size:
-        c = _qr_rule(a.transpose(2, 0, 1)[ridged], y.T[ridged], ridge[ridged])[0]
-        coeffs[:, ridged] = c.T
+        ay = np.concatenate([a[..., ridged], y[:, None, ridged]], axis=1)
+        r = _lifted(ay.transpose(2, 0, 1), ridge[ridged])
+        coeffs[:, ridged] = _back_sweep(r.transpose(1, 2, 0))
     count = np.count_nonzero(solved)
     if counter is not None and count:
         mults, adds = ls_costs(m, k)

@@ -12,7 +12,7 @@ from flexsic.imd import (
 )
 from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
-from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec
+from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec, run_scenario
 from flexsic.sic import (
     SingularSystemError,
     TrainingBuffer,
@@ -185,18 +185,7 @@ def test_ls_solve_charges_counter():
     assert counter.mults("here") == 4 * 4 + 2 * 4 + 8
 
 
-def stacked_ls_solve(a, y, counter):
-    """ls_solve's rule through _qr_rule on a stack of one: its error and charge, from _qr_rule's."""
-    coeffs, solved, diag = sic._qr_rule(a[None], y[None], np.zeros(1))
-    if not solved[0]:
-        if diag[0].max() == 0.0:
-            raise SingularSystemError(0, "least-squares system is all zero")
-        raise SingularSystemError(int(np.argmin(diag[0])))
-    counter.charge("ls", *ls_costs(*a.shape))
-    return coeffs[0]
-
-
-def test_ls_solve_on_one_system_equals_qr_rule_on_a_stack_of_one():
+def test_ls_solve_and_a_stack_of_one_follow_one_rule():
     rng = np.random.default_rng(7)
 
     def system(m, k):
@@ -210,18 +199,22 @@ def test_ls_solve_on_one_system_equals_qr_rule_on_a_stack_of_one():
     # the |R_kk| ratio of the ill-conditioned system puts it on the auto ridge
     diag = np.abs(np.diagonal(np.linalg.qr(ill, mode="r")))
     assert diag.max() > 1e8 * diag.min() > 1e-4 * diag.max()
+    solvable = 0
     for a in cases:
         y = system(len(a), 1)[:, 0]
-        got_counter, ref_counter = OpCounter(), OpCounter()
-        try:
-            ref = stacked_ls_solve(a, y, ref_counter)
-        except SingularSystemError as err:
-            with pytest.raises(SingularSystemError) as got:
+        got_counter, stack_counter = OpCounter(), OpCounter()
+        stacked, solved = _ls_solve_stack(a[:, :, None], y[:, None], 0.0, stack_counter, "ls")
+        if not solved[0]:
+            # refused exactly where the stack leaves the system unsolved
+            with pytest.raises(SingularSystemError):
                 ls_solve(a, y, counter=got_counter)
-            assert (got.value.column, str(got.value)) == (err.column, str(err))
         else:
-            assert np.array_equal(ls_solve(a, y, counter=got_counter), ref)
-        assert got_counter.rows() == ref_counter.rows()
+            solvable += 1
+            # two back-substitutions of one rule: equal to a backward-stable solve's rounding
+            bound = ridged_lstsq(a[None], y[None], auto_ridge(a[None]))[1]
+            assert_within(ls_solve(a, y, counter=got_counter)[None], stacked.T, bound)
+        assert got_counter.rows() == stack_counter.rows()
+    assert solvable == 3
     # the rank-deficient and the all-zero systems are refused, each with its column
     with pytest.raises(SingularSystemError, match="column 2"):
         ls_solve(deficient, base)
@@ -270,8 +263,8 @@ def assert_within(coeffs, ref, bound):
 
 
 def test_ls_solve_matches_an_independent_least_squares_reference():
-    # the five systems of test_ls_solve_on_one_system_equals_qr_rule_on_a_stack_of_one,
-    # drawn alike; that test holds ls_solve and _qr_rule to each other, which
+    # the five systems of test_ls_solve_and_a_stack_of_one_follow_one_rule,
+    # drawn alike; that test holds ls_solve and the stack to each other, which
     # shared arithmetic would pass even if both were wrong, so here each
     # solvable system meets np.linalg.lstsq of its ridge's own problem
     rng = np.random.default_rng(7)
@@ -483,26 +476,9 @@ def test_ls_solve_stack_takes_one_column_and_an_empty_band():
     assert coeffs.shape == (3, 0) and solved.shape == (0,) and counter.rows() == []
 
 
-def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch):
-    rng = np.random.default_rng(23)
-    n, m, k = 30, 6, 3
-    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
-    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    ridge = rng.uniform(0.1, 1.0, n)
-
-    def refused(*args):
-        raise AssertionError("the band factor was computed")
-
-    monkeypatch.setattr(sic, "_band_qr", refused)
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
-    assert solved.all()
-    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
-
-
-def test_qr_rule_factors_a_system_given_a_ridge_over_its_lift_alone(monkeypatch):
+def test_ls_solve_stack_given_ridges_takes_one_qr_over_their_lift_alone(monkeypatch):
     # a ridged system is solved from the QR of [A y] over [sqrt(ridge) I 0]
-    # alone, so a stack given its ridges takes one QR, and no |R_kk| of a
-    # factor it never took
+    # alone, so a stack given its ridges takes one QR and never factors the band
     rng = np.random.default_rng(31)
     n, m, k = 25, 7, 3
     a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
@@ -515,26 +491,31 @@ def test_qr_rule_factors_a_system_given_a_ridge_over_its_lift_alone(monkeypatch)
         calls.append(np.shape(x))
         return qr(x, mode=mode)
 
+    def refused(*args):
+        raise AssertionError("the band factor was computed")
+
     monkeypatch.setattr(np.linalg, "qr", counted)
-    coeffs, solved, diag = sic._qr_rule(a, y, ridge)
+    monkeypatch.setattr(sic, "_band_qr", refused)
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
     assert calls == [(n, m + k, k + 1)]
-    assert solved.all() and np.isnan(diag).all()
     monkeypatch.undo()
-    assert_within(coeffs, *ridged_lstsq(a, y, ridge))
+    assert solved.all()
+    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
 
 
-def test_back_solve_stack_solves_each_system_as_back_solve_does_alone():
-    # one arithmetic, over a list per entry or system by system: equal bits
+def test_back_sweep_reads_nothing_below_the_diagonal():
+    # _r_rows leaves the reflectors below the diagonal, so NaN there changes no bit
     rng = np.random.default_rng(37)
     for n, k in ((5, 1), (40, 3), (9, 8), (0, 2)):
         r = rng.standard_normal((n, k, k + 1)) + 1j * rng.standard_normal((n, k, k + 1))
         r += 2.0 * np.eye(k, k + 1)
-        # neither reads below the diagonal, where _r_rows leaves the reflectors
         dirty = np.where(np.tri(k, k + 1, -1, dtype=bool), np.nan, r)
+        swept = sic._back_sweep(r.transpose(1, 2, 0))
+        assert swept.shape == (k, n) and np.isfinite(swept).all()
+        assert np.array_equal(sic._back_sweep(dirty.transpose(1, 2, 0)), swept)
+        # and each system solves as _back_solve solves it alone, to round-off
         alone = np.array([sic._back_solve(rows) for rows in dirty.tolist()]).reshape(n, k)
-        assert np.isfinite(alone).all()
-        assert np.array_equal(sic._back_solve_stack(r), alone)
-        assert np.array_equal(sic._back_solve_stack(dirty), alone)
+        np.testing.assert_allclose(swept.T, alone, rtol=1e-13, atol=0)
 
 
 def test_ls_solve_square_systems_with_and_without_the_auto_ridge():
@@ -629,6 +610,26 @@ def test_full_ls_matches_loop_reference(grid, b):
     assert np.all(np.linalg.norm(coeffs - ref, axis=0) <= 1e-10 * size)
     assert np.array_equal(coeffs != 0, ref != 0)
     assert counter.rows() == ref_counter.rows()
+
+
+def test_full_ls_ridges_every_sbfd_system_and_no_other(monkeypatch):
+    # at P = 256 with the default image weight, the overlap and ibfd uplinks
+    # see a nonzero linear column b conj(X[-p]), so no full_ls system is
+    # ridged there; the sbfd uplink sees none, and every system is ridged
+    lifted = []
+    lift = sic._lifted
+
+    def counted(ay, ridge):
+        lifted.append(len(ay) if ay.ndim == 3 else 1)
+        return lift(ay, ridge)
+
+    monkeypatch.setattr(sic, "_lifted", counted)
+    for duplex, expected in (("ibfd", 0), ("overlap", 0), ("sbfd", 24)):
+        lifted.clear()
+        spec = ScenarioSpec(num_subcarriers=256, duplex=duplex, cancellers=("full_ls",))
+        run_scenario(spec)
+        assert sum(lifted) == expected
+    assert spec.build_grid().ul_size == 24
 
 
 A_HAT = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
