@@ -476,7 +476,23 @@ def test_ls_solve_stack_takes_one_column_and_an_empty_band():
     assert coeffs.shape == (3, 0) and solved.shape == (0,) and counter.rows() == []
 
 
-def test_ls_solve_stack_given_ridges_takes_one_qr_over_their_lift_alone(monkeypatch):
+def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch):
+    rng = np.random.default_rng(23)
+    n, m, k = 30, 6, 3
+    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    ridge = rng.uniform(0.1, 1.0, n)
+
+    def refused(*args):
+        raise AssertionError("the band factor was computed")
+
+    monkeypatch.setattr(sic, "_band_qr", refused)
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
+    assert solved.all()
+    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
+
+
+def test_qr_rule_factors_a_system_given_a_ridge_over_its_lift_alone(monkeypatch):
     # a ridged system is solved from the QR of [A y] over [sqrt(ridge) I 0]
     # alone, so a stack given its ridges takes one QR and never factors the band
     rng = np.random.default_rng(31)
