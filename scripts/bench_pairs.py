@@ -27,23 +27,27 @@ It writes one JSON file with the machine (libc included), the settings,
 every pair and, per leg and metric, each side's median and quartiles, the
 number of pairs the working tree won and a verdict, which it also prints
 per metric and workload: "gain" when the working tree won at least nine
-tenths of the pairs and its median gain exceeds the parent's
-interquartile range; "worse" when its median is worse than the parent's by
-more than the metric's bound in BENCHMARK.json, a fraction of the parent's
-median; "unresolved" otherwise. A time metric then gets one verdict from
-its legs (leg_verdict): "gain" only when the default (scaled), the raw
-wall-time (for scenario_s.p50) and the pinned legs all read gain, and
-"state-dependent", printed with each leg's fault levels, when the default
-and pinned legs disagree. Next to those verdicts it prints each leg's probe
-median per side (probe_line): a verdict whose scaled and raw readings
-split then shows whether the probe itself moved beside the change, which
-scales the change's times as much as its code does. Each workload also
-records split_pairs, the
-number of default pairs whose two sides sat in different allocator states:
-exactly one side above HIGH_FAULTS_PER_SCENARIO minor faults per
-scenario. The p50 gap of such a pair measures the state as much as the
-code. --pairs counts the pairs of each leg, and the JSON records it as
-pairs_per_leg: 5 per leg take as long as 10 pairs of one leg did.
+tenths of the pairs and its median gain exceeds the parent's interquartile
+range; "worse" when its median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, a fraction of the parent's median;
+"unresolved" otherwise. Beside the verdict, each summary and its printed
+line carry the paired reading: the median and the interquartile range of
+the per-pair gains. Both sides of a pair ran back to back, so a drift of
+the machine over the run widens the parent's IQR but not the spread of the
+pairs' gains; the verdict itself does not read them. A time metric then
+gets one verdict from its legs (leg_verdict): "gain" only when the default
+(scaled), the raw wall-time (for scenario_s.p50) and the pinned legs all
+read gain, and "state-dependent", printed with each leg's fault levels,
+when the default and pinned legs disagree. Next to those verdicts it
+prints each leg's probe median per side (probe_line): a verdict whose
+scaled and raw readings split then shows whether the probe itself moved
+beside the change, which scales the change's times as much as its code
+does. Each workload also records split_pairs, the number of default pairs
+whose two sides sat in different allocator states: exactly one side above
+HIGH_FAULTS_PER_SCENARIO minor faults per scenario. The p50 gap of such a
+pair measures the state as much as the code. --pairs counts the pairs of
+each leg, and the JSON records it as pairs_per_leg: 5 per leg take as long
+as 10 pairs of one leg did.
 
 Example, from the repository root:
 
@@ -194,7 +198,9 @@ def summarize(
     and bounds a metric to its relative bound, where it has one. A pair is
     a win when the change is strictly better. gain is the parent median
     minus the change median, signed so that positive is better, and
-    parent_iqr is the spread it is read against.
+    parent_iqr is the spread it is read against. paired_gain and
+    paired_iqr are the median and the interquartile range of the per-pair
+    gains, parent minus change signed the same way.
     """
     out = {}
     for name, direction in better.items():
@@ -202,16 +208,17 @@ def summarize(
             side: [pair[side]["values"][name] for pair in pairs] for side in ("parent", "change")
         }
         sign = 1.0 if direction == "lower" else -1.0
-        wins = sum(
-            sign * (pair["parent"]["values"][name] - pair["change"]["values"][name]) > 0
-            for pair in pairs
-        )
+        # each pair's gain, parent minus change signed so that positive is better
+        diffs = [sign * (p - c) for p, c in zip(sides["parent"], sides["change"])]
+        wins = sum(diff > 0 for diff in diffs)
         summary = {"better": direction, "pairs": len(pairs), "change_wins": wins}
         for side, xs in sides.items():
             q1, median, q3 = quartiles(xs)
             summary[side] = {"median": median, "q1": q1, "q3": q3}
         summary["gain"] = sign * (summary["parent"]["median"] - summary["change"]["median"])
         summary["parent_iqr"] = summary["parent"]["q3"] - summary["parent"]["q1"]
+        q1, paired, q3 = quartiles(diffs)
+        summary["paired_gain"], summary["paired_iqr"] = paired, q3 - q1
         summary["verdict"] = verdict(summary, (bounds or {}).get(name))
         out[name] = summary
     return out
@@ -270,11 +277,12 @@ def pair_line(workload: str, pair: dict, leg: str = "default") -> str:
 
 
 def verdict_line(workload: str, name: str, summary: dict) -> str:
-    """One printed line per metric: the verdict, the wins and each side's median."""
+    """One printed line per metric: the verdict, the wins, each side's median and the paired gain."""
     return (
         f"{workload} {name}: {summary['verdict']} ({summary['change_wins']} of "
         f"{summary['pairs']} pairs; median {summary['parent']['median']:.6g} -> "
-        f"{summary['change']['median']:.6g}, parent IQR {summary['parent_iqr']:.3g})"
+        f"{summary['change']['median']:.6g}, parent IQR {summary['parent_iqr']:.3g}; "
+        f"paired gain {summary['paired_gain']:.3g}, IQR {summary['paired_iqr']:.3g})"
     )
 
 

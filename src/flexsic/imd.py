@@ -56,6 +56,7 @@ import math
 
 import numpy as np
 
+from .impairments import abs2
 from .ofdm import SubcarrierGrid
 
 
@@ -123,6 +124,7 @@ def basis_chain(
     samples: np.ndarray | None = None,
     band: slice = slice(None),
     out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """All bases Phi_1 .. Phi_{2k_max+1} on band: shape (..., k_max+1, |band|).
 
@@ -130,11 +132,15 @@ def basis_chain(
     the whole grid, (..., P), by default; leading axes index symbols. Row 0
     is X_iq_values, copied bit for bit. Row k is the definition
     dft(|x_iq|^{2k} x_iq)[..., band] with x_iq = idft(X_iq): one squared
-    magnitude per symbol, then one product and one FFT per order, O(P log P)
-    each. samples is x_iq, (..., P), which the caller holds already (see
-    sic.basis_stack), so no IFFT is spent here; it is required for k_max
-    >= 1 and read by no order at k_max = 0, and it is overwritten. out, of
-    the returned shape, is filled and returned when given.
+    magnitude per symbol, re^2 + im^2 (impairments.abs2), then one product
+    and one FFT per order, O(P log P) each. samples is x_iq, (..., P),
+    which the caller holds already (see sic.basis_stack), so no IFFT is
+    spent here; it is required for k_max >= 1 and read by no order at
+    k_max = 0, and it is overwritten. out, of the returned shape, is filled
+    and returned when given. work, a complex and a float array of the
+    samples' shape, holds each order's FFT and |x_iq|^2 when given, so a
+    caller that passes both allocates nothing of the samples' size here;
+    without it they are allocated per call.
     """
     x = np.asarray(X_iq_values)
     if out is None:
@@ -144,9 +150,13 @@ def basis_chain(
         return out
     if samples is None:
         raise ValueError("basis_chain needs the samples x_iq to build the orders above 1")
-    mag2 = np.abs(samples)
-    np.square(mag2, out=mag2)
-    spectrum = np.empty_like(samples)
+    if work is None:
+        work = np.empty_like(samples), np.empty(samples.shape)
+    spectrum, mag2 = work
+    # the FFT plane is free until the first order, so its memory takes the
+    # imaginary squares: a float view of its first samples.size floats
+    spare = spectrum.reshape(-1).view(np.float64)[: samples.size].reshape(samples.shape)
+    abs2(samples, out=mag2, work=spare)
     for k in range(1, k_max + 1):
         samples *= mag2
         np.fft.fft(samples, axis=-1, out=spectrum)

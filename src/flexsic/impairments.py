@@ -17,12 +17,26 @@ Its coefficients are one complex vector a of shape (K+1,) indexed by k,
 a[k] = a_{2k+1}; an order the amplifier lacks is a zero entry.
 
 Every model acts on the last axis of a plain complex array, so one symbol
-and a stack of symbols go through the same code.
+and a stack of symbols go through the same code. abs2 is the package's one
+squared magnitude, re^2 + im^2.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def abs2(
+    z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """|z|^2 as re^2 + im^2: two squares and an add, where np.abs takes a hypot per entry.
+
+    Written into out when given. work, a float array of z's shape, holds
+    the imaginary squares when given; otherwise they take a temporary.
+    """
+    out = np.square(z.real, out=out)
+    out += np.square(z.imag, out=work)
+    return out
 
 
 def apply_iq_time(x: np.ndarray, b_iq: complex, out: np.ndarray | None = None) -> np.ndarray:
@@ -48,8 +62,7 @@ def apply_pa(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.
     """
     x = np.asarray(x, dtype=np.complex128)
     a = np.asarray(a, dtype=np.complex128)
-    mag2 = np.square(x.real)
-    mag2 += np.square(x.imag)
+    mag2 = abs2(x)
     if out is None:
         out = np.empty(x.shape, dtype=np.complex128)
     out[...] = a[-1]

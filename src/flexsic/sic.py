@@ -493,20 +493,26 @@ def basis_stack(
     grid: SubcarrierGrid,
     samples: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Bases Phi_1 .. Phi_{2k_max+1} on the uplink band of (..., P) spectra with the IQ image b_hat.
 
     Returns the (..., k_max + 1, |UL|) stack after checking that every
     symbol has the grid's length and no energy outside the downlink band.
     Row 0, the image X[p] + b_hat conj(X[(P - p) mod P]), is taken on the
-    band alone. The orders above it take the image in time, t + b_hat
-    conj(t) with t = idft(x), which equals the inverse transform of the
-    spectral image to round-off (about 1e-15 relative), and keep the band
-    of each order's FFT: basis_chain on the band. samples, when given, is
-    idft(x), such as the run window's one inverse FFT per block, shared
-    with the reception; otherwise it is taken here. out, of the returned
-    shape, is filled and returned when given. Uncharged: each canceller
-    that reads the stack charges its own basis stage.
+    band alone; for an uplink that starts past subcarrier 0 the mirrors of
+    its subcarriers are one reversed slice of the grid. The orders above it
+    take the image in time, t + b_hat conj(t) with t = idft(x), which
+    equals the inverse transform of the spectral image to round-off (about
+    1e-15 relative), and keep the band of each order's FFT: basis_chain on
+    the band. samples, when given, is idft(x), such as the run window's
+    one inverse FFT per block, shared with the reception; otherwise it is
+    taken here. out, of the returned shape, is filled and returned when
+    given. work, two complex and one float array of x's shape, holds the
+    time image and, through basis_chain, each order's FFT and the squared
+    magnitude when given; without it they are allocated per call.
+    Uncharged: each canceller that reads the stack charges its own basis
+    stage.
     """
     _symbol_count(x, grid.num_subcarriers)
     x = np.asarray(x)
@@ -514,15 +520,22 @@ def basis_stack(
         raise ValueError(
             "allocation mismatch: transmit spectrum has energy outside the downlink band"
         )
-    # the mirror of subcarrier p, (P - p) mod P, is the negative index -p;
+    # the mirror of subcarrier p, (P - p) mod P, is P - p for p >= 1, so an
+    # uplink lo..hi with lo >= 1 mirrors onto P - lo down to P - hi; the
+    # mirror of 0 is 0 itself, so an uplink from 0 wraps and is gathered
+    lo, hi = grid.ul_set
+    p_total = grid.num_subcarriers
+    mirror = x[..., p_total - lo : p_total - hi - 1 : -1] if lo else x[..., -grid.ul_indices]
     # the product is taken as in apply_iq_time, b_hat * conj(.) at every size
-    image = np.conj(x[..., -grid.ul_indices], dtype=np.complex128)
+    image = np.conj(mirror, dtype=np.complex128)
     np.multiply(b_hat, image, out=image)
     image += x[..., grid.ul_band]
     x_iq = None
     if k_max:
-        x_iq = apply_iq_time(idft(x) if samples is None else samples, b_hat)
-    return basis_chain(image, k_max, samples=x_iq, band=grid.ul_band, out=out)
+        t = idft(x) if samples is None else samples
+        x_iq = apply_iq_time(t, b_hat, out=None if work is None else work[0])
+    chain_work = None if work is None else work[1:]
+    return basis_chain(image, k_max, samples=x_iq, band=grid.ul_band, out=out, work=chain_work)
 
 
 def _charge_bases(
@@ -726,6 +739,20 @@ def top_order(weights: np.ndarray, grid: SubcarrierGrid) -> int:
     return int(kept[-1]) if kept.size else 0
 
 
+def _weighted_sum(weights: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """sum_k W[k] Phi_k of a (k+1, |UL|) W and a (..., k+1, |UL|) stack, shape (..., |UL|).
+
+    The terms are added into the estimate in order of k: the additions of
+    (W * chain).sum(axis=-2) in its order, so the same bits, with one
+    term's workspace in place of the (..., k+1, |UL|) product.
+    """
+    est = np.multiply(weights[0], chain[..., 0, :])
+    term = np.empty_like(est) if len(weights) > 1 else None
+    for k in range(1, len(weights)):
+        est += np.multiply(weights[k], chain[..., k, :], out=term)
+    return est
+
+
 def run_sic(
     chain: np.ndarray,
     weights: np.ndarray,
@@ -751,7 +778,7 @@ def run_sic(
     count = int(np.prod(chain.shape[:-2]))
     _charge_bases(counter, "run_basis", count, top, grid)
     w = weights[: top + 1]
-    est = (w * chain).sum(axis=-2)
+    est = _weighted_sum(w, chain)
     if counter is not None:
         live = w != 0
         n_terms, n_orders = int(live.sum()), int(live[1:].sum())
@@ -859,7 +886,7 @@ def run_full_ls(
     count = int(np.prod(chain.shape[:-2]))
     _charge_bases(counter, "full_ls_run_basis", count, k_max, grid)
     n_ul = grid.ul_size
-    est = (weights * chain).sum(axis=-2)
+    est = _weighted_sum(weights, chain)
     if counter is not None:
         counter.charge(
             "full_ls_run",

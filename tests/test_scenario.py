@@ -718,9 +718,43 @@ def test_run_scenario_smoke_and_shapes():
         assert np.all(np.isfinite(report.psd_dbm[name]))
         assert name in report.counters
     # no cancellation leaves the clean self-interference untouched
-    assert report.sicr_db["none"] == pytest.approx(0.0, abs=1e-12)
+    assert report.sicr_db["none"] == 0.0
     assert report.sicr_db["proposed"] > report.sicr_db["linear"] + 10.0
     assert report.noise_floor_dbm == spec.noise_dbm
+
+
+@pytest.mark.parametrize("preset", DUPLEX_PRESETS)
+def test_none_cancels_exactly_nothing(preset):
+    # none's noiseless residual is the raw self-interference, summed block
+    # by block in the same order, so its SICR is 0 dB exactly, as the bench
+    # harness demands; 70 symbols at P = 256 make two blocks
+    spec = ScenarioSpec(
+        num_subcarriers=256, duplex=preset, n_run_symbols=70, cancellers=("none", "proposed")
+    )
+    assert run_scenario(spec).sicr_db["none"] == 0.0
+
+
+def test_residual_totals_take_dot_products_short_of_blas_threading(monkeypatch):
+    # a wide block, 4 rows of 3205 uplink bins, is longer than one dot
+    # product may be: each is cut to _DOT_ENTRIES entries, and together they
+    # give the total power
+    sizes = []
+    vdot = np.vdot
+
+    def spied(a, b):
+        sizes.append(np.size(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spied)
+    spec = ScenarioSpec(num_subcarriers=4096, n_run_symbols=4, cancellers=("none", "linear"))
+    run_scenario(spec)
+    entries = 4 * spec.build_grid().ul_size
+    assert entries > scenario._DOT_ENTRIES
+    # the raw total, then linear's residual: one chunk of _DOT_ENTRIES and the rest
+    rest = entries - scenario._DOT_ENTRIES
+    assert sizes == [scenario._DOT_ENTRIES, rest] * 2
+    r = np.random.default_rng(3).standard_normal((4, 3205)) * (1 + 2j)
+    assert scenario._total_power(r) == pytest.approx(np.sum(np.abs(r) ** 2), rel=1e-13)
 
 
 def test_run_scenario_takes_each_inverse_transform_once(monkeypatch):

@@ -4,6 +4,8 @@ import importlib.util
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -148,8 +150,37 @@ def test_bench_pairs_verdicts():
     assert script.summarize(pairs, {"m": "lower"})["m"]["verdict"] == "unresolved"
     summary = script.summarize(pairs[:2], {"m": "lower"})["m"]
     assert script.verdict_line("long_run", "m", summary) == (
-        "long_run m: unresolved (0 of 2 pairs; median 30.5 -> 61, parent IQR 0.5)"
+        "long_run m: unresolved (0 of 2 pairs; median 30.5 -> 61, parent IQR 0.5; "
+        "paired gain -30.5, IQR 0.5)"
     )
+
+
+def test_bench_pairs_reads_the_gain_pair_by_pair_under_drift():
+    # the machine slows over the run: the parent's p50 climbs 30 -> 48, and
+    # each change run, taken beside its parent, is 0.5 faster give or take
+    # 0.02. The parent IQR carries the drift, so the verdict, which weighs
+    # the median gain against it, stays unresolved although all ten pairs
+    # are won; the per-pair gains show the 0.5 with a spread of a few 0.01
+    script = load_script("bench_pairs")
+    parent = [30.0 + 2.0 * i for i in range(10)]
+    jitter = [0.02, -0.01, 0.0, 0.01, -0.02, 0.02, -0.01, 0.0, 0.01, -0.02]
+    pairs = [
+        {"parent": {"values": {"m": p}}, "change": {"values": {"m": p - 0.5 + j}}}
+        for p, j in zip(parent, jitter)
+    ]
+    summary = script.summarize(pairs, {"m": "lower"}, {"m": 0.25})["m"]
+    assert summary["change_wins"] == 10
+    assert summary["parent_iqr"] == pytest.approx(9.0)
+    assert summary["verdict"] == "unresolved"
+    assert summary["paired_gain"] == pytest.approx(0.5)
+    assert summary["paired_iqr"] == pytest.approx(0.02)
+    assert script.verdict_line("long_run", "m", summary).endswith(
+        "parent IQR 9; paired gain 0.5, IQR 0.02)"
+    )
+    # higher-is-better metrics sign the per-pair gains the same way
+    flipped = script.summarize(pairs, {"m": "higher"})["m"]
+    assert flipped["paired_gain"] == pytest.approx(-0.5)
+    assert flipped["paired_iqr"] == pytest.approx(0.02)
 
 
 def test_bench_pairs_reads_the_run_output():

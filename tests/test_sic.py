@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from flexsic.imd import (
 )
 from flexsic.impairments import apply_pa, default_measured_pa, irr_to_b
 from flexsic.ofdm import SubcarrierGrid, gen_qam_symbols
-from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec, run_scenario
+from flexsic.scenario import DUPLEX_PRESETS, ScenarioSpec, duplex_allocation, run_scenario
 from flexsic.sic import (
     SingularSystemError,
     TrainingBuffer,
@@ -1062,6 +1063,53 @@ def test_basis_stack_from_shared_samples_matches_the_basis_chain(preset, b):
         assert np.array_equal(stack[:, 0], ref[:, 0])
         for k in range(1, k_max + 1):
             assert np.max(np.abs(stack[:, k] - ref[:, k])) <= 1e-13 * np.max(np.abs(ref[:, k]))
+
+
+def _mirror_cases():
+    for p_total in (64, 256, 1024, 4096):
+        for preset in DUPLEX_PRESETS:
+            yield p_total, *duplex_allocation(preset, p_total)
+        last = p_total - 1
+        # uplinks from subcarrier 0, which is its own mirror, and to P - 1,
+        # whose mirror is 1, under downlinks that do and do not reach them
+        for dl in ((1, last), (0, last), (2, last - 3)):
+            for ul in ((0, last), (1, last), (0, p_total // 2), (p_total // 2, last), (1, 2)):
+                yield p_total, dl, ul
+
+
+@pytest.mark.parametrize("b", [0.05 * np.exp(0.4j), 1.0 - 0.5j], ids=["small_b", "large_b"])
+def test_basis_stack_mirror_slice_matches_the_index_gather(b):
+    # row 0 takes the mirrors of an uplink from 1 up as one reversed slice:
+    # it must read X[-p] at every uplink subcarrier p, ends included
+    for p_total, dl, ul in _mirror_cases():
+        g = SubcarrierGrid(p_total, 120e3, 8, dl, ul)
+        x = gen_qam_symbols(g, 16, 1.0, 3, seed=p_total + dl[0] + ul[0])
+        gathered = np.multiply(b, np.conj(x[..., -g.ul_indices]))
+        ref = x[..., g.ul_band] + gathered
+        row = basis_stack(x, b, 0, g)[:, 0]
+        assert np.array_equal(row, ref), f"P = {p_total}, dl {dl}, ul {ul}"
+
+
+@pytest.mark.parametrize("run", [run_sic, run_full_ls])
+def test_running_cancellers_add_order_by_order_with_no_product_temporary(run):
+    # the estimate equals the product-sum over the orders bit for bit, and
+    # is formed with one order's term beside it: under three estimates of
+    # traced peak, where the (n, k+1, |UL|) product and its sum take four
+    g = SubcarrierGrid(4096, 120e3, 8, (446, 3648), (446, 3648))
+    assert g.ul_size == 3203
+    rng = np.random.default_rng(61)
+    chain = rng.standard_normal((4, 3, 3203)) + 1j * rng.standard_normal((4, 3, 3203))
+    weights = rng.standard_normal((3, 3203)) + 1j * rng.standard_normal((3, 3203))
+    weights[1:, ::4] = 0.0  # precombine's W holds zeros; run_sic runs them all the same
+    est = run(chain, weights, g)
+    assert np.array_equal(est, (weights * chain).sum(axis=-2))
+    tracemalloc.start()
+    try:
+        run(chain, weights, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * est.nbytes, f"traced peak {peak} B against an estimate of {est.nbytes} B"
 
 
 def test_basis_stack_rejects_energy_outside_downlink():
