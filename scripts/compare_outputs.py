@@ -11,9 +11,10 @@ scenarios, all six cancellers each.
 Prints, per canceller, the largest |delta| of SICR, of the residual PSD
 and of the residual CDF samples, in dB, and the number of scenarios whose
 SICR, PSD and CDF are bit-identical, then the number of scenarios whose
-counter rows (stage, counter, value) differ and the number whose
-spec_to_dict, which emit_report writes as config.json, differs. Exits 1
-when any counter row or config differs, 0 otherwise.
+counter rows (stage, counter, value) differ, each differing
+canceller.stage under it with the number of scenarios it differs in, and
+the number whose spec_to_dict, which emit_report writes as config.json,
+differs. Exits 1 when any counter row or config differs, 0 otherwise.
 
 Example, from the repository root:
 
@@ -85,6 +86,14 @@ def _delta(a, b) -> float:
     return float(gap.max()) if gap.size else 0.0
 
 
+def _differing_stages(old: dict, new: dict) -> set[str]:
+    """canceller.stage names whose (stage, counter, value) rows differ in two scenario outputs."""
+    return {
+        f"{name}.{row[0]}" for name in old
+        for row in set(old[name][3]).symmetric_difference(new[name][3])
+    }
+
+
 def compare(parent: list[dict], change: list[dict]) -> tuple[list[str], int]:
     """Report lines and the number of scenarios whose counter rows or config differ in two dumps."""
     if len(parent) != len(change):
@@ -107,8 +116,12 @@ def compare(parent: list[dict], change: list[dict]) -> tuple[list[str], int]:
         any(old[name][3] != new[name][3] for name in old)
         for old, new in zip(parent_outputs, change_outputs)
     ]
+    stages = [_differing_stages(old, new) for old, new in zip(parent_outputs, change_outputs)]
     configs = [old["config"] != new["config"] for old, new in zip(parent, change)]
     lines.append(f"counter rows differ in {sum(counters)} of {len(parent)} scenarios")
+    for stage in sorted(set().union(*stages)):
+        count = sum(stage in names for names in stages)
+        lines.append(f"  {stage} in {count} of {len(parent)}")
     lines.append(f"configs differ in {sum(configs)} of {len(parent)} scenarios")
     return lines, sum(c or d for c, d in zip(counters, configs))
 

@@ -52,12 +52,14 @@ subcarriers, in estimate_iq's pairs and basis_stack's image.
 
 Band-wide least-squares fits stack their systems band-last, (M, K, n), as
 the basis stack is; one Householder QR over the band judges them all and
-factors the unridged ones, and the ridged rest are factored one QR each
-over their ridge lift. ls_solve takes the same rails on one system's 2-D
-QR. R c = z is back-substituted once per layout: a stack's by one numpy
-sweep over all of its systems, _back_sweep, and ls_solve's one system over
-Python complex scalars, _back_solve, since numpy's per-call overhead
-outweighs the arithmetic of a few unknowns.
+factors the unridged ones, and the auto-ridged rest are factored one QR
+each over their ridge lift. No fit passes a ridge of its own: full_ls
+refits the systems it leaves singular over the orders that carry power on
+them. ls_solve takes the same rails on one system's 2-D QR. R c = z is
+back-substituted once per layout: a stack's by one numpy sweep over all of
+its systems, _back_sweep, and ls_solve's one system over Python complex
+scalars, _back_solve, since numpy's per-call overhead outweighs the
+arithmetic of a few unknowns.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 
 from .counters import OpCounter, ls_costs
 from .imd import basis_chain, pilot_profile, predict_si_power
-from .impairments import apply_iq_time, apply_pa
+from .impairments import abs2, apply_iq_time, apply_pa
 from .ofdm import SubcarrierGrid, idft
 
 _RANK_TOL = 1e-12
@@ -180,7 +182,7 @@ def ls_solve(
 
 
 def _rails(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ls_solve's guard rails on the |R_kk| of zero-ridge systems, K on the last axis.
+    """ls_solve's guard rails on the |R_kk| of systems, K on the last axis.
 
     Returns (full rank, ridge), one per system: a system is rank deficient
     when its smallest |R_kk| is at most 1e-12 of its largest, and a
@@ -206,7 +208,7 @@ def _lifted(ay: np.ndarray, ridge) -> np.ndarray:
     """_r_rows of (..., M, K + 1) [A y] over [sqrt(ridge) I 0], the ridge's own LS.
 
     ridge is one per system; ls_solve lifts its one system, _ls_solve_stack
-    its ridged ones.
+    its auto-ridged ones.
     """
     k = ay.shape[-1] - 1
     lift = np.sqrt(ridge)[..., None, None] * np.eye(k, k + 1)
@@ -283,40 +285,28 @@ def _band_qr(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ls_solve_stack(
-    a: np.ndarray,
-    y: np.ndarray,
-    ridges,
-    counter: OpCounter | None,
-    stage: str,
+    a: np.ndarray, y: np.ndarray, counter: OpCounter | None, stage: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """ls_solve over n independent systems stacked on the last axis.
 
     a has shape (M, K, n) and y (M, n), the band-last layout of the basis
-    stack and the training spectra; ridges is one ridge for all systems or
-    one per system. Returns (coefficients (K, n), boolean solved mask (n,))
-    with ls_solve's guard rails, which leave a rank-deficient system
-    unsolved, with zero coefficients and uncharged; every solved one is
-    charged one M-row, K-column solve.
+    stack and the training spectra. Returns (coefficients (K, n), boolean
+    solved mask (n,)) with ls_solve's guard rails, which leave a
+    rank-deficient system unsolved, with zero coefficients and uncharged;
+    every solved one is charged one M-row, K-column solve.
 
-    Zero-ridge systems are judged by _rails from one _band_qr over the band.
-    The ridged ones, the ridge given or automatic, are factored over their
-    lift alone (_lifted). Both sets of R rows are solved by _back_sweep.
+    Every system is judged by _rails from one _band_qr over the band, and
+    the full-rank ones without a ridge are solved from that factor. The
+    auto-ridged ones are factored again over their lift alone (_lifted).
+    Both sets of R rows are solved by _back_sweep.
     """
     m, k, n = a.shape
-    ridge = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n,))
-    if (ridge < 0).any():
-        raise ValueError("ridge must be nonnegative")
     coeffs = np.zeros((k, n), dtype=np.complex128)
-    solved = ridge > 0.0
-    zero = np.flatnonzero(~solved)
-    if zero.size:
-        ridge = ridge.copy()
-        band = slice(None) if zero.size == n else zero
-        r, diag = _band_qr(a[..., band], y[:, band])
-        solved[zero], ridge[zero] = _rails(diag.T)
-        plain = solved[zero] & (ridge[zero] == 0.0)
-        coeffs[:, zero[plain]] = _back_sweep(r[..., plain])
-    ridged = np.flatnonzero(ridge > 0.0)
+    r, diag = _band_qr(a, y)
+    solved, ridge = _rails(diag.T)
+    plain = solved & (ridge == 0.0)
+    coeffs[:, plain] = _back_sweep(r[..., plain])
+    ridged = np.flatnonzero(ridge)
     if ridged.size:
         ay = np.concatenate([a[..., ridged], y[:, None, ridged]], axis=1)
         r = _lifted(ay.transpose(2, 0, 1), ridge[ridged])
@@ -360,7 +350,7 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
     np.conjugate(tx[:, mirrors], out=a[:, 1])
     y = buffer.rx[buffer.n_impulse:, pairs]
     mirror_power = np.sum(np.abs(a[:, 1]) ** 2, axis=0)
-    c, solved = _ls_solve_stack(a, y, 0.0, counter, "estimate_iq")
+    c, solved = _ls_solve_stack(a, y, counter, "estimate_iq")
     used = solved & (c[0] != 0.0)
     c = c[:, used]
     weight = np.abs(c[0]) ** 2 * mirror_power[used]
@@ -837,9 +827,12 @@ def baseline_full_ls(
     them as the (k_max + 1, |UL|) weight array of run_full_ls.
     This is the accuracy ceiling the low-complexity estimator is
     compared against; its cost scales with the uplink band width times
-    the training length. A subcarrier whose regressors are singular
-    (the linear column is identically zero off the downlink band, for
-    instance) falls back to a tiny documented ridge.
+    the training length. The subcarriers whose systems are singular (the
+    linear column is identically zero off the downlink band, for
+    instance) are refit once, together, over the orders whose power summed
+    over them exceeds _REGRESSOR_POWER_TOL of the largest order's; the
+    dropped orders keep coefficient 0, and a system that is still singular
+    stays zero, as an all-zero one does.
     """
     k_max = _training_k_max(chain, buffer)
     m = len(buffer.tx)
@@ -852,15 +845,13 @@ def baseline_full_ls(
 
     # one (m, k_max+1) system per uplink subcarrier, stacked band-last
     y = buffer.rx[:, grid.ul_band]
-    c, solved = _ls_solve_stack(chain, y, 0.0, counter, "full_ls_est")
-    # rank-deficient subcarriers are refit with the ridge 1e-8 max|a|^2;
-    # all-zero ones stay zero
+    c, solved = _ls_solve_stack(chain, y, counter, "full_ls_est")
     retry = np.flatnonzero(~solved)
-    scale = np.max(np.abs(chain[:, :, retry]) ** 2, axis=(0, 1))
-    retry, scale = retry[scale > 0.0], scale[scale > 0.0]
-    if retry.size:
-        c[:, retry], _ = _ls_solve_stack(
-            chain[:, :, retry], y[:, retry], 1e-8 * scale, counter, "full_ls_est"
+    power = abs2(chain[:, :, retry]).sum(axis=(0, 2))
+    cols = np.flatnonzero(power > _REGRESSOR_POWER_TOL * power.max(initial=0.0))
+    if cols.size:
+        c[np.ix_(cols, retry)], _ = _ls_solve_stack(
+            chain[:, cols][:, :, retry], y[:, retry], counter, "full_ls_est"
         )
     return c
 

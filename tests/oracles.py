@@ -684,8 +684,10 @@ def baseline_full_ls_loop(
 ) -> np.ndarray:
     """Joint full-LS coefficients with one ls_solve per uplink subcarrier.
 
-    A subcarrier whose unregularized system is singular is refit with
-    the ridge 1e-8 max|a|^2; an all-zero one keeps zero coefficients.
+    A subcarrier whose system is singular is refit at ridge 0 over the
+    orders with nonzero power at that subcarrier, the others keeping
+    coefficient 0; one that is still singular, or all zero, keeps zero
+    coefficients.
     """
     m = len(buffer.tx)
     if m < k_max + 1:
@@ -705,13 +707,13 @@ def baseline_full_ls_loop(
         a = chains[:, :, p]
         y = rx[:, p]
         try:
-            c = ls_solve_ref(a, y, regularization, counter=counter, stage="full_ls_est")
+            coeffs[:, p] = ls_solve_ref(a, y, regularization, counter=counter, stage="full_ls_est")
         except SingularSystemError:
-            scale = float(np.max(np.abs(a) ** 2))
-            if scale == 0.0:
-                continue
-            c = ls_solve_ref(a, y, 1e-8 * scale, counter=counter, stage="full_ls_est")
-        coeffs[:, p] = c
+            cols = [k for k in range(k_max + 1) if np.sum(np.abs(a[:, k]) ** 2) > 0.0]
+            try:
+                coeffs[cols, p] = ls_solve_ref(a[:, cols], y, counter=counter, stage="full_ls_est")
+            except SingularSystemError:
+                pass
     return coeffs
 
 

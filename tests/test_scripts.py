@@ -57,6 +57,8 @@ def test_attribution_ladder_reaches_the_true_parameter_ceiling(capsys):
         assert rows[preset, "proposed"][2] >= 170.0
         # full_ls reads neither a_hat nor h_hat
         assert rows[preset, "full_ls"][1] == rows[preset, "full_ls"][2]
+    # sbfd full_ls fits no ridge, so with the true b it reaches proposed's ceiling
+    assert rows["sbfd", "full_ls"][1] >= rows["sbfd", "proposed"][2] - 1.0
 
 
 def test_readme_library_quickstart_runs(capsys):
@@ -87,8 +89,13 @@ def test_compare_outputs_finds_equal_dumps_and_reports_a_perturbed_value(tmp_pat
     stage, kind, value = second[0]["outputs"]["full_ls"][3][0]
     second[0]["outputs"]["full_ls"][3][0] = (stage, kind, value + 1)
     lines, differ = script.compare(first, second)
-    assert differ == 1 and lines[-2] == "counter rows differ in 1 of 2 scenarios"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-2]}
+    # the differing canceller.stage is named under the count, with its scenarios
+    assert differ == 1 and lines[-3:] == [
+        "counter rows differ in 1 of 2 scenarios",
+        f"  full_ls.{stage} in 1 of 2",
+        "configs differ in 0 of 2 scenarios",
+    ]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-3]}
     assert rows["proposed"] == ["0", "0.25", "0", "1", "of", "2"]
     assert rows["full_ls"] == ["0", "0", "0", "2", "of", "2"]
 

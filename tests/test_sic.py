@@ -169,16 +169,6 @@ def test_ls_solve_auto_ridge_on_bad_conditioning():
     assert np.all(np.isfinite(c))
 
 
-def test_ls_solve_explicit_ridge_shrinks():
-    # an explicit ridge reaches only the stacked solver, whose full_ls refit passes one
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
-    y = a @ np.array([3.0, -2.0])
-    plain = ls_solve(a, y)
-    shrunk, solved = _ls_solve_stack(a[:, :, None], y[:, None], 1e3, None, "s")
-    assert solved[0] and np.linalg.norm(shrunk[:, 0]) < np.linalg.norm(plain)
-
-
 def test_ls_solve_charges_counter():
     counter = OpCounter()
     a = np.eye(4, 2, dtype=complex)
@@ -204,7 +194,7 @@ def test_ls_solve_and_a_stack_of_one_follow_one_rule():
     for a in cases:
         y = system(len(a), 1)[:, 0]
         got_counter, stack_counter = OpCounter(), OpCounter()
-        stacked, solved = _ls_solve_stack(a[:, :, None], y[:, None], 0.0, stack_counter, "ls")
+        stacked, solved = _ls_solve_stack(a[:, :, None], y[:, None], stack_counter, "ls")
         if not solved[0]:
             # refused exactly where the stack leaves the system unsolved
             with pytest.raises(SingularSystemError):
@@ -305,31 +295,26 @@ def test_ls_solve_stack_matches_per_system_reference():
     a[300] = 0.0  # all zero
     a[400, :, 2] = 2j * a[400, :, 0]  # rank deficient
     a[500, :, 1] = a[500, :, 0] * (1.0 + 1e-10 * rng.standard_normal(m))  # auto ridge
-    ridge = np.where(np.arange(n) % 2 == 0, 0.0, 0.5)  # explicit ridge on odd systems
-    for regularization in (0.0, 0.5, ridge):
-        counter, ref_counter = OpCounter(), OpCounter()
-        coeffs, solved = _ls_solve_stack(*band_last(a, y), regularization, counter, "s")
-        assert coeffs.shape == (k, n)
-        per_system = np.broadcast_to(regularization, (n,))
-        for i in range(n):
-            try:
-                ref = ls_solve_ref(a[i], y[i], per_system[i], ref_counter, "s")
-            except SingularSystemError:
-                assert not solved[i] and np.all(coeffs[:, i] == 0)
-                continue
-            assert solved[i]
-            if i == 500 and per_system[i] == 0.0:
-                # the auto-ridged system: both sides solve [A; sqrt(ridge) I] c ~= [y; 0]
-                bound = ridged_lstsq(a[i : i + 1], y[i : i + 1], auto_ridge(a[i : i + 1]))[1]
-                assert_within(coeffs[:, i : i + 1].T, ref[None], bound)
-            else:
-                # the ridged zero column's coefficient is 0, the reference's round-off
-                atol = 1e-15 if i == 250 else 0.0
-                np.testing.assert_allclose(coeffs[:, i], ref, rtol=1e-10, atol=atol)
-        assert counter.rows() == ref_counter.rows()
+    counter, ref_counter = OpCounter(), OpCounter()
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), counter, "s")
+    assert coeffs.shape == (k, n)
+    for i in range(n):
+        try:
+            ref = ls_solve_ref(a[i], y[i], 0.0, ref_counter, "s")
+        except SingularSystemError:
+            assert not solved[i] and np.all(coeffs[:, i] == 0)
+            continue
+        assert solved[i]
+        if i == 500:
+            # the auto-ridged system: both sides solve [A; sqrt(ridge) I] c ~= [y; 0]
+            bound = ridged_lstsq(a[i : i + 1], y[i : i + 1], auto_ridge(a[i : i + 1]))[1]
+            assert_within(coeffs[:, i : i + 1].T, ref[None], bound)
+        else:
+            np.testing.assert_allclose(coeffs[:, i], ref, rtol=1e-10)
+    assert counter.rows() == ref_counter.rows()
     assert not solved[[250, 300, 400]].any()
     counter = OpCounter()
-    _ls_solve_stack(*band_last(a[[250, 300, 400]], y[[250, 300, 400]]), 0.0, counter, "s")
+    _ls_solve_stack(*band_last(a[[250, 300, 400]], y[[250, 300, 400]]), counter, "s")
     assert counter.rows() == []  # nothing solved, nothing charged
 
 
@@ -373,7 +358,7 @@ def qr_ratio(a):
         return np.where(diag.min(axis=1) > 0, diag.max(axis=1) / diag.min(axis=1), np.inf)
 
 
-def test_ls_solve_stack_judges_every_system_by_the_qr_rule():
+def test_ls_solve_stack_judges_every_system_by_the_qr_rule(monkeypatch):
     # systems whose |R_kk| ratios run from 1 to 1e13, across the 1e8
     # auto-ridge and the 1e12 rank limit, with an all-zero and an exactly
     # dependent system among them, each judged on its own
@@ -384,39 +369,56 @@ def test_ls_solve_stack_judges_every_system_by_the_qr_rule():
     y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     a[300] = 0.0
     a[301, :, 2] = (0.5 - 2j) * a[301, :, 0]
-    ridge = np.where(np.arange(n) % 5 == 0, 1e-3, 0.0)  # explicit ridge on every fifth system
 
-    def check(a, y, regularization):
+    def check(a, y):
         """Solved mask, charges and coefficients of one stack by the QR rule; returns the mask."""
         counter = OpCounter()
-        coeffs, solved = _ls_solve_stack(*band_last(a, y), regularization, counter, "s")
-        given = np.broadcast_to(regularization, (len(a),))
-        assert np.array_equal(solved, (given > 0) | (qr_ratio(a) < 1e12))
+        coeffs, solved = _ls_solve_stack(*band_last(a, y), counter, "s")
+        assert np.array_equal(solved, qr_ratio(a) < 1e12)
         mults, adds = ls_costs(*a.shape[1:])
         count = np.count_nonzero(solved)
         assert (counter.mults("s"), counter.adds("s")) == (count * mults, count * adds)
         assert not coeffs[:, ~solved].any()
-        # every solved system solves its ridge's own problem, the ridge 0,
-        # automatic or given, to the rounding of a backward-stable solve
-        ridges = np.where(given > 0, given, auto_ridge(a))[solved]
+        # every solved system solves its ridge's own problem, the ridge 0 or
+        # automatic, to the rounding of a backward-stable solve
+        ridges = auto_ridge(a)[solved]
         assert_within(coeffs.T[solved], *ridged_lstsq(a[solved], y[solved], ridges))
         return solved
 
-    for regularization in (0.0, 1e-3, ridge):
-        check(a, y, regularization)
+    check(a, y)
     # with no ridge every system under the rank limit is solved, and none at
     # or above it. The old rule, the Gram solve, lost six of them: their
     # auto-ridge (top / 1e8)^2 sits at the rounding level of their Gram
     # matrix, so gram + ridge I rounded to an exactly singular matrix. Each
     # QR factor of [A; sqrt(ridge) I] solves them, and they are charged.
+    # The auto-ridged systems, and only they, reach _lifted, in one QR.
+    lifted, shapes = [], []
+    lift, qr = sic._lifted, np.linalg.qr
+
+    def spy_lift(ay, ridge):
+        lifted.append((ay, ridge))
+        return lift(ay, ridge)
+
+    def spy_qr(x, mode="reduced"):
+        shapes.append(np.shape(x))
+        return qr(x, mode=mode)
+
+    monkeypatch.setattr(sic, "_lifted", spy_lift)
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), None, "s")
+    monkeypatch.undo()
     ratios = qr_ratio(a)
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, None, "s")
     assert np.array_equal(solved, ratios < 1e12)
+    auto = solved & (auto_ridge(a) > 0)
+    [(ay, ridge)] = lifted
+    assert np.array_equal(ay, np.concatenate([a[auto], y[auto][:, :, None]], axis=2))
+    np.testing.assert_allclose(ridge, auto_ridge(a)[auto], rtol=1e-9)
+    assert shapes == [(np.count_nonzero(auto), m + k, k + 1)]
     lost = np.flatnonzero(~ls_solve_stack_qr(a, y, 0.0, None, "s")[1] & (ratios < 1e12))
     assert len(lost) == 6 and (ratios[lost] > 1e8).all()
     assert_within(coeffs.T[lost], *ridged_lstsq(a[lost], y[lost], auto_ridge(a[lost])))
     counter = OpCounter()
-    _ls_solve_stack(*band_last(a[lost], y[lost]), 0.0, counter, "s")
+    _ls_solve_stack(*band_last(a[lost], y[lost]), counter, "s")
     assert counter.mults("s") == len(lost) * ls_costs(m, k)[0]
 
     # dependence behind large coefficients, one system per stack: a column
@@ -430,7 +432,7 @@ def test_ls_solve_stack_judges_every_system_by_the_qr_rule():
     noisy[:, :, 2] = 1e3 * z[:, :, 0] * (1.0 + 1e-9 * rng.standard_normal((8, m)))
     hidden = hidden_dependence(rng, 8)
     for system in np.concatenate([scaled, noisy, hidden, hidden_dependence(rng, 8, noise=1e-7)]):
-        solved = check(system[None], y[:1], 0.0)[0]
+        solved = check(system[None], y[:1])[0]
         try:
             ls_solve(system, y[0])
         except SingularSystemError:
@@ -449,10 +451,10 @@ def test_ls_solve_stack_on_a_sub_stack_matches_the_whole_band():
     a = graded_systems(rng, levels[rng.integers(len(levels), size=n)], m)
     y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     a[7] = 0.0
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, None, "s")
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), None, "s")
     for size in (1, 37, 250, 1500):
         part = np.sort(rng.choice(n, size=size, replace=False))
-        sub, sub_solved = _ls_solve_stack(*band_last(a[part], y[part]), 0.0, None, "s")
+        sub, sub_solved = _ls_solve_stack(*band_last(a[part], y[part]), None, "s")
         assert np.array_equal(sub_solved, solved[part])
         assert np.abs(sub - coeffs[:, part]).max() <= 1e-13 * np.abs(coeffs).max()
 
@@ -464,7 +466,7 @@ def test_ls_solve_stack_takes_one_column_and_an_empty_band():
     y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     a[3] = 0.0
     counter, ref_counter = OpCounter(), OpCounter()
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, counter, "s")
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), counter, "s")
     ref_coeffs, ref_solved = ls_solve_stack_qr(a, y, 0.0, ref_counter, "s")
     assert coeffs.shape == (1, n) and np.array_equal(solved, ref_solved) and not solved[3]
     np.testing.assert_allclose(coeffs.T, ref_coeffs, rtol=1e-13, atol=0)
@@ -472,52 +474,9 @@ def test_ls_solve_stack_takes_one_column_and_an_empty_band():
 
     counter = OpCounter()
     coeffs, solved = _ls_solve_stack(
-        np.zeros((m, 3, 0), dtype=complex), np.zeros((m, 0), dtype=complex), 0.0, counter, "s"
+        np.zeros((m, 3, 0), dtype=complex), np.zeros((m, 0), dtype=complex), counter, "s"
     )
     assert coeffs.shape == (3, 0) and solved.shape == (0,) and counter.rows() == []
-
-
-def test_ls_solve_stack_with_positive_ridges_never_factors_the_band(monkeypatch):
-    rng = np.random.default_rng(23)
-    n, m, k = 30, 6, 3
-    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
-    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    ridge = rng.uniform(0.1, 1.0, n)
-
-    def refused(*args):
-        raise AssertionError("the band factor was computed")
-
-    monkeypatch.setattr(sic, "_band_qr", refused)
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
-    assert solved.all()
-    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
-
-
-def test_qr_rule_factors_a_system_given_a_ridge_over_its_lift_alone(monkeypatch):
-    # a ridged system is solved from the QR of [A y] over [sqrt(ridge) I 0]
-    # alone, so a stack given its ridges takes one QR and never factors the band
-    rng = np.random.default_rng(31)
-    n, m, k = 25, 7, 3
-    a = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
-    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    ridge = rng.uniform(0.1, 1.0, n)
-    calls = []
-    qr = np.linalg.qr
-
-    def counted(x, mode="reduced"):
-        calls.append(np.shape(x))
-        return qr(x, mode=mode)
-
-    def refused(*args):
-        raise AssertionError("the band factor was computed")
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
-    monkeypatch.setattr(sic, "_band_qr", refused)
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), ridge, None, "s")
-    assert calls == [(n, m + k, k + 1)]
-    monkeypatch.undo()
-    assert solved.all()
-    assert_within(coeffs.T, *ridged_lstsq(a, y, ridge))
 
 
 def test_back_sweep_reads_nothing_below_the_diagonal():
@@ -547,18 +506,11 @@ def test_ls_solve_square_systems_with_and_without_the_auto_ridge():
     ref, bound = ridged_lstsq(a, y, ridge)
     assert_within(np.array([ls_solve(a[i], y[i]) for i in range(n)]), ref, bound)
     counter = OpCounter()
-    coeffs, solved = _ls_solve_stack(*band_last(a, y), 0.0, counter, "s")
+    coeffs, solved = _ls_solve_stack(*band_last(a, y), counter, "s")
     assert solved.all() and counter.mults("s") == n * ls_costs(k, k)[0]
     # the healthy systems are solved from the band's QR factor, the stiff
     # ones with their ridge by the QR rule, each to the QR's rounding
     assert_within(coeffs.T, ref, bound)
-
-
-def test_ls_solve_rejects_negative_ridge():
-    # a negative ridge has no real sqrt(ridge) I to lift the system with
-    a = np.eye(4, 2, dtype=complex)[:, :, None]
-    with pytest.raises(ValueError, match="nonnegative"):
-        _ls_solve_stack(a, np.ones((4, 1), dtype=complex), -1.0, None, "s")
 
 
 # ---------------------------------------------------------------- stacked estimators
@@ -606,7 +558,7 @@ def test_estimate_iq_matches_loop_reference(p_total):
         (mirrored_grid(1024), irr_to_b(25.0, 0.3)),
         (sbfd_grid(), irr_to_b(25.0, 0.3)),
         # without an image the linear column is zero on uplink 777..904,
-        # so the ridge refit covers both blocks of the 305-subcarrier stack
+        # so those 128 of the 305 systems are refit over Phi_3 and Phi_5
         (SubcarrierGrid(1024, 120e3, 8, (112, 776), (600, 904)), 0.0),
     ],
     ids=["ibfd-64", "ibfd-1024", "sbfd-fallback", "overlap-1024-fallback"],
@@ -629,24 +581,32 @@ def test_full_ls_matches_loop_reference(grid, b):
     assert counter.rows() == ref_counter.rows()
 
 
-def test_full_ls_ridges_every_sbfd_system_and_no_other(monkeypatch):
+def test_full_ls_refits_every_sbfd_system_over_two_orders_and_lifts_none(monkeypatch):
     # at P = 256 with the default image weight, the overlap and ibfd uplinks
-    # see a nonzero linear column b conj(X[-p]), so no full_ls system is
-    # ridged there; the sbfd uplink sees none, and every system is ridged
-    lifted = []
-    lift = sic._lifted
+    # see a nonzero linear column b conj(X[-p]), so full_ls solves every
+    # system at once there; the sbfd uplink sees none, and all 24 systems are
+    # refit over Phi_3 and Phi_5. No system on any preset is ridged.
+    lifted, solves = [], []
+    lift, solve = sic._lifted, sic._ls_solve_stack
 
-    def counted(ay, ridge):
-        lifted.append(len(ay) if ay.ndim == 3 else 1)
+    def spy_lift(ay, ridge):
+        lifted.append(np.shape(ay))
         return lift(ay, ridge)
 
-    monkeypatch.setattr(sic, "_lifted", counted)
-    for duplex, expected in (("ibfd", 0), ("overlap", 0), ("sbfd", 24)):
-        lifted.clear()
+    def spy_solve(a, y, counter, stage):
+        if stage == "full_ls_est":
+            solves.append(a.shape[1:])
+        return solve(a, y, counter, stage)
+
+    monkeypatch.setattr(sic, "_lifted", spy_lift)
+    monkeypatch.setattr(sic, "_ls_solve_stack", spy_solve)
+    for duplex in ("ibfd", "overlap", "sbfd"):
+        solves.clear()
         spec = ScenarioSpec(num_subcarriers=256, duplex=duplex, cancellers=("full_ls",))
         run_scenario(spec)
-        assert sum(lifted) == expected
-    assert spec.build_grid().ul_size == 24
+        n_ul = spec.build_grid().ul_size
+        assert solves == ([(3, n_ul), (2, n_ul)] if duplex == "sbfd" else [(3, n_ul)])
+    assert n_ul == 24 and lifted == []
 
 
 A_HAT = np.array([35.0 + 0.2j, -2.3 + 0.01j, 0.002])
@@ -1238,7 +1198,7 @@ def test_linear_baseline_is_inert_off_the_downlink_band():
 
 def test_full_ls_baseline_handles_split_allocation():
     # off the downlink band the linear regressor column is identically zero;
-    # the per-subcarrier solve must fall back to a ridge and still cancel
+    # the per-subcarrier solve must refit over the orders that carry power and still cancel
     g = sbfd_grid()
     pa = default_measured_pa()
     b = irr_to_b(25.0, 0.3)
