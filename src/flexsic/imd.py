@@ -203,7 +203,7 @@ def mu_tables(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = grid.num_subcarriers
-    big_b = (1.0 + np.abs(np.asarray(b_iq, dtype=np.complex128)) ** 2) * a_digi**2
+    big_b = (1.0 + abs2(np.asarray(b_iq, dtype=np.complex128))) * a_digi**2
     lam_hat = np.fft.rfft(_fold_mod_p(lambda_dl(grid), p).astype(np.float64))
     w = grid.dl_end - grid.dl_start
     unit = np.zeros((k_max + 1, p), dtype=np.float64)
@@ -281,4 +281,4 @@ def predict_si_power(
         )
     if mu.shape[1] != len(h_hat):
         raise ValueError("mu and h_hat disagree on subcarrier count")
-    return (np.abs(a_hat) ** 2)[:, None] * mu * (np.abs(h_hat) ** 2)[None, :]
+    return abs2(a_hat)[:, None] * mu * abs2(h_hat)[None, :]

@@ -64,6 +64,7 @@ arithmetic of a few unknowns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,11 +350,11 @@ def estimate_iq(buffer: TrainingBuffer, counter: OpCounter | None = None) -> com
     a[:, 0] = tx[:, pairs]
     np.conjugate(tx[:, mirrors], out=a[:, 1])
     y = buffer.rx[buffer.n_impulse:, pairs]
-    mirror_power = np.sum(np.abs(a[:, 1]) ** 2, axis=0)
+    mirror_power = abs2(a[:, 1]).sum(axis=0)
     c, solved = _ls_solve_stack(a, y, counter, "estimate_iq")
     used = solved & (c[0] != 0.0)
     c = c[:, used]
-    weight = np.abs(c[0]) ** 2 * mirror_power[used]
+    weight = abs2(c[0]) * mirror_power[used]
     den = float(weight.sum())
     if den == 0.0:
         raise ValueError("IQ image weight is unidentifiable: mirror content is all zero")
@@ -418,7 +419,7 @@ def estimate_pa(
         raise ValueError(f"impulse symbol {int(np.argmin(amp))} has no pilot energy")
     peaks = amp * grid.dl_size / p_total
     alpha = apply_iq_time(peaks, b_hat)
-    mag2 = np.abs(alpha) ** 2
+    mag2 = abs2(alpha)
     rows = np.empty((m, k_max + 1), dtype=np.complex128)
     term = alpha
     for k in range(k_max + 1):
@@ -455,7 +456,7 @@ def estimate_pa(
         u_peak = u[:, guard]
         u_post = u[:, guard + 1 :]
         resid = rx_post - u_post
-        matched = (np.conj(u_peak) @ resid) / np.sum(np.abs(u_peak) ** 2)
+        matched = (np.conj(u_peak) @ resid) / abs2(u_peak).sum()
         taus = 1 + np.sort(np.argsort(np.abs(matched))[::-1][:n_echo])
         design = u[:, guard + tau_rows[:, None] - taus[None, :]]
         gains = ls_solve(
@@ -473,7 +474,7 @@ def _symbol_count(x_dl: np.ndarray, p_total: int) -> int:
     """Number of symbols in a (..., P) stack of transmit spectra."""
     if np.shape(x_dl)[-1:] != (p_total,):
         raise ValueError("symbol length does not match the grid")
-    return int(np.prod(np.shape(x_dl)[:-1]))
+    return math.prod(np.shape(x_dl)[:-1])
 
 
 def basis_stack(
@@ -590,7 +591,7 @@ def _scalar_ls(regressor: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, int]:
     the band's largest stays zero.
     """
     num = (np.conj(regressor) * rx).sum(axis=0)
-    den = (np.abs(regressor) ** 2).sum(axis=0)
+    den = abs2(regressor).sum(axis=0)
     h = np.zeros(len(den), dtype=np.complex128)
     top = den.max() if den.size else 0.0
     good = den > _REGRESSOR_POWER_TOL * top if top > 0 else np.zeros_like(den, dtype=bool)
@@ -765,7 +766,7 @@ def run_sic(
     """
     top = top_order(weights, grid)
     chain = _stack_orders(chain, top, grid)
-    count = int(np.prod(chain.shape[:-2]))
+    count = math.prod(chain.shape[:-2])
     _charge_bases(counter, "run_basis", count, top, grid)
     w = weights[: top + 1]
     est = _weighted_sum(w, chain)
@@ -874,7 +875,7 @@ def run_full_ls(
     """
     k_max = _weight_orders(weights, grid)
     chain = _stack_orders(chain, k_max, grid)
-    count = int(np.prod(chain.shape[:-2]))
+    count = math.prod(chain.shape[:-2])
     _charge_bases(counter, "full_ls_run_basis", count, k_max, grid)
     n_ul = grid.ul_size
     est = _weighted_sum(weights, chain)
